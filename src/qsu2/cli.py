@@ -6,8 +6,9 @@ bytes.  Floats are rounded to 15 significant digits before emission, JSON
 keys are sorted, rows follow a fixed sort order per command.  Exit codes:
 0 success, 1 verification failure, 2 usage error.
 
-Environment overrides (defaults only; explicit flags win): QSU2_PRECISION
-selects double/high, QSU2_THREADS sets the sweep worker count.
+The front end only parses flags and emits rows: every identity check lives
+in the library (``qsu2.irrep.verify_algebra``), and nothing is read from
+the environment.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .angular import build_phi, build_y, hypergeom_phi, ladder_identity_check, mul_position, mul_position_right, normalization_constant
-from .irrep import IdentityCheck, position_coeff_lower, position_coeff_upper, verify_algebra
-from .jackson import SERIES, QMeasure, inner_product, integrate_monomial, series_convergence_probe
-from .qcore import DOUBLE, HIGH, QParam, qnum
+from .angular import build_phi, hypergeom_phi, normalization_constant
+from .irrep import verify_algebra
+from .jackson import SERIES, QMeasure, integrate_monomial, series_convergence_probe
+from .qcore import DOUBLE, HIGH, QParam
 from .spectra import POTENTIALS, spectrum_table
 
 LMAX_GUARD = 64
@@ -46,7 +45,6 @@ class RunConfig:
     series_depth: int | None = None
     degree: int = 0
     inject_fault: bool = False
-    threads: int = 1
 
     def validate(self):
         if any(not qv > 0 for qv in self.q):
@@ -65,14 +63,17 @@ class RunConfig:
             raise ValueError("format must be json or csv")
         if self.degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
 
 
 def _r15(x):
-    """Round to 15 significant digits for byte-stable emission."""
+    """Round every float, also inside dicts and lists, to 15 significant
+    digits for byte-stable emission."""
     if isinstance(x, float):
         return float(format(x, ".15g"))
+    if isinstance(x, dict):
+        return {k: _r15(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_r15(v) for v in x]
     return x
 
 
@@ -84,7 +85,9 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _emit(cfg: RunConfig, columns: list, rows: list, payload_meta: dict) -> str:
+def _emit(cfg: RunConfig, columns: list, rows: list, payload_meta: dict, extra: dict | None = None) -> str:
+    """Render rows as CSV, or as JSON with the meta block and any extra
+    top-level keys (CSV carries the rows only)."""
     if cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -92,11 +95,8 @@ def _emit(cfg: RunConfig, columns: list, rows: list, payload_meta: dict) -> str:
         for row in rows:
             writer.writerow([_fmt_cell(row.get(c)) for c in columns])
         return buf.getvalue()
-    body = {
-        "meta": payload_meta,
-        "rows": [{k: _r15(v) for k, v in row.items()} for row in rows],
-    }
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    body = {"meta": payload_meta, "rows": rows, **(extra or {})}
+    return json.dumps(_r15(body), indent=2, sort_keys=True) + "\n"
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -155,170 +155,17 @@ def cmd_harmonics(cfg: RunConfig) -> int:
     return 0
 
 
-def _function_checks(p: QParam, tol: float, inject_fault: bool = False) -> list:
-    """Identity catalogue for the function realization and the measure.
-
-    Coefficient-level residuals are scaled by the magnitude of the objects
-    compared (harmonic coefficients reach ~1e5 at q = 0.5, where absolute
-    thresholds would sit below representation granularity)."""
-    checks = []
-
-    def add(name, residual, note=""):
-        r = float(residual)
-        checks.append(IdentityCheck(name, "harmonic", r, bool(r < tol), note))
-
-    r = 0.0
-    for l in range(7):
-        for m in range(l + 1):
-            phi = build_phi(l, m, p)
-            r = max(r, phi.distance(hypergeom_phi(l, m, p)) / max(1.0, phi.max_abs()))
-    add("harmonic-recursion-vs-closed-form", r)
-
-    mu = QMeasure(p)
-    ys = [(l, m, build_y(l, m, p)) for l in range(5) for m in range(-l, l + 1)]
-    r = 0.0
-    for i, (l1, m1, y1) in enumerate(ys):
-        for l2, m2, y2 in ys[i:]:
-            v = inner_product(y1, y2, mu)
-            expect = 1.0 if (l1, m1) == (l2, m2) else 0.0
-            r = max(r, abs(v - expect))
-    add("harmonic-orthonormality", r)
-
-    r = 0.0
-    for l in range(1, 6):
-        for m in range(l):
-            r = max(r, ladder_identity_check(l, m, p).scaled_residual)
-    add("harmonic-ladder-step", r)
-
-    from .angular import apply_casimir
-
-    r = 0.0
-    for l in range(5):
-        for m in range(-l, l + 1):
-            y = build_y(l, m, p)
-            want = y.scaled(qnum(l, p) * qnum(l + 1, p))
-            r = max(r, apply_casimir(y).distance(want) / max(1.0, want.max_abs()))
-    add("harmonic-casimir", r)
-
-    r = 0.0
-    for l in range(4):
-        for m in range(-l, l + 1):
-            y = build_y(l, m, p)
-            for k in (1, 0, -1):
-                got = mul_position(k, y)
-                target = None
-                if abs(m + k) <= l + 1:
-                    up = build_y(l + 1, m + k, p).scaled(position_coeff_upper(p, l, m, k))
-                    target = up if target is None else target + up
-                if l - 1 >= 0 and abs(m + k) <= l - 1:
-                    lo = build_y(l - 1, m + k, p).scaled(position_coeff_lower(p, l, m, k))
-                    target = lo if target is None else target + lo
-                if inject_fault and (l, m, k) == (1, 0, 0):
-                    target = target.scaled(1 + 1e-3)
-                r = max(r, got.distance(target) / max(1.0, got.max_abs()))
-    add("position-product-expansion", r,
-        note="fault injected" if inject_fault else "")
-
-    two = qnum(2, p)
-    r = 0.0
-    for l in range(4):
-        for m in range(-l, l + 1):
-            y = build_y(l, m, p)
-            lhs = mul_position(0, y)
-            rhs = mul_position_right(0, y).scaled(p.q ** (-2 * m))
-            r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
-            if m + 1 <= l:
-                lhs = mul_position(1, y)
-                corr = build_y(l, m + 1, p)
-                corr = mul_position_right(0, corr).scaled(
-                    p.lam / p.sqrt(two) * p.q ** (-m - 1)
-                    * p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p))
-                )
-                rhs = mul_position_right(1, y) + corr
-                r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
-            if -l <= m - 1:
-                lhs = mul_position(-1, y)
-                corr = build_y(l, m - 1, p)
-                corr = mul_position_right(0, corr).scaled(
-                    -p.lam / p.sqrt(two) * p.q ** (-m + 1)
-                    * p.sqrt(qnum(l + m, p) * qnum(l - m + 1, p))
-                )
-                rhs = mul_position_right(-1, y) + corr
-                r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
-    add("position-right-commutation", r)
-
-    from .angular import angular_function, apply_lminus, apply_lplus
-
-    r = 0.0
-    for m in (-2, 0, 1):
-        f = angular_function(p, m, {0: 0.4, 1: -0.9, 2: 0.25, 3: 0.5})
-        g = angular_function(p, m + 1, {0: 1.1, 1: 0.3, 2: -0.7})
-        lhs = inner_product(apply_lplus(f), g, mu)
-        rhs = inner_product(f, apply_lminus(g), mu)
-        r = max(r, abs(lhs - rhs))
-    add("ladder-adjointness", r)
-
-    r = 0.0
-    pr = p.reciprocal()
-    for n in range(0, 9, 2):
-        r = max(r, abs(integrate_monomial(n, mu) - integrate_monomial(n, QMeasure(pr))))
-    add("measure-symmetry", r, note="q against 1/q")
-
-    if p.q < 1:
-        mu_s = QMeasure(p, SERIES, 400)
-        r = max(abs(integrate_monomial(n, mu_s) - integrate_monomial(n, mu)) for n in range(0, 9, 2))
-        checks.append(IdentityCheck("measure-series-agreement", "measure", float(r), bool(r < tol), ""))
-    else:
-        checks.append(
-            IdentityCheck("measure-series-agreement", "measure", None, None,
-                          "series grid only exists for q < 1")
-        )
-
-    val = integrate_monomial(2, mu) / integrate_monomial(0, mu)
-    add("uniform-state-moment", abs(val - 1 / qnum(3, p)))
-    return checks
-
-
-def _verify_one(qv: float, cfg: RunConfig):
-    p = _param(cfg, qv)
-    rep = verify_algebra(p, cfg.lmax, cfg.tolerance)
-    checks = list(rep.checks) + _function_checks(p, cfg.tolerance, cfg.inject_fault)
-    return qv, rep, checks
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    qs = sorted(cfg.q)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda qv: _verify_one(qv, cfg), qs))
-    else:
-        results = [_verify_one(qv, cfg) for qv in qs]
-    results.sort(key=lambda t: t[0])
     rows = []
     findings = {}
-    all_pass = True
-    for qv, rep, checks in results:
+    for qv in sorted(cfg.q):
+        rep = verify_algebra(_param(cfg, qv), cfg.lmax, cfg.tolerance, inject_fault=cfg.inject_fault)
         findings[format(float(qv), ".15g")] = rep.finding
-        for c in sorted(checks, key=lambda c: (c.group, c.name)):
-            if c.passed is False:
-                all_pass = False
-            rows.append(
-                {
-                    "q": float(qv), "group": c.group, "name": c.name,
-                    "residual": c.residual, "passed": c.passed, "note": c.note,
-                }
-            )
-    meta = _meta(cfg)
-    if cfg.fmt == "json":
-        body = {
-            "meta": meta,
-            "rows": [{k: _r15(v) for k, v in row.items()} for row in rows],
-            "findings": json.loads(json.dumps(findings), parse_float=lambda s: _r15(float(s))),
-            "passed": all_pass,
-        }
-        _write(cfg, json.dumps(body, indent=2, sort_keys=True) + "\n")
-    else:
-        _write(cfg, _emit(cfg, ["q", "group", "name", "residual", "passed", "note"], rows, meta))
+        for c in sorted(rep.checks, key=lambda c: (c.group, c.name)):
+            rows.append({"q": float(qv), **c.to_payload()})
+    all_pass = all(r["passed"] is not False for r in rows)
+    columns = ["q", "group", "name", "residual", "passed", "note"]
+    _write(cfg, _emit(cfg, columns, rows, _meta(cfg), {"findings": findings, "passed": all_pass}))
     return 0 if all_pass else 1
 
 
@@ -359,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deformation parameter, repeatable for sweeps (default 1.0)")
         sp.add_argument("--lmax", type=int, default=6)
         sp.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
-        sp.add_argument("--precision", choices=(DOUBLE, HIGH),
-                        default=os.environ.get("QSU2_PRECISION", DOUBLE))
+        sp.add_argument("--precision", choices=(DOUBLE, HIGH), default=DOUBLE)
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -416,7 +262,6 @@ def main(argv: list | None = None) -> int:
         series_depth=getattr(ns, "series_depth", None),
         degree=getattr(ns, "degree", 0),
         inject_fault=getattr(ns, "inject_fault", False),
-        threads=int(os.environ.get("QSU2_THREADS", "1")),
     )
     try:
         cfg.validate()

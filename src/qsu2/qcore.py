@@ -25,6 +25,11 @@ HIGH = "high"
 
 HIGH_PRECISION_DPS = 60
 
+# High-precision numbers come from a private context, so that building a
+# high-precision QParam leaves the process-wide mpmath.mp settings alone.
+_MP = mpmath.MPContext()
+_MP.dps = HIGH_PRECISION_DPS
+
 
 @dataclass(frozen=True)
 class QParam:
@@ -44,10 +49,8 @@ class QParam:
             raise ValueError(f"unknown precision {self.precision!r}")
         try:
             if self.precision == HIGH:
-                if mpmath.mp.dps < HIGH_PRECISION_DPS:
-                    mpmath.mp.dps = HIGH_PRECISION_DPS
-                q = mpmath.mpf(self.q)
-                ok = mpmath.isfinite(q) and q > 0
+                q = _MP.mpf(self.q)
+                ok = _MP.isfinite(q) and q > 0
             else:
                 q = float(self.q)
                 ok = math.isfinite(q) and q > 0
@@ -73,7 +76,7 @@ class QParam:
 
     @property
     def pi(self):
-        return +mpmath.pi if self.is_high else math.pi
+        return +_MP.pi if self.is_high else math.pi
 
     @property
     def coeff_tol(self) -> float:
@@ -82,7 +85,7 @@ class QParam:
 
     def sqrt(self, x):
         if self.is_high:
-            return mpmath.sqrt(x)
+            return _MP.sqrt(x)
         return math.sqrt(x)
 
     def reciprocal(self) -> "QParam":

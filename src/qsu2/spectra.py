@@ -49,15 +49,19 @@ def centrifugal_rhs(l: int, p: QParam):
 def solve_l(l: int, p: QParam):
     """Nonnegative root L of L(L+1) = [2l][2l+2]/[2]**2 + c_l**2 - c_l.
 
-    The right side is nonnegative for every q > 0 and l >= 0 (asserted);
+    The right side is nonnegative for every q > 0 and l >= 0 (checked);
     the negative root is excluded by finiteness of the reduced radial
     function at the origin.  Returns exactly 0.0 for l = 0 and exactly l
-    at q = 1.
+    at q = 1.  Raises ArithmeticError when L does not fit in a double
+    (large l far from q = 1, where c_l**2 overflows).
     """
     rhs = centrifugal_rhs(l, p)
     if rhs < 0:
         raise ArithmeticError(f"centrifugal strength came out negative ({rhs}) at l={l}, q={p.q}")
-    return (-1 + p.sqrt(1 + 4 * rhs)) / 2
+    L = (-1 + p.sqrt(1 + 4 * rhs)) / 2
+    if not math.isfinite(L):
+        raise ArithmeticError(f"effective angular number is not finite in double precision at l={l}, q={p.q}")
+    return L
 
 
 def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
@@ -66,14 +70,15 @@ def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
     L = solve_l(l, p)
     if potential == COULOMB:
         E = -1 / (2 * (n + L + 1) ** 2)
-        assert E < 0
+        signed = float(E) < 0
     elif potential == OSCILLATOR:
         E = 2 * n + L + 1.5
-        assert E > 0
+        signed = float(E) > 0
     else:
         raise ValueError(f"unknown potential {potential!r}")
     rhs = centrifugal_rhs(l, p)
-    assert abs(L * (L + 1) - rhs) <= 1e-12 * max(1.0, abs(float(rhs)))
+    if not (signed and abs(L * (L + 1) - rhs) <= 1e-12 * max(1.0, abs(float(rhs)))):
+        raise ArithmeticError(f"{potential} level n={n}, l={l} is out of double range at q={p.q}: L={L}, E={E}")
     return SpectrumEntry(potential=potential, n=int(n), l=int(l), q=float(p.q), L=float(L), E=float(E))
 
 

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qsu2.cli import main
+import qsu2
+from qsu2.cli import build_parser, main
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -144,6 +148,30 @@ def test_verify_high_precision_shrinks_residuals(tmp_path):
         return max(vals)
 
     assert worst(hi) < worst(lo) * 1e-10
+
+
+def test_verify_series_agreement_near_one(tmp_path):
+    # the depth-400 grid tail q**800 is far from negligible at q = 0.985
+    code, data = run_json(tmp_path, ["verify", "--q", "0.985", "--lmax", "4"])
+    assert code == 0
+    row = next(r for r in data["rows"] if r["name"] == "measure-series-agreement")
+    assert row["passed"] is True and row["residual"] < 1e-12
+
+
+def test_precision_ignores_environment(monkeypatch):
+    monkeypatch.setenv("QSU2_PRECISION", "high")
+    assert build_parser().parse_args(["verify"]).precision == "double"
+
+
+def test_spectrum_out_of_double_range():
+    # L overflows a double for large l far from q = 1
+    args = ["spectrum", "--potential", "coulomb", "--q", "50", "--lmax", "64"]
+    assert main(args) == 2
+    src = os.path.dirname(os.path.dirname(qsu2.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "qsu2.cli", *args], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 def test_integrate_values(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from qsu2 import (
@@ -242,9 +243,26 @@ def test_verify_algebra_q_inverse_symmetry():
 
 
 def test_verify_algebra_high_precision():
+    dps = mpmath.mp.dps
     rep = verify_algebra(QParam(1.3, "high"), 4, tol=1e-25)
     assert rep.passed
     assert max(c.residual for c in rep.checks if c.passed is not None) < 1e-25
+    # high precision lives in a private context, not in the global one
+    assert mpmath.mp.dps == dps
+
+
+def test_verify_algebra_covers_the_whole_catalogue():
+    rep = verify_algebra(QParam(1.2), 4, inject_fault=True)
+    assert {c.group for c in rep.checks} == {"operator", "harmonic", "measure"}
+    assert [c.name for c in rep.checks if c.passed is False] == ["position-product-expansion"]
+
+
+def test_max_residual_ignores_informational_rows():
+    rep = verify_algebra(QParam(0.5), 10)
+    gated = [c.residual for c in rep.checks if c.passed is not None]
+    bare = [c.residual for c in rep.checks if c.passed is None and c.residual is not None]
+    assert max(bare) > 1e6
+    assert rep.max_residual == max(gated) < 1e-5
 
 
 def test_verify_algebra_rejects_small_lmax():
