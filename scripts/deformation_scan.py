@@ -19,6 +19,8 @@ def main():
     ap.add_argument("--nmax", type=int, default=1)
     ap.add_argument("--lmax", type=int, default=2)
     ns = ap.parse_args()
+    if ns.steps < 2:
+        ap.error("--steps must be at least 2 (the grid includes both --qmin and --qmax)")
 
     qs = [ns.qmin + i * (ns.qmax - ns.qmin) / (ns.steps - 1) for i in range(ns.steps)]
     for potential, maker in (("coulomb", coulomb_energy), ("oscillator", oscillator_energy)):

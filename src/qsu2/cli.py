@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -79,6 +80,8 @@ def _r15(x):
 
 def _fmt_cell(x) -> str:
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot emit the non-finite value {x}")
         return format(x, ".15g")
     if x is None:
         return ""
@@ -96,7 +99,7 @@ def _emit(cfg: RunConfig, columns: list, rows: list, payload_meta: dict, extra: 
             writer.writerow([_fmt_cell(row.get(c)) for c in columns])
         return buf.getvalue()
     body = {"meta": payload_meta, "rows": rows, **(extra or {})}
-    return json.dumps(_r15(body), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_r15(body), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -143,14 +146,12 @@ def cmd_harmonics(cfg: RunConfig) -> int:
         for l in range(cfg.lmax + 1):
             for m in range(l + 1):
                 phi = builder(l, m, p)
+                coeffs = {k: float(phi.coeffs[k]) for k in sorted(phi.coeffs)}
                 norm = float(normalization_constant(l, m, p))
-                for k in sorted(phi.coeffs):
-                    rows.append(
-                        {
-                            "q": float(qv), "l": l, "m": m, "k": k,
-                            "a": float(phi.coeffs[k]), "norm": norm,
-                        }
-                    )
+                if not all(map(math.isfinite, (norm, *coeffs.values()))):
+                    raise ArithmeticError(f"harmonic l={l}, m={m} is not finite in double precision at q={qv}")
+                for k, a in coeffs.items():
+                    rows.append({"q": float(qv), "l": l, "m": m, "k": k, "a": a, "norm": norm})
     _write(cfg, _emit(cfg, ["q", "l", "m", "k", "a", "norm"], rows, _meta(cfg)))
     return 0
 
@@ -180,7 +181,7 @@ def cmd_integrate(cfg: RunConfig) -> int:
         row = {"q": float(qv), "n": cfg.degree, "closed_form": closed,
                "series": None, "depth": None}
         if qv < 1:
-            depth = cfg.series_depth or 200
+            depth = 200 if cfg.series_depth is None else cfg.series_depth
             row["series"] = float(integrate_monomial(cfg.degree, QMeasure(p, SERIES, depth)))
             probe = series_convergence_probe(cfg.degree, p)
             row["depth"] = depth

@@ -12,9 +12,11 @@ generally not an integer.  At l = 0 the right side vanishes identically
 is exactly L = l and both spectra collapse to their classical forms.
 
 The shooting solver integrates the reduced radial equation outward on a
-uniform grid and bisects on the sign of the endpoint value.  It shares
-nothing with the closed forms except the energy window, which is widened
-on bracketing failure; convergence problems are reported, never silent.
+uniform grid.  It identifies a level by the node count of the outward
+solution (Sturm oscillation theorem) and bisects between trial energies
+with n and n+1 nodes.  It shares nothing with the closed forms except the
+point the bracket search starts from; a level it cannot bracket is
+reported, never silent.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ def spectrum_table(potential: str, p: QParam, nmax: int, lmax: int) -> list:
 NUMEROV = "numerov"
 RK4 = "rk4"
 
+# the origin fit reads grid points up to index 8 (_fit_points)
+MIN_STEPS = 8
+# the bracket search widens tenfold per shoot from 4 energy tolerances
+# around the closed-form level and gives up beyond this multiple of |E|
+BRACKET_SPAN = 1.0
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -125,6 +133,8 @@ class RadialGrid:
             raise ValueError("grid parameters must be nonnegative (0 = choose automatically)")
         if self.r_max and self.r_min >= self.r_max:
             raise ValueError("grid needs r_min < r_max")
+        if 0 < self.n_steps < MIN_STEPS:
+            raise ValueError(f"grid needs at least {MIN_STEPS} steps for the origin fit")
         if self.method not in (NUMEROV, RK4):
             raise ValueError(f"unknown stepping method {self.method!r}")
 
@@ -164,64 +174,58 @@ def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -
         # regular solution r**(L+1) is far beneath rounding anyway
         h = r_max / n_steps
         r_min = max(1e-2 if L > 0.5 else 1e-3, 2.0 * h * math.sqrt(max(L * (L + 1), 0.25)))
+    if r_min >= r_max:
+        raise ValueError(f"grid start r_min={r_min:.6g} is not below r_max={r_max:.6g}; use more steps")
     return r_min, r_max, n_steps
 
 
-def _neighbor_clamped_window(potential: str, n: int, L: float, e_closed: float, window: float) -> float:
-    """Initial half-width that keeps the neighbouring closed-form levels
-    outside the bracket; at large effective angular number the relative
-    level spacing shrinks well below 20 percent."""
-    if potential == COULOMB:
-        gaps = [abs(-1 / (2 * (n + 1 + L + 1) ** 2) - e_closed)]
-        if n >= 1:
-            gaps.append(abs(-1 / (2 * (n - 1 + L + 1) ** 2) - e_closed))
-    else:
-        gaps = [2.0]
-    rel = min(gaps) / abs(e_closed)
-    return min(window, 0.45 * rel)
+def _fit_points(n_steps: int) -> tuple:
+    """Grid indices of the two early values that fix the origin exponent."""
+    return max(4, n_steps // 400), max(8, n_steps // 200)
 
 
-def _turning_radius(potential: str, L: float, E: float) -> float:
-    """Outer classical turning point; node counting stops there because the
-    deep forbidden tail can cross zero once from rounding-level admixture
-    of the growing solution."""
+def _potential_table(potential: str, L: float, r_min: float, h: float, count: int) -> list:
+    """Energy-independent part of f(r) = L(L+1)/r**2 + 2V(r) - 2E at
+    r = r_min + i*h for i < count."""
     ll1 = L * (L + 1)
     if potential == COULOMB:
-        disc = max(1.0 - 2.0 * abs(E) * ll1, 0.0)
-        return (1.0 + math.sqrt(disc)) / (2.0 * abs(E))
-    disc = max(E * E - ll1, 0.0)
-    return math.sqrt(E + math.sqrt(disc))
+        return [ll1 / (r_min + i * h) ** 2 - 2.0 / (r_min + i * h) for i in range(count)]
+    return [ll1 / (r_min + i * h) ** 2 + (r_min + i * h) ** 2 for i in range(count)]
 
 
-def _shoot(potential: str, L: float, E: float, r_min: float, r_max: float, n_steps: int, method: str):
-    """Integrate the reduced equation v'' = f(r) v outward; return the
-    endpoint value normalized to the largest magnitude seen, plus the
-    node count inside the classically allowed region."""
-    h = (r_max - r_min) / n_steps
-    ll1 = L * (L + 1)
-    node_cut = min(1.05 * _turning_radius(potential, L, E) + 1.0, r_max)
-    i_cut = int((node_cut - r_min) / h)
+def _shoot(potential: str, L: float, E: float, table: list, r_min: float, h: float, n_steps: int, method: str):
+    """Integrate the reduced equation v'' = f(r) v outward from the series
+    start r**(L+1).  Returns the endpoint value normalized to the largest
+    magnitude seen, the node count over the whole grid, and the values at
+    the two _fit_points.
+
+    ``table`` holds f + 2E on the grid (Numerov) or on the half-step grid
+    (RK4)."""
     if potential == COULOMB:
-        base = [ll1 / (r_min + i * h) ** 2 - 2.0 / (r_min + i * h) for i in range(n_steps + 1)]
         c1 = -1.0 / (L + 1)
         series = lambda r: r ** (L + 1) * (1 + c1 * r)
     else:
-        base = [ll1 / (r_min + i * h) ** 2 + (r_min + i * h) ** 2 for i in range(n_steps + 1)]
         c2 = -E / (2 * L + 3)
         series = lambda r: r ** (L + 1) * (1 + c2 * r * r)
     two_e = 2.0 * E
+    i1, i2 = _fit_points(n_steps)
+    mark = i1 - 1  # step that lands on the next fit point
+    fit = []
     v0 = series(r_min)
     v1 = series(r_min + h)
     vmax = max(abs(v0), abs(v1))
     nodes = 0
     if method == NUMEROV:
         c = h * h / 12.0
-        fm, f0 = base[0] - two_e, base[1] - two_e
+        fm, f0 = table[0] - two_e, table[1] - two_e
         for i in range(1, n_steps):
-            fp = base[i + 1] - two_e
+            fp = table[i + 1] - two_e
             v2 = (2.0 * (1.0 + 5.0 * c * f0) * v1 - (1.0 - c * fm) * v0) / (1.0 - c * fp)
-            if i <= i_cut and v2 * v1 < 0.0:
+            if v2 * v1 < 0.0:
                 nodes += 1
+            if i == mark:
+                fit.append(v2)
+                mark = i2 - 1
             a = abs(v2)
             if a > vmax:
                 vmax = a
@@ -229,88 +233,51 @@ def _shoot(potential: str, L: float, E: float, r_min: float, r_max: float, n_ste
                 v1 *= 1e-200
                 v2 *= 1e-200
                 vmax *= 1e-200
+                fit = [x * 1e-200 for x in fit]
             v0, v1 = v1, v2
             fm, f0 = f0, fp
     else:
         w = (v1 - v0) / h
-        v = v1
-        r = r_min + h
+        f_lo = table[2] - two_e
         for i in range(1, n_steps):
-            f_lo = base[i] - two_e
-            r_mid = r + h / 2
-            if potential == COULOMB:
-                f_mid = ll1 / (r_mid * r_mid) - 2.0 / r_mid - two_e
-            else:
-                f_mid = ll1 / (r_mid * r_mid) + r_mid * r_mid - two_e
-            f_hi = base[i + 1] - two_e
-            k1v, k1w = w, f_lo * v
-            k2v, k2w = w + h / 2 * k1w, f_mid * (v + h / 2 * k1v)
-            k3v, k3w = w + h / 2 * k2w, f_mid * (v + h / 2 * k2v)
-            k4v, k4w = w + h * k3w, f_hi * (v + h * k3v)
-            v_new = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            f_mid = table[2 * i + 1] - two_e
+            f_hi = table[2 * i + 2] - two_e
+            k1v, k1w = w, f_lo * v1
+            k2v, k2w = w + h / 2 * k1w, f_mid * (v1 + h / 2 * k1v)
+            k3v, k3w = w + h / 2 * k2w, f_mid * (v1 + h / 2 * k2v)
+            k4v, k4w = w + h * k3w, f_hi * (v1 + h * k3v)
+            v2 = v1 + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
             w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            if i <= i_cut and v_new * v < 0.0:
+            if v2 * v1 < 0.0:
                 nodes += 1
-            v = v_new
-            a = abs(v)
+            if i == mark:
+                fit.append(v2)
+                mark = i2 - 1
+            a = abs(v2)
             if a > vmax:
                 vmax = a
             if a > 1e250:
-                v *= 1e-200
+                v2 *= 1e-200
                 w *= 1e-200
                 vmax *= 1e-200
-            r += h
-        v1 = v
-    return v1 / vmax, nodes
+                fit = [x * 1e-200 for x in fit]
+            v1 = v2
+            f_lo = f_hi
+    return v1 / vmax, nodes, fit
 
 
-def _origin_exponent(potential: str, L: float, E: float, r_min: float, r_max: float, n_steps: int, method: str) -> float:
-    """Fitted power of the reduced solution near the origin (expected L+1).
-
-    Measured at two early grid radii where the leading power dominates; the
-    fit is over integrated values, not the seeded start."""
-    h = (r_max - r_min) / n_steps
-    i1, i2 = max(4, n_steps // 400), max(8, n_steps // 200)
-    ll1 = L * (L + 1)
-    if potential == COULOMB:
-        f = lambda r: ll1 / (r * r) - 2.0 / r - 2 * E
-        c1 = -1.0 / (L + 1)
-        series = lambda r: r ** (L + 1) * (1 + c1 * r)
-    else:
-        f = lambda r: ll1 / (r * r) + r * r - 2 * E
-        c2 = -E / (2 * L + 3)
-        series = lambda r: r ** (L + 1) * (1 + c2 * r * r)
-    c = h * h / 12.0
-    v0, v1 = series(r_min), series(r_min + h)
-    vals = {0: v0, 1: v1}
-    for i in range(1, i2 + 1):
-        r0, r1p, r2 = r_min + (i - 1) * h, r_min + i * h, r_min + (i + 1) * h
-        v2 = (2.0 * (1.0 + 5.0 * c * f(r1p)) * v1 - (1.0 - c * f(r0)) * v0) / (1.0 - c * f(r2))
-        vals[i + 1] = v2
-        v0, v1 = v1, v2
-    ra, rb = r_min + i1 * h, r_min + i2 * h
-    return math.log(abs(vals[i2] / vals[i1])) / math.log(rb / ra)
-
-
-def radial_verify(
-    potential: str,
-    n: int,
-    l: int,
-    p: QParam,
-    grid: RadialGrid = RadialGrid(),
-    window: float = 0.2,
-    widen_attempts: int = 4,
-    max_bisections: int = 200,
-) -> RadialReport:
+def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = RadialGrid()) -> RadialReport:
     """Solve the radial eigenproblem by shooting and compare with the
     closed form.
 
-    The bisection window starts at the closed-form energy +/- window and
-    adapts on failure: it widens geometrically when it fails to bracket a
-    sign change, and tightens when bisection converges onto a neighbouring
-    level (detected by the radial node count; neighbours crowd into a 20%
-    window when the effective angular number is large).  All remaining
-    failure modes are reported in the result, never silently.
+    By the Sturm oscillation theorem the outward solution at a trial
+    energy has as many nodes as there are levels below it, so the level
+    with n radial nodes is the one energy where the node count steps from
+    n to n+1.  A bracket with those two counts is searched for around the
+    closed-form energy, widening tenfold per shoot up to BRACKET_SPAN
+    times |E|; bisection on the node count then shrinks it to the energy
+    tolerance.  The origin exponent is fitted from a last shoot at the
+    converged energy.  A missing bracket is reported, never silent.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"unknown potential {potential!r}")
@@ -320,84 +287,61 @@ def radial_verify(
     grid_meta = {
         "r_min": r_min, "r_max": r_max, "n_steps": n_steps, "method": grid.method,
     }
+    h = (r_max - r_min) / n_steps
+    if grid.method == NUMEROV:
+        table = _potential_table(potential, L, r_min, h, n_steps + 1)
+    else:
+        table = _potential_table(potential, L, r_min, h / 2, 2 * n_steps + 1)
 
-    def endpoint(E):
-        return _shoot(potential, L, E, r_min, r_max, n_steps, grid.method)
+    def shoot(E):
+        return _shoot(potential, L, E, table, r_min, h, n_steps, grid.method)
 
-    def fail(bisections, message, e_numeric=None):
-        return RadialReport(
-            converged=False, potential=potential, n=n, l=l, q=float(p.q), L=L,
-            e_closed=e_closed, e_numeric=e_numeric, abs_err=None,
-            boundary_residual=None, origin_exponent=None, nodes_expected=n,
-            nodes_found=None, bisections=bisections, grid=grid_meta, message=message,
-        )
-
-    width = _neighbor_clamped_window(potential, n, L, e_closed, window)
-    widenings = 0
-    tightenings = 0
     tol_e = max(1e-12, 1e-11 * abs(e_closed))
-    e_num = None
-    nodes_found = None
-    it = 0
-    while True:
-        cand_lo, cand_hi = e_closed * (1 + width), e_closed * (1 - width)
-        if cand_lo > cand_hi:
-            cand_lo, cand_hi = cand_hi, cand_lo
-        if potential == OSCILLATOR:
-            cand_lo = max(cand_lo, 1e-6)
-        s_lo, _ = endpoint(cand_lo)
-        s_hi, _ = endpoint(cand_hi)
-        if s_lo != 0.0 and s_hi != 0.0 and s_lo * s_hi > 0:
-            widenings += 1
-            if widenings > widen_attempts:
-                return fail(
-                    it,
-                    f"energy window around {e_closed:.6g} failed to bracket a sign change "
-                    f"after {widenings} widenings",
-                )
-            width *= 1.6
-            continue
-        lo, hi = cand_lo, cand_hi
-        while hi - lo > tol_e:
-            it += 1
-            if it > max_bisections:
-                return fail(
-                    it,
-                    f"bisection did not reach {tol_e:.1e} within {max_bisections} iterations",
-                    e_numeric=0.5 * (lo + hi),
-                )
-            mid = 0.5 * (lo + hi)
-            s_mid, _ = endpoint(mid)
-            if s_mid == 0.0:
-                lo = hi = mid
-                break
-            if s_lo * s_mid < 0:
-                hi = mid
-            else:
-                lo, s_lo = mid, s_mid
-        e_num = 0.5 * (lo + hi)
-        boundary, _ = endpoint(e_num)
-        # the node count is deterministic just below the eigenvalue; at the
-        # midpoint it flips with the side bisection happened to land on
-        _, nodes_found = endpoint(e_num - 2 * tol_e)
-        if nodes_found == n:
-            break
-        tightenings += 1
-        if tightenings > widen_attempts:
-            return fail(
-                it,
-                f"bisection kept landing on a level with {nodes_found} radial nodes, "
-                f"expected {n}, after {tightenings} window tightenings",
-                e_numeric=e_num,
+    span = BRACKET_SPAN * abs(e_closed)
+    d = 4 * tol_e
+    lo, hi = e_closed - d, e_closed + d
+    _, k_lo, _ = shoot(lo)
+    _, k_hi, _ = shoot(hi)
+    while k_lo > n or k_hi <= n:
+        if d >= span:
+            return RadialReport(
+                converged=False, potential=potential, n=n, l=l, q=float(p.q), L=L,
+                e_closed=e_closed, e_numeric=None, abs_err=None,
+                boundary_residual=None, origin_exponent=None, nodes_expected=n,
+                nodes_found=None, bisections=0, grid=grid_meta,
+                message=f"no energy within {BRACKET_SPAN:g}|E| of {e_closed:.6g} brackets the level "
+                        f"with {n} radial nodes (node counts {k_lo} to {k_hi})",
             )
-        width *= 0.5
+        d = min(10 * d, span)
+        # the end just passed keeps its node count as the other end
+        if k_lo > n:
+            hi, k_hi = lo, k_lo
+            lo = e_closed - d
+            _, k_lo, _ = shoot(lo)
+        else:
+            lo, k_lo = hi, k_hi
+            hi = e_closed + d
+            _, k_hi, _ = shoot(hi)
 
-    exponent = _origin_exponent(potential, L, e_num, r_min, r_max, n_steps, grid.method)
+    bisections = 0
+    while hi - lo > tol_e:
+        mid = 0.5 * (lo + hi)
+        _, k, _ = shoot(mid)
+        bisections += 1
+        if k <= n:
+            lo, k_lo = mid, k
+        else:
+            hi = mid
+    e_num = 0.5 * (lo + hi)
+    boundary, _, fit = shoot(e_num)
+    i1, i2 = _fit_points(n_steps)
+    exponent = math.log(abs(fit[1] / fit[0])) / math.log((r_min + i2 * h) / (r_min + i1 * h))
     return RadialReport(
         converged=True, potential=potential, n=n, l=l, q=float(p.q), L=L,
         e_closed=e_closed, e_numeric=e_num, abs_err=abs(e_num - e_closed),
         boundary_residual=abs(boundary), origin_exponent=exponent,
-        nodes_expected=n, nodes_found=nodes_found, bisections=it, grid=grid_meta,
+        # the last shoot, at e_num, counts as one more bisection
+        nodes_expected=n, nodes_found=k_lo, bisections=bisections + 1, grid=grid_meta,
         message="",
     )
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qsu2
-from qsu2.cli import build_parser, main
+from qsu2.cli import RunConfig, _emit, build_parser, main
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -189,6 +189,27 @@ def test_integrate_values(tmp_path):
 
 def test_integrate_series_requires_small_q():
     assert main(["integrate", "--degree", "2", "--q", "1.5", "--series-depth", "50"]) == 2
+
+
+def test_integrate_rejects_nonpositive_series_depth(capsys):
+    messages = []
+    for depth in ("0", "-4"):
+        assert main(["integrate", "--degree", "2", "--q", "0.5", "--series-depth", depth]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1] == "qsu2: series depth must be positive\n"
+
+
+def test_harmonics_overflow_is_a_usage_error(tmp_path, capsys):
+    # from l = 33 on, q = 0.5 pushes a normalization constant past double range
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"h.{fmt}"
+        assert main(["harmonics", "--q", "0.5", "--lmax", "33", "--format", fmt, "--out", str(path)]) == 2
+        assert not path.exists()
+        err = capsys.readouterr().err
+        assert "l=33, m=32" in err and "q=0.5" in err
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError):
+            _emit(RunConfig("harmonics", fmt=fmt), ["a"], [{"a": math.inf}], {})
 
 
 def test_error_paths_write_nothing(tmp_path):

@@ -158,11 +158,13 @@ def test_shooting_rk4_route():
     rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid=RadialGrid(method="rk4"))
     assert rep.converged
     assert rep.abs_err < 1e-6
+    # the origin fit comes from the RK4 stepper itself
+    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
 
 
 def test_shooting_reports_bracketing_failure():
     # an endpoint too close for the bound tail to decay cannot bracket
-    rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400), widen_attempts=0)
+    rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
     assert not rep.converged
     assert rep.e_numeric is None
     assert "bracket" in rep.message
@@ -177,12 +179,22 @@ def test_shooting_grid_validation():
         radial_verify("yukawa", 0, 0, QParam(1.0))
 
 
+def test_shooting_rejects_grids_too_short():
+    # five steps cannot hold the origin-fit points
+    with pytest.raises(ValueError):
+        RadialGrid(n_steps=5)
+    # L is about 107: the stability-aware start radius lands beyond r_max
+    with pytest.raises(ValueError):
+        radial_verify(OSCILLATOR, 0, 4, QParam(1.8), RadialGrid(n_steps=100))
+
+
 def test_shooting_large_effective_angular_number():
     # far from q = 1 the effective angular number explodes (about 107 for
-    # the oscillator case below); levels then crowd into any fixed-percent
-    # window and the centrifugal wall stiffens the near-origin recurrence,
-    # so this exercises the window clamping, the below-eigenvalue node
-    # probe and the stability-aware start radius together
+    # the oscillator case below, about 21 and 7 for the Coulomb ones);
+    # levels then crowd within a few percent of each other and the
+    # centrifugal wall stiffens the near-origin recurrence, so this
+    # exercises node-count bracketing among close neighbours and the
+    # stability-aware start radius together
     rep = radial_verify(OSCILLATOR, 0, 4, QParam(1.8))
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 0
     assert rep.L > 100
@@ -190,6 +202,8 @@ def test_shooting_large_effective_angular_number():
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 0
     rep = radial_verify(COULOMB, 1, 2, QParam(0.6))
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 1
+    rep = radial_verify(COULOMB, 2, 3, QParam(0.6))
+    assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 2
 
 
 def test_shooting_centrifugal_free_at_l0():
