@@ -177,13 +177,18 @@ def cmd_integrate(cfg: RunConfig) -> int:
     rows = []
     for qv in sorted(cfg.q):
         p = _param(cfg, qv)
-        closed = float(integrate_monomial(cfg.degree, QMeasure(p)))
+        try:
+            closed = float(integrate_monomial(cfg.degree, QMeasure(p)))
+            probe = series_convergence_probe(cfg.degree, p) if qv < 1 else None
+        except OverflowError:
+            raise ArithmeticError(
+                f"degree {cfg.degree} is out of double range at q={qv}: the q-number [{cfg.degree + 1}] overflows"
+            ) from None
         row = {"q": float(qv), "n": cfg.degree, "closed_form": closed,
                "series": None, "depth": None}
         if qv < 1:
             depth = 200 if cfg.series_depth is None else cfg.series_depth
             row["series"] = float(integrate_monomial(cfg.degree, QMeasure(p, SERIES, depth)))
-            probe = series_convergence_probe(cfg.degree, p)
             row["depth"] = depth
             row["depth_for_1e12"] = probe.depth_for_1e12
         else:

@@ -2,11 +2,12 @@
 identity-verification engine, which holds the whole catalogue: operator,
 harmonic and measure identities.
 
-Matrices act on the basis {|l, m> : l <= lmax, |m| <= l} and are stored as
-dense blocks keyed by (l_out, l_in); all operators here have bandwidth at
-most one in l.  Identities are asserted only on interior blocks
-(l <= lmax - 2), which are unreachable from truncation artifacts because
-no tested identity composes more than two bandwidth-one operators.
+Matrices act on the basis {|l, m> : l <= lmax, |m| <= l}.  Each shifts m
+by a fixed delta_m and has bandwidth at most one in l, so the block keyed
+by (l_out, l_in) is one vector over m_in.  Identities are asserted only on
+interior blocks (l <= lmax - 2), which are unreachable from truncation
+artifacts because no tested identity composes more than two bandwidth-one
+operators.
 
 The ladder matrix elements use the positive-real convention
 sqrt([l -+ m][l +- m + 1]); only the product of raising and lowering steps
@@ -38,68 +39,72 @@ from .qcore import QParam, invariants, qnum
 
 
 def _zeros(p: QParam, shape):
-    if p.is_high:
-        block = np.empty(shape, dtype=object)
-        block[:] = 0 * p.one
-        return block
-    return np.zeros(shape, dtype=complex)
+    return np.full(shape, 0 * p.one, dtype=object) if p.is_high else np.zeros(shape, dtype=complex)
+
+
+def _span(lo: int, li: int, dm: int) -> tuple:
+    """Slice over m_in + l_in of the entries with |m_in + dm| <= lo."""
+    return max(-li, -lo - dm) + li, min(li, lo - dm) + li + 1
 
 
 @dataclass
 class OperatorMatrix:
-    """Operator on the truncated basis, stored as dense (l_out, l_in) blocks.
+    """Operator on the truncated basis that shifts m by delta_m.
 
-    delta_m records the m-shift the operator carries (None for mixed).
-    Instances are immutable by convention once built.
+    Each (l_out, l_in) block is one vector over m_in = -l_in..l_in whose
+    entry m_in + l_in is <l_out, m_in + delta_m| A |l_in, m_in>; it is zero
+    where |m_in + delta_m| > l_out.  Instances are immutable by convention
+    once built.
     """
 
     p: QParam
     lmax: int
+    delta_m: int
     blocks: dict = field(default_factory=dict)
-    delta_m: int | None = None
 
-    def _set(self, lo: int, li: int, mo: int, mi: int, value):
-        key = (lo, li)
-        if key not in self.blocks:
-            self.blocks[key] = _zeros(self.p, (2 * lo + 1, 2 * li + 1))
-        self.blocks[key][mo + lo, mi + li] = value
+    def _set(self, lo: int, li: int, mi: int, value):
+        if (lo, li) not in self.blocks:
+            self.blocks[(lo, li)] = _zeros(self.p, 2 * li + 1)
+        self.blocks[(lo, li)][mi + li] = value
 
     def block(self, lo: int, li: int):
-        blk = self.blocks.get((lo, li))
-        if blk is None:
-            return _zeros(self.p, (2 * lo + 1, 2 * li + 1))
-        return blk
+        """Dense view of the (lo, li) block, indexed [m_out + lo, m_in + li]."""
+        out = _zeros(self.p, (2 * lo + 1, 2 * li + 1))
+        vec = self.blocks.get((lo, li))
+        if vec is not None:
+            start, stop = _span(lo, li, self.delta_m)
+            cols = np.arange(start, stop)
+            out[cols - li + self.delta_m + lo, cols] = vec[start:stop]
+        return out
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        dm = None
-        if self.delta_m is not None and other.delta_m is not None:
-            dm = self.delta_m + other.delta_m
-        out = OperatorMatrix(self.p, self.lmax, {}, dm)
+        dm = other.delta_m
+        out = OperatorMatrix(self.p, self.lmax, self.delta_m + dm)
         for (lo, k1), a in self.blocks.items():
             for (k2, li), b in other.blocks.items():
                 if k1 != k2:
                     continue
-                prod = np.dot(a, b)
+                start, stop = _span(k1, li, dm)
+                prod = _zeros(self.p, 2 * li + 1)
+                shift = k1 - li + dm
+                prod[start:stop] = a[start + shift:stop + shift] * b[start:stop]
                 key = (lo, li)
-                if key in out.blocks:
-                    out.blocks[key] = out.blocks[key] + prod
-                else:
-                    out.blocks[key] = prod
+                out.blocks[key] = out.blocks[key] + prod if key in out.blocks else prod
         return out
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        dm = self.delta_m if self.delta_m == other.delta_m else None
-        out = OperatorMatrix(self.p, self.lmax, {}, dm)
+        if self.delta_m != other.delta_m:
+            raise ValueError(f"cannot add operators with m-shifts {self.delta_m} and {other.delta_m}")
+        out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key in set(self.blocks) | set(other.blocks):
-            lo, li = key
-            out.blocks[key] = self.block(lo, li) + other.block(lo, li)
+            out.blocks[key] = self.blocks.get(key, 0) + other.blocks.get(key, 0)
         return out
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + other.scaled(-1)
 
     def scaled(self, s) -> "OperatorMatrix":
-        out = OperatorMatrix(self.p, self.lmax, {}, self.delta_m)
+        out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key, blk in self.blocks.items():
             out.blocks[key] = blk * s
         return out
@@ -111,45 +116,40 @@ class OperatorMatrix:
         return self.scaled(-1)
 
     def dagger(self) -> "OperatorMatrix":
-        dm = -self.delta_m if self.delta_m is not None else None
-        out = OperatorMatrix(self.p, self.lmax, {}, dm)
-        for (lo, li), blk in self.blocks.items():
-            out.blocks[(li, lo)] = np.conjugate(blk.T)
-        return out
-
-    def restrict(self, l_top: int) -> "OperatorMatrix":
-        """Keep only blocks with both labels at most l_top."""
-        out = OperatorMatrix(self.p, self.lmax, {}, self.delta_m)
-        for (lo, li), blk in self.blocks.items():
-            if lo <= l_top and li <= l_top:
-                out.blocks[(lo, li)] = blk
+        dm = self.delta_m
+        out = OperatorMatrix(self.p, self.lmax, -dm)
+        for (lo, li), vec in self.blocks.items():
+            start, stop = _span(lo, li, dm)
+            adj = _zeros(self.p, 2 * lo + 1)
+            shift = lo - li + dm
+            adj[start + shift:stop + shift] = np.conjugate(vec[start:stop])
+            out.blocks[(li, lo)] = adj
         return out
 
     def max_abs(self, l_top: int | None = None) -> float:
         worst = 0.0
-        for (lo, li), blk in self.blocks.items():
+        for (lo, li), vec in self.blocks.items():
             if l_top is not None and (lo > l_top or li > l_top):
                 continue
-            if blk.size:
-                worst = max(worst, float(np.max(np.abs(blk))))
+            worst = max(worst, float(np.max(np.abs(vec))))
         return worst
 
     def diagonal(self, l: int):
         """Diagonal of the (l, l) block as a list over m = -l..l."""
-        blk = self.block(l, l)
-        return [blk[i, i] for i in range(2 * l + 1)]
+        vec = self.blocks.get((l, l)) if self.delta_m == 0 else None
+        return list(_zeros(self.p, 2 * l + 1) if vec is None else vec)
 
 
-def zero_operator(p: QParam, lmax: int, delta_m: int | None = None) -> OperatorMatrix:
-    return OperatorMatrix(p, lmax, {}, delta_m)
+def zero_operator(p: QParam, lmax: int, delta_m: int) -> OperatorMatrix:
+    return OperatorMatrix(p, lmax, delta_m)
 
 
 def diag_operator(p: QParam, lmax: int, fn) -> OperatorMatrix:
     """Diagonal operator with entry fn(l, m)."""
-    out = OperatorMatrix(p, lmax, {}, 0)
+    out = OperatorMatrix(p, lmax, 0)
     for l in range(lmax + 1):
         for m in range(-l, l + 1):
-            out._set(l, l, m, m, fn(l, m))
+            out._set(l, l, m, fn(l, m))
     return out
 
 
@@ -167,8 +167,8 @@ def build_generators(p: QParam, lmax: int) -> dict:
     for l in range(lmax + 1):
         for m in range(-l, l):
             val = p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p))
-            lp._set(l, l, m + 1, m, val)
-            lm._set(l, l, m, m + 1, val)
+            lp._set(l, l, m, val)
+            lm._set(l, l, m + 1, val)
     return {"L0": l0, "Lplus": lp, "Lminus": lm}
 
 
@@ -242,11 +242,11 @@ def build_position(p: QParam, lmax: int) -> dict:
                 if l + 1 <= lmax and abs(m + k) <= l + 1:
                     val = position_coeff_upper(p, l, m, k)
                     if val != 0:
-                        out[k]._set(l + 1, l, m + k, m, val)
+                        out[k]._set(l + 1, l, m, val)
                 if l - 1 >= 0 and abs(m + k) <= l - 1:
                     val = position_coeff_lower(p, l, m, k)
                     if val != 0:
-                        out[k]._set(l - 1, l, m + k, m, val)
+                        out[k]._set(l - 1, l, m, val)
     return out
 
 
@@ -354,7 +354,7 @@ def _vector_condition_residual(p: QParam, lmax: int, gen: dict, triple: dict, in
         for sign, ladder in ((1, lp), (-1, lm)):
             target = triple.get(k + sign)
             lhs = (ladder @ vk - (vk @ ladder).scaled(p.q ** k)) @ ql0
-            rhs = target.scaled(two) if target is not None else zero_operator(p, lmax)
+            rhs = target.scaled(two) if target is not None else zero_operator(p, lmax, k + sign)
             worst = max(worst, (lhs - rhs).max_abs(interior))
     return worst
 

@@ -195,18 +195,19 @@ def _potential_table(potential: str, L: float, r_min: float, h: float, count: in
 
 def _shoot(potential: str, L: float, E: float, table: list, r_min: float, h: float, n_steps: int, method: str):
     """Integrate the reduced equation v'' = f(r) v outward from the series
-    start r**(L+1).  Returns the endpoint value normalized to the largest
-    magnitude seen, the node count over the whole grid, and the values at
-    the two _fit_points.
+    start (r/r_min)**(L+1), scaled so that it cannot overflow however large
+    L is.  Returns the endpoint value normalized to the largest magnitude
+    seen, the node count over the whole grid, and the values at the two
+    _fit_points.
 
     ``table`` holds f + 2E on the grid (Numerov) or on the half-step grid
     (RK4)."""
     if potential == COULOMB:
         c1 = -1.0 / (L + 1)
-        series = lambda r: r ** (L + 1) * (1 + c1 * r)
+        series = lambda r: (r / r_min) ** (L + 1) * (1 + c1 * r)
     else:
         c2 = -E / (2 * L + 3)
-        series = lambda r: r ** (L + 1) * (1 + c2 * r * r)
+        series = lambda r: (r / r_min) ** (L + 1) * (1 + c2 * r * r)
     two_e = 2.0 * E
     i1, i2 = _fit_points(n_steps)
     mark = i1 - 1  # step that lands on the next fit point
@@ -335,14 +336,19 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     e_num = 0.5 * (lo + hi)
     boundary, _, fit = shoot(e_num)
     i1, i2 = _fit_points(n_steps)
-    exponent = math.log(abs(fit[1] / fit[0])) / math.log((r_min + i2 * h) / (r_min + i1 * h))
+    if fit[0] and fit[1]:
+        ratio = (r_min + i2 * h) / (r_min + i1 * h)
+        exponent, message = math.log(abs(fit[1] / fit[0])) / math.log(ratio), ""
+    else:
+        # the 1e-200 rescalings of a steeply growing solution flush the early values to zero
+        exponent, message = None, f"origin-fit values underflowed at L={L:.6g}; no origin exponent"
     return RadialReport(
         converged=True, potential=potential, n=n, l=l, q=float(p.q), L=L,
         e_closed=e_closed, e_numeric=e_num, abs_err=abs(e_num - e_closed),
         boundary_residual=abs(boundary), origin_exponent=exponent,
         # the last shoot, at e_num, counts as one more bisection
         nodes_expected=n, nodes_found=k_lo, bisections=bisections + 1, grid=grid_meta,
-        message="",
+        message=message,
     )
 
 

@@ -150,6 +150,16 @@ def test_verify_high_precision_shrinks_residuals(tmp_path):
     assert worst(hi) < worst(lo) * 1e-10
 
 
+def test_verify_double_precision_failures_are_rounding(tmp_path):
+    # at q = 0.5 entries reach ~1e5, so six absolute 1e-10 gates fail in
+    # double precision; the same catalogue passes in high precision
+    code, lo = run_json(tmp_path, ["verify", "--q", "0.5", "--lmax", "10"], name="lo.json")
+    assert code == 1
+    assert len([r for r in lo["rows"] if r["passed"] is False]) == 6
+    code, hi = run_json(tmp_path, ["verify", "--q", "0.5", "--lmax", "10", "--precision", "high"], name="hi.json")
+    assert code == 0 and hi["passed"] is True
+
+
 def test_verify_series_agreement_near_one(tmp_path):
     # the depth-400 grid tail q**800 is far from negligible at q = 0.985
     code, data = run_json(tmp_path, ["verify", "--q", "0.985", "--lmax", "4"])
@@ -210,6 +220,15 @@ def test_harmonics_overflow_is_a_usage_error(tmp_path, capsys):
     for fmt in ("json", "csv"):
         with pytest.raises(ValueError):
             _emit(RunConfig("harmonics", fmt=fmt), ["a"], [{"a": math.inf}], {})
+
+
+def test_integrate_overflow_names_degree_and_q(capsys):
+    # the closed form 2/[n+1] needs q**(n+1) and q**-(n+1) in double range
+    for degree, q in (("5000", "0.5"), ("2000", "3")):
+        assert main(["integrate", "--degree", degree, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"degree {degree} " in captured.err and f"q={float(q)}" in captured.err
 
 
 def test_error_paths_write_nothing(tmp_path):

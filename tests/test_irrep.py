@@ -2,6 +2,7 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from qsu2 import (
@@ -289,3 +290,38 @@ def test_operator_matrix_algebra():
     assert (-x[0] + x[0]).max_abs() == 0
     assert (x[0].dagger().dagger() - x[0]).max_abs() == 0
     assert x[1].delta_m == 1 and x[1].dagger().delta_m == -1
+
+
+def test_graded_blocks_match_dense_algebra():
+    # the one-vector-per-block storage must reproduce dense block products
+    # (summed over the intermediate l) and conjugate transposes
+    def worst_gap(a, b):
+        gap = 0.0
+        for lo in range(a.lmax + 1):
+            for li in range(a.lmax + 1):
+                dense = sum(a.block(lo, k) @ b.block(k, li) for k in range(a.lmax + 1))
+                gap = max(gap, float(np.max(np.abs((a @ b).block(lo, li) - dense))))
+                adjoint = np.conjugate(a.block(lo, li).T)
+                gap = max(gap, float(np.max(np.abs(a.dagger().block(li, lo) - adjoint))))
+        return gap
+
+    p = QParam(0.7)
+    gen = build_generators(p, 5)
+    ops = [*gen.values(), *build_position(p, 5).values(), *build_lambda(p, 5, gen).values()]
+    for a in ops:
+        for b in ops:
+            assert (a @ b).delta_m == a.delta_m + b.delta_m
+            assert worst_gap(a, b) < 1e-13
+    ph = QParam(0.7, "high")
+    gen, x = build_generators(ph, 3), build_position(ph, 3)
+    lam = build_lambda(ph, 3, gen)
+    assert worst_gap(gen["Lplus"], x[-1]) < 1e-50
+    assert worst_gap(x[1], lam[0]) < 1e-50
+
+
+def test_operator_sum_needs_equal_m_shift():
+    x = build_position(QParam(1.2), 3)
+    with pytest.raises(ValueError):
+        x[1] + x[0]
+    with pytest.raises(ValueError):
+        x[1] - x[-1]

@@ -206,6 +206,19 @@ def test_shooting_large_effective_angular_number():
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 2
 
 
+def test_shooting_huge_effective_angular_numbers():
+    # at q = 0.4 and 2.5, L is about 232 at l = 3 and 1456 at l = 4, where
+    # the start radius exceeds 1 and r_min**(L+1) alone would overflow; at
+    # l = 4 the origin fit may underflow and must then say so
+    for q in (0.4, 2.5):
+        for potential in (COULOMB, OSCILLATOR):
+            for l in range(5):
+                rep = radial_verify(potential, 0, l, QParam(q))
+                assert rep.converged and rep.nodes_found == 0, (q, potential, l, rep.message)
+                assert rep.abs_err < 1e-6, (q, potential, l, rep.abs_err)
+                assert (rep.origin_exponent is None) == bool(rep.message)
+
+
 def test_shooting_centrifugal_free_at_l0():
     # the l = 0 equation carries no centrifugal term: L(L+1) is exactly 0
     rep = radial_verify(COULOMB, 0, 0, QParam(1.8))
