@@ -80,10 +80,13 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         dm = other.delta_m
         out = OperatorMatrix(self.p, self.lmax, self.delta_m + dm)
+        # the right blocks by first label, in their stored order, so that each
+        # output block sums its products in the same order as a full scan
+        rows: dict = {}
+        for (k2, li), b in other.blocks.items():
+            rows.setdefault(k2, []).append((li, b))
         for (lo, k1), a in self.blocks.items():
-            for (k2, li), b in other.blocks.items():
-                if k1 != k2:
-                    continue
+            for li, b in rows.get(k1, ()):
                 start, stop = _span(k1, li, dm)
                 prod = _zeros(self.p, 2 * li + 1)
                 shift = k1 - li + dm

@@ -12,11 +12,12 @@ generally not an integer.  At l = 0 the right side vanishes identically
 is exactly L = l and both spectra collapse to their classical forms.
 
 The shooting solver integrates the reduced radial equation outward on a
-uniform grid.  It identifies a level by the node count of the outward
-solution (Sturm oscillation theorem) and bisects between trial energies
-with n and n+1 nodes.  It shares nothing with the closed forms except the
-point the bracket search starts from; a level it cannot bracket is
-reported, never silent.
+grid uniform in x = ln r, carrying the Langer term (L+1/2)**2, with one
+step rule for every L.  It identifies a level by the node count of the
+outward solution (Sturm oscillation theorem) and bisects between trial
+energies with n and n+1 nodes.  It shares nothing with the closed forms
+except the point the bracket search starts from; a level it cannot
+bracket is reported, never silent.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .jackson import QMeasure, integrate_monomial
 from .qcore import QParam, invariants
 
 COULOMB = "coulomb"
@@ -107,8 +109,11 @@ def spectrum_table(potential: str, p: QParam, nmax: int, lmax: int) -> list:
 NUMEROV = "numerov"
 RK4 = "rk4"
 
-# the origin fit reads grid points up to index 8 (_fit_points)
+# the origin fit reads the integrated values at grid steps 4 and 8
 MIN_STEPS = 8
+# the regular solution grows like exp((L+1/2) x) near the origin; a step
+# with (L+1/2) h above this bound resolves that growth too coarsely
+MAX_LANGER_STEP = 0.25
 # the bracket search widens tenfold per shoot from 4 energy tolerances
 # around the closed-form level and gives up beyond this multiple of |E|
 BRACKET_SPAN = 1.0
@@ -116,11 +121,14 @@ BRACKET_SPAN = 1.0
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid configuration for the outward integration.
+    """Logarithmic grid configuration for the outward integration.
 
-    r_max = 0 means choose automatically from the closed-form energy scale
-    (turning point plus enough decay lengths for the endpoint sign to be
-    meaningful).
+    The grid is uniform in x = ln r from r_min to r_max in n_steps steps.
+    A zero field is chosen automatically: r_min = 1e-4 (L+1), r_max from
+    the closed-form energy scale (turning point plus enough decay lengths
+    for the endpoint sign to be meaningful), and n_steps the least count
+    with (L+1/2) h <= MAX_LANGER_STEP, but at least 8000.  A user n_steps
+    that breaks that bound is rejected.
     """
 
     r_min: float = 0.0
@@ -166,67 +174,68 @@ def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -
         r_max = grid.r_max or (r_turn + 16.0 / kappa)
     else:
         r_max = grid.r_max or (math.sqrt(2 * e_closed) + 6.5)
-    n_steps = grid.n_steps or max(8000, min(int(260 * r_max), 150000))
-    r_min = grid.r_min
-    if not r_min:
-        # keep h**2 f/12 small at the first step: below this radius the
-        # centrifugal wall destabilizes the fixed-step recurrence while the
-        # regular solution r**(L+1) is far beneath rounding anyway
-        h = r_max / n_steps
-        r_min = max(1e-2 if L > 0.5 else 1e-3, 2.0 * h * math.sqrt(max(L * (L + 1), 0.25)))
+    # the two-term series start holds while r is small next to L+1, so the
+    # start radius grows with L and no steps are spent deep in the
+    # centrifugal wall
+    r_min = grid.r_min or 1e-4 * (L + 1)
     if r_min >= r_max:
-        raise ValueError(f"grid start r_min={r_min:.6g} is not below r_max={r_max:.6g}; use more steps")
+        raise ValueError(f"grid start r_min={r_min:.6g} is not below r_max={r_max:.6g}")
+    needed = math.ceil((L + 0.5) * math.log(r_max / r_min) / MAX_LANGER_STEP)
+    n_steps = grid.n_steps or max(8000, needed)
+    if n_steps < needed:
+        raise ValueError(f"L={L:.6g} needs at least {needed} steps on this grid, got {n_steps}")
     return r_min, r_max, n_steps
 
 
-def _fit_points(n_steps: int) -> tuple:
-    """Grid indices of the two early values that fix the origin exponent."""
-    return max(4, n_steps // 400), max(8, n_steps // 200)
-
-
-def _potential_table(potential: str, L: float, r_min: float, h: float, count: int) -> list:
-    """Energy-independent part of f(r) = L(L+1)/r**2 + 2V(r) - 2E at
-    r = r_min + i*h for i < count."""
-    ll1 = L * (L + 1)
+def _potential_table(potential: str, L: float, r_min: float, h: float, count: int) -> tuple:
+    """Energy-independent parts of F(x) = (L+1/2)**2 + 2 r**2 (V(r) - E):
+    g0 = (L+1/2)**2 + 2 r**2 V(r) and r**2, at r = r_min exp(i*h) for
+    i < count."""
+    a2 = (L + 0.5) ** 2
+    r = [r_min * math.exp(i * h) for i in range(count)]
+    r2 = [x * x for x in r]
     if potential == COULOMB:
-        return [ll1 / (r_min + i * h) ** 2 - 2.0 / (r_min + i * h) for i in range(count)]
-    return [ll1 / (r_min + i * h) ** 2 + (r_min + i * h) ** 2 for i in range(count)]
+        return [a2 - 2.0 * x for x in r], r2
+    return [a2 + x * x for x in r2], r2
 
 
-def _shoot(potential: str, L: float, E: float, table: list, r_min: float, h: float, n_steps: int, method: str):
-    """Integrate the reduced equation v'' = f(r) v outward from the series
-    start (r/r_min)**(L+1), scaled so that it cannot overflow however large
-    L is.  Returns the endpoint value normalized to the largest magnitude
-    seen, the node count over the whole grid, and the values at the two
-    _fit_points.
+def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: float, n_steps: int, method: str):
+    """Integrate u'' = F(x) u outward in x = ln r, where the reduced radial
+    function is v(r) = r**(1/2) u(x), from the series start
+    (r/r_min)**(L+1/2) (1 + c r**k), scaled so that it cannot overflow
+    however large L is.  r**(1/2) > 0, so u and v share their nodes.
+    Returns the endpoint value normalized to the largest magnitude seen,
+    the node count over the whole grid, and the endpoint value itself
+    (rescaled by powers of 1e-200 only after passing 1e250, which the
+    first MIN_STEPS steps never reach).
 
-    ``table`` holds f + 2E on the grid (Numerov) or on the half-step grid
-    (RK4)."""
+    ``tables`` holds (g0, r**2) from _potential_table on the grid (Numerov)
+    or on the half-step grid (RK4)."""
+    nu = L + 0.5
     if potential == COULOMB:
-        c1 = -1.0 / (L + 1)
-        series = lambda r: (r / r_min) ** (L + 1) * (1 + c1 * r)
+        k, ck = 1, -1.0 / (L + 1)
     else:
-        c2 = -E / (2 * L + 3)
-        series = lambda r: (r / r_min) ** (L + 1) * (1 + c2 * r * r)
+        k, ck = 2, -E / (2 * L + 3)
+
+    def series(i):
+        """u and du/dx of the series start at grid point i."""
+        t, crk = math.exp(nu * i * h), ck * (r_min * math.exp(i * h)) ** k
+        return t * (1 + crk), t * (nu * (1 + crk) + k * crk)
+
+    g0, r2 = tables
     two_e = 2.0 * E
-    i1, i2 = _fit_points(n_steps)
-    mark = i1 - 1  # step that lands on the next fit point
-    fit = []
-    v0 = series(r_min)
-    v1 = series(r_min + h)
+    f = [g - two_e * s for g, s in zip(g0, r2)]
+    v0, _ = series(0)
+    v1, w = series(1)
     vmax = max(abs(v0), abs(v1))
     nodes = 0
     if method == NUMEROV:
         c = h * h / 12.0
-        fm, f0 = table[0] - two_e, table[1] - two_e
-        for i in range(1, n_steps):
-            fp = table[i + 1] - two_e
+        fm, f0 = f[0], f[1]
+        for fp in f[2:n_steps + 1]:
             v2 = (2.0 * (1.0 + 5.0 * c * f0) * v1 - (1.0 - c * fm) * v0) / (1.0 - c * fp)
             if v2 * v1 < 0.0:
                 nodes += 1
-            if i == mark:
-                fit.append(v2)
-                mark = i2 - 1
             a = abs(v2)
             if a > vmax:
                 vmax = a
@@ -234,15 +243,11 @@ def _shoot(potential: str, L: float, E: float, table: list, r_min: float, h: flo
                 v1 *= 1e-200
                 v2 *= 1e-200
                 vmax *= 1e-200
-                fit = [x * 1e-200 for x in fit]
             v0, v1 = v1, v2
             fm, f0 = f0, fp
     else:
-        w = (v1 - v0) / h
-        f_lo = table[2] - two_e
-        for i in range(1, n_steps):
-            f_mid = table[2 * i + 1] - two_e
-            f_hi = table[2 * i + 2] - two_e
+        f_lo = f[2]
+        for f_mid, f_hi in zip(f[3:2 * n_steps:2], f[4:2 * n_steps + 1:2]):
             k1v, k1w = w, f_lo * v1
             k2v, k2w = w + h / 2 * k1w, f_mid * (v1 + h / 2 * k1v)
             k3v, k3w = w + h / 2 * k2w, f_mid * (v1 + h / 2 * k2v)
@@ -251,9 +256,6 @@ def _shoot(potential: str, L: float, E: float, table: list, r_min: float, h: flo
             w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             if v2 * v1 < 0.0:
                 nodes += 1
-            if i == mark:
-                fit.append(v2)
-                mark = i2 - 1
             a = abs(v2)
             if a > vmax:
                 vmax = a
@@ -261,10 +263,9 @@ def _shoot(potential: str, L: float, E: float, table: list, r_min: float, h: flo
                 v2 *= 1e-200
                 w *= 1e-200
                 vmax *= 1e-200
-                fit = [x * 1e-200 for x in fit]
             v1 = v2
             f_lo = f_hi
-    return v1 / vmax, nodes, fit
+    return v1 / vmax, nodes, v1
 
 
 def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = RadialGrid()) -> RadialReport:
@@ -277,8 +278,9 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     n to n+1.  A bracket with those two counts is searched for around the
     closed-form energy, widening tenfold per shoot up to BRACKET_SPAN
     times |E|; bisection on the node count then shrinks it to the energy
-    tolerance.  The origin exponent is fitted from a last shoot at the
-    converged energy.  A missing bracket is reported, never silent.
+    tolerance.  A last shoot at the converged energy gives the boundary
+    residual, and the solution's values at grid steps 4 and 8 give the
+    origin exponent.  A missing bracket is reported, never silent.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"unknown potential {potential!r}")
@@ -288,14 +290,14 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     grid_meta = {
         "r_min": r_min, "r_max": r_max, "n_steps": n_steps, "method": grid.method,
     }
-    h = (r_max - r_min) / n_steps
+    h = math.log(r_max / r_min) / n_steps
     if grid.method == NUMEROV:
-        table = _potential_table(potential, L, r_min, h, n_steps + 1)
+        tables = _potential_table(potential, L, r_min, h, n_steps + 1)
     else:
-        table = _potential_table(potential, L, r_min, h / 2, 2 * n_steps + 1)
+        tables = _potential_table(potential, L, r_min, h / 2, 2 * n_steps + 1)
 
-    def shoot(E):
-        return _shoot(potential, L, E, table, r_min, h, n_steps, grid.method)
+    def shoot(E, steps=n_steps):
+        return _shoot(potential, L, E, tables, r_min, h, steps, grid.method)
 
     tol_e = max(1e-12, 1e-11 * abs(e_closed))
     span = BRACKET_SPAN * abs(e_closed)
@@ -334,21 +336,16 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         else:
             hi = mid
     e_num = 0.5 * (lo + hi)
-    boundary, _, fit = shoot(e_num)
-    i1, i2 = _fit_points(n_steps)
-    if fit[0] and fit[1]:
-        ratio = (r_min + i2 * h) / (r_min + i1 * h)
-        exponent, message = math.log(abs(fit[1] / fit[0])) / math.log(ratio), ""
-    else:
-        # the 1e-200 rescalings of a steeply growing solution flush the early values to zero
-        exponent, message = None, f"origin-fit values underflowed at L={L:.6g}; no origin exponent"
+    boundary, _, _ = shoot(e_num)
+    # u grows like r**(L+1/2) = exp((L+1/2) x) out of the origin
+    u4, u8 = shoot(e_num, 4)[2], shoot(e_num, 8)[2]
+    exponent = math.log(abs(u8 / u4)) / (4 * h) + 0.5
     return RadialReport(
         converged=True, potential=potential, n=n, l=l, q=float(p.q), L=L,
         e_closed=e_closed, e_numeric=e_num, abs_err=abs(e_num - e_closed),
         boundary_residual=abs(boundary), origin_exponent=exponent,
         # the last shoot, at e_num, counts as one more bisection
         nodes_expected=n, nodes_found=k_lo, bisections=bisections + 1, grid=grid_meta,
-        message=message,
     )
 
 
@@ -429,8 +426,6 @@ def multipole_report(p: QParam) -> MultipoleReport:
     deviation from 1/3 scales the induced quadrupole, and every higher
     even multipole is nonzero as soon as q differs from 1.
     """
-    from .jackson import QMeasure, integrate_monomial
-
     mu = QMeasure(p)
     val = integrate_monomial(2, mu) / integrate_monomial(0, mu)
     dev = val - 1.0 / 3.0

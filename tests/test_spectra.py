@@ -155,11 +155,14 @@ def test_shooting_origin_exponent():
 
 
 def test_shooting_rk4_route():
-    rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid=RadialGrid(method="rk4"))
-    assert rep.converged
-    assert rep.abs_err < 1e-6
-    # the origin fit comes from the RK4 stepper itself
-    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
+    # L is about 21 and 232 at the last two levels: RK4 shares the
+    # logarithmic grid, and its start derivative comes from the series
+    for n, l, q in ((1, 1, 1.3), (0, 3, 0.6), (0, 3, 0.4)):
+        rep = radial_verify(OSCILLATOR, n, l, QParam(q), grid=RadialGrid(method="rk4"))
+        assert rep.converged
+        assert rep.abs_err < 1e-6
+        # the origin fit comes from the RK4 stepper itself
+        assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
 
 
 def test_shooting_reports_bracketing_failure():
@@ -183,40 +186,49 @@ def test_shooting_rejects_grids_too_short():
     # five steps cannot hold the origin-fit points
     with pytest.raises(ValueError):
         RadialGrid(n_steps=5)
-    # L is about 107: the stability-aware start radius lands beyond r_max
-    with pytest.raises(ValueError):
+    # L is about 107: a hundred steps break the bound on (L+1/2) h
+    with pytest.raises(ValueError) as err:
         radial_verify(OSCILLATOR, 0, 4, QParam(1.8), RadialGrid(n_steps=100))
+    assert "L=107.1" in str(err.value)
 
 
 def test_shooting_large_effective_angular_number():
     # far from q = 1 the effective angular number explodes (about 107 for
-    # the oscillator case below, about 21 and 7 for the Coulomb ones);
+    # the oscillator case below, about 59, 21 and 7 for the Coulomb ones);
     # levels then crowd within a few percent of each other and the
-    # centrifugal wall stiffens the near-origin recurrence, so this
-    # exercises node-count bracketing among close neighbours and the
-    # stability-aware start radius together
+    # centrifugal wall dominates near the origin, so this exercises
+    # node-count bracketing among close neighbours and the Langer term of
+    # the logarithmic grid together
     rep = radial_verify(OSCILLATOR, 0, 4, QParam(1.8))
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 0
     assert rep.L > 100
+    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
     rep = radial_verify(COULOMB, 0, 3, QParam(0.6))
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 0
+    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
     rep = radial_verify(COULOMB, 1, 2, QParam(0.6))
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 1
+    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
     rep = radial_verify(COULOMB, 2, 3, QParam(0.6))
     assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 2
+    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
+    rep = radial_verify(COULOMB, 2, 4, QParam(0.6))
+    assert rep.converged and rep.abs_err < 1e-6 and rep.nodes_found == 2
+    assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
 
 
 def test_shooting_huge_effective_angular_numbers():
     # at q = 0.4 and 2.5, L is about 232 at l = 3 and 1456 at l = 4, where
-    # the start radius exceeds 1 and r_min**(L+1) alone would overflow; at
-    # l = 4 the origin fit may underflow and must then say so
+    # the start radius exceeds 1 and r_min**(L+1) alone would overflow; the
+    # origin fit must still find L+1 there
     for q in (0.4, 2.5):
         for potential in (COULOMB, OSCILLATOR):
             for l in range(5):
                 rep = radial_verify(potential, 0, l, QParam(q))
                 assert rep.converged and rep.nodes_found == 0, (q, potential, l, rep.message)
                 assert rep.abs_err < 1e-6, (q, potential, l, rep.abs_err)
-                assert (rep.origin_exponent is None) == bool(rep.message)
+                assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4), (q, potential, l)
+                assert rep.message == ""
 
 
 def test_shooting_centrifugal_free_at_l0():
