@@ -57,7 +57,6 @@ from .irrep import (
     scalar_product,
     transverse_square_candidates,
     verify_algebra,
-    zero_operator,
 )
 from .spectra import (
     COULOMB,

@@ -160,7 +160,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = []
     findings = {}
     for qv in sorted(cfg.q):
-        rep = verify_algebra(_param(cfg, qv), cfg.lmax, cfg.tolerance, inject_fault=cfg.inject_fault)
+        try:
+            rep = verify_algebra(_param(cfg, qv), cfg.lmax, cfg.tolerance, inject_fault=cfg.inject_fault)
+        except OverflowError:
+            raise ArithmeticError(
+                f"lmax {cfg.lmax} is out of double range at q={qv}: a q-power or q-number overflows"
+            ) from None
         findings[format(float(qv), ".15g")] = rep.finding
         for c in sorted(rep.checks, key=lambda c: (c.group, c.name)):
             rows.append({"q": float(qv), **c.to_payload()})

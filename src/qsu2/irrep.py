@@ -4,7 +4,10 @@ harmonic and measure identities.
 
 Matrices act on the basis {|l, m> : l <= lmax, |m| <= l}.  Each shifts m
 by a fixed delta_m and has bandwidth at most one in l, so the block keyed
-by (l_out, l_in) is one vector over m_in.  Identities are asserted only on
+by (l_out, l_in) is one vector over m_in.  The vectors are plain Python
+lists, at most 2 lmax + 1 long, of floats or mpf values, and the algebra
+on them is list arithmetic: numpy is imported only for the dense block()
+view, so verification runs without it.  Identities are asserted only on
 interior blocks (l <= lmax - 2), which are unreachable from truncation
 artifacts because no tested identity composes more than two bandwidth-one
 operators.
@@ -19,8 +22,7 @@ be compared directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import add, mul, sub
 
 from .angular import (
     angular_function,
@@ -38,8 +40,8 @@ from .jackson import SERIES, QMeasure, inner_product, integrate_monomial
 from .qcore import QParam, invariants, qnum
 
 
-def _zeros(p: QParam, shape):
-    return np.full(shape, 0 * p.one, dtype=object) if p.is_high else np.zeros(shape, dtype=complex)
+def _zeros(p: QParam, n: int) -> list:
+    return [0 * p.one] * n
 
 
 def _span(lo: int, li: int, dm: int) -> tuple:
@@ -51,9 +53,10 @@ def _span(lo: int, li: int, dm: int) -> tuple:
 class OperatorMatrix:
     """Operator on the truncated basis that shifts m by delta_m.
 
-    Each (l_out, l_in) block is one vector over m_in = -l_in..l_in whose
-    entry m_in + l_in is <l_out, m_in + delta_m| A |l_in, m_in>; it is zero
-    where |m_in + delta_m| > l_out.  Instances are immutable by convention
+    Each (l_out, l_in) block is one list over m_in = -l_in..l_in whose entry
+    m_in + l_in is <l_out, m_in + delta_m| A |l_in, m_in>; it is zero where
+    |m_in + delta_m| > l_out.  Entries are floats in double precision and
+    mpf values in high precision.  Instances are immutable by convention
     once built.
     """
 
@@ -68,13 +71,16 @@ class OperatorMatrix:
         self.blocks[(lo, li)][mi + li] = value
 
     def block(self, lo: int, li: int):
-        """Dense view of the (lo, li) block, indexed [m_out + lo, m_in + li]."""
-        out = _zeros(self.p, (2 * lo + 1, 2 * li + 1))
+        """Dense numpy view of the (lo, li) block, indexed [m_out + lo, m_in + li]."""
+        import numpy as np
+
+        shape = (2 * lo + 1, 2 * li + 1)
+        out = np.full(shape, 0 * self.p.one, dtype=object) if self.p.is_high else np.zeros(shape, dtype=complex)
         vec = self.blocks.get((lo, li))
         if vec is not None:
             start, stop = _span(lo, li, self.delta_m)
-            cols = np.arange(start, stop)
-            out[cols - li + self.delta_m + lo, cols] = vec[start:stop]
+            for col in range(start, stop):
+                out[col - li + self.delta_m + lo, col] = vec[col]
         return out
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -88,35 +94,40 @@ class OperatorMatrix:
         for (lo, k1), a in self.blocks.items():
             for li, b in rows.get(k1, ()):
                 start, stop = _span(k1, li, dm)
-                prod = _zeros(self.p, 2 * li + 1)
                 shift = k1 - li + dm
-                prod[start:stop] = a[start + shift:stop + shift] * b[start:stop]
-                key = (lo, li)
-                out.blocks[key] = out.blocks[key] + prod if key in out.blocks else prod
+                prod = map(mul, a[start + shift:stop + shift], b[start:stop])
+                acc = out.blocks.get((lo, li))
+                if acc is None:
+                    acc = out.blocks[(lo, li)] = _zeros(self.p, 2 * li + 1)
+                    acc[start:stop] = prod
+                else:
+                    acc[start:stop] = map(add, acc[start:stop], prod)
         return out
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.delta_m != other.delta_m:
-            raise ValueError(f"cannot add operators with m-shifts {self.delta_m} and {other.delta_m}")
-        out = OperatorMatrix(self.p, self.lmax, self.delta_m)
-        for key in set(self.blocks) | set(other.blocks):
-            out.blocks[key] = self.blocks.get(key, 0) + other.blocks.get(key, 0)
-        return out
+        return self._combine(other, add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + other.scaled(-1)
+        return self._combine(other, sub)
+
+    def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
+        """Blockwise op of two operators; a block missing on one side is zero."""
+        if self.delta_m != other.delta_m:
+            raise ValueError(f"cannot combine operators with m-shifts {self.delta_m} and {other.delta_m}")
+        out = OperatorMatrix(self.p, self.lmax, self.delta_m)
+        for key in set(self.blocks) | set(other.blocks):
+            a, b = self.blocks.get(key), other.blocks.get(key)
+            out.blocks[key] = list(map(op, a or _zeros(self.p, len(b)), b or _zeros(self.p, len(a))))
+        return out
 
     def scaled(self, s) -> "OperatorMatrix":
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key, blk in self.blocks.items():
-            out.blocks[key] = blk * s
+            out.blocks[key] = [x * s for x in blk]
         return out
 
     def __rmul__(self, s) -> "OperatorMatrix":
         return self.scaled(s)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return self.scaled(-1)
 
     def dagger(self) -> "OperatorMatrix":
         dm = self.delta_m
@@ -125,7 +136,7 @@ class OperatorMatrix:
             start, stop = _span(lo, li, dm)
             adj = _zeros(self.p, 2 * lo + 1)
             shift = lo - li + dm
-            adj[start + shift:stop + shift] = np.conjugate(vec[start:stop])
+            adj[start + shift:stop + shift] = [x.conjugate() for x in vec[start:stop]]
             out.blocks[(li, lo)] = adj
         return out
 
@@ -134,17 +145,13 @@ class OperatorMatrix:
         for (lo, li), vec in self.blocks.items():
             if l_top is not None and (lo > l_top or li > l_top):
                 continue
-            worst = max(worst, float(np.max(np.abs(vec))))
+            worst = max(worst, float(max(map(abs, vec))))
         return worst
 
     def diagonal(self, l: int):
         """Diagonal of the (l, l) block as a list over m = -l..l."""
         vec = self.blocks.get((l, l)) if self.delta_m == 0 else None
-        return list(_zeros(self.p, 2 * l + 1) if vec is None else vec)
-
-
-def zero_operator(p: QParam, lmax: int, delta_m: int) -> OperatorMatrix:
-    return OperatorMatrix(p, lmax, delta_m)
+        return _zeros(self.p, 2 * l + 1) if vec is None else list(vec)
 
 
 def diag_operator(p: QParam, lmax: int, fn) -> OperatorMatrix:
@@ -165,8 +172,8 @@ def build_generators(p: QParam, lmax: int) -> dict:
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
     l0 = diag_operator(p, lmax, lambda l, m: m * p.one)
-    lp = zero_operator(p, lmax, +1)
-    lm = zero_operator(p, lmax, -1)
+    lp = OperatorMatrix(p, lmax, +1)
+    lm = OperatorMatrix(p, lmax, -1)
     for l in range(lmax + 1):
         for m in range(-l, l):
             val = p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p))
@@ -238,7 +245,7 @@ def build_position(p: QParam, lmax: int) -> dict:
     """Unit-sphere position components; bandwidth one in l, zero diagonal."""
     if lmax < 1:
         raise ValueError("position matrices need lmax >= 1")
-    out = {k: zero_operator(p, lmax, k) for k in (1, 0, -1)}
+    out = {k: OperatorMatrix(p, lmax, k) for k in (1, 0, -1)}
     for l in range(lmax + 1):
         for m in range(-l, l + 1):
             for k in (1, 0, -1):
@@ -273,12 +280,15 @@ def build_partial(p: QParam, lmax: int, method: str = COMPOSED, parts: dict | No
         two = qnum(2, p)
         out = {}
         for k in (1, 0, -1):
-            d = zero_operator(p, lmax, k)
+            d = OperatorMatrix(p, lmax, k)
             for (lo, li), blk in x[k].blocks.items():
                 if lo == li + 1:
-                    d.blocks[(lo, li)] = blk * (qnum(2 * li + 2, p) / two)
+                    s = qnum(2 * li + 2, p) / two
                 elif lo == li - 1:
-                    d.blocks[(lo, li)] = blk * (-qnum(2 * li, p) / two)
+                    s = -qnum(2 * li, p) / two
+                else:
+                    continue
+                d.blocks[(lo, li)] = [v * s for v in blk]
             out[k] = d
         return out
     if method != COMPOSED:
@@ -357,7 +367,7 @@ def _vector_condition_residual(p: QParam, lmax: int, gen: dict, triple: dict, in
         for sign, ladder in ((1, lp), (-1, lm)):
             target = triple.get(k + sign)
             lhs = (ladder @ vk - (vk @ ladder).scaled(p.q ** k)) @ ql0
-            rhs = target.scaled(two) if target is not None else zero_operator(p, lmax, k + sign)
+            rhs = target.scaled(two) if target is not None else OperatorMatrix(p, lmax, k + sign)
             worst = max(worst, (lhs - rhs).max_abs(interior))
     return worst
 

@@ -10,25 +10,33 @@ Two numeric backends are supported per ``QParam``: plain double precision
 (floats) and an mpmath-backed high precision mode (>= 50 significant
 digits).  The high mode exists for oracle runs: identity residuals that are
 pure rounding noise drop by many orders of magnitude there, residuals that
-stay put are real.
+stay put are real.  Its numbers come from a private mpmath context, built
+when the first high-precision ``QParam`` is, so double precision never
+imports mpmath and ``mpmath.mp`` is never touched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import mpmath
+from functools import cache
 
 DOUBLE = "double"
 HIGH = "high"
 
 HIGH_PRECISION_DPS = 60
 
-# High-precision numbers come from a private context, so that building a
-# high-precision QParam leaves the process-wide mpmath.mp settings alone.
-_MP = mpmath.MPContext()
-_MP.dps = HIGH_PRECISION_DPS
+
+@cache
+def _mp():
+    """The private high-precision context, built on first use: being private,
+    it leaves the process-wide mpmath.mp settings alone; being lazy, it keeps
+    mpmath out of double-precision runs."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = HIGH_PRECISION_DPS
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -49,8 +57,8 @@ class QParam:
             raise ValueError(f"unknown precision {self.precision!r}")
         try:
             if self.precision == HIGH:
-                q = _MP.mpf(self.q)
-                ok = _MP.isfinite(q) and q > 0
+                q = _mp().mpf(self.q)
+                ok = _mp().isfinite(q) and q > 0
             else:
                 q = float(self.q)
                 ok = math.isfinite(q) and q > 0
@@ -76,7 +84,7 @@ class QParam:
 
     @property
     def pi(self):
-        return +_MP.pi if self.is_high else math.pi
+        return +_mp().pi if self.is_high else math.pi
 
     @property
     def coeff_tol(self) -> float:
@@ -85,7 +93,7 @@ class QParam:
 
     def sqrt(self, x):
         if self.is_high:
-            return _MP.sqrt(x)
+            return _mp().sqrt(x)
         return math.sqrt(x)
 
     def reciprocal(self) -> "QParam":

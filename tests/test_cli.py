@@ -184,6 +184,38 @@ def test_spectrum_out_of_double_range():
     assert proc.stdout == b""
 
 
+FRESH_INTERPRETER_RUNS = """
+import json, sys
+from qsu2.cli import main
+
+out = sys.argv[1]
+runs = [
+    ["verify", "--q", "1.3", "--lmax", "4"],
+    ["spectrum", "--potential", "oscillator", "--q", "1.2"],
+    ["harmonics", "--q", "0.8", "--lmax", "2"],
+    ["integrate", "--degree", "2", "--q", "0.5"],
+    ["verify", "--q", "1.3", "--lmax", "3", "--precision", "high"],
+]
+report = []
+for argv in runs:
+    code = main(argv + ["--out", out])
+    report.append([code, sorted(m for m in ("numpy", "mpmath") if m in sys.modules)])
+print(json.dumps({"runs": report, "dps": sys.modules["mpmath"].mp.dps}))
+"""
+
+
+def test_double_precision_imports_neither_numpy_nor_mpmath(tmp_path):
+    src = os.path.dirname(os.path.dirname(qsu2.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER_RUNS, str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["runs"] == [[0, []]] * 4 + [[0, ["mpmath"]]]
+    # the high-precision context is private: the global one keeps its default
+    assert data["dps"] == 15
+
+
 def test_integrate_values(tmp_path):
     code, data = run_json(tmp_path, ["integrate", "--degree", "0", "--q", "1.4"])
     assert code == 0
@@ -229,6 +261,15 @@ def test_integrate_overflow_names_degree_and_q(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"degree {degree} " in captured.err and f"q={float(q)}" in captured.err
+
+
+def test_verify_overflow_names_lmax_and_q(capsys):
+    # the catalogue needs q**n in double range for |n| up to about 2 lmax + 3
+    for q, lmax in (("1e-3", "64"), ("1e100", "3")):
+        assert main(["verify", "--q", q, "--lmax", lmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"lmax {lmax} " in captured.err and f"q={float(q)}" in captured.err
 
 
 def test_error_paths_write_nothing(tmp_path):
