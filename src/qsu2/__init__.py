@@ -7,10 +7,9 @@ exactly solvable radial spectra with an independent shooting check.
 
 __version__ = "0.1.0"
 
-from .qcore import DOUBLE, HIGH, InvariantSet, QParam, invariants, qdouble_factorial, qfactorial, qnum, qnum_rebased
+from .qcore import DOUBLE, HIGH, InvariantSet, QParam, invariants, qdouble_factorial, qfactorial, qnum
 from .angular import (
     AngularFunction,
-    HarmonicLabel,
     angular_function,
     apply_c_invariant,
     apply_casimir,
@@ -34,10 +33,7 @@ from .jackson import (
     QMeasure,
     inner_product,
     integrate_monomial,
-    integrate_polynomial,
     series_convergence_probe,
-    winding_weight,
-    winding_weight_factors,
 )
 from .irrep import (
     COMPOSED,

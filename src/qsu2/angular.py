@@ -25,18 +25,6 @@ from dataclasses import dataclass
 from .qcore import QParam, qdouble_factorial, qnum, qnum_base2
 
 
-@dataclass(frozen=True)
-class HarmonicLabel:
-    """An (l, m) label with |m| <= l."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise ValueError(f"invalid harmonic label (l={self.l}, m={self.m})")
-
-
 @dataclass(frozen=True, eq=False)
 class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k."""
@@ -94,24 +82,9 @@ class AngularFunction:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
-    def to_payload(self) -> dict:
-        """JSON-serializable form: winding plus (k, re, im) coefficient rows."""
-        rows = []
-        for k in sorted(self.coeffs):
-            z = complex(self.coeffs[k])
-            rows.append([k, z.real, z.imag])
-        return {"winding": self.m, "coefficients": rows}
-
 
 def angular_function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
     return AngularFunction(p, m, dict(coeffs))
-
-
-def from_payload(p: QParam, payload: dict) -> AngularFunction:
-    coeffs = {}
-    for k, re, im in payload["coefficients"]:
-        coeffs[int(k)] = complex(re, im) if im else re
-    return AngularFunction(p, int(payload["winding"]), coeffs)
 
 
 # ----------------------------- polynomial helpers -----------------------------
@@ -140,23 +113,6 @@ def _pshift(a: dict, j: int = 1) -> dict:
 def _pdilate(a: dict, s) -> dict:
     """Coefficients of P(s*x0)."""
     return {k: v * s ** k for k, v in a.items()}
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            w = out.get(k, 0) + va * vb
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-    return out
-
-
-def _pconj(a: dict) -> dict:
-    return {k: v.conjugate() if hasattr(v, "conjugate") else v for k, v in a.items()}
 
 
 def _qderiv(a: dict, p: QParam, sign: int) -> dict:

@@ -182,13 +182,12 @@ def cmd_integrate(cfg: RunConfig) -> int:
     rows = []
     for qv in sorted(cfg.q):
         p = _param(cfg, qv)
-        try:
-            closed = float(integrate_monomial(cfg.degree, QMeasure(p)))
-            probe = series_convergence_probe(cfg.degree, p) if qv < 1 else None
-        except OverflowError:
+        closed = float(integrate_monomial(cfg.degree, QMeasure(p)))
+        if closed == 0 and cfg.degree % 2 == 0:
             raise ArithmeticError(
-                f"degree {cfg.degree} is out of double range at q={qv}: the q-number [{cfg.degree + 1}] overflows"
-            ) from None
+                f"degree {cfg.degree} is out of double range at q={qv}: 2/[{cfg.degree + 1}] underflows"
+            )
+        probe = series_convergence_probe(cfg.degree, p) if qv < 1 else None
         row = {"q": float(qv), "n": cfg.degree, "closed_form": closed,
                "series": None, "depth": None}
         if qv < 1:

@@ -1,28 +1,62 @@
 """Deformed integration on (-1, 1) and the inner product on angular functions.
 
-The monomial rule is the closed form (1 + (-1)**n)/[n+1].  For q < 1 it is
-also reproduced by the discrete geometric-grid sum, which is exposed both
-as an alternative integration mode and as a convergence probe.  For q > 1
-the grid leaves (0, 1), so the closed form is taken as the definition;
-this keeps the q -> 1/q symmetry of [n+1] and is validated downstream by
-the orthonormality suite passing on both sides of q = 1.
+The measure is the discrete integral on the geometric grid x = +-b**(2k+1),
+k = 0, 1, ..., with weights b**(2k) - b**(2k+2) and b = min(q, 1/q).  The
+monomial x0**n integrates to (1 + (-1)**n)/[n+1]; the reciprocal grid
+carries the same functional for q > 1, which keeps the q -> 1/q symmetry
+of [n+1].  A series measure truncates the grid at a finite depth (q < 1),
+and the convergence probe follows its partial sums.
 
-The inner product reduces the winding-factor content of f~ g to a weight
-polynomial using the same rewrite rules as angular.mul_position (literally
-by calling it), then integrates monomial by monomial.  The angle integral
-over the winding phase is exact: windings must match or the product is
-zero.
+The inner product of two functions of winding m reduces the winding
+factors of f~ g to the weight w_m(x) = pref_m prod_i (1 - q**e_i x**2),
+the same rewrite as angular.mul_position, so
+
+    <f, g> = 2 pi sum_{i,j} conj(a_i) b_j M_m(i + j),
+
+with the weighted moments M_m(n), the grid sums of x**n w_m(x).  Every
+grid weight lies in [0, 1] and the first |m| of them vanish; the rest form
+a q-binomial series (Gasper-Rahman, Basic Hypergeometric Series, ch. 1)
+whose value is finite: M_m(n) = 0 for odd n and
+
+    M_m(n) = 2 q**(m n) prod_{i=1..|m|} ([2i]/[2]) / prod_{j=0..|m|} [n+1+2j]
+
+for even n.  That is 2/[n+1] at m = 0 and the classical value at q = 1,
+and q -> 1/q maps it to M_{-m}, so b = min(q, 1/q) serves both sides.
+For q = b <= 1 the moments are evaluated as
+2 b**E prod h(2i)/h(2) / prod h(n+1+2j), with h(k) = 1 + b**2 + ... +
+b**(2k-2) and E = (|m| + 1 + m) n + 2|m|, whose factors are positive and
+bounded: nothing cancels or overflows at any q, and the cost is O(|m|)
+per moment whatever the grid depth.
+
+Double precision forms the sum in stdlib decimal (imported on the first
+double-precision inner product), at 20 digits plus the decimal exponent
+of max|a_i| * max|b_j|, in a local decimal context, and rounds once at the
+end.  High precision uses the QParam's own mpf arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
-from .angular import AngularFunction, _pconj, _pmul, _pscale, angular_function, mul_position
+from .angular import AngularFunction
 from .qcore import QParam, qnum
 
 CLOSED_FORM = "closed_form"
 SERIES = "series"
+
+# Decimal digits kept beyond the operand scale in a double-precision sum.
+SUM_GUARD_DIGITS = 20
+
+
+@cache
+def _decimal():
+    """The decimal module, loaded on the first double-precision inner
+    product so that start-up does not pay for it."""
+    import decimal
+
+    return decimal
 
 
 @dataclass(frozen=True)
@@ -47,14 +81,38 @@ class QMeasure:
                 raise ValueError("series depth must be positive")
 
 
-def _halfline_series(n: int, p: QParam, depth: int):
-    """Partial sum of the discrete integral of x0**n over (0, 1)."""
-    q = p.q
-    total = 0 * p.one
-    for k in range(depth):
-        x_mid = q ** (2 * k + 1)
-        total += x_mid ** n * (q ** (2 * k) - q ** (2 * k + 2))
-    return total
+def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
+    """Depth-`depth` grid sums over (0, 1) of x**n times the winding weight
+    w_m, one for each n in ns, for 0 < q < 1 in the number type of q.
+
+    At grid point k the weight is pref_m prod_{i<m} (1 - q**(4(k-i))) for
+    m >= 0, exactly zero for k < m, and pref_m prod_{i<|m|}
+    (1 - q**(4(k+i+1))) for m < 0: every factor lies in (0, 1], so no
+    cancellation occurs.  w_0 = 1.
+    """
+    totals = [0 * q] * len(ns)
+    if m:
+        two = q + 1 / q
+        pref = (q * two) ** -m if m > 0 else (q / two) ** -m
+    for k in range(max(m, 0), depth):
+        w = q ** (2 * k) - q ** (2 * k + 2)
+        if m:
+            for i in range(abs(m)):
+                w = w * (1 - q ** (4 * (k - i) if m > 0 else 4 * (k + i + 1)))
+            w = w * pref
+        x = q ** (2 * k + 1)
+        totals = [t + x ** n * w for t, n in zip(totals, ns)]
+    return totals
+
+
+def _over_qnum(c, k: int, p: QParam):
+    """c/[k], falling back to c (1/b - b) b**k / (1 - b**(2k)) with
+    b = min(q, 1/q) when [k] overflows: the value, or 0 once it underflows."""
+    try:
+        return c / qnum(k, p)
+    except OverflowError:
+        b = min(p.q, 1 / p.q)
+        return c * (1 / b - b) * b ** k / (1 - b ** (2 * k))
 
 
 def integrate_monomial(n: int, mu: QMeasure):
@@ -70,134 +128,109 @@ def integrate_monomial(n: int, mu: QMeasure):
     if n % 2 == 1:
         return 0 * p.one
     if mu.mode == SERIES:
-        return 2 * _halfline_series(n, p, mu.series_depth)
-    return 2 / qnum(n + 1, p)
+        return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
+    return _over_qnum(2, n + 1, p)
 
 
-def integrate_polynomial(coeffs: dict, mu: QMeasure):
-    """Linear extension of the monomial rule to a finite coefficient map."""
-    total = 0 * mu.p.one
-    for k in sorted(coeffs):
-        v = coeffs[k]
-        if v != 0:
-            total = total + v * integrate_monomial(k, mu)
+def _moments(m: int, nmax: int, b) -> list:
+    """M_m(n) for n = 0..nmax at q = b <= 1, in the number type of b; the
+    moments at q > 1 are those of -m at b = 1/q (see the module docstring)."""
+    mu = abs(m)
+    h = [0 * b, b ** 0]  # h[k] = 1 + b**2 + ... + b**(2k-2) = [k] b**(k-1)
+    b2 = b * b
+    while len(h) < nmax + 2 * mu + 2:
+        h.append(h[-1] * b2 + 1)
+    lead = 2 * b ** (2 * mu)
+    for i in range(1, mu + 1):
+        lead = lead * h[2 * i] / h[2]
+    step = b ** (2 * (mu + 1 + m))
+    out = []
+    for n in range(0, nmax + 1, 2):
+        den = h[n + 1]
+        for j in range(1, mu + 1):
+            den = den * h[n + 1 + 2 * j]
+        out += [lead / den, 0 * b]
+        lead = lead * step
+    return out[: nmax + 1]
+
+
+def _pair_sum(x: dict, y: dict, moments: list):
+    """sum_{i,j} x_i y_j M(i+j), skipping the vanishing odd moments."""
+    total = 0
+    for i, xi in x.items():
+        row = 0
+        for j, yj in y.items():
+            if not (i + j) % 2:
+                row += yj * moments[i + j]
+        total += xi * row
     return total
 
 
-def winding_weight(p: QParam, m: int) -> dict:
-    """Weight polynomial carrying the winding-factor content of f~ f.
+def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi) -> tuple:
+    """2 pi sum conj(a_i) b_j M_m(i+j) as a (real, imaginary) pair.
 
-    Built by repeatedly applying mul_position to the bare winding function,
-    so this module and the position algebra cannot drift apart, then scaled
-    by the hermitian-conjugation prefactor of the winding factor.
+    `num` converts a real coefficient into the number type of the sum;
+    the moments and the sum are then formed in that type alone.
     """
-    f = angular_function(p, m, {0: p.one})
-    step = -1 if m >= 0 else 1
-    for _ in range(abs(m)):
-        f = mul_position(step, f)
-    pref = (-1 / p.q) ** m if m >= 0 else (-p.q) ** (-m)
-    return _pscale(f.coeffs, pref)
-
-
-def winding_weight_factors(p: QParam, m: int):
-    """The same weight in factored form: prefactor and the alpha_i of
-    prod_i (1 - alpha_i x0**2), with alpha_i = q**e_i returned as the
-    integer exponents e_i.
-
-    Expanding the factors reproduces winding_weight exactly; the factored
-    form exists because for q < 1 the expanded coefficients grow like
-    q**(-4|m|) and pointwise evaluation through the factors is the
-    numerically stable route.  Keeping the exponents integral lets the
-    grid evaluation produce the exact zeros of the weight (the first |m|
-    grid points), instead of epsilon-sized phantoms multiplied by the
-    remaining, possibly huge, factors.
-    """
-    two = qnum(2, p)
-    if m >= 0:
-        pref = (1 / (p.q * two)) ** m
-        exponents = tuple(-(4 * i + 2) for i in range(m))
+    parts = [
+        ({k: num(v.real) for k, v in h.coeffs.items() if v.real},
+         {k: num(v.imag) for k, v in h.coeffs.items() if v.imag})
+        for h in (f, g)
+    ]
+    (a_re, a_im), (b_re, b_im) = parts
+    q = num(mu.p.q)
+    nmax = f.degree + g.degree
+    if mu.mode == SERIES:
+        even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, f.m)
+        moments = [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
+    elif q > 1:
+        moments = _moments(-f.m, nmax, 1 / q)
     else:
-        pref = (p.q / two) ** (-m)
-        exponents = tuple(4 * i + 2 for i in range(-m))
-    return pref, exponents
+        moments = _moments(f.m, nmax, q)
+    re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
+    im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments)
+    return 2 * pi * re, 2 * pi * im
 
 
-def _poly_eval(coeffs: dict, x):
-    """Horner evaluation of a sparse coefficient map."""
-    if not coeffs:
-        return 0 * x
-    deg = max(coeffs)
-    acc = coeffs.get(deg, 0)
-    for k in range(deg - 1, -1, -1):
-        acc = acc * x + coeffs.get(k, 0)
-    return acc
-
-
-def _series_depth_for(p: QParam) -> int:
-    import math as _math
-
-    b = min(float(p.q), 1 / float(p.q))
-    return min(5000, int(_math.ceil(42.0 / (-2.0 * _math.log(b)))) + 10)
-
-
-def _integrate_weighted_series(poly: dict, pref, exponents, p: QParam, depth: int):
-    """Pointwise grid sum of poly(x) * pref * prod(1 - q**e x**2) over (-1, 1).
-
-    The grid lives at x = b**(2k+1) with b = min(q, 1/q): the monomial
-    functional is invariant under q -> 1/q, so the reciprocal grid
-    evaluates the same integral when q > 1.  Each weight factor is then an
-    integer power of q, so the weight's exact zeros come out as exact
-    zeros and the surviving factors lie in [0, 1): no cancellation occurs
-    even when the expanded weight carries huge coefficients.
-    """
-    q = p.q
-    s = 1 if q < 1 else -1
-    b = q if q < 1 else 1 / q
-    total = 0 * p.one
-    for k in range(depth):
-        x = b ** (2 * k + 1)
-        w = b ** (2 * k) - b ** (2 * k + 2)
-        wgt = pref
-        for e in exponents:
-            ee = s * (4 * k + 2) + e
-            if ee == 0:
-                wgt = 0 * wgt
-                break
-            wgt = wgt * (1 - q ** ee)
-        if wgt != 0:
-            total += (_poly_eval(poly, x) + _poly_eval(poly, -x)) * wgt * w
-    return total
+def _decimal_digits(f: AngularFunction, g: AngularFunction) -> int:
+    """SUM_GUARD_DIGITS plus the decimal exponent of max|a_i| * max|b_j|
+    when it is positive: the sum then keeps ~1e-20 absolute accuracy."""
+    bits = sum(math.frexp(h.max_abs())[1] for h in (f, g))
+    return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
 
 
 def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     """Hermitian inner product; conjugate-linear in f.
 
-    Zero for unequal windings (exact angle integral); otherwise 2*pi times
-    the integral of conj(P_f) P_g against the winding weight.
+    Zero for unequal windings (exact angle integral); otherwise
+    2 pi sum_{i,j} conj(a_i) b_j M_m(i+j) over the coefficients a of f and
+    b of g, with the closed-form weighted moments M_m(n) of the module
+    docstring (or, for a series measure, their depth-D grid sums).
 
-    Away from q = 1 in double precision the integral is evaluated
-    pointwise on the geometric grid (the reciprocal grid for q > 1, which
-    carries the same monomial functional) through the factored weight.
-    That is exactly the same number as the closed form, monomial by
-    monomial, but avoids the cancellations of the expanded weight and of
-    large-coefficient integrands.
+    In double precision the moments and the sum are formed in decimal, in
+    a local context at 20 digits plus the decimal exponent of
+    max|a_i| * max|b_j|; coefficients convert exactly and the result is
+    rounded to a double once.  In high precision they are formed in the
+    QParam's mpf arithmetic.  The result is complex when a coefficient
+    has an imaginary part.
     """
     p = mu.p
     if f.p is not p and f.p != p:
         raise ValueError("function and measure must share the deformation parameter")
-    if f.m != g.m:
+    if f.m != g.m or f.is_zero or g.is_zero:
         return 0 * p.one
-    poly = _pmul(_pconj(f.coeffs), g.coeffs)
-    use_series = mu.mode == SERIES or (
-        not p.is_high and min(float(p.q), 1 / float(p.q)) < 0.97
-    )
-    if use_series:
-        depth = mu.series_depth if mu.mode == SERIES else _series_depth_for(p)
-        pref, exponents = winding_weight_factors(p, f.m)
-        value = _integrate_weighted_series(poly, pref, exponents, p, depth)
+    if p.is_high:
+        re, im = _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)
     else:
-        value = integrate_polynomial(_pmul(poly, winding_weight(p, f.m)), mu)
-    return 2 * p.pi * value
+        dec = _decimal()
+        with dec.localcontext() as ctx:
+            ctx.prec = _decimal_digits(f, g)
+            ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
+            re, im = _moment_sum(f, g, mu, dec.Decimal, dec.Decimal(math.pi))
+            re, im = float(re), float(im)
+    if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
+        return re
+    return re + im * 1j if p.is_high else complex(re, im)
 
 
 @dataclass(frozen=True)
@@ -217,10 +250,10 @@ def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 40
     """
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
-    limit = 1 / qnum(n + 1, p)
+    limit = _over_qnum(1, n + 1, p)
     rows = []
     for d in sorted(depths):
-        s = _halfline_series(n, p, d)
+        s = _halfline_series([n], p.q, d)[0]
         rows.append((d, float(s), float(abs(s - limit))))
     hit = None
     partial = 0 * p.one

@@ -111,20 +111,6 @@ def qnum(n, p: QParam):
     return (p.q ** n - p.q ** (-n)) / p.lam
 
 
-def qnum_rebased(n, p: QParam):
-    """The same q-number written as [2] times the half-index number in base q**2.
-
-    Identically equal to ``qnum(n, p)``; kept as an independent evaluation
-    route because the terminating hypergeometric forms of the harmonics are
-    phrased in base q**2.
-    """
-    if p.is_one:
-        return n * p.one
-    q2 = p.q * p.q
-    half = (q2 ** (n / 2) - q2 ** (-n / 2)) / (q2 - 1 / q2)
-    return (p.q + 1 / p.q) * half
-
-
 def qnum_base2(e2, p: QParam):
     """q-number with base q**2 evaluated at half-index e2/2.
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -25,7 +24,6 @@ from qsu2 import (
     normalize_y,
     qnum,
 )
-from qsu2.angular import from_payload
 
 Q_GRID = (0.5, 0.9, 1.5)
 
@@ -426,16 +424,6 @@ def test_ladder_adjointness():
 
 # ----------------------------- plumbing -----------------------------
 
-def test_payload_round_trip():
-    p = QParam(1.2)
-    y = build_y(3, -2, p)
-    payload = y.to_payload()
-    text = json.dumps(payload)
-    back = from_payload(p, json.loads(text))
-    assert back.m == y.m
-    assert back.distance(y) < 1e-15
-
-
 def test_high_precision_harmonics():
     p = QParam(1.3, "high")
     for l in range(3):
@@ -454,15 +442,6 @@ def test_zero_function_handling():
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         angular_function(QParam(1.1), 0, {-1: 1.0})
-
-
-def test_harmonic_label_validation():
-    from qsu2 import HarmonicLabel
-
-    assert HarmonicLabel(3, -2).m == -2
-    for l, m in ((2, 3), (2, -3), (-1, 0)):
-        with pytest.raises(ValueError):
-            HarmonicLabel(l, m)
 
 
 def test_component_index_validation():

@@ -188,6 +188,7 @@ FRESH_INTERPRETER_RUNS = """
 import json, sys
 from qsu2.cli import main
 
+at_import = sorted(m for m in ("numpy", "mpmath", "decimal") if m in sys.modules)
 out = sys.argv[1]
 runs = [
     ["verify", "--q", "1.3", "--lmax", "4"],
@@ -200,7 +201,7 @@ report = []
 for argv in runs:
     code = main(argv + ["--out", out])
     report.append([code, sorted(m for m in ("numpy", "mpmath") if m in sys.modules)])
-print(json.dumps({"runs": report, "dps": sys.modules["mpmath"].mp.dps}))
+print(json.dumps({"at_import": at_import, "runs": report, "dps": sys.modules["mpmath"].mp.dps}))
 """
 
 
@@ -211,6 +212,8 @@ def test_double_precision_imports_neither_numpy_nor_mpmath(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
+    # decimal is loaded by the first double-precision inner product, not at start-up
+    assert data["at_import"] == []
     assert data["runs"] == [[0, []]] * 4 + [[0, ["mpmath"]]]
     # the high-precision context is private: the global one keeps its default
     assert data["dps"] == 15
@@ -261,6 +264,19 @@ def test_integrate_overflow_names_degree_and_q(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"degree {degree} " in captured.err and f"q={float(q)}" in captured.err
+
+
+def test_integrate_below_overflow_of_the_q_number(tmp_path):
+    # [1024] and [1025] overflow at q = 0.5, but the half-line limit 1/[1024]
+    # of the convergence probe and 2/[1025] = 3 * 2**-1025 are in double range
+    code, data = run_json(tmp_path, ["integrate", "--degree", "1023", "--q", "0.5"])
+    assert code == 0
+    assert data["rows"][0]["closed_form"] == 0.0
+    assert data["rows"][0]["depth_for_1e12"] is not None
+    for q in ("0.5", "2"):
+        code, data = run_json(tmp_path, ["integrate", "--degree", "1024", "--q", q], name=f"{q}.json")
+        assert code == 0
+        assert data["rows"][0]["closed_form"] == pytest.approx(3 * 2.0 ** -1025, rel=1e-14)
 
 
 def test_verify_overflow_names_lmax_and_q(capsys):

@@ -217,6 +217,15 @@ def test_verify_algebra_sweep():
         assert max(c.residual for c in rep.checks if c.passed is not None) < 1e-10
 
 
+def test_harmonic_orthonormality_far_from_one():
+    # the Gram rows sum closed-form moments, so far from q = 1 they no
+    # longer lose the large harmonic coefficients to cancellation
+    for q in (0.2, 3.0, 5.0):
+        rep = verify_algebra(QParam(q), 6)
+        row = next(c for c in rep.checks if c.name == "harmonic-orthonormality")
+        assert row.passed, (q, row.residual)
+
+
 def test_verify_algebra_interior_independent_of_truncation():
     p = QParam(1.35)
     rep_a = verify_algebra(p, 5)

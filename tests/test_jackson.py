@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +11,10 @@ from qsu2 import (
     build_y,
     inner_product,
     integrate_monomial,
-    integrate_polynomial,
     qnum,
     series_convergence_probe,
-    winding_weight,
-    winding_weight_factors,
 )
-from qsu2.angular import _pmul
+from qsu2.jackson import _halfline_series, _moments
 
 qvals = st.one_of(
     st.just(1.0),
@@ -51,26 +50,80 @@ def test_even_monomials_positive(n, q):
     assert integrate_monomial(2 * n, QMeasure(QParam(q))) > 0
 
 
+def integral(coeffs: dict, mu: QMeasure):
+    """The m = 0 integral of a polynomial: its inner product with the
+    constant function, over 2 pi."""
+    p = mu.p
+    one = angular_function(p, 0, {0: 1.0})
+    return inner_product(one, angular_function(p, 0, coeffs), mu) / (2 * math.pi)
+
+
 def test_polynomial_orthogonality_row():
     # the quadrupole polynomial integrates to zero against the constant
     for q in (0.5, 1.0, 1.7):
         p = QParam(q)
         three = qnum(3, p)
-        val = integrate_polynomial({0: 1.0, 2: -three}, QMeasure(p))
-        assert abs(val) < 1e-13
+        measures = [QMeasure(p)] + ([QMeasure(p, "series", 200)] if q < 1 else [])
+        for mu in measures:
+            val = integral({0: 1.0, 2: -three}, mu)
+            assert abs(val) < 1e-13, (q, mu.mode)
 
 
 def test_polynomial_classical():
-    assert integrate_polynomial({2: 1.0}, QMeasure(QParam(1.0))) == pytest.approx(2 / 3, rel=1e-15)
+    assert integral({2: 1.0}, QMeasure(QParam(1.0))) == pytest.approx(2 / 3, rel=1e-15)
 
 
 @given(coeffs=st.dictionaries(st.integers(0, 6), st.floats(-3, 3), max_size=5))
 @settings(max_examples=40)
 def test_series_matches_closed_form(coeffs):
     p = QParam(0.5)
-    closed = integrate_polynomial(coeffs, QMeasure(p))
-    series = integrate_polynomial(coeffs, QMeasure(p, "series", 200))
+    closed = integral(coeffs, QMeasure(p))
+    series = integral(coeffs, QMeasure(p, "series", 200))
     assert abs(closed - series) < 1e-12 * max(1.0, abs(closed))
+
+
+def test_moments_match_grid_sum():
+    # closed-form weighted moments against the grid sum with the factored
+    # weight, both at 60 digits; the grid is cut where q**(2D) < 1e-60
+    for q in (0.3, 0.5, 0.9):
+        p = QParam(q, "high")
+        depth = math.ceil(60 * math.log(10) / (-2 * math.log(q))) + 7
+        for m in range(-6, 7):
+            closed = _moments(m, 16, p.q)
+            grid = _halfline_series(range(0, 17, 2), p.q, depth, m)
+            for n in range(0, 17, 2):
+                assert abs(closed[n] - 2 * grid[n // 2]) < 1e-50 * closed[n], (q, m, n)
+            assert all(closed[n] == 0 for n in range(1, 17, 2))
+    # q -> 1/q maps M_m to M_-m
+    for q in (2.0, 3.3):
+        p = QParam(q, "high")
+        mu, mu_r = QMeasure(p), QMeasure(p.reciprocal())
+        for m in range(-6, 7):
+            one, one_r = angular_function(p, m, {0: 1}), angular_function(p.reciprocal(), -m, {0: 1})
+            for n in range(0, 17, 2):
+                a = inner_product(one, angular_function(p, m, {n: 1}), mu)
+                b = inner_product(one_r, angular_function(p.reciprocal(), -m, {n: 1}), mu_r)
+                assert abs(a - b) < 1e-50 * abs(a), (q, m, n)
+
+
+def test_double_precision_moments_match_high_precision():
+    for q in (0.05, 0.5, 0.999, 1.0, 1.3, 20.0):
+        p, ph = QParam(q), QParam(q, "high")
+        for m in (-5, 0, 3):
+            for n in (0, 2, 8):
+                lo = inner_product(angular_function(p, m, {0: 1.0}), angular_function(p, m, {n: 1.0}), QMeasure(p))
+                hi = inner_product(angular_function(ph, m, {0: 1}), angular_function(ph, m, {n: 1}), QMeasure(ph))
+                # the double nearest pi is 1.2e-16 off, the final rounding up to 1.1e-16
+                assert abs(lo - float(hi)) <= 2.5e-16 * abs(float(hi)), (q, m, n)
+
+
+def test_monomial_beyond_q_number_range():
+    # [n+1] overflows from n = 1023 at q = 0.5; the bounded form takes over
+    for q in (0.5, 2.0):
+        mu = QMeasure(QParam(q))
+        assert integrate_monomial(1022, mu) == 2 / qnum(1023, mu.p)
+        assert integrate_monomial(1024, mu) == 3 * 2.0 ** -1025
+        assert integrate_monomial(5000, mu) == 0
 
 
 def test_series_mode_requires_small_q():
@@ -131,12 +184,12 @@ def test_gram_matrix_identity():
 
 
 def test_gram_matrix_wide_deformation():
-    # exercises the two stability routes: the geometric grid with exact
-    # weight zeros at q < 1 and the reciprocal grid at q > 1
-    for q in (0.45, 2.2):
+    # far from q = 1 the harmonic coefficients grow like q**(-2l) or
+    # q**(2l): the moment sum must not lose them to cancellation
+    for q, lmax in ((0.45, 5), (2.2, 5), (0.5, 8), (2.0, 8)):
         p = QParam(q)
         mu = QMeasure(p)
-        ys = [(l, m, build_y(l, m, p)) for l in range(6) for m in range(-l, l + 1)]
+        ys = [(l, m, build_y(l, m, p)) for l in range(lmax + 1) for m in range(-l, l + 1)]
         for i, (l1, m1, y1) in enumerate(ys):
             for l2, m2, y2 in ys[i:]:
                 want = 1.0 if (l1, m1) == (l2, m2) else 0.0
@@ -149,21 +202,6 @@ def test_uniform_state_second_moment():
         mu = QMeasure(p)
         val = integrate_monomial(2, mu) / integrate_monomial(0, mu)
         assert abs(val - 1 / qnum(3, p)) < 1e-14
-
-
-def test_weight_factored_matches_expanded():
-    for q in (0.6, 1.4):
-        p = QParam(q)
-        for m in range(-5, 6):
-            w = winding_weight(p, m)
-            pref, exponents = winding_weight_factors(p, m)
-            expanded = {0: pref}
-            for e in exponents:
-                expanded = _pmul(expanded, {0: 1.0, 2: -p.q ** e})
-            scale = max(abs(v) for v in w.values())
-            keys = set(w) | set(expanded)
-            d = max(abs(w.get(k, 0) - expanded.get(k, 0)) for k in keys)
-            assert d < 1e-12 * max(1.0, scale), (q, m, d)
 
 
 def test_inner_product_series_measure_route():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsu2 import QParam, invariants, qdouble_factorial, qfactorial, qnum, qnum_rebased
+from qsu2 import QParam, invariants, qdouble_factorial, qfactorial, qnum
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
 # the defining ratio loses ~1/|q-1| digits of the 1e-12 budget to rounding
@@ -47,18 +47,6 @@ def test_qnum_odd_and_symmetric(n, q):
 def test_qnum_strictly_increasing(q, n):
     p = QParam(q)
     assert qnum(n + 1, p) > qnum(n, p)
-
-
-@given(n=st.integers(-10, 10), q=qvals)
-def test_rebased_identity(n, q):
-    p = QParam(q)
-    scale = max(1.0, abs(qnum(n, p)))
-    assert abs(qnum_rebased(n, p) - qnum(n, p)) < 1e-12 * scale
-
-
-def test_rebased_examples():
-    assert qnum_rebased(2, QParam(2.0)) == pytest.approx(2.5, abs=1e-14)
-    assert qnum_rebased(1, QParam(1.0)) == 1
 
 
 def test_qfactorial():
@@ -131,7 +119,8 @@ def test_qparam_validation():
 
 def test_high_precision_mode():
     p = QParam(1.3, "high")
-    assert abs(qnum_rebased(5, p) - qnum(5, p)) < 1e-40
+    q = p.q
+    assert abs(q ** 4 + q ** 2 + 1 + q ** -2 + q ** -4 - qnum(5, p)) < 1e-40
     pd = QParam(1.3)
     for l in range(5):
         hi, lo = invariants(l, p), invariants(l, pd)
