@@ -28,8 +28,6 @@ from .angular import (
     normalize_y,
 )
 from .jackson import (
-    CLOSED_FORM,
-    SERIES,
     QMeasure,
     inner_product,
     integrate_monomial,

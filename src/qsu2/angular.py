@@ -62,9 +62,6 @@ class AngularFunction:
     def __sub__(self, other: "AngularFunction") -> "AngularFunction":
         return self + other.scaled(-1)
 
-    def __rmul__(self, s) -> "AngularFunction":
-        return self.scaled(s)
-
     def distance(self, other: "AngularFunction") -> float:
         """Max absolute coefficient difference; infinite for unequal windings
         unless one side is zero."""
@@ -74,10 +71,6 @@ class AngularFunction:
         if not keys:
             return 0.0
         return max(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys)
-
-    def isclose(self, other: "AngularFunction", tol: float | None = None) -> bool:
-        tol = self.p.coeff_tol if tol is None else tol
-        return self.distance(other) <= tol
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)

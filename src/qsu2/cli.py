@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .angular import build_phi, hypergeom_phi, normalization_constant
 from .irrep import verify_algebra
-from .jackson import SERIES, QMeasure, integrate_monomial, series_convergence_probe
+from .jackson import QMeasure, integrate_monomial, series_convergence_probe
 from .qcore import DOUBLE, HIGH, QParam
 from .spectra import POTENTIALS, spectrum_table
 
@@ -192,7 +192,7 @@ def cmd_integrate(cfg: RunConfig) -> int:
                "series": None, "depth": None}
         if qv < 1:
             depth = 200 if cfg.series_depth is None else cfg.series_depth
-            row["series"] = float(integrate_monomial(cfg.degree, QMeasure(p, SERIES, depth)))
+            row["series"] = float(integrate_monomial(cfg.degree, QMeasure(p, series_depth=depth)))
             row["depth"] = depth
             row["depth_for_1e12"] = probe.depth_for_1e12
         else:

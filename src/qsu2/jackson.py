@@ -4,8 +4,11 @@ The measure is the discrete integral on the geometric grid x = +-b**(2k+1),
 k = 0, 1, ..., with weights b**(2k) - b**(2k+2) and b = min(q, 1/q).  The
 monomial x0**n integrates to (1 + (-1)**n)/[n+1]; the reciprocal grid
 carries the same functional for q > 1, which keeps the q -> 1/q symmetry
-of [n+1].  A series measure truncates the grid at a finite depth (q < 1),
-and the convergence probe follows its partial sums.
+of [n+1].  A series measure truncates the grid at a finite depth (q < 1).
+One routine, _running_sums, walks the grid: it yields the partial sums
+depth by depth for a list of degrees, and each consumer (the series
+measure, the convergence probe, the verifier's series row) reads every
+depth and degree it needs from a single pass.
 
 The inner product of two functions of winding m reduces the winding
 factors of f~ g to the weight w_m(x) = pref_m prod_i (1 - q**e_i x**2),
@@ -39,12 +42,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import count, islice
 
 from .angular import AngularFunction
 from .qcore import QParam, qnum
-
-CLOSED_FORM = "closed_form"
-SERIES = "series"
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
@@ -61,29 +62,28 @@ def _decimal():
 
 @dataclass(frozen=True)
 class QMeasure:
-    """Integration mode for the deformed measure on (-1, 1).
+    """The deformed measure on (-1, 1): the closed form, or with a
+    `series_depth` the grid sum truncated at that depth.
 
-    Series mode only exists for 0 < q < 1, where the geometric grid q**k
+    The series only exists for 0 < q < 1, where the geometric grid q**k
     lies inside (0, 1).
     """
 
     p: QParam
-    mode: str = CLOSED_FORM
-    series_depth: int = 200
+    series_depth: int | None = None
 
     def __post_init__(self):
-        if self.mode not in (CLOSED_FORM, SERIES):
-            raise ValueError(f"unknown measure mode {self.mode!r}")
-        if self.mode == SERIES:
+        if self.series_depth is not None:
             if not self.p.q < 1:
                 raise ValueError("series mode requires 0 < q < 1")
             if self.series_depth < 1:
                 raise ValueError("series depth must be positive")
 
 
-def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
-    """Depth-`depth` grid sums over (0, 1) of x**n times the winding weight
-    w_m, one for each n in ns, for 0 < q < 1 in the number type of q.
+def _running_sums(ns, q, m: int = 0):
+    """Grid sums over (0, 1) of x**n times the winding weight w_m, one for
+    each n in ns, for 0 < q < 1 in the number type of q: yields the sums
+    over k < D for D = 0, 1, 2, ... without end.
 
     At grid point k the weight is pref_m prod_{i<m} (1 - q**(4(k-i))) for
     m >= 0, exactly zero for k < m, and pref_m prod_{i<|m|}
@@ -94,7 +94,10 @@ def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
     if m:
         two = q + 1 / q
         pref = (q * two) ** -m if m > 0 else (q / two) ** -m
-    for k in range(max(m, 0), depth):
+    for k in count():
+        yield totals
+        if k < m:
+            continue
         w = q ** (2 * k) - q ** (2 * k + 2)
         if m:
             for i in range(abs(m)):
@@ -102,7 +105,11 @@ def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
             w = w * pref
         x = q ** (2 * k + 1)
         totals = [t + x ** n * w for t, n in zip(totals, ns)]
-    return totals
+
+
+def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
+    """The depth-`depth` sums of _running_sums."""
+    return next(islice(_running_sums(ns, q, m), depth, None))
 
 
 def _over_qnum(c, k: int, p: QParam):
@@ -127,7 +134,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     p = mu.p
     if n % 2 == 1:
         return 0 * p.one
-    if mu.mode == SERIES:
+    if mu.series_depth is not None:
         return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
     return _over_qnum(2, n + 1, p)
 
@@ -180,7 +187,7 @@ def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi) -
     (a_re, a_im), (b_re, b_im) = parts
     q = num(mu.p.q)
     nmax = f.degree + g.degree
-    if mu.mode == SERIES:
+    if mu.series_depth is not None:
         even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, f.m)
         moments = [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
     elif q > 1:
@@ -215,7 +222,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     has an imaginary part.
     """
     p = mu.p
-    if f.p is not p and f.p != p:
+    if f.p is not p and f.p != p or g.p is not p and g.p != p:
         raise ValueError("function and measure must share the deformation parameter")
     if f.m != g.m or f.is_zero or g.is_zero:
         return 0 * p.one
@@ -245,23 +252,22 @@ class ConvergenceProbe:
 def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 400)) -> ConvergenceProbe:
     """Partial sums of the discrete half-line integral versus 1/[n+1].
 
-    Only defined for 0 < q < 1.  Also reports the first depth at which the
-    partial sum is within 1e-12 of the closed form.
+    Only defined for 0 < q < 1.  Also reports the first depth, up to
+    100000, at which the partial sum is within 1e-12 of the closed form.
+    One pass over the grid serves both.
     """
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
     limit = _over_qnum(1, n + 1, p)
+    cap = 100000
+    want = sorted(depths)
     rows = []
-    for d in sorted(depths):
-        s = _halfline_series([n], p.q, d)[0]
-        rows.append((d, float(s), float(abs(s - limit))))
     hit = None
-    partial = 0 * p.one
-    q = p.q
-    for k in range(100000):
-        x_mid = q ** (2 * k + 1)
-        partial += x_mid ** n * (q ** (2 * k) - q ** (2 * k + 2))
-        if abs(partial - limit) < 1e-12:
-            hit = k + 1
+    for d, (s,) in enumerate(_running_sums([n], p.q)):
+        while want and want[0] <= d:
+            rows.append((want.pop(0), float(s), float(abs(s - limit))))
+        if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:
+            hit = d
+        if not want and (hit is not None or d >= cap):
             break
     return ConvergenceProbe(n=n, q=float(p.q), limit=float(limit), rows=tuple(rows), depth_for_1e12=hit)

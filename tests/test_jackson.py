@@ -63,10 +63,10 @@ def test_polynomial_orthogonality_row():
     for q in (0.5, 1.0, 1.7):
         p = QParam(q)
         three = qnum(3, p)
-        measures = [QMeasure(p)] + ([QMeasure(p, "series", 200)] if q < 1 else [])
+        measures = [QMeasure(p)] + ([QMeasure(p, series_depth=200)] if q < 1 else [])
         for mu in measures:
             val = integral({0: 1.0, 2: -three}, mu)
-            assert abs(val) < 1e-13, (q, mu.mode)
+            assert abs(val) < 1e-13, (q, mu.series_depth)
 
 
 def test_polynomial_classical():
@@ -78,7 +78,7 @@ def test_polynomial_classical():
 def test_series_matches_closed_form(coeffs):
     p = QParam(0.5)
     closed = integral(coeffs, QMeasure(p))
-    series = integral(coeffs, QMeasure(p, "series", 200))
+    series = integral(coeffs, QMeasure(p, series_depth=200))
     assert abs(closed - series) < 1e-12 * max(1.0, abs(closed))
 
 
@@ -128,13 +128,11 @@ def test_monomial_beyond_q_number_range():
 
 def test_series_mode_requires_small_q():
     with pytest.raises(ValueError):
-        QMeasure(QParam(1.5), "series", 100)
+        QMeasure(QParam(1.5), series_depth=100)
     with pytest.raises(ValueError):
-        QMeasure(QParam(1.0), "series", 100)
+        QMeasure(QParam(1.0), series_depth=100)
     with pytest.raises(ValueError):
-        QMeasure(QParam(0.5), "series", 0)
-    with pytest.raises(ValueError):
-        QMeasure(QParam(0.5), "fourier")
+        QMeasure(QParam(0.5), series_depth=0)
 
 
 def test_convergence_probe():
@@ -148,6 +146,29 @@ def test_convergence_probe():
     assert probe9.limit == pytest.approx(float(1 / qnum(3, p9)), rel=1e-14)
     # closer to one needs more grid points
     assert probe9.depth_for_1e12 > probe.depth_for_1e12
+
+
+def test_series_matches_term_by_term_sum():
+    # the one-pass probe and the series measure against the definition:
+    # sum_{k<D} q**((2k+1)n) (q**(2k) - q**(2k+2)), in the number type of q
+    for precision in ("double", "high"):
+        for q in (0.5, 0.9, 0.995):
+            p = QParam(q, precision)
+            for n in (0, 2, 5):
+                limit = 1 / qnum(n + 1, p)
+                partials = [0 * p.q]  # partials[D]: the sum over k < D
+                while len(partials) <= 400 or abs(partials[-1] - limit) >= 1e-12:
+                    k = len(partials) - 1
+                    partials.append(partials[-1] + (p.q ** (2 * k + 1)) ** n * (p.q ** (2 * k) - p.q ** (2 * k + 2)))
+                probe = series_convergence_probe(n, p)
+                hit = next(d for d in range(1, len(partials)) if abs(partials[d] - limit) < 1e-12)
+                assert probe.depth_for_1e12 == hit, (precision, q, n)
+                depths = (10, 25, 50, 100, 200, 400)
+                rows = tuple((d, float(partials[d]), float(abs(partials[d] - limit))) for d in depths)
+                assert probe.rows == rows, (precision, q, n)
+                for d in depths:
+                    want = 2 * partials[d] if n % 2 == 0 else 0
+                    assert integrate_monomial(n, QMeasure(p, series_depth=d)) == want, (precision, q, n, d)
 
 
 def test_convergence_probe_requires_small_q():
@@ -169,6 +190,11 @@ def test_inner_product_parameter_mismatch():
     f = angular_function(p, 0, {0: 1.0})
     with pytest.raises(ValueError):
         inner_product(f, f, QMeasure(other))
+    # either function may carry the foreign parameter
+    g = angular_function(QParam(0.7), 0, {0: 1.0})
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError):
+            inner_product(a, b, QMeasure(p))
 
 
 def test_gram_matrix_identity():
@@ -211,7 +237,7 @@ def test_inner_product_series_measure_route():
     f = angular_function(p, 2, {0: 0.7, 1: -0.2, 3: 1.1})
     g = angular_function(p, 2, {0: 1.3, 2: 0.5})
     closed = inner_product(f, g, QMeasure(p))
-    series = inner_product(f, g, QMeasure(p, "series", 300))
+    series = inner_product(f, g, QMeasure(p, series_depth=300))
     assert abs(closed - series) < 1e-12 * max(1.0, abs(closed))
 
 
