@@ -432,7 +432,7 @@ class LadderCheckResult:
     scaled_residual: float
 
 
-def ladder_identity_check(l: int, m: int, p: QParam, tol: float | None = None) -> LadderCheckResult:
+def ladder_identity_check(l: int, m: int, p: QParam) -> LadderCheckResult:
     """One-step raising relation between neighbouring series-convention
     polynomials.
 
@@ -452,6 +452,5 @@ def ladder_identity_check(l: int, m: int, p: QParam, tol: float | None = None) -
         rhs = rhs.scaled(-qnum(l - m, p) * qnum(l + m + 1, p))
     residual = float(lhs.distance(rhs))
     scale = max(1.0, float(rhs.max_abs()))
-    limit = (p.coeff_tol if tol is None else tol) * scale
-    return LadderCheckResult(ok=bool(residual <= limit), residual=residual,
+    return LadderCheckResult(ok=bool(residual <= p.coeff_tol * scale), residual=residual,
                              scaled_residual=residual / scale)

@@ -56,12 +56,6 @@ class RunConfig:
             raise ValueError("nmax must be nonnegative")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.potential not in POTENTIALS:
-            raise ValueError(f"potential must be one of {POTENTIALS}")
-        if self.precision not in (DOUBLE, HIGH):
-            raise ValueError("precision must be double or high")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
         if self.degree < 0:
             raise ValueError("monomial degree must be nonnegative")
 

@@ -12,6 +12,11 @@ interior blocks (l <= lmax - 2), which are unreachable from truncation
 artifacts because no tested identity composes more than two bandwidth-one
 operators.
 
+Builders take the operators they derive from and read p and lmax from
+them, so each operand of the catalogue is formed once; operators of
+different p or lmax refuse to combine.  Every gated operator row compares
+two sides, lhs and rhs, by the largest interior entry of lhs - rhs.
+
 The ladder matrix elements use the positive-real convention
 sqrt([l -+ m][l +- m + 1]); only the product of raising and lowering steps
 is fixed by the algebra, and this gauge matches the phases of the
@@ -83,7 +88,14 @@ class OperatorMatrix:
                 out[col - li + self.delta_m + lo, col] = vec[col]
         return out
 
+    def _check(self, other: "OperatorMatrix"):
+        """Refuse an operand of another q, precision or lmax."""
+        if other.p is not self.p and other.p != self.p or other.lmax != self.lmax:
+            sides = [f"q={float(o.p.q):.6g} {o.p.precision} lmax={o.lmax}" for o in (self, other)]
+            raise ValueError(f"cannot combine operators of {sides[0]} and {sides[1]}")
+
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        self._check(other)
         dm = other.delta_m
         out = OperatorMatrix(self.p, self.lmax, self.delta_m + dm)
         # the right blocks by first label, in their stored order, so that each
@@ -112,6 +124,7 @@ class OperatorMatrix:
 
     def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         """Blockwise op of two operators; a block missing on one side is zero."""
+        self._check(other)
         if self.delta_m != other.delta_m:
             raise ValueError(f"cannot combine operators with m-shifts {self.delta_m} and {other.delta_m}")
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
@@ -125,9 +138,6 @@ class OperatorMatrix:
         for key, blk in self.blocks.items():
             out.blocks[key] = [x * s for x in blk]
         return out
-
-    def __rmul__(self, s) -> "OperatorMatrix":
-        return self.scaled(s)
 
     def dagger(self) -> "OperatorMatrix":
         dm = self.delta_m
@@ -182,10 +192,10 @@ def build_generators(p: QParam, lmax: int) -> dict:
     return {"L0": l0, "Lplus": lp, "Lminus": lm}
 
 
-def build_lambda(p: QParam, lmax: int, gen: dict | None = None) -> dict:
+def build_lambda(gen: dict) -> dict:
     """The vector rebuilt from the generators: components for k = +1, 0, -1."""
-    gen = gen or build_generators(p, lmax)
     lp, lm = gen["Lplus"], gen["Lminus"]
+    p, lmax = lp.p, lp.lmax
     s = p.sqrt(1 / qnum(2, p))
     qml0 = diag_operator(p, lmax, lambda l, m: p.q ** (-m))
     lam_p = (qml0 @ lp).scaled(-s)
@@ -195,14 +205,14 @@ def build_lambda(p: QParam, lmax: int, gen: dict | None = None) -> dict:
     return {1: lam_p, 0: lam_0, -1: lam_m}
 
 
-def build_invariant_c(p: QParam, lmax: int, lam: dict | None = None) -> OperatorMatrix:
+def build_invariant_c(lam: dict) -> OperatorMatrix:
     """Third invariant in operator form q**(-2 L0) + lambda * Lambda_0.
 
     Built from the operator expression rather than its eigenvalues, so that
     comparing its diagonal against the closed form is itself a check.
     """
-    lam = lam or build_lambda(p, lmax)
-    qm2l0 = diag_operator(p, lmax, lambda l, m: p.q ** (-2 * m))
+    p = lam[0].p
+    qm2l0 = diag_operator(p, lam[0].lmax, lambda l, m: p.q ** (-2 * m))
     return qm2l0 + lam[0].scaled(p.lam)
 
 
@@ -264,7 +274,7 @@ COMPOSED = "composed"
 MATRIX_ELEMENTS = "matrixElements"
 
 
-def build_partial(p: QParam, lmax: int, method: str = COMPOSED, parts: dict | None = None) -> dict:
+def build_partial(p: QParam, lmax: int, method: str = COMPOSED) -> dict:
     """Transverse derivative components by either construction route.
 
     COMPOSED assembles the cross-product-plus-invariant combination from
@@ -274,32 +284,41 @@ def build_partial(p: QParam, lmax: int, method: str = COMPOSED, parts: dict | No
     """
     if lmax < 1:
         raise ValueError("transverse derivative matrices need lmax >= 1")
-    parts = parts or {}
-    x = parts.get("x") or build_position(p, lmax)
-    if method == MATRIX_ELEMENTS:
-        two = qnum(2, p)
-        out = {}
-        for k in (1, 0, -1):
-            d = OperatorMatrix(p, lmax, k)
-            for (lo, li), blk in x[k].blocks.items():
-                if lo == li + 1:
-                    s = qnum(2 * li + 2, p) / two
-                elif lo == li - 1:
-                    s = -qnum(2 * li, p) / two
-                else:
-                    continue
-                d.blocks[(lo, li)] = [v * s for v in blk]
-            out[k] = d
-        return out
-    if method != COMPOSED:
+    if method not in (COMPOSED, MATRIX_ELEMENTS):
         raise ValueError(f"unknown construction method {method!r}")
-    lam = parts.get("lam") or build_lambda(p, lmax)
-    c = parts.get("c") if parts.get("c") is not None else build_invariant_c(p, lmax, lam)
-    q = p.q
+    x = build_position(p, lmax)
+    if method == MATRIX_ELEMENTS:
+        return _partial_elements(x)
+    lam = build_lambda(build_generators(p, lmax))
+    return _partial_composed(x, lam, build_invariant_c(lam))
+
+
+def _partial_composed(x: dict, lam: dict, c: OperatorMatrix) -> dict:
+    """The COMPOSED route from the position, angular and invariant operators."""
+    p, q = c.p, c.p.q
     d1 = (x[1] @ lam[0]).scaled(1 / q) + (x[0] @ lam[1]).scaled(-q) + x[1] @ c
     d0 = x[1] @ lam[-1] + (x[0] @ lam[0]).scaled(-p.lam) - x[-1] @ lam[1] + x[0] @ c
     dm1 = (x[-1] @ lam[0]).scaled(-q) + (x[0] @ lam[-1]).scaled(1 / q) + x[-1] @ c
     return {1: d1, 0: d0, -1: dm1}
+
+
+def _partial_elements(x: dict) -> dict:
+    """The MATRIX_ELEMENTS route: the position blocks, rescaled per l."""
+    p = x[0].p
+    two = qnum(2, p)
+    out = {}
+    for k in (1, 0, -1):
+        d = OperatorMatrix(p, x[k].lmax, k)
+        for (lo, li), blk in x[k].blocks.items():
+            if lo == li + 1:
+                s = qnum(2 * li + 2, p) / two
+            elif lo == li - 1:
+                s = -qnum(2 * li, p) / two
+            else:
+                continue
+            d.blocks[(lo, li)] = [v * s for v in blk]
+        out[k] = d
+    return out
 
 
 def scalar_product(u: dict, v: dict) -> OperatorMatrix:
@@ -353,23 +372,23 @@ class VerifyReport:
         }
 
 
-def _vector_condition_residual(p: QParam, lmax: int, gen: dict, triple: dict, interior: int) -> float:
-    """Worst residual of the two defining vector relations over all
+def _vector_condition_pairs(gen: dict, triple: dict) -> list:
+    """The (lhs, rhs) sides of the two defining vector relations over all
     components and both ladder directions."""
     l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]
+    p, lmax = l0.p, l0.lmax
     two = p.sqrt(qnum(2, p))
     ql0 = diag_operator(p, lmax, lambda l, m: p.q ** m)
-    worst = 0.0
+    pairs = []
     for k in (1, 0, -1):
         vk = triple[k]
-        res = (l0 @ vk - vk @ l0) - vk.scaled(k)
-        worst = max(worst, res.max_abs(interior))
+        pairs.append((l0 @ vk - vk @ l0, vk.scaled(k)))
         for sign, ladder in ((1, lp), (-1, lm)):
             target = triple.get(k + sign)
             lhs = (ladder @ vk - (vk @ ladder).scaled(p.q ** k)) @ ql0
             rhs = target.scaled(two) if target is not None else OperatorMatrix(p, lmax, k + sign)
-            worst = max(worst, (lhs - rhs).max_abs(interior))
-    return worst
+            pairs.append((lhs, rhs))
+    return pairs
 
 
 def transverse_square_candidates(l: int, p: QParam) -> dict:
@@ -392,10 +411,10 @@ def verify_algebra(
 ) -> VerifyReport:
     """Run the full identity catalogue at one deformation value.
 
-    Operator rows (group "operator") are max absolute entries over interior
-    blocks of the lmax truncation.  The function-realization rows (groups
-    "harmonic" and "measure") run over fixed small l ranges independent of
-    lmax.  The report also resolves which closed form the contracted
+    Operator rows (group "operator") are the largest |entry| of lhs - rhs
+    over interior blocks of the lmax truncation.  The function-realization
+    rows (groups "harmonic" and "measure") run over fixed small l ranges
+    independent of lmax.  The report also resolves which closed form the contracted
     transverse-derivative diagonal actually matches (the three candidates
     differ in the literature-facing bookkeeping of the cross term; exactly
     one is consistent for every l).  inject_fault corrupts one position
@@ -407,11 +426,11 @@ def verify_algebra(
     q = p.q
     gen = build_generators(p, lmax)
     l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]
-    lam = build_lambda(p, lmax, gen)
-    c_op = build_invariant_c(p, lmax, lam)
+    lam = build_lambda(gen)
+    c_op = build_invariant_c(lam)
     x = build_position(p, lmax)
-    d_comp = build_partial(p, lmax, COMPOSED, {"x": x, "lam": lam, "c": c_op})
-    d_elem = build_partial(p, lmax, MATRIX_ELEMENTS, {"x": x})
+    d_comp = _partial_composed(x, lam, c_op)
+    d_elem = _partial_elements(x)
     ident = identity_operator(p, lmax)
     inv = [invariants(l, p) for l in range(lmax + 1)]
 
@@ -424,93 +443,71 @@ def verify_algebra(
         passed = bool(r < tol) if gated and r is not None else None
         checks.append(IdentityCheck(name, group, r, passed, note))
 
-    add("generator-commutator-raise", ((l0 @ lp - lp @ l0) - lp).max_abs(interior))
-    add("generator-commutator-lower", ((l0 @ lm - lm @ l0) + lm).max_abs(interior))
+    def gap(*pairs):
+        """Worst interior entry of lhs - rhs over the (lhs, rhs) pairs."""
+        return max((lhs - rhs).max_abs(interior) for lhs, rhs in pairs)
+
+    lp_lm, lm_lp = lp @ lm, lm @ lp
+    add("generator-commutator-raise", gap((l0 @ lp - lp @ l0, lp)))
+    add("generator-commutator-lower", gap((l0 @ lm - lm @ l0, lm.scaled(-1))))
     two_l0 = diag_operator(p, lmax, lambda l, m: qnum(2 * m, p))
-    add("generator-commutator-ladder", ((lp @ lm - lm @ lp) - two_l0).max_abs(interior))
-    cas = lm @ lp + diag_operator(p, lmax, lambda l, m: qnum(m, p) * qnum(m + 1, p))
-    cas_diag = diag_operator(p, lmax, lambda l, m: inv[l].C)
-    add("casimir-diagonal", (cas - cas_diag).max_abs(interior))
+    add("generator-commutator-ladder", gap((lp_lm - lm_lp, two_l0)))
+    cas = lm_lp + diag_operator(p, lmax, lambda l, m: qnum(m, p) * qnum(m + 1, p))
+    add("casimir-diagonal", gap((cas, diag_operator(p, lmax, lambda l, m: inv[l].C))))
 
-    add("vector-condition-position", _vector_condition_residual(p, lmax, gen, x, interior))
-    add("vector-condition-angular", _vector_condition_residual(p, lmax, gen, lam, interior))
-    add("vector-condition-transverse", _vector_condition_residual(p, lmax, gen, d_comp, interior))
+    add("vector-condition-position", gap(*_vector_condition_pairs(gen, x)))
+    add("vector-condition-angular", gap(*_vector_condition_pairs(gen, lam)))
+    add("vector-condition-transverse", gap(*_vector_condition_pairs(gen, d_comp)))
 
-    r = max(
-        (x[0] @ x[1] - (x[1] @ x[0]).scaled(q ** (-2))).max_abs(interior),
-        (x[0] @ x[-1] - (x[-1] @ x[0]).scaled(q ** 2)).max_abs(interior),
-    )
-    add("position-exchange-dilation", r)
-    add("position-exchange-mixed", (x[1] @ x[-1] - x[-1] @ x[1] - (x[0] @ x[0]).scaled(p.lam)).max_abs(interior))
+    add("position-exchange-dilation", gap(
+        (x[0] @ x[1], (x[1] @ x[0]).scaled(q ** (-2))),
+        (x[0] @ x[-1], (x[-1] @ x[0]).scaled(q ** 2)),
+    ))
+    add("position-exchange-mixed", gap((x[1] @ x[-1] - x[-1] @ x[1], (x[0] @ x[0]).scaled(p.lam))))
 
     # Exchange relations for the transverse derivative.  The position-shaped
     # forms hold only on the l-changing blocks; on the l-preserving blocks
     # the exact identities carry curvature counterterms proportional to the
     # invariant times the angular vector.  Both residuals are reported: the
     # corrected identities gate the suite, the bare forms are informational.
-    bare_dil = max(
-        (d_comp[0] @ d_comp[1] - (d_comp[1] @ d_comp[0]).scaled(q ** (-2))).max_abs(interior),
-        (d_comp[0] @ d_comp[-1] - (d_comp[-1] @ d_comp[0]).scaled(q ** 2)).max_abs(interior),
-    )
-    r = max(
-        (
-            d_comp[0] @ d_comp[1]
-            - (d_comp[1] @ d_comp[0]).scaled(q ** (-2))
-            - (c_op @ lam[1]).scaled(1 / q)
-        ).max_abs(interior),
-        (
-            d_comp[0] @ d_comp[-1]
-            - (d_comp[-1] @ d_comp[0]).scaled(q ** 2)
-            + (c_op @ lam[-1]).scaled(q)
-        ).max_abs(interior),
-    )
-    add("transverse-exchange-dilation", r, note="with the c*Lambda counterterm")
+    dil_up = d_comp[0] @ d_comp[1] - (d_comp[1] @ d_comp[0]).scaled(q ** (-2))
+    dil_down = d_comp[0] @ d_comp[-1] - (d_comp[-1] @ d_comp[0]).scaled(q ** 2)
+    mixed = d_comp[1] @ d_comp[-1] - d_comp[-1] @ d_comp[1] - (d_comp[0] @ d_comp[0]).scaled(p.lam)
+    bare_dil = max(dil_up.max_abs(interior), dil_down.max_abs(interior))
+    bare_mixed = mixed.max_abs(interior)
+    add("transverse-exchange-dilation", gap(
+        (dil_up, (c_op @ lam[1]).scaled(1 / q)),
+        (dil_down, (c_op @ lam[-1]).scaled(-q)),
+    ), note="with the c*Lambda counterterm")
     bare_note = "position-shaped form without the counterterm; exact only on l-changing blocks"
     add("transverse-exchange-dilation-bare", bare_dil, note=bare_note, gated=False)
-    bare_mixed = (
-        d_comp[1] @ d_comp[-1] - d_comp[-1] @ d_comp[1] - (d_comp[0] @ d_comp[0]).scaled(p.lam)
-    ).max_abs(interior)
-    r = (
-        d_comp[1] @ d_comp[-1]
-        - d_comp[-1] @ d_comp[1]
-        - (d_comp[0] @ d_comp[0]).scaled(p.lam)
-        + c_op @ lam[0]
-    ).max_abs(interior)
-    add("transverse-exchange-mixed", r, note="with the c*Lambda counterterm")
+    add("transverse-exchange-mixed", gap((mixed, (c_op @ lam[0]).scaled(-1))), note="with the c*Lambda counterterm")
     add("transverse-exchange-mixed-bare", bare_mixed, note=bare_note, gated=False)
 
-    add("unit-sphere-norm", (scalar_product(x, x) - ident).max_abs(interior))
-    add("cross-contraction-xd", (scalar_product(x, d_comp) - c_op).max_abs(interior))
-    add("cross-contraction-dx", (scalar_product(d_comp, x) + c_op).max_abs(interior))
+    add("unit-sphere-norm", gap((scalar_product(x, x), ident)))
+    add("cross-contraction-xd", gap((scalar_product(x, d_comp), c_op)))
+    add("cross-contraction-dx", gap((scalar_product(d_comp, x), c_op.scaled(-1))))
 
-    lam_sq = scalar_product(lam, lam)
     cprime_diag = diag_operator(p, lmax, lambda l, m: inv[l].Cprime)
-    add("angular-square-diagonal", (lam_sq - cprime_diag).max_abs(interior))
-    c_diag = diag_operator(p, lmax, lambda l, m: inv[l].c)
-    add("third-invariant-diagonal", (c_op - c_diag).max_abs(interior))
+    add("angular-square-diagonal", gap((scalar_product(lam, lam), cprime_diag)))
+    add("third-invariant-diagonal", gap((c_op, diag_operator(p, lmax, lambda l, m: inv[l].c))))
 
     if p.is_one:
         add("transverse-from-invariant", None, note="skipped at q = 1: the commutator route divides by lambda**2")
     else:
-        r = 0.0
-        for k in (1, 0, -1):
-            comm = (c_op @ x[k] - x[k] @ c_op).scaled(1 / (p.lam * p.lam))
-            r = max(r, (comm - d_comp[k]).max_abs(interior))
-        add("transverse-from-invariant", r)
+        add("transverse-from-invariant", gap(*(
+            ((c_op @ x[k] - x[k] @ c_op).scaled(1 / (p.lam * p.lam)), d_comp[k]) for k in (1, 0, -1)
+        )))
 
-    r = max((d_comp[k] - d_elem[k]).max_abs(interior) for k in (1, 0, -1))
-    add("transverse-dual-construction", r)
-
-    r = 0.0
-    for k in (1, 0, -1):
-        r = max(r, (d_comp[k].dagger() + d_comp[-k].scaled((-1 / q) ** k)).max_abs(interior))
-    add("transverse-hermiticity", r)
-    r = max(
-        (x[1].dagger() + x[-1].scaled(1 / q)).max_abs(interior),
-        (x[-1].dagger() + x[1].scaled(q)).max_abs(interior),
-        (x[0].dagger() - x[0]).max_abs(interior),
-    )
-    add("position-hermiticity", r)
+    add("transverse-dual-construction", gap(*((d_comp[k], d_elem[k]) for k in (1, 0, -1))))
+    add("transverse-hermiticity", gap(*(
+        (d_comp[k].dagger(), d_comp[-k].scaled(-((-1 / q) ** k))) for k in (1, 0, -1)
+    )))
+    add("position-hermiticity", gap(
+        (x[1].dagger(), x[-1].scaled(-1 / q)),
+        (x[-1].dagger(), x[1].scaled(-q)),
+        (x[0].dagger(), x[0]),
+    ))
 
     d_sq = scalar_product(d_comp, d_comp)
     cand_resid = {}
@@ -556,12 +553,14 @@ def verify_algebra(
     add("harmonic-recursion-vs-closed-form", r, group="harmonic")
 
     mu = QMeasure(p)
-    ys = [(l, m, build_y(l, m, p)) for l in range(5) for m in range(-l, l + 1)]
+    # every harmonic the rows below compare, keyed by (l, m), in l-major order
+    ys = {(l, m): build_y(l, m, p) for l in range(5) for m in range(-l, l + 1)}
+    items = list(ys.items())
     r = 0.0
-    for i, (l1, m1, y1) in enumerate(ys):
-        for l2, m2, y2 in ys[i:]:
+    for i, (lm1, y1) in enumerate(items):
+        for lm2, y2 in items[i:]:
             v = inner_product(y1, y2, mu)
-            expect = 1.0 if (l1, m1) == (l2, m2) else 0.0
+            expect = 1.0 if lm1 == lm2 else 0.0
             r = max(r, abs(v - expect))
     add("harmonic-orthonormality", r, group="harmonic")
 
@@ -574,7 +573,7 @@ def verify_algebra(
     r = 0.0
     for l in range(5):
         for m in range(-l, l + 1):
-            y = build_y(l, m, p)
+            y = ys[(l, m)]
             want = y.scaled(qnum(l, p) * qnum(l + 1, p))
             r = max(r, apply_casimir(y).distance(want) / max(1.0, want.max_abs()))
     add("harmonic-casimir", r, group="harmonic")
@@ -582,15 +581,15 @@ def verify_algebra(
     r = 0.0
     for l in range(4):
         for m in range(-l, l + 1):
-            y = build_y(l, m, p)
+            y = ys[(l, m)]
             for k in (1, 0, -1):
                 got = mul_position(k, y)
                 target = None
                 if abs(m + k) <= l + 1:
-                    up = build_y(l + 1, m + k, p).scaled(position_coeff_upper(p, l, m, k))
+                    up = ys[(l + 1, m + k)].scaled(position_coeff_upper(p, l, m, k))
                     target = up if target is None else target + up
                 if l - 1 >= 0 and abs(m + k) <= l - 1:
-                    lo = build_y(l - 1, m + k, p).scaled(position_coeff_lower(p, l, m, k))
+                    lo = ys[(l - 1, m + k)].scaled(position_coeff_lower(p, l, m, k))
                     target = lo if target is None else target + lo
                 if inject_fault and (l, m, k) == (1, 0, 0):
                     target = target.scaled(1 + 1e-3)
@@ -601,14 +600,13 @@ def verify_algebra(
     r = 0.0
     for l in range(4):
         for m in range(-l, l + 1):
-            y = build_y(l, m, p)
+            y = ys[(l, m)]
             lhs = mul_position(0, y)
             rhs = mul_position_right(0, y).scaled(q ** (-2 * m))
             r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
             if m + 1 <= l:
                 lhs = mul_position(1, y)
-                corr = build_y(l, m + 1, p)
-                corr = mul_position_right(0, corr).scaled(
+                corr = mul_position_right(0, ys[(l, m + 1)]).scaled(
                     p.lam / p.sqrt(two) * q ** (-m - 1)
                     * p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p))
                 )
@@ -616,8 +614,7 @@ def verify_algebra(
                 r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
             if -l <= m - 1:
                 lhs = mul_position(-1, y)
-                corr = build_y(l, m - 1, p)
-                corr = mul_position_right(0, corr).scaled(
+                corr = mul_position_right(0, ys[(l, m - 1)]).scaled(
                     -p.lam / p.sqrt(two) * q ** (-m + 1)
                     * p.sqrt(qnum(l + m, p) * qnum(l - m + 1, p))
                 )

@@ -123,24 +123,21 @@ BRACKET_SPAN = 1.0
 class RadialGrid:
     """Logarithmic grid configuration for the outward integration.
 
-    The grid is uniform in x = ln r from r_min to r_max in n_steps steps.
-    A zero field is chosen automatically: r_min = 1e-4 (L+1), r_max from
-    the closed-form energy scale (turning point plus enough decay lengths
+    The grid is uniform in x = ln r from r_min = 1e-4 (L+1) to r_max in
+    n_steps steps.  A zero field is chosen automatically: r_max from the
+    closed-form energy scale (turning point plus enough decay lengths
     for the endpoint sign to be meaningful), and n_steps the least count
     with (L+1/2) h <= MAX_LANGER_STEP, but at least 8000.  A user n_steps
     that breaks that bound is rejected.
     """
 
-    r_min: float = 0.0
     r_max: float = 0.0
     n_steps: int = 0
     method: str = NUMEROV
 
     def __post_init__(self):
-        if self.r_min < 0 or self.r_max < 0 or self.n_steps < 0:
+        if self.r_max < 0 or self.n_steps < 0:
             raise ValueError("grid parameters must be nonnegative (0 = choose automatically)")
-        if self.r_max and self.r_min >= self.r_max:
-            raise ValueError("grid needs r_min < r_max")
         if 0 < self.n_steps < MIN_STEPS:
             raise ValueError(f"grid needs at least {MIN_STEPS} steps for the origin fit")
         if self.method not in (NUMEROV, RK4):
@@ -177,7 +174,7 @@ def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -
     # the two-term series start holds while r is small next to L+1, so the
     # start radius grows with L and no steps are spent deep in the
     # centrifugal wall
-    r_min = grid.r_min or 1e-4 * (L + 1)
+    r_min = 1e-4 * (L + 1)
     if r_min >= r_max:
         raise ValueError(f"grid start r_min={r_min:.6g} is not below r_max={r_max:.6g}")
     needed = math.ceil((L + 0.5) * math.log(r_max / r_min) / MAX_LANGER_STEP)

@@ -142,11 +142,11 @@ def test_qnum_base2_half_indices():
 def test_cprime_matches_angular_square_diagonal():
     # cross-module oracle: the closed form against the contracted vector
     # built on the truncated basis
-    from qsu2 import build_lambda, scalar_product
+    from qsu2 import build_generators, build_lambda, scalar_product
 
     for q in (0.6, 1.0, 1.4):
         p = QParam(q)
-        lam = build_lambda(p, 10)
+        lam = build_lambda(build_generators(p, 10))
         sq = scalar_product(lam, lam)
         for l in range(9):
             expected = invariants(l, p).Cprime

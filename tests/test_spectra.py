@@ -175,7 +175,7 @@ def test_shooting_reports_bracketing_failure():
 
 def test_shooting_grid_validation():
     with pytest.raises(ValueError):
-        RadialGrid(r_min=2.0, r_max=1.0)
+        radial_verify(OSCILLATOR, 0, 0, QParam(1.0), RadialGrid(r_max=1e-6))
     with pytest.raises(ValueError):
         RadialGrid(method="euler")
     with pytest.raises(ValueError):
