@@ -176,46 +176,36 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     """Left-multiply f by the unit-sphere component with spherical index k.
 
     k = 0 commutes through the winding factor picking up q**(-2m); k = +/-1
-    either extends the winding factor or contracts one mixed pair into its
-    polynomial product.
+    either extends the winding factor (k*m >= 0) or contracts one mixed pair
+    into its polynomial product.
     """
     p, m = f.p, f.m
     if k == 0:
         return AngularFunction(p, m, _pscale(_pshift(f.coeffs), p.q ** (-2 * m)))
-    if k == 1:
-        if m >= 0:
-            return AngularFunction(p, m + 1, f.coeffs)
-        alpha = p.q ** (-4 * m - 2)
-        return AngularFunction(p, m + 1, _mixed_product(f.coeffs, alpha, p))
-    if k == -1:
-        if m <= 0:
-            return AngularFunction(p, m - 1, f.coeffs)
-        alpha = p.q ** (-4 * m + 2)
-        return AngularFunction(p, m - 1, _mixed_product(f.coeffs, alpha, p))
-    raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    if k not in (1, -1):
+        raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    if k * m >= 0:
+        return AngularFunction(p, m + k, f.coeffs)
+    return AngularFunction(p, m + k, _mixed_product(f.coeffs, p.q ** (-4 * m - 2 * k), p))
 
 
 def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
     """Right-multiply f by the unit-sphere component with index k.
 
     Needed by the noncommutativity checks: the polynomial part is commuted
-    through the new factor (dilating its argument) before any mixed pair is
-    contracted.
+    through the new factor (dilating its argument by q**(-2k)) before any
+    mixed pair is contracted.
     """
     p, m = f.p, f.m
     if k == 0:
         return AngularFunction(p, m, _pshift(f.coeffs))
-    if k == 1:
-        tail = _pdilate(f.coeffs, p.q ** (-2))
-        if m >= 0:
-            return AngularFunction(p, m + 1, tail)
-        return AngularFunction(p, m + 1, _mixed_product(tail, p.q ** (-2), p))
-    if k == -1:
-        tail = _pdilate(f.coeffs, p.q ** 2)
-        if m <= 0:
-            return AngularFunction(p, m - 1, tail)
-        return AngularFunction(p, m - 1, _mixed_product(tail, p.q ** 2, p))
-    raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    if k not in (1, -1):
+        raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    dilation = p.q ** (-2 * k)
+    tail = _pdilate(f.coeffs, dilation)
+    if k * m >= 0:
+        return AngularFunction(p, m + k, tail)
+    return AngularFunction(p, m + k, _mixed_product(tail, dilation, p))
 
 
 # ----------------------------- ladder operators -----------------------------
@@ -236,52 +226,40 @@ def _divide_winding_product(num: dict, j: int, sign: int, p: QParam) -> dict:
     return _pscale(out, (-qnum(2, p)) ** j)
 
 
-def apply_lplus(f: AngularFunction) -> AngularFunction:
-    """Raising operator: strip the winding factor, apply the raising kernel
-    to the polynomial part, recreate the winding one step up.
+def _ladder(f: AngularFunction, s: int) -> AngularFunction:
+    """Raising (s = +1) or lowering (s = -1) operator: strip the winding
+    factor, apply the ladder kernel to the polynomial part, recreate the
+    winding one step along.
 
-    On negative windings the strip contracts all mixed pairs first and the
-    recreated factor is recovered by exact division.
+    On windings against the step (s*m < 0) the strip contracts all mixed
+    pairs first and the recreated factor is recovered by exact division.
     """
     p, m = f.p, f.m
     pref = p.sqrt(qnum(2, p)) * p.q ** m
-    if m >= 0:
-        poly = _qderiv(f.coeffs, p, -1)
-        return AngularFunction(p, m + 1, _pscale(poly, pref))
-    j = -m
-    g = f
-    for _ in range(j):
-        g = mul_position(1, g)
-    num = _qderiv(g.coeffs, p, -1)
-    poly = _divide_winding_product(num, j - 1, +1, p)
-    return AngularFunction(p, m + 1, _pscale(poly, pref))
+    if s * m >= 0:
+        poly = _qderiv(f.coeffs, p, -s)
+    else:
+        g = f
+        for _ in range(-s * m):
+            g = mul_position(s, g)
+        poly = _divide_winding_product(_qderiv(g.coeffs, p, -s), -s * m - 1, s, p)
+    return AngularFunction(p, m + s, _pscale(poly, pref))
+
+
+def apply_lplus(f: AngularFunction) -> AngularFunction:
+    return _ladder(f, 1)
 
 
 def apply_lminus(f: AngularFunction) -> AngularFunction:
-    """Lowering operator, mirror image of apply_lplus."""
-    p, m = f.p, f.m
-    pref = p.sqrt(qnum(2, p)) * p.q ** m
-    if m <= 0:
-        poly = _qderiv(f.coeffs, p, +1)
-        return AngularFunction(p, m - 1, _pscale(poly, pref))
-    j = m
-    g = f
-    for _ in range(j):
-        g = mul_position(-1, g)
-    num = _qderiv(g.coeffs, p, +1)
-    poly = _divide_winding_product(num, j - 1, -1, p)
-    return AngularFunction(p, m - 1, _pscale(poly, pref))
+    return _ladder(f, -1)
 
 
 def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
     """Components of the vector rebuilt from the generators."""
     p = f.p
-    if k == 1:
-        g = apply_lplus(f)
-        return g.scaled(-p.sqrt(1 / qnum(2, p)) * p.q ** (-g.m))
-    if k == -1:
-        g = apply_lminus(f)
-        return g.scaled(p.sqrt(1 / qnum(2, p)) * p.q ** (-g.m))
+    if k in (1, -1):
+        g = _ladder(f, k)
+        return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.q ** (-g.m))
     if k == 0:
         two = qnum(2, p)
         a = apply_lplus(apply_lminus(f)).scaled(p.q / two)

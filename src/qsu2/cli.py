@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .angular import build_phi, hypergeom_phi, normalization_constant
@@ -31,33 +30,18 @@ from .spectra import POTENTIALS, spectrum_table
 LMAX_GUARD = 64
 
 
-@dataclass
-class RunConfig:
-    command: str
-    q: list = field(default_factory=lambda: [1.0])
-    lmax: int = 6
-    nmax: int = 2
-    potential: str = "oscillator"
-    tolerance: float = 1e-10
-    precision: str = DOUBLE
-    fmt: str = "json"
-    out: str | None = None
-    oracle: bool = False
-    series_depth: int | None = None
-    degree: int = 0
-    inject_fault: bool = False
-
-    def validate(self):
-        if any(not qv > 0 for qv in self.q):
-            raise ValueError("every q must be positive")
-        if not 0 <= self.lmax <= LMAX_GUARD:
-            raise ValueError(f"lmax must lie in [0, {LMAX_GUARD}]")
-        if self.nmax < 0:
-            raise ValueError("nmax must be nonnegative")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
+def _validate(ns: argparse.Namespace):
+    """Range checks the parser does not make, in a fixed order."""
+    if any(not qv > 0 for qv in ns.q):
+        raise ValueError("every q must be positive")
+    if not 0 <= ns.lmax <= LMAX_GUARD:
+        raise ValueError(f"lmax must lie in [0, {LMAX_GUARD}]")
+    if ns.command == "spectrum" and ns.nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    if ns.tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if ns.command == "integrate" and ns.degree < 0:
+        raise ValueError("monomial degree must be nonnegative")
 
 
 def _r15(x):
@@ -82,10 +66,10 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _emit(cfg: RunConfig, columns: list, rows: list, payload_meta: dict, extra: dict | None = None) -> str:
+def _emit(fmt: str, columns: list, rows: list, payload_meta: dict, extra: dict | None = None) -> str:
     """Render rows as CSV, or as JSON with the meta block and any extra
     top-level keys (CSV carries the rows only)."""
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(columns)
@@ -96,48 +80,43 @@ def _emit(cfg: RunConfig, columns: list, rows: list, payload_meta: dict, extra: 
     return json.dumps(_r15(body), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _meta(cfg: RunConfig) -> dict:
-    return {
+def _write(ns: argparse.Namespace, columns: list, rows: list, extra: dict | None = None):
+    """Emit the rows in the requested format to --out or stdout."""
+    meta = {
         "version": __version__,
-        "command": cfg.command,
-        "q": [_r15(float(v)) for v in sorted(cfg.q)],
-        "tolerance": _r15(cfg.tolerance),
+        "command": ns.command,
+        "q": [_r15(float(v)) for v in sorted(ns.q)],
+        "tolerance": _r15(ns.tolerance),
     }
-
-
-def _write(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+    text = _emit(ns.fmt, columns, rows, meta, extra)
+    if ns.out:
+        with open(ns.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _param(cfg: RunConfig, qv: float) -> QParam:
-    return QParam(qv, cfg.precision)
-
-
 # ----------------------------- commands -----------------------------
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(ns: argparse.Namespace) -> int:
     rows = []
-    for qv in sorted(cfg.q):
-        p = _param(cfg, qv)
-        for e in spectrum_table(cfg.potential, p, cfg.nmax, cfg.lmax):
+    for qv in sorted(ns.q):
+        for e in spectrum_table(ns.potential, QParam(qv, ns.precision), ns.nmax, ns.lmax):
             rows.append(
                 {"potential": e.potential, "q": e.q, "n": e.n, "l": e.l, "L": e.L, "E": e.E}
             )
+    # a q given twice emits its rows twice; the sort interleaves the copies
     rows.sort(key=lambda r: (r["q"], r["l"], r["n"]))
-    _write(cfg, _emit(cfg, ["potential", "q", "n", "l", "L", "E"], rows, _meta(cfg)))
+    _write(ns, ["potential", "q", "n", "l", "L", "E"], rows)
     return 0
 
 
-def cmd_harmonics(cfg: RunConfig) -> int:
-    builder = hypergeom_phi if cfg.oracle else build_phi
+def cmd_harmonics(ns: argparse.Namespace) -> int:
+    builder = hypergeom_phi if ns.oracle else build_phi
     rows = []
-    for qv in sorted(cfg.q):
-        p = _param(cfg, qv)
-        for l in range(cfg.lmax + 1):
+    for qv in sorted(ns.q):
+        p = QParam(qv, ns.precision)
+        for l in range(ns.lmax + 1):
             for m in range(l + 1):
                 phi = builder(l, m, p)
                 coeffs = {k: float(phi.coeffs[k]) for k in sorted(phi.coeffs)}
@@ -146,57 +125,63 @@ def cmd_harmonics(cfg: RunConfig) -> int:
                     raise ArithmeticError(f"harmonic l={l}, m={m} is not finite in double precision at q={qv}")
                 for k, a in coeffs.items():
                     rows.append({"q": float(qv), "l": l, "m": m, "k": k, "a": a, "norm": norm})
-    _write(cfg, _emit(cfg, ["q", "l", "m", "k", "a", "norm"], rows, _meta(cfg)))
+    _write(ns, ["q", "l", "m", "k", "a", "norm"], rows)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(ns: argparse.Namespace) -> int:
     rows = []
     findings = {}
-    for qv in sorted(cfg.q):
+    for qv in sorted(ns.q):
         try:
-            rep = verify_algebra(_param(cfg, qv), cfg.lmax, cfg.tolerance, inject_fault=cfg.inject_fault)
+            rep = verify_algebra(QParam(qv, ns.precision), ns.lmax, ns.tolerance, inject_fault=ns.inject_fault)
         except OverflowError:
             raise ArithmeticError(
-                f"lmax {cfg.lmax} is out of double range at q={qv}: a q-power or q-number overflows"
+                f"lmax {ns.lmax} is out of double range at q={qv}: a q-power or q-number overflows"
             ) from None
         findings[format(float(qv), ".15g")] = rep.finding
         for c in sorted(rep.checks, key=lambda c: (c.group, c.name)):
             rows.append({"q": float(qv), **c.to_payload()})
     all_pass = all(r["passed"] is not False for r in rows)
     columns = ["q", "group", "name", "residual", "passed", "note"]
-    _write(cfg, _emit(cfg, columns, rows, _meta(cfg), {"findings": findings, "passed": all_pass}))
+    _write(ns, columns, rows, {"findings": findings, "passed": all_pass})
     return 0 if all_pass else 1
 
 
-def cmd_integrate(cfg: RunConfig) -> int:
-    series_requested = cfg.series_depth is not None
-    if series_requested and any(qv >= 1 for qv in cfg.q):
+def cmd_integrate(ns: argparse.Namespace) -> int:
+    if ns.series_depth is not None and any(qv >= 1 for qv in ns.q):
         raise ValueError("series integration requires every q < 1")
     rows = []
-    for qv in sorted(cfg.q):
-        p = _param(cfg, qv)
-        closed = float(integrate_monomial(cfg.degree, QMeasure(p)))
-        if closed == 0 and cfg.degree % 2 == 0:
+    for qv in sorted(ns.q):
+        p = QParam(qv, ns.precision)
+        closed = float(integrate_monomial(ns.degree, QMeasure(p)))
+        if closed == 0 and ns.degree % 2 == 0:
             raise ArithmeticError(
-                f"degree {cfg.degree} is out of double range at q={qv}: 2/[{cfg.degree + 1}] underflows"
+                f"degree {ns.degree} is out of double range at q={qv}: 2/[{ns.degree + 1}] underflows"
             )
-        probe = series_convergence_probe(cfg.degree, p) if qv < 1 else None
-        row = {"q": float(qv), "n": cfg.degree, "closed_form": closed,
-               "series": None, "depth": None}
+        row = {"q": float(qv), "n": ns.degree, "closed_form": closed,
+               "series": None, "depth": None, "depth_for_1e12": None}
         if qv < 1:
-            depth = 200 if cfg.series_depth is None else cfg.series_depth
-            row["series"] = float(integrate_monomial(cfg.degree, QMeasure(p, series_depth=depth)))
+            probe = series_convergence_probe(ns.degree, p)
+            depth = 200 if ns.series_depth is None else ns.series_depth
+            row["series"] = float(integrate_monomial(ns.degree, QMeasure(p, series_depth=depth)))
             row["depth"] = depth
             row["depth_for_1e12"] = probe.depth_for_1e12
-        else:
-            row["depth_for_1e12"] = None
         rows.append(row)
-    _write(cfg, _emit(cfg, ["q", "n", "closed_form", "series", "depth", "depth_for_1e12"], rows, _meta(cfg)))
+    _write(ns, ["q", "n", "closed_form", "series", "depth", "depth_for_1e12"], rows)
     return 0
 
 
 # ----------------------------- parser -----------------------------
+
+class _Sweep(argparse.Action):
+    """A repeatable option whose values replace its default list instead of
+    extending it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [value] if given is self.default else [*given, value])
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -206,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--q", action="append", type=float, default=None,
+        sp.add_argument("--q", action=_Sweep, type=float, default=[1.0],
                         help="deformation parameter, repeatable for sweeps (default 1.0)")
         sp.add_argument("--lmax", type=int, default=6)
         sp.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
@@ -247,33 +232,13 @@ COMMANDS = {
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(
-        command=ns.command,
-        q=ns.q if ns.q else [1.0],
-        lmax=ns.lmax,
-        nmax=getattr(ns, "nmax", 2),
-        potential=getattr(ns, "potential", "oscillator"),
-        tolerance=ns.tolerance,
-        precision=ns.precision,
-        fmt=ns.fmt,
-        out=ns.out,
-        oracle=getattr(ns, "oracle", False),
-        series_depth=getattr(ns, "series_depth", None),
-        degree=getattr(ns, "degree", 0),
-        inject_fault=getattr(ns, "inject_fault", False),
-    )
     try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"qsu2: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[cfg.command](cfg)
+        _validate(ns)
+        return COMMANDS[ns.command](ns)
     except (ValueError, ArithmeticError) as exc:
         print(f"qsu2: {exc}", file=sys.stderr)
         return 2

@@ -49,6 +49,15 @@ def _zeros(p: QParam, n: int) -> list:
     return [0 * p.one] * n
 
 
+def _nanmax(magnitudes):
+    """Largest of nonnegative values (0.0 if none), or NaN if any is NaN:
+    the builtin max drops a NaN that does not come first, while their sum
+    is NaN exactly when one of them is."""
+    vals = list(magnitudes)
+    total = sum(vals)
+    return total if total != total else max(vals, default=0.0)
+
+
 def _span(lo: int, li: int, dm: int) -> tuple:
     """Slice over m_in + l_in of the entries with |m_in + dm| <= lo."""
     return max(-li, -lo - dm) + li, min(li, lo - dm) + li + 1
@@ -69,11 +78,6 @@ class OperatorMatrix:
     lmax: int
     delta_m: int
     blocks: dict = field(default_factory=dict)
-
-    def _set(self, lo: int, li: int, mi: int, value):
-        if (lo, li) not in self.blocks:
-            self.blocks[(lo, li)] = _zeros(self.p, 2 * li + 1)
-        self.blocks[(lo, li)][mi + li] = value
 
     def block(self, lo: int, li: int):
         """Dense numpy view of the (lo, li) block, indexed [m_out + lo, m_in + li]."""
@@ -151,12 +155,13 @@ class OperatorMatrix:
         return out
 
     def max_abs(self, l_top: int | None = None) -> float:
-        worst = 0.0
-        for (lo, li), vec in self.blocks.items():
-            if l_top is not None and (lo > l_top or li > l_top):
-                continue
-            worst = max(worst, float(max(map(abs, vec))))
-        return worst
+        """Largest |entry| over the blocks with both labels <= l_top; NaN if
+        any such entry is NaN."""
+        return _nanmax(
+            float(_nanmax(map(abs, vec)))
+            for (lo, li), vec in self.blocks.items()
+            if l_top is None or max(lo, li) <= l_top
+        )
 
     def diagonal(self, l: int):
         """Diagonal of the (l, l) block as a list over m = -l..l."""
@@ -166,11 +171,7 @@ class OperatorMatrix:
 
 def diag_operator(p: QParam, lmax: int, fn) -> OperatorMatrix:
     """Diagonal operator with entry fn(l, m)."""
-    out = OperatorMatrix(p, lmax, 0)
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            out._set(l, l, m, fn(l, m))
-    return out
+    return OperatorMatrix(p, lmax, 0, {(l, l): [fn(l, m) for m in range(-l, l + 1)] for l in range(lmax + 1)})
 
 
 def identity_operator(p: QParam, lmax: int) -> OperatorMatrix:
@@ -181,15 +182,16 @@ def build_generators(p: QParam, lmax: int) -> dict:
     """L0 diagonal and the ladder matrices in the positive-real gauge."""
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    l0 = diag_operator(p, lmax, lambda l, m: m * p.one)
-    lp = OperatorMatrix(p, lmax, +1)
-    lm = OperatorMatrix(p, lmax, -1)
-    for l in range(lmax + 1):
-        for m in range(-l, l):
-            val = p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p))
-            lp._set(l, l, m, val)
-            lm._set(l, l, m + 1, val)
-    return {"L0": l0, "Lplus": lp, "Lminus": lm}
+    # the step out of m = l (raising) or m = -l (lowering) is zero, so the
+    # shared entries sit at the front of the raising block and at the back
+    # of the lowering one; l = 0 has no ladder block
+    steps = {l: [p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p)) for m in range(-l, l)] for l in range(1, lmax + 1)}
+    zero = _zeros(p, 1)
+    return {
+        "L0": diag_operator(p, lmax, lambda l, m: m * p.one),
+        "Lplus": OperatorMatrix(p, lmax, +1, {(l, l): vals + zero for l, vals in steps.items()}),
+        "Lminus": OperatorMatrix(p, lmax, -1, {(l, l): zero + vals for l, vals in steps.items()}),
+    }
 
 
 def build_lambda(gen: dict) -> dict:
@@ -219,18 +221,16 @@ def build_invariant_c(lam: dict) -> OperatorMatrix:
 def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     """Coefficient of |l+1, m+k> in the position component k applied to |l, m>.
 
-    The k = -1 prefactor is q**(-l-m), the value forced by the conjugation
-    pair with the k = +1 component; it is also the value the integral
-    cross-check reproduces.
+    The k = +/-1 prefactor is q**(k*l - m).  At k = -1 that is q**(-l-m),
+    the value forced by the conjugation pair with the k = +1 component; it
+    is also the value the integral cross-check reproduces.
     """
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l + 3, p)
-    if k == 1:
-        return p.q ** (l - m) * p.sqrt(qnum(l + m + 1, p) * qnum(l + m + 2, p) / (two * d))
+    if k in (1, -1):
+        return p.q ** (k * l - m) * p.sqrt(qnum(l + k * m + 1, p) * qnum(l + k * m + 2, p) / (two * d))
     if k == 0:
         return p.q ** (-m) * p.sqrt(qnum(l - m + 1, p) * qnum(l + m + 1, p) / d)
-    if k == -1:
-        return p.q ** (-l - m) * p.sqrt(qnum(l - m + 1, p) * qnum(l - m + 2, p) / (two * d))
     raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
 
 
@@ -242,12 +242,10 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     """
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l - 1, p)
-    if k == 1:
-        return -p.q ** (-l - m - 1) * p.sqrt(qnum(l - m, p) * qnum(l - m - 1, p) / (two * d))
+    if k in (1, -1):
+        return -p.q ** (-k * (l + 1) - m) * p.sqrt(qnum(l - k * m, p) * qnum(l - k * m - 1, p) / (two * d))
     if k == 0:
         return p.q ** (-m) * p.sqrt(qnum(l - m, p) * qnum(l + m, p) / d)
-    if k == -1:
-        return -p.q ** (l - m + 1) * p.sqrt(qnum(l + m, p) * qnum(l + m - 1, p) / (two * d))
     raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
 
 
@@ -255,18 +253,20 @@ def build_position(p: QParam, lmax: int) -> dict:
     """Unit-sphere position components; bandwidth one in l, zero diagonal."""
     if lmax < 1:
         raise ValueError("position matrices need lmax >= 1")
-    out = {k: OperatorMatrix(p, lmax, k) for k in (1, 0, -1)}
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            for k in (1, 0, -1):
-                if l + 1 <= lmax and abs(m + k) <= l + 1:
-                    val = position_coeff_upper(p, l, m, k)
-                    if val != 0:
-                        out[k]._set(l + 1, l, m, val)
-                if l - 1 >= 0 and abs(m + k) <= l - 1:
-                    val = position_coeff_lower(p, l, m, k)
-                    if val != 0:
-                        out[k]._set(l - 1, l, m, val)
+    zero = 0 * p.one
+    out = {}
+    for k in (1, 0, -1):
+        # per l the upper block (l+1, l), then the lower block (l-1, l),
+        # which is zero where |m + k| > l - 1
+        blocks = {}
+        for l in range(lmax + 1):
+            if l < lmax:
+                blocks[(l + 1, l)] = [position_coeff_upper(p, l, m, k) for m in range(-l, l + 1)]
+            if l > 0:
+                blocks[(l - 1, l)] = [
+                    position_coeff_lower(p, l, m, k) if abs(m + k) < l else zero for m in range(-l, l + 1)
+                ]
+        out[k] = OperatorMatrix(p, lmax, k, blocks)
     return out
 
 
@@ -445,7 +445,7 @@ def verify_algebra(
 
     def gap(*pairs):
         """Worst interior entry of lhs - rhs over the (lhs, rhs) pairs."""
-        return max((lhs - rhs).max_abs(interior) for lhs, rhs in pairs)
+        return _nanmax((lhs - rhs).max_abs(interior) for lhs, rhs in pairs)
 
     lp_lm, lm_lp = lp @ lm, lm @ lp
     add("generator-commutator-raise", gap((l0 @ lp - lp @ l0, lp)))
@@ -514,8 +514,8 @@ def verify_algebra(
     for l in range(interior + 1):
         diag = d_sq.diagonal(l)
         for formula, value in transverse_square_candidates(l, p).items():
-            worst = max(abs(v - value) for v in diag)
-            cand_resid[formula] = max(cand_resid.get(formula, 0.0), float(worst))
+            worst = float(_nanmax(abs(v - value) for v in diag))
+            cand_resid[formula] = _nanmax((cand_resid.get(formula, 0.0), worst))
     matched = sorted(name for name, r in cand_resid.items() if r < tol)
     consistent = "-([2l][2l+2]/[2]^2 + c_l^2)"
     finding = {
@@ -604,22 +604,15 @@ def verify_algebra(
             lhs = mul_position(0, y)
             rhs = mul_position_right(0, y).scaled(q ** (-2 * m))
             r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
-            if m + 1 <= l:
-                lhs = mul_position(1, y)
-                corr = mul_position_right(0, ys[(l, m + 1)]).scaled(
-                    p.lam / p.sqrt(two) * q ** (-m - 1)
-                    * p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p))
-                )
-                rhs = mul_position_right(1, y) + corr
-                r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
-            if -l <= m - 1:
-                lhs = mul_position(-1, y)
-                corr = mul_position_right(0, ys[(l, m - 1)]).scaled(
-                    -p.lam / p.sqrt(two) * q ** (-m + 1)
-                    * p.sqrt(qnum(l + m, p) * qnum(l - m + 1, p))
-                )
-                rhs = mul_position_right(-1, y) + corr
-                r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
+            for k in (1, -1):
+                if abs(m + k) <= l:
+                    lhs = mul_position(k, y)
+                    corr = mul_position_right(0, ys[(l, m + k)]).scaled(
+                        k * p.lam / p.sqrt(two) * q ** (-m - k)
+                        * p.sqrt(qnum(l - k * m, p) * qnum(l + k * m + 1, p))
+                    )
+                    rhs = mul_position_right(k, y) + corr
+                    r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
     add("position-right-commutation", r, group="harmonic")
 
     r = 0.0

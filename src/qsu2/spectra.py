@@ -114,6 +114,9 @@ MIN_STEPS = 8
 # the regular solution grows like exp((L+1/2) x) near the origin; a step
 # with (L+1/2) h above this bound resolves that growth too coarsely
 MAX_LANGER_STEP = 0.25
+# grid tables hold n_steps + 1 floats (2 n_steps + 1 for RK4) and every
+# shoot walks all of them; grids longer than this are refused up front
+MAX_STEPS = 1_000_000
 # the bracket search widens tenfold per shoot from 4 energy tolerances
 # around the closed-form level and gives up beyond this multiple of |E|
 BRACKET_SPAN = 1.0
@@ -128,7 +131,9 @@ class RadialGrid:
     closed-form energy scale (turning point plus enough decay lengths
     for the endpoint sign to be meaningful), and n_steps the least count
     with (L+1/2) h <= MAX_LANGER_STEP, but at least 8000.  A user n_steps
-    that breaks that bound is rejected.
+    that breaks that bound is rejected, and so is any grid above MAX_STEPS
+    (one million) steps, which the rule asks for from L of about 1.3e4
+    (Coulomb ground state) or 6e4 (oscillator) on.
     """
 
     r_max: float = 0.0
@@ -181,6 +186,8 @@ def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -
     n_steps = grid.n_steps or max(8000, needed)
     if n_steps < needed:
         raise ValueError(f"L={L:.6g} needs at least {needed} steps on this grid, got {n_steps}")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"L={L:.6g} needs a grid of {n_steps} steps, above the budget of {MAX_STEPS}")
     return r_min, r_max, n_steps
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qsu2
-from qsu2.cli import RunConfig, _emit, build_parser, main
+from qsu2.cli import _emit, build_parser, main
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -58,6 +58,23 @@ def test_spectrum_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_spectrum_rows_sorted_with_a_repeated_q(tmp_path):
+    # a q given twice emits its rows twice, and the sort interleaves the copies
+    args = ["spectrum", "--potential", "coulomb", "--q", "1.3", "--q", "0.6", "--q", "1.3", "--lmax", "2"]
+    code, data = run_json(tmp_path, args)
+    assert code == 0
+    assert data["meta"]["q"] == [0.6, 1.3, 1.3]
+    keys = [(r["q"], r["l"], r["n"]) for r in data["rows"]]
+    assert len(keys) == 27 and keys == sorted(keys)
+
+
+def test_q_sweep_replaces_its_default():
+    parser = build_parser()
+    assert parser.parse_args(["verify"]).q == [1.0]
+    assert parser.parse_args(["verify", "--q", "2", "--q", "0.5"]).q == [2.0, 0.5]
+    assert parser.parse_args(["integrate"]).q == [1.0]
 
 
 def test_spectrum_csv_format(tmp_path):
@@ -254,7 +271,7 @@ def test_harmonics_overflow_is_a_usage_error(tmp_path, capsys):
         assert "l=33, m=32" in err and "q=0.5" in err
     for fmt in ("json", "csv"):
         with pytest.raises(ValueError):
-            _emit(RunConfig("harmonics", fmt=fmt), ["a"], [{"a": math.inf}], {})
+            _emit(fmt, ["a"], [{"a": math.inf}], {})
 
 
 def test_integrate_overflow_names_degree_and_q(capsys):

@@ -8,6 +8,7 @@ import pytest
 from qsu2 import (
     COMPOSED,
     MATRIX_ELEMENTS,
+    OperatorMatrix,
     QMeasure,
     QParam,
     build_generators,
@@ -360,6 +361,32 @@ def test_verify_algebra_forms_each_operand_once(monkeypatch):
     # the 25 harmonics with l <= 4, each built once
     assert calls["build_y"] == 25
     assert calls["matmul"] <= 130
+
+
+def test_max_abs_propagates_nan():
+    # the builtin max skips a NaN that does not come first
+    for p in (QParam(1.3), QParam(1.3, "high")):
+        nan = p.one * float("nan")
+        for vec in ([nan], [p.one, nan, p.one / 2]):
+            op = OperatorMatrix(p, 2, 0, {(0, 0): [p.one / 4], (1, 1): vec})
+            assert math.isnan(op.max_abs())
+            assert op.max_abs(0) == 0.25
+        op = OperatorMatrix(p, 2, 0, {(0, 0): [p.one / 4], (1, 1): [p.one, -2 * p.one, p.one / 2]})
+        assert op.max_abs() == 2.0
+
+
+def test_nan_operator_entry_fails_its_rows(monkeypatch):
+    import qsu2.irrep as irrep
+
+    upper = irrep.position_coeff_upper
+
+    def nan_at_one_entry(p, l, m, k):
+        return float("nan") if (l, m, k) == (1, 1, 0) else upper(p, l, m, k)
+
+    monkeypatch.setattr(irrep, "position_coeff_upper", nan_at_one_entry)
+    rows = {c.name: c for c in verify_algebra(QParam(1.3), 6).checks}
+    for name in ("unit-sphere-norm", "position-exchange-dilation", "transverse-dual-construction"):
+        assert math.isnan(rows[name].residual) and rows[name].passed is False, name
 
 
 def test_operator_sum_needs_equal_m_shift():

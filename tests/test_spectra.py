@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -229,6 +230,28 @@ def test_shooting_huge_effective_angular_numbers():
                 assert rep.abs_err < 1e-6, (q, potential, l, rep.abs_err)
                 assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4), (q, potential, l)
                 assert rep.message == ""
+
+
+def test_shooting_refuses_grids_above_the_step_budget(monkeypatch):
+    import qsu2.spectra as spectra
+
+    # the Langer bound asks for 218M steps at L of about 2.2e6 and 9e16 at
+    # 5.2e14; both are refused before a table is built, as is a user grid
+    # above the budget
+    def no_tables(*args):
+        raise AssertionError("grid tables built for a refused grid")
+
+    monkeypatch.setattr(spectra, "_potential_table", no_tables)
+    cases = (
+        (8, 0.4, RadialGrid(), "L=2.22311e+06 ", 218024269),
+        (64, 1.3, RadialGrid(), "L=5.15079e+14 ", 9.0198e16),
+        (1, 1.0, RadialGrid(n_steps=spectra.MAX_STEPS + 1), "L=1 ", spectra.MAX_STEPS + 1),
+    )
+    for l, q, grid, L, steps in cases:
+        with pytest.raises(ValueError) as err:
+            radial_verify(COULOMB, 0, l, QParam(q), grid)
+        assert L in str(err.value)
+        assert int(re.search(r" (\d+) steps", str(err.value)).group(1)) == pytest.approx(steps, rel=1e-4)
 
 
 def test_shooting_centrifugal_free_at_l0():
