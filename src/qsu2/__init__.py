@@ -21,7 +21,6 @@ from .angular import (
     build_phi,
     build_y,
     hypergeom_phi,
-    ladder_identity_check,
     mul_position,
     mul_position_right,
     normalization_constant,

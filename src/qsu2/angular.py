@@ -25,6 +25,15 @@ from dataclasses import dataclass
 from .qcore import QParam, qdouble_factorial, qnum, qnum_base2
 
 
+def _nanmax(magnitudes):
+    """Largest of nonnegative values (0.0 if none), or NaN if any is NaN:
+    the builtin max drops a NaN that does not come first, while their sum
+    is NaN exactly when one of them is."""
+    vals = list(magnitudes)
+    total = sum(vals)
+    return total if total != total else max(vals, default=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k."""
@@ -64,16 +73,15 @@ class AngularFunction:
 
     def distance(self, other: "AngularFunction") -> float:
         """Max absolute coefficient difference; infinite for unequal windings
-        unless one side is zero."""
+        unless one side is zero, NaN if any coefficient is NaN."""
         if self.m != other.m and not (self.is_zero or other.is_zero):
             return float("inf")
         keys = set(self.coeffs) | set(other.coeffs)
-        if not keys:
-            return 0.0
-        return max(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys)
+        return _nanmax(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys)
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        """Largest |coefficient| (0.0 if none), NaN if any is NaN."""
+        return _nanmax(map(abs, self.coeffs.values()))
 
 
 def angular_function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
@@ -335,19 +343,6 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     return AngularFunction(p, m, coeffs)
 
 
-def _phi_series_convention(l: int, m: int, p: QParam) -> AngularFunction:
-    """build_phi rescaled to the closed-form series convention.
-
-    The series form carries leading coefficient q**-m in the odd-parity
-    case (1 in the even one); the printed normalization constants and the
-    one-step ladder relations are exact in this convention.
-    """
-    phi = build_phi(l, m, p)
-    if (l - m) % 2:
-        return phi.scaled(p.q ** (-m))
-    return phi
-
-
 def normalization_constant(l: int, m: int, p: QParam):
     """Parity-dependent normalization for the series-convention polynomial."""
     _check_nonneg_label(l, m)
@@ -371,8 +366,16 @@ def normalization_constant(l: int, m: int, p: QParam):
 
 
 def normalize_y(l: int, m: int, p: QParam) -> AngularFunction:
-    """Unit-norm harmonic for 0 <= m <= l under the deformed inner product."""
-    return _phi_series_convention(l, m, p).scaled(normalization_constant(l, m, p))
+    """Unit-norm harmonic for 0 <= m <= l under the deformed inner product.
+
+    build_phi is first rescaled to the closed-form series convention, whose
+    leading coefficient is q**-m in the odd-parity case (1 in the even one);
+    the printed normalization constants are exact in that convention.
+    """
+    phi = build_phi(l, m, p)
+    if (l - m) % 2:
+        phi = phi.scaled(p.q ** (-m))
+    return phi.scaled(normalization_constant(l, m, p))
 
 
 def ladder_factor(l: int, m: int, p: QParam):
@@ -402,33 +405,3 @@ def build_y(l: int, m: int, p: QParam) -> AngularFunction:
         return normalize_y(l, m, p)
     return build_negative_m(l, m, p)
 
-
-@dataclass(frozen=True)
-class LadderCheckResult:
-    ok: bool
-    residual: float
-    scaled_residual: float
-
-
-def ladder_identity_check(l: int, m: int, p: QParam) -> LadderCheckResult:
-    """One-step raising relation between neighbouring series-convention
-    polynomials.
-
-    The raising step carries the dilatation weight q**m of the winding it
-    acts on (the same factor the full raising operator carries); with that
-    weight included the relation is exact:  the raised polynomial equals
-    -[l-m][l+m+1] times the next one for even l-m and exactly the next one
-    for odd l-m.  scaled_residual divides by the coefficient magnitude,
-    which reaches ~1e5 at q = 0.5.
-    """
-    if not (0 <= m < l):
-        raise ValueError(f"ladder check requires 0 <= m < l, got (l={l}, m={m})")
-    two = qnum(2, p)
-    lhs = apply_lplus(_phi_series_convention(l, m, p)).scaled(1 / p.sqrt(two))
-    rhs = _phi_series_convention(l, m + 1, p)
-    if (l - m) % 2 == 0:
-        rhs = rhs.scaled(-qnum(l - m, p) * qnum(l + m + 1, p))
-    residual = float(lhs.distance(rhs))
-    scale = max(1.0, float(rhs.max_abs()))
-    return LadderCheckResult(ok=bool(residual <= p.coeff_tol * scale), residual=residual,
-                             scaled_residual=residual / scale)

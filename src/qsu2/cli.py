@@ -132,6 +132,7 @@ def cmd_harmonics(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     rows = []
     findings = {}
+    verdicts = []
     for qv in sorted(ns.q):
         try:
             rep = verify_algebra(QParam(qv, ns.precision), ns.lmax, ns.tolerance, inject_fault=ns.inject_fault)
@@ -140,9 +141,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
                 f"lmax {ns.lmax} is out of double range at q={qv}: a q-power or q-number overflows"
             ) from None
         findings[format(float(qv), ".15g")] = rep.finding
+        verdicts.append(rep.passed)
         for c in sorted(rep.checks, key=lambda c: (c.group, c.name)):
             rows.append({"q": float(qv), **c.to_payload()})
-    all_pass = all(r["passed"] is not False for r in rows)
+    all_pass = all(verdicts)
     columns = ["q", "group", "name", "residual", "passed", "note"]
     _write(ns, columns, rows, {"findings": findings, "passed": all_pass})
     return 0 if all_pass else 1

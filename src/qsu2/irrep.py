@@ -14,8 +14,11 @@ operators.
 
 Builders take the operators they derive from and read p and lmax from
 them, so each operand of the catalogue is formed once; operators of
-different p or lmax refuse to combine.  Every gated operator row compares
-two sides, lhs and rhs, by the largest interior entry of lhs - rhs.
+different p or lmax refuse to combine.  Every row of the catalogue
+compares two sides, lhs and rhs: operator rows by the largest interior
+entry of lhs - rhs, function rows by the largest coefficient difference
+relative to the largest coefficient of lhs (floor 1), scalar rows by
+|lhs - rhs|.  A NaN on either side makes the residual NaN, which fails.
 
 The ladder matrix elements use the positive-real convention
 sqrt([l -+ m][l +- m + 1]); only the product of raising and lowering steps
@@ -26,10 +29,12 @@ be compared directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from operator import add, mul, sub
 
 from .angular import (
+    _nanmax,
     angular_function,
     apply_casimir,
     apply_lminus,
@@ -37,7 +42,6 @@ from .angular import (
     build_phi,
     build_y,
     hypergeom_phi,
-    ladder_identity_check,
     mul_position,
     mul_position_right,
 )
@@ -49,13 +53,9 @@ def _zeros(p: QParam, n: int) -> list:
     return [0 * p.one] * n
 
 
-def _nanmax(magnitudes):
-    """Largest of nonnegative values (0.0 if none), or NaN if any is NaN:
-    the builtin max drops a NaN that does not come first, while their sum
-    is NaN exactly when one of them is."""
-    vals = list(magnitudes)
-    total = sum(vals)
-    return total if total != total else max(vals, default=0.0)
+def _finite(x):
+    """x, or None where it is NaN or infinite: payloads carry no such float."""
+    return x if x is None or math.isfinite(x) else None
 
 
 def _span(lo: int, li: int, dm: int) -> tuple:
@@ -339,13 +339,7 @@ class IdentityCheck:
     note: str = ""
 
     def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "group": self.group,
-            "residual": self.residual,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "residual": _finite(self.residual)}
 
 
 @dataclass
@@ -360,9 +354,8 @@ class VerifyReport:
 
     @property
     def max_residual(self) -> float:
-        """Worst residual over the gated rows; informational rows are left out."""
-        vals = [c.residual for c in self.checks if c.passed is not None]
-        return max(vals) if vals else 0.0
+        """Worst residual over the gated rows, NaN if one is; informational rows are left out."""
+        return _nanmax(c.residual for c in self.checks if c.passed is not None)
 
     def to_payload(self) -> dict:
         return {
@@ -411,14 +404,16 @@ def verify_algebra(
 ) -> VerifyReport:
     """Run the full identity catalogue at one deformation value.
 
-    Operator rows (group "operator") are the largest |entry| of lhs - rhs
-    over interior blocks of the lmax truncation.  The function-realization
-    rows (groups "harmonic" and "measure") run over fixed small l ranges
-    independent of lmax.  The report also resolves which closed form the contracted
-    transverse-derivative diagonal actually matches (the three candidates
-    differ in the literature-facing bookkeeping of the cross term; exactly
-    one is consistent for every l).  inject_fault corrupts one position
-    expansion coefficient so that a caller can confirm the verifier fails.
+    Every row reports the worst of its (lhs, rhs) pairs, and a NaN fails it.
+    Operator rows (group "operator") take |lhs - rhs| over interior blocks of
+    the lmax truncation.  Harmonic and measure rows run over fixed small l
+    ranges independent of lmax; their function pairs are relative to the
+    largest coefficient of lhs (floor 1).  The report also resolves which
+    closed form the contracted transverse-derivative diagonal actually
+    matches (the three candidates differ in the literature-facing
+    bookkeeping of the cross term; exactly one is consistent for every l).
+    inject_fault corrupts one position expansion coefficient so that a
+    caller can confirm the verifier fails.
     """
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
@@ -447,6 +442,14 @@ def verify_algebra(
         """Worst interior entry of lhs - rhs over the (lhs, rhs) pairs."""
         return _nanmax((lhs - rhs).max_abs(interior) for lhs, rhs in pairs)
 
+    def fgap(*pairs):
+        """Worst distance of two functions, relative to lhs's largest |coefficient| (floor 1)."""
+        return _nanmax(lhs.distance(rhs) / max(1.0, lhs.max_abs()) for lhs, rhs in pairs)
+
+    def sgap(*pairs):
+        """Worst |lhs - rhs| over the (lhs, rhs) pairs of scalars."""
+        return _nanmax(abs(lhs - rhs) for lhs, rhs in pairs)
+
     lp_lm, lm_lp = lp @ lm, lm @ lp
     add("generator-commutator-raise", gap((l0 @ lp - lp @ l0, lp)))
     add("generator-commutator-lower", gap((l0 @ lm - lm @ l0, lm.scaled(-1))))
@@ -473,7 +476,7 @@ def verify_algebra(
     dil_up = d_comp[0] @ d_comp[1] - (d_comp[1] @ d_comp[0]).scaled(q ** (-2))
     dil_down = d_comp[0] @ d_comp[-1] - (d_comp[-1] @ d_comp[0]).scaled(q ** 2)
     mixed = d_comp[1] @ d_comp[-1] - d_comp[-1] @ d_comp[1] - (d_comp[0] @ d_comp[0]).scaled(p.lam)
-    bare_dil = max(dil_up.max_abs(interior), dil_down.max_abs(interior))
+    bare_dil = _nanmax(d.max_abs(interior) for d in (dil_up, dil_down))
     bare_mixed = mixed.max_abs(interior)
     add("transverse-exchange-dilation", gap(
         (dil_up, (c_op @ lam[1]).scaled(1 / q)),
@@ -520,7 +523,7 @@ def verify_algebra(
     consistent = "-([2l][2l+2]/[2]^2 + c_l^2)"
     finding = {
         "transverse_square_diagonal": {
-            "candidates": cand_resid,
+            "candidates": {name: _finite(r) for name, r in cand_resid.items()},
             "matched": matched,
             "resolution": consistent if consistent in matched else (matched[0] if matched else None),
             "note": (
@@ -530,8 +533,8 @@ def verify_algebra(
             ),
         },
         "transverse_exchange": {
-            "bare_residual_dilation": float(bare_dil),
-            "bare_residual_mixed": float(bare_mixed),
+            "bare_residual_dilation": _finite(float(bare_dil)),
+            "bare_residual_mixed": _finite(float(bare_mixed)),
             "note": (
                 "the transverse components satisfy d0 d1 = q^-2 d1 d0 + (1/q) c Lambda_1, "
                 "d0 d-1 = q^2 d-1 d0 - q c Lambda_-1 and d1 d-1 = d-1 d1 + lambda d0^2 - c Lambda_0; "
@@ -541,109 +544,92 @@ def verify_algebra(
     }
     add("transverse-square-diagonal", cand_resid[consistent], note=f"matched: {', '.join(matched)}")
 
-    # Function realization and measure.  Coefficient-level residuals are
-    # scaled by the magnitude of the objects compared (harmonic coefficients
-    # reach ~1e5 at q = 0.5, where absolute thresholds would sit below
-    # representation granularity).
-    r = 0.0
-    for l in range(7):
-        for m in range(l + 1):
-            phi = build_phi(l, m, p)
-            r = max(r, phi.distance(hypergeom_phi(l, m, p)) / max(1.0, phi.max_abs()))
-    add("harmonic-recursion-vs-closed-form", r, group="harmonic")
+    # Function realization and measure.  Function rows are relative because
+    # harmonic coefficients reach ~1e5 at q = 0.5, where absolute thresholds
+    # would sit below representation granularity.
+    phis = {(l, m): build_phi(l, m, p) for l in range(7) for m in range(l + 1)}
+    add("harmonic-recursion-vs-closed-form", fgap(*(
+        (phi, hypergeom_phi(l, m, p)) for (l, m), phi in phis.items()
+    )), group="harmonic")
 
     mu = QMeasure(p)
     # every harmonic the rows below compare, keyed by (l, m), in l-major order
     ys = {(l, m): build_y(l, m, p) for l in range(5) for m in range(-l, l + 1)}
-    items = list(ys.items())
-    r = 0.0
-    for i, (lm1, y1) in enumerate(items):
-        for lm2, y2 in items[i:]:
-            v = inner_product(y1, y2, mu)
-            expect = 1.0 if lm1 == lm2 else 0.0
-            r = max(r, abs(v - expect))
-    add("harmonic-orthonormality", r, group="harmonic")
+    add("harmonic-orthonormality", sgap(*(
+        (inner_product(y1, y2, mu), 1.0 if lm1 == lm2 else 0.0)
+        for lm1, y1 in ys.items() for lm2, y2 in ys.items() if lm1 <= lm2
+    )), group="harmonic")
 
-    r = 0.0
-    for l in range(1, 6):
-        for m in range(l):
-            r = max(r, ladder_identity_check(l, m, p).scaled_residual)
-    add("harmonic-ladder-step", r, group="harmonic")
+    # phi in the series convention (odd l - m carries q**-m).  Raising carries
+    # the weight q**m of the winding it acts on; with it the raised polynomial
+    # is -[l-m][l+m+1] times the next one for even l - m, the next one for odd.
+    series = {(l, m): phi.scaled(q ** (-m)) if (l - m) % 2 else phi for (l, m), phi in phis.items()}
+    two = qnum(2, p)
+    add("harmonic-ladder-step", fgap(*(
+        (series[(l, m + 1)].scaled(1 if (l - m) % 2 else -qnum(l - m, p) * qnum(l + m + 1, p)),
+         apply_lplus(series[(l, m)]).scaled(1 / p.sqrt(two)))
+        for l in range(1, 6) for m in range(l)
+    )), group="harmonic")
 
-    r = 0.0
-    for l in range(5):
-        for m in range(-l, l + 1):
-            y = ys[(l, m)]
-            want = y.scaled(qnum(l, p) * qnum(l + 1, p))
-            r = max(r, apply_casimir(y).distance(want) / max(1.0, want.max_abs()))
-    add("harmonic-casimir", r, group="harmonic")
+    add("harmonic-casimir", fgap(*(
+        (y.scaled(qnum(l, p) * qnum(l + 1, p)), apply_casimir(y)) for (l, m), y in ys.items()
+    )), group="harmonic")
 
-    r = 0.0
+    product_pairs = []
     for l in range(4):
         for m in range(-l, l + 1):
-            y = ys[(l, m)]
             for k in (1, 0, -1):
-                got = mul_position(k, y)
-                target = None
-                if abs(m + k) <= l + 1:
-                    up = ys[(l + 1, m + k)].scaled(position_coeff_upper(p, l, m, k))
-                    target = up if target is None else target + up
-                if l - 1 >= 0 and abs(m + k) <= l - 1:
-                    lo = ys[(l - 1, m + k)].scaled(position_coeff_lower(p, l, m, k))
-                    target = lo if target is None else target + lo
+                # the l + 1 term is always there, the l - 1 one where |m + k| < l
+                target = ys[(l + 1, m + k)].scaled(position_coeff_upper(p, l, m, k))
+                if abs(m + k) < l:
+                    target += ys[(l - 1, m + k)].scaled(position_coeff_lower(p, l, m, k))
                 if inject_fault and (l, m, k) == (1, 0, 0):
                     target = target.scaled(1 + 1e-3)
-                r = max(r, got.distance(target) / max(1.0, got.max_abs()))
-    add("position-product-expansion", r, note="fault injected" if inject_fault else "", group="harmonic")
+                product_pairs.append((mul_position(k, ys[(l, m)]), target))
+    add("position-product-expansion", fgap(*product_pairs),
+        note="fault injected" if inject_fault else "", group="harmonic")
 
-    two = qnum(2, p)
-    r = 0.0
+    commutation_pairs = []
     for l in range(4):
         for m in range(-l, l + 1):
             y = ys[(l, m)]
-            lhs = mul_position(0, y)
-            rhs = mul_position_right(0, y).scaled(q ** (-2 * m))
-            r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
+            commutation_pairs.append((mul_position(0, y), mul_position_right(0, y).scaled(q ** (-2 * m))))
             for k in (1, -1):
                 if abs(m + k) <= l:
-                    lhs = mul_position(k, y)
                     corr = mul_position_right(0, ys[(l, m + k)]).scaled(
                         k * p.lam / p.sqrt(two) * q ** (-m - k)
                         * p.sqrt(qnum(l - k * m, p) * qnum(l + k * m + 1, p))
                     )
-                    rhs = mul_position_right(k, y) + corr
-                    r = max(r, lhs.distance(rhs) / max(1.0, lhs.max_abs()))
-    add("position-right-commutation", r, group="harmonic")
+                    commutation_pairs.append((mul_position(k, y), mul_position_right(k, y) + corr))
+    add("position-right-commutation", fgap(*commutation_pairs), group="harmonic")
 
-    r = 0.0
+    adjoint_pairs = []
     for m in (-2, 0, 1):
         f = angular_function(p, m, {0: 0.4, 1: -0.9, 2: 0.25, 3: 0.5})
         g = angular_function(p, m + 1, {0: 1.1, 1: 0.3, 2: -0.7})
-        lhs = inner_product(apply_lplus(f), g, mu)
-        rhs = inner_product(f, apply_lminus(g), mu)
-        r = max(r, abs(lhs - rhs))
-    add("ladder-adjointness", r, group="harmonic")
+        adjoint_pairs.append((inner_product(apply_lplus(f), g, mu), inner_product(f, apply_lminus(g), mu)))
+    add("ladder-adjointness", sgap(*adjoint_pairs), group="harmonic")
 
     mu_r = QMeasure(p.reciprocal())
-    r = max(abs(integrate_monomial(n, mu) - integrate_monomial(n, mu_r)) for n in range(0, 9, 2))
-    add("measure-symmetry", r, note="q against 1/q", group="harmonic")
+    add("measure-symmetry", sgap(*(
+        (integrate_monomial(n, mu), integrate_monomial(n, mu_r)) for n in range(0, 9, 2)
+    )), note="q against 1/q", group="harmonic")
 
     if q < 1:
         # The depth-D grid sum of x0**n is exactly closed * (1 - q**(2D(n+1))),
         # so the comparison holds at every q < 1, however slowly the tail decays.
         depth = 400
         ns = range(0, 9, 2)
-        series = _halfline_series(ns, q, depth)
-        r = max(
-            abs(2 * s - integrate_monomial(n, mu) * (1 - q ** (2 * depth * (n + 1))))
-            for n, s in zip(ns, series)
-        )
-        add("measure-series-agreement", r, group="measure")
+        add("measure-series-agreement", sgap(*(
+            (2 * s, integrate_monomial(n, mu) * (1 - q ** (2 * depth * (n + 1))))
+            for n, s in zip(ns, _halfline_series(ns, q, depth))
+        )), group="measure")
     else:
         add("measure-series-agreement", None, note="series grid only exists for q < 1", group="measure")
 
-    val = integrate_monomial(2, mu) / integrate_monomial(0, mu)
-    add("uniform-state-moment", abs(val - 1 / qnum(3, p)), group="harmonic")
+    add("uniform-state-moment", sgap(
+        (integrate_monomial(2, mu) / integrate_monomial(0, mu), 1 / qnum(3, p))
+    ), group="harmonic")
 
     meta = {
         "q": float(p.q),

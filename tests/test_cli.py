@@ -274,6 +274,27 @@ def test_harmonics_overflow_is_a_usage_error(tmp_path, capsys):
             _emit(fmt, ["a"], [{"a": math.inf}], {})
 
 
+def test_verify_nan_residual_is_a_verification_failure(tmp_path, monkeypatch):
+    # a NaN residual is emitted as null (csv: empty) with passed false, and exit 1
+    import qsu2.irrep as irrep
+
+    upper = irrep.position_coeff_upper
+    monkeypatch.setattr(irrep, "position_coeff_upper",
+                        lambda p, l, m, k: math.nan if (l, m, k) == (1, 1, 0) else upper(p, l, m, k))
+    args = ["verify", "--q", "1.3", "--lmax", "6"]
+    code, data = run_json(tmp_path, args)
+    assert code == 1 and data["passed"] is False
+    failed = {r["name"] for r in data["rows"] if r["passed"] is False}
+    assert {"unit-sphere-norm", "position-product-expansion", "transverse-square-diagonal"} <= failed
+    assert all(r["residual"] is None for r in data["rows"] if r["name"] in failed)
+    assert set(data["findings"]["1.3"]["transverse_square_diagonal"]["candidates"].values()) == {None}
+    path = tmp_path / "v.csv"
+    assert main(args + ["--format", "csv", "--out", str(path)]) == 1
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    assert {r["name"] for r in rows if r["passed"] == "False"} == failed
+    assert all(r["residual"] == "" for r in rows if r["name"] in failed)
+
+
 def test_integrate_overflow_names_degree_and_q(capsys):
     # the closed form 2/[n+1] needs q**(n+1) and q**-(n+1) in double range
     for degree, q in (("5000", "0.5"), ("2000", "3")):

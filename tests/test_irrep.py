@@ -8,9 +8,12 @@ import pytest
 from qsu2 import (
     COMPOSED,
     MATRIX_ELEMENTS,
+    AngularFunction,
+    IdentityCheck,
     OperatorMatrix,
     QMeasure,
     QParam,
+    VerifyReport,
     build_generators,
     build_invariant_c,
     build_lambda,
@@ -342,24 +345,34 @@ def test_operators_of_different_parameters_refuse_to_combine():
 
 
 def test_verify_algebra_forms_each_operand_once(monkeypatch):
+    import qsu2.angular as angular
     import qsu2.irrep as irrep
 
-    calls = {"build_y": 0, "matmul": 0}
-    build_y_orig, matmul_orig = irrep.build_y, irrep.OperatorMatrix.__matmul__
+    calls = {"build_y": 0, "build_phi": 0, "matmul": 0}
+    build_y_orig, build_phi_orig, matmul_orig = irrep.build_y, irrep.build_phi, irrep.OperatorMatrix.__matmul__
 
     def counted_build_y(*args):
         calls["build_y"] += 1
         return build_y_orig(*args)
+
+    def counted_build_phi(*args):
+        calls["build_phi"] += 1
+        return build_phi_orig(*args)
 
     def counted_matmul(a, b):
         calls["matmul"] += 1
         return matmul_orig(a, b)
 
     monkeypatch.setattr(irrep, "build_y", counted_build_y)
+    # build_phi is looked up in irrep by the catalogue and in angular by build_y
+    monkeypatch.setattr(irrep, "build_phi", counted_build_phi)
+    monkeypatch.setattr(angular, "build_phi", counted_build_phi)
     monkeypatch.setattr(irrep.OperatorMatrix, "__matmul__", counted_matmul)
     verify_algebra(QParam(1.3), 6)
     # the 25 harmonics with l <= 4, each built once
     assert calls["build_y"] == 25
+    # the 28 polynomials with l <= 6, plus one inside each build_y call
+    assert calls["build_phi"] <= 53
     assert calls["matmul"] <= 130
 
 
@@ -373,6 +386,12 @@ def test_max_abs_propagates_nan():
             assert op.max_abs(0) == 0.25
         op = OperatorMatrix(p, 2, 0, {(0, 0): [p.one / 4], (1, 1): [p.one, -2 * p.one, p.one / 2]})
         assert op.max_abs() == 2.0
+        f = AngularFunction(p, 1, {0: p.one, 1: nan, 2: p.one / 2})
+        g = AngularFunction(p, 1, {0: p.one, 2: p.one / 4})
+        assert math.isnan(f.max_abs()) and math.isnan(f.distance(g)) and math.isnan(g.distance(f))
+        assert g.max_abs() == 1.0 and g.distance(g.scaled(2)) == 1.0
+    checks = [IdentityCheck("a", "operator", 1e-12, True), IdentityCheck("b", "operator", math.nan, False)]
+    assert math.isnan(VerifyReport({}, checks, {}).max_residual)
 
 
 def test_nan_operator_entry_fails_its_rows(monkeypatch):
@@ -385,8 +404,36 @@ def test_nan_operator_entry_fails_its_rows(monkeypatch):
 
     monkeypatch.setattr(irrep, "position_coeff_upper", nan_at_one_entry)
     rows = {c.name: c for c in verify_algebra(QParam(1.3), 6).checks}
-    for name in ("unit-sphere-norm", "position-exchange-dilation", "transverse-dual-construction"):
+    for name in (
+        "unit-sphere-norm", "position-exchange-dilation", "transverse-dual-construction", "position-product-expansion"
+    ):
         assert math.isnan(rows[name].residual) and rows[name].passed is False, name
+
+
+@pytest.mark.parametrize("source, label, consumers", [
+    ("hypergeom_phi", (3, 1), {"harmonic-recursion-vs-closed-form"}),
+    ("build_y", (2, 1), {
+        "harmonic-orthonormality", "harmonic-casimir", "position-product-expansion", "position-right-commutation",
+    }),
+    ("build_phi", (4, 2), {"harmonic-recursion-vs-closed-form", "harmonic-ladder-step"}),
+], ids=["hypergeom_phi", "build_y", "build_phi"])
+def test_nan_harmonic_coefficient_fails_its_rows(monkeypatch, source, label, consumers):
+    import qsu2.irrep as irrep
+
+    build = getattr(irrep, source)
+
+    def nan_in_one_coefficient(l, m, p):
+        f = build(l, m, p)
+        if (l, m) != label:
+            return f
+        return AngularFunction(p, m, {**f.coeffs, max(f.coeffs): math.nan})
+
+    monkeypatch.setattr(irrep, source, nan_in_one_coefficient)
+    rep = verify_algebra(QParam(1.3), 6)
+    failed = {c.name for c in rep.checks if c.passed is False}
+    assert failed == consumers
+    assert all(math.isnan(c.residual) for c in rep.checks if c.name in consumers)
+    assert not rep.passed and math.isnan(rep.max_residual)
 
 
 def test_operator_sum_needs_equal_m_shift():
