@@ -128,7 +128,7 @@ def _qderiv(a: dict, p: QParam, sign: int) -> dict:
     for k, v in a.items():
         if k == 0:
             continue
-        out[k - 1] = v * p.q ** (sign * (k - 1)) * qnum(k, p)
+        out[k - 1] = v * p.power(sign * (k - 1)) * qnum(k, p)
     return out
 
 
@@ -189,12 +189,12 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     """
     p, m = f.p, f.m
     if k == 0:
-        return AngularFunction(p, m, _pscale(_pshift(f.coeffs), p.q ** (-2 * m)))
+        return AngularFunction(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
     if k * m >= 0:
         return AngularFunction(p, m + k, f.coeffs)
-    return AngularFunction(p, m + k, _mixed_product(f.coeffs, p.q ** (-4 * m - 2 * k), p))
+    return AngularFunction(p, m + k, _mixed_product(f.coeffs, p.power(-4 * m - 2 * k), p))
 
 
 def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
@@ -209,7 +209,7 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
         return AngularFunction(p, m, _pshift(f.coeffs))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
-    dilation = p.q ** (-2 * k)
+    dilation = p.power(-2 * k)
     tail = _pdilate(f.coeffs, dilation)
     if k * m >= 0:
         return AngularFunction(p, m + k, tail)
@@ -230,7 +230,7 @@ def _divide_winding_product(num: dict, j: int, sign: int, p: QParam) -> dict:
     """
     out = num
     for i in range(j):
-        out = _pdiv_factor(out, p.q ** (sign * (4 * i + 2)), p)
+        out = _pdiv_factor(out, p.power(sign * (4 * i + 2)), p)
     return _pscale(out, (-qnum(2, p)) ** j)
 
 
@@ -243,7 +243,7 @@ def _ladder(f: AngularFunction, s: int) -> AngularFunction:
     pairs first and the recreated factor is recovered by exact division.
     """
     p, m = f.p, f.m
-    pref = p.sqrt(qnum(2, p)) * p.q ** m
+    pref = p.sqrt(qnum(2, p)) * p.power(m)
     if s * m >= 0:
         poly = _qderiv(f.coeffs, p, -s)
     else:
@@ -267,7 +267,7 @@ def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
     p = f.p
     if k in (1, -1):
         g = _ladder(f, k)
-        return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.q ** (-g.m))
+        return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.power(-g.m))
     if k == 0:
         two = qnum(2, p)
         a = apply_lplus(apply_lminus(f)).scaled(p.q / two)
@@ -279,7 +279,7 @@ def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
 def apply_c_invariant(f: AngularFunction) -> AngularFunction:
     """The third invariant q**(-2 L0) + lambda Lambda_0 acting on f."""
     p = f.p
-    return f.scaled(p.q ** (-2 * f.m)) + apply_lambda(0, f).scaled(p.lam)
+    return f.scaled(p.power(-2 * f.m)) + apply_lambda(0, f).scaled(p.lam)
 
 
 def apply_casimir(f: AngularFunction) -> AngularFunction:
@@ -308,7 +308,7 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     while k + 2 <= l - m:
         num = qnum(l - m - k, p) * qnum(l + m + k + 1, p)
         den = qnum(k + 1, p) * qnum(k + 2, p)
-        coeffs[k + 2] = -p.q ** (-2 * m) * num / den * coeffs[k]
+        coeffs[k + 2] = -p.power(-2 * m) * num / den * coeffs[k]
         k += 2
     return AngularFunction(p, m, coeffs)
 
@@ -329,7 +329,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     else:
         a2, b2, c2 = l + m + 1, m - l, 1
         nterms = (l - m) // 2
-    z = p.q ** (-2 * m)
+    z = p.power(-2 * m)
     term = p.one
     coeffs = {odd: term}
     for n in range(nterms):
@@ -374,7 +374,7 @@ def normalize_y(l: int, m: int, p: QParam) -> AngularFunction:
     """
     phi = build_phi(l, m, p)
     if (l - m) % 2:
-        phi = phi.scaled(p.q ** (-m))
+        phi = phi.scaled(p.power(-m))
     return phi.scaled(normalization_constant(l, m, p))
 
 

@@ -19,6 +19,12 @@ compares two sides, lhs and rhs: operator rows by the largest interior
 entry of lhs - rhs, function rows by the largest coefficient difference
 relative to the largest coefficient of lhs (floor 1), scalar rows by
 |lhs - rhs|.  A NaN on either side makes the residual NaN, which fails.
+``OperatorMatrix.distance`` forms the operator residual in one pass over
+the interior blocks of both sides, without building the difference; it
+reduces the magnitudes as floats, and since rounding to a float keeps
+their order, its maximum is bitwise that of ``(lhs - rhs).max_abs``.
+The scalars every builder reads, the q-numbers [n] and powers q**e, come
+from the table of the ``QParam`` (see ``qcore``), evaluated once each.
 
 The ladder matrix elements use the positive-real convention
 sqrt([l -+ m][l +- m + 1]); only the product of raising and lowering steps
@@ -50,7 +56,7 @@ from .qcore import QParam, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
-    return [0 * p.one] * n
+    return [p.zero] * n
 
 
 def _finite(x):
@@ -84,7 +90,7 @@ class OperatorMatrix:
         import numpy as np
 
         shape = (2 * lo + 1, 2 * li + 1)
-        out = np.full(shape, 0 * self.p.one, dtype=object) if self.p.is_high else np.zeros(shape, dtype=complex)
+        out = np.full(shape, self.p.zero, dtype=object) if self.p.is_high else np.zeros(shape, dtype=complex)
         vec = self.blocks.get((lo, li))
         if vec is not None:
             start, stop = _span(lo, li, self.delta_m)
@@ -92,16 +98,20 @@ class OperatorMatrix:
                 out[col - li + self.delta_m + lo, col] = vec[col]
         return out
 
-    def _check(self, other: "OperatorMatrix"):
-        """Refuse an operand of another q, precision or lmax."""
+    def _check(self, other: "OperatorMatrix", same_shift: bool = False):
+        """Refuse an operand of another q, precision or lmax, and with
+        same_shift one of another m-shift."""
         if other.p is not self.p and other.p != self.p or other.lmax != self.lmax:
             sides = [f"q={float(o.p.q):.6g} {o.p.precision} lmax={o.lmax}" for o in (self, other)]
             raise ValueError(f"cannot combine operators of {sides[0]} and {sides[1]}")
+        if same_shift and self.delta_m != other.delta_m:
+            raise ValueError(f"cannot combine operators with m-shifts {self.delta_m} and {other.delta_m}")
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
         dm = other.delta_m
         out = OperatorMatrix(self.p, self.lmax, self.delta_m + dm)
+        blocks, zero = out.blocks, self.p.zero
         # the right blocks by first label, in their stored order, so that each
         # output block sums its products in the same order as a full scan
         rows: dict = {}
@@ -109,12 +119,14 @@ class OperatorMatrix:
             rows.setdefault(k2, []).append((li, b))
         for (lo, k1), a in self.blocks.items():
             for li, b in rows.get(k1, ()):
-                start, stop = _span(k1, li, dm)
+                # _span(k1, li, dm), inline
+                start = max(-li, -k1 - dm) + li
+                stop = min(li, k1 - dm) + li + 1
                 shift = k1 - li + dm
                 prod = map(mul, a[start + shift:stop + shift], b[start:stop])
-                acc = out.blocks.get((lo, li))
+                acc = blocks.get((lo, li))
                 if acc is None:
-                    acc = out.blocks[(lo, li)] = _zeros(self.p, 2 * li + 1)
+                    acc = blocks[(lo, li)] = [zero] * (2 * li + 1)
                     acc[start:stop] = prod
                 else:
                     acc[start:stop] = map(add, acc[start:stop], prod)
@@ -128,9 +140,7 @@ class OperatorMatrix:
 
     def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         """Blockwise op of two operators; a block missing on one side is zero."""
-        self._check(other)
-        if self.delta_m != other.delta_m:
-            raise ValueError(f"cannot combine operators with m-shifts {self.delta_m} and {other.delta_m}")
+        self._check(other, same_shift=True)
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key in set(self.blocks) | set(other.blocks):
             a, b = self.blocks.get(key), other.blocks.get(key)
@@ -162,6 +172,21 @@ class OperatorMatrix:
             for (lo, li), vec in self.blocks.items()
             if l_top is None or max(lo, li) <= l_top
         )
+
+    def distance(self, other: "OperatorMatrix", l_top: int | None = None) -> float:
+        """Largest |self - other| over the blocks with both labels <= l_top,
+        in one pass over both operands: (self - other).max_abs(l_top) without
+        forming the difference.  A block missing on one side counts as zero;
+        NaN if any such entry is NaN.  Magnitudes are reduced as floats,
+        which keeps their order, so the maximum is the same."""
+        self._check(other, same_shift=True)
+        mags = []
+        for key in self.blocks.keys() | other.blocks.keys():
+            if l_top is not None and max(key) > l_top:
+                continue
+            a, b = self.blocks.get(key), other.blocks.get(key)
+            mags += map(abs, b if a is None else a if b is None else map(sub, a, b))
+        return _nanmax(map(float, mags) if self.p.is_high else mags)
 
     def diagonal(self, l: int):
         """Diagonal of the (l, l) block as a list over m = -l..l."""
@@ -199,7 +224,7 @@ def build_lambda(gen: dict) -> dict:
     lp, lm = gen["Lplus"], gen["Lminus"]
     p, lmax = lp.p, lp.lmax
     s = p.sqrt(1 / qnum(2, p))
-    qml0 = diag_operator(p, lmax, lambda l, m: p.q ** (-m))
+    qml0 = diag_operator(p, lmax, lambda l, m: p.power(-m))
     lam_p = (qml0 @ lp).scaled(-s)
     lam_m = (qml0 @ lm).scaled(s)
     two = qnum(2, p)
@@ -214,7 +239,7 @@ def build_invariant_c(lam: dict) -> OperatorMatrix:
     comparing its diagonal against the closed form is itself a check.
     """
     p = lam[0].p
-    qm2l0 = diag_operator(p, lam[0].lmax, lambda l, m: p.q ** (-2 * m))
+    qm2l0 = diag_operator(p, lam[0].lmax, lambda l, m: p.power(-2 * m))
     return qm2l0 + lam[0].scaled(p.lam)
 
 
@@ -228,9 +253,9 @@ def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l + 3, p)
     if k in (1, -1):
-        return p.q ** (k * l - m) * p.sqrt(qnum(l + k * m + 1, p) * qnum(l + k * m + 2, p) / (two * d))
+        return p.power(k * l - m) * p.sqrt(qnum(l + k * m + 1, p) * qnum(l + k * m + 2, p) / (two * d))
     if k == 0:
-        return p.q ** (-m) * p.sqrt(qnum(l - m + 1, p) * qnum(l + m + 1, p) / d)
+        return p.power(-m) * p.sqrt(qnum(l - m + 1, p) * qnum(l + m + 1, p) / d)
     raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
 
 
@@ -243,9 +268,9 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l - 1, p)
     if k in (1, -1):
-        return -p.q ** (-k * (l + 1) - m) * p.sqrt(qnum(l - k * m, p) * qnum(l - k * m - 1, p) / (two * d))
+        return -p.power(-k * (l + 1) - m) * p.sqrt(qnum(l - k * m, p) * qnum(l - k * m - 1, p) / (two * d))
     if k == 0:
-        return p.q ** (-m) * p.sqrt(qnum(l - m, p) * qnum(l + m, p) / d)
+        return p.power(-m) * p.sqrt(qnum(l - m, p) * qnum(l + m, p) / d)
     raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
 
 
@@ -371,14 +396,14 @@ def _vector_condition_pairs(gen: dict, triple: dict) -> list:
     l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]
     p, lmax = l0.p, l0.lmax
     two = p.sqrt(qnum(2, p))
-    ql0 = diag_operator(p, lmax, lambda l, m: p.q ** m)
+    ql0 = diag_operator(p, lmax, lambda l, m: p.power(m))
     pairs = []
     for k in (1, 0, -1):
         vk = triple[k]
         pairs.append((l0 @ vk - vk @ l0, vk.scaled(k)))
         for sign, ladder in ((1, lp), (-1, lm)):
             target = triple.get(k + sign)
-            lhs = (ladder @ vk - (vk @ ladder).scaled(p.q ** k)) @ ql0
+            lhs = (ladder @ vk - (vk @ ladder).scaled(p.power(k))) @ ql0
             rhs = target.scaled(two) if target is not None else OperatorMatrix(p, lmax, k + sign)
             pairs.append((lhs, rhs))
     return pairs
@@ -440,7 +465,7 @@ def verify_algebra(
 
     def gap(*pairs):
         """Worst interior entry of lhs - rhs over the (lhs, rhs) pairs."""
-        return _nanmax((lhs - rhs).max_abs(interior) for lhs, rhs in pairs)
+        return _nanmax(lhs.distance(rhs, interior) for lhs, rhs in pairs)
 
     def fgap(*pairs):
         """Worst distance of two functions, relative to lhs's largest |coefficient| (floor 1)."""
@@ -463,8 +488,8 @@ def verify_algebra(
     add("vector-condition-transverse", gap(*_vector_condition_pairs(gen, d_comp)))
 
     add("position-exchange-dilation", gap(
-        (x[0] @ x[1], (x[1] @ x[0]).scaled(q ** (-2))),
-        (x[0] @ x[-1], (x[-1] @ x[0]).scaled(q ** 2)),
+        (x[0] @ x[1], (x[1] @ x[0]).scaled(p.power(-2))),
+        (x[0] @ x[-1], (x[-1] @ x[0]).scaled(p.power(2))),
     ))
     add("position-exchange-mixed", gap((x[1] @ x[-1] - x[-1] @ x[1], (x[0] @ x[0]).scaled(p.lam))))
 
@@ -473,8 +498,8 @@ def verify_algebra(
     # the exact identities carry curvature counterterms proportional to the
     # invariant times the angular vector.  Both residuals are reported: the
     # corrected identities gate the suite, the bare forms are informational.
-    dil_up = d_comp[0] @ d_comp[1] - (d_comp[1] @ d_comp[0]).scaled(q ** (-2))
-    dil_down = d_comp[0] @ d_comp[-1] - (d_comp[-1] @ d_comp[0]).scaled(q ** 2)
+    dil_up = d_comp[0] @ d_comp[1] - (d_comp[1] @ d_comp[0]).scaled(p.power(-2))
+    dil_down = d_comp[0] @ d_comp[-1] - (d_comp[-1] @ d_comp[0]).scaled(p.power(2))
     mixed = d_comp[1] @ d_comp[-1] - d_comp[-1] @ d_comp[1] - (d_comp[0] @ d_comp[0]).scaled(p.lam)
     bare_dil = _nanmax(d.max_abs(interior) for d in (dil_up, dil_down))
     bare_mixed = mixed.max_abs(interior)
@@ -563,7 +588,7 @@ def verify_algebra(
     # phi in the series convention (odd l - m carries q**-m).  Raising carries
     # the weight q**m of the winding it acts on; with it the raised polynomial
     # is -[l-m][l+m+1] times the next one for even l - m, the next one for odd.
-    series = {(l, m): phi.scaled(q ** (-m)) if (l - m) % 2 else phi for (l, m), phi in phis.items()}
+    series = {(l, m): phi.scaled(p.power(-m)) if (l - m) % 2 else phi for (l, m), phi in phis.items()}
     two = qnum(2, p)
     add("harmonic-ladder-step", fgap(*(
         (series[(l, m + 1)].scaled(1 if (l - m) % 2 else -qnum(l - m, p) * qnum(l + m + 1, p)),
@@ -593,11 +618,11 @@ def verify_algebra(
     for l in range(4):
         for m in range(-l, l + 1):
             y = ys[(l, m)]
-            commutation_pairs.append((mul_position(0, y), mul_position_right(0, y).scaled(q ** (-2 * m))))
+            commutation_pairs.append((mul_position(0, y), mul_position_right(0, y).scaled(p.power(-2 * m))))
             for k in (1, -1):
                 if abs(m + k) <= l:
                     corr = mul_position_right(0, ys[(l, m + k)]).scaled(
-                        k * p.lam / p.sqrt(two) * q ** (-m - k)
+                        k * p.lam / p.sqrt(two) * p.power(-m - k)
                         * p.sqrt(qnum(l - k * m, p) * qnum(l + k * m + 1, p))
                     )
                     commutation_pairs.append((mul_position(k, y), mul_position_right(k, y) + corr))
@@ -621,7 +646,7 @@ def verify_algebra(
         depth = 400
         ns = range(0, 9, 2)
         add("measure-series-agreement", sgap(*(
-            (2 * s, integrate_monomial(n, mu) * (1 - q ** (2 * depth * (n + 1))))
+            (2 * s, integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
             for n, s in zip(ns, _halfline_series(ns, q, depth))
         )), group="measure")
     else:

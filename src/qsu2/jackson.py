@@ -88,17 +88,20 @@ def _running_sums(ns, q, m: int = 0):
     At grid point k the weight is pref_m prod_{i<m} (1 - q**(4(k-i))) for
     m >= 0, exactly zero for k < m, and pref_m prod_{i<|m|}
     (1 - q**(4(k+i+1))) for m < 0: every factor lies in (0, 1], so no
-    cancellation occurs.  w_0 = 1.
+    cancellation occurs.  w_0 = 1.  Each step's q**(2k+2) is the next
+    step's q**(2k).
     """
     totals = [0 * q] * len(ns)
     if m:
         two = q + 1 / q
         pref = (q * two) ** -m if m > 0 else (q / two) ** -m
+    hi = q ** 0
     for k in count():
         yield totals
+        lo, hi = hi, q ** (2 * k + 2)
         if k < m:
             continue
-        w = q ** (2 * k) - q ** (2 * k + 2)
+        w = lo - hi
         if m:
             for i in range(abs(m)):
                 w = w * (1 - q ** (4 * (k - i) if m > 0 else 4 * (k + i + 1)))

@@ -13,6 +13,14 @@ pure rounding noise drop by many orders of magnitude there, residuals that
 stay put are real.  Its numbers come from a private mpmath context, built
 when the first high-precision ``QParam`` is, so double precision never
 imports mpmath and ``mpmath.mp`` is never touched.
+
+Every identity downstream is built from a handful of q-numbers [n] and
+integer powers q**e, so each ``QParam`` keeps a private table of them,
+filled on first use: ``qnum(n, p)`` for integer n and ``p.power(e)`` read
+it, and the unit and zero of the backend are formed once, at construction.
+A table entry is the value the direct formula gives, bit for bit; the
+table is not part of equality, hashing or the repr, and it lives and dies
+with its ``QParam``, so nothing is shared between parameters or calls.
 """
 
 from __future__ import annotations
@@ -46,11 +54,20 @@ class QParam:
     q must be a positive real; complex values and roots of unity are
     rejected at construction because the hermiticity assignments used by
     the operator realizations require real q.
+
+    ``one`` and ``zero`` are the unit and zero of the numeric backend.  The
+    private ``_table`` holds the integer powers q**e (key ``("pow", e)``)
+    and q-numbers [n] (key ``("qnum", n)``) evaluated so far; it is filled
+    on first use by ``power`` and ``qnum`` and is invisible to equality,
+    hashing and the repr.
     """
 
     q: float
     precision: str = DOUBLE
     lam: float = field(init=False, compare=False)
+    one: float = field(init=False, compare=False, repr=False)
+    zero: float = field(init=False, compare=False, repr=False)
+    _table: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.precision not in (DOUBLE, HIGH):
@@ -68,6 +85,8 @@ class QParam:
             raise ValueError(f"q must be a positive real number, got {self.q!r}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "lam", q - 1 / q)
+        object.__setattr__(self, "one", q ** 0)
+        object.__setattr__(self, "zero", 0 * self.one)
 
     @property
     def is_one(self) -> bool:
@@ -76,11 +95,6 @@ class QParam:
     @property
     def is_high(self) -> bool:
         return self.precision == HIGH
-
-    @property
-    def one(self):
-        """Multiplicative unit in the active numeric backend."""
-        return self.q ** 0
 
     @property
     def pi(self):
@@ -99,13 +113,35 @@ class QParam:
     def reciprocal(self) -> "QParam":
         return QParam(1 / self.q, self.precision)
 
+    def power(self, e: int):
+        """q**e for an integer e, from the table; an overflow is raised and
+        not stored."""
+        key = ("pow", e)
+        try:
+            return self._table[key]
+        except KeyError:
+            val = self._table[key] = self.q ** e
+            return val
+
 
 def qnum(n, p: QParam):
     """Symmetric q-number (q**n - q**-n)/(q - 1/q); equals n when q = 1.
 
     n may be any real; the function is odd in n and invariant under
-    q -> 1/q.
+    q -> 1/q.  Integer n is read from the table of p, filled on first use;
+    an overflow is raised and not stored.
     """
+    if type(n) is not int:
+        return _qnum(n, p)
+    key = ("qnum", n)
+    try:
+        return p._table[key]
+    except KeyError:
+        val = p._table[key] = _qnum(n, p)
+        return val
+
+
+def _qnum(n, p: QParam):
     if p.is_one:
         return n * p.one
     return (p.q ** n - p.q ** (-n)) / p.lam
@@ -121,7 +157,7 @@ def qnum_base2(e2, p: QParam):
     if p.is_one:
         return e2 / 2 * p.one
     q2 = p.q * p.q
-    return (p.q ** e2 - p.q ** (-e2)) / (q2 - 1 / q2)
+    return (p.power(e2) - p.power(-e2)) / (q2 - 1 / q2)
 
 
 def qfactorial(n: int, p: QParam):
@@ -176,5 +212,5 @@ def invariants(l: int, p: QParam) -> InvariantSet:
     two = qnum(2, p)
     C = qnum(l, p) * qnum(l + 1, p)
     Cprime = qnum(2 * l, p) * qnum(2 * l + 2, p) / (two * two)
-    c = (p.q ** (2 * l + 1) + p.q ** (-2 * l - 1)) / two
+    c = (p.power(2 * l + 1) + p.power(-2 * l - 1)) / two
     return InvariantSet(l=l, C=C, Cprime=Cprime, c=c)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .jackson import QMeasure, integrate_monomial
 from .qcore import QParam, invariants
@@ -228,7 +229,9 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
 
     g0, r2 = tables
     two_e = 2.0 * E
-    f = [g - two_e * s for g, s in zip(g0, r2)]
+    # only the entries the walk reads: n_steps + 1, or 2 n_steps + 1 for RK4
+    count = n_steps + 1 if method == NUMEROV else 2 * n_steps + 1
+    f = [g - two_e * s for g, s in zip(islice(g0, count), r2)]
     v0, _ = series(0)
     v1, w = series(1)
     vmax = max(abs(v0), abs(v1))

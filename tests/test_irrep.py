@@ -442,3 +442,51 @@ def test_operator_sum_needs_equal_m_shift():
         x[1] + x[0]
     with pytest.raises(ValueError):
         x[1] - x[-1]
+
+
+@pytest.mark.parametrize("precision, lmax", [("double", 6), ("high", 4)])
+def test_distance_equals_max_abs_of_difference(monkeypatch, precision, lmax):
+    # every (lhs, rhs) pair the catalogue compares, checked against the
+    # difference operator it no longer forms
+    distance = OperatorMatrix.distance
+    seen = []
+
+    def checked(a, b, l_top=None):
+        d = distance(a, b, l_top)
+        ref = (a - b).max_abs(l_top)
+        assert type(d) is float and d.hex() == ref.hex()
+        seen.append(d)
+        return d
+
+    monkeypatch.setattr(OperatorMatrix, "distance", checked)
+    for q in (0.5, 1.3):
+        before = len(seen)
+        verify_algebra(QParam(q, precision), lmax)
+        assert len(seen) - before >= 40
+
+
+def test_distance_edge_cases():
+    for p in (QParam(1.3), QParam(1.3, "high")):
+        one, nan = p.one, p.one * float("nan")
+        a = OperatorMatrix(p, 3, 0, {(0, 0): [one / 4], (1, 1): [one, -2 * one, one / 2]})
+        b = OperatorMatrix(p, 3, 0, {(0, 0): [one], (2, 2): [3 * one] * 5})
+        # a block missing on either side counts as zero
+        assert a.distance(b) == 3.0 and b.distance(a) == 3.0
+        assert a.distance(b, 1) == 2.0 and b.distance(a, 1) == 2.0
+        assert a.distance(b, 0) == 0.75
+        assert OperatorMatrix(p, 3, 0).distance(OperatorMatrix(p, 3, 0)) == 0.0
+        # a NaN on either side, inside l_top, makes the distance NaN
+        c = OperatorMatrix(p, 3, 0, {(0, 0): [one], (2, 2): [one, nan, one, one, one]})
+        assert math.isnan(c.distance(b)) and math.isnan(b.distance(c))
+        assert math.isnan(c.distance(OperatorMatrix(p, 3, 0)))
+        assert c.distance(b, 1) == 0.0
+        for other in (
+            OperatorMatrix(QParam(0.7, p.precision), 3, 0),
+            OperatorMatrix(QParam(1.3, "double" if p.is_high else "high"), 3, 0),
+            OperatorMatrix(p, 4, 0),
+            OperatorMatrix(p, 3, 1),
+        ):
+            with pytest.raises(ValueError):
+                a.distance(other)
+            with pytest.raises(ValueError):
+                other.distance(a)

@@ -152,3 +152,54 @@ def test_cprime_matches_angular_square_diagonal():
             expected = invariants(l, p).Cprime
             for v in sq.diagonal(l):
                 assert abs(v - expected) < 1e-10 * max(1.0, abs(expected))
+
+
+def _bits(x):
+    """The exact representation of a float or mpf value, sign of zero included."""
+    return x.hex() if isinstance(x, float) else x._mpf_
+
+
+def test_table_entries_equal_the_direct_formulas():
+    for precision in ("double", "high"):
+        for q in (0.5, 1.0, 1.3):
+            p = QParam(q, precision)
+            qq = p.q
+            assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
+            for n in range(-12, 13):
+                direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
+                first = qnum(n, p)
+                assert _bits(first) == _bits(direct), (precision, q, n)
+                # a second call reads the stored entry
+                assert qnum(n, p) is first
+                power = p.power(n)
+                assert _bits(power) == _bits(qq ** n) and p.power(n) is power
+            # a real index is computed directly and not stored
+            size = len(p._table)
+            assert _bits(qnum(2.5, p)) == _bits(2.5 * qq ** 0 if q == 1.0 else (qq ** 2.5 - qq ** -2.5) / (qq - 1 / qq))
+            assert len(p._table) == size
+
+
+def test_table_overflow_is_raised_and_not_stored():
+    p = QParam(1.3)
+    size = len(p._table)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            qnum(5000, p)
+        with pytest.raises(OverflowError):
+            p.power(5000)
+    assert len(p._table) == size
+    # the high-precision backend has no such range limit
+    ph = QParam(1.3, "high")
+    assert qnum(5000, ph) > 0 and ph.power(-5000) > 0
+
+
+def test_table_is_invisible_to_equality_hash_and_repr():
+    for precision in ("double", "high"):
+        filled, fresh = QParam(1.3, precision), QParam(1.3, precision)
+        invariants(6, filled)
+        qnum(9, filled)
+        filled.power(-4)
+        assert filled._table and not fresh._table
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) and "_table" not in repr(filled)
+        assert filled != QParam(1.3, "high" if precision == "double" else "double")

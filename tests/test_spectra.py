@@ -319,3 +319,21 @@ def test_multipole_report():
 
     rep2 = multipole_report(QParam(2.0))
     assert rep2.x0_sq_expectation == pytest.approx(rep5.x0_sq_expectation, rel=1e-14)
+
+
+def test_shoot_reads_only_the_walked_prefix():
+    # the outward walk of n steps reads n + 1 table entries (2 n + 1 for
+    # RK4): shooting on those alone gives the same bits as on the full tables
+    from qsu2.spectra import _potential_table, _shoot
+
+    for potential, L, E in ((COULOMB, 1.7, -0.12), (OSCILLATOR, 2.3, 4.1)):
+        r_min, n_steps = 1e-4 * (L + 1), 400
+        h = math.log(12.0 / r_min) / n_steps
+        for method, count, hh in (("numerov", n_steps + 1, h), ("rk4", 2 * n_steps + 1, h / 2)):
+            full = _potential_table(potential, L, r_min, hh, count)
+            for steps in (4, 8, 57, n_steps):
+                used = steps + 1 if method == "numerov" else 2 * steps + 1
+                prefix = tuple(t[:used] for t in full)
+                assert _shoot(potential, L, E, full, r_min, h, steps, method) == _shoot(
+                    potential, L, E, prefix, r_min, h, steps, method
+                ), (potential, method, steps)
