@@ -133,7 +133,8 @@ def _qderiv(a: dict, p: QParam, sign: int) -> dict:
 
 
 def _pdiv_factor(a: dict, alpha, p: QParam) -> dict:
-    """Exact division of a by (1 - alpha*x0**2), remainder checked.
+    """Exact division of a by (1 - alpha*x0**2), remainder checked; a NaN
+    remainder fails the check.
 
     Solved bottom-up for |alpha| <= 1 and top-down otherwise so that the
     triangular recurrence never amplifies rounding.
@@ -151,7 +152,7 @@ def _pdiv_factor(a: dict, alpha, p: QParam) -> dict:
                 if val != 0:
                     r[k] = val
             else:
-                if abs(val) > tol:
+                if not abs(val) <= tol:
                     raise ArithmeticError(
                         f"winding-product division left remainder {abs(val):.3e} at degree {k}"
                     )
@@ -162,7 +163,7 @@ def _pdiv_factor(a: dict, alpha, p: QParam) -> dict:
                 r[k - 2] = val
         for k in (0, 1):
             rem = a.get(k, 0) - r.get(k, 0)
-            if abs(rem) > tol:
+            if not abs(rem) <= tol:
                 raise ArithmeticError(
                     f"winding-product division left remainder {abs(rem):.3e} at degree {k}"
                 )

@@ -18,6 +18,16 @@ outward solution (Sturm oscillation theorem) and bisects between trial
 energies with n and n+1 nodes.  It shares nothing with the closed forms
 except the point the bracket search starts from; a level it cannot
 bracket is reported, never silent.
+
+Each step does the least work its scheme allows.  Numerov runs in the
+z-form z = (1 - h**2 F/12) u (Blatt, J. Comput. Phys. 1 (1967) 382),
+where the recurrence is z' = (12/b - 10) z - z_prev with b the weight
+1 - h**2 F/12; it is walked in differences of z, a multiply-add and an
+add per step, so that the small part h**2 F/b of the factor keeps its
+precision.  The E-independent parts of F are tabulated once per level,
+and a grid on which some b <= 0 is refused.  RK4 applies the 2x2 matrix
+its four stages amount to on a linear system, which keeps it an
+independent scheme and so Numerov's oracle.
 """
 
 from __future__ import annotations
@@ -168,6 +178,10 @@ class RadialReport:
     bisections: int
     grid: dict
     message: str = ""
+    # full-grid shoots (bracket search, bisection, boundary shoot), and the
+    # steps walked over every shoot including the two origin-fit ones
+    shoots: int = 0
+    steps_walked: int = 0
 
 
 def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -> tuple:
@@ -192,16 +206,24 @@ def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -
     return r_min, r_max, n_steps
 
 
-def _potential_table(potential: str, L: float, r_min: float, h: float, count: int) -> tuple:
-    """Energy-independent parts of F(x) = (L+1/2)**2 + 2 r**2 (V(r) - E):
-    g0 = (L+1/2)**2 + 2 r**2 V(r) and r**2, at r = r_min exp(i*h) for
-    i < count."""
+def _potential_table(potential: str, L: float, r_min: float, h: float, n_steps: int, method: str) -> tuple:
+    """The tables _shoot reads, formed once per level: (a, s) with
+    c F = a - E s at each point, where F(x) = (L+1/2)**2 + 2 r**2 (V(r) - E)
+    splits into g0 = (L+1/2)**2 + 2 r**2 V(r) and -2 E r**2, so that
+    a = c g0 and s = 2 c r**2.  Numerov takes c = h**2/12 on the
+    n_steps + 1 grid points r = r_min exp(i*h), RK4 c = h**2/6 on the
+    2 n_steps + 1 points of the half-step grid."""
+    if method == NUMEROV:
+        count, spacing, c = n_steps + 1, h, h * h / 12.0
+    else:
+        count, spacing, c = 2 * n_steps + 1, h / 2, h * h / 6.0
     a2 = (L + 0.5) ** 2
-    r = [r_min * math.exp(i * h) for i in range(count)]
-    r2 = [x * x for x in r]
+    r = [r_min * math.exp(i * spacing) for i in range(count)]
     if potential == COULOMB:
-        return [a2 - 2.0 * x for x in r], r2
-    return [a2 + x * x for x in r2], r2
+        a = [c * (a2 - 2.0 * x) for x in r]
+    else:
+        a = [c * (a2 + (x * x) * (x * x)) for x in r]
+    return a, [2.0 * c * (x * x) for x in r]
 
 
 def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: float, n_steps: int, method: str):
@@ -214,8 +236,50 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
     (rescaled by powers of 1e-200 only after passing 1e250, which the
     first MIN_STEPS steps never reach).
 
-    ``tables`` holds (g0, r**2) from _potential_table on the grid (Numerov)
-    or on the half-step grid (RK4)."""
+    ``tables`` holds (a, s) from _potential_table; only the n_steps + 1
+    (RK4: 2 n_steps + 1) entries the walk reaches are read.
+
+    Numerov.  With b_i = 1 - h**2 F_i/12 the classical recurrence
+
+        b_{i+1} u_{i+1} = 2 (1 + 5 h**2 F_i/12) u_i - b_{i-1} u_{i-1}
+
+    becomes, in z_i = b_i u_i and since 1 + 5 h**2 F_i/12 = 6 - 5 b_i,
+
+        z_{i+1} = (12/b_i - 10) z_i - z_{i-1},
+
+    the same discrete scheme with one multiply-add per step.  Its factor
+    is 2 + h**2 F_i/b_i, and a double near 2 keeps few bits of the small
+    h**2 F_i/b_i, so the walk carries the difference d = z_i - z_{i-1}:
+
+        d += (h**2 F_i/b_i) z_i,   z_{i+1} = z_i + d,
+
+    which keeps that term to full relative precision for one more add.
+    While every b_i > 0, which radial_verify makes sure of, z and u have
+    the same signs, so the nodes are counted on z.  The largest magnitude
+    is that of z, and the endpoint value is u = z/b.
+
+    RK4.  On the linear system y = (v, w), v' = w, w' = F v, with F at the
+    start, midpoint and end of a step (F_lo, F_mid, F_hi) and
+    M = [[0, 1], [F, 0]], the classical stages
+
+        k1 = M_lo y,  k2 = M_mid (y + h k1/2),  k3 = M_mid (y + h k2/2),
+        k4 = M_hi (y + h k3),  y' = y + h (k1 + 2 k2 + 2 k3 + k4)/6
+
+    multiply out to y' = T y with
+
+        T11 = 1 + h**2 (F_lo/6 + F_mid/3) + h**4 F_lo F_mid/24
+        T12 = h + h**3 F_mid/6
+        T21 = h (F_lo + 4 F_mid + F_hi)/6 + h**3 F_mid (F_lo + F_hi)/12
+        T22 = 1 + h**2 (F_mid/3 + F_hi/6) + h**4 F_mid F_hi/24.
+
+    In p = h**2 F/6 and W = h w, a diagonal change of scale that leaves
+    the scheme as it is, the step reads
+
+        v' = (1 + 2 p_mid + p_lo (1 + 3 p_mid/2)) v + (1 + p_mid) W
+        W' = (t + p_mid (4 + 3 t)) v + (1 + 2 p_mid + p_hi (1 + 3 p_mid/2)) W,
+
+    with t = p_lo + p_hi, and the walk applies this matrix in place of the
+    four stages."""
     nu = L + 0.5
     if potential == COULOMB:
         k, ck = 1, -1.0 / (L + 1)
@@ -227,52 +291,48 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
         t, crk = math.exp(nu * i * h), ck * (r_min * math.exp(i * h)) ** k
         return t * (1 + crk), t * (nu * (1 + crk) + k * crk)
 
-    g0, r2 = tables
-    two_e = 2.0 * E
-    # only the entries the walk reads: n_steps + 1, or 2 n_steps + 1 for RK4
-    count = n_steps + 1 if method == NUMEROV else 2 * n_steps + 1
-    f = [g - two_e * s for g, s in zip(islice(g0, count), r2)]
+    a, s = tables
     v0, _ = series(0)
     v1, w = series(1)
-    vmax = max(abs(v0), abs(v1))
     nodes = 0
     if method == NUMEROV:
-        c = h * h / 12.0
-        fm, f0 = f[0], f[1]
-        for fp in f[2:n_steps + 1]:
-            v2 = (2.0 * (1.0 + 5.0 * c * f0) * v1 - (1.0 - c * fm) * v0) / (1.0 - c * fp)
-            if v2 * v1 < 0.0:
+        # c F_i = a_i - E s_i = h**2 F_i/12, so h**2 F_i/b_i = 12 c F_i/(1 - c F_i)
+        b0, b1, b_end = (1.0 - (a[i] - E * s[i]) for i in (0, 1, n_steps))
+        gains = [12.0 * (x := g - E * r) / (1.0 - x) for g, r in zip(islice(a, 1, n_steps), islice(s, 1, n_steps))]
+        z, d = b1 * v1, b1 * v1 - b0 * v0
+        zmax = max(abs(b0 * v0), abs(z))
+        for gain in gains:
+            d += gain * z
+            prev, z = z, z + d
+            if z * prev < 0.0:
                 nodes += 1
-            a = abs(v2)
-            if a > vmax:
-                vmax = a
-            if a > 1e250:
-                v1 *= 1e-200
-                v2 *= 1e-200
+            mag = abs(z)
+            # a value past 1e250 is also past zmax, which stays below it
+            if mag > zmax:
+                zmax = mag
+                if mag > 1e250:
+                    z *= 1e-200
+                    d *= 1e-200
+                    zmax *= 1e-200
+        return z / zmax, nodes, z / b_end
+    p = [g - E * r for g, r in zip(islice(a, 2 * n_steps + 1), s)]
+    v, W = v1, h * w
+    vmax = max(abs(v0), abs(v1))
+    # steps run from grid point 1 (half-step index 2) to n_steps (2 n_steps)
+    for lo, mid, hi in zip(p[2::2], p[3::2], p[4::2]):
+        diag, cross, t = 1.0 + 2.0 * mid, 1.0 + 1.5 * mid, lo + hi
+        v, prev, W = ((diag + lo * cross) * v + (1.0 + mid) * W, v,
+                      (t + mid * (4.0 + 3.0 * t)) * v + (diag + hi * cross) * W)
+        if v * prev < 0.0:
+            nodes += 1
+        mag = abs(v)
+        if mag > vmax:
+            vmax = mag
+            if mag > 1e250:
+                v *= 1e-200
+                W *= 1e-200
                 vmax *= 1e-200
-            v0, v1 = v1, v2
-            fm, f0 = f0, fp
-    else:
-        f_lo = f[2]
-        for f_mid, f_hi in zip(f[3:2 * n_steps:2], f[4:2 * n_steps + 1:2]):
-            k1v, k1w = w, f_lo * v1
-            k2v, k2w = w + h / 2 * k1w, f_mid * (v1 + h / 2 * k1v)
-            k3v, k3w = w + h / 2 * k2w, f_mid * (v1 + h / 2 * k2v)
-            k4v, k4w = w + h * k3w, f_hi * (v1 + h * k3v)
-            v2 = v1 + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            if v2 * v1 < 0.0:
-                nodes += 1
-            a = abs(v2)
-            if a > vmax:
-                vmax = a
-            if a > 1e250:
-                v2 *= 1e-200
-                w *= 1e-200
-                vmax *= 1e-200
-            v1 = v2
-            f_lo = f_hi
-    return v1 / vmax, nodes, v1
+    return v / vmax, nodes, v
 
 
 def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = RadialGrid()) -> RadialReport:
@@ -288,6 +348,10 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     tolerance.  A last shoot at the converged energy gives the boundary
     residual, and the solution's values at grid steps 4 and 8 give the
     origin exponent.  A missing bracket is reported, never silent.
+
+    A Numerov grid whose weight 1 - h**2 F/12 is not positive at some
+    point and some energy the search can try is a ValueError naming h and
+    r: there the z-form's node count would not be the solution's.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"unknown potential {potential!r}")
@@ -298,17 +362,29 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         "r_min": r_min, "r_max": r_max, "n_steps": n_steps, "method": grid.method,
     }
     h = math.log(r_max / r_min) / n_steps
-    if grid.method == NUMEROV:
-        tables = _potential_table(potential, L, r_min, h, n_steps + 1)
-    else:
-        tables = _potential_table(potential, L, r_min, h / 2, 2 * n_steps + 1)
-
-    def shoot(E, steps=n_steps):
-        return _shoot(potential, L, E, tables, r_min, h, steps, grid.method)
-
+    tables = _potential_table(potential, L, r_min, h, n_steps, grid.method)
     tol_e = max(1e-12, 1e-11 * abs(e_closed))
     span = BRACKET_SPAN * abs(e_closed)
     d = 4 * tol_e
+    if grid.method == NUMEROV:
+        # the weight b = 1 - (a - E s) rises with E, and at the lowest
+        # trial energy F is convex in r for both potentials, so the grid
+        # ends bound it below over every point and every energy tried
+        e_low = e_closed - max(d, span)
+        for i in (0, n_steps):
+            b = 1.0 - (tables[0][i] - e_low * tables[1][i])
+            if not b > 0.0:
+                raise ValueError(
+                    f"Numerov weight 1 - h**2 F/12 is {b:.3g} at r={r_min * math.exp(i * h):.6g} "
+                    f"and E={e_low:.6g} on a grid with h={h:.6g}; the grid needs more steps"
+                )
+    shoots = 0
+
+    def shoot(E):
+        nonlocal shoots
+        shoots += 1
+        return _shoot(potential, L, E, tables, r_min, h, n_steps, grid.method)
+
     lo, hi = e_closed - d, e_closed + d
     _, k_lo, _ = shoot(lo)
     _, k_hi, _ = shoot(hi)
@@ -321,6 +397,7 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
                 nodes_found=None, bisections=0, grid=grid_meta,
                 message=f"no energy within {BRACKET_SPAN:g}|E| of {e_closed:.6g} brackets the level "
                         f"with {n} radial nodes (node counts {k_lo} to {k_hi})",
+                shoots=shoots, steps_walked=shoots * n_steps,
             )
         d = min(10 * d, span)
         # the end just passed keeps its node count as the other end
@@ -345,7 +422,7 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     e_num = 0.5 * (lo + hi)
     boundary, _, _ = shoot(e_num)
     # u grows like r**(L+1/2) = exp((L+1/2) x) out of the origin
-    u4, u8 = shoot(e_num, 4)[2], shoot(e_num, 8)[2]
+    u4, u8 = (_shoot(potential, L, e_num, tables, r_min, h, steps, grid.method)[2] for steps in (4, 8))
     exponent = math.log(abs(u8 / u4)) / (4 * h) + 0.5
     return RadialReport(
         converged=True, potential=potential, n=n, l=l, q=float(p.q), L=L,
@@ -353,6 +430,7 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         boundary_residual=abs(boundary), origin_exponent=exponent,
         # the last shoot, at e_num, counts as one more bisection
         nodes_expected=n, nodes_found=k_lo, bisections=bisections + 1, grid=grid_meta,
+        shoots=shoots, steps_walked=shoots * n_steps + 4 + 8,
     )
 
 

@@ -437,6 +437,20 @@ def test_zero_function_handling():
     assert z.distance(angular_function(p, -1, {})) == 0.0
 
 
+def test_winding_division_rejects_nan():
+    # raising winding -2 (lowering +2) recovers the winding factor by exact
+    # division; a NaN coefficient leaves a NaN remainder, which must raise
+    # on both the bottom-up (q < 1) and the top-down (q > 1) branch
+    nan = float("nan")
+    for q in (0.7, 1.3):
+        p = QParam(q)
+        for coeffs in ({0: nan, 2: 1.0}, {0: 1.0, 2: nan}):
+            with pytest.raises(ArithmeticError, match="remainder"):
+                apply_lplus(angular_function(p, -2, coeffs))
+            with pytest.raises(ArithmeticError, match="remainder"):
+                apply_lminus(angular_function(p, 2, coeffs))
+
+
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         angular_function(QParam(1.1), 0, {-1: 1.0})

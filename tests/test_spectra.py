@@ -329,11 +329,125 @@ def test_shoot_reads_only_the_walked_prefix():
     for potential, L, E in ((COULOMB, 1.7, -0.12), (OSCILLATOR, 2.3, 4.1)):
         r_min, n_steps = 1e-4 * (L + 1), 400
         h = math.log(12.0 / r_min) / n_steps
-        for method, count, hh in (("numerov", n_steps + 1, h), ("rk4", 2 * n_steps + 1, h / 2)):
-            full = _potential_table(potential, L, r_min, hh, count)
+        for method in ("numerov", "rk4"):
+            full = _potential_table(potential, L, r_min, h, n_steps, method)
+            assert all(len(t) == (n_steps + 1 if method == "numerov" else 2 * n_steps + 1) for t in full)
             for steps in (4, 8, 57, n_steps):
                 used = steps + 1 if method == "numerov" else 2 * steps + 1
                 prefix = tuple(t[:used] for t in full)
                 assert _shoot(potential, L, E, full, r_min, h, steps, method) == _shoot(
                     potential, L, E, prefix, r_min, h, steps, method
                 ), (potential, method, steps)
+
+
+# The two steppers as they were written before the z-form and the transfer
+# matrix: Numerov on u with three products and a division per step, RK4 in
+# four explicit stages.  Both read the unscaled parts g0 = (L+1/2)**2 +
+# 2 r**2 V(r) and r**2 of F = g0 - 2 E r**2 from _raw_table.
+
+def _raw_table(potential, L, r_min, h, count):
+    a2 = (L + 0.5) ** 2
+    r = [r_min * math.exp(i * h) for i in range(count)]
+    r2 = [x * x for x in r]
+    if potential == COULOMB:
+        return [a2 - 2.0 * x for x in r], r2
+    return [a2 + x * x for x in r2], r2
+
+
+def _series_start(potential, L, E, r_min, h, i):
+    nu = L + 0.5
+    k, ck = (1, -1.0 / (L + 1)) if potential == COULOMB else (2, -E / (2 * L + 3))
+    t, crk = math.exp(nu * i * h), ck * (r_min * math.exp(i * h)) ** k
+    return t * (1 + crk), t * (nu * (1 + crk) + k * crk)
+
+
+def _u_form_numerov(potential, L, E, g0, r2, r_min, h, n_steps):
+    f = [g - 2.0 * E * s for g, s in zip(g0[:n_steps + 1], r2)]
+    v0, _ = _series_start(potential, L, E, r_min, h, 0)
+    v1, _ = _series_start(potential, L, E, r_min, h, 1)
+    c, nodes = h * h / 12.0, 0
+    fm, f0 = f[0], f[1]
+    for fp in f[2:n_steps + 1]:
+        v2 = (2.0 * (1.0 + 5.0 * c * f0) * v1 - (1.0 - c * fm) * v0) / (1.0 - c * fp)
+        if v2 * v1 < 0.0:
+            nodes += 1
+        if abs(v2) > 1e250:
+            v1 *= 1e-200
+            v2 *= 1e-200
+        v0, v1 = v1, v2
+        fm, f0 = f0, fp
+    return nodes, v1
+
+
+def _staged_rk4(potential, L, E, g0, r2, r_min, h, n_steps):
+    f = [g - 2.0 * E * s for g, s in zip(g0[:2 * n_steps + 1], r2)]
+    v1, w = _series_start(potential, L, E, r_min, h, 1)
+    nodes, f_lo = 0, f[2]
+    for f_mid, f_hi in zip(f[3:2 * n_steps:2], f[4:2 * n_steps + 1:2]):
+        k1v, k1w = w, f_lo * v1
+        k2v, k2w = w + h / 2 * k1w, f_mid * (v1 + h / 2 * k1v)
+        k3v, k3w = w + h / 2 * k2w, f_mid * (v1 + h / 2 * k2v)
+        k4v, k4w = w + h * k3w, f_hi * (v1 + h * k3v)
+        v2 = v1 + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if v2 * v1 < 0.0:
+            nodes += 1
+        if abs(v2) > 1e250:
+            v2 *= 1e-200
+            w *= 1e-200
+        v1, f_lo = v2, f_hi
+    return nodes, v1
+
+
+def test_shoot_matches_the_reference_steppers():
+    # at an energy midway between the closed-form levels n = 3 and 4 the
+    # endpoint is far from a node; the grid keeps (L+1/2) h <= 0.2, and at
+    # L = 1456 over 8000 steps the walk rescales several times
+    from qsu2.spectra import _potential_table, _shoot
+
+    seen_nodes, rescaled = set(), False
+    for potential, E_mid in ((COULOMB, lambda L: -0.5 / (L + 4.5) ** 2), (OSCILLATOR, lambda L: L + 8.5)):
+        for L in (0.0, 1.7, 232.0, 1456.0):
+            E = E_mid(L)
+            r_min = 1e-4 * (L + 1)
+            r_end = 200.0 if potential == COULOMB else 8.0
+            for n_steps in (400, 8000):
+                h = min(math.log(r_end / r_min) / n_steps, 0.2 / (L + 0.5))
+                for method, ref, count, spacing in (
+                    ("numerov", _u_form_numerov, n_steps + 1, h),
+                    ("rk4", _staged_rk4, 2 * n_steps + 1, h / 2),
+                ):
+                    g0, r2 = _raw_table(potential, L, r_min, spacing, count)
+                    want_nodes, want = ref(potential, L, E, g0, r2, r_min, h, n_steps)
+                    tables = _potential_table(potential, L, r_min, h, n_steps, method)
+                    _, nodes, got = _shoot(potential, L, E, tables, r_min, h, n_steps, method)
+                    case = (potential, L, n_steps, method)
+                    assert nodes == want_nodes, case
+                    assert abs(got - want) <= 1e-10 * abs(want), (case, got, want)
+                    seen_nodes.add(nodes)
+                    rescaled |= (L + 0.5) * h * n_steps > 600
+    # the cases cover oscillating walks and the rescale path
+    assert max(seen_nodes) >= 3 and rescaled
+
+
+def test_shooting_refuses_a_nonpositive_numerov_weight():
+    # at r = 200 the oscillator's h**2 F/12 is about 7e3 on 2000 steps, so
+    # 1 - h**2 F/12 < 0 and the z-form's signs would not be u's
+    with pytest.raises(ValueError, match="h=") as err:
+        radial_verify(OSCILLATOR, 0, 0, QParam(1.0), RadialGrid(r_max=200, n_steps=2000))
+    assert "r=200" in str(err.value)
+
+
+def test_shoot_counters():
+    # every full-grid shoot is counted, and the walked steps add the two
+    # origin-fit shoots of 4 and 8 steps; a level the search cannot bracket
+    # counts its shoots too
+    for grid in (RadialGrid(), RadialGrid(method="rk4")):
+        rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid)
+        assert rep.converged
+        # two initial ends, the bisections and the boundary shoot
+        assert rep.shoots >= rep.bisections + 2
+        assert rep.steps_walked == rep.shoots * rep.grid["n_steps"] + 4 + 8
+    rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
+    assert not rep.converged and rep.shoots >= 2
+    assert rep.steps_walked == rep.shoots * 400
