@@ -14,8 +14,12 @@ is exactly L = l and both spectra collapse to their classical forms.
 The shooting solver integrates the reduced radial equation outward on a
 grid uniform in x = ln r, carrying the Langer term (L+1/2)**2, with one
 step rule for every L.  It identifies a level by the node count of the
-outward solution (Sturm oscillation theorem) and bisects between trial
-energies with n and n+1 nodes.  It shares nothing with the closed forms
+outward solution (Sturm oscillation theorem): the count steps from n to
+n+1 where the endpoint value crosses zero, so a secant step on the
+endpoints of two trial energies with n and n+1 nodes predicts the level,
+and two shoots a little below and above the prediction certify it by
+their node counts; a prediction they do not certify falls back to
+bisection on the count.  It shares nothing with the closed forms
 except the point the bracket search starts from; a level it cannot
 bracket is reported, never silent.
 
@@ -175,11 +179,14 @@ class RadialReport:
     origin_exponent: float | None
     nodes_expected: int
     nodes_found: int | None
+    # refinement shoots: the certifying pair, any fallback bisections and
+    # the boundary shoot
     bisections: int
     grid: dict
     message: str = ""
-    # full-grid shoots (bracket search, bisection, boundary shoot), and the
-    # steps walked over every shoot including the two origin-fit ones
+    # full-grid shoots (bracket search, the certifying pair, any fallback
+    # bisections, boundary shoot), and the steps walked over every shoot
+    # including the two origin-fit ones
     shoots: int = 0
     steps_walked: int = 0
 
@@ -234,7 +241,9 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
     Returns the endpoint value normalized to the largest magnitude seen,
     the node count over the whole grid, and the endpoint value itself
     (rescaled by powers of 1e-200 only after passing 1e250, which the
-    first MIN_STEPS steps never reach).
+    first MIN_STEPS steps never reach).  The secant step of radial_verify
+    reads the last: the normalized value saturates at -+1 once the
+    growing tail dominates, and carries no slope in E there.
 
     ``tables`` holds (a, s) from _potential_table; only the n_steps + 1
     (RK4: 2 n_steps + 1) entries the walk reaches are read.
@@ -298,11 +307,11 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
     if method == NUMEROV:
         # c F_i = a_i - E s_i = h**2 F_i/12, so h**2 F_i/b_i = 12 c F_i/(1 - c F_i)
         b0, b1, b_end = (1.0 - (a[i] - E * s[i]) for i in (0, 1, n_steps))
-        gains = [12.0 * (x := g - E * r) / (1.0 - x) for g, r in zip(islice(a, 1, n_steps), islice(s, 1, n_steps))]
         z, d = b1 * v1, b1 * v1 - b0 * v0
         zmax = max(abs(b0 * v0), abs(z))
-        for gain in gains:
-            d += gain * z
+        for g, r in zip(islice(a, 1, n_steps), islice(s, 1, n_steps)):
+            x = g - E * r
+            d += 12.0 * x / (1.0 - x) * z
             prev, z = z, z + d
             if z * prev < 0.0:
                 nodes += 1
@@ -344,10 +353,21 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     with n radial nodes is the one energy where the node count steps from
     n to n+1.  A bracket with those two counts is searched for around the
     closed-form energy, widening tenfold per shoot up to BRACKET_SPAN
-    times |E|; bisection on the node count then shrinks it to the energy
-    tolerance.  A last shoot at the converged energy gives the boundary
-    residual, and the solution's values at grid steps 4 and 8 give the
-    origin exponent.  A missing bracket is reported, never silent.
+    times |E|.  The count steps where the endpoint value crosses zero, so
+    the secant root c of the two ends' endpoint values (Dowell and
+    Jarratt's safeguarded regula falsi, kept inside the node-count
+    bracket) predicts the step; shoots at c - 0.45 tol_e and, unless the
+    first already lies above the step, at c + 0.45 tol_e certify it when
+    their counts straddle n, and the level is the middle of that pair.
+    Where the pair misses, lies outside the bracket or an endpoint is not
+    finite, bisection on the node count shrinks whatever bracket is left
+    to the energy tolerance tol_e = max(1e-12, 1e-11 |E|), so a level
+    costs at most two shoots more than bisection alone.  A last shoot at
+    the converged energy gives the boundary residual, and the solution's
+    values at grid steps 4 and 8 give the origin exponent.  A missing
+    bracket is reported, never silent.  ``bisections`` counts the
+    refinement shoots: the certifying pair, any fallback bisections and
+    that last shoot.
 
     A Numerov grid whose weight 1 - h**2 F/12 is not positive at some
     point and some energy the search can try is a ValueError naming h and
@@ -386,8 +406,8 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         return _shoot(potential, L, E, tables, r_min, h, n_steps, grid.method)
 
     lo, hi = e_closed - d, e_closed + d
-    _, k_lo, _ = shoot(lo)
-    _, k_hi, _ = shoot(hi)
+    _, k_lo, f_lo = shoot(lo)
+    _, k_hi, f_hi = shoot(hi)
     while k_lo > n or k_hi <= n:
         if d >= span:
             return RadialReport(
@@ -402,23 +422,37 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         d = min(10 * d, span)
         # the end just passed keeps its node count as the other end
         if k_lo > n:
-            hi, k_hi = lo, k_lo
+            hi, k_hi, f_hi = lo, k_lo, f_lo
             lo = e_closed - d
-            _, k_lo, _ = shoot(lo)
+            _, k_lo, f_lo = shoot(lo)
         else:
-            lo, k_lo = hi, k_hi
+            lo, k_lo, f_lo = hi, k_hi, f_hi
             hi = e_closed + d
-            _, k_hi, _ = shoot(hi)
+            _, k_hi, f_hi = shoot(hi)
 
-    bisections = 0
-    while hi - lo > tol_e:
-        mid = 0.5 * (lo + hi)
-        _, k, _ = shoot(mid)
-        bisections += 1
-        if k <= n:
-            lo, k_lo = mid, k
+    shoots_found = shoots
+
+    def narrow(e):
+        """Shoot at e, move the bracket end on its side of the step there,
+        and tell whether the step lies below e."""
+        nonlocal lo, hi, k_lo
+        _, k, _ = shoot(e)
+        if k > n:
+            hi = e
         else:
-            hi = mid
+            lo, k_lo = e, k
+        return k > n
+
+    # the certifying pair around the secant root; one that misses still
+    # leaves a narrower bracket for the bisection
+    if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
+        c = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        below, above = c - 0.45 * tol_e, c + 0.45 * tol_e
+        if lo < below and above < hi:
+            # a step below the first shoot needs no second one
+            narrow(below) or narrow(above)
+    while hi - lo > tol_e:
+        narrow(0.5 * (lo + hi))
     e_num = 0.5 * (lo + hi)
     boundary, _, _ = shoot(e_num)
     # u grows like r**(L+1/2) = exp((L+1/2) x) out of the origin
@@ -428,8 +462,7 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         converged=True, potential=potential, n=n, l=l, q=float(p.q), L=L,
         e_closed=e_closed, e_numeric=e_num, abs_err=abs(e_num - e_closed),
         boundary_residual=abs(boundary), origin_exponent=exponent,
-        # the last shoot, at e_num, counts as one more bisection
-        nodes_expected=n, nodes_found=k_lo, bisections=bisections + 1, grid=grid_meta,
+        nodes_expected=n, nodes_found=k_lo, bisections=shoots - shoots_found, grid=grid_meta,
         shoots=shoots, steps_walked=shoots * n_steps + 4 + 8,
     )
 

@@ -445,9 +445,62 @@ def test_shoot_counters():
     for grid in (RadialGrid(), RadialGrid(method="rk4")):
         rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid)
         assert rep.converged
-        # two initial ends, the bisections and the boundary shoot
+        # two initial ends, then the refinement shoots: the certifying
+        # pair, any fallback bisections and the boundary shoot
         assert rep.shoots >= rep.bisections + 2
         assert rep.steps_walked == rep.shoots * rep.grid["n_steps"] + 4 + 8
     rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
     assert not rep.converged and rep.shoots >= 2
     assert rep.steps_walked == rep.shoots * 400
+
+
+def test_shooting_budget():
+    # criterion 7's levels with both steppers: the two bracket ends, the
+    # certifying pair and the boundary shoot, and one shoot more for a
+    # bracket that had to widen
+    for method in ("numerov", "rk4"):
+        for q in (1.0, 1.3):
+            for potential in (COULOMB, OSCILLATOR):
+                for n in range(2):
+                    for l in range(3):
+                        rep = radial_verify(potential, n, l, QParam(q), RadialGrid(method=method))
+                        case = (method, q, potential, n, l, rep.shoots)
+                        assert rep.converged and rep.nodes_found == n, case
+                        assert rep.shoots <= 6, case
+                        if rep.shoots - rep.bisections == 2:
+                            assert rep.shoots == 5, case
+
+
+def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
+    import qsu2.spectra as spectra
+
+    # an endpoint offset by half its own magnitude moves the secant root
+    # about a quarter of the bracket off the step, so the certifying pair
+    # misses: below the step both shoots are made, above it the first one
+    # settles the side.  Offset by all of it, the root lands on a bracket
+    # end and no pair is shot.  The node counts still find the level, at
+    # no more than the bisection's shoots plus the failed pair
+    cases = (
+        (OSCILLATOR, 1, 1, 1.3, "numerov"),
+        (OSCILLATOR, 1, 1, 1.3, "rk4"),
+        (COULOMB, 1, 0, 1.0, "numerov"),
+    )
+
+    def level(case):
+        potential, n, l, q, method = case
+        return radial_verify(potential, n, l, QParam(q), RadialGrid(method=method))
+
+    clean = {case: level(case) for case in cases}
+    shoot = spectra._shoot
+    for share in (-0.5, 0.5, 1.0):
+        def offset_shoot(*args):
+            norm, nodes, end = shoot(*args)
+            return norm, nodes, end + share * abs(end)
+
+        monkeypatch.setattr(spectra, "_shoot", offset_shoot)
+        for case, want in clean.items():
+            rep = level(case)
+            tol_e = max(1e-12, 1e-11 * abs(rep.e_closed))
+            assert rep.converged and rep.nodes_found == case[1], (share, case)
+            assert abs(rep.e_numeric - want.e_numeric) <= tol_e, (share, case)
+            assert want.shoots < rep.shoots <= 9, (share, case, want.shoots, rep.shoots)
