@@ -278,7 +278,7 @@ def build_position(p: QParam, lmax: int) -> dict:
     """Unit-sphere position components; bandwidth one in l, zero diagonal."""
     if lmax < 1:
         raise ValueError("position matrices need lmax >= 1")
-    zero = 0 * p.one
+    zero = p.zero
     out = {}
     for k in (1, 0, -1):
         # per l the upper block (l+1, l), then the lower block (l-1, l),

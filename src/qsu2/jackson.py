@@ -136,7 +136,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     n = int(n)
     p = mu.p
     if n % 2 == 1:
-        return 0 * p.one
+        return p.zero
     if mu.series_depth is not None:
         return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
     return _over_qnum(2, n + 1, p)
@@ -228,7 +228,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     if f.p is not p and f.p != p or g.p is not p and g.p != p:
         raise ValueError("function and measure must share the deformation parameter")
     if f.m != g.m or f.is_zero or g.is_zero:
-        return 0 * p.one
+        return p.zero
     if p.is_high:
         re, im = _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)
     else:

@@ -205,7 +205,7 @@ def invariants(l: int, p: QParam) -> InvariantSet:
     l = int(l)
     one = p.one
     if l == 0:
-        return InvariantSet(l=0, C=0 * one, Cprime=0 * one, c=one)
+        return InvariantSet(l=0, C=p.zero, Cprime=p.zero, c=one)
     if p.is_one:
         cl = l * (l + 1) * one
         return InvariantSet(l=l, C=cl, Cprime=cl, c=one)

@@ -19,7 +19,9 @@ n+1 where the endpoint value crosses zero, so a secant step on the
 endpoints of two trial energies with n and n+1 nodes predicts the level,
 and two shoots a little below and above the prediction certify it by
 their node counts; a prediction they do not certify falls back to
-bisection on the count.  It shares nothing with the closed forms
+bisection on the count.  A level costs two shoots for the bracket ends,
+one or two certifying shoots, one more per widening of the bracket and
+any fallback bisections.  It shares nothing with the closed forms
 except the point the bracket search starts from; a level it cannot
 bracket is reported, never silent.
 
@@ -74,7 +76,11 @@ def solve_l(l: int, p: QParam):
     at q = 1.  Raises ArithmeticError when L does not fit in a double
     (large l far from q = 1, where c_l**2 overflows).
     """
-    rhs = centrifugal_rhs(l, p)
+    return _root_l(centrifugal_rhs(l, p), l, p)
+
+
+def _root_l(rhs, l: int, p: QParam):
+    """solve_l's root from the right side rhs already formed."""
     if rhs < 0:
         raise ArithmeticError(f"centrifugal strength came out negative ({rhs}) at l={l}, q={p.q}")
     L = (-1 + p.sqrt(1 + 4 * rhs)) / 2
@@ -86,7 +92,8 @@ def solve_l(l: int, p: QParam):
 def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
     if n != int(n) or n < 0 or l != int(l) or l < 0:
         raise ValueError(f"quantum numbers must be nonnegative integers, got n={n!r}, l={l!r}")
-    L = solve_l(l, p)
+    rhs = centrifugal_rhs(l, p)
+    L = _root_l(rhs, l, p)
     if potential == COULOMB:
         E = -1 / (2 * (n + L + 1) ** 2)
         signed = float(E) < 0
@@ -95,7 +102,6 @@ def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
         signed = float(E) > 0
     else:
         raise ValueError(f"unknown potential {potential!r}")
-    rhs = centrifugal_rhs(l, p)
     if not (signed and abs(L * (L + 1) - rhs) <= 1e-12 * max(1.0, abs(float(rhs)))):
         raise ArithmeticError(f"{potential} level n={n}, l={l} is out of double range at q={p.q}: L={L}, E={E}")
     return SpectrumEntry(potential=potential, n=int(n), l=int(l), q=float(p.q), L=float(L), E=float(E))
@@ -175,18 +181,15 @@ class RadialReport:
     e_closed: float
     e_numeric: float | None
     abs_err: float | None
-    boundary_residual: float | None
     origin_exponent: float | None
-    nodes_expected: int
     nodes_found: int | None
-    # refinement shoots: the certifying pair, any fallback bisections and
-    # the boundary shoot
+    # fallback midpoint shoots, made only where the certifying pair misses
     bisections: int
     grid: dict
     message: str = ""
     # full-grid shoots (bracket search, the certifying pair, any fallback
-    # bisections, boundary shoot), and the steps walked over every shoot
-    # including the two origin-fit ones
+    # bisections), and the steps walked over every shoot including the two
+    # origin-fit ones
     shoots: int = 0
     steps_walked: int = 0
 
@@ -238,12 +241,9 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
     function is v(r) = r**(1/2) u(x), from the series start
     (r/r_min)**(L+1/2) (1 + c r**k), scaled so that it cannot overflow
     however large L is.  r**(1/2) > 0, so u and v share their nodes.
-    Returns the endpoint value normalized to the largest magnitude seen,
-    the node count over the whole grid, and the endpoint value itself
+    Returns the node count over the whole grid and the endpoint value
     (rescaled by powers of 1e-200 only after passing 1e250, which the
-    first MIN_STEPS steps never reach).  The secant step of radial_verify
-    reads the last: the normalized value saturates at -+1 once the
-    growing tail dominates, and carries no slope in E there.
+    first MIN_STEPS steps never reach).
 
     ``tables`` holds (a, s) from _potential_table; only the n_steps + 1
     (RK4: 2 n_steps + 1) entries the walk reaches are read.
@@ -264,8 +264,8 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
 
     which keeps that term to full relative precision for one more add.
     While every b_i > 0, which radial_verify makes sure of, z and u have
-    the same signs, so the nodes are counted on z.  The largest magnitude
-    is that of z, and the endpoint value is u = z/b.
+    the same signs, so the nodes are counted on z, and the endpoint value
+    is u = z/b.
 
     RK4.  On the linear system y = (v, w), v' = w, w' = F v, with F at the
     start, midpoint and end of a step (F_lo, F_mid, F_hi) and
@@ -308,25 +308,18 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
         # c F_i = a_i - E s_i = h**2 F_i/12, so h**2 F_i/b_i = 12 c F_i/(1 - c F_i)
         b0, b1, b_end = (1.0 - (a[i] - E * s[i]) for i in (0, 1, n_steps))
         z, d = b1 * v1, b1 * v1 - b0 * v0
-        zmax = max(abs(b0 * v0), abs(z))
         for g, r in zip(islice(a, 1, n_steps), islice(s, 1, n_steps)):
             x = g - E * r
             d += 12.0 * x / (1.0 - x) * z
             prev, z = z, z + d
             if z * prev < 0.0:
                 nodes += 1
-            mag = abs(z)
-            # a value past 1e250 is also past zmax, which stays below it
-            if mag > zmax:
-                zmax = mag
-                if mag > 1e250:
-                    z *= 1e-200
-                    d *= 1e-200
-                    zmax *= 1e-200
-        return z / zmax, nodes, z / b_end
+            if abs(z) > 1e250:
+                z *= 1e-200
+                d *= 1e-200
+        return nodes, z / b_end
     p = [g - E * r for g, r in zip(islice(a, 2 * n_steps + 1), s)]
     v, W = v1, h * w
-    vmax = max(abs(v0), abs(v1))
     # steps run from grid point 1 (half-step index 2) to n_steps (2 n_steps)
     for lo, mid, hi in zip(p[2::2], p[3::2], p[4::2]):
         diag, cross, t = 1.0 + 2.0 * mid, 1.0 + 1.5 * mid, lo + hi
@@ -334,14 +327,10 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
                       (t + mid * (4.0 + 3.0 * t)) * v + (diag + hi * cross) * W)
         if v * prev < 0.0:
             nodes += 1
-        mag = abs(v)
-        if mag > vmax:
-            vmax = mag
-            if mag > 1e250:
-                v *= 1e-200
-                W *= 1e-200
-                vmax *= 1e-200
-    return v / vmax, nodes, v
+        if abs(v) > 1e250:
+            v *= 1e-200
+            W *= 1e-200
+    return nodes, v
 
 
 def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = RadialGrid()) -> RadialReport:
@@ -362,12 +351,12 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     Where the pair misses, lies outside the bracket or an endpoint is not
     finite, bisection on the node count shrinks whatever bracket is left
     to the energy tolerance tol_e = max(1e-12, 1e-11 |E|), so a level
-    costs at most two shoots more than bisection alone.  A last shoot at
-    the converged energy gives the boundary residual, and the solution's
-    values at grid steps 4 and 8 give the origin exponent.  A missing
-    bracket is reported, never silent.  ``bisections`` counts the
-    refinement shoots: the certifying pair, any fallback bisections and
-    that last shoot.
+    costs at most two shoots more than bisection alone.  The budget is
+    two shoots for the bracket ends, one or two certifying shoots, one
+    more per widening of the bracket, and any fallback bisections, which
+    ``bisections`` counts.  The solution's values at grid steps 4 and 8
+    give the origin exponent.  A missing bracket is reported, never
+    silent.
 
     A Numerov grid whose weight 1 - h**2 F/12 is not positive at some
     point and some energy the search can try is a ValueError naming h and
@@ -406,14 +395,13 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         return _shoot(potential, L, E, tables, r_min, h, n_steps, grid.method)
 
     lo, hi = e_closed - d, e_closed + d
-    _, k_lo, f_lo = shoot(lo)
-    _, k_hi, f_hi = shoot(hi)
+    k_lo, f_lo = shoot(lo)
+    k_hi, f_hi = shoot(hi)
     while k_lo > n or k_hi <= n:
         if d >= span:
             return RadialReport(
                 converged=False, potential=potential, n=n, l=l, q=float(p.q), L=L,
-                e_closed=e_closed, e_numeric=None, abs_err=None,
-                boundary_residual=None, origin_exponent=None, nodes_expected=n,
+                e_closed=e_closed, e_numeric=None, abs_err=None, origin_exponent=None,
                 nodes_found=None, bisections=0, grid=grid_meta,
                 message=f"no energy within {BRACKET_SPAN:g}|E| of {e_closed:.6g} brackets the level "
                         f"with {n} radial nodes (node counts {k_lo} to {k_hi})",
@@ -424,19 +412,17 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         if k_lo > n:
             hi, k_hi, f_hi = lo, k_lo, f_lo
             lo = e_closed - d
-            _, k_lo, f_lo = shoot(lo)
+            k_lo, f_lo = shoot(lo)
         else:
             lo, k_lo, f_lo = hi, k_hi, f_hi
             hi = e_closed + d
-            _, k_hi, f_hi = shoot(hi)
-
-    shoots_found = shoots
+            k_hi, f_hi = shoot(hi)
 
     def narrow(e):
         """Shoot at e, move the bracket end on its side of the step there,
         and tell whether the step lies below e."""
         nonlocal lo, hi, k_lo
-        _, k, _ = shoot(e)
+        k, _ = shoot(e)
         if k > n:
             hi = e
         else:
@@ -451,18 +437,18 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         if lo < below and above < hi:
             # a step below the first shoot needs no second one
             narrow(below) or narrow(above)
+    bisections = 0
     while hi - lo > tol_e:
         narrow(0.5 * (lo + hi))
+        bisections += 1
     e_num = 0.5 * (lo + hi)
-    boundary, _, _ = shoot(e_num)
     # u grows like r**(L+1/2) = exp((L+1/2) x) out of the origin
-    u4, u8 = (_shoot(potential, L, e_num, tables, r_min, h, steps, grid.method)[2] for steps in (4, 8))
+    u4, u8 = (_shoot(potential, L, e_num, tables, r_min, h, steps, grid.method)[1] for steps in (4, 8))
     exponent = math.log(abs(u8 / u4)) / (4 * h) + 0.5
     return RadialReport(
         converged=True, potential=potential, n=n, l=l, q=float(p.q), L=L,
-        e_closed=e_closed, e_numeric=e_num, abs_err=abs(e_num - e_closed),
-        boundary_residual=abs(boundary), origin_exponent=exponent,
-        nodes_expected=n, nodes_found=k_lo, bisections=shoots - shoots_found, grid=grid_meta,
+        e_closed=e_closed, e_numeric=e_num, abs_err=abs(e_num - e_closed), origin_exponent=exponent,
+        nodes_found=k_lo, bisections=bisections, grid=grid_meta,
         shoots=shoots, steps_walked=shoots * n_steps + 4 + 8,
     )
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsu2
 from qsu2.cli import _emit, build_parser, main
@@ -324,6 +326,22 @@ def test_verify_overflow_names_lmax_and_q(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"lmax {lmax} " in captured.err and f"q={float(q)}" in captured.err
+
+
+@given(q=st.floats(-3, 3).map(lambda e: 10.0 ** e), lmax=st.integers(3, 64))
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_no_traceback_over_the_accepted_domain(q, lmax):
+    # q from 1e-3 to 1e3 and lmax up to 64 in double precision: every
+    # command ends in an exit code, a verification failure or a
+    # numerical-domain error, never in an exception
+    common = ["--q", repr(q), "--lmax", str(lmax), "--out", os.devnull]
+    for args in (
+        ["verify"],
+        ["spectrum", "--potential", "coulomb"],
+        ["harmonics"],
+        ["integrate", "--degree", str(lmax)],
+    ):
+        assert main(args + common) in (0, 1, 2), args
 
 
 def test_error_paths_write_nothing(tmp_path):

@@ -420,7 +420,7 @@ def test_shoot_matches_the_reference_steppers():
                     g0, r2 = _raw_table(potential, L, r_min, spacing, count)
                     want_nodes, want = ref(potential, L, E, g0, r2, r_min, h, n_steps)
                     tables = _potential_table(potential, L, r_min, h, n_steps, method)
-                    _, nodes, got = _shoot(potential, L, E, tables, r_min, h, n_steps, method)
+                    nodes, got = _shoot(potential, L, E, tables, r_min, h, n_steps, method)
                     case = (potential, L, n_steps, method)
                     assert nodes == want_nodes, case
                     assert abs(got - want) <= 1e-10 * abs(want), (case, got, want)
@@ -445,8 +445,8 @@ def test_shoot_counters():
     for grid in (RadialGrid(), RadialGrid(method="rk4")):
         rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid)
         assert rep.converged
-        # two initial ends, then the refinement shoots: the certifying
-        # pair, any fallback bisections and the boundary shoot
+        # two initial ends, then the certifying pair and any fallback
+        # bisections
         assert rep.shoots >= rep.bisections + 2
         assert rep.steps_walked == rep.shoots * rep.grid["n_steps"] + 4 + 8
     rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
@@ -455,9 +455,9 @@ def test_shoot_counters():
 
 
 def test_shooting_budget():
-    # criterion 7's levels with both steppers: the two bracket ends, the
-    # certifying pair and the boundary shoot, and one shoot more for a
-    # bracket that had to widen
+    # criterion 7's levels with both steppers: the two bracket ends and the
+    # certifying pair, and one shoot more for a bracket that had to widen;
+    # the pair certifies every one of them, so none bisects
     for method in ("numerov", "rk4"):
         for q in (1.0, 1.3):
             for potential in (COULOMB, OSCILLATOR):
@@ -466,9 +466,8 @@ def test_shooting_budget():
                         rep = radial_verify(potential, n, l, QParam(q), RadialGrid(method=method))
                         case = (method, q, potential, n, l, rep.shoots)
                         assert rep.converged and rep.nodes_found == n, case
-                        assert rep.shoots <= 6, case
-                        if rep.shoots - rep.bisections == 2:
-                            assert rep.shoots == 5, case
+                        assert rep.shoots <= 5, case
+                        assert rep.bisections == 0, case
 
 
 def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
@@ -494,8 +493,8 @@ def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
     shoot = spectra._shoot
     for share in (-0.5, 0.5, 1.0):
         def offset_shoot(*args):
-            norm, nodes, end = shoot(*args)
-            return norm, nodes, end + share * abs(end)
+            nodes, end = shoot(*args)
+            return nodes, end + share * abs(end)
 
         monkeypatch.setattr(spectra, "_shoot", offset_shoot)
         for case, want in clean.items():
@@ -504,3 +503,4 @@ def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
             assert rep.converged and rep.nodes_found == case[1], (share, case)
             assert abs(rep.e_numeric - want.e_numeric) <= tol_e, (share, case)
             assert want.shoots < rep.shoots <= 9, (share, case, want.shoots, rep.shoots)
+            assert rep.bisections > 0, (share, case)
