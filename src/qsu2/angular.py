@@ -14,24 +14,27 @@ the right.  Every operation here is closed on this family:
   one order down; the division is performed factor by factor and the
   remainder is checked against the coefficient tolerance.
 
-Coefficients are plain floats/complex in double mode and mpmath numbers in
-high precision mode; all scalar arithmetic is routed through QParam.
+Coefficients are plain floats/complex in double mode and real Decimals in
+high precision mode; all scalar arithmetic is routed through QParam, and
+every public function and method runs its high-precision arithmetic under
+the private decimal context (``qcore._high_context``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .qcore import QParam, qdouble_factorial, qnum, qnum_base2
+from .qcore import QParam, _high_context, _in_high_context, qdouble_factorial, qnum, qnum_base2
 
 
-def _nanmax(magnitudes):
-    """Largest of nonnegative values (0.0 if none), or NaN if any is NaN:
+def _nanmax(magnitudes, zero=0.0):
+    """Largest of nonnegative values (zero if none), or NaN if any is NaN:
     the builtin max drops a NaN that does not come first, while their sum
     is NaN exactly when one of them is."""
     vals = list(magnitudes)
     total = sum(vals)
-    return total if total != total else max(vals, default=0.0)
+    return total if total != total else max(vals, default=zero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +60,9 @@ class AngularFunction:
         return not self.coeffs
 
     def scaled(self, s) -> "AngularFunction":
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self.scaled(s)
         return AngularFunction(self.p, self.m, _pscale(self.coeffs, s))
 
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
@@ -66,6 +72,9 @@ class AngularFunction:
             return other
         if self.m != other.m:
             raise ValueError("cannot add functions of different winding")
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self + other
         return AngularFunction(self.p, self.m, _padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "AngularFunction") -> "AngularFunction":
@@ -75,16 +84,27 @@ class AngularFunction:
         """Max absolute coefficient difference; infinite for unequal windings
         unless one side is zero, NaN if any coefficient is NaN."""
         if self.m != other.m and not (self.is_zero or other.is_zero):
-            return float("inf")
+            return self.p.number(math.inf)
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self.distance(other)
         keys = set(self.coeffs) | set(other.coeffs)
-        return _nanmax(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys)
+        return _nanmax((abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys), self.p.zero)
 
     def max_abs(self) -> float:
-        """Largest |coefficient| (0.0 if none), NaN if any is NaN."""
-        return _nanmax(map(abs, self.coeffs.values()))
+        """Largest |coefficient| (zero if none), NaN if any is NaN."""
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self.max_abs()
+        return _nanmax(map(abs, self.coeffs.values()), self.p.zero)
 
 
 def angular_function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
+    """The function of winding m with coefficients {k: a_k}; in high
+    precision each a_k, an int, float or Decimal, is converted exactly to a
+    Decimal (a complex one raises TypeError)."""
+    if p.is_high:
+        coeffs = {k: p.number(v) for k, v in coeffs.items()}
     return AngularFunction(p, m, dict(coeffs))
 
 
@@ -189,6 +209,9 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     into its polynomial product.
     """
     p, m = f.p, f.m
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return mul_position(k, f)
     if k == 0:
         return AngularFunction(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
     if k not in (1, -1):
@@ -210,6 +233,9 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
         return AngularFunction(p, m, _pshift(f.coeffs))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return mul_position_right(k, f)
     dilation = p.power(-2 * k)
     tail = _pdilate(f.coeffs, dilation)
     if k * m >= 0:
@@ -244,6 +270,9 @@ def _ladder(f: AngularFunction, s: int) -> AngularFunction:
     pairs first and the recreated factor is recovered by exact division.
     """
     p, m = f.p, f.m
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return _ladder(f, s)
     pref = p.sqrt(qnum(2, p)) * p.power(m)
     if s * m >= 0:
         poly = _qderiv(f.coeffs, p, -s)
@@ -266,6 +295,9 @@ def apply_lminus(f: AngularFunction) -> AngularFunction:
 def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
     """Components of the vector rebuilt from the generators."""
     p = f.p
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return apply_lambda(k, f)
     if k in (1, -1):
         g = _ladder(f, k)
         return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.power(-g.m))
@@ -286,6 +318,9 @@ def apply_c_invariant(f: AngularFunction) -> AngularFunction:
 def apply_casimir(f: AngularFunction) -> AngularFunction:
     """L- L+ + [L0][L0 + 1] acting on f; eigenvalue [l][l+1] on harmonics."""
     p = f.p
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return apply_casimir(f)
     return apply_lminus(apply_lplus(f)) + f.scaled(qnum(f.m, p) * qnum(f.m + 1, p))
 
 
@@ -303,6 +338,9 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     a_0 = 1 for even l-m, a_1 = 1 for odd l-m; terminates at k = l-m.
     """
     _check_nonneg_label(l, m)
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return build_phi(l, m, p)
     k0 = (l - m) % 2
     coeffs = {k0: p.one}
     k = k0
@@ -330,6 +368,9 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     else:
         a2, b2, c2 = l + m + 1, m - l, 1
         nterms = (l - m) // 2
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return hypergeom_phi(l, m, p)
     z = p.power(-2 * m)
     term = p.one
     coeffs = {odd: term}
@@ -347,6 +388,9 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
 def normalization_constant(l: int, m: int, p: QParam):
     """Parity-dependent normalization for the series-convention polynomial."""
     _check_nonneg_label(l, m)
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return normalization_constant(l, m, p)
     two = qnum(2, p)
     front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(two ** m)
     if (l - m) % 2:
@@ -381,6 +425,9 @@ def normalize_y(l: int, m: int, p: QParam) -> AngularFunction:
 
 def ladder_factor(l: int, m: int, p: QParam):
     """sqrt([l+m][l-m+1]): norm of the lowering step out of (l, m)."""
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return ladder_factor(l, m, p)
     return p.sqrt(qnum(l + m, p) * qnum(l - m + 1, p))
 
 
@@ -392,6 +439,9 @@ def build_negative_m(l: int, m: int, p: QParam) -> AngularFunction:
     """
     if m >= 0 or m < -l:
         raise ValueError(f"negative-m construction requires -l <= m < 0, got (l={l}, m={m})")
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return build_negative_m(l, m, p)
     y = normalize_y(l, 0, p)
     for mu in range(0, m, -1):
         y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))

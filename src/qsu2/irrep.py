@@ -5,9 +5,11 @@ harmonic and measure identities.
 Matrices act on the basis {|l, m> : l <= lmax, |m| <= l}.  Each shifts m
 by a fixed delta_m and has bandwidth at most one in l, so the block keyed
 by (l_out, l_in) is one vector over m_in.  The vectors are plain Python
-lists, at most 2 lmax + 1 long, of floats or mpf values, and the algebra
+lists, at most 2 lmax + 1 long, of floats or Decimals, and the algebra
 on them is list arithmetic: numpy is imported only for the dense block()
-view, so verification runs without it.  Identities are asserted only on
+view, so verification runs without it.  Every public builder and method
+runs its high-precision arithmetic under the private decimal context
+(``qcore._high_context``).  Identities are asserted only on
 interior blocks (l <= lmax - 2), which are unreachable from truncation
 artifacts because no tested identity composes more than two bandwidth-one
 operators.
@@ -52,7 +54,7 @@ from .angular import (
     mul_position_right,
 )
 from .jackson import QMeasure, _halfline_series, inner_product, integrate_monomial
-from .qcore import QParam, invariants, qnum
+from .qcore import QParam, _high_context, _in_high_context, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
@@ -76,7 +78,7 @@ class OperatorMatrix:
     Each (l_out, l_in) block is one list over m_in = -l_in..l_in whose entry
     m_in + l_in is <l_out, m_in + delta_m| A |l_in, m_in>; it is zero where
     |m_in + delta_m| > l_out.  Entries are floats in double precision and
-    mpf values in high precision.  Instances are immutable by convention
+    Decimals in high precision.  Instances are immutable by convention
     once built.
     """
 
@@ -86,16 +88,23 @@ class OperatorMatrix:
     blocks: dict = field(default_factory=dict)
 
     def block(self, lo: int, li: int):
-        """Dense numpy view of the (lo, li) block, indexed [m_out + lo, m_in + li]."""
+        """Dense numpy view of the (lo, li) block, indexed [m_out + lo, m_in + li].
+
+        A complex array in double precision; in high precision an object
+        array of the entries as exact Fractions, which, unlike Decimals,
+        mix with floats and need no decimal context."""
+        from fractions import Fraction
+
         import numpy as np
 
         shape = (2 * lo + 1, 2 * li + 1)
-        out = np.full(shape, self.p.zero, dtype=object) if self.p.is_high else np.zeros(shape, dtype=complex)
+        high = self.p.is_high
+        out = np.full(shape, Fraction(0), dtype=object) if high else np.zeros(shape, dtype=complex)
         vec = self.blocks.get((lo, li))
         if vec is not None:
             start, stop = _span(lo, li, self.delta_m)
             for col in range(start, stop):
-                out[col - li + self.delta_m + lo, col] = vec[col]
+                out[col - li + self.delta_m + lo, col] = Fraction(vec[col]) if high else vec[col]
         return out
 
     def _check(self, other: "OperatorMatrix", same_shift: bool = False):
@@ -108,6 +117,9 @@ class OperatorMatrix:
             raise ValueError(f"cannot combine operators with m-shifts {self.delta_m} and {other.delta_m}")
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self @ other
         self._check(other)
         dm = other.delta_m
         out = OperatorMatrix(self.p, self.lmax, self.delta_m + dm)
@@ -141,6 +153,9 @@ class OperatorMatrix:
     def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         """Blockwise op of two operators; a block missing on one side is zero."""
         self._check(other, same_shift=True)
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self._combine(other, op)
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key in set(self.blocks) | set(other.blocks):
             a, b = self.blocks.get(key), other.blocks.get(key)
@@ -148,6 +163,9 @@ class OperatorMatrix:
         return out
 
     def scaled(self, s) -> "OperatorMatrix":
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self.scaled(s)
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key, blk in self.blocks.items():
             out.blocks[key] = [x * s for x in blk]
@@ -167,6 +185,9 @@ class OperatorMatrix:
     def max_abs(self, l_top: int | None = None) -> float:
         """Largest |entry| over the blocks with both labels <= l_top; NaN if
         any such entry is NaN."""
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self.max_abs(l_top)
         return _nanmax(
             float(_nanmax(map(abs, vec)))
             for (lo, li), vec in self.blocks.items()
@@ -180,6 +201,9 @@ class OperatorMatrix:
         NaN if any such entry is NaN.  Magnitudes are reduced as floats,
         which keeps their order, so the maximum is the same."""
         self._check(other, same_shift=True)
+        if self.p.is_high and not _in_high_context():
+            with _high_context(self.p):
+                return self.distance(other, l_top)
         mags = []
         for key in self.blocks.keys() | other.blocks.keys():
             if l_top is not None and max(key) > l_top:
@@ -196,7 +220,8 @@ class OperatorMatrix:
 
 def diag_operator(p: QParam, lmax: int, fn) -> OperatorMatrix:
     """Diagonal operator with entry fn(l, m)."""
-    return OperatorMatrix(p, lmax, 0, {(l, l): [fn(l, m) for m in range(-l, l + 1)] for l in range(lmax + 1)})
+    with _high_context(p):
+        return OperatorMatrix(p, lmax, 0, {(l, l): [fn(l, m) for m in range(-l, l + 1)] for l in range(lmax + 1)})
 
 
 def identity_operator(p: QParam, lmax: int) -> OperatorMatrix:
@@ -210,7 +235,8 @@ def build_generators(p: QParam, lmax: int) -> dict:
     # the step out of m = l (raising) or m = -l (lowering) is zero, so the
     # shared entries sit at the front of the raising block and at the back
     # of the lowering one; l = 0 has no ladder block
-    steps = {l: [p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p)) for m in range(-l, l)] for l in range(1, lmax + 1)}
+    with _high_context(p):
+        steps = {l: [p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p)) for m in range(-l, l)] for l in range(1, lmax + 1)}
     zero = _zeros(p, 1)
     return {
         "L0": diag_operator(p, lmax, lambda l, m: m * p.one),
@@ -223,12 +249,13 @@ def build_lambda(gen: dict) -> dict:
     """The vector rebuilt from the generators: components for k = +1, 0, -1."""
     lp, lm = gen["Lplus"], gen["Lminus"]
     p, lmax = lp.p, lp.lmax
-    s = p.sqrt(1 / qnum(2, p))
-    qml0 = diag_operator(p, lmax, lambda l, m: p.power(-m))
-    lam_p = (qml0 @ lp).scaled(-s)
-    lam_m = (qml0 @ lm).scaled(s)
-    two = qnum(2, p)
-    lam_0 = (lp @ lm).scaled(p.q / two) + (lm @ lp).scaled(-1 / (p.q * two))
+    with _high_context(p):
+        s = p.sqrt(1 / qnum(2, p))
+        qml0 = diag_operator(p, lmax, lambda l, m: p.power(-m))
+        lam_p = (qml0 @ lp).scaled(-s)
+        lam_m = (qml0 @ lm).scaled(s)
+        two = qnum(2, p)
+        lam_0 = (lp @ lm).scaled(p.q / two) + (lm @ lp).scaled(-1 / (p.q * two))
     return {1: lam_p, 0: lam_0, -1: lam_m}
 
 
@@ -250,6 +277,9 @@ def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     the value forced by the conjugation pair with the k = +1 component; it
     is also the value the integral cross-check reproduces.
     """
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return position_coeff_upper(p, l, m, k)
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l + 3, p)
     if k in (1, -1):
@@ -265,6 +295,9 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     The k = 0 coefficient is positive: the k = 0 component is self-adjoint,
     so its lower coefficient must equal the upper one a row down.
     """
+    if p.is_high and not _in_high_context():
+        with _high_context(p):
+            return position_coeff_lower(p, l, m, k)
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l - 1, p)
     if k in (1, -1):
@@ -280,18 +313,19 @@ def build_position(p: QParam, lmax: int) -> dict:
         raise ValueError("position matrices need lmax >= 1")
     zero = p.zero
     out = {}
-    for k in (1, 0, -1):
-        # per l the upper block (l+1, l), then the lower block (l-1, l),
-        # which is zero where |m + k| > l - 1
-        blocks = {}
-        for l in range(lmax + 1):
-            if l < lmax:
-                blocks[(l + 1, l)] = [position_coeff_upper(p, l, m, k) for m in range(-l, l + 1)]
-            if l > 0:
-                blocks[(l - 1, l)] = [
-                    position_coeff_lower(p, l, m, k) if abs(m + k) < l else zero for m in range(-l, l + 1)
-                ]
-        out[k] = OperatorMatrix(p, lmax, k, blocks)
+    with _high_context(p):
+        for k in (1, 0, -1):
+            # per l the upper block (l+1, l), then the lower block (l-1, l),
+            # which is zero where |m + k| > l - 1
+            blocks = {}
+            for l in range(lmax + 1):
+                if l < lmax:
+                    blocks[(l + 1, l)] = [position_coeff_upper(p, l, m, k) for m in range(-l, l + 1)]
+                if l > 0:
+                    blocks[(l - 1, l)] = [
+                        position_coeff_lower(p, l, m, k) if abs(m + k) < l else zero for m in range(-l, l + 1)
+                    ]
+            out[k] = OperatorMatrix(p, lmax, k, blocks)
     return out
 
 
@@ -321,9 +355,10 @@ def build_partial(p: QParam, lmax: int, method: str = COMPOSED) -> dict:
 def _partial_composed(x: dict, lam: dict, c: OperatorMatrix) -> dict:
     """The COMPOSED route from the position, angular and invariant operators."""
     p, q = c.p, c.p.q
-    d1 = (x[1] @ lam[0]).scaled(1 / q) + (x[0] @ lam[1]).scaled(-q) + x[1] @ c
-    d0 = x[1] @ lam[-1] + (x[0] @ lam[0]).scaled(-p.lam) - x[-1] @ lam[1] + x[0] @ c
-    dm1 = (x[-1] @ lam[0]).scaled(-q) + (x[0] @ lam[-1]).scaled(1 / q) + x[-1] @ c
+    with _high_context(p):
+        d1 = (x[1] @ lam[0]).scaled(1 / q) + (x[0] @ lam[1]).scaled(-q) + x[1] @ c
+        d0 = x[1] @ lam[-1] + (x[0] @ lam[0]).scaled(-p.lam) - x[-1] @ lam[1] + x[0] @ c
+        dm1 = (x[-1] @ lam[0]).scaled(-q) + (x[0] @ lam[-1]).scaled(1 / q) + x[-1] @ c
     return {1: d1, 0: d0, -1: dm1}
 
 
@@ -332,17 +367,18 @@ def _partial_elements(x: dict) -> dict:
     p = x[0].p
     two = qnum(2, p)
     out = {}
-    for k in (1, 0, -1):
-        d = OperatorMatrix(p, x[k].lmax, k)
-        for (lo, li), blk in x[k].blocks.items():
-            if lo == li + 1:
-                s = qnum(2 * li + 2, p) / two
-            elif lo == li - 1:
-                s = -qnum(2 * li, p) / two
-            else:
-                continue
-            d.blocks[(lo, li)] = [v * s for v in blk]
-        out[k] = d
+    with _high_context(p):
+        for k in (1, 0, -1):
+            d = OperatorMatrix(p, x[k].lmax, k)
+            for (lo, li), blk in x[k].blocks.items():
+                if lo == li + 1:
+                    s = qnum(2 * li + 2, p) / two
+                elif lo == li - 1:
+                    s = -qnum(2 * li, p) / two
+                else:
+                    continue
+                d.blocks[(lo, li)] = [v * s for v in blk]
+            out[k] = d
     return out
 
 
@@ -350,7 +386,8 @@ def scalar_product(u: dict, v: dict) -> OperatorMatrix:
     """Rank-zero contraction of two vector triples:
     -(1/q) u_1 v_-1 + u_0 v_0 - q u_-1 v_1."""
     p = u[0].p
-    return (u[1] @ v[-1]).scaled(-1 / p.q) + u[0] @ v[0] + (u[-1] @ v[1]).scaled(-p.q)
+    with _high_context(p):
+        return (u[1] @ v[-1]).scaled(-1 / p.q) + u[0] @ v[0] + (u[-1] @ v[1]).scaled(-p.q)
 
 
 # ----------------------------- verification engine -----------------------------
@@ -414,9 +451,10 @@ def transverse_square_candidates(l: int, p: QParam) -> dict:
     derivative, keyed by formula."""
     inv = invariants(l, p)
     two = qnum(2, p)
-    printed = -(qnum(2 * l, p) * qnum(2 * l + 1, p) / (two * two) + inv.c ** 2)
-    with_cross = -(inv.Cprime + inv.c ** 2 - inv.c)
-    consistent = -(inv.Cprime + inv.c ** 2)
+    with _high_context(p):
+        printed = -(qnum(2 * l, p) * qnum(2 * l + 1, p) / (two * two) + inv.c ** 2)
+        with_cross = -(inv.Cprime + inv.c ** 2 - inv.c)
+        consistent = -(inv.Cprime + inv.c ** 2)
     return {
         "-([2l][2l+1]/[2]^2 + c_l^2)": printed,
         "-([2l][2l+2]/[2]^2 + c_l^2 - c_l)": with_cross,
@@ -443,6 +481,12 @@ def verify_algebra(
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
     interior = lmax - 2 if interior_lmax is None else interior_lmax
+    with _high_context(p):
+        return _run_catalogue(p, lmax, tol, interior, inject_fault)
+
+
+def _run_catalogue(p: QParam, lmax: int, tol: float, interior: int, inject_fault: bool) -> VerifyReport:
+    """verify_algebra's catalogue, in the calling thread's number context."""
     q = p.q
     gen = build_generators(p, lmax)
     l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]
@@ -469,7 +513,7 @@ def verify_algebra(
 
     def fgap(*pairs):
         """Worst distance of two functions, relative to lhs's largest |coefficient| (floor 1)."""
-        return _nanmax(lhs.distance(rhs) / max(1.0, lhs.max_abs()) for lhs, rhs in pairs)
+        return _nanmax(lhs.distance(rhs) / max(p.one, lhs.max_abs()) for lhs, rhs in pairs)
 
     def sgap(*pairs):
         """Worst |lhs - rhs| over the (lhs, rhs) pairs of scalars."""
@@ -581,7 +625,7 @@ def verify_algebra(
     # every harmonic the rows below compare, keyed by (l, m), in l-major order
     ys = {(l, m): build_y(l, m, p) for l in range(5) for m in range(-l, l + 1)}
     add("harmonic-orthonormality", sgap(*(
-        (inner_product(y1, y2, mu), 1.0 if lm1 == lm2 else 0.0)
+        (inner_product(y1, y2, mu), p.one if lm1 == lm2 else p.zero)
         for lm1, y1 in ys.items() for lm2, y2 in ys.items() if lm1 <= lm2
     )), group="harmonic")
 
@@ -613,7 +657,7 @@ def verify_algebra(
                 if abs(m + k) < l:
                     target += ys[(l - 1, m + k)].scaled(position_coeff_lower(p, l, m, k))
                 if inject_fault and (l, m, k) == (1, 0, 0):
-                    target = target.scaled(1 + 1e-3)
+                    target = target.scaled(p.number(1 + 1e-3))
                 product_pairs.append((mul_position(k, ys[(l, m)]), target))
     add("position-product-expansion", fgap(*product_pairs),
         note="fault injected" if inject_fault else "", group="harmonic")

@@ -34,30 +34,21 @@ per moment whatever the grid depth.
 Double precision forms the sum in stdlib decimal (imported on the first
 double-precision inner product), at 20 digits plus the decimal exponent
 of max|a_i| * max|b_j|, in a local decimal context, and rounds once at the
-end.  High precision uses the QParam's own mpf arithmetic.
+end.  High precision sums in the QParam's own arithmetic, Decimal in the
+private 62-digit context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import count, islice
 
-from .angular import AngularFunction
-from .qcore import QParam, qnum
+from .angular import AngularFunction, _nanmax
+from .qcore import QParam, _decimal, _high_context, qnum
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
-
-
-@cache
-def _decimal():
-    """The decimal module, loaded on the first double-precision inner
-    product so that start-up does not pay for it."""
-    import decimal
-
-    return decimal
 
 
 @dataclass(frozen=True)
@@ -137,9 +128,10 @@ def integrate_monomial(n: int, mu: QMeasure):
     p = mu.p
     if n % 2 == 1:
         return p.zero
-    if mu.series_depth is not None:
-        return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
-    return _over_qnum(2, n + 1, p)
+    with _high_context(p):
+        if mu.series_depth is not None:
+            return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
+        return _over_qnum(2, n + 1, p)
 
 
 def _moments(m: int, nmax: int, b) -> list:
@@ -204,8 +196,10 @@ def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi) -
 
 def _decimal_digits(f: AngularFunction, g: AngularFunction) -> int:
     """SUM_GUARD_DIGITS plus the decimal exponent of max|a_i| * max|b_j|
-    when it is positive: the sum then keeps ~1e-20 absolute accuracy."""
-    bits = sum(math.frexp(h.max_abs())[1] for h in (f, g))
+    when it is positive: the sum then keeps ~1e-20 absolute accuracy.
+    Double precision only, so it reads the magnitudes directly rather than
+    through max_abs and its high-precision guard."""
+    bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
     return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
 
 
@@ -220,9 +214,9 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     In double precision the moments and the sum are formed in decimal, in
     a local context at 20 digits plus the decimal exponent of
     max|a_i| * max|b_j|; coefficients convert exactly and the result is
-    rounded to a double once.  In high precision they are formed in the
-    QParam's mpf arithmetic.  The result is complex when a coefficient
-    has an imaginary part.
+    rounded to a double once; the result is complex when a coefficient has
+    an imaginary part.  In high precision, where coefficients are real,
+    they are formed in the QParam's Decimal arithmetic.
     """
     p = mu.p
     if f.p is not p and f.p != p or g.p is not p and g.p != p:
@@ -230,17 +224,17 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     if f.m != g.m or f.is_zero or g.is_zero:
         return p.zero
     if p.is_high:
-        re, im = _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)
-    else:
-        dec = _decimal()
-        with dec.localcontext() as ctx:
-            ctx.prec = _decimal_digits(f, g)
-            ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-            re, im = _moment_sum(f, g, mu, dec.Decimal, dec.Decimal(math.pi))
-            re, im = float(re), float(im)
+        with _high_context(p):
+            return _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)[0]
+    dec = _decimal()
+    with dec.localcontext() as ctx:
+        ctx.prec = _decimal_digits(f, g)
+        ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
+        re, im = _moment_sum(f, g, mu, dec.Decimal, dec.Decimal(math.pi))
+        re, im = float(re), float(im)
     if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
         return re
-    return re + im * 1j if p.is_high else complex(re, im)
+    return complex(re, im)
 
 
 @dataclass(frozen=True)
@@ -261,16 +255,17 @@ def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 40
     """
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
-    limit = _over_qnum(1, n + 1, p)
     cap = 100000
     want = sorted(depths)
     rows = []
     hit = None
-    for d, (s,) in enumerate(_running_sums([n], p.q)):
-        while want and want[0] <= d:
-            rows.append((want.pop(0), float(s), float(abs(s - limit))))
-        if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:
-            hit = d
-        if not want and (hit is not None or d >= cap):
-            break
+    with _high_context(p):
+        limit = _over_qnum(1, n + 1, p)
+        for d, (s,) in enumerate(_running_sums([n], p.q)):
+            while want and want[0] <= d:
+                rows.append((want.pop(0), float(s), float(abs(s - limit))))
+            if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:
+                hit = d
+            if not want and (hit is not None or d >= cap):
+                break
     return ConvergenceProbe(n=n, q=float(p.q), limit=float(limit), rows=tuple(rows), depth_for_1e12=hit)

@@ -441,10 +441,10 @@ def test_winding_division_rejects_nan():
     # raising winding -2 (lowering +2) recovers the winding factor by exact
     # division; a NaN coefficient leaves a NaN remainder, which must raise
     # on both the bottom-up (q < 1) and the top-down (q > 1) branch
-    nan = float("nan")
-    for q in (0.7, 1.3):
-        p = QParam(q)
-        for coeffs in ({0: nan, 2: 1.0}, {0: 1.0, 2: nan}):
+    for q, precision in ((0.7, "double"), (1.3, "double"), (0.7, "high"), (1.3, "high")):
+        p = QParam(q, precision)
+        nan = p.number(math.nan)
+        for coeffs in ({0: nan, 2: p.one}, {0: p.one, 2: nan}):
             with pytest.raises(ArithmeticError, match="remainder"):
                 apply_lplus(angular_function(p, -2, coeffs))
             with pytest.raises(ArithmeticError, match="remainder"):

@@ -205,6 +205,7 @@ def test_spectrum_out_of_double_range():
 
 FRESH_INTERPRETER_RUNS = """
 import json, sys
+loaded = set(sys.modules)
 from qsu2.cli import main
 
 at_import = sorted(m for m in ("numpy", "mpmath", "decimal") if m in sys.modules)
@@ -215,12 +216,20 @@ runs = [
     ["harmonics", "--q", "0.8", "--lmax", "2"],
     ["integrate", "--degree", "2", "--q", "0.5"],
     ["verify", "--q", "1.3", "--lmax", "3", "--precision", "high"],
+    ["spectrum", "--potential", "coulomb", "--q", "0.7", "--precision", "high"],
 ]
 report = []
 for argv in runs:
     code = main(argv + ["--out", out])
-    report.append([code, sorted(m for m in ("numpy", "mpmath") if m in sys.modules)])
-print(json.dumps({"at_import": at_import, "runs": report, "dps": sys.modules["mpmath"].mp.dps}))
+    # top-level modules loaded since start-up that are neither stdlib nor qsu2
+    new = {m.split(".")[0] for m in set(sys.modules) - loaded}
+    report.append([code, sorted(new - set(sys.stdlib_module_names) - {"qsu2"})])
+import decimal
+ctx = decimal.getcontext()
+state = {"prec": ctx.prec, "Emax": ctx.Emax, "Emin": ctx.Emin, "rounding": ctx.rounding,
+         "traps": sorted(s.__name__ for s, on in ctx.traps.items() if on),
+         "flags": sorted(s.__name__ for s, on in ctx.flags.items() if on)}
+print(json.dumps({"at_import": at_import, "runs": report, "decimal": state}))
 """
 
 
@@ -231,11 +240,46 @@ def test_double_precision_imports_neither_numpy_nor_mpmath(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
-    # decimal is loaded by the first double-precision inner product, not at start-up
+    # decimal is loaded by the first double-precision inner product or
+    # high-precision QParam, not at start-up
     assert data["at_import"] == []
-    assert data["runs"] == [[0, []]] * 4 + [[0, ["mpmath"]]]
-    # the high-precision context is private: the global one keeps its default
-    assert data["dps"] == 15
+    # no command, high precision included, loads a third-party module
+    assert data["runs"] == [[0, []]] * 6
+    # high precision computes in a private context: the thread's own one
+    # keeps its defaults and raises no flag
+    assert data["decimal"] == {
+        "prec": 28, "Emax": 999999, "Emin": -999999, "rounding": "ROUND_HALF_EVEN",
+        "traps": ["DivisionByZero", "InvalidOperation", "Overflow"], "flags": [],
+    }
+
+
+@pytest.mark.parametrize("q", ["0.7", "1", "1.3"])
+def test_every_command_runs_in_high_precision(tmp_path, q):
+    # high precision agrees with double precision wherever the latter is
+    # accurate: emitted values to 1e-12, and the verify verdicts
+    def both(argv):
+        code_lo, lo = run_json(tmp_path, argv, name="lo.json")
+        code_hi, hi = run_json(tmp_path, [*argv, "--precision", "high"], name="hi.json")
+        assert code_lo == code_hi == 0, argv
+        assert len(lo["rows"]) == len(hi["rows"]) > 0
+        return lo["rows"], hi["rows"]
+
+    def close(a, b):
+        return a == b if not isinstance(a, float) else abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    commands = [
+        ["spectrum", "--potential", "coulomb", "--q", q, "--lmax", "4"],
+        ["spectrum", "--potential", "oscillator", "--q", q, "--lmax", "4"],
+        ["harmonics", "--q", q, "--lmax", "4", "--oracle"],
+        ["integrate", "--degree", "6", "--q", q] + (["--series-depth", "400"] if float(q) < 1 else []),
+    ]
+    for argv in commands:
+        lo, hi = both(argv)
+        for a, b in zip(lo, hi):
+            assert a.keys() == b.keys() and all(close(a[k], b[k]) for k in a), (argv, a, b)
+    lo, hi = both(["verify", "--q", q, "--lmax", "4"])
+    assert [(r["name"], r["passed"]) for r in lo] == [(r["name"], r["passed"]) for r in hi]
+    assert max(r["residual"] for r in hi if r["passed"] is not None) < 1e-50
 
 
 def test_integrate_values(tmp_path):

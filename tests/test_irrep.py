@@ -1,6 +1,8 @@
 import json
 import math
 
+from decimal import Decimal
+
 import mpmath
 import numpy as np
 import pytest
@@ -262,6 +264,29 @@ def test_verify_algebra_high_precision():
     assert mpmath.mp.dps == dps
 
 
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.0, 1.3, 3.0])
+def test_high_precision_carries_no_double(q):
+    # decimal refuses a float operand, so a double entering high-precision
+    # arithmetic raises instead of rounding the result to 53 bits; every
+    # operand the catalogue builds must be a Decimal
+    p = QParam(q, "high")
+    for lmax in (3, 6):
+        gen = build_generators(p, lmax)
+        x = build_position(p, lmax)
+        partial = [*build_partial(p, lmax).values(), *build_partial(p, lmax, MATRIX_ELEMENTS).values()]
+        for op in (*gen.values(), *x.values(), *partial):
+            assert all(type(v) is Decimal for vec in op.blocks.values() for v in vec)
+        for fault in (False, True):
+            rep = verify_algebra(p, lmax, inject_fault=fault)
+            gated = [c for c in rep.checks if c.passed is not None]
+            assert all(math.isfinite(c.residual) for c in gated)
+            failed = [c.name for c in gated if not c.passed]
+            assert failed == (["position-product-expansion"] if fault else []), (lmax, fault)
+    for l in range(5):
+        for m in range(-l, l + 1):
+            assert all(type(v) is Decimal for v in build_y(l, m, p).coeffs.values())
+
+
 def test_verify_algebra_covers_the_whole_catalogue():
     rep = verify_algebra(QParam(1.2), 4, inject_fault=True)
     assert {c.group for c in rep.checks} == {"operator", "harmonic", "measure"}
@@ -379,7 +404,7 @@ def test_verify_algebra_forms_each_operand_once(monkeypatch):
 def test_max_abs_propagates_nan():
     # the builtin max skips a NaN that does not come first
     for p in (QParam(1.3), QParam(1.3, "high")):
-        nan = p.one * float("nan")
+        nan = p.number(math.nan)
         for vec in ([nan], [p.one, nan, p.one / 2]):
             op = OperatorMatrix(p, 2, 0, {(0, 0): [p.one / 4], (1, 1): vec})
             assert math.isnan(op.max_abs())
@@ -394,30 +419,46 @@ def test_max_abs_propagates_nan():
     assert math.isnan(VerifyReport({}, checks, {}).max_residual)
 
 
-def test_nan_operator_entry_fails_its_rows(monkeypatch):
+def _nan_operator_entry_fails_its_rows(monkeypatch, precision):
     import qsu2.irrep as irrep
 
     upper = irrep.position_coeff_upper
 
     def nan_at_one_entry(p, l, m, k):
-        return float("nan") if (l, m, k) == (1, 1, 0) else upper(p, l, m, k)
+        return p.number(math.nan) if (l, m, k) == (1, 1, 0) else upper(p, l, m, k)
 
     monkeypatch.setattr(irrep, "position_coeff_upper", nan_at_one_entry)
-    rows = {c.name: c for c in verify_algebra(QParam(1.3), 6).checks}
+    rows = {c.name: c for c in verify_algebra(QParam(1.3, precision), 6).checks}
     for name in (
         "unit-sphere-norm", "position-exchange-dilation", "transverse-dual-construction", "position-product-expansion"
     ):
         assert math.isnan(rows[name].residual) and rows[name].passed is False, name
 
 
-@pytest.mark.parametrize("source, label, consumers", [
+def test_nan_operator_entry_fails_its_rows(monkeypatch):
+    _nan_operator_entry_fails_its_rows(monkeypatch, "double")
+
+
+def test_nan_operator_entry_fails_its_rows_in_high_precision(monkeypatch):
+    # a Decimal NaN, which the private context lets through as floats do:
+    # it fails its rows rather than raising
+    _nan_operator_entry_fails_its_rows(monkeypatch, "high")
+
+
+NAN_SOURCES = [
     ("hypergeom_phi", (3, 1), {"harmonic-recursion-vs-closed-form"}),
     ("build_y", (2, 1), {
         "harmonic-orthonormality", "harmonic-casimir", "position-product-expansion", "position-right-commutation",
     }),
     ("build_phi", (4, 2), {"harmonic-recursion-vs-closed-form", "harmonic-ladder-step"}),
-], ids=["hypergeom_phi", "build_y", "build_phi"])
-def test_nan_harmonic_coefficient_fails_its_rows(monkeypatch, source, label, consumers):
+]
+
+
+@pytest.mark.parametrize("source, label, consumers, precision", [
+    pytest.param(*case, precision, id=case[0] if precision == "double" else f"{case[0]}-high")
+    for precision in ("double", "high") for case in NAN_SOURCES
+])
+def test_nan_harmonic_coefficient_fails_its_rows(monkeypatch, source, label, consumers, precision):
     import qsu2.irrep as irrep
 
     build = getattr(irrep, source)
@@ -426,10 +467,10 @@ def test_nan_harmonic_coefficient_fails_its_rows(monkeypatch, source, label, con
         f = build(l, m, p)
         if (l, m) != label:
             return f
-        return AngularFunction(p, m, {**f.coeffs, max(f.coeffs): math.nan})
+        return AngularFunction(p, m, {**f.coeffs, max(f.coeffs): p.number(math.nan)})
 
     monkeypatch.setattr(irrep, source, nan_in_one_coefficient)
-    rep = verify_algebra(QParam(1.3), 6)
+    rep = verify_algebra(QParam(1.3, precision), 6)
     failed = {c.name for c in rep.checks if c.passed is False}
     assert failed == consumers
     assert all(math.isnan(c.residual) for c in rep.checks if c.name in consumers)
@@ -467,7 +508,7 @@ def test_distance_equals_max_abs_of_difference(monkeypatch, precision, lmax):
 
 def test_distance_edge_cases():
     for p in (QParam(1.3), QParam(1.3, "high")):
-        one, nan = p.one, p.one * float("nan")
+        one, nan = p.one, p.number(math.nan)
         a = OperatorMatrix(p, 3, 0, {(0, 0): [one / 4], (1, 1): [one, -2 * one, one / 2]})
         b = OperatorMatrix(p, 3, 0, {(0, 0): [one], (2, 2): [3 * one] * 5})
         # a block missing on either side counts as zero

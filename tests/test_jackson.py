@@ -15,6 +15,7 @@ from qsu2 import (
     series_convergence_probe,
 )
 from qsu2.jackson import _halfline_series, _moments
+from qsu2.qcore import _high_context
 
 qvals = st.one_of(
     st.just(1.0),
@@ -85,14 +86,17 @@ def test_series_matches_closed_form(coeffs):
 def test_moments_match_grid_sum():
     # closed-form weighted moments against the grid sum with the factored
     # weight, both at 60 digits; the grid is cut where q**(2D) < 1e-60
+    # decimal rounds at the caller's context, so the private helpers and
+    # the comparison run in the private one
     for q in (0.3, 0.5, 0.9):
         p = QParam(q, "high")
         depth = math.ceil(60 * math.log(10) / (-2 * math.log(q))) + 7
         for m in range(-6, 7):
-            closed = _moments(m, 16, p.q)
-            grid = _halfline_series(range(0, 17, 2), p.q, depth, m)
-            for n in range(0, 17, 2):
-                assert abs(closed[n] - 2 * grid[n // 2]) < 1e-50 * closed[n], (q, m, n)
+            with _high_context(p):
+                closed = _moments(m, 16, p.q)
+                grid = _halfline_series(range(0, 17, 2), p.q, depth, m)
+                for n in range(0, 17, 2):
+                    assert abs(closed[n] - 2 * grid[n // 2]) < 1e-50 * float(closed[n]), (q, m, n)
             assert all(closed[n] == 0 for n in range(1, 17, 2))
     # q -> 1/q maps M_m to M_-m
     for q in (2.0, 3.3):
@@ -103,7 +107,8 @@ def test_moments_match_grid_sum():
             for n in range(0, 17, 2):
                 a = inner_product(one, angular_function(p, m, {n: 1}), mu)
                 b = inner_product(one_r, angular_function(p.reciprocal(), -m, {n: 1}), mu_r)
-                assert abs(a - b) < 1e-50 * abs(a), (q, m, n)
+                with _high_context(p):
+                    assert abs(a - b) < 1e-50 * float(abs(a)), (q, m, n)
 
 
 def test_double_precision_moments_match_high_precision():
@@ -155,20 +160,24 @@ def test_series_matches_term_by_term_sum():
         for q in (0.5, 0.9, 0.995):
             p = QParam(q, precision)
             for n in (0, 2, 5):
-                limit = 1 / qnum(n + 1, p)
-                partials = [0 * p.q]  # partials[D]: the sum over k < D
-                while len(partials) <= 400 or abs(partials[-1] - limit) >= 1e-12:
-                    k = len(partials) - 1
-                    partials.append(partials[-1] + (p.q ** (2 * k + 1)) ** n * (p.q ** (2 * k) - p.q ** (2 * k + 2)))
+                # the definition is summed in the backend's own context
+                with _high_context(p):
+                    limit = 1 / qnum(n + 1, p)
+                    partials = [0 * p.q]  # partials[D]: the sum over k < D
+                    while len(partials) <= 400 or abs(partials[-1] - limit) >= 1e-12:
+                        k = len(partials) - 1
+                        partials.append(
+                            partials[-1] + (p.q ** (2 * k + 1)) ** n * (p.q ** (2 * k) - p.q ** (2 * k + 2))
+                        )
+                    hit = next(d for d in range(1, len(partials)) if abs(partials[d] - limit) < 1e-12)
+                    depths = (10, 25, 50, 100, 200, 400)
+                    rows = tuple((d, float(partials[d]), float(abs(partials[d] - limit))) for d in depths)
+                    wants = {d: 2 * partials[d] if n % 2 == 0 else 0 for d in depths}
                 probe = series_convergence_probe(n, p)
-                hit = next(d for d in range(1, len(partials)) if abs(partials[d] - limit) < 1e-12)
                 assert probe.depth_for_1e12 == hit, (precision, q, n)
-                depths = (10, 25, 50, 100, 200, 400)
-                rows = tuple((d, float(partials[d]), float(abs(partials[d] - limit))) for d in depths)
                 assert probe.rows == rows, (precision, q, n)
                 for d in depths:
-                    want = 2 * partials[d] if n % 2 == 0 else 0
-                    assert integrate_monomial(n, QMeasure(p, series_depth=d)) == want, (precision, q, n, d)
+                    assert integrate_monomial(n, QMeasure(p, series_depth=d)) == wants[d], (precision, q, n, d)
 
 
 def test_convergence_probe_requires_small_q():
@@ -255,4 +264,5 @@ def test_high_precision_integration():
     p = QParam(0.5, "high")
     mu = QMeasure(p)
     val = integrate_monomial(2, mu)
-    assert abs(val - 2 / qnum(3, p)) < 1e-50
+    with _high_context(p):
+        assert abs(val - 2 / qnum(3, p)) < 1e-50

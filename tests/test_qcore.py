@@ -1,8 +1,25 @@
+import dataclasses
+import decimal
+import math
+from decimal import Decimal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsu2 import QParam, invariants, qdouble_factorial, qfactorial, qnum
+import qsu2
+from qsu2 import (
+    COMPOSED,
+    MATRIX_ELEMENTS,
+    AngularFunction,
+    OperatorMatrix,
+    QParam,
+    invariants,
+    qdouble_factorial,
+    qfactorial,
+    qnum,
+)
+from qsu2.qcore import _high_context
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
 # the defining ratio loses ~1/|q-1| digits of the 1e-12 budget to rounding
@@ -108,23 +125,47 @@ def test_invariants_rejects_bad_l():
 
 
 def test_qparam_validation():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            QParam(bad)
-    with pytest.raises(ValueError):
-        QParam(1 + 1j)
+    for precision in ("double", "high"):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), 1 + 1j, "junk", None):
+            with pytest.raises(ValueError):
+                QParam(bad, precision)
     with pytest.raises(ValueError):
         QParam(1.2, "quad")
+
+
+def test_sqrt_of_a_negative_raises_in_both_precisions():
+    # decimal would return a quiet NaN in the private context, where an
+    # invalid operation is not trapped; sqrt refuses it as math.sqrt does
+    for precision in ("double", "high"):
+        p = QParam(1.3, precision)
+        with pytest.raises(ValueError):
+            p.sqrt(-p.one)
+        assert p.sqrt(4 * p.one) == 2 and p.sqrt(p.zero) == 0
+        # a NaN passes through, as math.sqrt lets it, whatever the caller traps
+        with decimal.localcontext() as ctx:
+            ctx.traps[decimal.InvalidOperation] = True
+            assert math.isnan(p.sqrt(p.number(math.nan)))
 
 
 def test_high_precision_mode():
     p = QParam(1.3, "high")
     q = p.q
-    assert abs(q ** 4 + q ** 2 + 1 + q ** -2 + q ** -4 - qnum(5, p)) < 1e-40
+    # the reference sum rounds at the calling thread's context, so it is
+    # formed in the private 62-digit one
+    with _high_context(p):
+        assert abs(q ** 4 + q ** 2 + 1 + q ** -2 + q ** -4 - qnum(5, p)) < 1e-40
     pd = QParam(1.3)
     for l in range(5):
         hi, lo = invariants(l, p), invariants(l, pd)
         assert abs(float(hi.c) - lo.c) < 1e-12
+
+
+def test_high_precision_pi():
+    # the fixed digit string against an independent evaluation
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        want = Decimal(mpmath.nstr(mpmath.pi, 70))
+    assert QParam(0.7, "high").pi == decimal.Context(prec=62).plus(want)
 
 
 def test_qnum_base2_half_indices():
@@ -137,6 +178,8 @@ def test_qnum_base2_half_indices():
     want = (q ** 3 - q ** -3) / (q ** 2 - q ** -2)
     assert got == pytest.approx(want, rel=1e-15)
     assert qnum_base2(3, QParam(1.0)) == 1.5
+    # at q = 1 the half index is exact in high precision too
+    assert qnum_base2(3, QParam(1.0, "high")) == Decimal("1.5")
 
 
 def test_cprime_matches_angular_square_diagonal():
@@ -155,8 +198,8 @@ def test_cprime_matches_angular_square_diagonal():
 
 
 def _bits(x):
-    """The exact representation of a float or mpf value, sign of zero included."""
-    return x.hex() if isinstance(x, float) else x._mpf_
+    """The exact representation of a float or Decimal, sign of zero and exponent included."""
+    return x.hex() if isinstance(x, float) else x.as_tuple()
 
 
 def test_table_entries_equal_the_direct_formulas():
@@ -164,19 +207,22 @@ def test_table_entries_equal_the_direct_formulas():
         for q in (0.5, 1.0, 1.3):
             p = QParam(q, precision)
             qq = p.q
-            assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
-            for n in range(-12, 13):
-                direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
-                first = qnum(n, p)
-                assert _bits(first) == _bits(direct), (precision, q, n)
-                # a second call reads the stored entry
-                assert qnum(n, p) is first
-                power = p.power(n)
-                assert _bits(power) == _bits(qq ** n) and p.power(n) is power
-            # a real index is computed directly and not stored
-            size = len(p._table)
-            assert _bits(qnum(2.5, p)) == _bits(2.5 * qq ** 0 if q == 1.0 else (qq ** 2.5 - qq ** -2.5) / (qq - 1 / qq))
-            assert len(p._table) == size
+            # the direct formulas are evaluated in the backend's own context
+            with _high_context(p):
+                assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
+                for n in range(-12, 13):
+                    direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
+                    first = qnum(n, p)
+                    assert _bits(first) == _bits(direct), (precision, q, n)
+                    # a second call reads the stored entry
+                    assert qnum(n, p) is first
+                    power = p.power(n)
+                    assert _bits(power) == _bits(qq ** n) and p.power(n) is power
+                # a real index is computed directly and not stored
+                size = len(p._table)
+                h = p.number(2.5)
+                assert _bits(qnum(2.5, p)) == _bits(h * qq ** 0 if q == 1.0 else (qq ** h - qq ** -h) / (qq - 1 / qq))
+                assert len(p._table) == size
 
 
 def test_table_overflow_is_raised_and_not_stored():
@@ -203,3 +249,125 @@ def test_table_is_invisible_to_equality_hash_and_repr():
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh) and "_table" not in repr(filled)
         assert filled != QParam(1.3, "high" if precision == "double" else "double")
+
+
+# ----------------------------- the decimal context contract -----------------------------
+
+def _canon(x):
+    """A bitwise-comparable image of a result: floats by hex, Decimals by
+    their tuple, and containers, operators, functions and report
+    dataclasses by their parts."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, Decimal):
+        return x.as_tuple()
+    if isinstance(x, dict):
+        return sorted((repr(k), _canon(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return [_canon(v) for v in x]
+    if isinstance(x, OperatorMatrix):
+        return x.delta_m, _canon(x.blocks)
+    if isinstance(x, AngularFunction):
+        return x.m, _canon(x.coeffs)
+    if isinstance(x, QParam):
+        return _canon((x.q, x.lam, x.one, x.zero))
+    if dataclasses.is_dataclass(x):
+        return [(f.name, _canon(getattr(x, f.name))) for f in dataclasses.fields(x)]
+    assert x is None or isinstance(x, (int, str, bool)), type(x)
+    return x
+
+
+def _high_precision_calls():
+    """Every exported function that computes in high precision, and the
+    arithmetic of operators and angular functions, as thunks.  Each thunk
+    builds its inputs from a fresh QParam, whose table is empty, so its
+    whole computation runs in the context it is called under."""
+    def op(fn):
+        return lambda: fn(QParam(0.7, "high"))
+
+    def ops(p):
+        gen = qsu2.build_generators(p, 4)
+        return gen, qsu2.build_position(p, 4)
+
+    def fns(p):
+        return qsu2.build_y(3, -1, p), qsu2.build_y(2, -1, p)
+
+    return {
+        "QParam": op(lambda p: (p, p.reciprocal(), p.pi, p.sqrt(p.q), p.power(-5))),
+        "qnum": op(lambda p: (qnum(7, p), qnum(-3, p), qnum(2.5, p))),
+        "qnum at q = 1": lambda: qnum(2.5, QParam(1.0, "high")),
+        "qfactorial": op(lambda p: (qfactorial(6, p), qdouble_factorial(7, p))),
+        "invariants": op(lambda p: [invariants(l, p) for l in range(5)]),
+        "angular_function": op(lambda p: qsu2.angular_function(p, 1, {0: 0.4, 2: -0.9})),
+        "build_phi": op(lambda p: (qsu2.build_phi(5, 1, p), qsu2.hypergeom_phi(5, 1, p))),
+        "build_y": op(lambda p: [qsu2.build_y(4, m, p) for m in range(-4, 5)]),
+        "normalize_y": op(lambda p: (qsu2.normalize_y(3, 2, p), qsu2.normalization_constant(4, 1, p))),
+        "build_negative_m": op(lambda p: qsu2.build_negative_m(3, -2, p)),
+        "ladders": op(lambda p: [f(g) for g in fns(p) for f in (
+            qsu2.apply_l0, qsu2.apply_lplus, qsu2.apply_lminus, qsu2.apply_casimir, qsu2.apply_c_invariant,
+        )]),
+        "apply_lambda": op(lambda p: [qsu2.apply_lambda(k, fns(p)[0]) for k in (1, 0, -1)]),
+        "mul_position": op(lambda p: [f(k, fns(p)[0]) for k in (1, 0, -1)
+                                      for f in (qsu2.mul_position, qsu2.mul_position_right)]),
+        "function arithmetic": op(lambda p: (
+            fns(p)[0] + fns(p)[1], fns(p)[0] - fns(p)[1], fns(p)[0].scaled(p.lam),
+            fns(p)[0].distance(fns(p)[1]), fns(p)[0].max_abs(),
+        )),
+        "inner_product": op(lambda p: [
+            qsu2.inner_product(f, g, qsu2.QMeasure(p)) for f in fns(p) for g in fns(p)
+        ]),
+        "integrate_monomial": op(lambda p: [
+            qsu2.integrate_monomial(n, mu) for n in range(5) for mu in (qsu2.QMeasure(p), qsu2.QMeasure(p, 40))
+        ]),
+        "series_convergence_probe": op(lambda p: qsu2.series_convergence_probe(2, p)),
+        "build_generators": op(lambda p: qsu2.build_generators(p, 4)),
+        "build_lambda": op(lambda p: qsu2.build_invariant_c(qsu2.build_lambda(ops(p)[0]))),
+        "build_position": op(lambda p: (
+            qsu2.build_position(p, 4), qsu2.position_coeff_upper(p, 3, 1, -1), qsu2.position_coeff_lower(p, 3, 1, 1)
+        )),
+        "build_partial": op(lambda p: [qsu2.build_partial(p, 4, method) for method in (COMPOSED, MATRIX_ELEMENTS)]),
+        "diag_operator": op(lambda p: (
+            qsu2.identity_operator(p, 3), qsu2.diag_operator(p, 3, lambda l, m: qnum(m, p) / 7)
+        )),
+        "scalar_product": op(lambda p: qsu2.scalar_product(ops(p)[1], ops(p)[1])),
+        "operator arithmetic": op(lambda p: (
+            ops(p)[1][1] @ ops(p)[1][-1], ops(p)[1][0] + ops(p)[1][0].scaled(p.lam),
+            ops(p)[1][0] - ops(p)[1][0].scaled(p.q), ops(p)[1][1].dagger(), ops(p)[1][1].max_abs(),
+            ops(p)[1][0].distance(ops(p)[1][0].scaled(p.q)), ops(p)[0]["L0"].diagonal(2),
+        )),
+        "transverse_square_candidates": op(lambda p: qsu2.transverse_square_candidates(3, p)),
+        "verify_algebra": op(lambda p: qsu2.verify_algebra(p, 3)),
+        "spectra": op(lambda p: (
+            qsu2.centrifugal_rhs(3, p), qsu2.solve_l(3, p), qsu2.coulomb_energy(1, 2, p),
+            qsu2.oscillator_energy(1, 2, p), qsu2.spectrum_table("oscillator", p, 1, 2),
+            qsu2.degeneracy_report("coulomb", p, 1, 2), qsu2.multipole_report(p),
+        )),
+        "radial_verify": op(lambda p: qsu2.radial_verify("oscillator", 0, 1, p)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_high_precision_calls()))
+def test_high_precision_ignores_the_callers_decimal_context(name):
+    # decimal rounds at the calling thread's context: every entry point
+    # must run in the private one, and hand the caller's back unchanged
+    call = _high_precision_calls()[name]
+    results = []
+    for prec in (10, decimal.getcontext().prec):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            before = ctx.prec, dict(ctx.traps), ctx.Emax
+            results.append(_canon(call()))
+            after = decimal.getcontext()
+            assert after is ctx and (after.prec, dict(after.traps), after.Emax) == before
+    assert results[0] == results[1]
+
+
+def test_high_precision_restores_the_callers_context_when_it_raises():
+    # the winding division raises on a NaN remainder inside the private context
+    p = QParam(1.3, "high")
+    f = qsu2.angular_function(p, -2, {0: math.nan, 2: 1})
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10
+        with pytest.raises(ArithmeticError, match="remainder"):
+            qsu2.apply_lplus(f)
+        assert decimal.getcontext() is ctx and ctx.prec == 10
