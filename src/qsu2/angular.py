@@ -16,8 +16,9 @@ the right.  Every operation here is closed on this family:
 
 Coefficients are plain floats/complex in double mode and real Decimals in
 high precision mode; all scalar arithmetic is routed through QParam, and
-every public function and method runs its high-precision arithmetic under
-the private decimal context (``qcore._high_context``).
+every public function and method that computes is decorated with
+``qcore._in_private_context``, so its high-precision arithmetic runs in the
+private decimal context.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qcore import QParam, _high_context, _in_high_context, qdouble_factorial, qnum, qnum_base2
+from .qcore import QParam, _in_private_context, qdouble_factorial, qnum, qnum_base2
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -59,12 +60,11 @@ class AngularFunction:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @_in_private_context
     def scaled(self, s) -> "AngularFunction":
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self.scaled(s)
         return AngularFunction(self.p, self.m, _pscale(self.coeffs, s))
 
+    @_in_private_context
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
         if other.is_zero:
             return self
@@ -72,30 +72,23 @@ class AngularFunction:
             return other
         if self.m != other.m:
             raise ValueError("cannot add functions of different winding")
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self + other
         return AngularFunction(self.p, self.m, _padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "AngularFunction") -> "AngularFunction":
         return self + other.scaled(-1)
 
+    @_in_private_context
     def distance(self, other: "AngularFunction") -> float:
         """Max absolute coefficient difference; infinite for unequal windings
         unless one side is zero, NaN if any coefficient is NaN."""
         if self.m != other.m and not (self.is_zero or other.is_zero):
             return self.p.number(math.inf)
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self.distance(other)
         keys = set(self.coeffs) | set(other.coeffs)
         return _nanmax((abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys), self.p.zero)
 
+    @_in_private_context
     def max_abs(self) -> float:
         """Largest |coefficient| (zero if none), NaN if any is NaN."""
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self.max_abs()
         return _nanmax(map(abs, self.coeffs.values()), self.p.zero)
 
 
@@ -201,6 +194,7 @@ def _mixed_product(coeffs: dict, alpha, p: QParam) -> dict:
     return _padd(out, _pscale(_pshift(coeffs, 2), alpha / two))
 
 
+@_in_private_context
 def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     """Left-multiply f by the unit-sphere component with spherical index k.
 
@@ -209,9 +203,6 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     into its polynomial product.
     """
     p, m = f.p, f.m
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return mul_position(k, f)
     if k == 0:
         return AngularFunction(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
     if k not in (1, -1):
@@ -221,6 +212,7 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     return AngularFunction(p, m + k, _mixed_product(f.coeffs, p.power(-4 * m - 2 * k), p))
 
 
+@_in_private_context
 def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
     """Right-multiply f by the unit-sphere component with index k.
 
@@ -233,9 +225,6 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
         return AngularFunction(p, m, _pshift(f.coeffs))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return mul_position_right(k, f)
     dilation = p.power(-2 * k)
     tail = _pdilate(f.coeffs, dilation)
     if k * m >= 0:
@@ -261,6 +250,7 @@ def _divide_winding_product(num: dict, j: int, sign: int, p: QParam) -> dict:
     return _pscale(out, (-qnum(2, p)) ** j)
 
 
+@_in_private_context
 def _ladder(f: AngularFunction, s: int) -> AngularFunction:
     """Raising (s = +1) or lowering (s = -1) operator: strip the winding
     factor, apply the ladder kernel to the polynomial part, recreate the
@@ -270,9 +260,6 @@ def _ladder(f: AngularFunction, s: int) -> AngularFunction:
     pairs first and the recreated factor is recovered by exact division.
     """
     p, m = f.p, f.m
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return _ladder(f, s)
     pref = p.sqrt(qnum(2, p)) * p.power(m)
     if s * m >= 0:
         poly = _qderiv(f.coeffs, p, -s)
@@ -292,12 +279,10 @@ def apply_lminus(f: AngularFunction) -> AngularFunction:
     return _ladder(f, -1)
 
 
+@_in_private_context
 def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
     """Components of the vector rebuilt from the generators."""
     p = f.p
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return apply_lambda(k, f)
     if k in (1, -1):
         g = _ladder(f, k)
         return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.power(-g.m))
@@ -315,12 +300,10 @@ def apply_c_invariant(f: AngularFunction) -> AngularFunction:
     return f.scaled(p.power(-2 * f.m)) + apply_lambda(0, f).scaled(p.lam)
 
 
+@_in_private_context
 def apply_casimir(f: AngularFunction) -> AngularFunction:
     """L- L+ + [L0][L0 + 1] acting on f; eigenvalue [l][l+1] on harmonics."""
     p = f.p
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return apply_casimir(f)
     return apply_lminus(apply_lplus(f)) + f.scaled(qnum(f.m, p) * qnum(f.m + 1, p))
 
 
@@ -331,6 +314,7 @@ def _check_nonneg_label(l: int, m: int):
         raise ValueError(f"label requires 0 <= m <= l, got (l={l}, m={m})")
 
 
+@_in_private_context
 def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     """Unnormalized harmonic polynomial from the two-step recursion.
 
@@ -338,9 +322,6 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     a_0 = 1 for even l-m, a_1 = 1 for odd l-m; terminates at k = l-m.
     """
     _check_nonneg_label(l, m)
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return build_phi(l, m, p)
     k0 = (l - m) % 2
     coeffs = {k0: p.one}
     k = k0
@@ -352,6 +333,7 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     return AngularFunction(p, m, coeffs)
 
 
+@_in_private_context
 def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     """The same polynomial from the terminating hypergeometric series in
     base q**2, argument (q**-m x0)**2.
@@ -368,9 +350,6 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     else:
         a2, b2, c2 = l + m + 1, m - l, 1
         nterms = (l - m) // 2
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return hypergeom_phi(l, m, p)
     z = p.power(-2 * m)
     term = p.one
     coeffs = {odd: term}
@@ -385,12 +364,10 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     return AngularFunction(p, m, coeffs)
 
 
+@_in_private_context
 def normalization_constant(l: int, m: int, p: QParam):
     """Parity-dependent normalization for the series-convention polynomial."""
     _check_nonneg_label(l, m)
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return normalization_constant(l, m, p)
     two = qnum(2, p)
     front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(two ** m)
     if (l - m) % 2:
@@ -423,14 +400,13 @@ def normalize_y(l: int, m: int, p: QParam) -> AngularFunction:
     return phi.scaled(normalization_constant(l, m, p))
 
 
+@_in_private_context
 def ladder_factor(l: int, m: int, p: QParam):
     """sqrt([l+m][l-m+1]): norm of the lowering step out of (l, m)."""
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return ladder_factor(l, m, p)
     return p.sqrt(qnum(l + m, p) * qnum(l - m + 1, p))
 
 
+@_in_private_context
 def build_negative_m(l: int, m: int, p: QParam) -> AngularFunction:
     """Harmonic with -l <= m < 0, obtained by lowering from m = 0.
 
@@ -439,9 +415,6 @@ def build_negative_m(l: int, m: int, p: QParam) -> AngularFunction:
     """
     if m >= 0 or m < -l:
         raise ValueError(f"negative-m construction requires -l <= m < 0, got (l={l}, m={m})")
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return build_negative_m(l, m, p)
     y = normalize_y(l, 0, p)
     for mu in range(0, m, -1):
         y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))

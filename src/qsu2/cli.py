@@ -38,8 +38,8 @@ def _validate(ns: argparse.Namespace):
         raise ValueError(f"lmax must lie in [0, {LMAX_GUARD}]")
     if ns.command == "spectrum" and ns.nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    if ns.tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < ns.tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if ns.command == "integrate" and ns.degree < 0:
         raise ValueError("monomial degree must be nonnegative")
 

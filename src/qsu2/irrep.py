@@ -8,11 +8,11 @@ by (l_out, l_in) is one vector over m_in.  The vectors are plain Python
 lists, at most 2 lmax + 1 long, of floats or Decimals, and the algebra
 on them is list arithmetic: numpy is imported only for the dense block()
 view, so verification runs without it.  Every public builder and method
-runs its high-precision arithmetic under the private decimal context
-(``qcore._high_context``).  Identities are asserted only on
-interior blocks (l <= lmax - 2), which are unreachable from truncation
-artifacts because no tested identity composes more than two bandwidth-one
-operators.
+that computes is decorated with ``qcore._in_private_context``, so its
+high-precision arithmetic runs in the private decimal context.
+Identities are asserted only on interior blocks (l <= lmax - 2), which
+are unreachable from truncation artifacts because no tested identity
+composes more than two bandwidth-one operators.
 
 Builders take the operators they derive from and read p and lmax from
 them, so each operand of the catalogue is formed once; operators of
@@ -54,7 +54,7 @@ from .angular import (
     mul_position_right,
 )
 from .jackson import QMeasure, _halfline_series, inner_product, integrate_monomial
-from .qcore import QParam, _high_context, _in_high_context, invariants, qnum
+from .qcore import QParam, _in_private_context, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
@@ -116,10 +116,8 @@ class OperatorMatrix:
         if same_shift and self.delta_m != other.delta_m:
             raise ValueError(f"cannot combine operators with m-shifts {self.delta_m} and {other.delta_m}")
 
+    @_in_private_context
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self @ other
         self._check(other)
         dm = other.delta_m
         out = OperatorMatrix(self.p, self.lmax, self.delta_m + dm)
@@ -150,22 +148,18 @@ class OperatorMatrix:
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self._combine(other, sub)
 
+    @_in_private_context
     def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         """Blockwise op of two operators; a block missing on one side is zero."""
         self._check(other, same_shift=True)
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self._combine(other, op)
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key in set(self.blocks) | set(other.blocks):
             a, b = self.blocks.get(key), other.blocks.get(key)
             out.blocks[key] = list(map(op, a or _zeros(self.p, len(b)), b or _zeros(self.p, len(a))))
         return out
 
+    @_in_private_context
     def scaled(self, s) -> "OperatorMatrix":
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self.scaled(s)
         out = OperatorMatrix(self.p, self.lmax, self.delta_m)
         for key, blk in self.blocks.items():
             out.blocks[key] = [x * s for x in blk]
@@ -182,18 +176,17 @@ class OperatorMatrix:
             out.blocks[(li, lo)] = adj
         return out
 
+    @_in_private_context
     def max_abs(self, l_top: int | None = None) -> float:
         """Largest |entry| over the blocks with both labels <= l_top; NaN if
         any such entry is NaN."""
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self.max_abs(l_top)
         return _nanmax(
             float(_nanmax(map(abs, vec)))
             for (lo, li), vec in self.blocks.items()
             if l_top is None or max(lo, li) <= l_top
         )
 
+    @_in_private_context
     def distance(self, other: "OperatorMatrix", l_top: int | None = None) -> float:
         """Largest |self - other| over the blocks with both labels <= l_top,
         in one pass over both operands: (self - other).max_abs(l_top) without
@@ -201,9 +194,6 @@ class OperatorMatrix:
         NaN if any such entry is NaN.  Magnitudes are reduced as floats,
         which keeps their order, so the maximum is the same."""
         self._check(other, same_shift=True)
-        if self.p.is_high and not _in_high_context():
-            with _high_context(self.p):
-                return self.distance(other, l_top)
         mags = []
         for key in self.blocks.keys() | other.blocks.keys():
             if l_top is not None and max(key) > l_top:
@@ -218,16 +208,17 @@ class OperatorMatrix:
         return _zeros(self.p, 2 * l + 1) if vec is None else list(vec)
 
 
+@_in_private_context
 def diag_operator(p: QParam, lmax: int, fn) -> OperatorMatrix:
     """Diagonal operator with entry fn(l, m)."""
-    with _high_context(p):
-        return OperatorMatrix(p, lmax, 0, {(l, l): [fn(l, m) for m in range(-l, l + 1)] for l in range(lmax + 1)})
+    return OperatorMatrix(p, lmax, 0, {(l, l): [fn(l, m) for m in range(-l, l + 1)] for l in range(lmax + 1)})
 
 
 def identity_operator(p: QParam, lmax: int) -> OperatorMatrix:
     return diag_operator(p, lmax, lambda l, m: p.one)
 
 
+@_in_private_context
 def build_generators(p: QParam, lmax: int) -> dict:
     """L0 diagonal and the ladder matrices in the positive-real gauge."""
     if lmax < 0:
@@ -235,8 +226,7 @@ def build_generators(p: QParam, lmax: int) -> dict:
     # the step out of m = l (raising) or m = -l (lowering) is zero, so the
     # shared entries sit at the front of the raising block and at the back
     # of the lowering one; l = 0 has no ladder block
-    with _high_context(p):
-        steps = {l: [p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p)) for m in range(-l, l)] for l in range(1, lmax + 1)}
+    steps = {l: [p.sqrt(qnum(l - m, p) * qnum(l + m + 1, p)) for m in range(-l, l)] for l in range(1, lmax + 1)}
     zero = _zeros(p, 1)
     return {
         "L0": diag_operator(p, lmax, lambda l, m: m * p.one),
@@ -245,17 +235,17 @@ def build_generators(p: QParam, lmax: int) -> dict:
     }
 
 
+@_in_private_context
 def build_lambda(gen: dict) -> dict:
     """The vector rebuilt from the generators: components for k = +1, 0, -1."""
     lp, lm = gen["Lplus"], gen["Lminus"]
     p, lmax = lp.p, lp.lmax
-    with _high_context(p):
-        s = p.sqrt(1 / qnum(2, p))
-        qml0 = diag_operator(p, lmax, lambda l, m: p.power(-m))
-        lam_p = (qml0 @ lp).scaled(-s)
-        lam_m = (qml0 @ lm).scaled(s)
-        two = qnum(2, p)
-        lam_0 = (lp @ lm).scaled(p.q / two) + (lm @ lp).scaled(-1 / (p.q * two))
+    s = p.sqrt(1 / qnum(2, p))
+    qml0 = diag_operator(p, lmax, lambda l, m: p.power(-m))
+    lam_p = (qml0 @ lp).scaled(-s)
+    lam_m = (qml0 @ lm).scaled(s)
+    two = qnum(2, p)
+    lam_0 = (lp @ lm).scaled(p.q / two) + (lm @ lp).scaled(-1 / (p.q * two))
     return {1: lam_p, 0: lam_0, -1: lam_m}
 
 
@@ -270,6 +260,7 @@ def build_invariant_c(lam: dict) -> OperatorMatrix:
     return qm2l0 + lam[0].scaled(p.lam)
 
 
+@_in_private_context
 def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     """Coefficient of |l+1, m+k> in the position component k applied to |l, m>.
 
@@ -277,9 +268,6 @@ def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     the value forced by the conjugation pair with the k = +1 component; it
     is also the value the integral cross-check reproduces.
     """
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return position_coeff_upper(p, l, m, k)
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l + 3, p)
     if k in (1, -1):
@@ -289,15 +277,13 @@ def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
 
 
+@_in_private_context
 def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     """Coefficient of |l-1, m+k> in the position component k applied to |l, m>.
 
     The k = 0 coefficient is positive: the k = 0 component is self-adjoint,
     so its lower coefficient must equal the upper one a row down.
     """
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return position_coeff_lower(p, l, m, k)
     two = qnum(2, p)
     d = qnum(2 * l + 1, p) * qnum(2 * l - 1, p)
     if k in (1, -1):
@@ -307,25 +293,25 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
 
 
+@_in_private_context
 def build_position(p: QParam, lmax: int) -> dict:
     """Unit-sphere position components; bandwidth one in l, zero diagonal."""
     if lmax < 1:
         raise ValueError("position matrices need lmax >= 1")
     zero = p.zero
     out = {}
-    with _high_context(p):
-        for k in (1, 0, -1):
-            # per l the upper block (l+1, l), then the lower block (l-1, l),
-            # which is zero where |m + k| > l - 1
-            blocks = {}
-            for l in range(lmax + 1):
-                if l < lmax:
-                    blocks[(l + 1, l)] = [position_coeff_upper(p, l, m, k) for m in range(-l, l + 1)]
-                if l > 0:
-                    blocks[(l - 1, l)] = [
-                        position_coeff_lower(p, l, m, k) if abs(m + k) < l else zero for m in range(-l, l + 1)
-                    ]
-            out[k] = OperatorMatrix(p, lmax, k, blocks)
+    for k in (1, 0, -1):
+        # per l the upper block (l+1, l), then the lower block (l-1, l),
+        # which is zero where |m + k| > l - 1
+        blocks = {}
+        for l in range(lmax + 1):
+            if l < lmax:
+                blocks[(l + 1, l)] = [position_coeff_upper(p, l, m, k) for m in range(-l, l + 1)]
+            if l > 0:
+                blocks[(l - 1, l)] = [
+                    position_coeff_lower(p, l, m, k) if abs(m + k) < l else zero for m in range(-l, l + 1)
+                ]
+        out[k] = OperatorMatrix(p, lmax, k, blocks)
     return out
 
 
@@ -352,42 +338,42 @@ def build_partial(p: QParam, lmax: int, method: str = COMPOSED) -> dict:
     return _partial_composed(x, lam, build_invariant_c(lam))
 
 
+@_in_private_context
 def _partial_composed(x: dict, lam: dict, c: OperatorMatrix) -> dict:
     """The COMPOSED route from the position, angular and invariant operators."""
     p, q = c.p, c.p.q
-    with _high_context(p):
-        d1 = (x[1] @ lam[0]).scaled(1 / q) + (x[0] @ lam[1]).scaled(-q) + x[1] @ c
-        d0 = x[1] @ lam[-1] + (x[0] @ lam[0]).scaled(-p.lam) - x[-1] @ lam[1] + x[0] @ c
-        dm1 = (x[-1] @ lam[0]).scaled(-q) + (x[0] @ lam[-1]).scaled(1 / q) + x[-1] @ c
+    d1 = (x[1] @ lam[0]).scaled(1 / q) + (x[0] @ lam[1]).scaled(-q) + x[1] @ c
+    d0 = x[1] @ lam[-1] + (x[0] @ lam[0]).scaled(-p.lam) - x[-1] @ lam[1] + x[0] @ c
+    dm1 = (x[-1] @ lam[0]).scaled(-q) + (x[0] @ lam[-1]).scaled(1 / q) + x[-1] @ c
     return {1: d1, 0: d0, -1: dm1}
 
 
+@_in_private_context
 def _partial_elements(x: dict) -> dict:
     """The MATRIX_ELEMENTS route: the position blocks, rescaled per l."""
     p = x[0].p
     two = qnum(2, p)
     out = {}
-    with _high_context(p):
-        for k in (1, 0, -1):
-            d = OperatorMatrix(p, x[k].lmax, k)
-            for (lo, li), blk in x[k].blocks.items():
-                if lo == li + 1:
-                    s = qnum(2 * li + 2, p) / two
-                elif lo == li - 1:
-                    s = -qnum(2 * li, p) / two
-                else:
-                    continue
-                d.blocks[(lo, li)] = [v * s for v in blk]
-            out[k] = d
+    for k in (1, 0, -1):
+        d = OperatorMatrix(p, x[k].lmax, k)
+        for (lo, li), blk in x[k].blocks.items():
+            if lo == li + 1:
+                s = qnum(2 * li + 2, p) / two
+            elif lo == li - 1:
+                s = -qnum(2 * li, p) / two
+            else:
+                continue
+            d.blocks[(lo, li)] = [v * s for v in blk]
+        out[k] = d
     return out
 
 
+@_in_private_context
 def scalar_product(u: dict, v: dict) -> OperatorMatrix:
     """Rank-zero contraction of two vector triples:
     -(1/q) u_1 v_-1 + u_0 v_0 - q u_-1 v_1."""
     p = u[0].p
-    with _high_context(p):
-        return (u[1] @ v[-1]).scaled(-1 / p.q) + u[0] @ v[0] + (u[-1] @ v[1]).scaled(-p.q)
+    return (u[1] @ v[-1]).scaled(-1 / p.q) + u[0] @ v[0] + (u[-1] @ v[1]).scaled(-p.q)
 
 
 # ----------------------------- verification engine -----------------------------
@@ -446,15 +432,15 @@ def _vector_condition_pairs(gen: dict, triple: dict) -> list:
     return pairs
 
 
+@_in_private_context
 def transverse_square_candidates(l: int, p: QParam) -> dict:
     """Candidate closed forms for the diagonal of the contracted transverse
     derivative, keyed by formula."""
     inv = invariants(l, p)
     two = qnum(2, p)
-    with _high_context(p):
-        printed = -(qnum(2 * l, p) * qnum(2 * l + 1, p) / (two * two) + inv.c ** 2)
-        with_cross = -(inv.Cprime + inv.c ** 2 - inv.c)
-        consistent = -(inv.Cprime + inv.c ** 2)
+    printed = -(qnum(2 * l, p) * qnum(2 * l + 1, p) / (two * two) + inv.c ** 2)
+    with_cross = -(inv.Cprime + inv.c ** 2 - inv.c)
+    consistent = -(inv.Cprime + inv.c ** 2)
     return {
         "-([2l][2l+1]/[2]^2 + c_l^2)": printed,
         "-([2l][2l+2]/[2]^2 + c_l^2 - c_l)": with_cross,
@@ -462,6 +448,7 @@ def transverse_square_candidates(l: int, p: QParam) -> dict:
     }
 
 
+@_in_private_context
 def verify_algebra(
     p: QParam, lmax: int, tol: float = 1e-10, interior_lmax: int | None = None, inject_fault: bool = False
 ) -> VerifyReport:
@@ -481,12 +468,6 @@ def verify_algebra(
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
     interior = lmax - 2 if interior_lmax is None else interior_lmax
-    with _high_context(p):
-        return _run_catalogue(p, lmax, tol, interior, inject_fault)
-
-
-def _run_catalogue(p: QParam, lmax: int, tol: float, interior: int, inject_fault: bool) -> VerifyReport:
-    """verify_algebra's catalogue, in the calling thread's number context."""
     q = p.q
     gen = build_generators(p, lmax)
     l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]

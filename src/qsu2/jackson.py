@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from .angular import AngularFunction, _nanmax
-from .qcore import QParam, _decimal, _high_context, qnum
+from .qcore import QParam, _decimal, _in_private_context, qnum
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
@@ -116,6 +116,7 @@ def _over_qnum(c, k: int, p: QParam):
         return c * (1 / b - b) * b ** k / (1 - b ** (2 * k))
 
 
+@_in_private_context
 def integrate_monomial(n: int, mu: QMeasure):
     """Integral of x0**n over (-1, 1): (1 + (-1)**n)/[n+1].
 
@@ -128,10 +129,9 @@ def integrate_monomial(n: int, mu: QMeasure):
     p = mu.p
     if n % 2 == 1:
         return p.zero
-    with _high_context(p):
-        if mu.series_depth is not None:
-            return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
-        return _over_qnum(2, n + 1, p)
+    if mu.series_depth is not None:
+        return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
+    return _over_qnum(2, n + 1, p)
 
 
 def _moments(m: int, nmax: int, b) -> list:
@@ -198,7 +198,7 @@ def _decimal_digits(f: AngularFunction, g: AngularFunction) -> int:
     """SUM_GUARD_DIGITS plus the decimal exponent of max|a_i| * max|b_j|
     when it is positive: the sum then keeps ~1e-20 absolute accuracy.
     Double precision only, so it reads the magnitudes directly rather than
-    through max_abs and its high-precision guard."""
+    through max_abs and its private-context decorator."""
     bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
     return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
 
@@ -224,8 +224,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     if f.m != g.m or f.is_zero or g.is_zero:
         return p.zero
     if p.is_high:
-        with _high_context(p):
-            return _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)[0]
+        return _high_inner_product(f, g, mu)
     dec = _decimal()
     with dec.localcontext() as ctx:
         ctx.prec = _decimal_digits(f, g)
@@ -237,6 +236,13 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     return complex(re, im)
 
 
+@_in_private_context
+def _high_inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
+    """inner_product in high precision, where coefficients are real."""
+    p = mu.p
+    return _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)[0]
+
+
 @dataclass(frozen=True)
 class ConvergenceProbe:
     n: int
@@ -246,6 +252,7 @@ class ConvergenceProbe:
     depth_for_1e12: int | None
 
 
+@_in_private_context
 def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 400)) -> ConvergenceProbe:
     """Partial sums of the discrete half-line integral versus 1/[n+1].
 
@@ -259,13 +266,12 @@ def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 40
     want = sorted(depths)
     rows = []
     hit = None
-    with _high_context(p):
-        limit = _over_qnum(1, n + 1, p)
-        for d, (s,) in enumerate(_running_sums([n], p.q)):
-            while want and want[0] <= d:
-                rows.append((want.pop(0), float(s), float(abs(s - limit))))
-            if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:
-                hit = d
-            if not want and (hit is not None or d >= cap):
-                break
+    limit = _over_qnum(1, n + 1, p)
+    for d, (s,) in enumerate(_running_sums([n], p.q)):
+        while want and want[0] <= d:
+            rows.append((want.pop(0), float(s), float(abs(s - limit))))
+        if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:
+            hit = d
+        if not want and (hit is not None or d >= cap):
+            break
     return ConvergenceProbe(n=n, q=float(p.q), limit=float(limit), rows=tuple(rows), depth_for_1e12=hit)

@@ -11,14 +11,16 @@ Two numeric backends are supported per ``QParam``: plain double precision
 significant digits, with no exponent limit.  The high mode exists for
 oracle runs: identity residuals that are pure rounding noise drop by many
 orders of magnitude there, residuals that stay put are real.  Decimal
-arithmetic rounds at the calling thread's context, so every public entry
-point that computes in high precision runs under ``_high_context(p)``,
-which installs one private context for the call and the caller's own one
-afterwards: results do not depend on the caller's context, and that
-context is the same after the call.  Double precision pays nothing for
-this on its hot paths (see ``_high_context``).  ``decimal`` is imported
-when the first high-precision ``QParam`` is built (or by the first
-double-precision inner product, see ``jackson``), so importing the package
+arithmetic rounds at the calling thread's context, and this module is the
+only one that knows it: every public function and method that computes in
+high precision is decorated with ``_in_private_context``, which installs
+one private context for the call and the caller's own one afterwards, so
+results do not depend on the caller's context, in any thread, and that
+context is the same after the call.  In double precision the decorator
+costs a call and a flag test; a call made inside the private context
+costs one identity test more.  ``decimal`` is imported when the first
+high-precision ``QParam`` is built (or by the first double-precision
+inner product, see ``jackson``), so importing the package
 loads neither it nor any third-party module.
 
 Every identity downstream is built from a handful of q-numbers [n] and
@@ -33,9 +35,8 @@ with its ``QParam``, so nothing is shared between parameters or calls.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 
 DOUBLE = "double"
 HIGH = "high"
@@ -45,7 +46,17 @@ HIGH_PRECISION_DIGITS = 62
 # pi to 80 significant digits, rounded to HIGH_PRECISION_DIGITS on use
 _PI_DIGITS = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090"
 
-_NO_CONTEXT = nullcontext()
+# bound by _private_context when it builds the private context
+_CTX = _setcontext = None
+
+
+def _getcontext():
+    """``decimal.getcontext``, which ``_private_context`` binds in place of
+    this function.  Until then the first high-precision call, whether it
+    builds a ``QParam`` or uses an unpickled one, lands here and builds the
+    private context."""
+    _private_context()
+    return _getcontext()
 
 
 @cache
@@ -67,49 +78,59 @@ def _private_context():
     comparison with a NaN is false instead of raising and a NaN fails its
     verification row the way it does in double precision.
     """
+    global _CTX, _getcontext, _setcontext
     dec = _decimal()
-    return dec.Context(
+    _getcontext, _setcontext = dec.getcontext, dec.setcontext
+    _CTX = dec.Context(
         prec=HIGH_PRECISION_DIGITS, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
         traps=[dec.DivisionByZero, dec.Overflow],
     )
+    return _CTX
 
 
-def _in_high_context() -> bool:
-    """Whether the calling thread computes in the private context already."""
-    return _decimal().getcontext() is _private_context()
+def _in_private_context(f):
+    """Decorator: f computes in the private context when its QParam is high
+    precision, and the caller's own context is installed again afterwards,
+    also when f raises.
 
-
-class _HighContext:
-    """Installs the private context as the calling thread's decimal context
-    for the body, and the caller's own one again afterwards, also when the
-    body raises.  The private context is installed itself, not a copy, so
-    that ``_in_high_context`` is one identity test; nothing inside changes
-    its settings, and its flags, shared by every call, are never read."""
-
-    __slots__ = ("_saved",)
-
-    def __enter__(self):
-        dec = _decimal()
-        self._saved = dec.getcontext()
-        dec.setcontext(_private_context())
-
-    def __exit__(self, *exc):
-        _decimal().setcontext(self._saved)
-
-
-def _high_context(p: "QParam"):
-    """``with _high_context(p):`` computes its body in the private context
-    when p is high precision; it does nothing in double precision or when
-    the thread is in the private context already.
-
-    Functions called many times per verification skip even the no-op
-    ``with`` in double precision: they begin with
-    ``if p.is_high and not _in_high_context():`` and then call themselves
-    again inside ``with _high_context(p):``.
+    The QParam is found from f's signature, once: the argument ``p``; on
+    the methods of ``QParam`` itself, ``self``; otherwise ``.p`` of the
+    first of the arguments ``self``, ``f`` and ``mu``, or else of the first
+    value of the dict of operators that f takes first.  The private context
+    is installed itself, not a copy, so that a call made inside it is told
+    by one identity test and runs f directly.  Nothing inside changes its
+    settings, and its flags, shared by every call, are never read.
     """
-    if p.is_high and not _in_high_context():
-        return _HighContext()
-    return _NO_CONTEXT
+    names = f.__code__.co_varnames[: f.__code__.co_argcount]
+    owners = [n for n in names if n in ("self", "f", "mu")]
+    of_owner = of_ops = False
+    if "p" in names:
+        name = "p"
+    elif f.__qualname__.startswith("QParam."):
+        name = "self"
+    elif owners:
+        name, of_owner = owners[0], True
+    else:
+        name, of_ops = names[0], True
+    i = names.index(name)
+
+    @wraps(f)
+    def run(*args, **kwargs):
+        p = args[i] if len(args) > i else kwargs[name]
+        if of_owner:
+            p = p.p
+        elif of_ops:
+            p = next(iter(p.values())).p
+        if not p.is_high or _getcontext() is _CTX:
+            return f(*args, **kwargs)
+        saved = _getcontext()
+        _setcontext(_CTX)
+        try:
+            return f(*args, **kwargs)
+        finally:
+            _setcontext(saved)
+
+    return run
 
 
 @cache
@@ -144,19 +165,23 @@ class QParam:
         if self.precision not in (DOUBLE, HIGH):
             raise ValueError(f"unknown precision {self.precision!r}")
         object.__setattr__(self, "is_high", self.precision == HIGH)
-        with _high_context(self):
-            try:
-                # Decimal(float) is exact, as is float(float)
-                q = _decimal().Decimal(self.q) if self.is_high else float(self.q)
-                ok = q.is_finite() if self.is_high else math.isfinite(q)
-            except (TypeError, ValueError, ArithmeticError):
-                raise ValueError(f"q must be a positive real number, got {self.q!r}") from None
-            if not (ok and q > 0):
-                raise ValueError(f"q must be a positive real number, got {self.q!r}")
-            object.__setattr__(self, "q", q)
-            object.__setattr__(self, "lam", q - 1 / q)
-            object.__setattr__(self, "one", q ** 0)
-            object.__setattr__(self, "zero", 0 * self.one)
+        self._set_numbers()
+
+    @_in_private_context
+    def _set_numbers(self):
+        """q as a number of the backend, and lam, one and zero formed from it."""
+        try:
+            # Decimal(float) is exact, as is float(float)
+            q = _decimal().Decimal(self.q) if self.is_high else float(self.q)
+            ok = q.is_finite() if self.is_high else math.isfinite(q)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"q must be a positive real number, got {self.q!r}") from None
+        if not (ok and q > 0):
+            raise ValueError(f"q must be a positive real number, got {self.q!r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "lam", q - 1 / q)
+        object.__setattr__(self, "one", q ** 0)
+        object.__setattr__(self, "zero", 0 * self.one)
 
     @property
     def is_one(self) -> bool:
@@ -187,9 +212,9 @@ class QParam:
         in double precision, a Decimal in high precision."""
         return _decimal().Decimal(x) if self.is_high else float(x)
 
+    @_in_private_context
     def reciprocal(self) -> "QParam":
-        with _high_context(self):
-            return QParam(1 / self.q, self.precision)
+        return QParam(1 / self.q, self.precision)
 
     def power(self, e: int):
         """q**e for an integer e, from the table; an overflow is raised and
@@ -198,9 +223,12 @@ class QParam:
         try:
             return self._table[key]
         except KeyError:
-            with _high_context(self):
-                val = self._table[key] = self.q ** e
+            val = self._table[key] = self._power(e)
             return val
+
+    @_in_private_context
+    def _power(self, e: int):
+        return self.q ** e
 
 
 def qnum(n, p: QParam):
@@ -220,10 +248,8 @@ def qnum(n, p: QParam):
         return val
 
 
+@_in_private_context
 def _qnum(n, p: QParam):
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return _qnum(n, p)
     if isinstance(n, float):
         n = p.number(n)
     if p.is_one:
@@ -231,6 +257,7 @@ def _qnum(n, p: QParam):
     return (p.q ** n - p.q ** (-n)) / p.lam
 
 
+@_in_private_context
 def qnum_base2(e2, p: QParam):
     """q-number with base q**2 evaluated at half-index e2/2.
 
@@ -238,35 +265,28 @@ def qnum_base2(e2, p: QParam):
     qnum_base2(2*x, p) is the base-q**2 q-number of x.  Used by the
     terminating hypergeometric series, whose parameters are half-integers.
     """
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return qnum_base2(e2, p)
     if p.is_one:
         return e2 * p.one / 2
     q2 = p.q * p.q
     return (p.power(e2) - p.power(-e2)) / (q2 - 1 / q2)
 
 
+@_in_private_context
 def qfactorial(n: int, p: QParam):
     """[n]! = [n][n-1]...[1] with the empty-product convention [0]! = 1."""
     if n != int(n) or n < 0:
         raise ValueError(f"q-factorial requires an integer n >= 0, got {n!r}")
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return qfactorial(n, p)
     out = p.one
     for k in range(1, int(n) + 1):
         out = out * qnum(k, p)
     return out
 
 
+@_in_private_context
 def qdouble_factorial(n: int, p: QParam):
     """[n]!! = [n][n-2]... with [0]!! = [-1]!! = 1; rejects n < -1."""
     if n != int(n) or n < -1:
         raise ValueError(f"q-double-factorial requires an integer n >= -1, got {n!r}")
-    if p.is_high and not _in_high_context():
-        with _high_context(p):
-            return qdouble_factorial(n, p)
     out = p.one
     k = int(n)
     while k >= 1:
@@ -285,6 +305,7 @@ class InvariantSet:
     c: float
 
 
+@_in_private_context
 def invariants(l: int, p: QParam) -> InvariantSet:
     """Eigenvalues C = [l][l+1], C' = [2l][2l+2]/[2]**2 and the third
     invariant c = (q**(2l+1) + q**(-2l-1))/[2].
@@ -298,12 +319,11 @@ def invariants(l: int, p: QParam) -> InvariantSet:
     l = int(l)
     if l == 0:
         return InvariantSet(l=0, C=p.zero, Cprime=p.zero, c=p.one)
-    with _high_context(p):
-        if p.is_one:
-            cl = l * (l + 1) * p.one
-            return InvariantSet(l=l, C=cl, Cprime=cl, c=p.one)
-        two = qnum(2, p)
-        C = qnum(l, p) * qnum(l + 1, p)
-        Cprime = qnum(2 * l, p) * qnum(2 * l + 2, p) / (two * two)
-        c = (p.power(2 * l + 1) + p.power(-2 * l - 1)) / two
+    if p.is_one:
+        cl = l * (l + 1) * p.one
+        return InvariantSet(l=l, C=cl, Cprime=cl, c=p.one)
+    two = qnum(2, p)
+    C = qnum(l, p) * qnum(l + 1, p)
+    Cprime = qnum(2 * l, p) * qnum(2 * l + 2, p) / (two * two)
+    c = (p.power(2 * l + 1) + p.power(-2 * l - 1)) / two
     return InvariantSet(l=l, C=C, Cprime=Cprime, c=c)

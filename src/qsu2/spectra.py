@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .jackson import QMeasure, integrate_monomial
-from .qcore import QParam, _high_context, invariants
+from .qcore import QParam, _in_private_context, invariants
 
 COULOMB = "coulomb"
 OSCILLATOR = "oscillator"
@@ -61,11 +61,11 @@ class SpectrumEntry:
     E: float
 
 
+@_in_private_context
 def centrifugal_rhs(l: int, p: QParam):
     """Right side of the quadratic fixing the effective angular number."""
     inv = invariants(l, p)
-    with _high_context(p):
-        return inv.Cprime + inv.c * inv.c - inv.c
+    return inv.Cprime + inv.c * inv.c - inv.c
 
 
 def solve_l(l: int, p: QParam):
@@ -80,17 +80,18 @@ def solve_l(l: int, p: QParam):
     return _root_l(centrifugal_rhs(l, p), l, p)
 
 
+@_in_private_context
 def _root_l(rhs, l: int, p: QParam):
     """solve_l's root from the right side rhs already formed."""
     if rhs < 0:
-        raise ArithmeticError(f"centrifugal strength came out negative ({rhs}) at l={l}, q={p.q}")
-    with _high_context(p):
-        L = (-1 + p.sqrt(1 + 4 * rhs)) / 2
+        raise ArithmeticError(f"centrifugal strength came out negative ({float(rhs)}) at l={l}, q={float(p.q)}")
+    L = (-1 + p.sqrt(1 + 4 * rhs)) / 2
     if not math.isfinite(L):
-        raise ArithmeticError(f"effective angular number is not finite in double precision at l={l}, q={p.q}")
+        raise ArithmeticError(f"effective angular number is not finite in double precision at l={l}, q={float(p.q)}")
     return L
 
 
+@_in_private_context
 def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
     if n != int(n) or n < 0 or l != int(l) or l < 0:
         raise ValueError(f"quantum numbers must be nonnegative integers, got n={n!r}, l={l!r}")
@@ -98,16 +99,17 @@ def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
         raise ValueError(f"unknown potential {potential!r}")
     rhs = centrifugal_rhs(l, p)
     L = _root_l(rhs, l, p)
-    with _high_context(p):
-        if potential == COULOMB:
-            E = -1 / (2 * (n + L + 1) ** 2)
-            signed = float(E) < 0
-        else:
-            E = 2 * n + L + 3 * p.one / 2
-            signed = float(E) > 0
-        consistent = abs(L * (L + 1) - rhs) <= 1e-12 * max(1.0, abs(float(rhs)))
+    if potential == COULOMB:
+        E = -1 / (2 * (n + L + 1) ** 2)
+        signed = float(E) < 0
+    else:
+        E = 2 * n + L + 3 * p.one / 2
+        signed = float(E) > 0
+    consistent = abs(L * (L + 1) - rhs) <= 1e-12 * max(1.0, abs(float(rhs)))
     if not (signed and consistent):
-        raise ArithmeticError(f"{potential} level n={n}, l={l} is out of double range at q={p.q}: L={L}, E={E}")
+        raise ArithmeticError(
+            f"{potential} level n={n}, l={l} is out of double range at q={float(p.q)}: L={float(L)}, E={float(E)}"
+        )
     return SpectrumEntry(potential=potential, n=int(n), l=int(l), q=float(p.q), L=float(L), E=float(E))
 
 
@@ -527,6 +529,7 @@ class MultipoleReport:
     higher_even_poles_nonzero: bool
 
 
+@_in_private_context
 def multipole_report(p: QParam) -> MultipoleReport:
     """Moments of the angle-independent state.
 
@@ -535,9 +538,8 @@ def multipole_report(p: QParam) -> MultipoleReport:
     even multipole is nonzero as soon as q differs from 1.
     """
     mu = QMeasure(p)
-    with _high_context(p):
-        val = integrate_monomial(2, mu) / integrate_monomial(0, mu)
-        dev = val - p.one / 3
+    val = integrate_monomial(2, mu) / integrate_monomial(0, mu)
+    dev = val - p.one / 3
     return MultipoleReport(
         q=float(p.q),
         x0_sq_expectation=float(val),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -98,6 +99,11 @@ def test_usage_errors():
     assert main(["spectrum", "--potential", "coulomb", "--q", "-1"]) == 2
     assert main(["spectrum", "--potential", "coulomb", "--q", "1", "--lmax", "100"]) == 2
     assert main(["bogus"]) == 2
+    # a tolerance no residual can fail, or none can pass, is refused before any work
+    for tol in ("inf", "nan", "0", "-1e-10"):
+        for fmt in ("json", "csv"):
+            argv = ["verify", "--inject-fault", "--q", "1.3", "--lmax", "4", "--tol", tol, "--format", fmt]
+            assert main(argv) == 2, argv
 
 
 def test_harmonics_dump(tmp_path):
@@ -201,6 +207,12 @@ def test_spectrum_out_of_double_range():
     proc = subprocess.run([sys.executable, "-O", "-m", "qsu2.cli", *args], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == b""
+    # high precision reports the same level with every number as a double
+    args = ["spectrum", "--potential", "coulomb", "--q", "50.3", "--lmax", "64", "--precision", "high"]
+    proc = subprocess.run([sys.executable, "-m", "qsu2.cli", *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "q=50.3:" in proc.stderr and not re.search(r"\d{20}", proc.stderr), proc.stderr
 
 
 FRESH_INTERPRETER_RUNS = """

@@ -1,6 +1,11 @@
 import dataclasses
 import decimal
 import math
+import os
+import pickle
+import subprocess
+import sys
+import threading
 from decimal import Decimal
 
 import pytest
@@ -19,7 +24,7 @@ from qsu2 import (
     qfactorial,
     qnum,
 )
-from qsu2.qcore import _high_context
+from qsu2.qcore import _private_context
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
 # the defining ratio loses ~1/|q-1| digits of the 1e-12 budget to rounding
@@ -152,7 +157,7 @@ def test_high_precision_mode():
     q = p.q
     # the reference sum rounds at the calling thread's context, so it is
     # formed in the private 62-digit one
-    with _high_context(p):
+    with decimal.localcontext(_private_context()):
         assert abs(q ** 4 + q ** 2 + 1 + q ** -2 + q ** -4 - qnum(5, p)) < 1e-40
     pd = QParam(1.3)
     for l in range(5):
@@ -208,7 +213,7 @@ def test_table_entries_equal_the_direct_formulas():
             p = QParam(q, precision)
             qq = p.q
             # the direct formulas are evaluated in the backend's own context
-            with _high_context(p):
+            with decimal.localcontext(_private_context() if p.is_high else None):
                 assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
                 for n in range(-12, 13):
                     direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
@@ -371,3 +376,36 @@ def test_high_precision_restores_the_callers_context_when_it_raises():
         with pytest.raises(ArithmeticError, match="remainder"):
             qsu2.apply_lplus(f)
         assert decimal.getcontext() is ctx and ctx.prec == 10
+
+
+def test_high_precision_in_two_threads():
+    # decimal contexts are per thread: two threads with their own precisions
+    # both compute in the private context and each keeps its own afterwards
+    want = qsu2.verify_algebra(QParam(0.7, "high"), 4).to_payload()
+    start = threading.Barrier(2, timeout=60)
+    got = {}
+
+    def run(prec):
+        decimal.getcontext().prec = prec
+        start.wait()
+        payload = qsu2.verify_algebra(QParam(0.7, "high"), 4).to_payload()
+        got[prec] = payload, decimal.getcontext().prec
+
+    threads = [threading.Thread(target=run, args=(prec,)) for prec in (10, 40)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert got == {10: (want, 10), 40: (want, 40)}
+
+
+def test_unpickled_high_precision_parameter_in_a_fresh_interpreter(tmp_path):
+    # unpickling skips construction, so the first call builds the private context
+    path = tmp_path / "p.pkl"
+    path.write_bytes(pickle.dumps(QParam(1.3, "high")))
+    code = f"import pickle; from qsu2 import qnum; print(qnum(3, pickle.loads(open({str(path)!r}, 'rb').read())))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsu2.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert Decimal(proc.stdout) == qnum(3, QParam(1.3, "high"))
