@@ -17,8 +17,8 @@ the right.  Every operation here is closed on this family:
 Coefficients are plain floats/complex in double mode and real Decimals in
 high precision mode; all scalar arithmetic is routed through QParam, and
 every public function and method that computes is decorated with
-``qcore._in_private_context``, so its high-precision arithmetic runs in the
-private decimal context.
+``qcore._in_private_context``, so it computes in the private decimal
+context in either precision, whatever the caller's context is.
 """
 
 from __future__ import annotations

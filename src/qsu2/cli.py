@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .angular import build_phi, hypergeom_phi, normalization_constant
@@ -90,10 +91,26 @@ def _write(ns: argparse.Namespace, columns: list, rows: list, extra: dict | None
     }
     text = _emit(ns.fmt, columns, rows, meta, extra)
     if ns.out:
-        with open(ns.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {ns.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+@contextmanager
+def _in_double_range(ns: argparse.Namespace, qv: float):
+    """Report a float overflow in the work at q=qv as a range error that
+    names q and the size asked for: lmax, or the degree for integrate."""
+    try:
+        yield
+    except OverflowError:
+        size = f"degree {ns.degree}" if ns.command == "integrate" else f"lmax {ns.lmax}"
+        raise ArithmeticError(
+            f"{size} is out of double range at q={qv}: a q-power or q-number overflows"
+        ) from None
 
 
 # ----------------------------- commands -----------------------------
@@ -101,7 +118,9 @@ def _write(ns: argparse.Namespace, columns: list, rows: list, extra: dict | None
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     rows = []
     for qv in sorted(ns.q):
-        for e in spectrum_table(ns.potential, QParam(qv, ns.precision), ns.nmax, ns.lmax):
+        with _in_double_range(ns, qv):
+            table = spectrum_table(ns.potential, QParam(qv, ns.precision), ns.nmax, ns.lmax)
+        for e in table:
             rows.append(
                 {"potential": e.potential, "q": e.q, "n": e.n, "l": e.l, "L": e.L, "E": e.E}
             )
@@ -118,9 +137,10 @@ def cmd_harmonics(ns: argparse.Namespace) -> int:
         p = QParam(qv, ns.precision)
         for l in range(ns.lmax + 1):
             for m in range(l + 1):
-                phi = builder(l, m, p)
+                with _in_double_range(ns, qv):
+                    phi = builder(l, m, p)
+                    norm = float(normalization_constant(l, m, p))
                 coeffs = {k: float(phi.coeffs[k]) for k in sorted(phi.coeffs)}
-                norm = float(normalization_constant(l, m, p))
                 if not all(map(math.isfinite, (norm, *coeffs.values()))):
                     raise ArithmeticError(f"harmonic l={l}, m={m} is not finite in double precision at q={qv}")
                 for k, a in coeffs.items():
@@ -134,12 +154,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     findings = {}
     verdicts = []
     for qv in sorted(ns.q):
-        try:
+        with _in_double_range(ns, qv):
             rep = verify_algebra(QParam(qv, ns.precision), ns.lmax, ns.tolerance, inject_fault=ns.inject_fault)
-        except OverflowError:
-            raise ArithmeticError(
-                f"lmax {ns.lmax} is out of double range at q={qv}: a q-power or q-number overflows"
-            ) from None
         findings[format(float(qv), ".15g")] = rep.finding
         verdicts.append(rep.passed)
         for c in sorted(rep.checks, key=lambda c: (c.group, c.name)):
@@ -155,20 +171,21 @@ def cmd_integrate(ns: argparse.Namespace) -> int:
         raise ValueError("series integration requires every q < 1")
     rows = []
     for qv in sorted(ns.q):
-        p = QParam(qv, ns.precision)
-        closed = float(integrate_monomial(ns.degree, QMeasure(p)))
-        if closed == 0 and ns.degree % 2 == 0:
-            raise ArithmeticError(
-                f"degree {ns.degree} is out of double range at q={qv}: 2/[{ns.degree + 1}] underflows"
-            )
-        row = {"q": float(qv), "n": ns.degree, "closed_form": closed,
-               "series": None, "depth": None, "depth_for_1e12": None}
-        if qv < 1:
-            probe = series_convergence_probe(ns.degree, p)
-            depth = 200 if ns.series_depth is None else ns.series_depth
-            row["series"] = float(integrate_monomial(ns.degree, QMeasure(p, series_depth=depth)))
-            row["depth"] = depth
-            row["depth_for_1e12"] = probe.depth_for_1e12
+        with _in_double_range(ns, qv):
+            p = QParam(qv, ns.precision)
+            closed = float(integrate_monomial(ns.degree, QMeasure(p)))
+            if closed == 0 and ns.degree % 2 == 0:
+                raise ArithmeticError(
+                    f"degree {ns.degree} is out of double range at q={qv}: 2/[{ns.degree + 1}] underflows"
+                )
+            row = {"q": float(qv), "n": ns.degree, "closed_form": closed,
+                   "series": None, "depth": None, "depth_for_1e12": None}
+            if qv < 1:
+                probe = series_convergence_probe(ns.degree, p)
+                depth = 200 if ns.series_depth is None else ns.series_depth
+                row["series"] = float(integrate_monomial(ns.degree, QMeasure(p, series_depth=depth)))
+                row["depth"] = depth
+                row["depth_for_1e12"] = probe.depth_for_1e12
         rows.append(row)
     _write(ns, ["q", "n", "closed_form", "series", "depth", "depth_for_1e12"], rows)
     return 0

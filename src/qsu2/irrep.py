@@ -8,8 +8,8 @@ by (l_out, l_in) is one vector over m_in.  The vectors are plain Python
 lists, at most 2 lmax + 1 long, of floats or Decimals, and the algebra
 on them is list arithmetic: numpy is imported only for the dense block()
 view, so verification runs without it.  Every public builder and method
-that computes is decorated with ``qcore._in_private_context``, so its
-high-precision arithmetic runs in the private decimal context.
+that computes is decorated with ``qcore._in_private_context``, so it
+computes in the private decimal context in either precision.
 Identities are asserted only on interior blocks (l <= lmax - 2), which
 are unreachable from truncation artifacts because no tested identity
 composes more than two bandwidth-one operators.

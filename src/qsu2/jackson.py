@@ -31,11 +31,11 @@ b**(2k-2) and E = (|m| + 1 + m) n + 2|m|, whose factors are positive and
 bounded: nothing cancels or overflows at any q, and the cost is O(|m|)
 per moment whatever the grid depth.
 
-Double precision forms the sum in stdlib decimal (imported on the first
-double-precision inner product), at 20 digits plus the decimal exponent
-of max|a_i| * max|b_j|, in a local decimal context, and rounds once at the
-end.  High precision sums in the QParam's own arithmetic, Decimal in the
-private 62-digit context.
+Double precision forms the sum in stdlib decimal, at 20 digits plus the
+decimal exponent of max|a_i| * max|b_j|, in a copy of qcore's private
+context, never of the caller's, and rounds once at the end.  High
+precision sums in the QParam's own arithmetic, Decimal in the private
+62-digit context.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from .angular import AngularFunction, _nanmax
-from .qcore import QParam, _decimal, _in_private_context, qnum
+from .qcore import QParam, _decimal, _in_private_context, _private_context, qnum
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
@@ -212,8 +212,8 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     docstring (or, for a series measure, their depth-D grid sums).
 
     In double precision the moments and the sum are formed in decimal, in
-    a local context at 20 digits plus the decimal exponent of
-    max|a_i| * max|b_j|; coefficients convert exactly and the result is
+    a copy of the private context at 20 digits plus the decimal exponent
+    of max|a_i| * max|b_j|; coefficients convert exactly and the result is
     rounded to a double once; the result is complex when a coefficient has
     an imaginary part.  In high precision, where coefficients are real,
     they are formed in the QParam's Decimal arithmetic.
@@ -226,7 +226,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     if p.is_high:
         return _high_inner_product(f, g, mu)
     dec = _decimal()
-    with dec.localcontext() as ctx:
+    with dec.localcontext(_private_context()) as ctx:
         ctx.prec = _decimal_digits(f, g)
         ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
         re, im = _moment_sum(f, g, mu, dec.Decimal, dec.Decimal(math.pi))

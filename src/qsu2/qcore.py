@@ -12,16 +12,15 @@ significant digits, with no exponent limit.  The high mode exists for
 oracle runs: identity residuals that are pure rounding noise drop by many
 orders of magnitude there, residuals that stay put are real.  Decimal
 arithmetic rounds at the calling thread's context, and this module is the
-only one that knows it: every public function and method that computes in
-high precision is decorated with ``_in_private_context``, which installs
-one private context for the call and the caller's own one afterwards, so
+only one that knows it: every public function and method that computes is
+decorated with ``_in_private_context``, which installs one private context
+for the call and the caller's own one afterwards, in either precision, so
 results do not depend on the caller's context, in any thread, and that
-context is the same after the call.  In double precision the decorator
-costs a call and a flag test; a call made inside the private context
-costs one identity test more.  ``decimal`` is imported when the first
-high-precision ``QParam`` is built (or by the first double-precision
-inner product, see ``jackson``), so importing the package
-loads neither it nor any third-party module.
+context is the same after the call.  An outermost call pays for the swap;
+a call made inside the private context pays one identity test.  The first
+``QParam`` of either precision imports ``decimal`` and builds the private
+context (an unpickled one does so at its first decorated call), so
+importing the package loads neither it nor any third-party module.
 
 Every identity downstream is built from a handful of q-numbers [n] and
 integer powers q**e, so each ``QParam`` keeps a private table of them,
@@ -52,9 +51,9 @@ _CTX = _setcontext = None
 
 def _getcontext():
     """``decimal.getcontext``, which ``_private_context`` binds in place of
-    this function.  Until then the first high-precision call, whether it
-    builds a ``QParam`` or uses an unpickled one, lands here and builds the
-    private context."""
+    this function.  Until then the first decorated call, whether it builds
+    a ``QParam`` or uses an unpickled one, lands here and builds the private
+    context."""
     _private_context()
     return _getcontext()
 
@@ -76,54 +75,34 @@ def _private_context():
     no practical range limit.  Division by zero and overflow raise; an
     invalid operation gives a quiet NaN, as in floats, so that an ordering
     comparison with a NaN is false instead of raising and a NaN fails its
-    verification row the way it does in double precision.
+    verification row the way it does in double precision.  Rounding is
+    half-even whatever ``decimal.DefaultContext`` says.
     """
     global _CTX, _getcontext, _setcontext
     dec = _decimal()
     _getcontext, _setcontext = dec.getcontext, dec.setcontext
     _CTX = dec.Context(
-        prec=HIGH_PRECISION_DIGITS, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
-        traps=[dec.DivisionByZero, dec.Overflow],
+        prec=HIGH_PRECISION_DIGITS, rounding=dec.ROUND_HALF_EVEN, Emax=dec.MAX_EMAX,
+        Emin=dec.MIN_EMIN, traps=[dec.DivisionByZero, dec.Overflow],
     )
     return _CTX
 
 
 def _in_private_context(f):
-    """Decorator: f computes in the private context when its QParam is high
-    precision, and the caller's own context is installed again afterwards,
-    also when f raises.
+    """Decorator: f computes in the private context, and the caller's own
+    context is installed again afterwards, also when f raises.
 
-    The QParam is found from f's signature, once: the argument ``p``; on
-    the methods of ``QParam`` itself, ``self``; otherwise ``.p`` of the
-    first of the arguments ``self``, ``f`` and ``mu``, or else of the first
-    value of the dict of operators that f takes first.  The private context
-    is installed itself, not a copy, so that a call made inside it is told
-    by one identity test and runs f directly.  Nothing inside changes its
-    settings, and its flags, shared by every call, are never read.
+    The private context is installed itself, not a copy, so that a call
+    made inside it is told by one identity test and runs f directly.
+    Nothing inside changes its settings, and its flags, shared by every
+    call, are never read.  The decorator reads nothing of f's arguments,
+    so it fits any signature.
     """
-    names = f.__code__.co_varnames[: f.__code__.co_argcount]
-    owners = [n for n in names if n in ("self", "f", "mu")]
-    of_owner = of_ops = False
-    if "p" in names:
-        name = "p"
-    elif f.__qualname__.startswith("QParam."):
-        name = "self"
-    elif owners:
-        name, of_owner = owners[0], True
-    else:
-        name, of_ops = names[0], True
-    i = names.index(name)
-
     @wraps(f)
     def run(*args, **kwargs):
-        p = args[i] if len(args) > i else kwargs[name]
-        if of_owner:
-            p = p.p
-        elif of_ops:
-            p = next(iter(p.values())).p
-        if not p.is_high or _getcontext() is _CTX:
-            return f(*args, **kwargs)
         saved = _getcontext()
+        if saved is _CTX:
+            return f(*args, **kwargs)
         _setcontext(_CTX)
         try:
             return f(*args, **kwargs)
@@ -161,15 +140,12 @@ class QParam:
     zero: float = field(init=False, compare=False, repr=False)
     _table: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
+    @_in_private_context
     def __post_init__(self):
+        """q as a number of the backend, and lam, one and zero formed from it."""
         if self.precision not in (DOUBLE, HIGH):
             raise ValueError(f"unknown precision {self.precision!r}")
         object.__setattr__(self, "is_high", self.precision == HIGH)
-        self._set_numbers()
-
-    @_in_private_context
-    def _set_numbers(self):
-        """q as a number of the backend, and lam, one and zero formed from it."""
         try:
             # Decimal(float) is exact, as is float(float)
             q = _decimal().Decimal(self.q) if self.is_high else float(self.q)

@@ -252,8 +252,8 @@ def test_double_precision_imports_neither_numpy_nor_mpmath(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
-    # decimal is loaded by the first double-precision inner product or
-    # high-precision QParam, not at start-up
+    # decimal is loaded by the first QParam, of either precision, not at
+    # start-up
     assert data["at_import"] == []
     # no command, high precision included, loads a third-party module
     assert data["runs"] == [[0, []]] * 6
@@ -382,6 +382,36 @@ def test_verify_overflow_names_lmax_and_q(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"lmax {lmax} " in captured.err and f"q={float(q)}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "coulomb", "--q", "1e-200", "--lmax", "2"],
+    ["spectrum", "--potential", "oscillator", "--q", "1e-300", "--lmax", "3"],
+    ["harmonics", "--q", "1e-200", "--lmax", "2"],
+])
+def test_spectrum_and_harmonics_overflow_name_lmax_and_q(argv, capsys):
+    # a float overflow is reported with the q and lmax asked for, as in verify
+    q, lmax = argv[argv.index("--q") + 1], argv[argv.index("--lmax") + 1]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"lmax {lmax} " in captured.err and f"q={float(q)}:" in captured.err
+    assert "(34," not in captured.err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a failed verification, so a path that cannot be written
+    # is reported as a usage error
+    cases = [
+        (["spectrum", "--potential", "coulomb", "--q", "1.3"], tmp_path / "missing" / "x.json",
+         "No such file or directory"),
+        (["verify", "--q", "1.3", "--lmax", "4"], tmp_path, "Is a directory"),
+    ]
+    for argv, path, reason in cases:
+        assert main([*argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qsu2: cannot write {path}: {reason}\n"
 
 
 @given(q=st.floats(-3, 3).map(lambda e: 10.0 ** e), lmax=st.integers(3, 64))

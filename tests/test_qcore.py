@@ -24,7 +24,7 @@ from qsu2 import (
     qfactorial,
     qnum,
 )
-from qsu2.qcore import _private_context
+from qsu2.qcore import _in_private_context, _private_context
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
 # the defining ratio loses ~1/|q-1| digits of the 1e-12 budget to rounding
@@ -282,13 +282,13 @@ def _canon(x):
     return x
 
 
-def _high_precision_calls():
-    """Every exported function that computes in high precision, and the
-    arithmetic of operators and angular functions, as thunks.  Each thunk
-    builds its inputs from a fresh QParam, whose table is empty, so its
-    whole computation runs in the context it is called under."""
+def _precision_calls(precision):
+    """Every exported function that computes, and the arithmetic of
+    operators and angular functions, as thunks in the given precision.
+    Each thunk builds its inputs from a fresh QParam, whose table is empty,
+    so its whole computation runs in the context it is called under."""
     def op(fn):
-        return lambda: fn(QParam(0.7, "high"))
+        return lambda: fn(QParam(0.7, precision))
 
     def ops(p):
         gen = qsu2.build_generators(p, 4)
@@ -300,7 +300,7 @@ def _high_precision_calls():
     return {
         "QParam": op(lambda p: (p, p.reciprocal(), p.pi, p.sqrt(p.q), p.power(-5))),
         "qnum": op(lambda p: (qnum(7, p), qnum(-3, p), qnum(2.5, p))),
-        "qnum at q = 1": lambda: qnum(2.5, QParam(1.0, "high")),
+        "qnum at q = 1": lambda: qnum(2.5, QParam(1.0, precision)),
         "qfactorial": op(lambda p: (qfactorial(6, p), qdouble_factorial(7, p))),
         "invariants": op(lambda p: [invariants(l, p) for l in range(5)]),
         "angular_function": op(lambda p: qsu2.angular_function(p, 1, {0: 0.4, 2: -0.9})),
@@ -321,6 +321,9 @@ def _high_precision_calls():
         "inner_product": op(lambda p: [
             qsu2.inner_product(f, g, qsu2.QMeasure(p)) for f in fns(p) for g in fns(p)
         ]),
+        "inner_product y00 y20": op(lambda p: qsu2.inner_product(
+            qsu2.build_y(0, 0, p), qsu2.build_y(2, 0, p), qsu2.QMeasure(p)
+        )),
         "integrate_monomial": op(lambda p: [
             qsu2.integrate_monomial(n, mu) for n in range(5) for mu in (qsu2.QMeasure(p), qsu2.QMeasure(p, 40))
         ]),
@@ -351,20 +354,30 @@ def _high_precision_calls():
     }
 
 
-@pytest.mark.parametrize("name", list(_high_precision_calls()))
-def test_high_precision_ignores_the_callers_decimal_context(name):
+def _assert_ignores_the_callers_decimal_context(call):
     # decimal rounds at the calling thread's context: every entry point
     # must run in the private one, and hand the caller's back unchanged
-    call = _high_precision_calls()[name]
     results = []
-    for prec in (10, decimal.getcontext().prec):
+    for prec, rounding in ((10, decimal.ROUND_DOWN), (decimal.getcontext().prec, decimal.getcontext().rounding)):
         with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            before = ctx.prec, dict(ctx.traps), ctx.Emax
+            ctx.prec, ctx.rounding = prec, rounding
+            before = ctx.prec, ctx.rounding, dict(ctx.traps), ctx.Emax
             results.append(_canon(call()))
             after = decimal.getcontext()
-            assert after is ctx and (after.prec, dict(after.traps), after.Emax) == before
+            assert after is ctx and (after.prec, after.rounding, dict(after.traps), after.Emax) == before
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("name", list(_precision_calls("high")))
+def test_high_precision_ignores_the_callers_decimal_context(name):
+    _assert_ignores_the_callers_decimal_context(_precision_calls("high")[name])
+
+
+@pytest.mark.parametrize("name", list(_precision_calls("double")))
+def test_double_precision_ignores_the_callers_decimal_context(name):
+    # the double-precision inner product sums in decimal, in a copy of the
+    # private context rather than of the caller's
+    _assert_ignores_the_callers_decimal_context(_precision_calls("double")[name])
 
 
 def test_high_precision_restores_the_callers_context_when_it_raises():
@@ -376,6 +389,23 @@ def test_high_precision_restores_the_callers_context_when_it_raises():
         with pytest.raises(ArithmeticError, match="remainder"):
             qsu2.apply_lplus(f)
         assert decimal.getcontext() is ctx and ctx.prec == 10
+
+
+def test_private_context_decorator_fits_any_signature():
+    # the decorator reads nothing of the arguments: a kernel of two
+    # operators and a scalar runs in the private context
+    @_in_private_context
+    def commutator(a, b, s):
+        assert decimal.getcontext() is _private_context()
+        return a @ b - (b @ a).scaled(s)
+
+    p = QParam(0.7, "high")
+    x = qsu2.build_position(p, 4)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 10, decimal.ROUND_DOWN
+        got = commutator(x[1], x[-1], p.q)
+        assert decimal.getcontext() is ctx
+    assert _canon(got) == _canon(x[1] @ x[-1] - (x[-1] @ x[1]).scaled(p.q))
 
 
 def test_high_precision_in_two_threads():
@@ -398,6 +428,17 @@ def test_high_precision_in_two_threads():
         t.join(timeout=120)
         assert not t.is_alive()
     assert got == {10: (want, 10), 40: (want, 40)}
+
+
+def test_private_context_ignores_the_default_context_template():
+    # decimal.Context() copies unset fields from decimal.DefaultContext, so
+    # the private context sets its rounding itself
+    code = ("import decimal; decimal.DefaultContext.rounding = decimal.ROUND_DOWN; "
+            "from qsu2 import QParam, qnum; print(qnum(7, QParam(0.7, 'high')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsu2.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert Decimal(proc.stdout) == qnum(7, QParam(0.7, "high"))
 
 
 def test_unpickled_high_precision_parameter_in_a_fresh_interpreter(tmp_path):
