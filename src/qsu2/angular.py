@@ -167,7 +167,7 @@ def _pdiv_factor(a: dict, alpha, p: QParam) -> dict:
             else:
                 if not abs(val) <= tol:
                     raise ArithmeticError(
-                        f"winding-product division left remainder {abs(val):.3e} at degree {k}"
+                        f"winding-product division left remainder {abs(val):.3e} at degree {k}, q={float(p.q)}"
                     )
     else:
         for k in range(deg, 1, -1):
@@ -178,7 +178,7 @@ def _pdiv_factor(a: dict, alpha, p: QParam) -> dict:
             rem = a.get(k, 0) - r.get(k, 0)
             if not abs(rem) <= tol:
                 raise ArithmeticError(
-                    f"winding-product division left remainder {abs(rem):.3e} at degree {k}"
+                    f"winding-product division left remainder {abs(rem):.3e} at degree {k}, q={float(p.q)}"
                 )
         r = {k: v for k, v in r.items() if k <= deg - 2 and v != 0}
     return r

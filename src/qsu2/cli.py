@@ -134,7 +134,8 @@ def cmd_harmonics(ns: argparse.Namespace) -> int:
     builder = hypergeom_phi if ns.oracle else build_phi
     rows = []
     for qv in sorted(ns.q):
-        p = QParam(qv, ns.precision)
+        with _in_double_range(ns, qv):
+            p = QParam(qv, ns.precision)
         for l in range(ns.lmax + 1):
             for m in range(l + 1):
                 with _in_double_range(ns, qv):

@@ -40,12 +40,13 @@ precision sums in the QParam's own arithmetic, Decimal in the private
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from itertools import count, islice
 
 from .angular import AngularFunction, _nanmax
-from .qcore import QParam, _decimal, _in_private_context, _private_context, qnum
+from .qcore import _CTX, QParam, _in_private_context, qnum
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
@@ -107,13 +108,14 @@ def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
 
 
 def _over_qnum(c, k: int, p: QParam):
-    """c/[k], falling back to c (1/b - b) b**k / (1 - b**(2k)) with
-    b = min(q, 1/q) when [k] overflows: the value, or 0 once it underflows."""
+    """c/[k], falling back to c b**k (1/b - b) / (1 - b**(2k)) with
+    b = min(q, 1/q) when [k] overflows: the value, or 0 once it underflows.
+    c b**k is formed first, so that nothing overflows near b = 1/DBL_MAX."""
     try:
         return c / qnum(k, p)
     except OverflowError:
         b = min(p.q, 1 / p.q)
-        return c * (1 / b - b) * b ** k / (1 - b ** (2 * k))
+        return c * b ** k * (1 / b - b) / (1 - b ** (2 * k))
 
 
 @_in_private_context
@@ -225,11 +227,10 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         return p.zero
     if p.is_high:
         return _high_inner_product(f, g, mu)
-    dec = _decimal()
-    with dec.localcontext(_private_context()) as ctx:
+    with decimal.localcontext(_CTX) as ctx:
         ctx.prec = _decimal_digits(f, g)
         ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-        re, im = _moment_sum(f, g, mu, dec.Decimal, dec.Decimal(math.pi))
+        re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi))
         re, im = float(re), float(im)
     if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
         return re

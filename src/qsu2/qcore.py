@@ -17,10 +17,10 @@ decorated with ``_in_private_context``, which installs one private context
 for the call and the caller's own one afterwards, in either precision, so
 results do not depend on the caller's context, in any thread, and that
 context is the same after the call.  An outermost call pays for the swap;
-a call made inside the private context pays one identity test.  The first
-``QParam`` of either precision imports ``decimal`` and builds the private
-context (an unpickled one does so at its first decorated call), so
-importing the package loads neither it nor any third-party module.
+a call made inside the private context pays one identity test.  The
+private context is built once, when this module is imported, so a
+``QParam`` made in any way, an unpickled one included, finds it ready;
+importing the package loads no third-party module.
 
 Every identity downstream is built from a handful of q-numbers [n] and
 integer powers q**e, so each ``QParam`` keeps a private table of them,
@@ -33,59 +33,30 @@ with its ``QParam``, so nothing is shared between parameters or calls.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
-from functools import cache, wraps
+from functools import wraps
 
 DOUBLE = "double"
 HIGH = "high"
 
 # 62 decimal digits hold the 203 bits that 60 significant digits take in binary
 HIGH_PRECISION_DIGITS = 62
-# pi to 80 significant digits, rounded to HIGH_PRECISION_DIGITS on use
+# pi to 80 significant digits, rounded to HIGH_PRECISION_DIGITS in _HIGH_PI
 _PI_DIGITS = "3.1415926535897932384626433832795028841971693993751058209749445923078164062862090"
 
-# bound by _private_context when it builds the private context
-_CTX = _setcontext = None
-
-
-def _getcontext():
-    """``decimal.getcontext``, which ``_private_context`` binds in place of
-    this function.  Until then the first decorated call, whether it builds
-    a ``QParam`` or uses an unpickled one, lands here and builds the private
-    context."""
-    _private_context()
-    return _getcontext()
-
-
-@cache
-def _decimal():
-    """The decimal module, imported on first use so that start-up does not
-    pay for it."""
-    import decimal
-
-    return decimal
-
-
-@cache
-def _private_context():
-    """The private high-precision context, built on first use.
-
-    Its exponent range is the widest decimal allows, so high precision has
-    no practical range limit.  Division by zero and overflow raise; an
-    invalid operation gives a quiet NaN, as in floats, so that an ordering
-    comparison with a NaN is false instead of raising and a NaN fails its
-    verification row the way it does in double precision.  Rounding is
-    half-even whatever ``decimal.DefaultContext`` says.
-    """
-    global _CTX, _getcontext, _setcontext
-    dec = _decimal()
-    _getcontext, _setcontext = dec.getcontext, dec.setcontext
-    _CTX = dec.Context(
-        prec=HIGH_PRECISION_DIGITS, rounding=dec.ROUND_HALF_EVEN, Emax=dec.MAX_EMAX,
-        Emin=dec.MIN_EMIN, traps=[dec.DivisionByZero, dec.Overflow],
-    )
-    return _CTX
+# The private high-precision context.  Its exponent range is the widest
+# decimal allows, so high precision has no practical range limit.  Division
+# by zero and overflow raise; an invalid operation gives a quiet NaN, as in
+# floats, so that an ordering comparison with a NaN is false instead of
+# raising and a NaN fails its verification row the way it does in double
+# precision.  Rounding is half-even whatever decimal.DefaultContext says.
+_CTX = decimal.Context(
+    prec=HIGH_PRECISION_DIGITS, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN, traps=[decimal.DivisionByZero, decimal.Overflow],
+)
+_HIGH_PI = _CTX.plus(decimal.Decimal(_PI_DIGITS))
 
 
 def _in_private_context(f):
@@ -98,23 +69,20 @@ def _in_private_context(f):
     call, are never read.  The decorator reads nothing of f's arguments,
     so it fits any signature.
     """
+    getcontext, setcontext = decimal.getcontext, decimal.setcontext
+
     @wraps(f)
     def run(*args, **kwargs):
-        saved = _getcontext()
+        saved = getcontext()
         if saved is _CTX:
             return f(*args, **kwargs)
-        _setcontext(_CTX)
+        setcontext(_CTX)
         try:
             return f(*args, **kwargs)
         finally:
-            _setcontext(saved)
+            setcontext(saved)
 
     return run
-
-
-@cache
-def _high_pi():
-    return _private_context().plus(_decimal().Decimal(_PI_DIGITS))
 
 
 @dataclass(frozen=True)
@@ -123,7 +91,9 @@ class QParam:
 
     q must be a positive real; complex values and roots of unity are
     rejected at construction because the hermiticity assignments used by
-    the operator realizations require real q.
+    the operator realizations require real q.  In double precision a q
+    below 1/DBL_MAX (about 5.6e-309), whose 1/q overflows, raises
+    OverflowError.
 
     ``is_high`` selects the numeric backend, floats or Decimals, and ``one``
     and ``zero`` are its unit and zero.  The private ``_table`` holds the integer powers q**e (key ``("pow", e)``)
@@ -148,14 +118,17 @@ class QParam:
         object.__setattr__(self, "is_high", self.precision == HIGH)
         try:
             # Decimal(float) is exact, as is float(float)
-            q = _decimal().Decimal(self.q) if self.is_high else float(self.q)
+            q = decimal.Decimal(self.q) if self.is_high else float(self.q)
             ok = q.is_finite() if self.is_high else math.isfinite(q)
         except (TypeError, ValueError, ArithmeticError):
             raise ValueError(f"q must be a positive real number, got {self.q!r}") from None
         if not (ok and q > 0):
             raise ValueError(f"q must be a positive real number, got {self.q!r}")
+        lam = q - 1 / q
+        if lam == -math.inf:  # q < 1/DBL_MAX, a subnormal double: 1/q overflows
+            raise OverflowError(f"1/q overflows in double precision at q={q}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lam", q - 1 / q)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "one", q ** 0)
         object.__setattr__(self, "zero", 0 * self.one)
 
@@ -165,7 +138,7 @@ class QParam:
 
     @property
     def pi(self):
-        return _high_pi() if self.is_high else math.pi
+        return _HIGH_PI if self.is_high else math.pi
 
     @property
     def coeff_tol(self) -> float:
@@ -176,7 +149,7 @@ class QParam:
         """Square root; a negative argument raises ValueError in both
         precisions."""
         if self.is_high:
-            root = _private_context().sqrt(x)
+            root = _CTX.sqrt(x)
             # a NaN root of a number that is not NaN: x was negative
             if root != root and x == x:
                 raise ValueError("math domain error")
@@ -186,7 +159,7 @@ class QParam:
     def number(self, x):
         """The int or float x as a number of the backend, exactly: a float
         in double precision, a Decimal in high precision."""
-        return _decimal().Decimal(x) if self.is_high else float(x)
+        return decimal.Decimal(x) if self.is_high else float(x)
 
     @_in_private_context
     def reciprocal(self) -> "QParam":

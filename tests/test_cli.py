@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,11 +9,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsu2
 from qsu2.cli import _emit, build_parser, main
+from qsu2.spectra import POTENTIALS
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -220,7 +222,7 @@ import json, sys
 loaded = set(sys.modules)
 from qsu2.cli import main
 
-at_import = sorted(m for m in ("numpy", "mpmath", "decimal") if m in sys.modules)
+at_import = sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
 out = sys.argv[1]
 runs = [
     ["verify", "--q", "1.3", "--lmax", "4"],
@@ -252,8 +254,8 @@ def test_double_precision_imports_neither_numpy_nor_mpmath(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
-    # decimal is loaded by the first QParam, of either precision, not at
-    # start-up
+    # start-up loads neither numpy nor mpmath (decimal, stdlib, is loaded
+    # with qcore, which builds its private context at import)
     assert data["at_import"] == []
     # no command, high precision included, loads a third-party module
     assert data["runs"] == [[0, []]] * 6
@@ -399,6 +401,30 @@ def test_spectrum_and_harmonics_overflow_name_lmax_and_q(argv, capsys):
     assert "(34," not in captured.err
 
 
+def test_integrate_at_a_q_whose_reciprocal_overflows(capsys):
+    # 1/q overflows below about 5.6e-309: a range error that names q, not a
+    # NaN met at emission
+    assert main(["integrate", "--degree", "2", "--q", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qsu2: degree 2 is out of double range at q=1e-320: a q-power or q-number overflows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "1e-4", "--lmax", "4"],
+    ["verify", "--q", "1e16", "--lmax", "4", "--precision", "high"],
+])
+def test_ladder_division_error_names_q(argv, capsys):
+    # far from q = 1 the harmonic rows' ladder leaves a rounding remainder
+    # in an exact division: a domain error, reported with its q
+    q = argv[argv.index("--q") + 1]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qsu2: winding-product division left remainder ")
+    assert captured.err.endswith(f", q={float(q)}\n")
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     # exit 1 means a failed verification, so a path that cannot be written
     # is reported as a usage error
@@ -428,6 +454,49 @@ def test_no_traceback_over_the_accepted_domain(q, lmax):
         ["integrate", "--degree", str(lmax)],
     ):
         assert main(args + common) in (0, 1, 2), args
+
+
+# the size flag of each command and its range in the extreme-q sweep
+EXTREME_Q_SIZES = {
+    "verify": ("--lmax", 3, 6),
+    "spectrum": ("--lmax", 0, 64),
+    "harmonics": ("--lmax", 0, 12),
+    "integrate": ("--degree", 0, 3000),
+}
+
+
+@st.composite
+def extreme_q_argv(draw):
+    """A command line at a q log-uniform over the positive doubles, from
+    5e-324 to 1e308, in either precision and at a small size."""
+    command = draw(st.sampled_from(sorted(EXTREME_Q_SIZES)))
+    flag, lo, hi = EXTREME_Q_SIZES[command]
+    q = max(10.0 ** draw(st.floats(-323.3, 308)), 5e-324)
+    argv = [command, "--q", repr(q), flag, str(draw(st.integers(lo, hi))),
+            "--precision", draw(st.sampled_from(("double", "high")))]
+    if command == "spectrum":
+        argv += ["--potential", draw(st.sampled_from(POTENTIALS)), "--nmax", "1"]
+    return argv
+
+
+@given(argv=extreme_q_argv())
+@example(argv=["integrate", "--degree", "2", "--q", "1e-320", "--precision", "double"])
+@example(argv=["integrate", "--degree", "2", "--q", "1e308", "--precision", "double"])
+@example(argv=["verify", "--q", "1e-4", "--lmax", "4", "--precision", "double"])
+@example(argv=["verify", "--q", "1e16", "--lmax", "4", "--precision", "high"])
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_extreme_q_keeps_the_exit_contract(argv):
+    # at any positive double q every command ends in exit 0, 1 or 2, and an
+    # exit 2 is one stderr line that names q
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", os.devnull])
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.startswith("qsu2: ") and err.count("\n") == 1 and "q=" in err, (argv, err)
+    else:
+        assert err == "", (argv, err)
 
 
 def test_error_paths_write_nothing(tmp_path):

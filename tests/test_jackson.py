@@ -16,7 +16,7 @@ from qsu2 import (
     series_convergence_probe,
 )
 from qsu2.jackson import _halfline_series, _moments
-from qsu2.qcore import _private_context
+from qsu2.qcore import _CTX
 
 qvals = st.one_of(
     st.just(1.0),
@@ -93,7 +93,7 @@ def test_moments_match_grid_sum():
         p = QParam(q, "high")
         depth = math.ceil(60 * math.log(10) / (-2 * math.log(q))) + 7
         for m in range(-6, 7):
-            with decimal.localcontext(_private_context()):
+            with decimal.localcontext(_CTX):
                 closed = _moments(m, 16, p.q)
                 grid = _halfline_series(range(0, 17, 2), p.q, depth, m)
                 for n in range(0, 17, 2):
@@ -108,7 +108,7 @@ def test_moments_match_grid_sum():
             for n in range(0, 17, 2):
                 a = inner_product(one, angular_function(p, m, {n: 1}), mu)
                 b = inner_product(one_r, angular_function(p.reciprocal(), -m, {n: 1}), mu_r)
-                with decimal.localcontext(_private_context()):
+                with decimal.localcontext(_CTX):
                     assert abs(a - b) < 1e-50 * float(abs(a)), (q, m, n)
 
 
@@ -162,7 +162,7 @@ def test_series_matches_term_by_term_sum():
             p = QParam(q, precision)
             for n in (0, 2, 5):
                 # the definition is summed in the backend's own context
-                with decimal.localcontext(_private_context() if p.is_high else None):
+                with decimal.localcontext(_CTX if p.is_high else None):
                     limit = 1 / qnum(n + 1, p)
                     partials = [0 * p.q]  # partials[D]: the sum over k < D
                     while len(partials) <= 400 or abs(partials[-1] - limit) >= 1e-12:
@@ -265,5 +265,5 @@ def test_high_precision_integration():
     p = QParam(0.5, "high")
     mu = QMeasure(p)
     val = integrate_monomial(2, mu)
-    with decimal.localcontext(_private_context()):
+    with decimal.localcontext(_CTX):
         assert abs(val - 2 / qnum(3, p)) < 1e-50

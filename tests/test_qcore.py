@@ -24,7 +24,7 @@ from qsu2 import (
     qfactorial,
     qnum,
 )
-from qsu2.qcore import _in_private_context, _private_context
+from qsu2.qcore import _CTX, _in_private_context
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
 # the defining ratio loses ~1/|q-1| digits of the 1e-12 budget to rounding
@@ -124,6 +124,16 @@ def test_invariants_q_inverse_symmetry(l, q):
         assert abs(u - v) < 1e-12 * max(1.0, abs(u))
 
 
+def test_double_q_whose_reciprocal_overflows():
+    # below 1/DBL_MAX a subnormal q has 1/q = inf, so lam would be -inf:
+    # double precision refuses it, high precision has no such limit
+    for q in (1e-320, 5e-324):
+        with pytest.raises(OverflowError, match="q="):
+            QParam(q)
+    p = QParam(1e-320, "high")
+    assert p.lam.is_finite() and p.lam < Decimal("-1e320")
+
+
 def test_invariants_rejects_bad_l():
     with pytest.raises(ValueError):
         invariants(-1, QParam(1.2))
@@ -157,7 +167,7 @@ def test_high_precision_mode():
     q = p.q
     # the reference sum rounds at the calling thread's context, so it is
     # formed in the private 62-digit one
-    with decimal.localcontext(_private_context()):
+    with decimal.localcontext(_CTX):
         assert abs(q ** 4 + q ** 2 + 1 + q ** -2 + q ** -4 - qnum(5, p)) < 1e-40
     pd = QParam(1.3)
     for l in range(5):
@@ -213,7 +223,7 @@ def test_table_entries_equal_the_direct_formulas():
             p = QParam(q, precision)
             qq = p.q
             # the direct formulas are evaluated in the backend's own context
-            with decimal.localcontext(_private_context() if p.is_high else None):
+            with decimal.localcontext(_CTX if p.is_high else None):
                 assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
                 for n in range(-12, 13):
                     direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
@@ -396,7 +406,7 @@ def test_private_context_decorator_fits_any_signature():
     # operators and a scalar runs in the private context
     @_in_private_context
     def commutator(a, b, s):
-        assert decimal.getcontext() is _private_context()
+        assert decimal.getcontext() is _CTX
         return a @ b - (b @ a).scaled(s)
 
     p = QParam(0.7, "high")
@@ -442,7 +452,8 @@ def test_private_context_ignores_the_default_context_template():
 
 
 def test_unpickled_high_precision_parameter_in_a_fresh_interpreter(tmp_path):
-    # unpickling skips construction, so the first call builds the private context
+    # unpickling skips construction, so the parameter must find the private
+    # context ready in an interpreter that has built no QParam
     path = tmp_path / "p.pkl"
     path.write_bytes(pickle.dumps(QParam(1.3, "high")))
     code = f"import pickle; from qsu2 import qnum; print(qnum(3, pickle.loads(open({str(path)!r}, 'rb').read())))"
