@@ -15,12 +15,17 @@ are unreachable from truncation artifacts because no tested identity
 composes more than two bandwidth-one operators.
 
 Builders take the operators they derive from and read p and lmax from
-them, so each operand of the catalogue is formed once; operators of
-different p or lmax refuse to combine.  Every row of the catalogue
-compares two sides, lhs and rhs: operator rows by the largest interior
-entry of lhs - rhs, function rows by the largest coefficient difference
-relative to the largest coefficient of lhs (floor 1), scalar rows by
-|lhs - rhs|.  A NaN on either side makes the residual NaN, which fails.
+them; operators of different p or lmax refuse to combine.  The catalogue
+is data: one dict of operands, each formed once (``_operator_operands``,
+``_function_operands``), and the table ``_ROWS`` of rows in report order,
+each (name, group, gated, note, pairs), where ``pairs(**operands)`` gives
+the (lhs, rhs) sides it compares, or the reason it is skipped at this q.
+``_residual`` picks the metric by the type of the sides: operators by the
+largest interior entry of lhs - rhs, functions by the largest coefficient
+difference relative to the largest coefficient of lhs (floor 1), scalars
+by |lhs - rhs|.  A NaN on either side makes the residual NaN, which fails.
+A new row goes into ``_ROWS`` at its place in the report, and an operand
+that several rows read goes into one of the two builders.
 ``OperatorMatrix.distance`` forms the operator residual in one pass over
 the interior blocks of both sides, without building the difference; it
 reduces the magnitudes as floats, and since rounding to a float keeps
@@ -42,6 +47,7 @@ from dataclasses import asdict, dataclass, field
 from operator import add, mul, sub
 
 from .angular import (
+    AngularFunction,
     _nanmax,
     angular_function,
     apply_casimir,
@@ -413,23 +419,7 @@ class VerifyReport:
         }
 
 
-def _vector_condition_pairs(gen: dict, triple: dict) -> list:
-    """The (lhs, rhs) sides of the two defining vector relations over all
-    components and both ladder directions."""
-    l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]
-    p, lmax = l0.p, l0.lmax
-    two = p.sqrt(qnum(2, p))
-    ql0 = diag_operator(p, lmax, lambda l, m: p.power(m))
-    pairs = []
-    for k in (1, 0, -1):
-        vk = triple[k]
-        pairs.append((l0 @ vk - vk @ l0, vk.scaled(k)))
-        for sign, ladder in ((1, lp), (-1, lm)):
-            target = triple.get(k + sign)
-            lhs = (ladder @ vk - (vk @ ladder).scaled(p.power(k))) @ ql0
-            rhs = target.scaled(two) if target is not None else OperatorMatrix(p, lmax, k + sign)
-            pairs.append((lhs, rhs))
-    return pairs
+_CONSISTENT = "-([2l][2l+2]/[2]^2 + c_l^2)"
 
 
 @_in_private_context
@@ -444,8 +434,208 @@ def transverse_square_candidates(l: int, p: QParam) -> dict:
     return {
         "-([2l][2l+1]/[2]^2 + c_l^2)": printed,
         "-([2l][2l+2]/[2]^2 + c_l^2 - c_l)": with_cross,
-        "-([2l][2l+2]/[2]^2 + c_l^2)": consistent,
+        _CONSISTENT: consistent,
     }
+
+
+def _operator_operands(p: QParam, lmax: int, interior: int) -> dict:
+    """Every operand of the operator rows, each formed once: the generators,
+    Lambda, c, x, both routes of the transverse derivative d, the diagonal
+    operators, the exchange differences of d that gated and bare rows share,
+    and per candidate the (diagonal entry, closed form) pairs of d.d."""
+    gen = build_generators(p, lmax)
+    lp_lm, lm_lp = gen["Lplus"] @ gen["Lminus"], gen["Lminus"] @ gen["Lplus"]
+    lam = build_lambda(gen)
+    c = build_invariant_c(lam)
+    x = build_position(p, lmax)
+    d = _partial_composed(x, lam, c)
+    inv = [invariants(l, p) for l in range(lmax + 1)]
+    cands = [transverse_square_candidates(l, p) for l in range(interior + 1)]
+    d_sq = scalar_product(d, d)
+    return {
+        **gen, "p": p, "lp_lm": lp_lm, "lm_lp": lm_lp, "lam": lam, "c": c, "x": x, "d": d,
+        "d_elem": _partial_elements(x), "ident": identity_operator(p, lmax),
+        "two_l0": diag_operator(p, lmax, lambda l, m: qnum(2 * m, p)),
+        "casimir": lm_lp + diag_operator(p, lmax, lambda l, m: qnum(m, p) * qnum(m + 1, p)),
+        "C": diag_operator(p, lmax, lambda l, m: inv[l].C),
+        "Cprime": diag_operator(p, lmax, lambda l, m: inv[l].Cprime),
+        "c_diag": diag_operator(p, lmax, lambda l, m: inv[l].c),
+        "ql0": diag_operator(p, lmax, lambda l, m: p.power(m)),
+        "dil_up": d[0] @ d[1] - (d[1] @ d[0]).scaled(p.power(-2)),
+        "dil_down": d[0] @ d[-1] - (d[-1] @ d[0]).scaled(p.power(2)),
+        "mixed": d[1] @ d[-1] - d[-1] @ d[1] - (d[0] @ d[0]).scaled(p.lam),
+        "square": {f: [(v, cand[f]) for l, cand in enumerate(cands) for v in d_sq.diagonal(l)] for f in cands[0]},
+    }
+
+
+def _function_operands(p: QParam, inject_fault: bool) -> dict:
+    """Every operand of the harmonic and measure rows: phi for l <= 6 and Y for
+    l <= 4, keyed by (l, m) in l-major order, and the measures at q and 1/q."""
+    return {
+        "phi": {(l, m): build_phi(l, m, p) for l in range(7) for m in range(l + 1)},
+        "y": {(l, m): build_y(l, m, p) for l in range(5) for m in range(-l, l + 1)},
+        "mu": QMeasure(p), "mu_r": QMeasure(p.reciprocal()), "fault": inject_fault,
+    }
+
+
+def _vector_pairs(v, L0, Lplus, Lminus, ql0, p, **_):
+    """The two defining vector relations of the triple v over all components
+    and both ladder directions."""
+    two = p.sqrt(qnum(2, p))
+    pairs = []
+    for k in (1, 0, -1):
+        pairs.append((L0 @ v[k] - v[k] @ L0, v[k].scaled(k)))
+        for sign, ladder in ((1, Lplus), (-1, Lminus)):
+            lhs = (ladder @ v[k] - (v[k] @ ladder).scaled(p.power(k))) @ ql0
+            pairs.append((lhs, v[k + sign].scaled(two) if k + sign in v else OperatorMatrix(p, L0.lmax, k + sign)))
+    return pairs
+
+
+def _ladder_step_pairs(p, phi, **_):
+    # phi in the series convention (odd l - m carries q**-m).  Raising carries
+    # the weight q**m of the winding it acts on; with it the raised polynomial
+    # is -[l-m][l+m+1] times the next one for even l - m, the next one for odd.
+    series = {(l, m): f.scaled(p.power(-m)) if (l - m) % 2 else f for (l, m), f in phi.items()}
+    return [
+        (series[(l, m + 1)].scaled(1 if (l - m) % 2 else -qnum(l - m, p) * qnum(l + m + 1, p)),
+         apply_lplus(series[(l, m)]).scaled(1 / p.sqrt(qnum(2, p))))
+        for l in range(1, 6) for m in range(l)
+    ]
+
+
+def _product_pairs(p, y, fault, **_):
+    pairs = []
+    for l in range(4):
+        for m in range(-l, l + 1):
+            for k in (1, 0, -1):
+                # the l + 1 term is always there, the l - 1 one where |m + k| < l
+                target = y[(l + 1, m + k)].scaled(position_coeff_upper(p, l, m, k))
+                if abs(m + k) < l:
+                    target += y[(l - 1, m + k)].scaled(position_coeff_lower(p, l, m, k))
+                if fault and (l, m, k) == (1, 0, 0):
+                    target = target.scaled(p.number(1 + 1e-3))
+                pairs.append((mul_position(k, y[(l, m)]), target))
+    return pairs
+
+
+def _commutation_pairs(p, y, **_):
+    pairs = []
+    for (l, m), f in y.items():
+        if l < 4:
+            pairs.append((mul_position(0, f), mul_position_right(0, f).scaled(p.power(-2 * m))))
+            for k in (1, -1):
+                if abs(m + k) <= l:
+                    corr = mul_position_right(0, y[(l, m + k)]).scaled(
+                        k * p.lam / p.sqrt(qnum(2, p)) * p.power(-m - k)
+                        * p.sqrt(qnum(l - k * m, p) * qnum(l + k * m + 1, p))
+                    )
+                    pairs.append((mul_position(k, f), mul_position_right(k, f) + corr))
+    return pairs
+
+
+def _adjoint_pairs(p, mu, **_):
+    pairs = []
+    for m in (-2, 0, 1):
+        f = angular_function(p, m, {0: 0.4, 1: -0.9, 2: 0.25, 3: 0.5})
+        g = angular_function(p, m + 1, {0: 1.1, 1: 0.3, 2: -0.7})
+        pairs.append((inner_product(apply_lplus(f), g, mu), inner_product(f, apply_lminus(g), mu)))
+    return pairs
+
+
+def _series_pairs(p, mu, **_):
+    # The depth-D grid sum of x0**n is exactly closed * (1 - q**(2D(n+1))),
+    # so the comparison holds at every q < 1, however slowly the tail decays.
+    if p.q >= 1:
+        return "series grid only exists for q < 1"
+    depth, ns = 400, range(0, 9, 2)
+    return [
+        (2 * s, integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
+        for n, s in zip(ns, _halfline_series(ns, p.q, depth))
+    ]
+
+
+# The position-shaped exchange relations of d hold only on l-changing blocks;
+# on l-preserving ones the exact identities carry c*Lambda counterterms, which
+# gate, while the bare forms report ungated.  Function rows are relative: at
+# q = 0.5 harmonic coefficients reach ~1e5, where absolute gates would sit
+# below representation granularity.
+_COUNTERTERM = "with the c*Lambda counterterm"
+_BARE = "position-shaped form without the counterterm; exact only on l-changing blocks"
+_ROWS = (
+    ("generator-commutator-raise", "operator", True, "", lambda L0, Lplus, **_: [(L0 @ Lplus - Lplus @ L0, Lplus)]),
+    ("generator-commutator-lower", "operator", True, "",
+     lambda L0, Lminus, **_: [(L0 @ Lminus - Lminus @ L0, Lminus.scaled(-1))]),
+    ("generator-commutator-ladder", "operator", True, "", lambda lp_lm, lm_lp, two_l0, **_: [(lp_lm - lm_lp, two_l0)]),
+    ("casimir-diagonal", "operator", True, "", lambda casimir, C, **_: [(casimir, C)]),
+    ("vector-condition-position", "operator", True, "", lambda x, **o: _vector_pairs(x, **o)),
+    ("vector-condition-angular", "operator", True, "", lambda lam, **o: _vector_pairs(lam, **o)),
+    ("vector-condition-transverse", "operator", True, "", lambda d, **o: _vector_pairs(d, **o)),
+    ("position-exchange-dilation", "operator", True, "", lambda x, p, **_: [
+        (x[0] @ x[1], (x[1] @ x[0]).scaled(p.power(-2))), (x[0] @ x[-1], (x[-1] @ x[0]).scaled(p.power(2)))]),
+    ("position-exchange-mixed", "operator", True, "",
+     lambda x, p, **_: [(x[1] @ x[-1] - x[-1] @ x[1], (x[0] @ x[0]).scaled(p.lam))]),
+    ("transverse-exchange-dilation", "operator", True, _COUNTERTERM, lambda dil_up, dil_down, c, lam, p, **_: [
+        (dil_up, (c @ lam[1]).scaled(1 / p.q)), (dil_down, (c @ lam[-1]).scaled(-p.q))]),
+    ("transverse-exchange-dilation-bare", "operator", False, _BARE, lambda dil_up, dil_down, **_: [
+        (dil, OperatorMatrix(dil.p, dil.lmax, dil.delta_m)) for dil in (dil_up, dil_down)]),
+    ("transverse-exchange-mixed", "operator", True, _COUNTERTERM,
+     lambda mixed, c, lam, **_: [(mixed, (c @ lam[0]).scaled(-1))]),
+    ("transverse-exchange-mixed-bare", "operator", False, _BARE,
+     lambda mixed, **_: [(mixed, OperatorMatrix(mixed.p, mixed.lmax, 0))]),
+    ("unit-sphere-norm", "operator", True, "", lambda x, ident, **_: [(scalar_product(x, x), ident)]),
+    ("cross-contraction-xd", "operator", True, "", lambda x, d, c, **_: [(scalar_product(x, d), c)]),
+    ("cross-contraction-dx", "operator", True, "", lambda x, d, c, **_: [(scalar_product(d, x), c.scaled(-1))]),
+    ("angular-square-diagonal", "operator", True, "", lambda lam, Cprime, **_: [(scalar_product(lam, lam), Cprime)]),
+    ("third-invariant-diagonal", "operator", True, "", lambda c, c_diag, **_: [(c, c_diag)]),
+    ("transverse-from-invariant", "operator", True, "", lambda c, x, d, p, **_: (
+        "skipped at q = 1: the commutator route divides by lambda**2" if p.is_one
+        else [((c @ x[k] - x[k] @ c).scaled(1 / (p.lam * p.lam)), d[k]) for k in (1, 0, -1)])),
+    ("transverse-dual-construction", "operator", True, "",
+     lambda d, d_elem, **_: [(d[k], d_elem[k]) for k in (1, 0, -1)]),
+    ("transverse-hermiticity", "operator", True, "", lambda d, p, **_: [
+        (d[k].dagger(), d[-k].scaled(-((-1 / p.q) ** k))) for k in (1, 0, -1)]),
+    ("position-hermiticity", "operator", True, "", lambda x, p, **_: [
+        (x[1].dagger(), x[-1].scaled(-1 / p.q)), (x[-1].dagger(), x[1].scaled(-p.q)), (x[0].dagger(), x[0])]),
+    ("transverse-square-diagonal", "operator", True, lambda matched, **_: f"matched: {', '.join(matched)}",
+     lambda square, **_: square[_CONSISTENT]),
+    ("harmonic-recursion-vs-closed-form", "harmonic", True, "",
+     lambda phi, p, **_: [(f, hypergeom_phi(l, m, p)) for (l, m), f in phi.items()]),
+    ("harmonic-orthonormality", "harmonic", True, "", lambda y, mu, p, **_: [
+        (inner_product(y1, y2, mu), p.one if lm1 == lm2 else p.zero)
+        for lm1, y1 in y.items() for lm2, y2 in y.items() if lm1 <= lm2]),
+    ("harmonic-ladder-step", "harmonic", True, "", _ladder_step_pairs),
+    # the ladder's exact division raises on a NaN coefficient; such a
+    # harmonic is compared with itself, so the row fails on its NaN as the
+    # other rows that read it do
+    ("harmonic-casimir", "harmonic", True, "", lambda y, p, **_: [
+        (f.scaled(qnum(l, p) * qnum(l + 1, p)), f if math.isnan(f.max_abs()) else apply_casimir(f))
+        for (l, m), f in y.items()]),
+    ("position-product-expansion", "harmonic", True, lambda fault, **_: "fault injected" if fault else "",
+     _product_pairs),
+    ("position-right-commutation", "harmonic", True, "", _commutation_pairs),
+    ("ladder-adjointness", "harmonic", True, "", _adjoint_pairs),
+    ("measure-symmetry", "harmonic", True, "q against 1/q", lambda mu, mu_r, **_: [
+        (integrate_monomial(n, mu), integrate_monomial(n, mu_r)) for n in range(0, 9, 2)]),
+    ("measure-series-agreement", "measure", True, "", _series_pairs),
+    ("uniform-state-moment", "harmonic", True, "",
+     lambda mu, p, **_: [(integrate_monomial(2, mu) / integrate_monomial(0, mu), 1 / qnum(3, p))]),
+)
+
+
+def _residual(lhs, rhs, l_top: int) -> float:
+    """How far lhs is from rhs, by the type of the sides: operators by the
+    largest entry of lhs - rhs on the blocks with labels <= l_top, functions
+    by the largest coefficient difference relative to the largest
+    coefficient of lhs (floor 1), scalars by |lhs - rhs|."""
+    if isinstance(lhs, OperatorMatrix):
+        return lhs.distance(rhs, l_top)
+    if isinstance(lhs, AngularFunction):
+        return lhs.distance(rhs) / max(lhs.p.one, lhs.max_abs())
+    return abs(lhs - rhs)
+
+
+def _worst(pairs, l_top: int) -> float:
+    return float(_nanmax(_residual(lhs, rhs, l_top) for lhs, rhs in pairs))
 
 
 @_in_private_context
@@ -454,128 +644,37 @@ def verify_algebra(
 ) -> VerifyReport:
     """Run the full identity catalogue at one deformation value.
 
-    Every row reports the worst of its (lhs, rhs) pairs, and a NaN fails it.
-    Operator rows (group "operator") take |lhs - rhs| over interior blocks of
-    the lmax truncation.  Harmonic and measure rows run over fixed small l
-    ranges independent of lmax; their function pairs are relative to the
-    largest coefficient of lhs (floor 1).  The report also resolves which
-    closed form the contracted transverse-derivative diagonal actually
-    matches (the three candidates differ in the literature-facing
-    bookkeeping of the cross term; exactly one is consistent for every l).
-    inject_fault corrupts one position expansion coefficient so that a
-    caller can confirm the verifier fails.
+    ``_operator_operands`` and ``_function_operands`` build every operand
+    once, into one dict.  Each row of ``_ROWS`` turns it into (lhs, rhs)
+    pairs; the row's residual is the worst ``_residual`` over them, and a
+    gated row passes when that is below tol (a NaN fails).  Operator rows
+    compare interior blocks (l <= interior_lmax, default lmax - 2), harmonic
+    and measure rows fixed small l ranges.  The finding resolves which of
+    three candidate closed forms the contracted transverse-derivative
+    diagonal matches; exactly one is consistent for every l.  inject_fault
+    corrupts one position expansion coefficient, so that a caller can
+    confirm the verifier fails.
     """
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
     interior = lmax - 2 if interior_lmax is None else interior_lmax
-    q = p.q
-    gen = build_generators(p, lmax)
-    l0, lp, lm = gen["L0"], gen["Lplus"], gen["Lminus"]
-    lam = build_lambda(gen)
-    c_op = build_invariant_c(lam)
-    x = build_position(p, lmax)
-    d_comp = _partial_composed(x, lam, c_op)
-    d_elem = _partial_elements(x)
-    ident = identity_operator(p, lmax)
-    inv = [invariants(l, p) for l in range(lmax + 1)]
-
-    checks: list[IdentityCheck] = []
-
-    def add(name, residual, note="", group="operator", gated=True):
-        """Record a row; residual None marks a skipped check, gated=False an
-        informational one.  Neither takes part in the pass/fail verdict."""
-        r = None if residual is None else float(residual)
-        passed = bool(r < tol) if gated and r is not None else None
-        checks.append(IdentityCheck(name, group, r, passed, note))
-
-    def gap(*pairs):
-        """Worst interior entry of lhs - rhs over the (lhs, rhs) pairs."""
-        return _nanmax(lhs.distance(rhs, interior) for lhs, rhs in pairs)
-
-    def fgap(*pairs):
-        """Worst distance of two functions, relative to lhs's largest |coefficient| (floor 1)."""
-        return _nanmax(lhs.distance(rhs) / max(p.one, lhs.max_abs()) for lhs, rhs in pairs)
-
-    def sgap(*pairs):
-        """Worst |lhs - rhs| over the (lhs, rhs) pairs of scalars."""
-        return _nanmax(abs(lhs - rhs) for lhs, rhs in pairs)
-
-    lp_lm, lm_lp = lp @ lm, lm @ lp
-    add("generator-commutator-raise", gap((l0 @ lp - lp @ l0, lp)))
-    add("generator-commutator-lower", gap((l0 @ lm - lm @ l0, lm.scaled(-1))))
-    two_l0 = diag_operator(p, lmax, lambda l, m: qnum(2 * m, p))
-    add("generator-commutator-ladder", gap((lp_lm - lm_lp, two_l0)))
-    cas = lm_lp + diag_operator(p, lmax, lambda l, m: qnum(m, p) * qnum(m + 1, p))
-    add("casimir-diagonal", gap((cas, diag_operator(p, lmax, lambda l, m: inv[l].C))))
-
-    add("vector-condition-position", gap(*_vector_condition_pairs(gen, x)))
-    add("vector-condition-angular", gap(*_vector_condition_pairs(gen, lam)))
-    add("vector-condition-transverse", gap(*_vector_condition_pairs(gen, d_comp)))
-
-    add("position-exchange-dilation", gap(
-        (x[0] @ x[1], (x[1] @ x[0]).scaled(p.power(-2))),
-        (x[0] @ x[-1], (x[-1] @ x[0]).scaled(p.power(2))),
-    ))
-    add("position-exchange-mixed", gap((x[1] @ x[-1] - x[-1] @ x[1], (x[0] @ x[0]).scaled(p.lam))))
-
-    # Exchange relations for the transverse derivative.  The position-shaped
-    # forms hold only on the l-changing blocks; on the l-preserving blocks
-    # the exact identities carry curvature counterterms proportional to the
-    # invariant times the angular vector.  Both residuals are reported: the
-    # corrected identities gate the suite, the bare forms are informational.
-    dil_up = d_comp[0] @ d_comp[1] - (d_comp[1] @ d_comp[0]).scaled(p.power(-2))
-    dil_down = d_comp[0] @ d_comp[-1] - (d_comp[-1] @ d_comp[0]).scaled(p.power(2))
-    mixed = d_comp[1] @ d_comp[-1] - d_comp[-1] @ d_comp[1] - (d_comp[0] @ d_comp[0]).scaled(p.lam)
-    bare_dil = _nanmax(d.max_abs(interior) for d in (dil_up, dil_down))
-    bare_mixed = mixed.max_abs(interior)
-    add("transverse-exchange-dilation", gap(
-        (dil_up, (c_op @ lam[1]).scaled(1 / q)),
-        (dil_down, (c_op @ lam[-1]).scaled(-q)),
-    ), note="with the c*Lambda counterterm")
-    bare_note = "position-shaped form without the counterterm; exact only on l-changing blocks"
-    add("transverse-exchange-dilation-bare", bare_dil, note=bare_note, gated=False)
-    add("transverse-exchange-mixed", gap((mixed, (c_op @ lam[0]).scaled(-1))), note="with the c*Lambda counterterm")
-    add("transverse-exchange-mixed-bare", bare_mixed, note=bare_note, gated=False)
-
-    add("unit-sphere-norm", gap((scalar_product(x, x), ident)))
-    add("cross-contraction-xd", gap((scalar_product(x, d_comp), c_op)))
-    add("cross-contraction-dx", gap((scalar_product(d_comp, x), c_op.scaled(-1))))
-
-    cprime_diag = diag_operator(p, lmax, lambda l, m: inv[l].Cprime)
-    add("angular-square-diagonal", gap((scalar_product(lam, lam), cprime_diag)))
-    add("third-invariant-diagonal", gap((c_op, diag_operator(p, lmax, lambda l, m: inv[l].c))))
-
-    if p.is_one:
-        add("transverse-from-invariant", None, note="skipped at q = 1: the commutator route divides by lambda**2")
-    else:
-        add("transverse-from-invariant", gap(*(
-            ((c_op @ x[k] - x[k] @ c_op).scaled(1 / (p.lam * p.lam)), d_comp[k]) for k in (1, 0, -1)
-        )))
-
-    add("transverse-dual-construction", gap(*((d_comp[k], d_elem[k]) for k in (1, 0, -1))))
-    add("transverse-hermiticity", gap(*(
-        (d_comp[k].dagger(), d_comp[-k].scaled(-((-1 / q) ** k))) for k in (1, 0, -1)
-    )))
-    add("position-hermiticity", gap(
-        (x[1].dagger(), x[-1].scaled(-1 / q)),
-        (x[-1].dagger(), x[1].scaled(-q)),
-        (x[0].dagger(), x[0]),
-    ))
-
-    d_sq = scalar_product(d_comp, d_comp)
-    cand_resid = {}
-    for l in range(interior + 1):
-        diag = d_sq.diagonal(l)
-        for formula, value in transverse_square_candidates(l, p).items():
-            worst = float(_nanmax(abs(v - value) for v in diag))
-            cand_resid[formula] = _nanmax((cand_resid.get(formula, 0.0), worst))
-    matched = sorted(name for name, r in cand_resid.items() if r < tol)
-    consistent = "-([2l][2l+2]/[2]^2 + c_l^2)"
+    if not 0 <= interior <= lmax - 2:
+        raise ValueError(f"interior_lmax={interior} is outside [0, lmax - 2] = [0, {lmax - 2}] for lmax={lmax}")
+    ops = {**_operator_operands(p, lmax, interior), **_function_operands(p, inject_fault)}
+    squares = {f: _worst(pairs, interior) for f, pairs in ops["square"].items()}
+    ops["matched"] = matched = sorted(f for f, r in squares.items() if r < tol)
+    checks = []
+    for name, group, gated, note, pairs in _ROWS:
+        sides = pairs(**ops)
+        r = None if isinstance(sides, str) else _worst(sides, interior)
+        note = sides if r is None else note if isinstance(note, str) else note(**ops)
+        checks.append(IdentityCheck(name, group, r, bool(r < tol) if gated and r is not None else None, note))
+    residuals = {c.name: _finite(c.residual) for c in checks}
     finding = {
         "transverse_square_diagonal": {
-            "candidates": {name: _finite(r) for name, r in cand_resid.items()},
+            "candidates": {f: _finite(r) for f, r in squares.items()},
             "matched": matched,
-            "resolution": consistent if consistent in matched else (matched[0] if matched else None),
+            "resolution": _CONSISTENT if _CONSISTENT in matched else (matched[0] if matched else None),
             "note": (
                 "the contracted transverse derivative equals -([2l][2l+2]/[2]^2 + c_l^2) on the diagonal; "
                 "the variant with the extra -c_l term belongs to the full kinetic operator, where the "
@@ -583,8 +682,8 @@ def verify_algebra(
             ),
         },
         "transverse_exchange": {
-            "bare_residual_dilation": _finite(float(bare_dil)),
-            "bare_residual_mixed": _finite(float(bare_mixed)),
+            "bare_residual_dilation": residuals["transverse-exchange-dilation-bare"],
+            "bare_residual_mixed": residuals["transverse-exchange-mixed-bare"],
             "note": (
                 "the transverse components satisfy d0 d1 = q^-2 d1 d0 + (1/q) c Lambda_1, "
                 "d0 d-1 = q^2 d-1 d0 - q c Lambda_-1 and d1 d-1 = d-1 d1 + lambda d0^2 - c Lambda_0; "
@@ -592,104 +691,5 @@ def verify_algebra(
             ),
         },
     }
-    add("transverse-square-diagonal", cand_resid[consistent], note=f"matched: {', '.join(matched)}")
-
-    # Function realization and measure.  Function rows are relative because
-    # harmonic coefficients reach ~1e5 at q = 0.5, where absolute thresholds
-    # would sit below representation granularity.
-    phis = {(l, m): build_phi(l, m, p) for l in range(7) for m in range(l + 1)}
-    add("harmonic-recursion-vs-closed-form", fgap(*(
-        (phi, hypergeom_phi(l, m, p)) for (l, m), phi in phis.items()
-    )), group="harmonic")
-
-    mu = QMeasure(p)
-    # every harmonic the rows below compare, keyed by (l, m), in l-major order
-    ys = {(l, m): build_y(l, m, p) for l in range(5) for m in range(-l, l + 1)}
-    add("harmonic-orthonormality", sgap(*(
-        (inner_product(y1, y2, mu), p.one if lm1 == lm2 else p.zero)
-        for lm1, y1 in ys.items() for lm2, y2 in ys.items() if lm1 <= lm2
-    )), group="harmonic")
-
-    # phi in the series convention (odd l - m carries q**-m).  Raising carries
-    # the weight q**m of the winding it acts on; with it the raised polynomial
-    # is -[l-m][l+m+1] times the next one for even l - m, the next one for odd.
-    series = {(l, m): phi.scaled(p.power(-m)) if (l - m) % 2 else phi for (l, m), phi in phis.items()}
-    two = qnum(2, p)
-    add("harmonic-ladder-step", fgap(*(
-        (series[(l, m + 1)].scaled(1 if (l - m) % 2 else -qnum(l - m, p) * qnum(l + m + 1, p)),
-         apply_lplus(series[(l, m)]).scaled(1 / p.sqrt(two)))
-        for l in range(1, 6) for m in range(l)
-    )), group="harmonic")
-
-    # the ladder's exact division raises on a NaN coefficient; such a
-    # harmonic is compared with itself, so the row fails on its NaN as the
-    # other rows that read it do
-    add("harmonic-casimir", fgap(*(
-        (y.scaled(qnum(l, p) * qnum(l + 1, p)), y if math.isnan(y.max_abs()) else apply_casimir(y))
-        for (l, m), y in ys.items()
-    )), group="harmonic")
-
-    product_pairs = []
-    for l in range(4):
-        for m in range(-l, l + 1):
-            for k in (1, 0, -1):
-                # the l + 1 term is always there, the l - 1 one where |m + k| < l
-                target = ys[(l + 1, m + k)].scaled(position_coeff_upper(p, l, m, k))
-                if abs(m + k) < l:
-                    target += ys[(l - 1, m + k)].scaled(position_coeff_lower(p, l, m, k))
-                if inject_fault and (l, m, k) == (1, 0, 0):
-                    target = target.scaled(p.number(1 + 1e-3))
-                product_pairs.append((mul_position(k, ys[(l, m)]), target))
-    add("position-product-expansion", fgap(*product_pairs),
-        note="fault injected" if inject_fault else "", group="harmonic")
-
-    commutation_pairs = []
-    for l in range(4):
-        for m in range(-l, l + 1):
-            y = ys[(l, m)]
-            commutation_pairs.append((mul_position(0, y), mul_position_right(0, y).scaled(p.power(-2 * m))))
-            for k in (1, -1):
-                if abs(m + k) <= l:
-                    corr = mul_position_right(0, ys[(l, m + k)]).scaled(
-                        k * p.lam / p.sqrt(two) * p.power(-m - k)
-                        * p.sqrt(qnum(l - k * m, p) * qnum(l + k * m + 1, p))
-                    )
-                    commutation_pairs.append((mul_position(k, y), mul_position_right(k, y) + corr))
-    add("position-right-commutation", fgap(*commutation_pairs), group="harmonic")
-
-    adjoint_pairs = []
-    for m in (-2, 0, 1):
-        f = angular_function(p, m, {0: 0.4, 1: -0.9, 2: 0.25, 3: 0.5})
-        g = angular_function(p, m + 1, {0: 1.1, 1: 0.3, 2: -0.7})
-        adjoint_pairs.append((inner_product(apply_lplus(f), g, mu), inner_product(f, apply_lminus(g), mu)))
-    add("ladder-adjointness", sgap(*adjoint_pairs), group="harmonic")
-
-    mu_r = QMeasure(p.reciprocal())
-    add("measure-symmetry", sgap(*(
-        (integrate_monomial(n, mu), integrate_monomial(n, mu_r)) for n in range(0, 9, 2)
-    )), note="q against 1/q", group="harmonic")
-
-    if q < 1:
-        # The depth-D grid sum of x0**n is exactly closed * (1 - q**(2D(n+1))),
-        # so the comparison holds at every q < 1, however slowly the tail decays.
-        depth = 400
-        ns = range(0, 9, 2)
-        add("measure-series-agreement", sgap(*(
-            (2 * s, integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
-            for n, s in zip(ns, _halfline_series(ns, q, depth))
-        )), group="measure")
-    else:
-        add("measure-series-agreement", None, note="series grid only exists for q < 1", group="measure")
-
-    add("uniform-state-moment", sgap(
-        (integrate_monomial(2, mu) / integrate_monomial(0, mu), 1 / qnum(3, p))
-    ), group="harmonic")
-
-    meta = {
-        "q": float(p.q),
-        "lmax": lmax,
-        "interior_lmax": interior,
-        "precision": p.precision,
-        "tolerance": tol,
-    }
+    meta = {"q": float(p.q), "lmax": lmax, "interior_lmax": interior, "precision": p.precision, "tolerance": tol}
     return VerifyReport(meta=meta, checks=checks, finding=finding)

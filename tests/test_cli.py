@@ -517,6 +517,53 @@ def test_verify_csv_route(tmp_path):
     assert "unit-sphere-norm" in names and "harmonic-orthonormality" in names
 
 
+# the bytes of one high-precision run, pinned row by row: decimal arithmetic
+# is exactly specified, so they are the same on every platform, and a change
+# that moves a residual on purpose must update and review this table
+HIGH_CSV = """\
+q,group,name,residual,passed,note
+0.7,harmonic,harmonic-casimir,1.01941648716816e-61,True,
+0.7,harmonic,harmonic-ladder-step,9.31396679945179e-62,True,
+0.7,harmonic,harmonic-orthonormality,6.05e-60,True,
+0.7,harmonic,harmonic-recursion-vs-closed-form,9.96952944098357e-62,True,
+0.7,harmonic,ladder-adjointness,1.2e-60,True,
+0.7,harmonic,measure-symmetry,6e-62,True,q against 1/q
+0.7,harmonic,position-product-expansion,1.91338632157138e-61,True,
+0.7,harmonic,position-right-commutation,4.2065815618363e-61,True,
+0.7,harmonic,uniform-state-moment,0,True,
+0.7,measure,measure-series-agreement,3e-62,True,
+0.7,operator,angular-square-diagonal,2e-60,True,
+0.7,operator,casimir-diagonal,3e-61,True,
+0.7,operator,cross-contraction-dx,5e-61,True,
+0.7,operator,cross-contraction-xd,5e-61,True,
+0.7,operator,generator-commutator-ladder,2e-61,True,
+0.7,operator,generator-commutator-lower,0,True,
+0.7,operator,generator-commutator-raise,0,True,
+0.7,operator,position-exchange-dilation,4e-62,True,
+0.7,operator,position-exchange-mixed,3.3e-62,True,
+0.7,operator,position-hermiticity,3e-62,True,
+0.7,operator,third-invariant-diagonal,2e-61,True,
+0.7,operator,transverse-dual-construction,1e-61,True,
+0.7,operator,transverse-exchange-dilation,1e-60,True,with the c*Lambda counterterm
+0.7,operator,transverse-exchange-dilation-bare,13.3307762171849,,position-shaped form without the counterterm; exact only on l-changing blocks
+0.7,operator,transverse-exchange-mixed,2e-60,True,with the c*Lambda counterterm
+0.7,operator,transverse-exchange-mixed-bare,10.3915858953449,,position-shaped form without the counterterm; exact only on l-changing blocks
+0.7,operator,transverse-from-invariant,3e-61,True,
+0.7,operator,transverse-hermiticity,2e-61,True,
+0.7,operator,transverse-square-diagonal,3e-60,True,matched: -([2l][2l+2]/[2]^2 + c_l^2)
+0.7,operator,unit-sphere-norm,1.2e-61,True,
+0.7,operator,vector-condition-angular,7e-61,True,
+0.7,operator,vector-condition-position,1.1e-61,True,
+0.7,operator,vector-condition-transverse,6.6e-61,True,
+"""
+
+
+def test_verify_high_precision_csv_bytes(capsys):
+    code = main(["verify", "--q", "0.7", "--lmax", "4", "--precision", "high", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out.split("\r\n") == HIGH_CSV.split("\n")
+
+
 def test_stdout_emission(capsys):
     code = main(["integrate", "--degree", "0", "--q", "1.0"])
     assert code == 0

@@ -3,7 +3,6 @@ import math
 
 from decimal import Decimal
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -256,12 +255,9 @@ def test_verify_algebra_q_inverse_symmetry():
 
 
 def test_verify_algebra_high_precision():
-    dps = mpmath.mp.dps
     rep = verify_algebra(QParam(1.3, "high"), 4, tol=1e-25)
     assert rep.passed
     assert max(c.residual for c in rep.checks if c.passed is not None) < 1e-25
-    # high precision lives in a private context, not in the global one
-    assert mpmath.mp.dps == dps
 
 
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.0, 1.3, 3.0])
@@ -304,6 +300,68 @@ def test_max_residual_ignores_informational_rows():
 def test_verify_algebra_rejects_small_lmax():
     with pytest.raises(ValueError):
         verify_algebra(QParam(1.1), 2)
+
+
+@pytest.mark.parametrize("interior", [-1, 5])
+def test_verify_algebra_rejects_interior_outside_range(interior):
+    # the interior must stay clear of the truncated blocks, l <= lmax - 2
+    with pytest.raises(ValueError, match=rf"interior_lmax={interior} .* for lmax=5"):
+        verify_algebra(QParam(1.3), 5, interior_lmax=interior)
+
+
+# every row of the catalogue in report order: (group, name, passed is None)
+CATALOGUE = [
+    ("operator", "generator-commutator-raise", False),
+    ("operator", "generator-commutator-lower", False),
+    ("operator", "generator-commutator-ladder", False),
+    ("operator", "casimir-diagonal", False),
+    ("operator", "vector-condition-position", False),
+    ("operator", "vector-condition-angular", False),
+    ("operator", "vector-condition-transverse", False),
+    ("operator", "position-exchange-dilation", False),
+    ("operator", "position-exchange-mixed", False),
+    ("operator", "transverse-exchange-dilation", False),
+    ("operator", "transverse-exchange-dilation-bare", True),
+    ("operator", "transverse-exchange-mixed", False),
+    ("operator", "transverse-exchange-mixed-bare", True),
+    ("operator", "unit-sphere-norm", False),
+    ("operator", "cross-contraction-xd", False),
+    ("operator", "cross-contraction-dx", False),
+    ("operator", "angular-square-diagonal", False),
+    ("operator", "third-invariant-diagonal", False),
+    ("operator", "transverse-from-invariant", False),
+    ("operator", "transverse-dual-construction", False),
+    ("operator", "transverse-hermiticity", False),
+    ("operator", "position-hermiticity", False),
+    ("operator", "transverse-square-diagonal", False),
+    ("harmonic", "harmonic-recursion-vs-closed-form", False),
+    ("harmonic", "harmonic-orthonormality", False),
+    ("harmonic", "harmonic-ladder-step", False),
+    ("harmonic", "harmonic-casimir", False),
+    ("harmonic", "position-product-expansion", False),
+    ("harmonic", "position-right-commutation", False),
+    ("harmonic", "ladder-adjointness", False),
+    ("harmonic", "measure-symmetry", False),
+    ("measure", "measure-series-agreement", True),
+    ("harmonic", "uniform-state-moment", False),
+]
+
+
+def test_verify_algebra_catalogue_shape():
+    rep = verify_algebra(QParam(1.3), 4)
+    assert [(c.group, c.name, c.passed is None) for c in rep.checks] == CATALOGUE
+    # the series grid exists only for q < 1, the commutator route only off q = 1
+    rows = {c.name: c for c in rep.checks}
+    assert rows["measure-series-agreement"].residual is None
+    assert rows["measure-series-agreement"].note == "series grid only exists for q < 1"
+    rows = {c.name: c for c in verify_algebra(QParam(1.0), 4).checks}
+    row = rows["transverse-from-invariant"]
+    assert row.residual is None and row.passed is None
+    assert row.note == "skipped at q = 1: the commutator route divides by lambda**2"
+    assert rows["measure-series-agreement"].note == "series grid only exists for q < 1"
+    rows = {c.name: c for c in verify_algebra(QParam(1.3), 4, inject_fault=True).checks}
+    assert rows["position-product-expansion"].note == "fault injected"
+    assert rows["position-product-expansion"].passed is False
 
 
 def test_report_payload_serializable():
