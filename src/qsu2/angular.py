@@ -9,10 +9,10 @@ the right.  Every operation here is closed on this family:
   right multiplication by unit-sphere components stay polynomial;
 * the 1/x0 inside the ladder kernels always follows an operator that
   annihilates the constant term, so it acts by exact monomial division;
-* raising a negative winding (and lowering a positive one) produces a
-  polynomial that is exactly divisible by the winding-product polynomial
-  one order down; the division is performed factor by factor and the
-  remainder is checked against the coefficient tolerance.
+* raising a negative winding (and lowering a positive one) contracts the
+  winding into a product of quadratic factors, and the ladder kernel maps
+  that product onto the one an order down times a polynomial: the step
+  acts on each monomial in closed form, with no division.
 
 Coefficients are plain floats/complex in double mode and real Decimals in
 high precision mode; all scalar arithmetic is routed through QParam, and
@@ -145,45 +145,6 @@ def _qderiv(a: dict, p: QParam, sign: int) -> dict:
     return out
 
 
-def _pdiv_factor(a: dict, alpha, p: QParam) -> dict:
-    """Exact division of a by (1 - alpha*x0**2), remainder checked; a NaN
-    remainder fails the check.
-
-    Solved bottom-up for |alpha| <= 1 and top-down otherwise so that the
-    triangular recurrence never amplifies rounding.
-    """
-    if not a:
-        return {}
-    deg = max(a)
-    scale = max(abs(v) for v in a.values())
-    tol = p.coeff_tol * max(1.0, float(scale))
-    r: dict = {}
-    if abs(alpha) <= 1:
-        for k in range(0, deg + 1):
-            val = a.get(k, 0) + alpha * r.get(k - 2, 0)
-            if k <= deg - 2:
-                if val != 0:
-                    r[k] = val
-            else:
-                if not abs(val) <= tol:
-                    raise ArithmeticError(
-                        f"winding-product division left remainder {abs(val):.3e} at degree {k}, q={float(p.q)}"
-                    )
-    else:
-        for k in range(deg, 1, -1):
-            val = (r.get(k, 0) - a.get(k, 0)) / alpha
-            if val != 0:
-                r[k - 2] = val
-        for k in (0, 1):
-            rem = a.get(k, 0) - r.get(k, 0)
-            if not abs(rem) <= tol:
-                raise ArithmeticError(
-                    f"winding-product division left remainder {abs(rem):.3e} at degree {k}, q={float(p.q)}"
-                )
-        r = {k: v for k, v in r.items() if k <= deg - 2 and v != 0}
-    return r
-
-
 # ----------------------------- position multiplication -----------------------------
 
 def _mixed_product(coeffs: dict, alpha, p: QParam) -> dict:
@@ -238,36 +199,31 @@ def apply_l0(f: AngularFunction) -> AngularFunction:
     return f.scaled(f.m)
 
 
-def _divide_winding_product(num: dict, j: int, sign: int, p: QParam) -> dict:
-    """Divide by the order-j winding-product polynomial.
-
-    The product is (-1/[2])**j prod_{i<j} (1 - q**(sign*(4i+2)) x0**2); the
-    division runs factor by factor and rescales by (-[2])**j at the end.
-    """
-    out = num
-    for i in range(j):
-        out = _pdiv_factor(out, p.power(sign * (4 * i + 2)), p)
-    return _pscale(out, (-qnum(2, p)) ** j)
-
-
 @_in_private_context
 def _ladder(f: AngularFunction, s: int) -> AngularFunction:
     """Raising (s = +1) or lowering (s = -1) operator: strip the winding
     factor, apply the ladder kernel to the polynomial part, recreate the
     winding one step along.
 
-    On windings against the step (s*m < 0) the strip contracts all mixed
-    pairs first and the recreated factor is recovered by exact division.
+    With the step (s*m >= 0) the kernel is the Jackson derivative
+    D F(x) = (F(x) - F(Qx))/((1 - Q) x), Q = q**(-2s), of the polynomial
+    part P, which takes x0**k to q**(-s(k-1)) [k] x0**(k-1).  Against it
+    (j = |m| >= 1) the strip contracts the j mixed pairs into
+    (-1/[2])**j Pi_j P, with the winding product
+    Pi_j(x) = prod_{t=1..j} (1 - q**(s(4t-2)) x**2), and the recreated
+    factor takes (-1/[2])**(j-1) Pi_{j-1} back out.  As
+    Pi_j(Qx) = (1 - q**(-2s) x**2) Pi_{j-1}(x) and
+    Pi_j(x) = (1 - q**(s(4j-2)) x**2) Pi_{j-1}(x), the quotient
+    D(Pi_j P)/Pi_{j-1} needs no division: it takes x0**k to
+    q**(-s(k-1)) [k] x0**(k-1) - q**(s(2j-k-1)) [2j+k] x0**(k+1).
     """
     p, m = f.p, f.m
     pref = p.sqrt(qnum(2, p)) * p.power(m)
-    if s * m >= 0:
-        poly = _qderiv(f.coeffs, p, -s)
-    else:
-        g = f
-        for _ in range(-s * m):
-            g = mul_position(s, g)
-        poly = _divide_winding_product(_qderiv(g.coeffs, p, -s), -s * m - 1, s, p)
+    poly = _qderiv(f.coeffs, p, -s)
+    if s * m < 0:
+        j = -s * m
+        up = {k + 1: -v * p.power(s * (2 * j - k - 1)) * qnum(2 * j + k, p) for k, v in f.coeffs.items()}
+        poly = _pscale(_padd(poly, up), -1 / qnum(2, p))
     return AngularFunction(p, m + s, _pscale(poly, pref))
 
 

@@ -604,12 +604,8 @@ _ROWS = (
         (inner_product(y1, y2, mu), p.one if lm1 == lm2 else p.zero)
         for lm1, y1 in y.items() for lm2, y2 in y.items() if lm1 <= lm2]),
     ("harmonic-ladder-step", "harmonic", True, "", _ladder_step_pairs),
-    # the ladder's exact division raises on a NaN coefficient; such a
-    # harmonic is compared with itself, so the row fails on its NaN as the
-    # other rows that read it do
     ("harmonic-casimir", "harmonic", True, "", lambda y, p, **_: [
-        (f.scaled(qnum(l, p) * qnum(l + 1, p)), f if math.isnan(f.max_abs()) else apply_casimir(f))
-        for (l, m), f in y.items()]),
+        (f.scaled(qnum(l, p) * qnum(l + 1, p)), apply_casimir(f)) for (l, m), f in y.items()]),
     ("position-product-expansion", "harmonic", True, lambda fault, **_: "fault injected" if fault else "",
      _product_pairs),
     ("position-right-commutation", "harmonic", True, "", _commutation_pairs),

@@ -140,11 +140,6 @@ class QParam:
     def pi(self):
         return _HIGH_PI if self.is_high else math.pi
 
-    @property
-    def coeff_tol(self) -> float:
-        """Absolute tolerance for coefficient-level identity checks."""
-        return 1e-30 if self.is_high else 1e-10
-
     def sqrt(self, x):
         """Square root; a negative argument raises ValueError in both
         precisions."""

@@ -1,4 +1,8 @@
+import decimal
 import math
+import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +424,64 @@ def test_ladder_adjointness():
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
+def _fraction_ladder_against_winding(coeffs: dict, m: int, s: int, q: Fraction) -> dict:
+    """The ladder step against the winding (s*m < 0, j = |m|) the long
+    way, in exact rationals: multiply by the order-j winding product
+    prod_{t=1..j} (1 - q**(s(4t-2)) x0**2), apply the Jackson derivative
+    with Q = q**(-2s), divide exactly by the order-(j-1) product, scale by
+    -1/[2].  The prefactor sqrt([2]) q**m is left out."""
+    j = -s * m
+    poly = dict(coeffs)
+    for t in range(1, j + 1):
+        alpha = q ** (s * (4 * t - 2))
+        shifted = {k + 2: -alpha * v for k, v in poly.items()}
+        poly = {k: poly.get(k, 0) + shifted.get(k, 0) for k in set(poly) | set(shifted)}
+    big_q = q ** (-2 * s)
+    poly = {k - 1: v * (1 - big_q ** k) / (1 - big_q) for k, v in poly.items() if k}
+    for t in range(1, j):
+        alpha = q ** (s * (4 * t - 2))
+        deg = max(poly)
+        quot: dict = {}
+        for k in range(deg + 1):
+            val = poly.get(k, 0) + alpha * quot.get(k - 2, 0)
+            if k <= deg - 2:
+                quot[k] = val
+            else:
+                assert val == 0, (m, s, q, k)
+        poly = quot
+    two = q + 1 / q
+    return {k: -v / two for k, v in poly.items() if v}
+
+
+def test_ladder_against_the_winding_matches_the_exact_division():
+    # the closed form against the route it replaces, multiply, derive and
+    # divide, held in exact rationals: q = 3/2 and the double nearest 2/3,
+    # whose Fraction is exactly the q high precision computes with
+    rng = random.Random(20)
+    for qf in (1.5, 2 / 3):
+        p = QParam(qf, "high")
+        q = Fraction(qf)
+        for m in (-4, -3, -2, -1, 1, 2, 3, 4):
+            s = 1 if m < 0 else -1
+            ladder = apply_lplus if s == 1 else apply_lminus
+            for _ in range(3):
+                # dyadic rationals are exact as floats, so both routes
+                # start from the same polynomial
+                coeffs = {k: Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 6)) for k in range(rng.randint(0, 6) + 1)}
+                coeffs = {k: v for k, v in coeffs.items() if v} or {0: Fraction(1)}
+                got = ladder(angular_function(p, m, {k: float(v) for k, v in coeffs.items()}))
+                exact = _fraction_ladder_against_winding(coeffs, m, s, q)
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 90
+                    pref = p.sqrt(qnum(2, p)) * p.power(m)
+                    want = {k: pref * (Decimal(v.numerator) / Decimal(v.denominator)) for k, v in exact.items()}
+                    scale = max(abs(v) for v in want.values())
+                    keys = set(got.coeffs) | set(want)
+                    err = max(abs(got.coeffs.get(k, 0) - want.get(k, 0)) for k in keys) / scale
+                assert got.m == m + s, (qf, m)
+                assert err < Decimal("1e-55"), (qf, m, err)
+
+
 # ----------------------------- plumbing -----------------------------
 
 def test_high_precision_harmonics():
@@ -437,18 +499,17 @@ def test_zero_function_handling():
     assert z.distance(angular_function(p, -1, {})) == 0.0
 
 
-def test_winding_division_rejects_nan():
-    # raising winding -2 (lowering +2) recovers the winding factor by exact
-    # division; a NaN coefficient leaves a NaN remainder, which must raise
-    # on both the bottom-up (q < 1) and the top-down (q > 1) branch
+def test_against_the_winding_ladders_propagate_nan():
+    # raising winding -2 (lowering +2) is a closed form with no division:
+    # a NaN coefficient reaches the result instead of raising, on both
+    # sides of q = 1 and in both precisions
     for q, precision in ((0.7, "double"), (1.3, "double"), (0.7, "high"), (1.3, "high")):
         p = QParam(q, precision)
         nan = p.number(math.nan)
         for coeffs in ({0: nan, 2: p.one}, {0: p.one, 2: nan}):
-            with pytest.raises(ArithmeticError, match="remainder"):
-                apply_lplus(angular_function(p, -2, coeffs))
-            with pytest.raises(ArithmeticError, match="remainder"):
-                apply_lminus(angular_function(p, 2, coeffs))
+            for ladder, m, step in ((apply_lplus, -2, 1), (apply_lminus, 2, -1)):
+                g = ladder(angular_function(p, m, coeffs))
+                assert g.m == m + step and math.isnan(g.max_abs()), (q, precision, m, coeffs)
 
 
 def test_negative_power_rejected():

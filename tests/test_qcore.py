@@ -391,13 +391,14 @@ def test_double_precision_ignores_the_callers_decimal_context(name):
 
 
 def test_high_precision_restores_the_callers_context_when_it_raises():
-    # the winding division raises on a NaN remainder inside the private context
+    # apply_lambda refuses a vector index outside +1, 0, -1 from inside the
+    # private context
     p = QParam(1.3, "high")
-    f = qsu2.angular_function(p, -2, {0: math.nan, 2: 1})
+    f = qsu2.angular_function(p, -2, {0: 1, 2: 1})
     with decimal.localcontext() as ctx:
         ctx.prec = 10
-        with pytest.raises(ArithmeticError, match="remainder"):
-            qsu2.apply_lplus(f)
+        with pytest.raises(ValueError, match="vector index"):
+            qsu2.apply_lambda(2, f)
         assert decimal.getcontext() is ctx and ctx.prec == 10
 
 
