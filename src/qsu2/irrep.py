@@ -10,9 +10,11 @@ on them is list arithmetic: numpy is imported only for the dense block()
 view, so verification runs without it.  Every public builder and method
 that computes is decorated with ``qcore._in_private_context``, so it
 computes in the private decimal context in either precision.
-Identities are asserted only on interior blocks (l <= lmax - 2), which
-are unreachable from truncation artifacts because no tested identity
-composes more than two bandwidth-one operators.
+Operator identities are asserted on the interior basis l <= interior
+(lmax - 2 by default), which truncation cannot reach: a product of two
+l-changing operators, the most a row composes, reads one shell above its
+labels.  So the operands are built on l <= interior + 1, where such
+products are formed, then cut; every other product has an l-diagonal factor.
 
 Builders take the operators they derive from and read p and lmax from
 them; operators of different p or lmax refuse to combine.  The catalogue
@@ -21,13 +23,14 @@ is data: one dict of operands, each formed once (``_operator_operands``,
 each (name, group, gated, note, pairs), where ``pairs(**operands)`` gives
 the (lhs, rhs) sides it compares, or the reason it is skipped at this q.
 ``_residual`` picks the metric by the type of the sides: operators by the
-largest interior entry of lhs - rhs, functions by the largest coefficient
+largest entry of lhs - rhs, functions by the largest coefficient
 difference relative to the largest coefficient of lhs (floor 1), scalars
 by |lhs - rhs|.  A NaN on either side makes the residual NaN, which fails.
-A new row goes into ``_ROWS`` at its place in the report, and an operand
-that several rows read goes into one of the two builders.
+A new row goes into ``_ROWS`` at its place in the report; an operand that
+several rows read, and any product of two l-changing operators, goes into
+one of the two builders.
 ``OperatorMatrix.distance`` forms the operator residual in one pass over
-the interior blocks of both sides, without building the difference; it
+the blocks of both sides, without building the difference; it
 reduces the magnitudes as floats, and since rounding to a float keeps
 their order, its maximum is bitwise that of ``(lhs - rhs).max_abs``.
 The scalars every builder reads, the q-numbers [n] and powers q**e, come
@@ -208,6 +211,10 @@ class OperatorMatrix:
             mags += map(abs, b if a is None else a if b is None else map(sub, a, b))
         return _nanmax(map(float, mags) if self.p.is_high else mags)
 
+    def truncated(self, l_top: int) -> "OperatorMatrix":
+        """The operator on the basis l <= l_top: its blocks there, in stored order."""
+        return OperatorMatrix(self.p, l_top, self.delta_m, {k: v for k, v in self.blocks.items() if max(k) <= l_top})
+
     def diagonal(self, l: int):
         """Diagonal of the (l, l) block as a list over m = -l..l."""
         vec = self.blocks.get((l, l)) if self.delta_m == 0 else None
@@ -378,8 +385,12 @@ def _partial_elements(x: dict) -> dict:
 def scalar_product(u: dict, v: dict) -> OperatorMatrix:
     """Rank-zero contraction of two vector triples:
     -(1/q) u_1 v_-1 + u_0 v_0 - q u_-1 v_1."""
-    p = u[0].p
-    return (u[1] @ v[-1]).scaled(-1 / p.q) + u[0] @ v[0] + (u[-1] @ v[1]).scaled(-p.q)
+    return _contract({(i, -i): u[i] @ v[-i] for i in (1, 0, -1)}, u[0].p)
+
+
+def _contract(uv: dict, p: QParam) -> OperatorMatrix:
+    """The rank-zero combination of the component products uv[i, j] = u_i v_j."""
+    return uv[1, -1].scaled(-1 / p.q) + uv[0, 0] + uv[-1, 1].scaled(-p.q)
 
 
 # ----------------------------- verification engine -----------------------------
@@ -438,32 +449,45 @@ def transverse_square_candidates(l: int, p: QParam) -> dict:
     }
 
 
-def _operator_operands(p: QParam, lmax: int, interior: int) -> dict:
+def _operator_operands(p: QParam, interior: int) -> dict:
     """Every operand of the operator rows, each formed once: the generators,
     Lambda, c, x, both routes of the transverse derivative d, the diagonal
-    operators, the exchange differences of d that gated and bare rows share,
-    and per candidate the (diagonal entry, closed form) pairs of d.d."""
-    gen = build_generators(p, lmax)
+    operators, the products of two l-changing operators that rows read (xx,
+    xd, dx, dd by component pair), the exchange differences of d that gated
+    and bare rows share, and per candidate the (diagonal entry, closed form)
+    pairs of d.d.  Built on l <= interior + 1 and cut to l <= interior, so a
+    product of two l-changing operators that a new row reads is formed here."""
+    top, rank_zero = interior + 1, [(1, -1), (0, 0), (-1, 1)]
+    gen = build_generators(p, top)
     lp_lm, lm_lp = gen["Lplus"] @ gen["Lminus"], gen["Lminus"] @ gen["Lplus"]
     lam = build_lambda(gen)
     c = build_invariant_c(lam)
-    x = build_position(p, lmax)
+    x = build_position(p, top)
     d = _partial_composed(x, lam, c)
-    inv = [invariants(l, p) for l in range(lmax + 1)]
+    inv = [invariants(l, p) for l in range(top + 1)]
+    ops = {
+        **gen, "lp_lm": lp_lm, "lm_lp": lm_lp, "lam": lam, "c": c, "x": x, "d": d,
+        "d_elem": _partial_elements(x), "ident": identity_operator(p, top),
+        "two_l0": diag_operator(p, top, lambda l, m: qnum(2 * m, p)),
+        "casimir": lm_lp + diag_operator(p, top, lambda l, m: qnum(m, p) * qnum(m + 1, p)),
+        "C": diag_operator(p, top, lambda l, m: inv[l].C),
+        "Cprime": diag_operator(p, top, lambda l, m: inv[l].Cprime),
+        "c_diag": diag_operator(p, top, lambda l, m: inv[l].c),
+        "ql0": diag_operator(p, top, lambda l, m: p.power(m)),
+    }
+    for a, b in ("xx", "xd", "dx", "dd"):
+        # x.x and d.d for the exchange relations too, x.d and d.x only contracted
+        exchange = [(0, 1), (1, 0), (0, -1), (-1, 0)] if a == b else []
+        ops[a + b] = {(i, j): ops[a][i] @ ops[b][j] for i, j in rank_zero + exchange}
+    for k, v in ops.items():
+        ops[k] = {i: o.truncated(interior) for i, o in v.items()} if isinstance(v, dict) else v.truncated(interior)
+    dd, d_sq = ops["dd"], _contract(ops["dd"], p)
     cands = [transverse_square_candidates(l, p) for l in range(interior + 1)]
-    d_sq = scalar_product(d, d)
     return {
-        **gen, "p": p, "lp_lm": lp_lm, "lm_lp": lm_lp, "lam": lam, "c": c, "x": x, "d": d,
-        "d_elem": _partial_elements(x), "ident": identity_operator(p, lmax),
-        "two_l0": diag_operator(p, lmax, lambda l, m: qnum(2 * m, p)),
-        "casimir": lm_lp + diag_operator(p, lmax, lambda l, m: qnum(m, p) * qnum(m + 1, p)),
-        "C": diag_operator(p, lmax, lambda l, m: inv[l].C),
-        "Cprime": diag_operator(p, lmax, lambda l, m: inv[l].Cprime),
-        "c_diag": diag_operator(p, lmax, lambda l, m: inv[l].c),
-        "ql0": diag_operator(p, lmax, lambda l, m: p.power(m)),
-        "dil_up": d[0] @ d[1] - (d[1] @ d[0]).scaled(p.power(-2)),
-        "dil_down": d[0] @ d[-1] - (d[-1] @ d[0]).scaled(p.power(2)),
-        "mixed": d[1] @ d[-1] - d[-1] @ d[1] - (d[0] @ d[0]).scaled(p.lam),
+        **ops, "p": p,
+        "dil_up": dd[0, 1] - dd[1, 0].scaled(p.power(-2)),
+        "dil_down": dd[0, -1] - dd[-1, 0].scaled(p.power(2)),
+        "mixed": dd[1, -1] - dd[-1, 1] - dd[0, 0].scaled(p.lam),
         "square": {f: [(v, cand[f]) for l, cand in enumerate(cands) for v in d_sq.diagonal(l)] for f in cands[0]},
     }
 
@@ -570,10 +594,10 @@ _ROWS = (
     ("vector-condition-position", "operator", True, "", lambda x, **o: _vector_pairs(x, **o)),
     ("vector-condition-angular", "operator", True, "", lambda lam, **o: _vector_pairs(lam, **o)),
     ("vector-condition-transverse", "operator", True, "", lambda d, **o: _vector_pairs(d, **o)),
-    ("position-exchange-dilation", "operator", True, "", lambda x, p, **_: [
-        (x[0] @ x[1], (x[1] @ x[0]).scaled(p.power(-2))), (x[0] @ x[-1], (x[-1] @ x[0]).scaled(p.power(2)))]),
+    ("position-exchange-dilation", "operator", True, "", lambda xx, p, **_: [
+        (xx[0, 1], xx[1, 0].scaled(p.power(-2))), (xx[0, -1], xx[-1, 0].scaled(p.power(2)))]),
     ("position-exchange-mixed", "operator", True, "",
-     lambda x, p, **_: [(x[1] @ x[-1] - x[-1] @ x[1], (x[0] @ x[0]).scaled(p.lam))]),
+     lambda xx, p, **_: [(xx[1, -1] - xx[-1, 1], xx[0, 0].scaled(p.lam))]),
     ("transverse-exchange-dilation", "operator", True, _COUNTERTERM, lambda dil_up, dil_down, c, lam, p, **_: [
         (dil_up, (c @ lam[1]).scaled(1 / p.q)), (dil_down, (c @ lam[-1]).scaled(-p.q))]),
     ("transverse-exchange-dilation-bare", "operator", False, _BARE, lambda dil_up, dil_down, **_: [
@@ -582,9 +606,9 @@ _ROWS = (
      lambda mixed, c, lam, **_: [(mixed, (c @ lam[0]).scaled(-1))]),
     ("transverse-exchange-mixed-bare", "operator", False, _BARE,
      lambda mixed, **_: [(mixed, OperatorMatrix(mixed.p, mixed.lmax, 0))]),
-    ("unit-sphere-norm", "operator", True, "", lambda x, ident, **_: [(scalar_product(x, x), ident)]),
-    ("cross-contraction-xd", "operator", True, "", lambda x, d, c, **_: [(scalar_product(x, d), c)]),
-    ("cross-contraction-dx", "operator", True, "", lambda x, d, c, **_: [(scalar_product(d, x), c.scaled(-1))]),
+    ("unit-sphere-norm", "operator", True, "", lambda xx, ident, p, **_: [(_contract(xx, p), ident)]),
+    ("cross-contraction-xd", "operator", True, "", lambda xd, c, p, **_: [(_contract(xd, p), c)]),
+    ("cross-contraction-dx", "operator", True, "", lambda dx, c, p, **_: [(_contract(dx, p), c.scaled(-1))]),
     ("angular-square-diagonal", "operator", True, "", lambda lam, Cprime, **_: [(scalar_product(lam, lam), Cprime)]),
     ("third-invariant-diagonal", "operator", True, "", lambda c, c_diag, **_: [(c, c_diag)]),
     ("transverse-from-invariant", "operator", True, "", lambda c, x, d, p, **_: (
@@ -618,20 +642,20 @@ _ROWS = (
 )
 
 
-def _residual(lhs, rhs, l_top: int) -> float:
+def _residual(lhs, rhs) -> float:
     """How far lhs is from rhs, by the type of the sides: operators by the
-    largest entry of lhs - rhs on the blocks with labels <= l_top, functions
-    by the largest coefficient difference relative to the largest
-    coefficient of lhs (floor 1), scalars by |lhs - rhs|."""
+    largest entry of lhs - rhs, functions by the largest coefficient
+    difference relative to the largest coefficient of lhs (floor 1),
+    scalars by |lhs - rhs|."""
     if isinstance(lhs, OperatorMatrix):
-        return lhs.distance(rhs, l_top)
+        return lhs.distance(rhs)
     if isinstance(lhs, AngularFunction):
         return lhs.distance(rhs) / max(lhs.p.one, lhs.max_abs())
     return abs(lhs - rhs)
 
 
-def _worst(pairs, l_top: int) -> float:
-    return float(_nanmax(_residual(lhs, rhs, l_top) for lhs, rhs in pairs))
+def _worst(pairs) -> float:
+    return float(_nanmax(_residual(lhs, rhs) for lhs, rhs in pairs))
 
 
 @_in_private_context
@@ -644,25 +668,26 @@ def verify_algebra(
     once, into one dict.  Each row of ``_ROWS`` turns it into (lhs, rhs)
     pairs; the row's residual is the worst ``_residual`` over them, and a
     gated row passes when that is below tol (a NaN fails).  Operator rows
-    compare interior blocks (l <= interior_lmax, default lmax - 2), harmonic
-    and measure rows fixed small l ranges.  The finding resolves which of
-    three candidate closed forms the contracted transverse-derivative
-    diagonal matches; exactly one is consistent for every l.  inject_fault
-    corrupts one position expansion coefficient, so that a caller can
-    confirm the verifier fails.
+    run on the interior basis (l <= interior_lmax, default lmax - 2) and
+    read each product of two l-changing operators from the operands, formed
+    a shell above it.  Harmonic and measure rows take fixed small l ranges.
+    The finding resolves which of three candidate closed forms the
+    contracted transverse-derivative diagonal matches; exactly one is
+    consistent for every l.  inject_fault corrupts one position expansion
+    coefficient, so that a caller can confirm the verifier fails.
     """
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
     interior = lmax - 2 if interior_lmax is None else interior_lmax
     if not 0 <= interior <= lmax - 2:
         raise ValueError(f"interior_lmax={interior} is outside [0, lmax - 2] = [0, {lmax - 2}] for lmax={lmax}")
-    ops = {**_operator_operands(p, lmax, interior), **_function_operands(p, inject_fault)}
-    squares = {f: _worst(pairs, interior) for f, pairs in ops["square"].items()}
+    ops = {**_operator_operands(p, interior), **_function_operands(p, inject_fault)}
+    squares = {f: _worst(pairs) for f, pairs in ops["square"].items()}
     ops["matched"] = matched = sorted(f for f, r in squares.items() if r < tol)
     checks = []
     for name, group, gated, note, pairs in _ROWS:
         sides = pairs(**ops)
-        r = None if isinstance(sides, str) else _worst(sides, interior)
+        r = None if isinstance(sides, str) else _worst(sides)
         note = sides if r is None else note if isinstance(note, str) else note(**ops)
         checks.append(IdentityCheck(name, group, r, bool(r < tol) if gated and r is not None else None, note))
     residuals = {c.name: _finite(c.residual) for c in checks}

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -565,6 +566,16 @@ def test_verify_high_precision_csv_bytes(capsys):
     code = main(["verify", "--q", "0.7", "--lmax", "4", "--precision", "high", "--format", "csv"])
     assert code == 0
     assert capsys.readouterr().out.split("\r\n") == HIGH_CSV.split("\n")
+
+
+def test_verify_double_precision_stdout_bytes(capsys):
+    # the double-precision counterpart of the CSV pin above: the JSON report
+    # of a two-q sweep, hashed, since its 14,474 bytes are too long to inline
+    code = main(["verify", "--q", "0.9", "--q", "1.3", "--lmax", "8"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert len(out) == 14474
+    assert hashlib.sha256(out).hexdigest() == "e05c73d959571060934f0ff092db9459c4826ce6356df1a3503cb6a02a0c39da"
 
 
 def test_stdout_emission(capsys):

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -33,6 +34,7 @@ from qsu2 import (
     transverse_square_candidates,
     verify_algebra,
 )
+from qsu2.qcore import _CTX
 
 
 def test_generators_classical_spin_one_block():
@@ -238,6 +240,43 @@ def test_verify_algebra_interior_independent_of_truncation():
     assert set(resid_a) == set(resid_b)
     for name in resid_a:
         assert resid_a[name] == pytest.approx(resid_b[name], abs=1e-15), name
+
+
+@pytest.mark.parametrize(
+    "q, lmax, interior, precision",
+    [(1.3, 6, None, "double"), (0.5, 8, 2, "double"), (1.0, 3, 0, "double"), (0.7, 4, None, "high")],
+)
+def test_interior_basis_matches_the_full_truncation(q, lmax, interior, precision):
+    # the catalogue runs its operator rows on the interior basis, from operands
+    # built one shell above it; the same rows formed by the public builders up
+    # to lmax and compared on the interior blocks give the same residual bits
+    p = QParam(q, precision)
+    l_top = lmax - 2 if interior is None else interior
+    with decimal.localcontext(_CTX):
+        gen = build_generators(p, lmax)
+        lam = build_lambda(gen)
+        c = build_invariant_c(lam)
+        x, d = build_position(p, lmax), build_partial(p, lmax)
+        ql0, two = diag_operator(p, lmax, lambda l, m: p.power(m)), p.sqrt(qnum(2, p))
+        vector = []
+        for k in (1, 0, -1):
+            vector.append((gen["L0"] @ d[k] - d[k] @ gen["L0"], d[k].scaled(k)))
+            for sign, ladder in ((1, gen["Lplus"]), (-1, gen["Lminus"])):
+                lhs = (ladder @ d[k] - (d[k] @ ladder).scaled(p.power(k))) @ ql0
+                vector.append((lhs, d[k + sign].scaled(two) if k + sign in d else OperatorMatrix(p, lmax, k + sign)))
+        rows = {
+            "unit-sphere-norm": [(scalar_product(x, x), identity_operator(p, lmax))],
+            "cross-contraction-xd": [(scalar_product(x, d), c)],
+            "position-exchange-mixed": [(x[1] @ x[-1] - x[-1] @ x[1], (x[0] @ x[0]).scaled(p.lam))],
+            "transverse-exchange-dilation": [
+                (d[0] @ d[1] - (d[1] @ d[0]).scaled(p.power(-2)), (c @ lam[1]).scaled(1 / p.q)),
+                (d[0] @ d[-1] - (d[-1] @ d[0]).scaled(p.power(2)), (c @ lam[-1]).scaled(-p.q)),
+            ],
+            "vector-condition-transverse": vector,
+        }
+        expected = {name: max(lhs.distance(rhs, l_top) for lhs, rhs in pairs) for name, pairs in rows.items()}
+    got = {row.name: row.residual for row in verify_algebra(p, lmax, interior_lmax=interior).checks if row.name in rows}
+    assert got == expected
 
 
 def test_verify_algebra_q_inverse_symmetry():
