@@ -36,12 +36,22 @@ decimal exponent of max|a_i| * max|b_j|, in a copy of qcore's private
 context, never of the caller's, and rounds once at the end.  High
 precision sums in the QParam's own arithmetic, Decimal in the private
 62-digit context.
+
+Since M_m(n) vanishes for odd n, parity selects the pairs: when every
+degree of f has one parity and every degree of g the other, every i + j is
+odd and the sum is an exact zero.  Double precision returns that zero
+without forming moments or entering a context, provided every coefficient
+of f is finite; a NaN or infinite one gives NaN in the full sum (NaN*0 and
+inf*0 with traps cleared), while a coefficient of g never enters it.  High
+precision forms the full sum, whose Decimal zero carries an exponent set
+by the coefficients.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -65,10 +75,13 @@ class QMeasure:
     series_depth: int | None = None
 
     def __post_init__(self):
-        if self.series_depth is not None:
+        depth = self.series_depth
+        if depth is not None:
+            if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+                raise ValueError(f"series depth must be an integer, got {depth!r}")
             if not self.p.q < 1:
                 raise ValueError("series mode requires 0 < q < 1")
-            if self.series_depth < 1:
+            if depth < 1:
                 raise ValueError("series depth must be positive")
 
 
@@ -217,8 +230,13 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     a copy of the private context at 20 digits plus the decimal exponent
     of max|a_i| * max|b_j|; coefficients convert exactly and the result is
     rounded to a double once; the result is complex when a coefficient has
-    an imaginary part.  In high precision, where coefficients are real,
-    they are formed in the QParam's Decimal arithmetic.
+    an imaginary part.  A pair of opposite parity (every degree of f even
+    and every degree of g odd, or the reverse) returns the exact zero of
+    that sum, 0.0 or 0j, without forming it, unless a coefficient of f is
+    NaN or infinite, which makes the sum NaN.  In high precision, where
+    coefficients are real, they are formed in the QParam's Decimal
+    arithmetic, opposite-parity pairs included: the Decimal zero's exponent
+    depends on the coefficients, and callers may compare it digit by digit.
     """
     p = mu.p
     if f.p is not p and f.p != p or g.p is not p and g.p != p:
@@ -227,11 +245,15 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         return p.zero
     if p.is_high:
         return _high_inner_product(f, g, mu)
-    with decimal.localcontext(_CTX) as ctx:
-        ctx.prec = _decimal_digits(f, g)
-        ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-        re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi))
-        re, im = float(re), float(im)
+    opposite_parity = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
+    if opposite_parity and math.isfinite(sum(map(abs, f.coeffs.values()))):
+        re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
+    else:
+        with decimal.localcontext(_CTX) as ctx:
+            ctx.prec = _decimal_digits(f, g)
+            ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
+            re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi))
+            re, im = float(re), float(im)
     if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
         return re
     return complex(re, im)

@@ -231,20 +231,15 @@ def test_harmonic_orthonormality_far_from_one():
         assert row.passed, (q, row.residual)
 
 
-def test_verify_algebra_interior_independent_of_truncation():
-    p = QParam(1.35)
-    rep_a = verify_algebra(p, 5)
-    rep_b = verify_algebra(p, 7, interior_lmax=3)
-    resid_a = {c.name: c.residual for c in rep_a.checks if c.residual is not None}
-    resid_b = {c.name: c.residual for c in rep_b.checks if c.residual is not None}
-    assert set(resid_a) == set(resid_b)
-    for name in resid_a:
-        assert resid_a[name] == pytest.approx(resid_b[name], abs=1e-15), name
-
-
 @pytest.mark.parametrize(
     "q, lmax, interior, precision",
-    [(1.3, 6, None, "double"), (0.5, 8, 2, "double"), (1.0, 3, 0, "double"), (0.7, 4, None, "high")],
+    [
+        (1.3, 6, None, "double"),
+        (0.5, 8, 2, "double"),
+        (1.0, 3, 0, "double"),
+        (1.35, 7, 3, "double"),
+        (0.7, 4, None, "high"),
+    ],
 )
 def test_interior_basis_matches_the_full_truncation(q, lmax, interior, precision):
     # the catalogue runs its operator rows on the interior basis, from operands

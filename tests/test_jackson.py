@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,11 @@ from qsu2 import (
     build_y,
     inner_product,
     integrate_monomial,
+    jackson,
     qnum,
     series_convergence_probe,
 )
-from qsu2.jackson import _halfline_series, _moments
+from qsu2.jackson import _decimal_digits, _halfline_series, _moment_sum, _moments
 from qsu2.qcore import _CTX
 
 qvals = st.one_of(
@@ -141,6 +143,13 @@ def test_series_mode_requires_small_q():
         QMeasure(QParam(0.5), series_depth=0)
 
 
+@pytest.mark.parametrize("depth", [2.5, 3.0, True, False, "4"])
+def test_series_depth_must_be_an_integer(depth):
+    # 2.5 would fail later inside islice, True would act as depth 1
+    with pytest.raises(ValueError, match=f"series depth must be an integer, got {depth!r}"):
+        QMeasure(QParam(0.5), series_depth=depth)
+
+
 def test_convergence_probe():
     probe = series_convergence_probe(0, QParam(0.5))
     assert probe.depth_for_1e12 is not None and probe.depth_for_1e12 <= 50
@@ -205,6 +214,62 @@ def test_inner_product_parameter_mismatch():
     for a, b in ((f, g), (g, f)):
         with pytest.raises(ValueError):
             inner_product(a, b, QMeasure(p))
+
+
+def _full_sum(f, g, mu):
+    """The double-precision moment sum formed in full, as inner_product
+    forms it for pairs that share a parity."""
+    with decimal.localcontext(_CTX) as ctx:
+        ctx.prec = _decimal_digits(f, g)
+        ctx.clear_traps()
+        re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi))
+        re, im = float(re), float(im)
+    return complex(re, im) if any(v.imag for h in (f, g) for v in h.coeffs.values()) else re
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else (type(v).__name__, v.hex())
+
+
+def test_opposite_parity_pairs_match_the_full_sum(monkeypatch):
+    # an opposite-parity pair returns its zero without the sum; a non-finite
+    # coefficient of f still gives the sum's NaN (nan*0, inf*0), one of g
+    # never enters it
+    rng = random.Random(24)
+    specials = (math.nan, math.inf, -math.inf)
+
+    def coeff(cplx):
+        if rng.random() < 0.1:
+            v = rng.choice(specials)
+            return complex(v, rng.uniform(-1, 1)) if cplx and rng.random() < 0.5 else v * (1j if cplx else 1)
+        v = rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150)
+        return complex(v, rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)) if cplx else v
+
+    seen = {"nan": 0, "complex": 0, "zero": 0}
+    for _ in range(2000):
+        q = rng.choice((1e-3, 0.5, 1.0, 1.3, 1e3))
+        p = QParam(q)
+        mu = QMeasure(p, rng.choice((None, 40))) if q < 1 else QMeasure(p)
+        m, parity, cplx = rng.randint(-4, 4), rng.randint(0, 1), rng.random() < 0.5
+        f, g = (
+            angular_function(p, m, {2 * rng.randint(0, 5) + par: coeff(cplx) for _ in range(rng.randint(1, 4))})
+            for par in (parity, 1 - parity)
+        )
+        got = inner_product(f, g, mu)
+        assert _hex(got) == _hex(_full_sum(f, g, mu)), (q, mu.series_depth, f.coeffs, g.coeffs)
+        seen["nan" if got != got else "zero"] += 1
+        seen["complex"] += isinstance(got, complex)
+    assert min(seen.values()) > 100, seen
+
+    # and such a pair never reaches the moments, which a same-parity one does
+    def no_moments(*args):
+        raise AssertionError("moments formed")
+
+    p = QParam(1.3)
+    monkeypatch.setattr(jackson, "_moments", no_moments)
+    assert _hex(inner_product(build_y(3, 1, p), build_y(4, 1, p), QMeasure(p))) == ("float", "0x0.0p+0")
+    with pytest.raises(AssertionError, match="moments formed"):
+        inner_product(build_y(2, 1, p), build_y(4, 1, p), QMeasure(p))
 
 
 def test_gram_matrix_identity():
