@@ -38,6 +38,15 @@ def _nanmax(magnitudes, zero=0.0):
     return total if total != total else max(vals, default=zero)
 
 
+def _max_modulus(values, zero=0.0):
+    """_nanmax of the moduli of values; where abs overflows, on a finite
+    complex past the largest double, hypot gives that modulus as inf."""
+    try:
+        return _nanmax(map(abs, values), zero)
+    except OverflowError:
+        return _nanmax((math.hypot(v.real, v.imag) for v in values), zero)
+
+
 @dataclass(frozen=True, eq=False)
 class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k."""
@@ -84,12 +93,12 @@ class AngularFunction:
         if self.m != other.m and not (self.is_zero or other.is_zero):
             return self.p.number(math.inf)
         keys = set(self.coeffs) | set(other.coeffs)
-        return _nanmax((abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys), self.p.zero)
+        return _max_modulus([self.coeffs.get(k, 0) - other.coeffs.get(k, 0) for k in keys], self.p.zero)
 
     @_in_private_context
     def max_abs(self) -> float:
         """Largest |coefficient| (zero if none), NaN if any is NaN."""
-        return _nanmax(map(abs, self.coeffs.values()), self.p.zero)
+        return _max_modulus(self.coeffs.values(), self.p.zero)
 
 
 def angular_function(p: QParam, m: int, coeffs: dict) -> AngularFunction:

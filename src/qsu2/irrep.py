@@ -10,11 +10,11 @@ on them is list arithmetic: numpy is imported only for the dense block()
 view, so verification runs without it.  Every public builder and method
 that computes is decorated with ``qcore._in_private_context``, so it
 computes in the private decimal context in either precision.
-Operator identities are asserted on the interior basis l <= interior
-(lmax - 2 by default), which truncation cannot reach: a product of two
-l-changing operators, the most a row composes, reads one shell above its
-labels.  So the operands are built on l <= interior + 1, where such
-products are formed, then cut; every other product has an l-diagonal factor.
+The operator rows run on the interior basis l <= lmax - 2, which
+truncation cannot reach: a product of two l-changing operators, the most
+a row composes, reads one shell above its labels.  So the operands are
+built on l <= lmax - 1, where such products are formed, then cut with
+``OperatorMatrix.truncated``; every other product has an l-diagonal factor.
 
 Builders take the operators they derive from and read p and lmax from
 them; operators of different p or lmax refuse to combine.  The catalogue
@@ -28,7 +28,8 @@ difference relative to the largest coefficient of lhs (floor 1), scalars
 by |lhs - rhs|.  A NaN on either side makes the residual NaN, which fails.
 A new row goes into ``_ROWS`` at its place in the report; an operand that
 several rows read, and any product of two l-changing operators, goes into
-one of the two builders.
+one of the two builders.  The report holds the rows and the finding;
+``qsu2 verify`` writes its only serialized form.
 ``OperatorMatrix.distance`` forms the operator residual in one pass over
 the blocks of both sides, without building the difference; it
 reduces the magnitudes as floats, and since rounding to a float keeps
@@ -186,27 +187,20 @@ class OperatorMatrix:
         return out
 
     @_in_private_context
-    def max_abs(self, l_top: int | None = None) -> float:
-        """Largest |entry| over the blocks with both labels <= l_top; NaN if
-        any such entry is NaN."""
-        return _nanmax(
-            float(_nanmax(map(abs, vec)))
-            for (lo, li), vec in self.blocks.items()
-            if l_top is None or max(lo, li) <= l_top
-        )
+    def max_abs(self) -> float:
+        """Largest |entry|; NaN if any entry is NaN."""
+        return _nanmax(float(_nanmax(map(abs, vec))) for vec in self.blocks.values())
 
     @_in_private_context
-    def distance(self, other: "OperatorMatrix", l_top: int | None = None) -> float:
-        """Largest |self - other| over the blocks with both labels <= l_top,
-        in one pass over both operands: (self - other).max_abs(l_top) without
-        forming the difference.  A block missing on one side counts as zero;
-        NaN if any such entry is NaN.  Magnitudes are reduced as floats,
-        which keeps their order, so the maximum is the same."""
+    def distance(self, other: "OperatorMatrix") -> float:
+        """Largest |self - other| in one pass over both operands:
+        (self - other).max_abs() without forming the difference.  A block
+        missing on one side counts as zero; NaN if any entry is NaN.
+        Magnitudes are reduced as floats, which keeps their order, so the
+        maximum is the same."""
         self._check(other, same_shift=True)
         mags = []
         for key in self.blocks.keys() | other.blocks.keys():
-            if l_top is not None and max(key) > l_top:
-                continue
             a, b = self.blocks.get(key), other.blocks.get(key)
             mags += map(abs, b if a is None else a if b is None else map(sub, a, b))
         return _nanmax(map(float, mags) if self.p.is_high else mags)
@@ -409,7 +403,6 @@ class IdentityCheck:
 
 @dataclass
 class VerifyReport:
-    meta: dict
     checks: list
     finding: dict
 
@@ -421,13 +414,6 @@ class VerifyReport:
     def max_residual(self) -> float:
         """Worst residual over the gated rows, NaN if one is; informational rows are left out."""
         return _nanmax(c.residual for c in self.checks if c.passed is not None)
-
-    def to_payload(self) -> dict:
-        return {
-            "meta": self.meta,
-            "identities": [c.to_payload() for c in self.checks],
-            "finding": self.finding,
-        }
 
 
 _CONSISTENT = "-([2l][2l+2]/[2]^2 + c_l^2)"
@@ -659,29 +645,25 @@ def _worst(pairs) -> float:
 
 
 @_in_private_context
-def verify_algebra(
-    p: QParam, lmax: int, tol: float = 1e-10, interior_lmax: int | None = None, inject_fault: bool = False
-) -> VerifyReport:
+def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool = False) -> VerifyReport:
     """Run the full identity catalogue at one deformation value.
 
     ``_operator_operands`` and ``_function_operands`` build every operand
     once, into one dict.  Each row of ``_ROWS`` turns it into (lhs, rhs)
     pairs; the row's residual is the worst ``_residual`` over them, and a
     gated row passes when that is below tol (a NaN fails).  Operator rows
-    run on the interior basis (l <= interior_lmax, default lmax - 2) and
-    read each product of two l-changing operators from the operands, formed
-    a shell above it.  Harmonic and measure rows take fixed small l ranges.
+    run on the interior basis l <= lmax - 2 and read each product of two
+    l-changing operators from the operands, formed a shell above it.
+    Harmonic and measure rows take fixed small l ranges.
     The finding resolves which of three candidate closed forms the
     contracted transverse-derivative diagonal matches; exactly one is
     consistent for every l.  inject_fault corrupts one position expansion
     coefficient, so that a caller can confirm the verifier fails.
+    ``qsu2 verify`` writes the report's only serialized form.
     """
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
-    interior = lmax - 2 if interior_lmax is None else interior_lmax
-    if not 0 <= interior <= lmax - 2:
-        raise ValueError(f"interior_lmax={interior} is outside [0, lmax - 2] = [0, {lmax - 2}] for lmax={lmax}")
-    ops = {**_operator_operands(p, interior), **_function_operands(p, inject_fault)}
+    ops = {**_operator_operands(p, lmax - 2), **_function_operands(p, inject_fault)}
     squares = {f: _worst(pairs) for f, pairs in ops["square"].items()}
     ops["matched"] = matched = sorted(f for f, r in squares.items() if r < tol)
     checks = []
@@ -712,5 +694,4 @@ def verify_algebra(
             ),
         },
     }
-    meta = {"q": float(p.q), "lmax": lmax, "interior_lmax": interior, "precision": p.precision, "tolerance": tol}
-    return VerifyReport(meta=meta, checks=checks, finding=finding)
+    return VerifyReport(checks, finding)

@@ -49,6 +49,7 @@ by the coefficients.
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import math
 import numbers
@@ -213,8 +214,14 @@ def _decimal_digits(f: AngularFunction, g: AngularFunction) -> int:
     """SUM_GUARD_DIGITS plus the decimal exponent of max|a_i| * max|b_j|
     when it is positive: the sum then keeps ~1e-20 absolute accuracy.
     Double precision only, so it reads the magnitudes directly rather than
-    through max_abs and its private-context decorator."""
-    bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
+    through max_abs and its private-context decorator.  Where abs overflows,
+    on a finite complex past the largest double, the exponent of
+    max(|re|, |im|) plus one bit bounds the modulus's."""
+    try:
+        bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
+    except OverflowError:
+        parts = [[max(abs(v.real), abs(v.imag)) for v in h.coeffs.values()] for h in (f, g)]
+        bits = sum(math.frexp(_nanmax(vals))[1] + 1 for vals in parts)
     return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
 
 
@@ -246,7 +253,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     if p.is_high:
         return _high_inner_product(f, g, mu)
     opposite_parity = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
-    if opposite_parity and math.isfinite(sum(map(abs, f.coeffs.values()))):
+    if opposite_parity and all(map(cmath.isfinite, f.coeffs.values())):
         re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
     else:
         with decimal.localcontext(_CTX) as ctx:

@@ -272,6 +272,29 @@ def test_opposite_parity_pairs_match_the_full_sum(monkeypatch):
         inner_product(build_y(2, 1, p), build_y(4, 1, p), QMeasure(p))
 
 
+def test_modulus_past_the_double_range():
+    # abs raises OverflowError on a finite complex whose modulus exceeds the
+    # largest double; the inner product still returns its decimal sum and the
+    # maxima the inf that modulus rounds to
+    p = QParam(1.3)
+    mu = QMeasure(p)
+    f = angular_function(p, 0, {1: complex(1.5e308, 1.5e308)})
+    opposite, same, small = (angular_function(p, 0, c) for c in ({0: 1.0}, {1: 1.0}, {1: 1e-10}))
+    assert _hex(inner_product(f, opposite, mu)) == ("0x0.0p+0", "0x0.0p+0")
+    assert inner_product(f, same, mu) == complex(math.inf, -math.inf)
+    # 2 pi M_0(2) conj(a) b with M_0(2) = 2/[3], rounded once from 80 digits
+    with decimal.localcontext(_CTX) as ctx:
+        ctx.prec = 80
+        q2 = decimal.Decimal(p.q) ** 2
+        scale = 4 * decimal.Decimal(math.pi) * decimal.Decimal(1e-10) / (1 + q2 + 1 / q2)
+        want = complex(float(scale * decimal.Decimal(1.5e308)), float(-scale * decimal.Decimal(1.5e308)))
+    for got in (inner_product(f, small, mu), inner_product(small, f, mu).conjugate()):
+        assert _hex(got) == _hex(want)
+    assert f.max_abs() == math.inf
+    assert f.distance(same) == math.inf and same.distance(f) == math.inf
+    assert math.isnan(angular_function(p, 0, {1: complex(1.5e308, 1.5e308), 3: math.nan}).max_abs())
+
+
 def test_gram_matrix_identity():
     for q in (0.5, 0.9, 1.5):
         p = QParam(q)

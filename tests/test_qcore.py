@@ -422,15 +422,16 @@ def test_private_context_decorator_fits_any_signature():
 def test_high_precision_in_two_threads():
     # decimal contexts are per thread: two threads with their own precisions
     # both compute in the private context and each keeps its own afterwards
-    want = qsu2.verify_algebra(QParam(0.7, "high"), 4).to_payload()
+    rep = qsu2.verify_algebra(QParam(0.7, "high"), 4)
+    want = rep.checks, rep.finding
     start = threading.Barrier(2, timeout=60)
     got = {}
 
     def run(prec):
         decimal.getcontext().prec = prec
         start.wait()
-        payload = qsu2.verify_algebra(QParam(0.7, "high"), 4).to_payload()
-        got[prec] = payload, decimal.getcontext().prec
+        rep = qsu2.verify_algebra(QParam(0.7, "high"), 4)
+        got[prec] = (rep.checks, rep.finding), decimal.getcontext().prec
 
     threads = [threading.Thread(target=run, args=(prec,)) for prec in (10, 40)]
     for t in threads:
