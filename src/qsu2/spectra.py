@@ -15,15 +15,19 @@ The shooting solver integrates the reduced radial equation outward on a
 grid uniform in x = ln r, carrying the Langer term (L+1/2)**2, with one
 step rule for every L.  It identifies a level by the node count of the
 outward solution (Sturm oscillation theorem): the count steps from n to
-n+1 where the endpoint value crosses zero, so a secant step on the
-endpoints of two trial energies with n and n+1 nodes predicts the level,
-and two shoots a little below and above the prediction certify it by
-their node counts; a prediction they do not certify falls back to
-bisection on the count.  A level costs two shoots for the bracket ends,
-one or two certifying shoots, one more per widening of the bracket and
-any fallback bisections.  It shares nothing with the closed forms
-except the point the bracket search starts from; a level it cannot
-bracket is reported, never silent.
+n+1 where the endpoint value crosses zero.  The search starts with two
+shoots just below and above the closed form, which certify a level lying
+between them by their node counts alone; the secant root of their
+endpoint values is then the level.  A pair that misses predicts the step
+by extrapolation, and a pair around the prediction is shot; a bracket
+still missing widens tenfold per shoot, and inside it a secant step and
+a certifying pair around its root find the level, with bisection on the
+count where they do not.  A level costs two shoots when it lies within
+0.45 energy tolerances of the closed form, four when the extrapolated
+pair brackets it, and otherwise more by the widenings, the certifying
+pair and any fallback bisections.  It shares nothing with the closed
+forms except the point the search starts from; a level it cannot bracket
+is reported, never silent.
 
 Each step does the least work its scheme allows.  Numerov runs in the
 z-form z = (1 - h**2 F/12) u (Blatt, J. Comput. Phys. 1 (1967) 382),
@@ -144,8 +148,9 @@ MAX_LANGER_STEP = 0.25
 # grid tables hold n_steps + 1 floats (2 n_steps + 1 for RK4) and every
 # shoot walks all of them; grids longer than this are refused up front
 MAX_STEPS = 1_000_000
-# the bracket search widens tenfold per shoot from 4 energy tolerances
-# around the closed-form level and gives up beyond this multiple of |E|
+# the bracket search starts 0.45 energy tolerances either side of the
+# closed-form level, widens tenfold per shoot and gives up beyond this
+# multiple of |E|
 BRACKET_SPAN = 1.0
 
 
@@ -189,13 +194,14 @@ class RadialReport:
     abs_err: float | None
     origin_exponent: float | None
     nodes_found: int | None
-    # fallback midpoint shoots, made only where the certifying pair misses
+    # fallback midpoint shoots, made where the certifying pair misses or
+    # the secant root lies outside the certified bracket
     bisections: int
     grid: dict
     message: str = ""
-    # full-grid shoots (bracket search, the certifying pair, any fallback
-    # bisections), and the steps walked over every shoot including the two
-    # origin-fit ones
+    # full-grid shoots (the first pair, the extrapolated pair, widenings,
+    # the certifying pair, any fallback bisections), and the steps walked
+    # over every shoot including the two origin-fit ones
     shoots: int = 0
     steps_walked: int = 0
 
@@ -346,23 +352,37 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     By the Sturm oscillation theorem the outward solution at a trial
     energy has as many nodes as there are levels below it, so the level
     with n radial nodes is the one energy where the node count steps from
-    n to n+1.  A bracket with those two counts is searched for around the
-    closed-form energy, widening tenfold per shoot up to BRACKET_SPAN
-    times |E|.  The count steps where the endpoint value crosses zero, so
-    the secant root c of the two ends' endpoint values (Dowell and
-    Jarratt's safeguarded regula falsi, kept inside the node-count
-    bracket) predicts the step; shoots at c - 0.45 tol_e and, unless the
-    first already lies above the step, at c + 0.45 tol_e certify it when
-    their counts straddle n, and the level is the middle of that pair.
-    Where the pair misses, lies outside the bracket or an endpoint is not
-    finite, bisection on the node count shrinks whatever bracket is left
-    to the energy tolerance tol_e = max(1e-12, 1e-11 |E|), so a level
-    costs at most two shoots more than bisection alone.  The budget is
-    two shoots for the bracket ends, one or two certifying shoots, one
-    more per widening of the bracket, and any fallback bisections, which
-    ``bisections`` counts.  The solution's values at grid steps 4 and 8
-    give the origin exponent.  A missing bracket is reported, never
-    silent.
+    n to n+1, and it steps where the endpoint value crosses zero, so the
+    secant root of two shoots' endpoint values predicts it.  With the
+    energy tolerance tol_e = max(1e-12, 1e-11 |E|):
+
+    - the first bracket is the certifying pair itself, shoots at
+      E -+ 0.45 tol_e around the closed form E; a level between them is
+      certified by their node counts in two shoots;
+    - a pair on one side of the step predicts it by extrapolating the
+      secant, and shoots at c -+ 0.45 tol_e around that prediction c
+      become the bracket when their counts straddle n;
+    - a bracket still missing widens tenfold per shoot (4.5, 45, ...
+      tol_e), keeping the end it passed, up to BRACKET_SPAN times |E|;
+    - while the bracket is wider than tol_e, the secant root c of its
+      ends (Dowell and Jarratt's safeguarded regula falsi) is certified
+      by shoots at c - 0.45 tol_e and, unless the first already lies
+      above the step, at c + 0.45 tol_e; a side at or beyond a bracket
+      end is not shot, since that end's count certifies it;
+    - bisection on the node count shrinks whatever bracket is left to
+      tol_e.
+
+    The level is the secant root of the final bracket's ends wherever that
+    root lies strictly inside it; elsewhere, as where an endpoint is not
+    finite, the bracket is bisected at least once and its midpoint is the
+    level, so the closed form is never read back as the numeric energy.
+    A level costs two shoots within 0.45 tol_e of the closed form, four
+    when the extrapolated pair brackets it, and otherwise the first pair,
+    the extrapolated pair where one is predicted within BRACKET_SPAN |E|,
+    one shoot per widening, one or two certifying shoots and any fallback
+    bisections, which ``bisections`` counts.  The solution's values at
+    grid steps 4 and 8 give the origin exponent.  A missing bracket is
+    reported, never silent.
 
     A Numerov grid whose weight 1 - h**2 F/12 is not positive at some
     point and some energy the search can try is a ValueError naming h and
@@ -380,7 +400,9 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     tables = _potential_table(potential, L, r_min, h, n_steps, grid.method)
     tol_e = max(1e-12, 1e-11 * abs(e_closed))
     span = BRACKET_SPAN * abs(e_closed)
-    d = 4 * tol_e
+    # half the width of a certifying pair, which also opens the search
+    half = 0.45 * tol_e
+    d = half
     if grid.method == NUMEROV:
         # the weight b = 1 - (a - E s) rises with E, and at the lowest
         # trial energy F is convex in r for both potentials, so the grid
@@ -400,9 +422,24 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         shoots += 1
         return _shoot(potential, L, E, tables, r_min, h, n_steps, grid.method)
 
+    def secant(lo, f_lo, hi, f_hi):
+        """Root of the line through the endpoint values at lo and hi, or
+        NaN where they give none."""
+        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
+            return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        return math.nan
+
     lo, hi = e_closed - d, e_closed + d
     k_lo, f_lo = shoot(lo)
     k_hi, f_hi = shoot(hi)
+    if k_lo > n or k_hi <= n:
+        # a pair on one side of the step predicts it by extrapolation; a
+        # pair around the prediction that straddles the step is the bracket
+        c = secant(lo, f_lo, hi, f_hi)
+        if abs(c - e_closed) + half <= span:
+            (k_a, f_a), (k_b, f_b) = shoot(c - half), shoot(c + half)
+            if k_a <= n < k_b:
+                lo, k_lo, f_lo, hi, k_hi, f_hi = c - half, k_a, f_a, c + half, k_b, f_b
     while k_lo > n or k_hi <= n:
         if d >= span:
             return RadialReport(
@@ -435,19 +472,22 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
             lo, k_lo = e, k
         return k > n
 
-    # the certifying pair around the secant root; one that misses still
-    # leaves a narrower bracket for the bisection
-    if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
-        c = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        below, above = c - 0.45 * tol_e, c + 0.45 * tol_e
-        if lo < below and above < hi:
-            # a step below the first shoot needs no second one
-            narrow(below) or narrow(above)
+    c = secant(lo, f_lo, hi, f_hi)
+    # the certifying pair around the secant root, shot only while the
+    # bracket is wider than tol_e and only inside it: an end certifies the
+    # side at or beyond it.  A step below the first shoot needs no second
+    # one, and a pair that misses still leaves a narrower bracket for the
+    # bisection
+    for e in (c - half, c + half):
+        if hi - lo > tol_e and lo < e < hi and narrow(e):
+            break
+    # the secant root is the level wherever the certified bracket holds it;
+    # elsewhere at least one bisection, so the closed form is never read back
     bisections = 0
-    while hi - lo > tol_e:
+    while hi - lo > tol_e or not (bisections or lo < c < hi):
         narrow(0.5 * (lo + hi))
         bisections += 1
-    e_num = 0.5 * (lo + hi)
+    e_num = c if lo < c < hi else 0.5 * (lo + hi)
     # u grows like r**(L+1/2) = exp((L+1/2) x) out of the origin
     u4, u8 = (_shoot(potential, L, e_num, tables, r_min, h, steps, grid.method)[1] for steps in (4, 8))
     exponent = math.log(abs(u8 / u4)) / (4 * h) + 0.5

@@ -445,8 +445,8 @@ def test_shoot_counters():
     for grid in (RadialGrid(), RadialGrid(method="rk4")):
         rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid)
         assert rep.converged
-        # two initial ends, then the certifying pair and any fallback
-        # bisections
+        # the first pair, then any extrapolated pair, widenings,
+        # certifying pair and fallback bisections
         assert rep.shoots >= rep.bisections + 2
         assert rep.steps_walked == rep.shoots * rep.grid["n_steps"] + 4 + 8
     rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
@@ -454,10 +454,19 @@ def test_shoot_counters():
     assert rep.steps_walked == rep.shoots * 400
 
 
+def _level(case):
+    """radial_verify on a (potential, n, l, q, method) case with the default grid."""
+    potential, n, l, q, method = case
+    return radial_verify(potential, n, l, QParam(q), RadialGrid(method=method))
+
+
 def test_shooting_budget():
-    # criterion 7's levels with both steppers: the two bracket ends and the
-    # certifying pair, and one shoot more for a bracket that had to widen;
-    # the pair certifies every one of them, so none bisects
+    # criterion 7's levels with both steppers.  A level within 0.45 tol_e of
+    # its closed form is certified by the first pair's node counts: two
+    # full-grid shoots and the two origin-fit ones.  Any other costs the
+    # first pair and a pair around the step extrapolated from it; none
+    # bisects
+    total = 0
     for method in ("numerov", "rk4"):
         for q in (1.0, 1.3):
             for potential in (COULOMB, OSCILLATOR):
@@ -466,30 +475,41 @@ def test_shooting_budget():
                         rep = radial_verify(potential, n, l, QParam(q), RadialGrid(method=method))
                         case = (method, q, potential, n, l, rep.shoots)
                         assert rep.converged and rep.nodes_found == n, case
-                        assert rep.shoots <= 5, case
+                        assert rep.shoots <= 4, case
                         assert rep.bisections == 0, case
+                        tol_e = max(1e-12, 1e-11 * abs(rep.e_closed))
+                        if abs(rep.e_numeric - rep.e_closed) <= 0.45 * tol_e:
+                            assert rep.shoots == 2, case
+                            assert rep.steps_walked == 2 * rep.grid["n_steps"] + 12, case
+                        total += rep.shoots
+    # a search that starts 4 tol_e out and always shoots the certifying
+    # pair takes 192 shoots over these 48 levels
+    assert total <= 112, total
 
 
 def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
     import qsu2.spectra as spectra
 
-    # an endpoint offset by half its own magnitude moves the secant root
-    # about a quarter of the bracket off the step, so the certifying pair
-    # misses: below the step both shoots are made, above it the first one
-    # settles the side.  Offset by all of it, the root lands on a bracket
-    # end and no pair is shot.  The node counts still find the level, at
-    # no more than the bisection's shoots plus the failed pair
+    # the first three levels lie within 0.45 tol_e of their closed forms,
+    # the last three about 0.6 tol_e above, where the first pair misses the
+    # step and a second pair is shot around the step it predicts.  An
+    # endpoint offset by half its own magnitude moves the secant root off
+    # the step by up to half the bracket; the pair still certifies the
+    # level and its secant root stays inside it.  Offset by all of it, a
+    # negative endpoint reads 0, so the root lands on a bracket end or
+    # there is none, and the level is found by bisection on the node
+    # count, at least once, at no more than the bisection's shoots plus the
+    # missed pairs
     cases = (
         (OSCILLATOR, 1, 1, 1.3, "numerov"),
         (OSCILLATOR, 1, 1, 1.3, "rk4"),
         (COULOMB, 1, 0, 1.0, "numerov"),
+        (COULOMB, 1, 1, 1.3, "numerov"),
+        (COULOMB, 1, 1, 1.3, "rk4"),
+        (COULOMB, 1, 1, 1.0, "numerov"),
     )
 
-    def level(case):
-        potential, n, l, q, method = case
-        return radial_verify(potential, n, l, QParam(q), RadialGrid(method=method))
-
-    clean = {case: level(case) for case in cases}
+    clean = {case: _level(case) for case in cases}
     shoot = spectra._shoot
     for share in (-0.5, 0.5, 1.0):
         def offset_shoot(*args):
@@ -498,9 +518,50 @@ def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
 
         monkeypatch.setattr(spectra, "_shoot", offset_shoot)
         for case, want in clean.items():
-            rep = level(case)
+            rep = _level(case)
             tol_e = max(1e-12, 1e-11 * abs(rep.e_closed))
             assert rep.converged and rep.nodes_found == case[1], (share, case)
             assert abs(rep.e_numeric - want.e_numeric) <= tol_e, (share, case)
-            assert want.shoots < rep.shoots <= 9, (share, case, want.shoots, rep.shoots)
-            assert rep.bisections > 0, (share, case)
+            if share == 1.0:
+                assert want.shoots < rep.shoots <= 9, (share, case, want.shoots, rep.shoots)
+                assert rep.bisections > 0, (share, case)
+            else:
+                assert rep.shoots <= 5 and rep.bisections == 0, (share, case, rep.shoots)
+
+
+def test_shooting_does_not_read_back_the_closed_form(monkeypatch):
+    import dataclasses
+
+    import qsu2.spectra as spectra
+
+    # the closed form only sets where the search starts: moved by a few
+    # energy tolerances it changes neither the node count nor the level
+    # found, and the pair extrapolated from the first one still certifies
+    # the level in four shoots, where a bracket widened from the start
+    # would need five.  Moved so far that the level lies outside
+    # BRACKET_SPAN |E| of it (a Coulomb energy above 0, an oscillator
+    # energy at a third), it leaves the level unbracketed
+    make_entry = spectra._make_entry
+
+    def move(to):
+        """Make radial_verify start from to(E) in place of the closed form E."""
+        def moved(*args):
+            entry = make_entry(*args)
+            return dataclasses.replace(entry, E=to(entry.E))
+
+        monkeypatch.setattr(spectra, "_make_entry", moved)
+
+    cases = ((OSCILLATOR, 1, 1, 1.3, "numerov"), (COULOMB, 1, 1, 1.3, "rk4"))
+    for case, want in [(case, _level(case)) for case in cases]:
+        n, tol_e = case[1], max(1e-12, 1e-11 * abs(want.e_closed))
+        for shift in (-0.3, 3, 60):
+            move(lambda e: e + shift * tol_e)
+            rep = _level(case)
+            assert rep.e_closed == want.e_closed + shift * tol_e, (case, shift)
+            assert rep.converged and rep.nodes_found == n and rep.shoots <= 4, (case, shift, rep.shoots)
+            assert abs(rep.e_numeric - want.e_numeric) <= 1e-3 * tol_e, (case, shift)
+        move(lambda e: -e if case[0] == COULOMB else e / 3)
+        rep = _level(case)
+        assert abs(rep.e_closed - want.e_numeric) > spectra.BRACKET_SPAN * abs(rep.e_closed), case
+        assert not rep.converged and rep.e_numeric is None, (case, rep.shoots)
+        assert "no energy within" in rep.message, case
