@@ -24,6 +24,7 @@ context in either precision, whatever the caller's context is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .qcore import QParam, _in_private_context, qdouble_factorial, qnum, qnum_base2
@@ -274,9 +275,21 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
 
 # ----------------------------- harmonic construction -----------------------------
 
-def _check_nonneg_label(l: int, m: int):
+def _int_label(l: int, m: int) -> tuple:
+    """(l, m) as ints; a label that is not an integer, or is a bool, raises
+    ValueError naming it, before any work."""
+    if type(l) is int and type(m) is int:
+        return l, m
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (l, m)):
+        raise ValueError(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")
+    return int(l), int(m)
+
+
+def _check_nonneg_label(l: int, m: int) -> tuple:
+    l, m = _int_label(l, m)
     if l < 0 or m < 0 or m > l:
         raise ValueError(f"label requires 0 <= m <= l, got (l={l}, m={m})")
+    return l, m
 
 
 @_in_private_context
@@ -286,7 +299,7 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     a_{k+2} = -q**(-2m) [l-m-k][l+m+k+1] / ([k+1][k+2]) a_k starting from
     a_0 = 1 for even l-m, a_1 = 1 for odd l-m; terminates at k = l-m.
     """
-    _check_nonneg_label(l, m)
+    l, m = _check_nonneg_label(l, m)
     k0 = (l - m) % 2
     coeffs = {k0: p.one}
     k = k0
@@ -307,7 +320,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     is the closed-form-versus-recursion oracle.  The odd-parity series is
     normalized so its linear coefficient is 1, matching build_phi.
     """
-    _check_nonneg_label(l, m)
+    l, m = _check_nonneg_label(l, m)
     odd = (l - m) % 2
     if odd:
         a2, b2, c2 = l + m + 2, m - l + 1, 3
@@ -332,7 +345,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
 @_in_private_context
 def normalization_constant(l: int, m: int, p: QParam):
     """Parity-dependent normalization for the series-convention polynomial."""
-    _check_nonneg_label(l, m)
+    l, m = _check_nonneg_label(l, m)
     two = qnum(2, p)
     front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(two ** m)
     if (l - m) % 2:
@@ -372,25 +385,51 @@ def ladder_factor(l: int, m: int, p: QParam):
 
 
 @_in_private_context
+def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
+    """Y_lm for int labels, through the table of p: entry ("y", l, m) holds
+    a copy of its coefficient dict.  m >= 0 is normalize_y(l, m); a new
+    m < 0 is one lowering step, divided by the ladder factor, from
+    (l, m + 1), itself read through the table, so every label is formed
+    once and bit for bit as the chain from m = 0 forms it.  The returned
+    function shares no dict with the table, and nothing stored refers to p.
+    """
+    table = p._table
+    top = m
+    while ("y", l, top) not in table and top < 0:
+        top += 1
+    if ("y", l, top) in table:
+        y = AngularFunction(p, top, table[("y", l, top)])
+    else:
+        y = normalize_y(l, top, p)
+        table[("y", l, top)] = dict(y.coeffs)
+    for mu in range(top, m, -1):
+        y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))
+        table[("y", l, mu - 1)] = dict(y.coeffs)
+    return y
+
+
 def build_negative_m(l: int, m: int, p: QParam) -> AngularFunction:
     """Harmonic with -l <= m < 0, obtained by lowering from m = 0.
 
     Each step divides by the ladder factor, which keeps the norm at one
-    whenever the lowering operator is the adjoint of the raising one.
+    whenever the lowering operator is the adjoint of the raising one.  The
+    chain is shared with build_y through the table of p: each new label
+    costs one lowering step from the label above it.
     """
+    l, m = _int_label(l, m)
     if m >= 0 or m < -l:
         raise ValueError(f"negative-m construction requires -l <= m < 0, got (l={l}, m={m})")
-    y = normalize_y(l, 0, p)
-    for mu in range(0, m, -1):
-        y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))
-    return y
+    return _harmonic(l, m, p)
 
 
 def build_y(l: int, m: int, p: QParam) -> AngularFunction:
-    """Normalized harmonic for any |m| <= l."""
+    """Normalized harmonic for any |m| <= l, integers both.
+
+    Each label is formed once per QParam and kept in its table: m >= 0 by
+    normalize_y, a new m < 0 by one lowering step from (l, m + 1).  Every
+    call returns a new function whose coefficients may be changed freely.
+    """
+    l, m = _int_label(l, m)
     if abs(m) > l:
         raise ValueError(f"invalid label (l={l}, m={m})")
-    if m >= 0:
-        return normalize_y(l, m, p)
-    return build_negative_m(l, m, p)
-
+    return _harmonic(l, m, p)

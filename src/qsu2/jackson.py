@@ -35,7 +35,12 @@ Double precision forms the sum in stdlib decimal, at 20 digits plus the
 decimal exponent of max|a_i| * max|b_j|, in a copy of qcore's private
 context, never of the caller's, and rounds once at the end.  High
 precision sums in the QParam's own arithmetic, Decimal in the private
-62-digit context.
+62-digit context.  The closed-form moments are formed once per winding
+and sum precision and kept in the QParam's table under
+("moments", m, digits): moment n does not depend on how many are formed,
+so a stored list serves every sum up to its degree, bit for bit, and a
+sum of a higher degree forms a longer one in its place.  A series
+measure forms its grid sums on every call.
 
 Since M_m(n) vanishes for odd n, parity selects the pairs: when every
 degree of f has one parity and every degree of g the other, every i + j is
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from .angular import AngularFunction, _nanmax
-from .qcore import _CTX, QParam, _in_private_context, qnum
+from .qcore import _CTX, HIGH_PRECISION_DIGITS, QParam, _in_private_context, qnum
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
@@ -139,7 +144,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     Odd n vanishes by the parity phase of the negative half-line; even n
     doubles the half-line value.
     """
-    if n != int(n) or n < 0:
+    if not 0 <= n < math.inf or n != int(n):
         raise ValueError(f"monomial degree must be a nonnegative integer, got {n!r}")
     n = int(n)
     p = mu.p
@@ -184,11 +189,32 @@ def _pair_sum(x: dict, y: dict, moments: list):
     return total
 
 
-def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi) -> tuple:
+def _closed_moments(p: QParam, m: int, nmax: int, q, digits) -> list:
+    """M_m(n) for n = 0..nmax at least, at q of the sum's number type.
+
+    With `digits`, the precision the sum runs at, the list is read from and
+    kept in the table of p under ("moments", m, digits): entry n of
+    _moments does not depend on nmax, so a stored list of at least
+    nmax + 1 entries serves as it is, and a shorter one is formed again
+    and replaced.  Without it the moments are formed afresh.
+    """
+    key = ("moments", m, digits)
+    stored = None if digits is None else p._table.get(key)
+    if stored is not None and len(stored) > nmax:
+        return stored
+    moments = _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
+    if digits is not None:
+        p._table[key] = moments
+    return moments
+
+
+def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi, digits=None) -> tuple:
     """2 pi sum conj(a_i) b_j M_m(i+j) as a (real, imaginary) pair.
 
     `num` converts a real coefficient into the number type of the sum;
-    the moments and the sum are then formed in that type alone.
+    the moments and the sum are then formed in that type alone.  `digits`,
+    the precision of that type, keys the closed-form moments in the
+    table of the QParam (see _closed_moments).
     """
     parts = [
         ({k: num(v.real) for k, v in h.coeffs.items() if v.real},
@@ -201,10 +227,8 @@ def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi) -
     if mu.series_depth is not None:
         even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, f.m)
         moments = [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
-    elif q > 1:
-        moments = _moments(-f.m, nmax, 1 / q)
     else:
-        moments = _moments(f.m, nmax, q)
+        moments = _closed_moments(mu.p, f.m, nmax, q, digits)
     re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
     im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments)
     return 2 * pi * re, 2 * pi * im
@@ -256,10 +280,11 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     if opposite_parity and all(map(cmath.isfinite, f.coeffs.values())):
         re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
     else:
+        digits = _decimal_digits(f, g)
         with decimal.localcontext(_CTX) as ctx:
-            ctx.prec = _decimal_digits(f, g)
+            ctx.prec = digits
             ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-            re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi))
+            re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi), digits)
             re, im = float(re), float(im)
     if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
         return re
@@ -270,7 +295,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
 def _high_inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     """inner_product in high precision, where coefficients are real."""
     p = mu.p
-    return _moment_sum(f, g, mu, lambda v: v * p.one, p.pi)[0]
+    return _moment_sum(f, g, mu, lambda v: v * p.one, p.pi, HIGH_PRECISION_DIGITS)[0]
 
 
 @dataclass(frozen=True)
@@ -288,8 +313,11 @@ def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 40
 
     Only defined for 0 < q < 1.  Also reports the first depth, up to
     100000, at which the partial sum is within 1e-12 of the closed form.
-    One pass over the grid serves both.
+    One pass over the grid serves both.  The degree n may be any finite
+    real above -1; any other raises ValueError naming it.
     """
+    if not -1 < n < math.inf:
+        raise ValueError(f"probe degree must be a finite real number above -1, got {n!r}")
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
     cap = 100000

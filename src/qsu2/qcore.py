@@ -26,9 +26,16 @@ Every identity downstream is built from a handful of q-numbers [n] and
 integer powers q**e, so each ``QParam`` keeps a private table of them,
 filled on first use: ``qnum(n, p)`` for integer n and ``p.power(e)`` read
 it, and the unit and zero of the backend are formed once, at construction.
-A table entry is the value the direct formula gives, bit for bit; the
-table is not part of equality, hashing or the repr, and it lives and dies
-with its ``QParam``, so nothing is shared between parameters or calls.
+The same table keeps what the harmonics and the inner product share at
+one q: ``angular.build_y`` stores each harmonic's coefficients, and
+``jackson.inner_product`` the closed-form weighted moments of each winding
+and sum precision.  A table entry is the value the direct computation
+gives, bit for bit, and never refers to its ``QParam``: entries are
+numbers, coefficient dicts and lists of numbers, so a ``QParam`` is freed
+by reference counting on its last reference, with no cycle for the
+collector.  The table is not part of equality, hashing or the repr, and
+it lives and dies with its ``QParam``, so nothing is shared between
+parameters or calls, and no module keeps a memo of its own.
 """
 
 from __future__ import annotations
@@ -96,10 +103,22 @@ class QParam:
     OverflowError.
 
     ``is_high`` selects the numeric backend, floats or Decimals, and ``one``
-    and ``zero`` are its unit and zero.  The private ``_table`` holds the integer powers q**e (key ``("pow", e)``)
-    and q-numbers [n] (key ``("qnum", n)``) evaluated so far; it is filled
-    on first use by ``power`` and ``qnum`` and is invisible to equality,
-    hashing and the repr.
+    and ``zero`` are its unit and zero.  The private ``_table`` holds,
+    each filled on first use and invisible to equality, hashing and the
+    repr:
+
+    * ``("pow", e)``: the integer power q**e, by ``power``;
+    * ``("qnum", n)``: the q-number [n] for integer n, by ``qnum``;
+    * ``("y", l, m)``: the coefficient dict of the harmonic Y_lm, by
+      ``angular.build_y``, which returns a copy;
+    * ``("moments", m, digits)``: the closed-form weighted moments M_m(n),
+      n = 0..nmax, of winding m formed at ``digits`` significant digits, by
+      ``jackson.inner_product``; a later call of a higher degree replaces
+      the list with a longer one.
+
+    No value refers back to the ``QParam``: a function or any object that
+    holds it would make a reference cycle, which only the cyclic collector
+    frees.
     """
 
     q: float

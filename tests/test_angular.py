@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,10 +25,14 @@ from qsu2 import (
     invariants,
     mul_position,
     mul_position_right,
+    normalization_constant,
     normalize_y,
     qnum,
     verify_algebra,
 )
+from qsu2 import angular
+from qsu2.angular import ladder_factor
+from qsu2.qcore import _CTX
 
 Q_GRID = (0.5, 0.9, 1.5)
 
@@ -282,6 +287,89 @@ def test_negative_m_rejects_bad_labels():
         build_negative_m(2, 0, p)
     with pytest.raises(ValueError):
         build_y(2, 5, p)
+
+
+def _bits(v):
+    """The exact representation of a float or Decimal, sign of zero and exponent included."""
+    return v.hex() if isinstance(v, float) else v.as_tuple()
+
+
+def _coeff_bits(y):
+    return y.m, sorted((k, _bits(v)) for k, v in y.coeffs.items())
+
+
+def _lowering_loop(l, m, p):
+    """Y_lm as formed before the table: normalize_y for m >= 0, else the
+    lowering chain walked from m = 0 on every call."""
+    if m >= 0:
+        return normalize_y(l, m, p)
+    y = normalize_y(l, 0, p)
+    with decimal.localcontext(_CTX if p.is_high else None):
+        for mu in range(0, m, -1):
+            y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))
+    return y
+
+
+HARMONIC_LABELS = [(l, m) for l in range(9) for m in range(-l, l + 1)]
+
+
+@pytest.mark.parametrize("q, precision", [(0.5, "double"), (1.0, "double"), (2.0, "double"), (0.7, "high")])
+def test_build_y_matches_the_lowering_loop_bitwise(q, precision):
+    want = {lm: _coeff_bits(_lowering_loop(*lm, QParam(q, precision))) for lm in HARMONIC_LABELS}
+    shuffled = list(HARMONIC_LABELS)
+    random.Random(27).shuffle(shuffled)
+    for order in (HARMONIC_LABELS, HARMONIC_LABELS[::-1], shuffled, shuffled + shuffled[::3]):
+        p = QParam(q, precision)
+        for lm in order:
+            # a second call reads the stored label
+            for _ in range(2):
+                assert _coeff_bits(build_y(*lm, p)) == want[lm], (q, precision, lm)
+        for l, m in order[:20]:
+            if m < 0:
+                assert _coeff_bits(build_negative_m(l, m, p)) == want[(l, m)]
+
+
+def test_each_label_costs_one_lowering_step(monkeypatch):
+    # 36 labels with m < 0 below l = 9, each one step from the label above
+    # it, and each m >= 0 label normalized once, in any call order
+    calls = {"lower": 0, "normalize": 0}
+
+    def counted(name, f):
+        def run(*args):
+            calls[name] += 1
+            return f(*args)
+        return run
+
+    monkeypatch.setattr(angular, "apply_lminus", counted("lower", angular.apply_lminus))
+    monkeypatch.setattr(angular, "normalize_y", counted("normalize", angular.normalize_y))
+    shuffled = list(HARMONIC_LABELS)
+    random.Random(9).shuffle(shuffled)
+    p = QParam(1.3)
+    for lm in shuffled + HARMONIC_LABELS:
+        build_y(*lm, p)
+    assert calls == {"lower": 36, "normalize": 45}
+
+
+def test_build_y_returns_a_function_of_its_own():
+    for precision in ("double", "high"):
+        p = QParam(1.3, precision)
+        want = _coeff_bits(build_y(4, -3, p))
+        for lm in ((4, -3), (4, -2), (4, 0), (4, 2)):
+            y = build_y(*lm, p)
+            y.coeffs[0] = p.number(99)
+            y.coeffs.clear()
+        assert _coeff_bits(build_y(4, -3, p)) == want
+        assert _coeff_bits(build_y(4, 2, p)) == _coeff_bits(normalize_y(4, 2, QParam(1.3, precision)))
+
+
+@pytest.mark.parametrize("l, m", [(2.5, 1), (3, -1.0), (True, 0), (2, False), (3.0, 1), ("2", 1)])
+def test_harmonic_labels_must_be_integers(l, m):
+    # 2.5 failed deep in the q-double-factorial, -1.0 in range(), True was l = 1
+    p = QParam(1.2)
+    for build in (build_y, build_negative_m, normalize_y, build_phi, hypergeom_phi, normalization_constant):
+        with pytest.raises(ValueError, match=re.escape(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")):
+            build(l, m, p)
+    assert not p._table
 
 
 CLASSICAL_Y = {

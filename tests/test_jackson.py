@@ -1,6 +1,8 @@
 import decimal
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from qsu2 import (
     series_convergence_probe,
 )
 from qsu2.jackson import _decimal_digits, _halfline_series, _moment_sum, _moments
-from qsu2.qcore import _CTX
+from qsu2.qcore import _CTX, HIGH_PRECISION_DIGITS
 
 qvals = st.one_of(
     st.just(1.0),
@@ -39,6 +41,13 @@ def test_monomial_values():
 def test_monomial_rejects_negative_degree():
     with pytest.raises(ValueError):
         integrate_monomial(-2, QMeasure(QParam(1.2)))
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 2.5, -1])
+def test_monomial_degree_must_be_a_nonnegative_integer(n):
+    # inf raised OverflowError from int(), nan took its message from int()
+    with pytest.raises(ValueError, match=f"monomial degree must be a nonnegative integer, got {n!r}"):
+        integrate_monomial(n, QMeasure(QParam(0.5)))
 
 
 @given(n=st.integers(0, 10), q=qvals)
@@ -193,6 +202,19 @@ def test_series_matches_term_by_term_sum():
 def test_convergence_probe_requires_small_q():
     with pytest.raises(ValueError):
         series_convergence_probe(0, QParam(1.2))
+
+
+@pytest.mark.parametrize("n", [-1, -1.0, -2, -1.5, math.nan, math.inf, -math.inf])
+def test_convergence_probe_degree_must_lie_above_minus_one(n):
+    # -1 divided by [0], -2 and -1.5 overflowed after walking the grid,
+    # nan gave nan rows
+    with pytest.raises(ValueError, match=f"probe degree must be a finite real number above -1, got {n!r}"):
+        series_convergence_probe(n, QParam(0.5))
+
+
+def test_convergence_probe_takes_a_real_degree():
+    probe = series_convergence_probe(2.5, QParam(0.5))
+    assert probe.depth_for_1e12 is not None and probe.limit == pytest.approx(1 / qnum(3.5, QParam(0.5)))
 
 
 def test_inner_product_winding_orthogonality():
@@ -355,3 +377,109 @@ def test_high_precision_integration():
     val = integrate_monomial(2, mu)
     with decimal.localcontext(_CTX):
         assert abs(val - 2 / qnum(3, p)) < 1e-50
+
+
+# ----------------------------- moments kept in the QParam table -----------------------------
+
+def _bits(v):
+    if isinstance(v, complex):
+        return (v.real.hex(), v.imag.hex())
+    return v.hex() if isinstance(v, float) else v.as_tuple()
+
+
+GRAM_LABELS = [(l, m) for l in range(9) for m in range(-l, l + 1)]
+
+
+@pytest.mark.parametrize("q, precision", [(0.5, "double"), (1.0, "double"), (2.0, "double"), (0.7, "high")])
+def test_gram_matrix_independent_of_call_order(q, precision):
+    # forward and in reverse on one QParam each, and pair by pair on a
+    # fresh QParam per pair: the stored moments give the fresh ones' bits
+    p = QParam(q, precision)
+    ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
+    pairs = [(i, j) for i in range(len(ys)) for j in range(i, len(ys))]
+    mu = QMeasure(p)
+    forward = {ij: _bits(inner_product(ys[ij[0]], ys[ij[1]], mu)) for ij in pairs}
+    mu = QMeasure(QParam(q, precision))
+    backward = {ij: _bits(inner_product(ys[ij[0]], ys[ij[1]], mu)) for ij in pairs[::-1]}
+    assert backward == forward
+    for i, j in pairs:
+        if GRAM_LABELS[i][1] == GRAM_LABELS[j][1]:
+            fresh = inner_product(ys[i], ys[j], QMeasure(QParam(q, precision)))
+            assert _bits(fresh) == forward[(i, j)], (q, precision, GRAM_LABELS[i], GRAM_LABELS[j])
+    assert any(k[0] == "moments" for k in mu.p._table)
+
+
+def test_moments_are_formed_once_per_winding_and_precision(monkeypatch):
+    # every coefficient lies in [0.5, 1), so each double sum runs at 20 digits
+    for precision, q in (("double", 0.7), ("double", 1.3), ("high", 0.7), ("high", 1.3)):
+        p = QParam(q, precision)
+        mu = QMeasure(p)
+        f, g, h = (angular_function(p, 2, c) for c in ({0: 0.75, 2: -0.5}, {0: 0.5, 4: 0.625}, {0: 0.75, 8: 0.5}))
+        key = ("moments", 2, HIGH_PRECISION_DIGITS if p.is_high else 20)
+        assert all(_decimal_digits(a, b) == 20 for a in (f, g, h) for b in (f, g, h))
+        pairs = ((f, g), (f, f), (g, f))
+        fresh = [_bits(inner_product(a, b, QMeasure(QParam(q, precision)))) for a, b in pairs]
+        first = inner_product(f, g, mu)
+        assert len(p._table[key]) == 7
+        with monkeypatch.context() as patch:
+            patch.setattr(jackson, "_moments", lambda *args: pytest.fail("moments formed again"))
+            # the same winding and precision up to the stored degree
+            assert [_bits(inner_product(a, b, mu)) for a, b in pairs] == fresh
+        # a higher degree forms the list again and replaces it
+        inner_product(h, h, mu)
+        assert len(p._table[key]) == 17
+        assert _bits(inner_product(f, g, mu)) == _bits(first)
+        # a list of nmax entries is one short of degree nmax
+        k, f1 = angular_function(p, 1, {0: 0.5, 1: 0.75}), angular_function(p, 1, {0: 0.75, 2: -0.5})
+        inner_product(k, f1, mu)
+        assert len(p._table[("moments", 1, key[2])]) == 4
+        want = _bits(inner_product(f1, f1, QMeasure(QParam(q, precision))))
+        assert _bits(inner_product(f1, f1, mu)) == want
+        assert len(p._table[("moments", 1, key[2])]) == 5
+
+
+def test_series_measure_never_reads_the_stored_moments():
+    for precision, q in (("double", 0.5), ("high", 0.7)):
+        p = QParam(q, precision)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS if l <= 5]
+        for f in ys:
+            for g in ys:
+                inner_product(f, g, QMeasure(p))
+        filled = {k: v for k, v in p._table.items() if k[0] == "moments"}
+        assert filled
+        for f in ys:
+            for g in ys:
+                got = inner_product(f, g, QMeasure(p, 40))
+                want = inner_product(f, g, QMeasure(QParam(q, precision), 40))
+                assert _bits(got) == _bits(want), (precision, f.m, f.coeffs, g.coeffs)
+        assert {k: v for k, v in p._table.items() if k[0] == "moments"} == filled
+
+
+def test_moments_of_a_lower_degree_are_a_prefix():
+    for b in (0.5, 1.0, decimal.Decimal("0.7"), decimal.Decimal(1) / 3):
+        with decimal.localcontext(_CTX):
+            for m in range(-6, 7):
+                short, long = _moments(m, 8, b), _moments(m, 16, b)
+                assert len(short) == 9 and len(long) == 17
+                assert [_bits(v) for v in short] == [_bits(v) for v in long[:9]], (b, m)
+
+
+def test_qparam_freed_on_its_last_reference():
+    # the table holds coefficient dicts and lists of numbers, never a
+    # function or anything else that refers back to its QParam, so
+    # reference counting alone frees it: no cycle waits for the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for precision in ("double", "high"):
+            p = QParam(0.5 if precision == "double" else 0.7, precision)
+            mu = QMeasure(p)
+            ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
+            gram = [[inner_product(ys[i], ys[j], mu) for j in range(i, len(ys))] for i in range(len(ys))]
+            assert {k[0] for k in p._table} >= {"y", "moments", "qnum", "pow"}
+            ref = weakref.ref(p)
+            del p, mu, ys, gram
+            assert ref() is None, precision
+    finally:
+        if enabled:
+            gc.enable()
