@@ -17,7 +17,6 @@ from .angular import (
     apply_lambda,
     apply_lminus,
     apply_lplus,
-    build_negative_m,
     build_phi,
     build_y,
     hypergeom_phi,
@@ -33,8 +32,6 @@ from .jackson import (
     series_convergence_probe,
 )
 from .irrep import (
-    COMPOSED,
-    MATRIX_ELEMENTS,
     IdentityCheck,
     OperatorMatrix,
     VerifyReport,
@@ -42,6 +39,7 @@ from .irrep import (
     build_invariant_c,
     build_lambda,
     build_partial,
+    build_partial_elements,
     build_position,
     diag_operator,
     identity_operator,

@@ -24,10 +24,9 @@ context in either precision, whatever the caller's context is.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .qcore import QParam, _in_private_context, qdouble_factorial, qnum, qnum_base2
+from .qcore import QParam, _in_private_context, _is_integer, qdouble_factorial, qnum, qnum_base2
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -278,9 +277,7 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
 def _int_label(l: int, m: int) -> tuple:
     """(l, m) as ints; a label that is not an integer, or is a bool, raises
     ValueError naming it, before any work."""
-    if type(l) is int and type(m) is int:
-        return l, m
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (l, m)):
+    if not (_is_integer(l) and _is_integer(m)):
         raise ValueError(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")
     return int(l), int(m)
 
@@ -408,26 +405,14 @@ def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
     return y
 
 
-def build_negative_m(l: int, m: int, p: QParam) -> AngularFunction:
-    """Harmonic with -l <= m < 0, obtained by lowering from m = 0.
-
-    Each step divides by the ladder factor, which keeps the norm at one
-    whenever the lowering operator is the adjoint of the raising one.  The
-    chain is shared with build_y through the table of p: each new label
-    costs one lowering step from the label above it.
-    """
-    l, m = _int_label(l, m)
-    if m >= 0 or m < -l:
-        raise ValueError(f"negative-m construction requires -l <= m < 0, got (l={l}, m={m})")
-    return _harmonic(l, m, p)
-
-
 def build_y(l: int, m: int, p: QParam) -> AngularFunction:
     """Normalized harmonic for any |m| <= l, integers both.
 
     Each label is formed once per QParam and kept in its table: m >= 0 by
-    normalize_y, a new m < 0 by one lowering step from (l, m + 1).  Every
-    call returns a new function whose coefficients may be changed freely.
+    normalize_y, a new m < 0 by one lowering step from (l, m + 1), divided
+    by the ladder factor, which keeps the norm at one whenever the lowering
+    operator is the adjoint of the raising one.  Every call returns a new
+    function whose coefficients may be changed freely.
     """
     l, m = _int_label(l, m)
     if abs(m) > l:

@@ -17,11 +17,15 @@ built on l <= lmax - 1, where such products are formed, then cut with
 ``OperatorMatrix.truncated``; every other product has an l-diagonal factor.
 
 Builders take the operators they derive from and read p and lmax from
-them; operators of different p or lmax refuse to combine.  The catalogue
-is data: one dict of operands, each formed once (``_operator_operands``,
-``_function_operands``), and the table ``_ROWS`` of rows in report order,
-each (name, group, gated, note, pairs), where ``pairs(**operands)`` gives
-the (lhs, rhs) sides it compares, or the reason it is skipped at this q.
+them; operators of different p or lmax refuse to combine.  The transverse
+derivative d has two independent builders, which the catalogue compares:
+``build_partial`` composes it from the position vector x, the rebuilt
+angular vector Lambda and the invariant c, and ``build_partial_elements``
+rescales the blocks of x.  The catalogue is data: one dict of operands,
+each formed once (``_operator_operands``, ``_function_operands``), and
+the table ``_ROWS`` of rows in report order, each (name, group, gated,
+note, pairs), where ``pairs(**operands)`` gives the (lhs, rhs) sides it
+compares, or the reason it is skipped at this q.
 ``_residual`` picks the metric by the type of the sides: operators by the
 largest entry of lhs - rhs, functions by the largest coefficient
 difference relative to the largest coefficient of lhs (floor 1), scalars
@@ -322,32 +326,12 @@ def build_position(p: QParam, lmax: int) -> dict:
     return out
 
 
-COMPOSED = "composed"
-MATRIX_ELEMENTS = "matrixElements"
-
-
-def build_partial(p: QParam, lmax: int, method: str = COMPOSED) -> dict:
-    """Transverse derivative components by either construction route.
-
-    COMPOSED assembles the cross-product-plus-invariant combination from
-    the position, angular and invariant matrices; MATRIX_ELEMENTS scales
-    the position blocks by +[2l+2]/[2] (raising l) and -[2l]/[2] (lowering
-    l) with zero diagonal.  The two routes must agree on interior blocks.
-    """
-    if lmax < 1:
-        raise ValueError("transverse derivative matrices need lmax >= 1")
-    if method not in (COMPOSED, MATRIX_ELEMENTS):
-        raise ValueError(f"unknown construction method {method!r}")
-    x = build_position(p, lmax)
-    if method == MATRIX_ELEMENTS:
-        return _partial_elements(x)
-    lam = build_lambda(build_generators(p, lmax))
-    return _partial_composed(x, lam, build_invariant_c(lam))
-
-
 @_in_private_context
-def _partial_composed(x: dict, lam: dict, c: OperatorMatrix) -> dict:
-    """The COMPOSED route from the position, angular and invariant operators."""
+def build_partial(x: dict, lam: dict, c: OperatorMatrix) -> dict:
+    """Transverse derivative components composed from the position vector,
+    the rebuilt angular vector and the third invariant: the
+    cross-product-plus-invariant combination.  build_partial_elements is
+    the independent route; the two agree on interior blocks."""
     p, q = c.p, c.p.q
     d1 = (x[1] @ lam[0]).scaled(1 / q) + (x[0] @ lam[1]).scaled(-q) + x[1] @ c
     d0 = x[1] @ lam[-1] + (x[0] @ lam[0]).scaled(-p.lam) - x[-1] @ lam[1] + x[0] @ c
@@ -356,8 +340,10 @@ def _partial_composed(x: dict, lam: dict, c: OperatorMatrix) -> dict:
 
 
 @_in_private_context
-def _partial_elements(x: dict) -> dict:
-    """The MATRIX_ELEMENTS route: the position blocks, rescaled per l."""
+def build_partial_elements(x: dict) -> dict:
+    """Transverse derivative components from their matrix elements: the
+    position blocks scaled by +[2l+2]/[2] (raising l) and -[2l]/[2]
+    (lowering l), with zero diagonal."""
     p = x[0].p
     two = qnum(2, p)
     out = {}
@@ -449,11 +435,11 @@ def _operator_operands(p: QParam, interior: int) -> dict:
     lam = build_lambda(gen)
     c = build_invariant_c(lam)
     x = build_position(p, top)
-    d = _partial_composed(x, lam, c)
+    d = build_partial(x, lam, c)
     inv = [invariants(l, p) for l in range(top + 1)]
     ops = {
         **gen, "lp_lm": lp_lm, "lm_lp": lm_lp, "lam": lam, "c": c, "x": x, "d": d,
-        "d_elem": _partial_elements(x), "ident": identity_operator(p, top),
+        "d_elem": build_partial_elements(x), "ident": identity_operator(p, top),
         "two_l0": diag_operator(p, top, lambda l, m: qnum(2 * m, p)),
         "casimir": lm_lp + diag_operator(p, top, lambda l, m: qnum(m, p) * qnum(m + 1, p)),
         "C": diag_operator(p, top, lambda l, m: inv[l].C),

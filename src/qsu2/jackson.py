@@ -57,15 +57,16 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import count, islice
 
 from .angular import AngularFunction, _nanmax
-from .qcore import _CTX, HIGH_PRECISION_DIGITS, QParam, _in_private_context, qnum
+from .qcore import _CTX, HIGH_PRECISION_DIGITS, QParam, _in_private_context, _is_integer, qnum
 
 # Decimal digits kept beyond the operand scale in a double-precision sum.
 SUM_GUARD_DIGITS = 20
+# series_convergence_probe reports the partial sum at each grid depth here.
+PROBE_DEPTHS = (10, 25, 50, 100, 200, 400)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class QMeasure:
     def __post_init__(self):
         depth = self.series_depth
         if depth is not None:
-            if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+            if not _is_integer(depth):
                 raise ValueError(f"series depth must be an integer, got {depth!r}")
             if not self.p.q < 1:
                 raise ValueError("series mode requires 0 < q < 1")
@@ -144,7 +145,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     Odd n vanishes by the parity phase of the negative half-line; even n
     doubles the half-line value.
     """
-    if not 0 <= n < math.inf or n != int(n):
+    if not _is_integer(n) or n < 0:
         raise ValueError(f"monomial degree must be a nonnegative integer, got {n!r}")
     n = int(n)
     p = mu.p
@@ -308,20 +309,21 @@ class ConvergenceProbe:
 
 
 @_in_private_context
-def series_convergence_probe(n: int, p: QParam, depths=(10, 25, 50, 100, 200, 400)) -> ConvergenceProbe:
-    """Partial sums of the discrete half-line integral versus 1/[n+1].
+def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
+    """Partial sums of the discrete half-line integral versus 1/[n+1], one
+    at each depth of PROBE_DEPTHS.
 
     Only defined for 0 < q < 1.  Also reports the first depth, up to
     100000, at which the partial sum is within 1e-12 of the closed form.
     One pass over the grid serves both.  The degree n may be any finite
-    real above -1; any other raises ValueError naming it.
+    real above -1, but not a bool; any other raises ValueError naming it.
     """
-    if not -1 < n < math.inf:
+    if isinstance(n, bool) or not -1 < n < math.inf:
         raise ValueError(f"probe degree must be a finite real number above -1, got {n!r}")
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
     cap = 100000
-    want = sorted(depths)
+    want = list(PROBE_DEPTHS)
     rows = []
     hit = None
     limit = _over_qnum(1, n + 1, p)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -194,6 +195,12 @@ class QParam:
         return self.q ** e
 
 
+def _is_integer(v) -> bool:
+    """The rule for every integer argument of the library: an integer, and
+    not a bool.  A float of integral value, inf and NaN are not integers."""
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def qnum(n, p: QParam):
     """Symmetric q-number (q**n - q**-n)/(q - 1/q); equals n when q = 1.
 
@@ -237,7 +244,7 @@ def qnum_base2(e2, p: QParam):
 @_in_private_context
 def qfactorial(n: int, p: QParam):
     """[n]! = [n][n-1]...[1] with the empty-product convention [0]! = 1."""
-    if n != int(n) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise ValueError(f"q-factorial requires an integer n >= 0, got {n!r}")
     out = p.one
     for k in range(1, int(n) + 1):
@@ -248,7 +255,7 @@ def qfactorial(n: int, p: QParam):
 @_in_private_context
 def qdouble_factorial(n: int, p: QParam):
     """[n]!! = [n][n-2]... with [0]!! = [-1]!! = 1; rejects n < -1."""
-    if n != int(n) or n < -1:
+    if not _is_integer(n) or n < -1:
         raise ValueError(f"q-double-factorial requires an integer n >= -1, got {n!r}")
     out = p.one
     k = int(n)
@@ -277,7 +284,7 @@ def invariants(l: int, p: QParam) -> InvariantSet:
     classical l(l+1), l(l+1) and 1.  The l = 0 values are emitted exactly
     (0, 0, 1) so that downstream l = 0 results are bitwise q-independent.
     """
-    if l != int(l) or l < 0:
+    if not _is_integer(l) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
     l = int(l)
     if l == 0:

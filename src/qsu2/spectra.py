@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .jackson import QMeasure, integrate_monomial
-from .qcore import QParam, _in_private_context, invariants
+from .qcore import QParam, _in_private_context, _is_integer, invariants
 
 COULOMB = "coulomb"
 OSCILLATOR = "oscillator"
@@ -97,7 +97,7 @@ def _root_l(rhs, l: int, p: QParam):
 
 @_in_private_context
 def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
-    if n != int(n) or n < 0 or l != int(l) or l < 0:
+    if not (_is_integer(n) and _is_integer(l)) or n < 0 or l < 0:
         raise ValueError(f"quantum numbers must be nonnegative integers, got n={n!r}, l={l!r}")
     if potential not in POTENTIALS:
         raise ValueError(f"unknown potential {potential!r}")
@@ -511,19 +511,24 @@ class DegeneracyReport:
     m_degeneracy: str = "each (n, l) level carries 2l+1 magnetic states by construction"
 
 
-def degeneracy_report(potential: str, p: QParam, nmax: int, lmax: int, tol: float = 1e-9) -> DegeneracyReport:
+# Energies closer than this are one level in degeneracy_report.
+DEGENERACY_TOL = 1e-9
+
+
+def degeneracy_report(potential: str, p: QParam, nmax: int, lmax: int) -> DegeneracyReport:
     """Group levels by energy and track the classical shells.
 
     At q = 1 the classical multiplets (equal n+l for the Coulomb case,
     equal 2n+l for the oscillator) are degenerate; away from q = 1 each
-    former multiplet splits while the magnetic degeneracy survives.
+    former multiplet splits while the magnetic degeneracy survives.  Levels
+    within DEGENERACY_TOL of each other are degenerate.
     """
     if nmax < 1 or lmax < 1:
         raise ValueError("degeneracy report needs nmax >= 1 and lmax >= 1")
     entries = spectrum_table(potential, p, nmax, lmax)
     by_energy: list[list] = []
     for e in sorted(entries, key=lambda s: s.E):
-        if by_energy and abs(e.E - by_energy[-1][-1].E) <= tol:
+        if by_energy and abs(e.E - by_energy[-1][-1].E) <= DEGENERACY_TOL:
             by_energy[-1].append(e)
         else:
             by_energy.append([e])
@@ -549,7 +554,7 @@ def degeneracy_report(potential: str, p: QParam, nmax: int, lmax: int, tol: floa
                 "shell": key,
                 "members": tuple((e.n, e.l) for e in members),
                 "energies": tuple(energies),
-                "degenerate": bool(spread <= tol),
+                "degenerate": bool(spread <= DEGENERACY_TOL),
                 "spread": spread,
             }
         )

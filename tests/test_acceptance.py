@@ -111,14 +111,18 @@ def test_criterion_5_matrix_element_cross_check():
 
 
 def test_criterion_6_dual_construction_and_resolution():
-    from qsu2 import COMPOSED, MATRIX_ELEMENTS, build_partial, scalar_product, transverse_square_candidates
+    from qsu2 import (
+        build_generators, build_invariant_c, build_lambda, build_partial, build_partial_elements, build_position,
+        scalar_product, transverse_square_candidates,
+    )
 
     ok = True
     consistent = "-([2l][2l+2]/[2]^2 + c_l^2)"
     for q in (0.8, 1.3):
         p = QParam(q)
-        d_a = build_partial(p, 6, COMPOSED)
-        d_b = build_partial(p, 6, MATRIX_ELEMENTS)
+        x = build_position(p, 6)
+        lam = build_lambda(build_generators(p, 6))
+        d_a, d_b = build_partial(x, lam, build_invariant_c(lam)), build_partial_elements(x)
         for k in (1, 0, -1):
             ok &= (d_a[k] - d_b[k]).truncated(4).max_abs() < 1e-10
         # the diagonal matches exactly one candidate at every l <= 4

@@ -18,7 +18,6 @@ from qsu2 import (
     apply_lambda,
     apply_lminus,
     apply_lplus,
-    build_negative_m,
     build_phi,
     build_y,
     hypergeom_phi,
@@ -281,12 +280,9 @@ def test_unit_norms():
 
 def test_negative_m_rejects_bad_labels():
     p = QParam(1.2)
-    with pytest.raises(ValueError):
-        build_negative_m(2, -3, p)
-    with pytest.raises(ValueError):
-        build_negative_m(2, 0, p)
-    with pytest.raises(ValueError):
-        build_y(2, 5, p)
+    for m in (-3, 5):
+        with pytest.raises(ValueError, match=re.escape(f"invalid label (l=2, m={m})")):
+            build_y(2, m, p)
 
 
 def _bits(v):
@@ -324,9 +320,6 @@ def test_build_y_matches_the_lowering_loop_bitwise(q, precision):
             # a second call reads the stored label
             for _ in range(2):
                 assert _coeff_bits(build_y(*lm, p)) == want[lm], (q, precision, lm)
-        for l, m in order[:20]:
-            if m < 0:
-                assert _coeff_bits(build_negative_m(l, m, p)) == want[(l, m)]
 
 
 def test_each_label_costs_one_lowering_step(monkeypatch):
@@ -366,7 +359,7 @@ def test_build_y_returns_a_function_of_its_own():
 def test_harmonic_labels_must_be_integers(l, m):
     # 2.5 failed deep in the q-double-factorial, -1.0 in range(), True was l = 1
     p = QParam(1.2)
-    for build in (build_y, build_negative_m, normalize_y, build_phi, hypergeom_phi, normalization_constant):
+    for build in (build_y, normalize_y, build_phi, hypergeom_phi, normalization_constant):
         with pytest.raises(ValueError, match=re.escape(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")):
             build(l, m, p)
     assert not p._table

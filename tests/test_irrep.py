@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 from decimal import Decimal
 
@@ -7,8 +8,6 @@ import numpy as np
 import pytest
 
 from qsu2 import (
-    COMPOSED,
-    MATRIX_ELEMENTS,
     AngularFunction,
     IdentityCheck,
     OperatorMatrix,
@@ -19,6 +18,7 @@ from qsu2 import (
     build_invariant_c,
     build_lambda,
     build_partial,
+    build_partial_elements,
     build_position,
     build_y,
     diag_operator,
@@ -131,17 +131,36 @@ def test_position_matches_integral_cross_check():
                         assert abs(got - position_coeff_lower(p, l, m, k)) < 1e-9
 
 
+def _partials(p, lmax):
+    """The transverse derivative by both builders, from operands built on l <= lmax."""
+    x = build_position(p, lmax)
+    lam = build_lambda(build_generators(p, lmax))
+    return build_partial(x, lam, build_invariant_c(lam)), build_partial_elements(x)
+
+
 def test_partial_dual_construction():
     p = QParam(1.4)
-    d_a = build_partial(p, 6, COMPOSED)
-    d_b = build_partial(p, 6, MATRIX_ELEMENTS)
+    d_a, d_b = _partials(p, 6)
     for k in (1, 0, -1):
         assert (d_a[k] - d_b[k]).truncated(4).max_abs() < 1e-10
 
 
+def test_partial_refuses_operands_that_do_not_match():
+    # each builder reads p and lmax from its operands; operands of another
+    # lmax or q refuse to combine, and x needs lmax >= 1
+    p, other = QParam(1.3), QParam(0.7)
+    lam6 = build_lambda(build_generators(p, 6))
+    lam_other = build_lambda(build_generators(other, 4))
+    for lam, side in ((lam6, "q=1.3 double lmax=6"), (lam_other, "q=0.7 double lmax=4")):
+        with pytest.raises(ValueError, match=re.escape(f"cannot combine operators of q=1.3 double lmax=4 and {side}")):
+            build_partial(build_position(p, 4), lam, build_invariant_c(lam))
+    with pytest.raises(ValueError, match="position matrices need lmax >= 1"):
+        build_position(p, 0)
+
+
 def test_partial_hermiticity():
     p = QParam(1.2)
-    d = build_partial(p, 6, COMPOSED)
+    d = _partials(p, 6)[0]
     for k in (1, 0, -1):
         assert (d[k].dagger() + d[-k].scaled((-1 / p.q) ** k)).truncated(4).max_abs() < 1e-12
 
@@ -150,8 +169,9 @@ def test_partial_from_invariant_commutator():
     p = QParam(1.5)
     lmax = 6
     x = build_position(p, lmax)
-    c = build_invariant_c(build_lambda(build_generators(p, lmax)))
-    d = build_partial(p, lmax, COMPOSED)
+    lam = build_lambda(build_generators(p, lmax))
+    c = build_invariant_c(lam)
+    d = build_partial(x, lam, c)
     for k in (1, 0, -1):
         comm = (c @ x[k] - x[k] @ c).scaled(1 / (p.lam * p.lam))
         assert (comm - d[k]).truncated(4).max_abs() < 1e-10
@@ -162,8 +182,9 @@ def test_scalar_contractions():
         p = QParam(q)
         lmax = 6
         x = build_position(p, lmax)
-        c = build_invariant_c(build_lambda(build_generators(p, lmax)))
-        d = build_partial(p, lmax, COMPOSED)
+        lam = build_lambda(build_generators(p, lmax))
+        c = build_invariant_c(lam)
+        d = build_partial(x, lam, c)
         ident = identity_operator(p, lmax)
         assert (scalar_product(x, x) - ident).truncated(4).max_abs() < 1e-11
         assert (scalar_product(x, d) - c).truncated(4).max_abs() < 1e-10
@@ -172,7 +193,7 @@ def test_scalar_contractions():
 
 def test_partial_zero_diagonal_blocks():
     p = QParam(1.3)
-    d = build_partial(p, 5, COMPOSED)
+    d = _partials(p, 5)[0]
     for k in (1, 0, -1):
         for (lo, li) in d[k].blocks:
             assert abs(lo - li) == 1 or len(d[k].blocks[(lo, li)]) == 0
@@ -185,7 +206,7 @@ def test_transverse_square_resolution():
     printed = "-([2l][2l+1]/[2]^2 + c_l^2)"
     for q in (1.0, 1.3, 0.7):
         p = QParam(q)
-        d = build_partial(p, 6, COMPOSED)
+        d = _partials(p, 6)[0]
         sq = scalar_product(d, d)
         for l in range(5):
             cands = transverse_square_candidates(l, p)
@@ -200,7 +221,7 @@ def test_transverse_square_resolution():
 
 def test_transverse_square_classical_value():
     p = QParam(1.0)
-    d = build_partial(p, 6, COMPOSED)
+    d = _partials(p, 6)[0]
     sq = scalar_product(d, d)
     for l in range(5):
         for v in sq.diagonal(l):
@@ -246,7 +267,8 @@ def test_interior_basis_matches_the_full_truncation(q, lmax, precision):
         gen = build_generators(p, lmax)
         lam = build_lambda(gen)
         c = build_invariant_c(lam)
-        x, d = build_position(p, lmax), build_partial(p, lmax)
+        x = build_position(p, lmax)
+        d = build_partial(x, lam, c)
         ql0, two = diag_operator(p, lmax, lambda l, m: p.power(m)), p.sqrt(qnum(2, p))
         vector = []
         for k in (1, 0, -1):
@@ -301,7 +323,7 @@ def test_high_precision_carries_no_double(q):
     for lmax in (3, 6):
         gen = build_generators(p, lmax)
         x = build_position(p, lmax)
-        partial = [*build_partial(p, lmax).values(), *build_partial(p, lmax, MATRIX_ELEMENTS).values()]
+        partial = [v for d in _partials(p, lmax) for v in d.values()]
         for op in (*gen.values(), *x.values(), *partial):
             assert all(type(v) is Decimal for vec in op.blocks.values() for v in vec)
         for fault in (False, True):

@@ -19,7 +19,7 @@ from qsu2 import (
     qnum,
     series_convergence_probe,
 )
-from qsu2.jackson import _decimal_digits, _halfline_series, _moment_sum, _moments
+from qsu2.jackson import PROBE_DEPTHS, _decimal_digits, _halfline_series, _moment_sum, _moments
 from qsu2.qcore import _CTX, HIGH_PRECISION_DIGITS
 
 qvals = st.one_of(
@@ -189,13 +189,12 @@ def test_series_matches_term_by_term_sum():
                             partials[-1] + (p.q ** (2 * k + 1)) ** n * (p.q ** (2 * k) - p.q ** (2 * k + 2))
                         )
                     hit = next(d for d in range(1, len(partials)) if abs(partials[d] - limit) < 1e-12)
-                    depths = (10, 25, 50, 100, 200, 400)
-                    rows = tuple((d, float(partials[d]), float(abs(partials[d] - limit))) for d in depths)
-                    wants = {d: 2 * partials[d] if n % 2 == 0 else 0 for d in depths}
+                    rows = tuple((d, float(partials[d]), float(abs(partials[d] - limit))) for d in PROBE_DEPTHS)
+                    wants = {d: 2 * partials[d] if n % 2 == 0 else 0 for d in PROBE_DEPTHS}
                 probe = series_convergence_probe(n, p)
                 assert probe.depth_for_1e12 == hit, (precision, q, n)
                 assert probe.rows == rows, (precision, q, n)
-                for d in depths:
+                for d in PROBE_DEPTHS:
                     assert integrate_monomial(n, QMeasure(p, series_depth=d)) == wants[d], (precision, q, n, d)
 
 
@@ -204,10 +203,10 @@ def test_convergence_probe_requires_small_q():
         series_convergence_probe(0, QParam(1.2))
 
 
-@pytest.mark.parametrize("n", [-1, -1.0, -2, -1.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [-1, -1.0, -2, -1.5, math.nan, math.inf, -math.inf, True])
 def test_convergence_probe_degree_must_lie_above_minus_one(n):
     # -1 divided by [0], -2 and -1.5 overflowed after walking the grid,
-    # nan gave nan rows
+    # nan gave nan rows, True was n = 1
     with pytest.raises(ValueError, match=f"probe degree must be a finite real number above -1, got {n!r}"):
         series_convergence_probe(n, QParam(0.5))
 

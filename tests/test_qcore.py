@@ -1,8 +1,10 @@
 import dataclasses
 import decimal
+import inspect
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -14,8 +16,6 @@ from hypothesis import strategies as st
 
 import qsu2
 from qsu2 import (
-    COMPOSED,
-    MATRIX_ELEMENTS,
     AngularFunction,
     OperatorMatrix,
     QParam,
@@ -137,6 +137,45 @@ def test_double_q_whose_reciprocal_overflows():
 def test_invariants_rejects_bad_l():
     with pytest.raises(ValueError):
         invariants(-1, QParam(1.2))
+
+
+# Every function that takes an integer argument: a call passing v as that
+# argument, the smallest integer it accepts, and its refusal of v.
+_INTEGER_ARGUMENTS = {
+    "invariants": (invariants, 0, lambda v: f"l must be a nonnegative integer, got {v!r}"),
+    "qfactorial": (qfactorial, 0, lambda v: f"q-factorial requires an integer n >= 0, got {v!r}"),
+    "qdouble_factorial": (
+        qdouble_factorial, -1, lambda v: f"q-double-factorial requires an integer n >= -1, got {v!r}"
+    ),
+    "integrate_monomial": (
+        lambda v, p: qsu2.integrate_monomial(v, qsu2.QMeasure(p)), 0,
+        lambda v: f"monomial degree must be a nonnegative integer, got {v!r}",
+    ),
+    "coulomb_energy n": (
+        lambda v, p: qsu2.coulomb_energy(v, 1, p), 0,
+        lambda v: f"quantum numbers must be nonnegative integers, got n={v!r}, l=1",
+    ),
+    "oscillator_energy l": (
+        lambda v, p: qsu2.oscillator_energy(0, v, p), 0,
+        lambda v: f"quantum numbers must be nonnegative integers, got n=0, l={v!r}",
+    ),
+    "QMeasure series_depth": (
+        lambda v, p: qsu2.QMeasure(p, series_depth=v), 1,
+        lambda v: "series depth must be positive" if v == 0 else f"series depth must be an integer, got {v!r}",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 2.0, math.inf, math.nan, "one below the range"])
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_take_integers_only(name, value):
+    # a bool acted as 1, 2.0 was taken, inf raised OverflowError from int()
+    call, lowest, message = _INTEGER_ARGUMENTS[name]
+    v = lowest - 1 if value == "one below the range" else value
+    p = QParam(0.5)
+    with pytest.raises(ValueError, match=re.escape(message(v))):
+        call(v, p)
+    assert not p._table
 
 
 def test_qparam_validation():
@@ -304,6 +343,11 @@ def _precision_calls(precision):
         gen = qsu2.build_generators(p, 4)
         return gen, qsu2.build_position(p, 4)
 
+    def partials(p):
+        gen, x = ops(p)
+        lam = qsu2.build_lambda(gen)
+        return qsu2.build_partial(x, lam, qsu2.build_invariant_c(lam)), qsu2.build_partial_elements(x)
+
     def fns(p):
         return qsu2.build_y(3, -1, p), qsu2.build_y(2, -1, p)
 
@@ -317,7 +361,6 @@ def _precision_calls(precision):
         "build_phi": op(lambda p: (qsu2.build_phi(5, 1, p), qsu2.hypergeom_phi(5, 1, p))),
         "build_y": op(lambda p: [qsu2.build_y(4, m, p) for m in range(-4, 5)]),
         "normalize_y": op(lambda p: (qsu2.normalize_y(3, 2, p), qsu2.normalization_constant(4, 1, p))),
-        "build_negative_m": op(lambda p: qsu2.build_negative_m(3, -2, p)),
         "ladders": op(lambda p: [f(g) for g in fns(p) for f in (
             qsu2.apply_l0, qsu2.apply_lplus, qsu2.apply_lminus, qsu2.apply_casimir, qsu2.apply_c_invariant,
         )]),
@@ -343,7 +386,7 @@ def _precision_calls(precision):
         "build_position": op(lambda p: (
             qsu2.build_position(p, 4), qsu2.position_coeff_upper(p, 3, 1, -1), qsu2.position_coeff_lower(p, 3, 1, 1)
         )),
-        "build_partial": op(lambda p: [qsu2.build_partial(p, 4, method) for method in (COMPOSED, MATRIX_ELEMENTS)]),
+        "build_partial": op(partials),
         "diag_operator": op(lambda p: (
             qsu2.identity_operator(p, 3), qsu2.diag_operator(p, 3, lambda l, m: qnum(m, p) / 7)
         )),
@@ -362,6 +405,27 @@ def _precision_calls(precision):
         )),
         "radial_verify": op(lambda p: qsu2.radial_verify("oscillator", 0, 1, p)),
     }
+
+
+@pytest.mark.parametrize("precision", ["double", "high"])
+def test_precision_calls_run_every_exported_function(precision):
+    # _precision_calls claims every exported function that computes: the
+    # code of each function in the package namespace runs under its thunks
+    want = {name: inspect.unwrap(obj).__code__ for name, obj in vars(qsu2).items() if inspect.isfunction(obj)}
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    calls = _precision_calls(precision)
+    sys.setprofile(profile)
+    try:
+        for call in calls.values():
+            call()
+    finally:
+        sys.setprofile(None)
+    assert [name for name, code in want.items() if code not in ran] == []
 
 
 def _assert_ignores_the_callers_decimal_context(call):
