@@ -23,7 +23,6 @@ from .angular import (
     mul_position,
     mul_position_right,
     normalization_constant,
-    normalize_y,
 )
 from .jackson import (
     QMeasure,

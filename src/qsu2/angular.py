@@ -362,19 +362,6 @@ def normalization_constant(l: int, m: int, p: QParam):
     return phase * front * p.sqrt(ratio)
 
 
-def normalize_y(l: int, m: int, p: QParam) -> AngularFunction:
-    """Unit-norm harmonic for 0 <= m <= l under the deformed inner product.
-
-    build_phi is first rescaled to the closed-form series convention, whose
-    leading coefficient is q**-m in the odd-parity case (1 in the even one);
-    the printed normalization constants are exact in that convention.
-    """
-    phi = build_phi(l, m, p)
-    if (l - m) % 2:
-        phi = phi.scaled(p.power(-m))
-    return phi.scaled(normalization_constant(l, m, p))
-
-
 @_in_private_context
 def ladder_factor(l: int, m: int, p: QParam):
     """sqrt([l+m][l-m+1]): norm of the lowering step out of (l, m)."""
@@ -384,11 +371,13 @@ def ladder_factor(l: int, m: int, p: QParam):
 @_in_private_context
 def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
     """Y_lm for int labels, through the table of p: entry ("y", l, m) holds
-    a copy of its coefficient dict.  m >= 0 is normalize_y(l, m); a new
-    m < 0 is one lowering step, divided by the ladder factor, from
-    (l, m + 1), itself read through the table, so every label is formed
-    once and bit for bit as the chain from m = 0 forms it.  The returned
-    function shares no dict with the table, and nothing stored refers to p.
+    a copy of its coefficient dict.  m >= 0 is build_phi times q**-m at odd
+    l - m, the closed-form series convention in which the normalization
+    constant is exact, times that constant; a new m < 0 is one lowering
+    step, divided by the ladder factor, from (l, m + 1), itself read
+    through the table, so every label is formed once and bit for bit as the
+    chain from m = 0 forms it.  The returned function shares no dict with
+    the table, and nothing stored refers to p.
     """
     table = p._table
     top = m
@@ -397,7 +386,10 @@ def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
     if ("y", l, top) in table:
         y = AngularFunction(p, top, table[("y", l, top)])
     else:
-        y = normalize_y(l, top, p)
+        y = build_phi(l, top, p)
+        if (l - top) % 2:
+            y = y.scaled(p.power(-top))
+        y = y.scaled(normalization_constant(l, top, p))
         table[("y", l, top)] = dict(y.coeffs)
     for mu in range(top, m, -1):
         y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))
@@ -406,13 +398,14 @@ def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
 
 
 def build_y(l: int, m: int, p: QParam) -> AngularFunction:
-    """Normalized harmonic for any |m| <= l, integers both.
+    """Unit-norm harmonic for any |m| <= l, integers both.
 
-    Each label is formed once per QParam and kept in its table: m >= 0 by
-    normalize_y, a new m < 0 by one lowering step from (l, m + 1), divided
-    by the ladder factor, which keeps the norm at one whenever the lowering
-    operator is the adjoint of the raising one.  Every call returns a new
-    function whose coefficients may be changed freely.
+    Each label is formed once per QParam and kept in its table: m >= 0 from
+    build_phi and normalization_constant, a new m < 0 by one lowering step
+    from (l, m + 1), divided by the ladder factor, which keeps the norm at
+    one whenever the lowering operator is the adjoint of the raising one.
+    Every call returns a new function whose coefficients may be changed
+    freely.
     """
     l, m = _int_label(l, m)
     if abs(m) > l:

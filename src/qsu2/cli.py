@@ -35,7 +35,7 @@ def _validate(ns: argparse.Namespace):
     """Range checks the parser does not make, in a fixed order."""
     if any(not qv > 0 for qv in ns.q):
         raise ValueError("every q must be positive")
-    if not 0 <= ns.lmax <= LMAX_GUARD:
+    if "lmax" in ns and not 0 <= ns.lmax <= LMAX_GUARD:
         raise ValueError(f"lmax must lie in [0, {LMAX_GUARD}]")
     if ns.command == "spectrum" and ns.nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -210,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, lmax=True):
         sp.add_argument("--q", action=_Sweep, type=float, default=[1.0],
                         help="deformation parameter, repeatable for sweeps (default 1.0)")
-        sp.add_argument("--lmax", type=int, default=6)
+        if lmax:
+            sp.add_argument("--lmax", type=int, default=6)
         sp.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
         sp.add_argument("--precision", choices=(DOUBLE, HIGH), default=DOUBLE)
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="self-test: corrupt one expansion coefficient and confirm detection")
 
     sp = sub.add_parser("integrate", help="deformed monomial integral")
-    common(sp)
+    common(sp, lmax=False)
     sp.add_argument("--degree", type=int, default=0, help="monomial degree n")
     sp.add_argument("--series-depth", type=int, default=None,
                     help="request the discrete-grid value at this depth (q < 1 only)")

@@ -68,7 +68,7 @@ from .angular import (
     mul_position_right,
 )
 from .jackson import QMeasure, _halfline_series, inner_product, integrate_monomial
-from .qcore import QParam, _in_private_context, invariants, qnum
+from .qcore import QParam, _check_integers, _in_private_context, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
@@ -222,6 +222,7 @@ class OperatorMatrix:
 @_in_private_context
 def diag_operator(p: QParam, lmax: int, fn) -> OperatorMatrix:
     """Diagonal operator with entry fn(l, m)."""
+    _check_integers(lmax=lmax)
     return OperatorMatrix(p, lmax, 0, {(l, l): [fn(l, m) for m in range(-l, l + 1)] for l in range(lmax + 1)})
 
 
@@ -232,6 +233,7 @@ def identity_operator(p: QParam, lmax: int) -> OperatorMatrix:
 @_in_private_context
 def build_generators(p: QParam, lmax: int) -> dict:
     """L0 diagonal and the ladder matrices in the positive-real gauge."""
+    _check_integers(lmax=lmax)
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
     # the step out of m = l (raising) or m = -l (lowering) is zero, so the
@@ -307,6 +309,7 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
 @_in_private_context
 def build_position(p: QParam, lmax: int) -> dict:
     """Unit-sphere position components; bandwidth one in l, zero diagonal."""
+    _check_integers(lmax=lmax)
     if lmax < 1:
         raise ValueError("position matrices need lmax >= 1")
     zero = p.zero
@@ -343,19 +346,15 @@ def build_partial(x: dict, lam: dict, c: OperatorMatrix) -> dict:
 def build_partial_elements(x: dict) -> dict:
     """Transverse derivative components from their matrix elements: the
     position blocks scaled by +[2l+2]/[2] (raising l) and -[2l]/[2]
-    (lowering l), with zero diagonal."""
+    (lowering l), with zero diagonal: a position operator has no other
+    blocks."""
     p = x[0].p
     two = qnum(2, p)
     out = {}
     for k in (1, 0, -1):
         d = OperatorMatrix(p, x[k].lmax, k)
         for (lo, li), blk in x[k].blocks.items():
-            if lo == li + 1:
-                s = qnum(2 * li + 2, p) / two
-            elif lo == li - 1:
-                s = -qnum(2 * li, p) / two
-            else:
-                continue
+            s = qnum(2 * li + 2, p) / two if lo == li + 1 else -qnum(2 * li, p) / two
             d.blocks[(lo, li)] = [v * s for v in blk]
         out[k] = d
     return out
@@ -647,6 +646,7 @@ def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool 
     coefficient, so that a caller can confirm the verifier fails.
     ``qsu2 verify`` writes the report's only serialized form.
     """
+    _check_integers(lmax=lmax)
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
     ops = {**_operator_operands(p, lmax - 2), **_function_operands(p, inject_fault)}

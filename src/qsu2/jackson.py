@@ -209,27 +209,31 @@ def _closed_moments(p: QParam, m: int, nmax: int, q, digits) -> list:
     return moments
 
 
-def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, num, pi, digits=None) -> tuple:
+def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, digits=None) -> tuple:
     """2 pi sum conj(a_i) b_j M_m(i+j) as a (real, imaginary) pair.
 
-    `num` converts a real coefficient into the number type of the sum;
-    the moments and the sum are then formed in that type alone.  `digits`,
-    the precision of that type, keys the closed-form moments in the
-    table of the QParam (see _closed_moments).
+    Each real coefficient is converted into the number type of the sum,
+    Decimal in the context the caller entered in double precision and the
+    QParam's arithmetic in high precision; the moments and the sum are then
+    formed in that type alone.  `digits`, the precision of that type, keys
+    the closed-form moments in the table of the QParam (see
+    _closed_moments); without it they are formed afresh.
     """
+    p = mu.p
+    num, pi = (lambda v: v * p.one, p.pi) if p.is_high else (decimal.Decimal, decimal.Decimal(math.pi))
     parts = [
         ({k: num(v.real) for k, v in h.coeffs.items() if v.real},
          {k: num(v.imag) for k, v in h.coeffs.items() if v.imag})
         for h in (f, g)
     ]
     (a_re, a_im), (b_re, b_im) = parts
-    q = num(mu.p.q)
+    q = num(p.q)
     nmax = f.degree + g.degree
     if mu.series_depth is not None:
         even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, f.m)
         moments = [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
     else:
-        moments = _closed_moments(mu.p, f.m, nmax, q, digits)
+        moments = _closed_moments(p, f.m, nmax, q, digits)
     re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
     im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments)
     return 2 * pi * re, 2 * pi * im
@@ -285,7 +289,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         with decimal.localcontext(_CTX) as ctx:
             ctx.prec = digits
             ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-            re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi), digits)
+            re, im = _moment_sum(f, g, mu, digits)
             re, im = float(re), float(im)
     if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
         return re
@@ -295,8 +299,7 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
 @_in_private_context
 def _high_inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     """inner_product in high precision, where coefficients are real."""
-    p = mu.p
-    return _moment_sum(f, g, mu, lambda v: v * p.one, p.pi, HIGH_PRECISION_DIGITS)[0]
+    return _moment_sum(f, g, mu, HIGH_PRECISION_DIGITS)[0]
 
 
 @dataclass(frozen=True)

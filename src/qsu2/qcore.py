@@ -201,6 +201,13 @@ def _is_integer(v) -> bool:
     return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_integers(**args):
+    """Raise ValueError naming the first argument that is not an integer."""
+    for name, v in args.items():
+        if not _is_integer(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def qnum(n, p: QParam):
     """Symmetric q-number (q**n - q**-n)/(q - 1/q); equals n when q = 1.
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .jackson import QMeasure, integrate_monomial
-from .qcore import QParam, _in_private_context, _is_integer, invariants
+from .qcore import QParam, _check_integers, _in_private_context, _is_integer, invariants
 
 COULOMB = "coulomb"
 OSCILLATOR = "oscillator"
@@ -129,10 +129,8 @@ def oscillator_energy(n: int, l: int, p: QParam) -> SpectrumEntry:
 
 def spectrum_table(potential: str, p: QParam, nmax: int, lmax: int) -> list:
     """All entries with n <= nmax, l <= lmax, sorted by (l, n)."""
-    maker = coulomb_energy if potential == COULOMB else oscillator_energy
-    if potential not in POTENTIALS:
-        raise ValueError(f"unknown potential {potential!r}")
-    return [maker(n, l, p) for l in range(lmax + 1) for n in range(nmax + 1)]
+    _check_integers(nmax=nmax, lmax=lmax)
+    return [_make_entry(potential, n, l, p) for l in range(lmax + 1) for n in range(nmax + 1)]
 
 
 # ----------------------------- shooting verifier -----------------------------
@@ -159,21 +157,21 @@ class RadialGrid:
     """Logarithmic grid configuration for the outward integration.
 
     The grid is uniform in x = ln r from r_min = 1e-4 (L+1) to r_max in
-    n_steps steps.  A zero field is chosen automatically: r_max from the
-    closed-form energy scale (turning point plus enough decay lengths
-    for the endpoint sign to be meaningful), and n_steps the least count
+    n_steps steps.  r_max always comes from the closed-form energy scale
+    (turning point plus enough decay lengths for the endpoint sign to be
+    meaningful).  n_steps = 0 is chosen automatically, the least count
     with (L+1/2) h <= MAX_LANGER_STEP, but at least 8000.  A user n_steps
     that breaks that bound is rejected, and so is any grid above MAX_STEPS
     (one million) steps, which the rule asks for from L of about 1.3e4
     (Coulomb ground state) or 6e4 (oscillator) on.
     """
 
-    r_max: float = 0.0
     n_steps: int = 0
     method: str = NUMEROV
 
     def __post_init__(self):
-        if self.r_max < 0 or self.n_steps < 0:
+        _check_integers(n_steps=self.n_steps)
+        if self.n_steps < 0:
             raise ValueError("grid parameters must be nonnegative (0 = choose automatically)")
         if 0 < self.n_steps < MIN_STEPS:
             raise ValueError(f"grid needs at least {MIN_STEPS} steps for the origin fit")
@@ -208,11 +206,10 @@ class RadialReport:
 
 def _resolve_grid(potential: str, L: float, e_closed: float, grid: RadialGrid) -> tuple:
     if potential == COULOMB:
-        kappa = math.sqrt(2 * abs(e_closed))
-        r_turn = 1 / abs(e_closed)
-        r_max = grid.r_max or (r_turn + 16.0 / kappa)
+        # the turning point plus 16 decay lengths 1/sqrt(2|E|)
+        r_max = 1 / abs(e_closed) + 16.0 / math.sqrt(2 * abs(e_closed))
     else:
-        r_max = grid.r_max or (math.sqrt(2 * e_closed) + 6.5)
+        r_max = math.sqrt(2 * e_closed) + 6.5
     # the two-term series start holds while r is small next to L+1, so the
     # start radius grows with L and no steps are spent deep in the
     # centrifugal wall
@@ -388,8 +385,6 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     point and some energy the search can try is a ValueError naming h and
     r: there the z-form's node count would not be the solution's.
     """
-    if potential not in POTENTIALS:
-        raise ValueError(f"unknown potential {potential!r}")
     entry = _make_entry(potential, n, l, p)
     L, e_closed = entry.L, entry.E
     r_min, r_max, n_steps = _resolve_grid(potential, L, e_closed, grid)

@@ -25,7 +25,8 @@ from qsu2 import (
     mul_position,
     mul_position_right,
     normalization_constant,
-    normalize_y,
+    position_coeff_lower,
+    position_coeff_upper,
     qnum,
     verify_algebra,
 )
@@ -262,7 +263,7 @@ def test_c_invariant_action():
 # ----------------------------- normalization -----------------------------
 
 def test_y00_constant():
-    y = normalize_y(0, 0, QParam(1.9))
+    y = build_y(0, 0, QParam(1.9))
     assert y.coeffs == {0: pytest.approx(1 / math.sqrt(4 * math.pi), rel=1e-15)}
 
 
@@ -294,12 +295,21 @@ def _coeff_bits(y):
     return y.m, sorted((k, _bits(v)) for k, v in y.coeffs.items())
 
 
+def _normalized(l, m, p):
+    """Y_lm for m >= 0: build_phi rescaled to the series convention (q**-m
+    at odd l - m), times the normalization constant."""
+    phi = build_phi(l, m, p)
+    if (l - m) % 2:
+        phi = phi.scaled(p.power(-m))
+    return phi.scaled(normalization_constant(l, m, p))
+
+
 def _lowering_loop(l, m, p):
-    """Y_lm as formed before the table: normalize_y for m >= 0, else the
+    """Y_lm as formed before the table: _normalized for m >= 0, else the
     lowering chain walked from m = 0 on every call."""
     if m >= 0:
-        return normalize_y(l, m, p)
-    y = normalize_y(l, 0, p)
+        return _normalized(l, m, p)
+    y = _normalized(l, 0, p)
     with decimal.localcontext(_CTX if p.is_high else None):
         for mu in range(0, m, -1):
             y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))
@@ -334,7 +344,7 @@ def test_each_label_costs_one_lowering_step(monkeypatch):
         return run
 
     monkeypatch.setattr(angular, "apply_lminus", counted("lower", angular.apply_lminus))
-    monkeypatch.setattr(angular, "normalize_y", counted("normalize", angular.normalize_y))
+    monkeypatch.setattr(angular, "normalization_constant", counted("normalize", angular.normalization_constant))
     shuffled = list(HARMONIC_LABELS)
     random.Random(9).shuffle(shuffled)
     p = QParam(1.3)
@@ -352,14 +362,14 @@ def test_build_y_returns_a_function_of_its_own():
             y.coeffs[0] = p.number(99)
             y.coeffs.clear()
         assert _coeff_bits(build_y(4, -3, p)) == want
-        assert _coeff_bits(build_y(4, 2, p)) == _coeff_bits(normalize_y(4, 2, QParam(1.3, precision)))
+        assert _coeff_bits(build_y(4, 2, p)) == _coeff_bits(_normalized(4, 2, QParam(1.3, precision)))
 
 
 @pytest.mark.parametrize("l, m", [(2.5, 1), (3, -1.0), (True, 0), (2, False), (3.0, 1), ("2", 1)])
 def test_harmonic_labels_must_be_integers(l, m):
     # 2.5 failed deep in the q-double-factorial, -1.0 in range(), True was l = 1
     p = QParam(1.2)
-    for build in (build_y, normalize_y, build_phi, hypergeom_phi, normalization_constant):
+    for build in (build_y, build_phi, hypergeom_phi, normalization_constant):
         with pytest.raises(ValueError, match=re.escape(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")):
             build(l, m, p)
     assert not p._table
@@ -578,6 +588,13 @@ def test_zero_function_handling():
     z = angular_function(p, 2, {})
     assert z.is_zero and z.degree == -1
     assert z.distance(angular_function(p, -1, {})) == 0.0
+    # a zero of any winding adds as zero; nonzero functions of different
+    # windings do not add, and lie infinitely far apart
+    f, g = angular_function(p, 1, {0: 1.0}), angular_function(p, 0, {1: 2.0})
+    assert (f + z) is f and (z + f) is f
+    with pytest.raises(ValueError, match="cannot add functions of different winding"):
+        f + g
+    assert f.distance(g) == math.inf and g.distance(f) == math.inf
 
 
 def test_against_the_winding_ladders_propagate_nan():
@@ -608,3 +625,6 @@ def test_component_index_validation():
             mul_position_right(k, f)
         with pytest.raises(ValueError):
             apply_lambda(k, f)
+        for coeff in (position_coeff_upper, position_coeff_lower):
+            with pytest.raises(ValueError, match=re.escape(f"position index must be one of +1, 0, -1, got {k}")):
+                coeff(p, 2, 0, k)

@@ -97,7 +97,7 @@ def test_spectrum_csv_format(tmp_path):
     assert rows[1][5] == "1.5"
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert main(["spectrum", "--potential", "plummer", "--q", "1"]) == 2
     assert main(["spectrum", "--potential", "coulomb", "--q", "-1"]) == 2
     assert main(["spectrum", "--potential", "coulomb", "--q", "1", "--lmax", "100"]) == 2
@@ -107,6 +107,20 @@ def test_usage_errors():
         for fmt in ("json", "csv"):
             argv = ["verify", "--inject-fault", "--q", "1.3", "--lmax", "4", "--tol", tol, "--format", fmt]
             assert main(argv) == 2, argv
+    capsys.readouterr()
+    # the range checks made after parsing, one stderr line each
+    for argv, message in (
+        (["spectrum", "--potential", "coulomb", "--nmax", "-1"], "nmax must be nonnegative"),
+        (["integrate", "--degree", "-1"], "monomial degree must be nonnegative"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"qsu2: {message}\n"), argv
+    # --lmax belongs to spectrum, harmonics and verify: integrate reads no lmax
+    assert main(["integrate", "--help"]) == 0
+    assert "--lmax" not in capsys.readouterr().out
+    assert main(["integrate", "--degree", "2", "--q", "0.5", "--lmax", "5"]) == 2
+    assert "unrecognized arguments: --lmax 5" in capsys.readouterr().err
 
 
 def test_harmonics_dump(tmp_path):
@@ -450,11 +464,11 @@ def test_no_traceback_over_the_accepted_domain(q, lmax):
     # q from 1e-3 to 1e3 and lmax up to 64 in double precision: every
     # command ends in an exit code, a verification failure or a
     # numerical-domain error, never in an exception
-    common = ["--q", repr(q), "--lmax", str(lmax), "--out", os.devnull]
+    common = ["--q", repr(q), "--out", os.devnull]
     for args in (
-        ["verify"],
-        ["spectrum", "--potential", "coulomb"],
-        ["harmonics"],
+        ["verify", "--lmax", str(lmax)],
+        ["spectrum", "--potential", "coulomb", "--lmax", str(lmax)],
+        ["harmonics", "--lmax", str(lmax)],
         ["integrate", "--degree", str(lmax)],
     ):
         assert main(args + common) in (0, 1, 2), args

@@ -147,7 +147,8 @@ def test_partial_dual_construction():
 
 def test_partial_refuses_operands_that_do_not_match():
     # each builder reads p and lmax from its operands; operands of another
-    # lmax or q refuse to combine, and x needs lmax >= 1
+    # lmax or q refuse to combine, x needs lmax >= 1 and the generators
+    # lmax >= 0
     p, other = QParam(1.3), QParam(0.7)
     lam6 = build_lambda(build_generators(p, 6))
     lam_other = build_lambda(build_generators(other, 4))
@@ -156,6 +157,8 @@ def test_partial_refuses_operands_that_do_not_match():
             build_partial(build_position(p, 4), lam, build_invariant_c(lam))
     with pytest.raises(ValueError, match="position matrices need lmax >= 1"):
         build_position(p, 0)
+    with pytest.raises(ValueError, match="lmax must be nonnegative"):
+        build_generators(p, -1)
 
 
 def test_partial_hermiticity():

@@ -243,7 +243,7 @@ def _full_sum(f, g, mu):
     with decimal.localcontext(_CTX) as ctx:
         ctx.prec = _decimal_digits(f, g)
         ctx.clear_traps()
-        re, im = _moment_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi))
+        re, im = _moment_sum(f, g, mu)
         re, im = float(re), float(im)
     return complex(re, im) if any(v.imag for h in (f, g) for v in h.coeffs.values()) else re
 

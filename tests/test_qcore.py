@@ -178,6 +178,31 @@ def test_integer_arguments_take_integers_only(name, value):
     assert not p._table
 
 
+# Every size argument (nmax, lmax, n_steps): a call passing v as that argument.
+_SIZE_ARGUMENTS = {
+    "build_generators lmax": lambda v, p: qsu2.build_generators(p, v),
+    "build_position lmax": lambda v, p: qsu2.build_position(p, v),
+    "diag_operator lmax": lambda v, p: qsu2.diag_operator(p, v, lambda l, m: p.one),
+    "verify_algebra lmax": lambda v, p: qsu2.verify_algebra(p, v),
+    "spectrum_table nmax": lambda v, p: qsu2.spectrum_table("coulomb", p, v, 1),
+    "spectrum_table lmax": lambda v, p: qsu2.spectrum_table("coulomb", p, 1, v),
+    "degeneracy_report nmax": lambda v, p: qsu2.degeneracy_report("coulomb", p, v, 2),
+    "degeneracy_report lmax": lambda v, p: qsu2.degeneracy_report("coulomb", p, 2, v),
+    "RadialGrid n_steps": lambda v, p: qsu2.radial_verify("oscillator", 0, 1, p, qsu2.RadialGrid(n_steps=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, math.inf, math.nan])
+@pytest.mark.parametrize("name", list(_SIZE_ARGUMENTS))
+def test_size_arguments_take_integers_only(name, value):
+    # 2.0 and 2.5 raised TypeError from range(), True counted as 1, and a
+    # float step count failed inside the shooting walk
+    p = QParam(0.5)
+    with pytest.raises(ValueError, match=re.escape(f"{name.split()[1]} must be an integer, got {value!r}")):
+        _SIZE_ARGUMENTS[name](value, p)
+    assert not p._table
+
+
 def test_qparam_validation():
     for precision in ("double", "high"):
         for bad in (0.0, -1.0, float("nan"), float("inf"), 1 + 1j, "junk", None):
@@ -360,7 +385,7 @@ def _precision_calls(precision):
         "angular_function": op(lambda p: qsu2.angular_function(p, 1, {0: 0.4, 2: -0.9})),
         "build_phi": op(lambda p: (qsu2.build_phi(5, 1, p), qsu2.hypergeom_phi(5, 1, p))),
         "build_y": op(lambda p: [qsu2.build_y(4, m, p) for m in range(-4, 5)]),
-        "normalize_y": op(lambda p: (qsu2.normalize_y(3, 2, p), qsu2.normalization_constant(4, 1, p))),
+        "normalization_constant": op(lambda p: [qsu2.normalization_constant(l, m, p) for l, m in ((3, 2), (4, 1))]),
         "ladders": op(lambda p: [f(g) for g in fns(p) for f in (
             qsu2.apply_l0, qsu2.apply_lplus, qsu2.apply_lminus, qsu2.apply_casimir, qsu2.apply_c_invariant,
         )]),

@@ -20,6 +20,7 @@ from qsu2 import (
     solve_l,
     spectrum_table,
 )
+from qsu2.spectra import _root_l
 
 qvals = st.one_of(
     st.just(1.0),
@@ -60,6 +61,13 @@ def test_solve_l_oracle_value():
     want = float(_oracle_L(1, 2.0))
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(2.93693177121688, abs=1e-11)
+
+
+def test_solve_l_refuses_a_negative_right_side():
+    # the right side is nonnegative for every q > 0 and l >= 0; a negative
+    # one has no real root L
+    with pytest.raises(ArithmeticError, match=re.escape("came out negative (-1.0) at l=1, q=1.3")):
+        _root_l(-1.0, 1, QParam(1.3))
 
 
 @given(l=st.integers(0, 6), q=qvals)
@@ -166,17 +174,11 @@ def test_shooting_rk4_route():
         assert rep.origin_exponent == pytest.approx(rep.L + 1, abs=0.4)
 
 
-def test_shooting_reports_bracketing_failure():
-    # an endpoint too close for the bound tail to decay cannot bracket
-    rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
-    assert not rep.converged
-    assert rep.e_numeric is None
-    assert "bracket" in rep.message
-
-
 def test_shooting_grid_validation():
-    with pytest.raises(ValueError):
-        radial_verify(OSCILLATOR, 0, 0, QParam(1.0), RadialGrid(r_max=1e-6))
+    # at q = 5 the l = 8 oscillator level has L of about 1.5e11: the start
+    # radius 1e-4 (L+1) lies beyond the outer radius the energy sets
+    with pytest.raises(ValueError, match="r_min=1.49869e[+]07 is not below r_max=547490"):
+        radial_verify(OSCILLATOR, 0, 8, QParam(5.0))
     with pytest.raises(ValueError):
         RadialGrid(method="euler")
     with pytest.raises(ValueError):
@@ -184,9 +186,12 @@ def test_shooting_grid_validation():
 
 
 def test_shooting_rejects_grids_too_short():
-    # five steps cannot hold the origin-fit points
-    with pytest.raises(ValueError):
+    # five steps cannot hold the origin-fit points, and a negative count is
+    # no grid
+    with pytest.raises(ValueError, match="at least 8 steps"):
         RadialGrid(n_steps=5)
+    with pytest.raises(ValueError, match="grid parameters must be nonnegative"):
+        RadialGrid(n_steps=-1)
     # L is about 107: a hundred steps break the bound on (L+1/2) h
     with pytest.raises(ValueError) as err:
         radial_verify(OSCILLATOR, 0, 4, QParam(1.8), RadialGrid(n_steps=100))
@@ -431,17 +436,17 @@ def test_shoot_matches_the_reference_steppers():
 
 
 def test_shooting_refuses_a_nonpositive_numerov_weight():
-    # at r = 200 the oscillator's h**2 F/12 is about 7e3 on 2000 steps, so
-    # 1 - h**2 F/12 < 0 and the z-form's signs would not be u's
+    # on 100 steps the oscillator's h**2 F/12 is about 4.9 at the outer
+    # radius r = 8.2, so 1 - h**2 F/12 < 0 and the z-form's signs would not
+    # be u's
     with pytest.raises(ValueError, match="h=") as err:
-        radial_verify(OSCILLATOR, 0, 0, QParam(1.0), RadialGrid(r_max=200, n_steps=2000))
-    assert "r=200" in str(err.value)
+        radial_verify(OSCILLATOR, 0, 0, QParam(1.0), RadialGrid(n_steps=100))
+    assert "r=8.23205" in str(err.value)
 
 
 def test_shoot_counters():
     # every full-grid shoot is counted, and the walked steps add the two
-    # origin-fit shoots of 4 and 8 steps; a level the search cannot bracket
-    # counts its shoots too
+    # origin-fit shoots of 4 and 8 steps
     for grid in (RadialGrid(), RadialGrid(method="rk4")):
         rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.3), grid)
         assert rep.converged
@@ -449,9 +454,6 @@ def test_shoot_counters():
         # certifying pair and fallback bisections
         assert rep.shoots >= rep.bisections + 2
         assert rep.steps_walked == rep.shoots * rep.grid["n_steps"] + 4 + 8
-    rep = radial_verify(OSCILLATOR, 1, 1, QParam(1.0), grid=RadialGrid(r_max=0.8, n_steps=400))
-    assert not rep.converged and rep.shoots >= 2
-    assert rep.steps_walked == rep.shoots * 400
 
 
 def _level(case):
@@ -540,7 +542,8 @@ def test_shooting_does_not_read_back_the_closed_form(monkeypatch):
     # the level in four shoots, where a bracket widened from the start
     # would need five.  Moved so far that the level lies outside
     # BRACKET_SPAN |E| of it (a Coulomb energy above 0, an oscillator
-    # energy at a third), it leaves the level unbracketed
+    # energy at a third), it leaves the level unbracketed, and the report
+    # still counts the shoots made
     make_entry = spectra._make_entry
 
     def move(to):
@@ -565,3 +568,4 @@ def test_shooting_does_not_read_back_the_closed_form(monkeypatch):
         assert abs(rep.e_closed - want.e_numeric) > spectra.BRACKET_SPAN * abs(rep.e_closed), case
         assert not rep.converged and rep.e_numeric is None, (case, rep.shoots)
         assert "no energy within" in rep.message, case
+        assert rep.shoots >= 2 and rep.steps_walked == rep.shoots * rep.grid["n_steps"], case
