@@ -49,11 +49,21 @@ def _max_modulus(values, zero=0.0):
 
 @dataclass(frozen=True, eq=False)
 class AngularFunction:
-    """Winding index m plus a finite coefficient map k -> a_k for x0**k."""
+    """Winding index m plus a finite coefficient map k -> a_k for x0**k.
+
+    The map belongs to the function and callers may change it freely.  In
+    double precision the inner product keeps on the function what its sums
+    read of the map, the coefficients as exact Decimals and a few of their
+    properties (jackson._operand), with a snapshot of the map's keys and
+    values: a map whose keys and values are no longer those very objects
+    has its operand formed again.
+    """
 
     p: QParam
     m: int
     coeffs: dict
+    # (snapshot, operand), set by jackson._operand; not a dataclass field
+    _operand = None
 
     def __post_init__(self):
         pruned = {int(k): v for k, v in self.coeffs.items() if v != 0}
@@ -282,6 +292,15 @@ def _int_label(l: int, m: int) -> tuple:
     return int(l), int(m)
 
 
+def _check_label(l: int, m: int) -> tuple:
+    """(l, m) as ints for a harmonic label, |m| <= l; any other raises
+    ValueError naming it, before any work."""
+    l, m = _int_label(l, m)
+    if abs(m) > l:
+        raise ValueError(f"invalid label (l={l}, m={m})")
+    return l, m
+
+
 def _check_nonneg_label(l: int, m: int) -> tuple:
     l, m = _int_label(l, m)
     if l < 0 or m < 0 or m > l:
@@ -364,7 +383,9 @@ def normalization_constant(l: int, m: int, p: QParam):
 
 @_in_private_context
 def ladder_factor(l: int, m: int, p: QParam):
-    """sqrt([l+m][l-m+1]): norm of the lowering step out of (l, m)."""
+    """sqrt([l+m][l-m+1]): norm of the lowering step out of (l, m), for the
+    labels build_y takes."""
+    _check_label(l, m)
     return p.sqrt(qnum(l + m, p) * qnum(l - m + 1, p))
 
 
@@ -407,7 +428,4 @@ def build_y(l: int, m: int, p: QParam) -> AngularFunction:
     Every call returns a new function whose coefficients may be changed
     freely.
     """
-    l, m = _int_label(l, m)
-    if abs(m) > l:
-        raise ValueError(f"invalid label (l={l}, m={m})")
-    return _harmonic(l, m, p)
+    return _harmonic(*_check_label(l, m), p)

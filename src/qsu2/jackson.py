@@ -33,7 +33,12 @@ per moment whatever the grid depth.
 
 Double precision forms the sum in stdlib decimal, at 20 digits plus the
 decimal exponent of max|a_i| * max|b_j|, in a copy of qcore's private
-context, never of the caller's, and rounds once at the end.  High
+context, never of the caller's, and rounds once at the end.  What it reads
+of each function, the coefficients converted exactly to Decimal, the
+binary exponent of their largest modulus, their finiteness, the parity of
+their degrees and whether one is complex, is its sum operand: formed once
+and kept on the function (see _operand), so a function met in many sums
+is converted once, and nothing is kept anywhere else.  High
 precision sums in the QParam's own arithmetic, Decimal in the private
 62-digit context.  The closed-form moments are formed once per winding
 and sum precision and kept in the QParam's table under
@@ -59,6 +64,8 @@ import decimal
 import math
 from dataclasses import dataclass
 from itertools import count, islice
+from operator import is_
+from typing import NamedTuple
 
 from .angular import AngularFunction, _nanmax
 from .qcore import _CTX, HIGH_PRECISION_DIGITS, QParam, _in_private_context, _is_integer, qnum
@@ -67,6 +74,9 @@ from .qcore import _CTX, HIGH_PRECISION_DIGITS, QParam, _in_private_context, _is
 SUM_GUARD_DIGITS = 20
 # series_convergence_probe reports the partial sum at each grid depth here.
 PROBE_DEPTHS = (10, 25, 50, 100, 200, 400)
+# The double nearest pi, exactly (from_float leaves the caller's context
+# unflagged): the double-precision sums' 2 pi factor.
+_PI = decimal.Decimal.from_float(math.pi)
 
 
 @dataclass(frozen=True)
@@ -190,23 +200,53 @@ def _pair_sum(x: dict, y: dict, moments: list):
     return total
 
 
-def _closed_moments(p: QParam, m: int, nmax: int, q, digits) -> list:
-    """M_m(n) for n = 0..nmax at least, at q of the sum's number type.
+def _closed_moments(p: QParam, m: int, nmax: int, num, digits) -> list:
+    """M_m(n) for n = 0..nmax at least, at q = num(p.q), the sum's number
+    type.
 
     With `digits`, the precision the sum runs at, the list is read from and
     kept in the table of p under ("moments", m, digits): entry n of
     _moments does not depend on nmax, so a stored list of at least
     nmax + 1 entries serves as it is, and a shorter one is formed again
-    and replaced.  Without it the moments are formed afresh.
+    and replaced.  Without it the moments are formed afresh.  q is
+    converted only where they are formed.
     """
     key = ("moments", m, digits)
     stored = None if digits is None else p._table.get(key)
     if stored is not None and len(stored) > nmax:
         return stored
+    q = num(p.q)
     moments = _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
     if digits is not None:
         p._table[key] = moments
     return moments
+
+
+def _sum_moments(mu: QMeasure, m: int, nmax: int, num, digits) -> list:
+    """The weighted moments M_m(n), n = 0..nmax at least, of the measure in
+    the number type num converts to: a series measure's depth-D grid sums,
+    formed on every call, or the closed form through _closed_moments."""
+    if mu.series_depth is None:
+        return _closed_moments(mu.p, m, nmax, num, digits)
+    q = num(mu.p.q)
+    even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, m)
+    return [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
+
+
+def _split(items, num) -> tuple:
+    """The nonzero real and imaginary parts of (k, a_k) items, each as
+    {k: num(part)}."""
+    return ({k: num(v.real) for k, v in items if v.real}, {k: num(v.imag) for k, v in items if v.imag})
+
+
+def _pair_sums(a: tuple, b: tuple, moments: list, imaginary: bool = True) -> tuple:
+    """sum conj(a_i) b_j M(i+j) as a (real, imaginary) pair from the _split
+    parts a of f and b of g; the imaginary part is left at 0 unless asked
+    for."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
+    im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments) if imaginary else 0
+    return re, im
 
 
 def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, digits=None) -> tuple:
@@ -217,40 +257,79 @@ def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, digits=Non
     QParam's arithmetic in high precision; the moments and the sum are then
     formed in that type alone.  `digits`, the precision of that type, keys
     the closed-form moments in the table of the QParam (see
-    _closed_moments); without it they are formed afresh.
+    _closed_moments); without it they are formed afresh.  High precision
+    converts here on every call, since its v * p.one rounds in the
+    context; inner_product's double path reads each function's kept
+    _operand instead, and this per-call route is the tests' reference.
     """
     p = mu.p
-    num, pi = (lambda v: v * p.one, p.pi) if p.is_high else (decimal.Decimal, decimal.Decimal(math.pi))
-    parts = [
-        ({k: num(v.real) for k, v in h.coeffs.items() if v.real},
-         {k: num(v.imag) for k, v in h.coeffs.items() if v.imag})
-        for h in (f, g)
-    ]
-    (a_re, a_im), (b_re, b_im) = parts
-    q = num(p.q)
-    nmax = f.degree + g.degree
-    if mu.series_depth is not None:
-        even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, f.m)
-        moments = [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
-    else:
-        moments = _closed_moments(p, f.m, nmax, q, digits)
-    re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
-    im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments)
+    num, pi = (lambda v: v * p.one, p.pi) if p.is_high else (decimal.Decimal, _PI)
+    moments = _sum_moments(mu, f.m, f.degree + g.degree, num, digits)
+    re, im = _pair_sums(_split(f.coeffs.items(), num), _split(g.coeffs.items(), num), moments)
     return 2 * pi * re, 2 * pi * im
 
 
-def _decimal_digits(f: AngularFunction, g: AngularFunction) -> int:
+class _Operand(NamedTuple):
+    """What a double-precision sum reads of one function."""
+
+    parts: tuple  # _split of the coefficients, exact Decimals
+    degree: int
+    # the binary exponent of max|a_k|, None where abs overflows (a finite
+    # complex past the largest double); that of max(|re|, |im|) plus one
+    # bit, which bounds the modulus's, serves the pair then
+    bits: int | None
+    wide_bits: int
+    finite: bool  # every coefficient is finite
+    # 0 when every degree is even, 1 when every one is odd, 2 when mixed:
+    # two functions are of opposite parity exactly when theirs sum to 1
+    parity: int
+    imaginary: bool  # some coefficient has an imaginary part
+
+
+def _operand(h: AngularFunction) -> _Operand:
+    """The sum operand of h, a double-precision function: the kept one
+    when every key and value of h.coeffs is the very object it was formed
+    from, in the same order; otherwise one formed from the coefficients and
+    kept, with them, in h._operand.  Callers may change h.coeffs freely,
+    and the operand refers to nothing but numbers, so it lives and dies
+    with h."""
+    c = h.coeffs
+    snapshot = (*c, *c.values())
+    kept = h._operand
+    if kept is not None and len(kept[0]) == len(snapshot) and all(map(is_, snapshot, kept[0])):
+        return kept[1]
+    operand = _form_operand(c)
+    object.__setattr__(h, "_operand", (snapshot, operand))
+    return operand
+
+
+@_in_private_context
+def _form_operand(c: dict) -> _Operand:
+    """The _Operand of the coefficients c, converted in the private
+    context, so that the caller's context sees no float conversion."""
+    values = c.values()
+    try:
+        bits = math.frexp(_nanmax(map(abs, values)))[1]
+    except OverflowError:
+        bits = None
+    parities = {k % 2 for k in c}
+    return _Operand(
+        parts=_split(c.items(), decimal.Decimal),
+        degree=max(c),
+        bits=bits,
+        wide_bits=math.frexp(_nanmax([max(abs(v.real), abs(v.imag)) for v in values]))[1] + 1,
+        finite=all(map(cmath.isfinite, values)),
+        parity=parities.pop() if len(parities) == 1 else 2,
+        imaginary=any(v.imag for v in values),
+    )
+
+
+def _decimal_digits(a: _Operand, b: _Operand) -> int:
     """SUM_GUARD_DIGITS plus the decimal exponent of max|a_i| * max|b_j|
     when it is positive: the sum then keeps ~1e-20 absolute accuracy.
-    Double precision only, so it reads the magnitudes directly rather than
-    through max_abs and its private-context decorator.  Where abs overflows,
-    on a finite complex past the largest double, the exponent of
-    max(|re|, |im|) plus one bit bounds the modulus's."""
-    try:
-        bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
-    except OverflowError:
-        parts = [[max(abs(v.real), abs(v.imag)) for v in h.coeffs.values()] for h in (f, g)]
-        bits = sum(math.frexp(_nanmax(vals))[1] + 1 for vals in parts)
+    Where abs overflows on either side the exponents of max(|re|, |im|)
+    plus one bit bound the moduli's."""
+    bits = a.bits + b.bits if a.bits is not None and b.bits is not None else a.wide_bits + b.wide_bits
     return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
 
 
@@ -264,15 +343,17 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
 
     In double precision the moments and the sum are formed in decimal, in
     a copy of the private context at 20 digits plus the decimal exponent
-    of max|a_i| * max|b_j|; coefficients convert exactly and the result is
-    rounded to a double once; the result is complex when a coefficient has
-    an imaginary part.  A pair of opposite parity (every degree of f even
-    and every degree of g odd, or the reverse) returns the exact zero of
-    that sum, 0.0 or 0j, without forming it, unless a coefficient of f is
-    NaN or infinite, which makes the sum NaN.  In high precision, where
-    coefficients are real, they are formed in the QParam's Decimal
-    arithmetic, opposite-parity pairs included: the Decimal zero's exponent
-    depends on the coefficients, and callers may compare it digit by digit.
+    of max|a_i| * max|b_j|; coefficients convert exactly, once per
+    function (see _operand), and the result is rounded to a double once;
+    the result is complex when a coefficient has an imaginary part, and
+    only then is the imaginary part summed.  A pair of opposite parity
+    (every degree of f even and every degree of g odd, or the reverse)
+    returns the exact zero of that sum, 0.0 or 0j, without forming it,
+    unless a coefficient of f is NaN or infinite, which makes the sum NaN.
+    In high precision, where coefficients are real, they are formed in the
+    QParam's Decimal arithmetic, opposite-parity pairs included: the
+    Decimal zero's exponent depends on the coefficients, and callers may
+    compare it digit by digit.
     """
     p = mu.p
     if f.p is not p and f.p != p or g.p is not p and g.p != p:
@@ -281,19 +362,19 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         return p.zero
     if p.is_high:
         return _high_inner_product(f, g, mu)
-    opposite_parity = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
-    if opposite_parity and all(map(cmath.isfinite, f.coeffs.values())):
+    a, b = _operand(f), _operand(g)
+    imaginary = a.imaginary or b.imaginary
+    if a.parity + b.parity == 1 and a.finite:
         re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
     else:
-        digits = _decimal_digits(f, g)
+        digits = _decimal_digits(a, b)
         with decimal.localcontext(_CTX) as ctx:
             ctx.prec = digits
             ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-            re, im = _moment_sum(f, g, mu, digits)
-            re, im = float(re), float(im)
-    if not any(v.imag for h in (f, g) for v in h.coeffs.values()):
-        return re
-    return complex(re, im)
+            moments = _sum_moments(mu, f.m, a.degree + b.degree, decimal.Decimal, digits)
+            re, im = _pair_sums(a.parts, b.parts, moments, imaginary)
+            re, im = float(2 * _PI * re), float(2 * _PI * im)
+    return complex(re, im) if imaginary else re
 
 
 @_in_private_context

@@ -97,11 +97,12 @@ def _in_private_context(f):
 class QParam:
     """Deformation parameter q with lambda = q - 1/q cached alongside.
 
-    q must be a positive real; complex values and roots of unity are
-    rejected at construction because the hermiticity assignments used by
-    the operator realizations require real q.  In double precision a q
-    below 1/DBL_MAX (about 5.6e-309), whose 1/q overflows, raises
-    OverflowError.
+    q must be a positive real number: a numbers.Real other than a bool, or
+    a Decimal; a string or bytes is refused however it reads.  Complex
+    values and roots of unity are rejected at construction because the
+    hermiticity assignments used by the operator realizations require real
+    q.  In double precision a q below 1/DBL_MAX (about 5.6e-309), whose
+    1/q overflows, raises OverflowError.
 
     ``is_high`` selects the numeric backend, floats or Decimals, and ``one``
     and ``zero`` are its unit and zero.  The private ``_table`` holds,
@@ -136,6 +137,8 @@ class QParam:
         if self.precision not in (DOUBLE, HIGH):
             raise ValueError(f"unknown precision {self.precision!r}")
         object.__setattr__(self, "is_high", self.precision == HIGH)
+        if isinstance(self.q, bool) or not isinstance(self.q, (numbers.Real, decimal.Decimal)):
+            raise ValueError(f"q must be a positive real number, got {self.q!r}")
         try:
             # Decimal(float) is exact, as is float(float)
             q = decimal.Decimal(self.q) if self.is_high else float(self.q)

@@ -128,8 +128,13 @@ def oscillator_energy(n: int, l: int, p: QParam) -> SpectrumEntry:
 
 
 def spectrum_table(potential: str, p: QParam, nmax: int, lmax: int) -> list:
-    """All entries with n <= nmax, l <= lmax, sorted by (l, n)."""
+    """All entries with n <= nmax, l <= lmax, sorted by (l, n).  A negative
+    size raises ValueError naming it; the table is never empty, so an
+    unknown potential is always refused (by _make_entry)."""
     _check_integers(nmax=nmax, lmax=lmax)
+    for name, size in (("nmax", nmax), ("lmax", lmax)):
+        if size < 0:
+            raise ValueError(f"{name} must be nonnegative, got {size}")
     return [_make_entry(potential, n, l, p) for l in range(lmax + 1) for n in range(nmax + 1)]
 
 

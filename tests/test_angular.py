@@ -280,10 +280,16 @@ def test_unit_norms():
 
 
 def test_negative_m_rejects_bad_labels():
-    p = QParam(1.2)
-    for m in (-3, 5):
-        with pytest.raises(ValueError, match=re.escape(f"invalid label (l=2, m={m})")):
-            build_y(2, m, p)
+    # ladder_factor(1, 5, p) and ladder_factor(2, -3, p) ended in sqrt's
+    # bare "math domain error"
+    for precision in ("double", "high"):
+        p = QParam(1.2, precision)
+        for l, m in ((2, -3), (2, 5), (1, 5), (0, 1)):
+            for build in (build_y, ladder_factor):
+                with pytest.raises(ValueError, match=re.escape(f"invalid label (l={l}, m={m})")):
+                    build(l, m, p)
+        assert not p._table
+        assert ladder_factor(2, -2, p) == 0
 
 
 def _bits(v):
@@ -369,7 +375,7 @@ def test_build_y_returns_a_function_of_its_own():
 def test_harmonic_labels_must_be_integers(l, m):
     # 2.5 failed deep in the q-double-factorial, -1.0 in range(), True was l = 1
     p = QParam(1.2)
-    for build in (build_y, build_phi, hypergeom_phi, normalization_constant):
+    for build in (build_y, build_phi, hypergeom_phi, normalization_constant, ladder_factor):
         with pytest.raises(ValueError, match=re.escape(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")):
             build(l, m, p)
     assert not p._table

@@ -1,4 +1,6 @@
+import cmath
 import decimal
+import hashlib
 import gc
 import math
 import random
@@ -19,7 +21,8 @@ from qsu2 import (
     qnum,
     series_convergence_probe,
 )
-from qsu2.jackson import PROBE_DEPTHS, _decimal_digits, _halfline_series, _moment_sum, _moments
+from qsu2.angular import _nanmax
+from qsu2.jackson import PROBE_DEPTHS, SUM_GUARD_DIGITS, _halfline_series, _moment_sum, _moments
 from qsu2.qcore import _CTX, HIGH_PRECISION_DIGITS
 
 qvals = st.one_of(
@@ -237,11 +240,25 @@ def test_inner_product_parameter_mismatch():
             inner_product(a, b, QMeasure(p))
 
 
+def _per_call_digits(f, g):
+    """The double-precision sum's precision read from the coefficients on
+    each call: SUM_GUARD_DIGITS plus the decimal exponent of
+    max|a_i| * max|b_j|, where abs overflows that of max(|re|, |im|) plus
+    one bit on both sides."""
+    try:
+        bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
+    except OverflowError:
+        parts = [[max(abs(v.real), abs(v.imag)) for v in h.coeffs.values()] for h in (f, g)]
+        bits = sum(math.frexp(_nanmax(vals))[1] + 1 for vals in parts)
+    return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
+
+
 def _full_sum(f, g, mu):
     """The double-precision moment sum formed in full, as inner_product
-    forms it for pairs that share a parity."""
+    forms it for pairs that share a parity, converting every coefficient
+    on each call."""
     with decimal.localcontext(_CTX) as ctx:
-        ctx.prec = _decimal_digits(f, g)
+        ctx.prec = _per_call_digits(f, g)
         ctx.clear_traps()
         re, im = _moment_sum(f, g, mu)
         re, im = float(re), float(im)
@@ -415,7 +432,7 @@ def test_moments_are_formed_once_per_winding_and_precision(monkeypatch):
         mu = QMeasure(p)
         f, g, h = (angular_function(p, 2, c) for c in ({0: 0.75, 2: -0.5}, {0: 0.5, 4: 0.625}, {0: 0.75, 8: 0.5}))
         key = ("moments", 2, HIGH_PRECISION_DIGITS if p.is_high else 20)
-        assert all(_decimal_digits(a, b) == 20 for a in (f, g, h) for b in (f, g, h))
+        assert all(_per_call_digits(a, b) == 20 for a in (f, g, h) for b in (f, g, h))
         pairs = ((f, g), (f, f), (g, f))
         fresh = [_bits(inner_product(a, b, QMeasure(QParam(q, precision)))) for a, b in pairs]
         first = inner_product(f, g, mu)
@@ -482,3 +499,198 @@ def test_qparam_freed_on_its_last_reference():
     finally:
         if enabled:
             gc.enable()
+
+
+# ----------------------------- the sum operand kept on each function -----------------------------
+
+# the q-points of the harmonic-gram benchmark at seed 1
+GRAM_QS = (1.0, 0.985, 0.5, 2.0, 0.8728089666203019, 1.0927654030536282)
+
+
+def _per_call_inner_product(f, g, mu):
+    """The double-precision inner product as formed before each function
+    kept its sum operand: parity exit, precision and conversion on every
+    call, and fresh moments."""
+    if f.m != g.m or f.is_zero or g.is_zero:
+        return 0.0
+    opposite = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
+    if opposite and all(map(cmath.isfinite, f.coeffs.values())):
+        re = im = 0.0
+    else:
+        return _full_sum(f, g, mu)
+    return complex(re, im) if any(v.imag for h in (f, g) for v in h.coeffs.values()) else re
+
+
+def _seeded_pairs(seed: int, n: int):
+    """n (f, g, mu) draws from random.Random(seed).random alone: complex
+    coefficients, +-0.0 (set after construction, which prunes zeros), NaN
+    and +-inf on either side, complex moduli past the largest double, every
+    winding from -4 to 4, and closed-form and depth-5 and depth-40 series
+    measures."""
+    r = random.Random(seed).random
+
+    def pick(seq):
+        return seq[int(r() * len(seq))]
+
+    def part():
+        u = r()
+        if u < 0.05:
+            return pick((math.nan, math.inf, -math.inf))
+        if u < 0.12:
+            return pick((0.0, -0.0))
+        return (2 * r() - 1) * 10.0 ** int(r() * 301 - 150)
+
+    def coeff(cplx):
+        if not cplx:
+            return part()
+        if r() < 0.03:
+            return complex(pick((1.5e308, -1.2e308)), pick((1.5e308, -1.7e308)))
+        return complex(part(), part())
+
+    def function(p, m):
+        parity = pick((0, 1, None))
+        cplx = r() < 0.4
+        coeffs = {}
+        for _ in range(1 + int(r() * 5)):
+            k = int(r() * 12)
+            coeffs[k if parity is None else 2 * (k // 2) + parity] = coeff(cplx)
+        h = angular_function(p, m, coeffs)
+        if r() < 0.15:
+            k = int(r() * 12)
+            h.coeffs[k if parity is None else 2 * (k // 2) + parity] = pick((0.0, -0.0, 0j, complex(-0.0, -0.0)))
+        return h
+
+    for _ in range(n):
+        q = pick((1e-3, 0.3, 0.5, 0.9, 1.0, 1.3, 2.0, 1e3))
+        p = QParam(q)
+        mu = QMeasure(p, pick((None, 5, 40))) if q < 1 else QMeasure(p)
+        m = int(r() * 9) - 4
+        yield function(p, m), function(p, m), mu
+
+
+def _pinned_products():
+    """repr of every inner product of the l <= 8 Gram at GRAM_QS, then of
+    2,000 seeded pairs."""
+    for q in GRAM_QS:
+        p = QParam(q)
+        mu = QMeasure(p)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
+        for i in range(len(ys)):
+            for j in range(i, len(ys)):
+                yield repr(inner_product(ys[i], ys[j], mu))
+    for f, g, mu in _seeded_pairs(30, 2000):
+        yield repr(inner_product(f, g, mu))
+
+
+def test_inner_products_pinned_bitwise():
+    # recorded before each function kept its sum operand
+    digest = hashlib.sha256("\n".join(_pinned_products()).encode()).hexdigest()
+    assert digest == "7be01f23db86ee65cf150ad3fe7c43287d5eb7d5f3d00e30fd05d793d4c2a734"
+
+
+def test_inner_product_matches_the_per_call_path():
+    seen = {"opposite": 0, "nonfinite f": 0, "nonfinite g": 0, "past DBL_MAX": 0, "complex": 0, "series": 0}
+    for f, g, mu in _seeded_pairs(31, 2000):
+        got = inner_product(f, g, mu)
+        assert _hex(got) == _hex(_per_call_inner_product(f, g, mu)), (mu.p.q, mu.series_depth, f.coeffs, g.coeffs)
+        if f.m == g.m and f.coeffs and g.coeffs:
+            fin = [all(map(cmath.isfinite, h.coeffs.values())) for h in (f, g)]
+            seen["opposite"] += len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
+            seen["nonfinite f"] += not fin[0]
+            seen["nonfinite g"] += not fin[1]
+            seen["past DBL_MAX"] += any(abs(v.real) > 1e308 for h in (f, g) for v in h.coeffs.values())
+            seen["complex"] += isinstance(got, complex)
+            seen["series"] += mu.series_depth is not None
+    assert min(seen.values()) > 50, seen
+
+
+def _fresh(h):
+    """A function with h's coefficient map, unpruned, that has never been
+    summed."""
+    out = angular_function(h.p, h.m, {})
+    out.coeffs.update(h.coeffs)
+    return out
+
+
+def test_changed_coefficients_form_the_operand_again():
+    # callers may change a function's map after an inner product: every
+    # result must be the bits a fresh function with that map gives
+    changes = (
+        lambda c: c.__setitem__(0, 1),  # 1.0 -> 1
+        lambda c: c.__setitem__(5, 0.0),
+        lambda c: c.__setitem__(5, -0.0),  # 0.0 -> -0.0
+        lambda c: c.__setitem__(2, complex(c.get(2, 0.375), 0)),  # x -> complex(x, 0)
+        lambda c: c.__setitem__(2, complex(c[2].real, -0.0)),
+        lambda c: c.__setitem__(2, c[2] * 1j),
+        lambda c: c.__setitem__(7, math.nan),
+        lambda c: c.pop(7),
+        lambda c: c.__setitem__(1, complex(1.5e308, 1.5e308)),
+        lambda c: c.pop(1),
+        lambda c: c.update({4: 2.5e40, 9: -3.0}),
+        lambda c: c.clear(),
+        lambda c: c.update({1: 0.25, 3: -0.5}),  # refilled, odd degrees only
+        lambda c: c.update({0: 1.0}),
+    )
+    for q, depth in ((0.5, None), (0.5, 5), (1.0, None), (2.0, None)):
+        p = QParam(q)
+        mu = QMeasure(p, depth)
+        for m in (-2, 0, 3):
+            f = angular_function(p, m, {0: 1.0, 2: -0.75, 4: 0.125})
+            g = angular_function(p, m, {0: 0.5, 1: 0.25, 2: 2.0})
+            for side in (f, g, f, g):
+                for change in changes:
+                    inner_product(f, g, mu)
+                    inner_product(g, f, mu)
+                    if side.coeffs or change is changes[-2]:
+                        change(side.coeffs)
+                    for a, b in ((f, g), (g, f), (f, f)):
+                        if not (a.coeffs and b.coeffs):
+                            continue
+                        want = _hex(_per_call_inner_product(a, b, mu))
+                        assert _hex(inner_product(a, b, mu)) == want, (q, depth, m, a.coeffs, b.coeffs)
+                        assert _hex(inner_product(_fresh(a), _fresh(b), mu)) == want
+                if not side.coeffs:
+                    side.coeffs.update({0: 1.0, 2: -0.75})
+
+
+def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
+    formed = []
+    form = jackson._form_operand
+    monkeypatch.setattr(jackson, "_form_operand", lambda c: formed.append(c) or form(c))
+    for q in (0.5, 1.0, 2.0):
+        p = QParam(q)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
+        for mu in (QMeasure(p), QMeasure(p), *((QMeasure(p, 40),) if q < 1 else ())):
+            for i in range(len(ys)):
+                for j in range(i, len(ys)):
+                    inner_product(ys[i], ys[j], mu)
+        # every harmonic meets itself, and none is formed twice
+        assert len(formed) == len(ys), q
+        assert {id(c) for c in formed} == {id(y.coeffs) for y in ys}
+        formed.clear()
+    # high precision converts in its own arithmetic and keeps nothing
+    p = QParam(0.7, "high")
+    y = build_y(2, 1, p)
+    inner_product(y, y, QMeasure(p))
+    assert not formed and y._operand is None
+
+
+def test_operand_holds_no_reference_to_the_qparam():
+    # only numbers, tuples and dicts of numbers: nothing that could keep a
+    # QParam or a function alive, or make a cycle through them
+    p = QParam(0.5)
+    f = build_y(3, 1, p)
+    g = angular_function(p, 1, {0: 1 + 2j, 3: math.nan, 4: complex(1.5e308, -1.5e308)})
+    for h in (f, g):
+        inner_product(h, f, QMeasure(p))
+        inner_product(h, g, QMeasure(p))
+    todo, seen = [f._operand, g._operand], set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if x is not jackson._Operand:  # a named tuple refers to its class
+            assert x is None or isinstance(x, (tuple, dict, int, float, complex, decimal.Decimal)), type(x)
+            todo.extend(gc.get_referents(x) if isinstance(x, (tuple, dict)) else ())
+    assert len(seen) > 20

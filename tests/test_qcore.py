@@ -9,7 +9,9 @@ import subprocess
 import sys
 import threading
 from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -205,11 +207,19 @@ def test_size_arguments_take_integers_only(name, value):
 
 def test_qparam_validation():
     for precision in ("double", "high"):
-        for bad in (0.0, -1.0, float("nan"), float("inf"), 1 + 1j, "junk", None):
-            with pytest.raises(ValueError):
+        # "1.5", b"2" and True read as 1.5, 2.0 and 1.0 through float()
+        for bad in (0.0, -1.0, float("nan"), float("inf"), 1 + 1j, "junk", None,
+                    "1.5", b"2", bytearray(b"2"), True, False):
+            with pytest.raises(ValueError, match=re.escape(f"q must be a positive real number, got {bad!r}")):
                 QParam(bad, precision)
     with pytest.raises(ValueError):
         QParam(1.2, "quad")
+    # every real type stays: Decimal, which high precision and reciprocal()
+    # pass, is not a numbers.Real
+    for good in (2, 1.5, Fraction(3, 2), np.float64(1.5), np.float32(1.5), Decimal("1.5")):
+        assert QParam(good).q == float(good) and type(QParam(good).q) is float
+    for good in (2, 1.5, np.float64(1.5), Decimal("1.5")):
+        assert QParam(good, "high").q == Decimal(good)
 
 
 def test_sqrt_of_a_negative_raises_in_both_precisions():

@@ -130,6 +130,19 @@ def test_entry_invariants():
         spectrum_table("yukawa", p, 1, 1)
 
 
+def test_spectrum_table_refuses_a_negative_size():
+    # both calls returned [], so the unknown potential went unseen too
+    p = QParam(1.0)
+    with pytest.raises(ValueError, match="lmax must be nonnegative, got -3"):
+        spectrum_table("coulomb", p, 2, -3)
+    with pytest.raises(ValueError, match="nmax must be nonnegative, got -1"):
+        spectrum_table("yukawa", p, -1, 2)
+    # the smallest table holds one level, so an unknown potential is refused
+    with pytest.raises(ValueError, match="unknown potential 'yukawa'"):
+        spectrum_table("yukawa", p, 0, 0)
+    assert [(e.n, e.l) for e in spectrum_table("coulomb", p, 0, 0)] == [(0, 0)]
+
+
 # ----------------------------- shooting -----------------------------
 
 def test_shooting_hydrogen_ground_state():
