@@ -239,7 +239,7 @@ def _split(items, num) -> tuple:
     return ({k: num(v.real) for k, v in items if v.real}, {k: num(v.imag) for k, v in items if v.imag})
 
 
-def _pair_sums(a: tuple, b: tuple, moments: list, imaginary: bool = True) -> tuple:
+def _pair_sums(a: tuple, b: tuple, moments: list, imaginary: bool) -> tuple:
     """sum conj(a_i) b_j M(i+j) as a (real, imaginary) pair from the _split
     parts a of f and b of g; the imaginary part is left at 0 unless asked
     for."""
@@ -261,11 +261,14 @@ def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, digits=Non
     converts here on every call, since its v * p.one rounds in the
     context; inner_product's double path reads each function's kept
     _operand instead, and this per-call route is the tests' reference.
+    As there, the imaginary part is summed only when a coefficient of f
+    or g has one, and is 0 otherwise.
     """
     p = mu.p
     num, pi = (lambda v: v * p.one, p.pi) if p.is_high else (decimal.Decimal, _PI)
     moments = _sum_moments(mu, f.m, f.degree + g.degree, num, digits)
-    re, im = _pair_sums(_split(f.coeffs.items(), num), _split(g.coeffs.items(), num), moments)
+    a, b = _split(f.coeffs.items(), num), _split(g.coeffs.items(), num)
+    re, im = _pair_sums(a, b, moments, bool(a[1] or b[1]))
     return 2 * pi * re, 2 * pi * im
 
 

@@ -25,9 +25,11 @@ a certifying pair around its root find the level, with bisection on the
 count where they do not.  A level costs two shoots when it lies within
 0.45 energy tolerances of the closed form, four when the extrapolated
 pair brackets it, and otherwise more by the widenings, the certifying
-pair and any fallback bisections.  It shares nothing with the closed
-forms except the point the search starts from; a level it cannot bracket
-is reported, never silent.
+pair and any fallback bisections.  With Numerov the two shoots of the
+first pair, and of the extrapolated pair, are walked in one pass over the
+grid, so a level within 0.45 tolerances costs two shoots in one pass.
+It shares nothing with the closed forms except the point the search
+starts from; a level it cannot bracket is reported, never silent.
 
 Each step does the least work its scheme allows.  Numerov runs in the
 z-form z = (1 - h**2 F/12) u (Blatt, J. Comput. Phys. 1 (1967) 382),
@@ -250,6 +252,29 @@ def _potential_table(potential: str, L: float, r_min: float, h: float, n_steps: 
     return a, [2.0 * c * (x * x) for x in r]
 
 
+def _series_start(potential: str, L: float, E: float, r_min: float, h: float, i: int) -> tuple:
+    """u and du/dx of the series start (r/r_min)**(L+1/2) (1 + c r**k) at
+    grid point i."""
+    nu = L + 0.5
+    if potential == COULOMB:
+        k, ck = 1, -1.0 / (L + 1)
+    else:
+        k, ck = 2, -E / (2 * L + 3)
+    t, crk = math.exp(nu * i * h), ck * (r_min * math.exp(i * h)) ** k
+    return t * (1 + crk), t * (nu * (1 + crk) + k * crk)
+
+
+def _numerov_start(potential: str, L: float, E: float, tables: tuple, r_min: float, h: float, n_steps: int) -> tuple:
+    """The Numerov walk's z_1 and d = z_1 - z_0 from the series start, and
+    the weight b at the endpoint, which turns its z back into u."""
+    a, s = tables
+    # c F_i = a_i - E s_i = h**2 F_i/12, so h**2 F_i/b_i = 12 c F_i/(1 - c F_i)
+    b0, b1, b_end = (1.0 - (a[i] - E * s[i]) for i in (0, 1, n_steps))
+    v0, _ = _series_start(potential, L, E, r_min, h, 0)
+    v1, _ = _series_start(potential, L, E, r_min, h, 1)
+    return b1 * v1, b1 * v1 - b0 * v0, b_end
+
+
 def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: float, n_steps: int, method: str):
     """Integrate u'' = F(x) u outward in x = ln r, where the reduced radial
     function is v(r) = r**(1/2) u(x), from the series start
@@ -257,7 +282,10 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
     however large L is.  r**(1/2) > 0, so u and v share their nodes.
     Returns the node count over the whole grid and the endpoint value
     (rescaled by powers of 1e-200 only after passing 1e250, which the
-    first MIN_STEPS steps never reach).
+    first MIN_STEPS steps never reach; the test reads z > 1e250 or
+    z < -1e250, which is abs(z) > 1e250 for every float, NaN and the
+    infinities included, without the call).  _shoot_pair walks two
+    Numerov shoots at once, and this walk is its oracle.
 
     ``tables`` holds (a, s) from _potential_table; only the n_steps + 1
     (RK4: 2 n_steps + 1) entries the walk reaches are read.
@@ -303,37 +331,24 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
 
     with t = p_lo + p_hi, and the walk applies this matrix in place of the
     four stages."""
-    nu = L + 0.5
-    if potential == COULOMB:
-        k, ck = 1, -1.0 / (L + 1)
-    else:
-        k, ck = 2, -E / (2 * L + 3)
-
-    def series(i):
-        """u and du/dx of the series start at grid point i."""
-        t, crk = math.exp(nu * i * h), ck * (r_min * math.exp(i * h)) ** k
-        return t * (1 + crk), t * (nu * (1 + crk) + k * crk)
-
-    a, s = tables
-    v0, _ = series(0)
-    v1, w = series(1)
     nodes = 0
     if method == NUMEROV:
-        # c F_i = a_i - E s_i = h**2 F_i/12, so h**2 F_i/b_i = 12 c F_i/(1 - c F_i)
-        b0, b1, b_end = (1.0 - (a[i] - E * s[i]) for i in (0, 1, n_steps))
-        z, d = b1 * v1, b1 * v1 - b0 * v0
+        z, d, b_end = _numerov_start(potential, L, E, tables, r_min, h, n_steps)
+        a, s = tables
         for g, r in zip(islice(a, 1, n_steps), islice(s, 1, n_steps)):
             x = g - E * r
             d += 12.0 * x / (1.0 - x) * z
             prev, z = z, z + d
             if z * prev < 0.0:
                 nodes += 1
-            if abs(z) > 1e250:
+            if z > 1e250 or z < -1e250:
                 z *= 1e-200
                 d *= 1e-200
         return nodes, z / b_end
+    a, s = tables
     p = [g - E * r for g, r in zip(islice(a, 2 * n_steps + 1), s)]
-    v, W = v1, h * w
+    v, w = _series_start(potential, L, E, r_min, h, 1)
+    W = h * w
     # steps run from grid point 1 (half-step index 2) to n_steps (2 n_steps)
     for lo, mid, hi in zip(p[2::2], p[3::2], p[4::2]):
         diag, cross, t = 1.0 + 2.0 * mid, 1.0 + 1.5 * mid, lo + hi
@@ -341,10 +356,43 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
                       (t + mid * (4.0 + 3.0 * t)) * v + (diag + hi * cross) * W)
         if v * prev < 0.0:
             nodes += 1
-        if abs(v) > 1e250:
+        if v > 1e250 or v < -1e250:
             v *= 1e-200
             W *= 1e-200
     return nodes, v
+
+
+def _shoot_pair(potential: str, L: float, E1: float, E2: float, tables: tuple, r_min: float, h: float, n_steps: int):
+    """The Numerov shoots at E1 and E2 in one pass over the tables.
+
+    Each of the two recurrences runs _shoot's operations in _shoot's
+    order (the same start, step, node count and rescale), so each result
+    is bitwise _shoot(potential, L, E, tables, r_min, h, n_steps,
+    NUMEROV) at its energy, and _shoot is this walk's oracle.  Walking
+    both at once reads each table entry and runs the loop once for two
+    energies."""
+    z1, d1, end1 = _numerov_start(potential, L, E1, tables, r_min, h, n_steps)
+    z2, d2, end2 = _numerov_start(potential, L, E2, tables, r_min, h, n_steps)
+    a, s = tables
+    nodes1 = nodes2 = 0
+    for g, r in zip(islice(a, 1, n_steps), islice(s, 1, n_steps)):
+        x = g - E1 * r
+        d1 += 12.0 * x / (1.0 - x) * z1
+        prev, z1 = z1, z1 + d1
+        if z1 * prev < 0.0:
+            nodes1 += 1
+        if z1 > 1e250 or z1 < -1e250:
+            z1 *= 1e-200
+            d1 *= 1e-200
+        x = g - E2 * r
+        d2 += 12.0 * x / (1.0 - x) * z2
+        prev, z2 = z2, z2 + d2
+        if z2 * prev < 0.0:
+            nodes2 += 1
+        if z2 > 1e250 or z2 < -1e250:
+            z2 *= 1e-200
+            d2 *= 1e-200
+    return (nodes1, z1 / end1), (nodes2, z2 / end2)
 
 
 def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = RadialGrid()) -> RadialReport:
@@ -422,6 +470,14 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         shoots += 1
         return _shoot(potential, L, E, tables, r_min, h, n_steps, grid.method)
 
+    def shoot_pair(E1, E2):
+        """Two shoots, in one pass where the method is Numerov."""
+        nonlocal shoots
+        if grid.method != NUMEROV:
+            return shoot(E1), shoot(E2)
+        shoots += 2
+        return _shoot_pair(potential, L, E1, E2, tables, r_min, h, n_steps)
+
     def secant(lo, f_lo, hi, f_hi):
         """Root of the line through the endpoint values at lo and hi, or
         NaN where they give none."""
@@ -430,14 +486,13 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
         return math.nan
 
     lo, hi = e_closed - d, e_closed + d
-    k_lo, f_lo = shoot(lo)
-    k_hi, f_hi = shoot(hi)
+    (k_lo, f_lo), (k_hi, f_hi) = shoot_pair(lo, hi)
     if k_lo > n or k_hi <= n:
         # a pair on one side of the step predicts it by extrapolation; a
         # pair around the prediction that straddles the step is the bracket
         c = secant(lo, f_lo, hi, f_hi)
         if abs(c - e_closed) + half <= span:
-            (k_a, f_a), (k_b, f_b) = shoot(c - half), shoot(c + half)
+            (k_a, f_a), (k_b, f_b) = shoot_pair(c - half, c + half)
             if k_a <= n < k_b:
                 lo, k_lo, f_lo, hi, k_hi, f_hi = c - half, k_a, f_a, c + half, k_b, f_b
     while k_lo > n or k_hi <= n:
@@ -523,6 +578,7 @@ def degeneracy_report(potential: str, p: QParam, nmax: int, lmax: int) -> Degene
     former multiplet splits while the magnetic degeneracy survives.  Levels
     within DEGENERACY_TOL of each other are degenerate.
     """
+    _check_integers(nmax=nmax, lmax=lmax)
     if nmax < 1 or lmax < 1:
         raise ValueError("degeneracy report needs nmax >= 1 and lmax >= 1")
     entries = spectrum_table(potential, p, nmax, lmax)

@@ -1,0 +1,143 @@
+"""Work budgets: counts of the work one item of each benchmark workload
+does, read through wrappers around the library's own functions.
+
+Counts repeat exactly from run to run, where wall time on a shared host
+does not.  Each figure below is the count on the code as it stands and is
+asserted as an upper bound: a change that lowers a count tightens its
+bound, and one that raises a count says why.
+"""
+
+from qsu2 import QMeasure, QParam, RadialGrid, build_y, inner_product, radial_verify, verify_algebra
+from qsu2 import irrep, jackson, spectra
+
+# (potential, n, l, q, method, n_steps): one round of the radial-shooting
+# workload at seed 1
+RADIAL_ROUND = (
+    ("coulomb", 0, 1, 1.05, "numerov", 4000),
+    ("coulomb", 1, 1, 0.95, "numerov", 4000),
+    ("oscillator", 0, 1, 0.9268728488224802, "numerov", 0),
+    ("oscillator", 1, 2, 1.0694867473874465, "numerov", 0),
+    ("oscillator", 2, 3, 1.0527549237953229, "numerov", 0),
+    ("oscillator", 1, 1, 0.9268728488224802, "rk4", 0),
+    ("coulomb", 2, 4, 0.6, "numerov", 0),
+)
+
+BUDGETS = {
+    # six Numerov levels and one RK4 level, one of them with an
+    # extrapolated pair: a Numerov pair walks the grid in one pass, an RK4
+    # shoot in one of its own
+    ("radial round", "shoots"): 16,
+    ("radial round", "bisections"): 0,
+    ("radial round", "full-grid passes"): 9,
+    # the whole identity catalogue; product entries are the entries of
+    # every product matrix, table entries those of the QParam's table
+    ("verify_algebra q=1.3 lmax=6", "matmuls"): 124,
+    ("verify_algebra q=1.3 lmax=6", "product entries"): 5411,
+    ("verify_algebra q=1.3 lmax=6", "operands"): 37,
+    ("verify_algebra q=1.3 lmax=6", "decimal sums"): 41,
+    ("verify_algebra q=1.3 lmax=6", "table entries"): 94,
+    ("verify_algebra q=1.3 lmax=16", "matmuls"): 124,
+    ("verify_algebra q=1.3 lmax=16", "product entries"): 50651,
+    ("verify_algebra q=1.3 lmax=16", "operands"): 37,
+    ("verify_algebra q=1.3 lmax=16", "decimal sums"): 41,
+    ("verify_algebra q=1.3 lmax=16", "table entries"): 168,
+    # every pair i <= j of the 81 harmonics with l <= 8: one operand per
+    # function (operands are inner-product sum operands, decimal sums the
+    # moment lists a sum reads), and one decimal sum per same-winding pair
+    # of equal parity
+    ("Gram l<=8 q=1.3", "products"): 3321,
+    ("Gram l<=8 q=1.3", "operands"): 81,
+    ("Gram l<=8 q=1.3", "decimal sums"): 165,
+    ("Gram l<=8 q=1.3", "table entries"): 199,
+    ("Gram l<=8 q=0.5", "products"): 3321,
+    ("Gram l<=8 q=0.5", "operands"): 81,
+    ("Gram l<=8 q=0.5", "decimal sums"): 165,
+    ("Gram l<=8 q=0.5", "table entries"): 231,
+}
+
+
+def _counted(monkeypatch, owner, name, count):
+    """Replace owner.name by a wrapper that calls count(args, result) after
+    each call."""
+    f = getattr(owner, name)
+
+    def run(*args):
+        result = f(*args)
+        count(args, result)
+        return result
+
+    monkeypatch.setattr(owner, name, run)
+
+
+def _radial_round(monkeypatch):
+    counts = dict.fromkeys(("shoots", "bisections", "full-grid passes"), 0)
+
+    def full_grid(args, result):
+        # _shoot's n_steps; the origin fit walks 4 and 8 steps
+        counts["full-grid passes"] += args[6] > 8
+
+    def pair(args, result):
+        counts["full-grid passes"] += 1
+
+    _counted(monkeypatch, spectra, "_shoot", full_grid)
+    _counted(monkeypatch, spectra, "_shoot_pair", pair)
+    for potential, n, l, q, method, n_steps in RADIAL_ROUND:
+        rep = radial_verify(potential, n, l, QParam(q), RadialGrid(n_steps=n_steps, method=method))
+        assert rep.converged and rep.nodes_found == n
+        counts["shoots"] += rep.shoots
+        counts["bisections"] += rep.bisections
+    return counts
+
+
+def _tally(counts, name):
+    """A count callback for _counted that adds one to counts[name]."""
+    def add(args, result):
+        counts[name] += 1
+    return add
+
+
+def _verify(monkeypatch, lmax):
+    counts = {"matmuls": 0, "product entries": 0, "operands": 0, "decimal sums": 0}
+
+    def product(args, out):
+        counts["matmuls"] += 1
+        counts["product entries"] += sum(map(len, out.blocks.values()))
+
+    _counted(monkeypatch, irrep.OperatorMatrix, "__matmul__", product)
+    _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
+    _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
+    p = QParam(1.3)
+    verify_algebra(p, lmax)
+    counts["table entries"] = len(p._table)
+    return counts
+
+
+def _gram(monkeypatch, q):
+    counts = {"products": 0, "operands": 0, "decimal sums": 0}
+    _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
+    _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
+    p = QParam(q)
+    mu = QMeasure(p)
+    ys = [build_y(l, m, p) for l in range(9) for m in range(-l, l + 1)]
+    for i in range(len(ys)):
+        for j in range(i, len(ys)):
+            inner_product(ys[i], ys[j], mu)
+            counts["products"] += 1
+    counts["table entries"] = len(p._table)
+    return counts
+
+
+def test_work_budgets(monkeypatch):
+    counted = {}
+    for item, run in (
+        ("radial round", lambda: _radial_round(monkeypatch)),
+        ("verify_algebra q=1.3 lmax=6", lambda: _verify(monkeypatch, 6)),
+        ("verify_algebra q=1.3 lmax=16", lambda: _verify(monkeypatch, 16)),
+        ("Gram l<=8 q=1.3", lambda: _gram(monkeypatch, 1.3)),
+        ("Gram l<=8 q=0.5", lambda: _gram(monkeypatch, 0.5)),
+    ):
+        counted.update(((item, name), n) for name, n in run().items())
+        monkeypatch.undo()
+    assert counted.keys() == BUDGETS.keys()
+    over = {key: (n, BUDGETS[key]) for key, n in counted.items() if n > BUDGETS[key]}
+    assert not over, over

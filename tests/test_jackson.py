@@ -508,11 +508,21 @@ GRAM_QS = (1.0, 0.985, 0.5, 2.0, 0.8728089666203019, 1.0927654030536282)
 
 
 def _per_call_inner_product(f, g, mu):
-    """The double-precision inner product as formed before each function
-    kept its sum operand: parity exit, precision and conversion on every
-    call, and fresh moments."""
+    """The inner product as formed before each function kept its sum
+    operand: in double precision the parity exit, precision and conversion
+    on every call, and fresh moments; in high precision fresh moments and
+    both pair sums, the imaginary one included, of which the real part is
+    the result."""
+    p = mu.p
     if f.m != g.m or f.is_zero or g.is_zero:
-        return 0.0
+        return p.zero
+    if p.is_high:
+        num = lambda v: v * p.one
+        with decimal.localcontext(_CTX):
+            moments = jackson._sum_moments(mu, f.m, f.degree + g.degree, num, None)
+            parts = (jackson._split(h.coeffs.items(), num) for h in (f, g))
+            re, _ = jackson._pair_sums(*parts, moments, True)
+            return 2 * p.pi * re
     opposite = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
     if opposite and all(map(cmath.isfinite, f.coeffs.values())):
         re = im = 0.0
@@ -602,6 +612,19 @@ def test_inner_product_matches_the_per_call_path():
             seen["complex"] += isinstance(got, complex)
             seen["series"] += mu.series_depth is not None
     assert min(seen.values()) > 50, seen
+
+
+def test_high_inner_product_matches_the_per_call_path():
+    # the library sums no imaginary pair for real coefficients; the digits
+    # and exponent of every Decimal must be the full sum's
+    for q, depth in ((0.5, None), (0.7, None), (0.7, 40), (1.3, None), (2.0, None), (1e16, None)):
+        p = QParam(q, "high")
+        mu = QMeasure(p, depth)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS if l <= 6]
+        for i in range(len(ys)):
+            for j in range(i, len(ys)):
+                got, want = inner_product(ys[i], ys[j], mu), _per_call_inner_product(ys[i], ys[j], mu)
+                assert type(got) is type(want) and got.as_tuple() == want.as_tuple(), (q, depth, i, j)
 
 
 def _fresh(h):

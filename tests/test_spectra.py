@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import random
 import re
 
 import mpmath
@@ -20,7 +23,7 @@ from qsu2 import (
     solve_l,
     spectrum_table,
 )
-from qsu2.spectra import _root_l
+from qsu2.spectra import _potential_table, _root_l, _shoot, _shoot_pair
 
 qvals = st.one_of(
     st.just(1.0),
@@ -323,6 +326,13 @@ def test_degeneracy_split_coulomb():
 def test_degeneracy_report_validation():
     with pytest.raises(ValueError):
         degeneracy_report(OSCILLATOR, QParam(1.0), 0, 2)
+    # the integer rule comes before the range check, which a string or
+    # None would meet with a bare TypeError
+    for bad in ("2", None, 2.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"nmax must be an integer, got {bad!r}")):
+            degeneracy_report(COULOMB, QParam(1.0), bad, 2)
+        with pytest.raises(ValueError, match=re.escape(f"lmax must be an integer, got {bad!r}")):
+            degeneracy_report(COULOMB, QParam(1.0), 2, bad)
 
 
 def test_multipole_report():
@@ -514,7 +524,8 @@ def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
     # negative endpoint reads 0, so the root lands on a bracket end or
     # there is none, and the level is found by bisection on the node
     # count, at least once, at no more than the bisection's shoots plus the
-    # missed pairs
+    # missed pairs.  Every full-grid endpoint is offset, whether its shoot
+    # walks alone or in a pair
     cases = (
         (OSCILLATOR, 1, 1, 1.3, "numerov"),
         (OSCILLATOR, 1, 1, 1.3, "rk4"),
@@ -525,13 +536,17 @@ def test_shooting_falls_back_when_the_secant_step_misses(monkeypatch):
     )
 
     clean = {case: _level(case) for case in cases}
-    shoot = spectra._shoot
+    shoot, shoot_pair = spectra._shoot, spectra._shoot_pair
     for share in (-0.5, 0.5, 1.0):
         def offset_shoot(*args):
             nodes, end = shoot(*args)
             return nodes, end + share * abs(end)
 
+        def offset_pair(*args):
+            return tuple((nodes, end + share * abs(end)) for nodes, end in shoot_pair(*args))
+
         monkeypatch.setattr(spectra, "_shoot", offset_shoot)
+        monkeypatch.setattr(spectra, "_shoot_pair", offset_pair)
         for case, want in clean.items():
             rep = _level(case)
             tol_e = max(1e-12, 1e-11 * abs(rep.e_closed))
@@ -582,3 +597,114 @@ def test_shooting_does_not_read_back_the_closed_form(monkeypatch):
         assert not rep.converged and rep.e_numeric is None, (case, rep.shoots)
         assert "no energy within" in rep.message, case
         assert rep.shoots >= 2 and rep.steps_walked == rep.shoots * rep.grid["n_steps"], case
+
+
+def _report_hash(reports):
+    """sha256 over every field of each report, floats by their hex form."""
+    def canon(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, dict):
+            return "{" + ",".join(f"{k}:{canon(v)}" for k, v in sorted(x.items())) + "}"
+        return repr(x)
+
+    digest = hashlib.sha256()
+    for rep in reports:
+        for f in dataclasses.fields(rep):
+            digest.update(f"{f.name}={canon(getattr(rep, f.name))};".encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# (potential, n, l, q, method, n_steps): the radial-shooting levels of
+# seeds 1 and 7 (4000-step and default grids, RK4, L of about 59), the
+# first pair alone and with the extrapolated pair, L of about 232 and 1456
+# (grids of 14k to 100k steps that rescale), and grids of 400 and 1000
+# steps on which the search widens or bisects
+PINNED_LEVELS = (
+    (COULOMB, 0, 1, 1.05, "numerov", 4000),
+    (COULOMB, 1, 1, 0.95, "numerov", 4000),
+    (OSCILLATOR, 0, 1, 0.9268728488224802, "numerov", 0),
+    (OSCILLATOR, 1, 2, 1.0694867473874465, "numerov", 0),
+    (OSCILLATOR, 2, 3, 1.0527549237953229, "numerov", 0),
+    (OSCILLATOR, 1, 1, 0.9268728488224802, "rk4", 0),
+    (OSCILLATOR, 0, 1, 0.9647665529666325, "numerov", 0),
+    (OSCILLATOR, 1, 2, 0.9301698347849005, "numerov", 0),
+    (OSCILLATOR, 2, 3, 1.0301868946079709, "numerov", 0),
+    (OSCILLATOR, 1, 1, 0.9647665529666325, "rk4", 0),
+    (COULOMB, 2, 4, 0.6, "numerov", 0),
+    (OSCILLATOR, 1, 1, 1.3, "rk4", 0),
+    (COULOMB, 1, 1, 1.3, "rk4", 0),
+    (COULOMB, 1, 0, 1.0, "numerov", 0),
+    (OSCILLATOR, 0, 2, 1.3, "numerov", 2000),
+    (COULOMB, 0, 4, 2.5, "numerov", 0),
+    (OSCILLATOR, 0, 4, 0.4, "numerov", 0),
+    (COULOMB, 0, 3, 0.4, "numerov", 0),
+    (OSCILLATOR, 0, 3, 0.4, "rk4", 0),
+    (COULOMB, 3, 1, 0.6, "numerov", 400),
+    (OSCILLATOR, 2, 1, 1.3, "numerov", 400),
+    (OSCILLATOR, 2, 3, 0.6, "rk4", 1000),
+    (OSCILLATOR, 3, 3, 1.7, "rk4", 1000),
+)
+
+
+def test_radial_reports_pinned_bitwise(monkeypatch):
+    import qsu2.spectra as spectra
+
+    # every field of every report, recorded before the first pair and the
+    # extrapolated pair were walked in one pass; the last two levels start
+    # from a closed form moved out of reach and are reported unbracketed
+    reports = [
+        radial_verify(potential, n, l, QParam(q), RadialGrid(n_steps=n_steps, method=method))
+        for potential, n, l, q, method, n_steps in PINNED_LEVELS
+    ]
+    paths = {(rep.shoots > 4, rep.bisections > 0) for rep in reports}
+    assert paths == {(False, False), (True, False), (True, True)}
+    assert max(rep.L for rep in reports) > 1455
+    make_entry = spectra._make_entry
+    for potential, method, to in ((COULOMB, "numerov", lambda e: -e), (OSCILLATOR, "rk4", lambda e: e / 3)):
+        monkeypatch.setattr(spectra, "_make_entry", lambda *a: dataclasses.replace(make_entry(*a), E=to(make_entry(*a).E)))
+        reports.append(radial_verify(potential, 1, 1, QParam(1.3), RadialGrid(method=method)))
+        assert not reports[-1].converged
+    assert _report_hash(reports) == "c5a091b5c68a0455c5525aece6e5426ac6c309e678abf5dddbb5912d91dd2967"
+
+
+def _bits(result):
+    nodes, end = result
+    return nodes, end.hex()
+
+
+def test_shoot_pair_is_two_shoots_bitwise():
+    # seeded draws of L, grid and two energies: near a level, far from any
+    # (dozens of nodes, and Coulomb energies above 0), walks that rescale,
+    # and a NaN energy, which leaves no node and a NaN endpoint
+    rng = random.Random(31)
+    seen_nodes, rescaled, nans, cases = set(), False, 0, 0
+    for _ in range(60):
+        potential = rng.choice((COULOMB, OSCILLATOR))
+        L = rng.choice((0.0, rng.uniform(0, 5), rng.uniform(50, 300)))
+        n_steps = rng.choice((8, 9, 57, 400, 4000))
+        r_min = 1e-4 * (L + 1)
+        r_end = 60.0 if potential == COULOMB else 12.0
+        h = min(math.log(r_end / r_min) / n_steps, 0.25 / (L + 0.5))
+        tables = _potential_table(potential, L, r_min, h, n_steps, "numerov")
+        if potential == COULOMB:
+            level = -0.5 / (L + 1 + rng.randrange(30)) ** 2
+            far = rng.choice((rng.uniform(-0.01, 0), rng.uniform(0, 2), math.nan))
+        else:
+            level = L + 1.5 + 2 * rng.randrange(30)
+            far = rng.choice((rng.uniform(50, 150), math.nan))
+        tol_e = max(1e-12, 1e-11 * abs(level))
+        E1 = level + rng.uniform(-3, 3) * tol_e
+        for pair in ((E1, E1 + 0.9 * tol_e), (far, E1), (E1, far)):
+            got = _shoot_pair(potential, L, *pair, tables, r_min, h, n_steps)
+            want = tuple(_shoot(potential, L, E, tables, r_min, h, n_steps, "numerov") for E in pair)
+            assert tuple(map(_bits, got)) == tuple(map(_bits, want)), (potential, L, n_steps, pair)
+            for E, (nodes, end) in zip(pair, got):
+                seen_nodes.add(nodes)
+                if math.isnan(E):
+                    assert nodes == 0 and math.isnan(end)
+                    nans += 1
+            cases += 1
+        rescaled |= (L + 0.5) * h * n_steps > 600
+    assert cases == 180 and nans > 10 and max(seen_nodes) >= 20 and rescaled
