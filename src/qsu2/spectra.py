@@ -238,18 +238,26 @@ def _potential_table(potential: str, L: float, r_min: float, h: float, n_steps: 
     splits into g0 = (L+1/2)**2 + 2 r**2 V(r) and -2 E r**2, so that
     a = c g0 and s = 2 c r**2.  Numerov takes c = h**2/12 on the
     n_steps + 1 grid points r = r_min exp(i*h), RK4 c = h**2/6 on the
-    2 n_steps + 1 points of the half-step grid."""
+    2 n_steps + 1 points of the half-step grid.  One pass over the points
+    forms each r once and both entries from it, with no list of r."""
     if method == NUMEROV:
         count, spacing, c = n_steps + 1, h, h * h / 12.0
     else:
         count, spacing, c = 2 * n_steps + 1, h / 2, h * h / 6.0
-    a2 = (L + 0.5) ** 2
-    r = [r_min * math.exp(i * spacing) for i in range(count)]
+    a2, c2, exp = (L + 0.5) ** 2, 2.0 * c, math.exp
+    a, s = [], []
     if potential == COULOMB:
-        a = [c * (a2 - 2.0 * x) for x in r]
+        for i in range(count):
+            x = r_min * exp(i * spacing)
+            a.append(c * (a2 - 2.0 * x))
+            s.append(c2 * (x * x))
     else:
-        a = [c * (a2 + (x * x) * (x * x)) for x in r]
-    return a, [2.0 * c * (x * x) for x in r]
+        for i in range(count):
+            x = r_min * exp(i * spacing)
+            xx = x * x
+            a.append(c * (a2 + xx * xx))
+            s.append(c2 * xx)
+    return a, s
 
 
 def _series_start(potential: str, L: float, E: float, r_min: float, h: float, i: int) -> tuple:
@@ -330,7 +338,9 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
         W' = (t + p_mid (4 + 3 t)) v + (1 + 2 p_mid + p_hi (1 + 3 p_mid/2)) W,
 
     with t = p_lo + p_hi, and the walk applies this matrix in place of the
-    four stages."""
+    four stages.  It reads the tables in place, forming p = a - E s at
+    each half-step point as it reaches it, and each step's p_hi is the
+    next step's p_lo."""
     nodes = 0
     if method == NUMEROV:
         z, d, b_end = _numerov_start(potential, L, E, tables, r_min, h, n_steps)
@@ -346,14 +356,18 @@ def _shoot(potential: str, L: float, E: float, tables: tuple, r_min: float, h: f
                 d *= 1e-200
         return nodes, z / b_end
     a, s = tables
-    p = [g - E * r for g, r in zip(islice(a, 2 * n_steps + 1), s)]
     v, w = _series_start(potential, L, E, r_min, h, 1)
     W = h * w
     # steps run from grid point 1 (half-step index 2) to n_steps (2 n_steps)
-    for lo, mid, hi in zip(p[2::2], p[3::2], p[4::2]):
+    end = 2 * n_steps + 1
+    lo = a[2] - E * s[2]
+    for g, r, g_hi, r_hi in zip(islice(a, 3, end, 2), islice(s, 3, end, 2),
+                                islice(a, 4, end, 2), islice(s, 4, end, 2)):
+        mid, hi = g - E * r, g_hi - E * r_hi
         diag, cross, t = 1.0 + 2.0 * mid, 1.0 + 1.5 * mid, lo + hi
         v, prev, W = ((diag + lo * cross) * v + (1.0 + mid) * W, v,
                       (t + mid * (4.0 + 3.0 * t)) * v + (diag + hi * cross) * W)
+        lo = hi
         if v * prev < 0.0:
             nodes += 1
         if v > 1e250 or v < -1e250:

@@ -29,6 +29,9 @@ BUDGETS = {
     ("radial round", "shoots"): 16,
     ("radial round", "bisections"): 0,
     ("radial round", "full-grid passes"): 9,
+    # the points of every level's tables: one table per level, 4001 or
+    # 8001 points for Numerov and 16,001 for RK4
+    ("radial round", "table points"): 56007,
     # the whole identity catalogue; product entries are the entries of
     # every product matrix, table entries those of the QParam's table
     ("verify_algebra q=1.3 lmax=6", "matmuls"): 124,
@@ -41,6 +44,13 @@ BUDGETS = {
     ("verify_algebra q=1.3 lmax=16", "operands"): 37,
     ("verify_algebra q=1.3 lmax=16", "decimal sums"): 41,
     ("verify_algebra q=1.3 lmax=16", "table entries"): 168,
+    # high precision: the same catalogue, whose inner products form no
+    # double-precision sum operand
+    ("verify_algebra q=0.7 high lmax=6", "matmuls"): 124,
+    ("verify_algebra q=0.7 high lmax=6", "product entries"): 5411,
+    ("verify_algebra q=0.7 high lmax=6", "operands"): 0,
+    ("verify_algebra q=0.7 high lmax=6", "decimal sums"): 61,
+    ("verify_algebra q=0.7 high lmax=6", "table entries"): 84,
     # every pair i <= j of the 81 harmonics with l <= 8: one operand per
     # function (operands are inner-product sum operands, decimal sums the
     # moment lists a sum reads), and one decimal sum per same-winding pair
@@ -70,7 +80,7 @@ def _counted(monkeypatch, owner, name, count):
 
 
 def _radial_round(monkeypatch):
-    counts = dict.fromkeys(("shoots", "bisections", "full-grid passes"), 0)
+    counts = dict.fromkeys(("shoots", "bisections", "full-grid passes", "table points"), 0)
 
     def full_grid(args, result):
         # _shoot's n_steps; the origin fit walks 4 and 8 steps
@@ -79,8 +89,12 @@ def _radial_round(monkeypatch):
     def pair(args, result):
         counts["full-grid passes"] += 1
 
+    def table(args, result):
+        counts["table points"] += len(result[0])
+
     _counted(monkeypatch, spectra, "_shoot", full_grid)
     _counted(monkeypatch, spectra, "_shoot_pair", pair)
+    _counted(monkeypatch, spectra, "_potential_table", table)
     for potential, n, l, q, method, n_steps in RADIAL_ROUND:
         rep = radial_verify(potential, n, l, QParam(q), RadialGrid(n_steps=n_steps, method=method))
         assert rep.converged and rep.nodes_found == n
@@ -96,7 +110,7 @@ def _tally(counts, name):
     return add
 
 
-def _verify(monkeypatch, lmax):
+def _verify(monkeypatch, p, lmax):
     counts = {"matmuls": 0, "product entries": 0, "operands": 0, "decimal sums": 0}
 
     def product(args, out):
@@ -106,7 +120,6 @@ def _verify(monkeypatch, lmax):
     _counted(monkeypatch, irrep.OperatorMatrix, "__matmul__", product)
     _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
     _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
-    p = QParam(1.3)
     verify_algebra(p, lmax)
     counts["table entries"] = len(p._table)
     return counts
@@ -131,8 +144,9 @@ def test_work_budgets(monkeypatch):
     counted = {}
     for item, run in (
         ("radial round", lambda: _radial_round(monkeypatch)),
-        ("verify_algebra q=1.3 lmax=6", lambda: _verify(monkeypatch, 6)),
-        ("verify_algebra q=1.3 lmax=16", lambda: _verify(monkeypatch, 16)),
+        ("verify_algebra q=1.3 lmax=6", lambda: _verify(monkeypatch, QParam(1.3), 6)),
+        ("verify_algebra q=1.3 lmax=16", lambda: _verify(monkeypatch, QParam(1.3), 16)),
+        ("verify_algebra q=0.7 high lmax=6", lambda: _verify(monkeypatch, QParam(0.7, "high"), 6)),
         ("Gram l<=8 q=1.3", lambda: _gram(monkeypatch, 1.3)),
         ("Gram l<=8 q=0.5", lambda: _gram(monkeypatch, 0.5)),
     ):

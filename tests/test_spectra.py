@@ -708,3 +708,109 @@ def test_shoot_pair_is_two_shoots_bitwise():
             cases += 1
         rescaled |= (L + 0.5) * h * n_steps > 600
     assert cases == 180 and nans > 10 and max(seen_nodes) >= 20 and rescaled
+
+
+# _potential_table and _shoot's RK4 walk as they were written before the
+# table was formed in one pass and the walk read it in place: three list
+# comprehensions over a list of r, and a list of p = a - E s walked in
+# three slices
+
+def _reference_table(potential, L, r_min, h, n_steps, method):
+    if method == "numerov":
+        count, spacing, c = n_steps + 1, h, h * h / 12.0
+    else:
+        count, spacing, c = 2 * n_steps + 1, h / 2, h * h / 6.0
+    a2 = (L + 0.5) ** 2
+    r = [r_min * math.exp(i * spacing) for i in range(count)]
+    if potential == COULOMB:
+        a = [c * (a2 - 2.0 * x) for x in r]
+    else:
+        a = [c * (a2 + (x * x) * (x * x)) for x in r]
+    return a, [2.0 * c * (x * x) for x in r]
+
+
+def _listed_rk4(potential, L, E, tables, r_min, h, n_steps):
+    a, s = tables
+    p = [g - E * r for g, r in zip(a[:2 * n_steps + 1], s)]
+    v, w = _series_start(potential, L, E, r_min, h, 1)
+    W, nodes = h * w, 0
+    for lo, mid, hi in zip(p[2::2], p[3::2], p[4::2]):
+        diag, cross, t = 1.0 + 2.0 * mid, 1.0 + 1.5 * mid, lo + hi
+        v, prev, W = ((diag + lo * cross) * v + (1.0 + mid) * W, v,
+                      (t + mid * (4.0 + 3.0 * t)) * v + (diag + hi * cross) * W)
+        if v * prev < 0.0:
+            nodes += 1
+        if v > 1e250 or v < -1e250:
+            v *= 1e-200
+            W *= 1e-200
+    return nodes, v
+
+
+def test_table_and_rk4_walk_are_the_listed_forms_bitwise():
+    # seeded draws of L (0, up to 5, 50-300 and about 1456), grid and
+    # energy: every entry of both methods' tables is the listed table's,
+    # and every RK4 shoot, over the whole grid and over the origin fit's 4
+    # and 8 steps, is the listed walk's, near a level, far from any and at
+    # a NaN energy
+    rng = random.Random(32)
+    seen_nodes, rescaled, nans, walks = set(), False, 0, 0
+    for _ in range(40):
+        potential = rng.choice((COULOMB, OSCILLATOR))
+        L = rng.choice((0.0, rng.uniform(0, 5), rng.uniform(50, 300), rng.uniform(1455, 1457)))
+        n_steps = rng.choice((8, 9, 57, 400, 4000))
+        r_min = 1e-4 * (L + 1)
+        r_end = 60.0 if potential == COULOMB else 12.0
+        h = min(math.log(r_end / r_min) / n_steps, 0.25 / (L + 0.5))
+        for method in ("numerov", "rk4"):
+            tables = _potential_table(potential, L, r_min, h, n_steps, method)
+            want = _reference_table(potential, L, r_min, h, n_steps, method)
+            assert [list(map(float.hex, t)) for t in tables] == [list(map(float.hex, t)) for t in want], (
+                potential, L, n_steps, method
+            )
+        if potential == COULOMB:
+            level = -0.5 / (L + 1 + rng.randrange(30)) ** 2
+            far = rng.choice((rng.uniform(-0.01, 0), rng.uniform(0, 2), math.nan))
+        else:
+            level = L + 1.5 + 2 * rng.randrange(30)
+            far = rng.choice((rng.uniform(50, 150), math.nan))
+        tol_e = max(1e-12, 1e-11 * abs(level))
+        for E in (level + rng.uniform(-3, 3) * tol_e, far):
+            for steps in sorted({4, 8, n_steps}):
+                got = _shoot(potential, L, E, tables, r_min, h, steps, "rk4")
+                want = _listed_rk4(potential, L, E, tables, r_min, h, steps)
+                assert _bits(got) == _bits(want), (potential, L, n_steps, steps, E)
+                seen_nodes.add(got[0])
+                if math.isnan(E):
+                    assert got[0] == 0 and math.isnan(got[1])
+                    nans += 1
+                walks += 1
+        rescaled |= (L + 0.5) * h * n_steps > 600
+    assert walks > 150 and nans > 5 and max(seen_nodes) >= 20 and rescaled
+
+
+def test_tables_and_rk4_shoots_allocate_no_grid_copies():
+    # on the 8000-step level of the radial-shooting round, an RK4 shoot
+    # keeps no per-grid list (a list of p and its slices took 0.7 MB), and
+    # the tables hold their two floats per point with no list of r beside
+    # them (about 65 B per point, against 97 with that list)
+    import tracemalloc
+
+    import qsu2.spectra as spectra
+
+    entry = spectra._make_entry(OSCILLATOR, 1, 1, QParam(0.9268728488224802))
+    for method in ("rk4", "numerov"):
+        r_min, r_max, n_steps = spectra._resolve_grid(OSCILLATOR, entry.L, entry.E, RadialGrid(method=method))
+        h = math.log(r_max / r_min) / n_steps
+        tracemalloc.start()
+        try:
+            tables = _potential_table(OSCILLATOR, entry.L, r_min, h, n_steps, method)
+            held, table_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _shoot(OSCILLATOR, entry.L, entry.E, tables, r_min, h, n_steps, method)
+            shoot_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert n_steps == 8000
+        assert table_peak < 70 * len(tables[0]), (method, table_peak)
+        if method == "rk4":
+            assert shoot_peak < 4096, shoot_peak
