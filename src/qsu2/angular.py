@@ -52,11 +52,11 @@ class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k.
 
     The map belongs to the function and callers may change it freely.  In
-    double precision the inner product keeps on the function what its sums
-    read of the map, the coefficients as exact Decimals and a few of their
-    properties (jackson._operand), with a snapshot of the map's keys and
-    values: a map whose keys and values are no longer those very objects
-    has its operand formed again.
+    either precision the inner product keeps on the function what its sums
+    read of the map, the coefficients converted into the sum's number type
+    and, in double precision, a few of their properties (jackson._operand),
+    with a snapshot of the map's keys and values: a map whose keys and
+    values are no longer those very objects has its operand formed again.
     """
 
     p: QParam

@@ -31,21 +31,25 @@ b**(2k-2) and E = (|m| + 1 + m) n + 2|m|, whose factors are positive and
 bounded: nothing cancels or overflows at any q, and the cost is O(|m|)
 per moment whatever the grid depth.
 
-Double precision forms the sum in stdlib decimal, at 20 digits plus the
-decimal exponent of max|a_i| * max|b_j|, in a copy of qcore's private
-context, never of the caller's, and rounds once at the end.  What it reads
-of each function, the coefficients converted exactly to Decimal, the
-binary exponent of their largest modulus, their finiteness, the parity of
-their degrees and whether one is complex, is its sum operand: formed once
-and kept on the function (see _operand), so a function met in many sums
-is converted once, and nothing is kept anywhere else.  High
-precision sums in the QParam's own arithmetic, Decimal in the private
-62-digit context.  The closed-form moments are formed once per winding
-and sum precision and kept in the QParam's table under
+Both precisions form the sum in stdlib decimal, through one routine
+(_operand_sum).  Double precision sums at 20 digits plus the decimal
+exponent of max|a_i| * max|b_j|, in a copy of qcore's private context,
+never of the caller's, and rounds once at the end.  High precision sums
+in the QParam's own arithmetic, in the private 62-digit context itself.
+What a sum reads of each function is its sum operand: the coefficients
+in the sum's number type, converted exactly to Decimal in double
+precision and by v * p.one, which rounds at 62 digits, in high
+precision, and in double precision also the binary exponent of their
+largest modulus, their finiteness, the parity of their degrees and
+whether one is complex.  It is formed once and kept on the function (see
+_operand), so a function met in many sums is converted once, and nothing
+is kept anywhere else.  The closed-form moments are formed once per
+winding and sum precision and kept in the QParam's table under
 ("moments", m, digits): moment n does not depend on how many are formed,
 so a stored list serves every sum up to its degree, bit for bit, and a
 sum of a higher degree forms a longer one in its place.  A series
-measure forms its grid sums on every call.
+measure forms its grid sums on every call, in either precision, and
+keeps none.
 
 Since M_m(n) vanishes for odd n, parity selects the pairs: when every
 degree of f has one parity and every degree of g the other, every i + j is
@@ -200,116 +204,89 @@ def _pair_sum(x: dict, y: dict, moments: list):
     return total
 
 
-def _closed_moments(p: QParam, m: int, nmax: int, num, digits) -> list:
-    """M_m(n) for n = 0..nmax at least, at q = num(p.q), the sum's number
-    type.
+def _convert(p: QParam):
+    """The conversion of a real number into the sum's number type: exact,
+    to Decimal, in double precision, and v * p.one, which rounds in the
+    private context, in high precision."""
+    return (lambda v: v * p.one) if p.is_high else decimal.Decimal
 
-    With `digits`, the precision the sum runs at, the list is read from and
-    kept in the table of p under ("moments", m, digits): entry n of
-    _moments does not depend on nmax, so a stored list of at least
-    nmax + 1 entries serves as it is, and a shorter one is formed again
-    and replaced.  Without it the moments are formed afresh.  q is
-    converted only where they are formed.
+
+def _closed_moments(p: QParam, m: int, nmax: int, digits: int) -> list:
+    """M_m(n) for n = 0..nmax at least, in the sum's number type (see
+    _convert), read from and kept in the table of p under
+    ("moments", m, digits), where `digits` is the precision the sum runs
+    at.
+
+    Entry n of _moments does not depend on nmax, so a stored list of at
+    least nmax + 1 entries serves as it is, and a shorter one is formed
+    again and replaced.  q is converted only where they are formed.
     """
     key = ("moments", m, digits)
-    stored = None if digits is None else p._table.get(key)
+    stored = p._table.get(key)
     if stored is not None and len(stored) > nmax:
         return stored
-    q = num(p.q)
-    moments = _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
-    if digits is not None:
-        p._table[key] = moments
+    q = _convert(p)(p.q)
+    moments = p._table[key] = _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
     return moments
 
 
-def _sum_moments(mu: QMeasure, m: int, nmax: int, num, digits) -> list:
+def _sum_moments(mu: QMeasure, m: int, nmax: int, digits: int) -> list:
     """The weighted moments M_m(n), n = 0..nmax at least, of the measure in
-    the number type num converts to: a series measure's depth-D grid sums,
-    formed on every call, or the closed form through _closed_moments."""
+    the sum's number type: a series measure's depth-D grid sums, formed on
+    every call, or the closed form through _closed_moments."""
     if mu.series_depth is None:
-        return _closed_moments(mu.p, m, nmax, num, digits)
-    q = num(mu.p.q)
+        return _closed_moments(mu.p, m, nmax, digits)
+    q = _convert(mu.p)(mu.p.q)
     even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, m)
     return [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
 
 
-def _split(items, num) -> tuple:
-    """The nonzero real and imaginary parts of (k, a_k) items, each as
-    {k: num(part)}."""
-    return ({k: num(v.real) for k, v in items if v.real}, {k: num(v.imag) for k, v in items if v.imag})
-
-
-def _pair_sums(a: tuple, b: tuple, moments: list, imaginary: bool) -> tuple:
-    """sum conj(a_i) b_j M(i+j) as a (real, imaginary) pair from the _split
-    parts a of f and b of g; the imaginary part is left at 0 unless asked
-    for."""
-    (a_re, a_im), (b_re, b_im) = a, b
-    re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
-    im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments) if imaginary else 0
-    return re, im
-
-
-def _moment_sum(f: AngularFunction, g: AngularFunction, mu: QMeasure, digits=None) -> tuple:
-    """2 pi sum conj(a_i) b_j M_m(i+j) as a (real, imaginary) pair.
-
-    Each real coefficient is converted into the number type of the sum,
-    Decimal in the context the caller entered in double precision and the
-    QParam's arithmetic in high precision; the moments and the sum are then
-    formed in that type alone.  `digits`, the precision of that type, keys
-    the closed-form moments in the table of the QParam (see
-    _closed_moments); without it they are formed afresh.  High precision
-    converts here on every call, since its v * p.one rounds in the
-    context; inner_product's double path reads each function's kept
-    _operand instead, and this per-call route is the tests' reference.
-    As there, the imaginary part is summed only when a coefficient of f
-    or g has one, and is 0 otherwise.
-    """
-    p = mu.p
-    num, pi = (lambda v: v * p.one, p.pi) if p.is_high else (decimal.Decimal, _PI)
-    moments = _sum_moments(mu, f.m, f.degree + g.degree, num, digits)
-    a, b = _split(f.coeffs.items(), num), _split(g.coeffs.items(), num)
-    re, im = _pair_sums(a, b, moments, bool(a[1] or b[1]))
-    return 2 * pi * re, 2 * pi * im
-
-
 class _Operand(NamedTuple):
-    """What a double-precision sum reads of one function."""
+    """What a sum reads of one function.  A high-precision operand, whose
+    coefficients are real, holds only its parts and degree: the facts after
+    them serve the double-precision sum alone, and keep their defaults."""
 
-    parts: tuple  # _split of the coefficients, exact Decimals
+    # the nonzero real and imaginary parts of the coefficients, each as
+    # {k: part} in the sum's number type
+    parts: tuple
     degree: int
     # the binary exponent of max|a_k|, None where abs overflows (a finite
     # complex past the largest double); that of max(|re|, |im|) plus one
     # bit, which bounds the modulus's, serves the pair then
-    bits: int | None
-    wide_bits: int
-    finite: bool  # every coefficient is finite
+    bits: int | None = None
+    wide_bits: int = 0
+    finite: bool = True  # every coefficient is finite
     # 0 when every degree is even, 1 when every one is odd, 2 when mixed:
     # two functions are of opposite parity exactly when theirs sum to 1
-    parity: int
-    imaginary: bool  # some coefficient has an imaginary part
+    parity: int = 2
+    imaginary: bool = False  # some coefficient has an imaginary part
 
 
 def _operand(h: AngularFunction) -> _Operand:
-    """The sum operand of h, a double-precision function: the kept one
-    when every key and value of h.coeffs is the very object it was formed
-    from, in the same order; otherwise one formed from the coefficients and
-    kept, with them, in h._operand.  Callers may change h.coeffs freely,
-    and the operand refers to nothing but numbers, so it lives and dies
-    with h."""
+    """The sum operand of h: the kept one when every key and value of
+    h.coeffs is the very object it was formed from, in the same order;
+    otherwise one formed from the coefficients and kept, with them, in
+    h._operand.  Callers may change h.coeffs freely, and the operand refers
+    to nothing but numbers, so it lives and dies with h."""
     c = h.coeffs
     snapshot = (*c, *c.values())
     kept = h._operand
     if kept is not None and len(kept[0]) == len(snapshot) and all(map(is_, snapshot, kept[0])):
         return kept[1]
-    operand = _form_operand(c)
+    operand = _form_operand(c, h.p)
     object.__setattr__(h, "_operand", (snapshot, operand))
     return operand
 
 
 @_in_private_context
-def _form_operand(c: dict) -> _Operand:
-    """The _Operand of the coefficients c, converted in the private
-    context, so that the caller's context sees no float conversion."""
+def _form_operand(c: dict, p: QParam) -> _Operand:
+    """The _Operand of the coefficients c of a function at p, converted in
+    the private context, so that the caller's context sees no float
+    conversion."""
+    num = _convert(p)
+    parts = ({k: num(v.real) for k, v in c.items() if v.real}, {k: num(v.imag) for k, v in c.items() if v.imag})
+    if p.is_high:
+        return _Operand(parts, max(c))
     values = c.values()
     try:
         bits = math.frexp(_nanmax(map(abs, values)))[1]
@@ -317,7 +294,7 @@ def _form_operand(c: dict) -> _Operand:
         bits = None
     parities = {k % 2 for k in c}
     return _Operand(
-        parts=_split(c.items(), decimal.Decimal),
+        parts=parts,
         degree=max(c),
         bits=bits,
         wide_bits=math.frexp(_nanmax([max(abs(v.real), abs(v.imag)) for v in values]))[1] + 1,
@@ -334,6 +311,26 @@ def _decimal_digits(a: _Operand, b: _Operand) -> int:
     plus one bit bound the moduli's."""
     bits = a.bits + b.bits if a.bits is not None and b.bits is not None else a.wide_bits + b.wide_bits
     return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
+
+
+def _operand_sum(mu: QMeasure, m: int, a: _Operand, b: _Operand, digits: int) -> tuple:
+    """2 pi sum conj(a_i) b_j M_m(i+j) over the operands a of f and b of g
+    as a (real, imaginary) pair, in the context entered: a widened copy of
+    the private one in double precision, the private one itself, through
+    _high_operand_sum, in high precision.  Its precision `digits` keys the
+    closed-form moments (see _closed_moments).  The imaginary part is
+    summed only when a coefficient of f or g has one, and is 0 otherwise."""
+    p = mu.p
+    moments = _sum_moments(mu, m, a.degree + b.degree, digits)
+    (a_re, a_im), (b_re, b_im) = a.parts, b.parts
+    re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
+    im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments) if a.imaginary or b.imaginary else 0
+    pi = p.pi if p.is_high else _PI
+    return 2 * pi * re, 2 * pi * im
+
+
+# the high-precision sum runs in the private context itself, entered once
+_high_operand_sum = _in_private_context(_operand_sum)
 
 
 def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
@@ -353,19 +350,19 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     (every degree of f even and every degree of g odd, or the reverse)
     returns the exact zero of that sum, 0.0 or 0j, without forming it,
     unless a coefficient of f is NaN or infinite, which makes the sum NaN.
-    In high precision, where coefficients are real, they are formed in the
-    QParam's Decimal arithmetic, opposite-parity pairs included: the
-    Decimal zero's exponent depends on the coefficients, and callers may
-    compare it digit by digit.
+    In high precision, where coefficients are real, the sum is formed in
+    the QParam's Decimal arithmetic from the same kept operands,
+    opposite-parity pairs included: the Decimal zero's exponent depends on
+    the coefficients, and callers may compare it digit by digit.
     """
     p = mu.p
     if f.p is not p and f.p != p or g.p is not p and g.p != p:
         raise ValueError("function and measure must share the deformation parameter")
     if f.m != g.m or f.is_zero or g.is_zero:
         return p.zero
-    if p.is_high:
-        return _high_inner_product(f, g, mu)
     a, b = _operand(f), _operand(g)
+    if p.is_high:
+        return _high_operand_sum(mu, f.m, a, b, HIGH_PRECISION_DIGITS)[0]
     imaginary = a.imaginary or b.imaginary
     if a.parity + b.parity == 1 and a.finite:
         re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
@@ -374,16 +371,9 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         with decimal.localcontext(_CTX) as ctx:
             ctx.prec = digits
             ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-            moments = _sum_moments(mu, f.m, a.degree + b.degree, decimal.Decimal, digits)
-            re, im = _pair_sums(a.parts, b.parts, moments, imaginary)
-            re, im = float(2 * _PI * re), float(2 * _PI * im)
+            re, im = _operand_sum(mu, f.m, a, b, digits)
+            re, im = float(re), float(im)
     return complex(re, im) if imaginary else re
-
-
-@_in_private_context
-def _high_inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
-    """inner_product in high precision, where coefficients are real."""
-    return _moment_sum(f, g, mu, HIGH_PRECISION_DIGITS)[0]
 
 
 @dataclass(frozen=True)

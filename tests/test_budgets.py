@@ -44,11 +44,11 @@ BUDGETS = {
     ("verify_algebra q=1.3 lmax=16", "operands"): 37,
     ("verify_algebra q=1.3 lmax=16", "decimal sums"): 41,
     ("verify_algebra q=1.3 lmax=16", "table entries"): 168,
-    # high precision: the same catalogue, whose inner products form no
-    # double-precision sum operand
+    # high precision: the same catalogue, whose functions keep their sum
+    # operand as in double precision, one per function summed
     ("verify_algebra q=0.7 high lmax=6", "matmuls"): 124,
     ("verify_algebra q=0.7 high lmax=6", "product entries"): 5411,
-    ("verify_algebra q=0.7 high lmax=6", "operands"): 0,
+    ("verify_algebra q=0.7 high lmax=6", "operands"): 37,
     ("verify_algebra q=0.7 high lmax=6", "decimal sums"): 61,
     ("verify_algebra q=0.7 high lmax=6", "table entries"): 84,
     # every pair i <= j of the 81 harmonics with l <= 8: one operand per
@@ -63,6 +63,12 @@ BUDGETS = {
     ("Gram l<=8 q=0.5", "operands"): 81,
     ("Gram l<=8 q=0.5", "decimal sums"): 165,
     ("Gram l<=8 q=0.5", "table entries"): 231,
+    # every pair i <= j of the 49 harmonics with l <= 6 in high precision,
+    # which takes no parity exit: one decimal sum per same-winding pair
+    ("Gram l<=6 q=0.7 high", "products"): 1225,
+    ("Gram l<=6 q=0.7 high", "operands"): 49,
+    ("Gram l<=6 q=0.7 high", "decimal sums"): 140,
+    ("Gram l<=6 q=0.7 high", "table entries"): 88,
 }
 
 
@@ -125,13 +131,12 @@ def _verify(monkeypatch, p, lmax):
     return counts
 
 
-def _gram(monkeypatch, q):
+def _gram(monkeypatch, p, lmax=8):
     counts = {"products": 0, "operands": 0, "decimal sums": 0}
     _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
     _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
-    p = QParam(q)
     mu = QMeasure(p)
-    ys = [build_y(l, m, p) for l in range(9) for m in range(-l, l + 1)]
+    ys = [build_y(l, m, p) for l in range(lmax + 1) for m in range(-l, l + 1)]
     for i in range(len(ys)):
         for j in range(i, len(ys)):
             inner_product(ys[i], ys[j], mu)
@@ -147,8 +152,9 @@ def test_work_budgets(monkeypatch):
         ("verify_algebra q=1.3 lmax=6", lambda: _verify(monkeypatch, QParam(1.3), 6)),
         ("verify_algebra q=1.3 lmax=16", lambda: _verify(monkeypatch, QParam(1.3), 16)),
         ("verify_algebra q=0.7 high lmax=6", lambda: _verify(monkeypatch, QParam(0.7, "high"), 6)),
-        ("Gram l<=8 q=1.3", lambda: _gram(monkeypatch, 1.3)),
-        ("Gram l<=8 q=0.5", lambda: _gram(monkeypatch, 0.5)),
+        ("Gram l<=8 q=1.3", lambda: _gram(monkeypatch, QParam(1.3))),
+        ("Gram l<=8 q=0.5", lambda: _gram(monkeypatch, QParam(0.5))),
+        ("Gram l<=6 q=0.7 high", lambda: _gram(monkeypatch, QParam(0.7, "high"), 6)),
     ):
         counted.update(((item, name), n) for name, n in run().items())
         monkeypatch.undo()

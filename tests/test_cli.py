@@ -17,6 +17,8 @@ import qsu2
 from qsu2.cli import _emit, build_parser, main
 from qsu2.spectra import POTENTIALS
 
+import make_cli_corpus as corpus
+
 
 def run_json(tmp_path, args, name="out.json"):
     path = tmp_path / name
@@ -590,6 +592,15 @@ def test_verify_double_precision_stdout_bytes(capsys):
     assert code == 0
     assert len(out) == 14474
     assert hashlib.sha256(out).hexdigest() == "e05c73d959571060934f0ff092db9459c4826ce6356df1a3503cb6a02a0c39da"
+
+
+def test_cli_corpus_replays():
+    # every argv list of the committed corpus, run in process: its exit code
+    # and the sha256 of its stdout are those recorded (make_cli_corpus.py)
+    entries = json.loads(corpus.TABLE.read_text())["entries"]
+    assert [e["argv"] for e in entries] == corpus.ARGVS
+    changed = [e["argv"] for e in entries if corpus.run(e["argv"]) != e]
+    assert not changed, changed
 
 
 def test_stdout_emission(capsys):

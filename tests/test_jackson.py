@@ -22,7 +22,7 @@ from qsu2 import (
     series_convergence_probe,
 )
 from qsu2.angular import _nanmax
-from qsu2.jackson import PROBE_DEPTHS, SUM_GUARD_DIGITS, _halfline_series, _moment_sum, _moments
+from qsu2.jackson import PROBE_DEPTHS, SUM_GUARD_DIGITS, _halfline_series, _moments
 from qsu2.qcore import _CTX, HIGH_PRECISION_DIGITS
 
 qvals = st.one_of(
@@ -253,16 +253,57 @@ def _per_call_digits(f, g):
     return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
 
 
+def _fresh_moments(mu, m, nmax, num):
+    """M_m(n), n = 0..nmax, formed afresh in the context entered and the
+    number type num converts q to, never read from or kept in the table:
+    the closed form by _moments at b = min(q, 1/q), or a series measure's
+    depth-D grid sums."""
+    q = num(mu.p.q)
+    if mu.series_depth is not None:
+        even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, m)
+        return [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
+    return _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
+
+
+def _reference_sum(f, g, mu, num, pi, imaginary):
+    """2 pi sum conj(a_i) b_j M_m(i+j) as a (real, imaginary) pair in the
+    context entered, converting every coefficient by num on each call and
+    forming fresh moments; the imaginary part is 0 unless asked for.  Zero
+    parts and odd moments are skipped, and the terms added in the order
+    inner_product adds them, so that the bits are comparable."""
+    moments = _fresh_moments(mu, f.m, f.degree + g.degree, num)
+
+    def part(h, take):
+        return {k: num(take(v)) for k, v in h.coeffs.items() if take(v)}
+
+    def pair(x, y):
+        total = 0
+        for i, xi in x.items():
+            row = 0
+            for j, yj in y.items():
+                if not (i + j) % 2:
+                    row += yj * moments[i + j]
+            total += xi * row
+        return total
+
+    real, imag = (lambda v: v.real), (lambda v: v.imag)
+    a_re, a_im, b_re, b_im = part(f, real), part(f, imag), part(g, real), part(g, imag)
+    re = pair(a_re, b_re) + pair(a_im, b_im)
+    im = pair(a_re, b_im) - pair(a_im, b_re) if imaginary else 0
+    return 2 * pi * re, 2 * pi * im
+
+
 def _full_sum(f, g, mu):
     """The double-precision moment sum formed in full, as inner_product
     forms it for pairs that share a parity, converting every coefficient
     on each call."""
+    imaginary = any(v.imag for h in (f, g) for v in h.coeffs.values())
     with decimal.localcontext(_CTX) as ctx:
         ctx.prec = _per_call_digits(f, g)
         ctx.clear_traps()
-        re, im = _moment_sum(f, g, mu)
+        re, im = _reference_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi), imaginary)
         re, im = float(re), float(im)
-    return complex(re, im) if any(v.imag for h in (f, g) for v in h.coeffs.values()) else re
+    return complex(re, im) if imaginary else re
 
 
 def _hex(v):
@@ -517,12 +558,8 @@ def _per_call_inner_product(f, g, mu):
     if f.m != g.m or f.is_zero or g.is_zero:
         return p.zero
     if p.is_high:
-        num = lambda v: v * p.one
         with decimal.localcontext(_CTX):
-            moments = jackson._sum_moments(mu, f.m, f.degree + g.degree, num, None)
-            parts = (jackson._split(h.coeffs.items(), num) for h in (f, g))
-            re, _ = jackson._pair_sums(*parts, moments, True)
-            return 2 * p.pi * re
+            return _reference_sum(f, g, mu, lambda v: v * p.one, p.pi, True)[0]
     opposite = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
     if opposite and all(map(cmath.isfinite, f.coeffs.values())):
         re = im = 0.0
@@ -598,6 +635,25 @@ def test_inner_products_pinned_bitwise():
     assert digest == "7be01f23db86ee65cf150ad3fe7c43287d5eb7d5f3d00e30fd05d793d4c2a734"
 
 
+def _pinned_high_products():
+    """The Decimal tuple of every inner product of the high-precision
+    l <= 6 Gram, closed form at five q and a depth-40 series at q = 0.7."""
+    for q, depth in ((0.5, None), (0.7, None), (1.3, None), (2.0, None), (1e16, None), (0.7, 40)):
+        p = QParam(q, "high")
+        mu = QMeasure(p, depth)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS if l <= 6]
+        for i in range(len(ys)):
+            for j in range(i, len(ys)):
+                yield repr(inner_product(ys[i], ys[j], mu).as_tuple())
+
+
+def test_high_inner_products_pinned_bitwise():
+    # recorded before high-precision functions kept their sum operand:
+    # digits and exponents, that of every opposite-parity zero included
+    digest = hashlib.sha256("\n".join(_pinned_high_products()).encode()).hexdigest()
+    assert digest == "204991fa0724c0225457d5fdb3f929a66bd989b63077b1c7f5dbbb2ac6607f49"
+
+
 def test_inner_product_matches_the_per_call_path():
     seen = {"opposite": 0, "nonfinite f": 0, "nonfinite g": 0, "past DBL_MAX": 0, "complex": 0, "series": 0}
     for f, g, mu in _seeded_pairs(31, 2000):
@@ -635,6 +691,27 @@ def _fresh(h):
     return out
 
 
+def _assert_changes_form_the_operand_again(p, mu, f, g, changes, refill):
+    """Apply each change to the map of f and of g in turn, after both have
+    been summed, and compare every product with the per-call path and with
+    fresh functions; an emptied map is refilled with `refill`, and only
+    the change before last (the refill) applies to an empty one."""
+    for side in (f, g, f, g):
+        for change in changes:
+            inner_product(f, g, mu)
+            inner_product(g, f, mu)
+            if side.coeffs or change is changes[-2]:
+                change(side.coeffs)
+            for a, b in ((f, g), (g, f), (f, f)):
+                if not (a.coeffs and b.coeffs):
+                    continue
+                want = _bits(_per_call_inner_product(a, b, mu))
+                assert _bits(inner_product(a, b, mu)) == want, (p, mu.series_depth, f.m, a.coeffs, b.coeffs)
+                assert _bits(inner_product(_fresh(a), _fresh(b), mu)) == want
+        if not side.coeffs:
+            side.coeffs.update(refill)
+
+
 def test_changed_coefficients_form_the_operand_again():
     # callers may change a function's map after an inner product: every
     # result must be the bits a fresh function with that map gives
@@ -660,29 +737,37 @@ def test_changed_coefficients_form_the_operand_again():
         for m in (-2, 0, 3):
             f = angular_function(p, m, {0: 1.0, 2: -0.75, 4: 0.125})
             g = angular_function(p, m, {0: 0.5, 1: 0.25, 2: 2.0})
-            for side in (f, g, f, g):
-                for change in changes:
-                    inner_product(f, g, mu)
-                    inner_product(g, f, mu)
-                    if side.coeffs or change is changes[-2]:
-                        change(side.coeffs)
-                    for a, b in ((f, g), (g, f), (f, f)):
-                        if not (a.coeffs and b.coeffs):
-                            continue
-                        want = _hex(_per_call_inner_product(a, b, mu))
-                        assert _hex(inner_product(a, b, mu)) == want, (q, depth, m, a.coeffs, b.coeffs)
-                        assert _hex(inner_product(_fresh(a), _fresh(b), mu)) == want
-                if not side.coeffs:
-                    side.coeffs.update({0: 1.0, 2: -0.75})
+            _assert_changes_form_the_operand_again(p, mu, f, g, changes, {0: 1.0, 2: -0.75})
+    # high precision, whose coefficients are real: ints and Decimals, one
+    # of them past the 62 digits that v * p.one rounds to
+    D = decimal.Decimal
+    changes = (
+        lambda c: c.__setitem__(0, 1),  # Decimal 1 -> int 1
+        lambda c: c.__setitem__(5, D("0." + "3" * 70)),
+        lambda c: c.__setitem__(2, -c.get(2, 3)),
+        lambda c: c.pop(5),
+        lambda c: c.update({4: D("2.5e40"), 9: -3}),
+        lambda c: c.pop(4),
+        lambda c: c.clear(),
+        lambda c: c.update({1: D("0.25"), 3: -1}),  # refilled, odd degrees only
+        lambda c: c.update({0: D(1)}),
+    )
+    for q, depth in ((0.7, None), (0.7, 5), (1.0, None), (2.0, None)):
+        p = QParam(q, "high")
+        mu = QMeasure(p, depth)
+        for m in (-2, 0, 3):
+            f = angular_function(p, m, {0: 1, 2: D("-0.75"), 4: D("0.125")})
+            g = angular_function(p, m, {0: D("0.5"), 1: D("0.25"), 2: 2})
+            _assert_changes_form_the_operand_again(p, mu, f, g, changes, {0: D(1), 2: D("-0.75")})
 
 
 def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
     formed = []
     form = jackson._form_operand
-    monkeypatch.setattr(jackson, "_form_operand", lambda c: formed.append(c) or form(c))
-    for q in (0.5, 1.0, 2.0):
-        p = QParam(q)
-        ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
+    monkeypatch.setattr(jackson, "_form_operand", lambda c, p: formed.append(c) or form(c, p))
+    for q, precision in ((0.5, "double"), (1.0, "double"), (2.0, "double"), (0.7, "high")):
+        p = QParam(q, precision)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS if l <= 6 or not p.is_high]
         for mu in (QMeasure(p), QMeasure(p), *((QMeasure(p, 40),) if q < 1 else ())):
             for i in range(len(ys)):
                 for j in range(i, len(ys)):
@@ -691,23 +776,27 @@ def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
         assert len(formed) == len(ys), q
         assert {id(c) for c in formed} == {id(y.coeffs) for y in ys}
         formed.clear()
-    # high precision converts in its own arithmetic and keeps nothing
-    p = QParam(0.7, "high")
-    y = build_y(2, 1, p)
-    inner_product(y, y, QMeasure(p))
-    assert not formed and y._operand is None
+        # the operand is kept: in high precision its parts are the
+        # coefficients converted in the QParam's arithmetic
+        for y in ys:
+            parts = y._operand[1].parts
+            assert parts[0] == {k: v for k, v in y.coeffs.items() if v.real}, (q, precision)
+            assert all(type(v) is decimal.Decimal for v in parts[0].values())
 
 
 def test_operand_holds_no_reference_to_the_qparam():
     # only numbers, tuples and dicts of numbers: nothing that could keep a
     # QParam or a function alive, or make a cycle through them
-    p = QParam(0.5)
+    p, ph = QParam(0.5), QParam(0.7, "high")
     f = build_y(3, 1, p)
     g = angular_function(p, 1, {0: 1 + 2j, 3: math.nan, 4: complex(1.5e308, -1.5e308)})
     for h in (f, g):
         inner_product(h, f, QMeasure(p))
         inner_product(h, g, QMeasure(p))
-    todo, seen = [f._operand, g._operand], set()
+    # a high operand converts by v * ph.one, but keeps only the results
+    fh = build_y(3, 1, ph)
+    inner_product(fh, fh, QMeasure(ph))
+    todo, seen = [f._operand, g._operand, fh._operand], set()
     while todo:
         x = todo.pop()
         if id(x) in seen:
