@@ -8,7 +8,12 @@ of [n+1].  A series measure truncates the grid at a finite depth (q < 1).
 One routine, _running_sums, walks the grid: it yields the partial sums
 depth by depth for a list of degrees, and each consumer (the series
 measure, the convergence probe, the verifier's series row) reads every
-depth and degree it needs from a single pass.
+depth and degree it needs from a single pass.  It picks the walk from the
+number type of q.  A float q takes the powers of q at every grid point.
+A Decimal q (high precision) takes powers of q only to seed the walk:
+each degree's term then advances by one product per point, with the grid
+weight and the winding factors in a form that cancels nothing, so no
+digits are lost to cancellation near q = 1.
 
 The inner product of two functions of winding m reduces the winding
 factors of f~ g to the weight w_m(x) = pref_m prod_i (1 - q**e_i x**2),
@@ -66,6 +71,8 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import numbers
+from collections import deque
 from dataclasses import dataclass
 from itertools import count, islice
 from operator import is_
@@ -114,9 +121,16 @@ def _running_sums(ns, q, m: int = 0):
     At grid point k the weight is pref_m prod_{i<m} (1 - q**(4(k-i))) for
     m >= 0, exactly zero for k < m, and pref_m prod_{i<|m|}
     (1 - q**(4(k+i+1))) for m < 0: every factor lies in (0, 1], so no
-    cancellation occurs.  w_0 = 1.  Each step's q**(2k+2) is the next
-    step's q**(2k).
+    cancellation occurs.  w_0 = 1.  A float q walks by powers
+    (_power_walk), a Decimal q by running products (_product_walk).
     """
+    walk = _product_walk if isinstance(q, decimal.Decimal) else _power_walk
+    return walk(ns, q, m)
+
+
+def _power_walk(ns, q, m: int):
+    """_running_sums by powers of q at every grid point.  Each step's
+    q**(2k+2) is the next step's q**(2k)."""
     totals = [0 * q] * len(ns)
     if m:
         two = q + 1 / q
@@ -134,6 +148,48 @@ def _running_sums(ns, q, m: int = 0):
             w = w * pref
         x = q ** (2 * k + 1)
         totals = [t + x ** n * w for t, n in zip(totals, ns)]
+
+
+def _product_walk(ns, q, m: int):
+    """_running_sums by running products: powers of q are taken only to
+    seed the walk.
+
+    With c = 1 - q**2, pref_m = (1 + q**2)**-m for m > 0 and
+    (q**2 / (1 + q**2))**|m| for m < 0, and 1 - q**(4j) = (1 - q**4) h_j
+    with h_j = 1 + q**4 + ... + q**(4(j-1)), the term of degree n at the
+    s-th weighted point k (s = k - m for m > 0, s = k otherwise) is
+
+        q**((2k+1)n + 2k) c b**|m| prod_{j=s+1..s+|m|} h_j,
+
+    with b = c for m >= 0 and b = c q**2 for m < 0.  Each degree's first
+    factor advances by one product with q**(2n+2) per point, h_{j+1} is
+    1 + q**4 h_j, and only the |m| latest h_j are kept.  c is formed as
+    (1 - q)(1 + q) and every other quantity is a product or sum of positive
+    numbers, so nothing cancels, where the power walk's q**(2k) - q**(2k+2)
+    and 1 - q**(4j) lose the digits that q**2 and q**(4j) share with 1.
+    """
+    a, skip = abs(m), max(m, 0)
+    q2 = q * q
+    c = (1 - q) * (1 + q)
+    scale = c * (c if m >= 0 else c * q2) ** a
+    terms = [q ** (n + skip * (2 * n + 2)) * scale for n in ns]
+    ratios = [q2 ** (n + 1) for n in ns]
+    if a:
+        q4, hs = q ** 4, deque([1], maxlen=a)
+        while len(hs) < a:
+            hs.append(1 + q4 * hs[-1])
+    totals = [0 * q] * len(ns)
+    for _ in range(skip):
+        yield totals
+    while True:
+        yield totals
+        if a:
+            w = math.prod(hs)
+            totals = [t + x * w for t, x in zip(totals, terms)]
+            hs.append(1 + q4 * hs[-1])
+        else:
+            totals = [t + x for t, x in zip(totals, terms)]
+        terms = [x * r for x, r in zip(terms, ratios)]
 
 
 def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
@@ -385,6 +441,21 @@ class ConvergenceProbe:
     depth_for_1e12: int | None
 
 
+def _in_number_type(n, p: QParam):
+    """The real n as an int when it is an integer, which both walks and the
+    q-number table take as it is, and otherwise in the number type of p,
+    rounded where that type cannot hold it: the caller compares."""
+    if _is_integer(n):
+        return int(n)
+    if not p.is_high:
+        return float(n)
+    if isinstance(n, decimal.Decimal):
+        return n
+    if isinstance(n, numbers.Rational):
+        return decimal.Decimal(n.numerator) / n.denominator
+    return decimal.Decimal(float(n))
+
+
 @_in_private_context
 def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     """Partial sums of the discrete half-line integral versus 1/[n+1], one
@@ -393,18 +464,28 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     Only defined for 0 < q < 1.  Also reports the first depth, up to
     100000, at which the partial sum is within 1e-12 of the closed form.
     One pass over the grid serves both.  The degree n may be any finite
-    real above -1, but not a bool; any other raises ValueError naming it.
+    real above -1, but not a bool, that the number type of p holds exactly
+    (a float, int, Decimal or Fraction: 0.5 as Fraction(1, 2) or
+    Decimal("0.5") in either precision, Decimal("0.1") in high precision
+    only); the walk takes it in that type, and the report keeps n as
+    given.  Any other raises ValueError naming it.
     """
-    if isinstance(n, bool) or not -1 < n < math.inf:
+    if isinstance(n, bool) or not isinstance(n, (numbers.Real, decimal.Decimal)) or not -1 < n < math.inf:
         raise ValueError(f"probe degree must be a finite real number above -1, got {n!r}")
+    try:
+        x = _in_number_type(n, p)
+    except OverflowError:  # a Fraction past the double range
+        x = None
+    if x is None or x != n:
+        raise ValueError(f"probe degree must be a real number that {p.precision} precision holds exactly, got {n!r}")
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
     cap = 100000
     want = list(PROBE_DEPTHS)
     rows = []
     hit = None
-    limit = _over_qnum(1, n + 1, p)
-    for d, (s,) in enumerate(_running_sums([n], p.q)):
+    limit = _over_qnum(1, x + 1, p)
+    for d, (s,) in enumerate(_running_sums([x], p.q)):
         while want and want[0] <= d:
             rows.append((want.pop(0), float(s), float(abs(s - limit))))
         if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:

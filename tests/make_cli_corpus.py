@@ -1,9 +1,12 @@
 """Record the CLI corpus: each argv list below is run in process through
-qsu2.cli.main, and its exit code and the sha256 of its stdout are written
-to cli_corpus.json beside this script, which test_cli replays.
+qsu2.cli.main, and its exit code, the sha256 of its stdout and the text of
+its stderr are written to cli_corpus.json beside this script, which
+test_cli replays.
 
-Every entry runs in high precision, whose bytes depend only on CPython's
-decimal (libmpdec) and the .15g float format, not on the platform's libm.
+Every entry that writes stdout runs in high precision, whose bytes depend
+only on CPython's decimal (libmpdec) and the .15g float format, not on the
+platform's libm.  The double-precision entries are refusals that exit 2
+before writing anything to stdout.
 
     PYTHONPATH=src python tests/make_cli_corpus.py
 
@@ -31,16 +34,34 @@ ARGVS = [
     ["harmonics", "--q", "1.3", "--lmax", "6", *HIGH],
     ["harmonics", "--q", "0.7", "--lmax", "4", "--oracle", "--format", "csv", *HIGH],
     ["integrate", "--degree", "4", "--series-depth", "40", "--q", "0.7", *HIGH],
+    # walks of the geometric grid: the convergence probe (to its
+    # 100,000-step cap at q = 0.999999), the series measure and the
+    # verifier's depth-400 series row
+    ["integrate", "--degree", "0", "--q", "0.999999", *HIGH],
+    ["integrate", "--degree", "6", "--q", "0.99999", *HIGH],
+    ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400", *HIGH],
+    ["verify", "--q", "0.9", "--lmax", "4", *HIGH],
+    ["verify", "--q", "0.995", "--lmax", "3", *HIGH],
+    # usage and numerical-domain errors: exit 2 with a message on stderr
+    ["verify", "--lmax", "65"],
+    ["verify", "--q", "0.05", "--lmax", "64"],
+    ["integrate", "--degree", "2000", "--q", "1e-3"],
+    ["harmonics", "--q", "1e-3", "--lmax", "64"],
 ]
 
 
 def run(argv: list) -> dict:
-    """The exit code of main(argv) and the sha256 of what it writes to
-    stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """The exit code of main(argv), the sha256 of what it writes to stdout
+    and the text it writes to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr": err.getvalue(),
+    }
 
 
 if __name__ == "__main__":

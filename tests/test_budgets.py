@@ -7,8 +7,11 @@ asserted as an upper bound: a change that lowers a count tightens its
 bound, and one that raises a count says why.
 """
 
+import decimal
+
 from qsu2 import QMeasure, QParam, RadialGrid, build_y, inner_product, radial_verify, verify_algebra
 from qsu2 import irrep, jackson, spectra
+from qsu2.qcore import _CTX
 
 # (potential, n, l, q, method, n_steps): one round of the radial-shooting
 # workload at seed 1
@@ -69,6 +72,12 @@ BUDGETS = {
     ("Gram l<=6 q=0.7 high", "operands"): 49,
     ("Gram l<=6 q=0.7 high", "decimal sums"): 140,
     ("Gram l<=6 q=0.7 high", "table entries"): 88,
+    # one high-precision walk of the verifier's series row, depth 400 over
+    # the degrees 0, 2, ..., 8: powers of q are taken only to seed it, one
+    # per degree and q**4 for a winding, within len(ns) + |m| + 2, where a
+    # power at every grid point took 801 (m = 0) and 1,989 (m = 3)
+    ("high walk depth=400 m=0", "powers of q"): 5,
+    ("high walk depth=400 m=3", "powers of q"): 6,
 }
 
 
@@ -145,6 +154,24 @@ def _gram(monkeypatch, p, lmax=8):
     return counts
 
 
+class _CountingDecimal(decimal.Decimal):
+    """A Decimal q that counts the powers taken of it; arithmetic on it
+    gives plain Decimals, whose powers are not counted."""
+
+    powers = 0
+
+    def __pow__(self, e, modulo=None):
+        _CountingDecimal.powers += 1
+        return decimal.Decimal.__pow__(self, e, modulo)
+
+
+def _high_walk(m: int):
+    _CountingDecimal.powers = 0
+    with decimal.localcontext(_CTX):
+        jackson._halfline_series(range(0, 9, 2), _CountingDecimal(QParam(0.7, "high").q), 400, m)
+    return {"powers of q": _CountingDecimal.powers}
+
+
 def test_work_budgets(monkeypatch):
     counted = {}
     for item, run in (
@@ -155,6 +182,8 @@ def test_work_budgets(monkeypatch):
         ("Gram l<=8 q=1.3", lambda: _gram(monkeypatch, QParam(1.3))),
         ("Gram l<=8 q=0.5", lambda: _gram(monkeypatch, QParam(0.5))),
         ("Gram l<=6 q=0.7 high", lambda: _gram(monkeypatch, QParam(0.7, "high"), 6)),
+        ("high walk depth=400 m=0", lambda: _high_walk(0)),
+        ("high walk depth=400 m=3", lambda: _high_walk(3)),
     ):
         counted.update(((item, name), n) for name, n in run().items())
         monkeypatch.undo()

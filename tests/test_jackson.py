@@ -4,7 +4,9 @@ import hashlib
 import gc
 import math
 import random
+import re
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,10 @@ def test_convergence_probe():
 
 def test_series_matches_term_by_term_sum():
     # the one-pass probe and the series measure against the definition:
-    # sum_{k<D} q**((2k+1)n) (q**(2k) - q**(2k+2)), in the number type of q
+    # sum_{k<D} q**((2k+1)n) (q**(2k) - q**(2k+2)), in the number type of q;
+    # high precision walks it by running products, so there the definition
+    # is written as that recurrence: the term q**n (1 - q)(1 + q) times
+    # (q*q)**(n+1) per grid point
     for precision in ("double", "high"):
         for q in (0.5, 0.9, 0.995):
             p = QParam(q, precision)
@@ -186,8 +191,14 @@ def test_series_matches_term_by_term_sum():
                 with decimal.localcontext(_CTX if p.is_high else None):
                     limit = 1 / qnum(n + 1, p)
                     partials = [0 * p.q]  # partials[D]: the sum over k < D
+                    if p.is_high:
+                        term, ratio = p.q ** n * ((1 - p.q) * (1 + p.q)), (p.q * p.q) ** (n + 1)
                     while len(partials) <= 400 or abs(partials[-1] - limit) >= 1e-12:
                         k = len(partials) - 1
+                        if p.is_high:
+                            partials.append(partials[-1] + term)
+                            term = term * ratio
+                            continue
                         partials.append(
                             partials[-1] + (p.q ** (2 * k + 1)) ** n * (p.q ** (2 * k) - p.q ** (2 * k + 2))
                         )
@@ -217,6 +228,84 @@ def test_convergence_probe_degree_must_lie_above_minus_one(n):
 def test_convergence_probe_takes_a_real_degree():
     probe = series_convergence_probe(2.5, QParam(0.5))
     assert probe.depth_for_1e12 is not None and probe.limit == pytest.approx(1 / qnum(3.5, QParam(0.5)))
+
+
+@pytest.mark.parametrize("precision", ["double", "high"])
+@pytest.mark.parametrize(
+    "n, same",
+    [(2.0, 2), (0.5, 0.5), (Fraction(1, 2), 0.5), (decimal.Decimal("0.5"), 0.5), (decimal.Decimal("2"), 2)],
+)
+def test_convergence_probe_takes_a_degree_of_any_real_type(precision, n, same):
+    # a float in high precision, a Fraction in high precision and a Decimal
+    # in double precision raised TypeError from a power; each is taken
+    # exactly in the walk's number type, and the report keeps n as given
+    p = QParam(0.9, precision)
+    probe, want = series_convergence_probe(n, p), series_convergence_probe(same, p)
+    assert probe.n is n
+    assert (probe.limit, probe.rows, probe.depth_for_1e12) == (want.limit, want.rows, want.depth_for_1e12)
+    assert probe.limit == pytest.approx(1 / float(qnum(float(n) + 1, QParam(0.9))), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "precision, n",
+    [
+        ("double", Fraction(1, 3)),
+        ("high", Fraction(1, 3)),
+        ("double", decimal.Decimal("0.1")),
+        ("double", Fraction(10 ** 400)),
+        ("double", "2"),
+        ("high", "2"),
+        ("high", 1j),
+        ("double", None),
+    ],
+)
+def test_convergence_probe_refuses_a_degree_its_number_type_cannot_hold(precision, n):
+    # never a TypeError: a real the number type would round, and anything
+    # that is no real number at all, raise ValueError naming it
+    with pytest.raises(ValueError, match=f"probe degree must be .*, got {re.escape(repr(n))}"):
+        series_convergence_probe(n, QParam(0.9, precision))
+
+
+def _reference_sums(ns, q, m: int, depths) -> dict:
+    """{D: the grid sums over k < D of x**n w_m(x) for n in ns} for each D
+    of depths, at 200 digits by powers of the exact Decimal q, with the
+    weight written as in the module docstring."""
+    out = {}
+    with decimal.localcontext(_CTX) as ctx:
+        ctx.prec = 200
+        two = q + 1 / q
+        pref = (q * two) ** -m if m > 0 else (q / two) ** -m
+        totals = [0 * q] * len(ns)
+        for k in range(max(depths)):
+            if k >= m:
+                w = (q ** (2 * k) - q ** (2 * k + 2)) * pref
+                for i in range(abs(m)):
+                    w *= 1 - q ** (4 * (k - i) if m > 0 else 4 * (k + i + 1))
+                totals = [t + q ** ((2 * k + 1) * n) * w for t, n in zip(totals, ns)]
+            if k + 1 in depths:
+                out[k + 1] = totals
+    return out
+
+
+@pytest.mark.parametrize(
+    "q, m, depths",
+    [(q, m, (1, 40, 400)) for q in (0.5, 0.7, 0.9, 0.995) for m in (-3, 0, 2, 4)] + [(0.9999, 0, (3000,))],
+)
+def test_high_precision_walk_accuracy(q, m, depths):
+    # the running products round once per product and cancel nothing: every
+    # grid sum lies within (D + 10) 1e-62 of the 200-digit value, relative,
+    # and those of the first m points of a positive winding are exactly zero
+    p = QParam(q, "high")
+    ns = range(9)
+    want = _reference_sums(ns, p.q, m, depths)
+    for depth in depths:
+        with decimal.localcontext(_CTX):
+            got = _halfline_series(ns, p.q, depth, m)
+        bound = (depth + 10) * decimal.Decimal("1e-62")
+        for n, g, w in zip(ns, got, want[depth]):
+            with decimal.localcontext(_CTX) as ctx:
+                ctx.prec = 200
+                assert abs(g - w) <= bound * w, (q, m, depth, n, float(abs(g - w) / w) if w else g)
 
 
 def test_inner_product_winding_orthogonality():
@@ -635,10 +724,10 @@ def test_inner_products_pinned_bitwise():
     assert digest == "7be01f23db86ee65cf150ad3fe7c43287d5eb7d5f3d00e30fd05d793d4c2a734"
 
 
-def _pinned_high_products():
+def _pinned_high_products(cases):
     """The Decimal tuple of every inner product of the high-precision
-    l <= 6 Gram, closed form at five q and a depth-40 series at q = 0.7."""
-    for q, depth in ((0.5, None), (0.7, None), (1.3, None), (2.0, None), (1e16, None), (0.7, 40)):
+    l <= 6 Gram at each (q, series depth) of cases."""
+    for q, depth in cases:
         p = QParam(q, "high")
         mu = QMeasure(p, depth)
         ys = [build_y(l, m, p) for l, m in GRAM_LABELS if l <= 6]
@@ -648,10 +737,18 @@ def _pinned_high_products():
 
 
 def test_high_inner_products_pinned_bitwise():
-    # recorded before high-precision functions kept their sum operand:
-    # digits and exponents, that of every opposite-parity zero included
-    digest = hashlib.sha256("\n".join(_pinned_high_products()).encode()).hexdigest()
-    assert digest == "204991fa0724c0225457d5fdb3f929a66bd989b63077b1c7f5dbbb2ac6607f49"
+    # digits and exponents, that of every opposite-parity zero included.
+    # The closed form at five q was recorded before high-precision functions
+    # kept their sum operand; the depth-40 series at q = 0.7 when high
+    # precision came to walk the grid by running products
+    closed = _pinned_high_products([(0.5, None), (0.7, None), (1.3, None), (2.0, None), (1e16, None)])
+    assert hashlib.sha256("\n".join(closed).encode()).hexdigest() == (
+        "3cad3b066191b9e4b11b68ffa8690ed55c262bcc72d4be7cc962b2598892e5bc"
+    )
+    series = _pinned_high_products([(0.7, 40)])
+    assert hashlib.sha256("\n".join(series).encode()).hexdigest() == (
+        "56fc1ebf60fae0adca3235689e4679cb63cd1c0647fc44b9b57acc2d2b103576"
+    )
 
 
 def test_inner_product_matches_the_per_call_path():
