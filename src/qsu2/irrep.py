@@ -50,7 +50,9 @@ be compared directly.
 
 from __future__ import annotations
 
+import decimal
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from operator import add, mul, sub
 
@@ -67,7 +69,7 @@ from .angular import (
     mul_position,
     mul_position_right,
 )
-from .jackson import QMeasure, _halfline_series, inner_product, integrate_monomial
+from .jackson import QMeasure, _series_integrals, inner_product, integrate_monomial
 from .qcore import QParam, _check_integers, _in_private_context, invariants, qnum
 
 
@@ -544,8 +546,8 @@ def _series_pairs(p, mu, **_):
         return "series grid only exists for q < 1"
     depth, ns = 400, range(0, 9, 2)
     return [
-        (2 * s, integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
-        for n, s in zip(ns, _halfline_series(ns, p.q, depth))
+        (s, integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
+        for n, s in zip(ns, _series_integrals(ns, p, depth))
     ]
 
 
@@ -636,9 +638,11 @@ def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool 
     ``_operator_operands`` and ``_function_operands`` build every operand
     once, into one dict.  Each row of ``_ROWS`` turns it into (lhs, rhs)
     pairs; the row's residual is the worst ``_residual`` over them, and a
-    gated row passes when that is below tol (a NaN fails).  Operator rows
-    run on the interior basis l <= lmax - 2 and read each product of two
-    l-changing operators from the operands, formed a shell above it.
+    gated row passes when that is below tol (a NaN fails).  A tol that is
+    not a positive finite real, or is a bool, raises ValueError naming it:
+    inf or True would pass every row, 0 or NaN fail them all.  Operator
+    rows run on the interior basis l <= lmax - 2 and read each product of
+    two l-changing operators from the operands, formed a shell above it.
     Harmonic and measure rows take fixed small l ranges.
     The finding resolves which of three candidate closed forms the
     contracted transverse-derivative diagonal matches; exactly one is
@@ -649,6 +653,8 @@ def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool 
     _check_integers(lmax=lmax)
     if lmax < 3:
         raise ValueError("verification needs lmax >= 3")
+    if isinstance(tol, bool) or not isinstance(tol, (numbers.Real, decimal.Decimal)) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
     ops = {**_operator_operands(p, lmax - 2), **_function_operands(p, inject_fault)}
     squares = {f: _worst(pairs) for f, pairs in ops["square"].items()}
     ops["matched"] = matched = sorted(f for f, r in squares.items() if r < tol)

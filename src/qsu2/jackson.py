@@ -8,12 +8,13 @@ of [n+1].  A series measure truncates the grid at a finite depth (q < 1).
 One routine, _running_sums, walks the grid: it yields the partial sums
 depth by depth for a list of degrees, and each consumer (the series
 measure, the convergence probe, the verifier's series row) reads every
-depth and degree it needs from a single pass.  It picks the walk from the
-number type of q.  A float q takes the powers of q at every grid point.
-A Decimal q (high precision) takes powers of q only to seed the walk:
-each degree's term then advances by one product per point, with the grid
-weight and the winding factors in a form that cancels nothing, so no
-digits are lost to cancellation near q = 1.
+depth and degree it needs from a single pass.  The walk runs in decimal,
+in either precision, at the exact Decimal value of q: powers of q only
+seed it, each degree's term then advances by one product per point, and
+the grid weight and the winding factors take a form that cancels nothing,
+so no digits are lost to cancellation near q = 1.  Double precision walks
+in the private 62-digit context, as high precision does, and rounds each
+sum to a double once: its value is the high-precision one, rounded.
 
 The inner product of two functions of winding m reduces the winding
 factors of f~ g to the weight w_m(x) = pref_m prod_i (1 - q**e_i x**2),
@@ -74,8 +75,8 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice
-from operator import is_
+from itertools import accumulate, chain, islice, repeat, tee
+from operator import add, is_, mul
 from typing import NamedTuple
 
 from .angular import AngularFunction, _nanmax
@@ -115,49 +116,18 @@ class QMeasure:
 
 def _running_sums(ns, q, m: int = 0):
     """Grid sums over (0, 1) of x**n times the winding weight w_m, one for
-    each n in ns, for 0 < q < 1 in the number type of q: yields the sums
-    over k < D for D = 0, 1, 2, ... without end.
+    each n in ns, for a Decimal 0 < q < 1, in the context entered: an
+    iterator of the tuples of sums over k < D for D = 0, 1, 2, ... without
+    end.
 
     At grid point k the weight is pref_m prod_{i<m} (1 - q**(4(k-i))) for
     m >= 0, exactly zero for k < m, and pref_m prod_{i<|m|}
-    (1 - q**(4(k+i+1))) for m < 0: every factor lies in (0, 1], so no
-    cancellation occurs.  w_0 = 1.  A float q walks by powers
-    (_power_walk), a Decimal q by running products (_product_walk).
-    """
-    walk = _product_walk if isinstance(q, decimal.Decimal) else _power_walk
-    return walk(ns, q, m)
-
-
-def _power_walk(ns, q, m: int):
-    """_running_sums by powers of q at every grid point.  Each step's
-    q**(2k+2) is the next step's q**(2k)."""
-    totals = [0 * q] * len(ns)
-    if m:
-        two = q + 1 / q
-        pref = (q * two) ** -m if m > 0 else (q / two) ** -m
-    hi = q ** 0
-    for k in count():
-        yield totals
-        lo, hi = hi, q ** (2 * k + 2)
-        if k < m:
-            continue
-        w = lo - hi
-        if m:
-            for i in range(abs(m)):
-                w = w * (1 - q ** (4 * (k - i) if m > 0 else 4 * (k + i + 1)))
-            w = w * pref
-        x = q ** (2 * k + 1)
-        totals = [t + x ** n * w for t, n in zip(totals, ns)]
-
-
-def _product_walk(ns, q, m: int):
-    """_running_sums by running products: powers of q are taken only to
-    seed the walk.
-
-    With c = 1 - q**2, pref_m = (1 + q**2)**-m for m > 0 and
-    (q**2 / (1 + q**2))**|m| for m < 0, and 1 - q**(4j) = (1 - q**4) h_j
-    with h_j = 1 + q**4 + ... + q**(4(j-1)), the term of degree n at the
-    s-th weighted point k (s = k - m for m > 0, s = k otherwise) is
+    (1 - q**(4(k+i+1))) for m < 0.  w_0 = 1.  Powers of q are taken only
+    to seed the walk, which then runs by products.  With c = 1 - q**2,
+    pref_m = (1 + q**2)**-m for m > 0 and (q**2 / (1 + q**2))**|m| for
+    m < 0, and 1 - q**(4j) = (1 - q**4) h_j with h_j = 1 + q**4 + ... +
+    q**(4(j-1)), the term of degree n at the s-th weighted point k
+    (s = k - m for m > 0, s = k otherwise) is
 
         q**((2k+1)n + 2k) c b**|m| prod_{j=s+1..s+|m|} h_j,
 
@@ -165,36 +135,48 @@ def _product_walk(ns, q, m: int):
     factor advances by one product with q**(2n+2) per point, h_{j+1} is
     1 + q**4 h_j, and only the |m| latest h_j are kept.  c is formed as
     (1 - q)(1 + q) and every other quantity is a product or sum of positive
-    numbers, so nothing cancels, where the power walk's q**(2k) - q**(2k+2)
-    and 1 - q**(4j) lose the digits that q**2 and q**(4j) share with 1.
+    numbers, so nothing cancels, where q**(2k) - q**(2k+2) and
+    1 - q**(4j) would lose the digits that q**2 and q**(4j) share with 1.
+    Each degree's terms and sums are chained accumulations, so a step of
+    an unwound walk (m = 0) runs no Python code.
     """
     a, skip = abs(m), max(m, 0)
     q2 = q * q
     c = (1 - q) * (1 + q)
     scale = c * (c if m >= 0 else c * q2) ** a
-    terms = [q ** (n + skip * (2 * n + 2)) * scale for n in ns]
-    ratios = [q2 ** (n + 1) for n in ns]
-    if a:
-        q4, hs = q ** 4, deque([1], maxlen=a)
-        while len(hs) < a:
-            hs.append(1 + q4 * hs[-1])
-    totals = [0 * q] * len(ns)
-    for _ in range(skip):
-        yield totals
+    zero = 0 * q
+    weights = tee(_winding_products(q, a), len(ns)) if a else repeat(None)
+
+    def column(n, w):
+        terms = accumulate(repeat(q2 ** (n + 1)), mul, initial=q ** (n + skip * (2 * n + 2)) * scale)
+        return accumulate(terms if w is None else map(mul, terms, w), add, initial=zero)
+
+    return chain(repeat((zero,) * len(ns), skip), zip(*map(column, ns, weights)))
+
+
+def _winding_products(q, a: int):
+    """prod_{j=s+1..s+a} h_j for s = 0, 1, 2, ..., with h_1 = 1 and
+    h_{j+1} = 1 + q**4 h_j: the winding factors of _running_sums."""
+    q4, hs = q ** 4, deque([1], maxlen=a)
+    while len(hs) < a:
+        hs.append(1 + q4 * hs[-1])
     while True:
-        yield totals
-        if a:
-            w = math.prod(hs)
-            totals = [t + x * w for t, x in zip(totals, terms)]
-            hs.append(1 + q4 * hs[-1])
-        else:
-            totals = [t + x for t, x in zip(totals, terms)]
-        terms = [x * r for x, r in zip(terms, ratios)]
+        yield math.prod(hs)
+        hs.append(1 + q4 * hs[-1])
 
 
-def _halfline_series(ns, q, depth: int, m: int = 0) -> list:
+def _halfline_series(ns, q, depth: int, m: int = 0) -> tuple:
     """The depth-`depth` sums of _running_sums."""
     return next(islice(_running_sums(ns, q, m), depth, None))
+
+
+def _series_integrals(ns, p: QParam, depth: int) -> list:
+    """The depth-`depth` series integrals over (-1, 1) of x**n for the even
+    n of ns, twice the half-line sums, in the number type of p: walked at
+    the exact Decimal q in the context entered, and in double precision
+    rounded once to a double."""
+    sums = _halfline_series(ns, decimal.Decimal(p.q), depth)
+    return [2 * s if p.is_high else float(2 * s) for s in sums]
 
 
 def _over_qnum(c, k: int, p: QParam):
@@ -203,7 +185,7 @@ def _over_qnum(c, k: int, p: QParam):
     c b**k is formed first, so that nothing overflows near b = 1/DBL_MAX."""
     try:
         return c / qnum(k, p)
-    except OverflowError:
+    except (OverflowError, decimal.Overflow):
         b = min(p.q, 1 / p.q)
         return c * b ** k * (1 / b - b) / (1 - b ** (2 * k))
 
@@ -222,7 +204,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     if n % 2 == 1:
         return p.zero
     if mu.series_depth is not None:
-        return 2 * _halfline_series([n], p.q, mu.series_depth)[0]
+        return _series_integrals([n], p, mu.series_depth)[0]
     return _over_qnum(2, n + 1, p)
 
 
@@ -442,7 +424,7 @@ class ConvergenceProbe:
 
 
 def _in_number_type(n, p: QParam):
-    """The real n as an int when it is an integer, which both walks and the
+    """The real n as an int when it is an integer, which the walk and the
     q-number table take as it is, and otherwise in the number type of p,
     rounded where that type cannot hold it: the caller compares."""
     if _is_integer(n):
@@ -467,8 +449,8 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     real above -1, but not a bool, that the number type of p holds exactly
     (a float, int, Decimal or Fraction: 0.5 as Fraction(1, 2) or
     Decimal("0.5") in either precision, Decimal("0.1") in high precision
-    only); the walk takes it in that type, and the report keeps n as
-    given.  Any other raises ValueError naming it.
+    only); the walk takes it exactly, as an int or a Decimal, and the
+    report keeps n as given.  Any other raises ValueError naming it.
     """
     if isinstance(n, bool) or not isinstance(n, (numbers.Real, decimal.Decimal)) or not -1 < n < math.inf:
         raise ValueError(f"probe degree must be a finite real number above -1, got {n!r}")
@@ -485,10 +467,18 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     rows = []
     hit = None
     limit = _over_qnum(1, x + 1, p)
-    for d, (s,) in enumerate(_running_sums([x], p.q)):
+    # The walk and the comparison run in Decimal: a float degree and the
+    # double limit convert exactly, and so does the 1e-12 gate.  The sums
+    # never decrease (every term is positive), and one at or below `floor`,
+    # a number below exact - 2 gate whatever the rounding, is not within
+    # the gate of exact, so only a sum above it is compared.
+    exact, gate = decimal.Decimal(limit), decimal.Decimal(1e-12)
+    floor = (exact - 2 * gate).next_minus()
+    ns = [decimal.Decimal(x) if isinstance(x, float) else x]
+    for d, (s,) in enumerate(_running_sums(ns, decimal.Decimal(p.q))):
         while want and want[0] <= d:
-            rows.append((want.pop(0), float(s), float(abs(s - limit))))
-        if hit is None and 0 < d <= cap and abs(s - limit) < 1e-12:
+            rows.append((want.pop(0), float(s), float(abs(s - exact))))
+        if hit is None and s > floor and 0 < d <= cap and abs(s - exact) < gate:
             hit = d
         if not want and (hit is not None or d >= cap):
             break

@@ -3,10 +3,13 @@ qsu2.cli.main, and its exit code, the sha256 of its stdout and the text of
 its stderr are written to cli_corpus.json beside this script, which
 test_cli replays.
 
-Every entry that writes stdout runs in high precision, whose bytes depend
-only on CPython's decimal (libmpdec) and the .15g float format, not on the
-platform's libm.  The double-precision entries are refusals that exit 2
-before writing anything to stdout.
+A high-precision entry's bytes depend only on CPython's decimal
+(libmpdec) and the .15g float format, not on the platform's libm, and so
+do those of a refusal that exits 2 before writing anything to stdout.  The
+double-precision entries that write stdout (DOUBLE_ARGVS) also go through
+the C library's pow, whose last bit may differ between libm builds: the
+table records the machine and C library they were recorded on, and
+test_cli compares their stdout hashes only there.
 
     PYTHONPATH=src python tests/make_cli_corpus.py
 
@@ -19,6 +22,7 @@ import decimal
 import hashlib
 import io
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -27,6 +31,14 @@ from qsu2.cli import main
 TABLE = Path(__file__).with_name("cli_corpus.json")
 
 HIGH = ["--precision", "high"]
+# double-precision walks of the geometric grid: the convergence probe and
+# the series measure near q = 1, at the default depth and at depth 7, the
+# depth-400 series measure and a verify whose series row walks to depth 400
+DOUBLE_ARGVS = [
+    *(["integrate", "--q", q, *depth] for q in ("0.999", "0.9999", "0.999999") for depth in ([], ["--series-depth", "7"])),
+    ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400"],
+    ["verify", "--q", "0.9", "--lmax", "3"],
+]
 ARGVS = [
     *(["verify", "--q", q, "--lmax", lmax, *HIGH] for q in ("0.5", "0.7", "1.3", "1e16") for lmax in ("3", "4", "6")),
     ["spectrum", "--potential", "coulomb", "--q", "0.6", "--q", "1.3", "--nmax", "2", "--lmax", "4", *HIGH],
@@ -42,12 +54,20 @@ ARGVS = [
     ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400", *HIGH],
     ["verify", "--q", "0.9", "--lmax", "4", *HIGH],
     ["verify", "--q", "0.995", "--lmax", "3", *HIGH],
+    *DOUBLE_ARGVS,
     # usage and numerical-domain errors: exit 2 with a message on stderr
     ["verify", "--lmax", "65"],
     ["verify", "--q", "0.05", "--lmax", "64"],
     ["integrate", "--degree", "2000", "--q", "1e-3"],
     ["harmonics", "--q", "1e-3", "--lmax", "64"],
+    # 2/[n+1] underflows in decimal too, far below the double range
+    ["integrate", "--degree", str(10 ** 400), "--q", "0.9", *HIGH],
 ]
+
+
+def platform_tag() -> dict:
+    """The machine and C library that DOUBLE_ARGVS' stdout depends on."""
+    return {"machine": platform.machine(), "libc": list(platform.libc_ver())}
 
 
 def run(argv: list) -> dict:
@@ -65,6 +85,6 @@ def run(argv: list) -> dict:
 
 
 if __name__ == "__main__":
-    recorded_with = {"python": sys.version.split()[0], "libmpdec": decimal.__libmpdec_version__}
+    recorded_with = {"python": sys.version.split()[0], "libmpdec": decimal.__libmpdec_version__, **platform_tag()}
     entries = ",\n".join(" " + json.dumps(run(argv)) for argv in ARGVS)
     TABLE.write_text(f'{{"recorded_with": {json.dumps(recorded_with)},\n"entries": [\n{entries}\n]}}\n')

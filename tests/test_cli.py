@@ -591,15 +591,33 @@ def test_verify_double_precision_stdout_bytes(capsys):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert len(out) == 14474
-    assert hashlib.sha256(out).hexdigest() == "e05c73d959571060934f0ff092db9459c4826ce6356df1a3503cb6a02a0c39da"
+    assert hashlib.sha256(out).hexdigest() == "4270558e89fd164a61eed4750c5ff21fc5175f5844b021dfc582d0c1001ff7c2"
 
 
 def test_cli_corpus_replays():
-    # every argv list of the committed corpus, run in process: its exit code
-    # and the sha256 of its stdout are those recorded (make_cli_corpus.py)
+    # every argv list of the committed corpus outside DOUBLE_ARGVS, run in
+    # process: its exit code, the sha256 of its stdout and its stderr text
+    # are those recorded (make_cli_corpus.py)
     entries = json.loads(corpus.TABLE.read_text())["entries"]
     assert [e["argv"] for e in entries] == corpus.ARGVS
-    changed = [e["argv"] for e in entries if corpus.run(e["argv"]) != e]
+    changed = [e["argv"] for e in entries if e["argv"] not in corpus.DOUBLE_ARGVS and corpus.run(e["argv"]) != e]
+    assert not changed, changed
+
+
+def test_cli_corpus_double_precision_replays():
+    # the double-precision entries that write stdout go through the C
+    # library's pow, whose last bit may differ between libm builds: their
+    # exit codes and stderr text are compared everywhere, their stdout
+    # hashes only on the machine and C library the table was recorded on
+    table = json.loads(corpus.TABLE.read_text())
+    entries = [e for e in table["entries"] if e["argv"] in corpus.DOUBLE_ARGVS]
+    assert [e["argv"] for e in entries] == corpus.DOUBLE_ARGVS
+    runs = [corpus.run(e["argv"]) for e in entries]
+    assert [(r["exit"], r["stderr"]) for r in runs] == [(e["exit"], e["stderr"]) for e in entries]
+    here, recorded = corpus.platform_tag(), {k: table["recorded_with"][k] for k in corpus.platform_tag()}
+    if here != recorded:
+        pytest.skip(f"double-precision stdout hashes were recorded on {recorded}, not on {here}, whose libm may round differently")
+    changed = [e["argv"] for e, r in zip(entries, runs) if r != e]
     assert not changed, changed
 
 

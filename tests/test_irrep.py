@@ -359,6 +359,14 @@ def test_verify_algebra_rejects_small_lmax():
         verify_algebra(QParam(1.1), 2)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0, 0.0, -1, -1e-10, True, False, "1e-10", None, 1e-10j])
+def test_verify_algebra_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    # inf and True passed every row, NaN, 0 and -1 failed every gated one,
+    # and a string raised TypeError from the first comparison
+    with pytest.raises(ValueError, match=f"tol must be a positive finite real number, got {re.escape(repr(tol))}"):
+        verify_algebra(QParam(1.3), 3, tol)
+
+
 # every row of the catalogue in report order: (group, name, passed is None)
 CATALOGUE = [
     ("operator", "generator-commutator-raise", False),

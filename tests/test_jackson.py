@@ -24,6 +24,7 @@ from qsu2 import (
     series_convergence_probe,
 )
 from qsu2.angular import _nanmax
+from qsu2.irrep import _series_pairs
 from qsu2.jackson import PROBE_DEPTHS, SUM_GUARD_DIGITS, _halfline_series, _moments
 from qsu2.qcore import _CTX, HIGH_PRECISION_DIGITS
 
@@ -178,30 +179,23 @@ def test_convergence_probe():
 
 
 def test_series_matches_term_by_term_sum():
-    # the one-pass probe and the series measure against the definition:
-    # sum_{k<D} q**((2k+1)n) (q**(2k) - q**(2k+2)), in the number type of q;
-    # high precision walks it by running products, so there the definition
-    # is written as that recurrence: the term q**n (1 - q)(1 + q) times
-    # (q*q)**(n+1) per grid point
+    # the one-pass probe and the series measure against the definition,
+    # sum_{k<D} q**((2k+1)n) (q**(2k) - q**(2k+2)), written as the walk's
+    # recurrence: the term q**n (1 - q)(1 + q) times (q*q)**(n+1) per grid
+    # point, at the exact Decimal q in the private context; double
+    # precision rounds each sum to a double once
     for precision in ("double", "high"):
         for q in (0.5, 0.9, 0.995):
             p = QParam(q, precision)
             for n in (0, 2, 5):
-                # the definition is summed in the backend's own context
-                with decimal.localcontext(_CTX if p.is_high else None):
-                    limit = 1 / qnum(n + 1, p)
-                    partials = [0 * p.q]  # partials[D]: the sum over k < D
-                    if p.is_high:
-                        term, ratio = p.q ** n * ((1 - p.q) * (1 + p.q)), (p.q * p.q) ** (n + 1)
+                with decimal.localcontext(_CTX):
+                    x = decimal.Decimal(q)
+                    limit = decimal.Decimal(1 / qnum(n + 1, p))  # a double limit converts exactly
+                    partials = [0 * x]  # partials[D]: the sum over k < D
+                    term, ratio = x ** n * ((1 - x) * (1 + x)), (x * x) ** (n + 1)
                     while len(partials) <= 400 or abs(partials[-1] - limit) >= 1e-12:
-                        k = len(partials) - 1
-                        if p.is_high:
-                            partials.append(partials[-1] + term)
-                            term = term * ratio
-                            continue
-                        partials.append(
-                            partials[-1] + (p.q ** (2 * k + 1)) ** n * (p.q ** (2 * k) - p.q ** (2 * k + 2))
-                        )
+                        partials.append(partials[-1] + term)
+                        term = term * ratio
                     hit = next(d for d in range(1, len(partials)) if abs(partials[d] - limit) < 1e-12)
                     rows = tuple((d, float(partials[d]), float(abs(partials[d] - limit))) for d in PROBE_DEPTHS)
                     wants = {d: 2 * partials[d] if n % 2 == 0 else 0 for d in PROBE_DEPTHS}
@@ -209,7 +203,38 @@ def test_series_matches_term_by_term_sum():
                 assert probe.depth_for_1e12 == hit, (precision, q, n)
                 assert probe.rows == rows, (precision, q, n)
                 for d in PROBE_DEPTHS:
-                    assert integrate_monomial(n, QMeasure(p, series_depth=d)) == wants[d], (precision, q, n, d)
+                    want = wants[d] if p.is_high else float(wants[d])
+                    assert integrate_monomial(n, QMeasure(p, series_depth=d)) == want, (precision, q, n, d)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999, 0.99999])
+def test_double_series_is_the_high_precision_series_rounded(q):
+    # both precisions walk the grid at the same exact Decimal q, and double
+    # precision rounds each sum once: the series measure, the probe's row
+    # sums and the verifier's series-row lhs are float() of the
+    # high-precision ones, with no cancellation near q = 1
+    double, high = QParam(q), QParam(q, "high")
+    for n in (0, 2, 6):
+        for depth in (1, 7, 40, 200, 400):
+            got = integrate_monomial(n, QMeasure(double, series_depth=depth))
+            assert got == float(integrate_monomial(n, QMeasure(high, series_depth=depth))), (n, depth)
+        rows = [series_convergence_probe(n, p).rows for p in (double, high)]
+        assert [r[1] for r in rows[0]] == [r[1] for r in rows[1]], n
+    with decimal.localcontext(_CTX):
+        lhs = [[a for a, _ in _series_pairs(p, QMeasure(p))] for p in (double, high)]
+    assert lhs[0] == list(map(float, lhs[1]))
+
+
+def test_an_underflowing_limit_in_high_precision_is_zero():
+    # [n+1] at q = 0.9 overflows decimal's exponent range, which raises
+    # decimal.Overflow, not OverflowError: the fallback form gives 0, as the
+    # double-precision one does at n = 1e300
+    high = QParam(0.9, "high")
+    assert integrate_monomial(10 ** 400, QMeasure(high)) == 0
+    for n in (1e300, 10 ** 400):
+        probe = series_convergence_probe(n, high)
+        assert (probe.limit, probe.depth_for_1e12, {row[1:] for row in probe.rows}) == (0.0, 1, {(0.0, 0.0)})
+    assert series_convergence_probe(1e300, QParam(0.9)) == series_convergence_probe(1e300, high)
 
 
 def test_convergence_probe_requires_small_q():
