@@ -174,10 +174,14 @@ def cmd_integrate(ns: argparse.Namespace) -> int:
     for qv in sorted(ns.q):
         with _in_double_range(ns, qv):
             p = QParam(qv, ns.precision)
-            closed = float(integrate_monomial(ns.degree, QMeasure(p)))
+            value = integrate_monomial(ns.degree, QMeasure(p))
+            closed = float(value)
             if closed == 0 and ns.degree % 2 == 0:
+                # in high precision a value that decimal holds underflows only
+                # as the double a row emits
+                scope = "high-precision" if p.is_high and value == 0 else "double"
                 raise ArithmeticError(
-                    f"degree {ns.degree} is out of double range at q={qv}: 2/[{ns.degree + 1}] underflows"
+                    f"degree {ns.degree} is out of {scope} range at q={qv}: 2/[{ns.degree + 1}] underflows"
                 )
             row = {"q": float(qv), "n": ns.degree, "closed_form": closed,
                    "series": None, "depth": None, "depth_for_1e12": None}

@@ -38,6 +38,13 @@ one of the two builders.  The report holds the rows and the finding;
 the blocks of both sides, without building the difference; it
 reduces the magnitudes as floats, and since rounding to a float keeps
 their order, its maximum is bitwise that of ``(lhs - rhs).max_abs``.
+The rows that check a q-commutator, the generator commutators with the
+ladders, the vector conditions and the transverse derivative from c, form
+(D A - s A D) R with the one-pass kernel ``OperatorMatrix._commutator``
+instead of two or three products, a scaled copy and a difference: D is
+l-diagonal, so each entry takes one product from each side, and the
+kernel makes the multiplies, scaling and subtraction of the composed
+form in its order, so every nonzero entry is bitwise the same.
 The scalars every builder reads, the q-numbers [n] and powers q**e, come
 from the table of the ``QParam`` (see ``qcore``), evaluated once each.
 
@@ -53,7 +60,8 @@ from __future__ import annotations
 import decimal
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from itertools import repeat
 from operator import add, mul, sub
 
 from .angular import (
@@ -156,6 +164,59 @@ class OperatorMatrix:
                     acc[start:stop] = prod
                 else:
                     acc[start:stop] = map(add, acc[start:stop], prod)
+        return out
+
+    @_in_private_context
+    def _commutator(self, other: "OperatorMatrix", s=None, right: "OperatorMatrix | None" = None) -> "OperatorMatrix":
+        """(self @ other - s (other @ self)) @ right in one pass over the
+        blocks of other: self l-diagonal, s an optional scalar (none: no
+        scaling) and right an optional diagonal operator.
+
+        With self l-diagonal, output entry i of block (lo, li) takes one
+        product from each side, self[lo] at i + lo - li + dm times other at
+        i and other at i + d times self[li] at i (d, dm the m-shifts of
+        self and other), so each block is one comprehension over those four
+        windows.  Its multiplies, scaling, subtraction and right factor are
+        those of the composed form, in the same order.  Where a window runs
+        off a block, or a block of self is missing, the composed form has an
+        exact zero term and the kernel a product with a zero: since other is
+        zero off its own span, that is a signed zero, and every nonzero
+        entry is the composed form's, bitwise; only the sign of a zero may
+        differ.  An output block whose right block is missing is dropped, as
+        the product with right drops it.  An l-changing self or right, or a
+        right that shifts m, raises ValueError."""
+        self._check(other)
+        if right is not None:
+            self._check(right)
+            if right.delta_m:
+                raise ValueError(f"the commutator kernel's right factor must not shift m, got {right.delta_m}")
+        for op in (self,) if right is None else (self, right):
+            if any(lo != li for lo, li in op.blocks):
+                raise ValueError("the commutator kernel's factors must be l-diagonal")
+        d, dm = self.delta_m, other.delta_m
+        out = OperatorMatrix(self.p, self.lmax, d + dm)
+        one, zero = self.p.one, self.p.zero
+        plain = s is None and right is None
+        s = one if s is None else s
+        # the blocks of self padded with k zeros on each side, so that the
+        # window any block of other reads is one slice
+        k = max((abs(lo - li) for lo, li in other.blocks), default=0) + abs(dm) + 1
+        pad = [zero] * k
+        padded = {l: pad + vec + pad for (l, _), vec in self.blocks.items()}
+        for (lo, li), a in other.blocks.items():
+            left, dr = padded.get(lo), self.blocks.get((li, li))
+            f = repeat(one) if right is None else right.blocks.get((li, li))
+            if f is None or left is None and dr is None:
+                continue
+            n = 2 * li + 1
+            start = k + lo - li + dm
+            left = [zero] * n if left is None else left[start:start + n]
+            dr = [zero] * n if dr is None else dr
+            shifted = a if d == 0 else (a[d:] + [zero] * d if d > 0 else [zero] * -d + a[:d])
+            if plain:
+                out.blocks[(lo, li)] = [x * y - u * v for x, y, u, v in zip(left, a, shifted, dr)]
+            else:
+                out.blocks[(lo, li)] = [(x * y - u * v * s) * g for x, y, u, v, g in zip(left, a, shifted, dr, f)]
         return out
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -385,7 +446,8 @@ class IdentityCheck:
     note: str = ""
 
     def to_payload(self) -> dict:
-        return {**asdict(self), "residual": _finite(self.residual)}
+        return {"name": self.name, "group": self.group, "residual": _finite(self.residual),
+                "passed": self.passed, "note": self.note}
 
 
 @dataclass
@@ -481,9 +543,9 @@ def _vector_pairs(v, L0, Lplus, Lminus, ql0, p, **_):
     two = p.sqrt(qnum(2, p))
     pairs = []
     for k in (1, 0, -1):
-        pairs.append((L0 @ v[k] - v[k] @ L0, v[k].scaled(k)))
+        pairs.append((L0._commutator(v[k]), v[k].scaled(k)))
         for sign, ladder in ((1, Lplus), (-1, Lminus)):
-            lhs = (ladder @ v[k] - (v[k] @ ladder).scaled(p.power(k))) @ ql0
+            lhs = ladder._commutator(v[k], p.power(k), ql0)
             pairs.append((lhs, v[k + sign].scaled(two) if k + sign in v else OperatorMatrix(p, L0.lmax, k + sign)))
     return pairs
 
@@ -559,9 +621,9 @@ def _series_pairs(p, mu, **_):
 _COUNTERTERM = "with the c*Lambda counterterm"
 _BARE = "position-shaped form without the counterterm; exact only on l-changing blocks"
 _ROWS = (
-    ("generator-commutator-raise", "operator", True, "", lambda L0, Lplus, **_: [(L0 @ Lplus - Lplus @ L0, Lplus)]),
+    ("generator-commutator-raise", "operator", True, "", lambda L0, Lplus, **_: [(L0._commutator(Lplus), Lplus)]),
     ("generator-commutator-lower", "operator", True, "",
-     lambda L0, Lminus, **_: [(L0 @ Lminus - Lminus @ L0, Lminus.scaled(-1))]),
+     lambda L0, Lminus, **_: [(L0._commutator(Lminus), Lminus.scaled(-1))]),
     ("generator-commutator-ladder", "operator", True, "", lambda lp_lm, lm_lp, two_l0, **_: [(lp_lm - lm_lp, two_l0)]),
     ("casimir-diagonal", "operator", True, "", lambda casimir, C, **_: [(casimir, C)]),
     ("vector-condition-position", "operator", True, "", lambda x, **o: _vector_pairs(x, **o)),
@@ -586,7 +648,7 @@ _ROWS = (
     ("third-invariant-diagonal", "operator", True, "", lambda c, c_diag, **_: [(c, c_diag)]),
     ("transverse-from-invariant", "operator", True, "", lambda c, x, d, p, **_: (
         "skipped at q = 1: the commutator route divides by lambda**2" if p.is_one
-        else [((c @ x[k] - x[k] @ c).scaled(1 / (p.lam * p.lam)), d[k]) for k in (1, 0, -1)])),
+        else [(c._commutator(x[k]).scaled(1 / (p.lam * p.lam)), d[k]) for k in (1, 0, -1)])),
     ("transverse-dual-construction", "operator", True, "",
      lambda d, d_elem, **_: [(d[k], d_elem[k]) for k in (1, 0, -1)]),
     ("transverse-hermiticity", "operator", True, "", lambda d, p, **_: [

@@ -381,6 +381,22 @@ def test_integrate_overflow_names_degree_and_q(capsys):
         assert f"degree {degree} " in captured.err and f"q={float(q)}" in captured.err
 
 
+def test_integrate_underflow_names_the_range_it_leaves(capsys):
+    # 2/[n+1] underflows decimal's exponent range in high precision, the
+    # double range in double precision; a value decimal holds underflows
+    # only as the double the row emits
+    huge = str(10 ** 400)
+    for degree, q, extra, scope in (
+        (huge, "0.9", ["--precision", "high"], "high-precision"),
+        (huge, "0.9", [], "double"),
+        ("5000", "0.5", ["--precision", "high"], "double"),
+    ):
+        assert main(["integrate", "--degree", degree, "--q", q, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qsu2: degree {degree} is out of {scope} range at q={q}: 2/[{int(degree) + 1}] underflows\n"
+
+
 def test_integrate_below_overflow_of_the_q_number(tmp_path):
     # [1024] and [1025] overflow at q = 0.5, but the half-line limit 1/[1024]
     # of the convergence probe and 2/[1025] = 3 * 2**-1025 are in double range

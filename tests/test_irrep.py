@@ -638,3 +638,57 @@ def test_distance_edge_cases():
                 a.distance(other)
             with pytest.raises(ValueError):
                 other.distance(a)
+
+
+def _composed_commutator(D, A, s=None, right=None):
+    """(D @ A - s (A @ D)) @ right out of full products, a scaled copy and a
+    difference: the form the commutator kernel replaces."""
+    ad = A @ D
+    out = D @ A - (ad if s is None else ad.scaled(s))
+    return out if right is None else out @ right
+
+
+def _same_entry(u, v) -> bool:
+    """Equal values (a signed zero equals its opposite), or NaN on both sides."""
+    return u == v or u != u and v != v
+
+
+@pytest.mark.parametrize("precision", ["double", "high"])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.3])
+def test_commutator_kernel_matches_the_composed_form(precision, q):
+    p = QParam(q, precision)
+    gen = build_generators(p, 4)
+    lam = build_lambda(gen)
+    c, x = build_invariant_c(lam), build_position(p, 4)
+    ql0 = diag_operator(p, 4, lambda l, m: p.power(m))
+    nan_x = OperatorMatrix(p, 4, 1, {key: list(vec) for key, vec in x[1].blocks.items()})
+    nan_x.blocks[(2, 1)][1] = p.number(math.nan)
+    # l-changing operands (x, a product of two of them, a NaN entry),
+    # l-diagonal ones (Lambda, the ladders), and as the diagonal factor the
+    # ladders, whose (0, 0) block is missing
+    operands = [*x.values(), x[1] @ x[0], nan_x, *lam.values(), gen["Lplus"], gen["Lminus"]]
+    for D in (gen["L0"], gen["Lplus"], gen["Lminus"], c):
+        for A in operands:
+            for s in (None, p.power(1), -p.power(-2)):
+                for right in (None, ql0):
+                    kernel, composed = D._commutator(A, s, right), _composed_commutator(D, A, s, right)
+                    assert kernel.delta_m == composed.delta_m and kernel.blocks.keys() == composed.blocks.keys()
+                    for key, vec in kernel.blocks.items():
+                        assert all(map(_same_entry, vec, composed.blocks[key])), key
+                        # every nonzero entry bitwise, NaN where the composed form has it
+                        assert [repr(u) for u in vec if u != 0] == [repr(v) for v in composed.blocks[key] if v != 0]
+    kernel = gen["L0"]._commutator(nan_x)
+    assert math.isnan(kernel.max_abs()) and math.isnan(kernel.distance(_composed_commutator(gen["L0"], x[1])))
+
+
+def test_commutator_kernel_refuses_an_l_changing_factor():
+    p = QParam(1.3)
+    gen, x = build_generators(p, 4), build_position(p, 4)
+    with pytest.raises(ValueError, match="must be l-diagonal"):
+        x[0]._commutator(gen["L0"])
+    with pytest.raises(ValueError, match="must be l-diagonal"):
+        gen["Lplus"]._commutator(x[1], p.q, x[0])
+    with pytest.raises(ValueError, match="must not shift m"):
+        gen["Lplus"]._commutator(x[1], p.q, gen["Lminus"])
+    with pytest.raises(ValueError, match="cannot combine operators"):
+        gen["L0"]._commutator(build_position(p, 3)[1])

@@ -228,13 +228,15 @@ def test_double_series_is_the_high_precision_series_rounded(q):
 def test_an_underflowing_limit_in_high_precision_is_zero():
     # [n+1] at q = 0.9 overflows decimal's exponent range, which raises
     # decimal.Overflow, not OverflowError: the fallback form gives 0, as the
-    # double-precision one does at n = 1e300
+    # double-precision one does at n = 1e300 and at an int n past the
+    # double range, to which a float q cannot be raised
     high = QParam(0.9, "high")
     assert integrate_monomial(10 ** 400, QMeasure(high)) == 0
+    assert integrate_monomial(10 ** 400, QMeasure(QParam(0.9))) == 0
     for n in (1e300, 10 ** 400):
         probe = series_convergence_probe(n, high)
         assert (probe.limit, probe.depth_for_1e12, {row[1:] for row in probe.rows}) == (0.0, 1, {(0.0, 0.0)})
-    assert series_convergence_probe(1e300, QParam(0.9)) == series_convergence_probe(1e300, high)
+        assert series_convergence_probe(n, QParam(0.9)) == probe
 
 
 def test_convergence_probe_requires_small_q():
