@@ -33,11 +33,14 @@ TABLE = Path(__file__).with_name("cli_corpus.json")
 HIGH = ["--precision", "high"]
 # double-precision walks of the geometric grid: the convergence probe and
 # the series measure near q = 1, at the default depth and at depth 7, the
-# depth-400 series measure and a verify whose series row walks to depth 400
+# depth-400 series measure and a verify whose series row walks to depth 400;
+# then verify reports whose Gram rows sum closed-form moments, near q = 1
+# and far from it, where the sums span the most decimal digits
 DOUBLE_ARGVS = [
     *(["integrate", "--q", q, *depth] for q in ("0.999", "0.9999", "0.999999") for depth in ([], ["--series-depth", "7"])),
     ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400"],
     ["verify", "--q", "0.9", "--lmax", "3"],
+    *(["verify", "--q", q, "--lmax", lmax] for q, lmax in (("0.5", "10"), ("1.01", "12"), ("0.1", "8"), ("1e-4", "4"), ("1e16", "3"))),
 ]
 ARGVS = [
     *(["verify", "--q", q, "--lmax", lmax, *HIGH] for q in ("0.5", "0.7", "1.3", "1e16") for lmax in ("3", "4", "6")),
