@@ -38,33 +38,32 @@ bounded: nothing cancels or overflows at any q, and the cost is O(|m|)
 per moment whatever the grid depth.
 
 Both precisions form the sum in stdlib decimal, through one routine
-(_operand_sum).  Double precision sums at 20 digits plus the decimal
-exponent of max|a_i| * max|b_j|, in a copy of qcore's private context,
-never of the caller's, and rounds once at the end.  High precision sums
-in the QParam's own arithmetic, in the private 62-digit context itself.
-What a sum reads of each function is its sum operand: the coefficients
-in the sum's number type, converted exactly to Decimal in double
-precision and by v * p.one, which rounds at 62 digits, in high
-precision, and in double precision also the binary exponent of their
-largest modulus, their finiteness, the parity of their degrees and
-whether one is complex.  It is formed once and kept on the function (see
-_operand), so a function met in many sums is converted once, and nothing
-is kept anywhere else.  The closed-form moments are formed once per
-winding and sum precision and kept in the QParam's table under
-("moments", m, digits): moment n does not depend on how many are formed,
-so a stored list serves every sum up to its degree, bit for bit, and a
-sum of a higher degree forms a longer one in its place.  A series
-measure forms its grid sums on every call, in either precision, and
-keeps none.
+(_operand_sum), in qcore's private 62-digit context, as the grid walk
+does: a double-precision sum is the high-precision sum of the same
+operands, rounded once to a double (or a complex).  The two differ only
+in what enters the sum: in double precision the coefficients and the
+double nearest pi, converted exactly to Decimal, in high precision the
+coefficients as v * p.one, which rounds at 62 digits, and the 62-digit
+pi.  What a sum reads of each function is its sum operand: the
+coefficients in the sum's number type, and in double precision also
+their finiteness, the parity of their degrees and whether one is
+complex.  It is formed once and kept on the function (see _operand), so
+a function met in many sums is converted once, and nothing is kept
+anywhere else.  The closed-form moments are formed once per winding and
+kept in the QParam's table under ("moments", m): moment n does not
+depend on how many are formed, so a stored list serves every sum up to
+its degree, bit for bit, and a sum of a higher degree forms a longer one
+in its place.  A series measure forms its grid sums on every call, in
+either precision, and keeps none.
 
 Since M_m(n) vanishes for odd n, parity selects the pairs: when every
 degree of f has one parity and every degree of g the other, every i + j is
 odd and the sum is an exact zero.  Double precision returns that zero
 without forming moments or entering a context, provided every coefficient
 of f is finite; a NaN or infinite one gives NaN in the full sum (NaN*0 and
-inf*0 with traps cleared), while a coefficient of g never enters it.  High
-precision forms the full sum, whose Decimal zero carries an exponent set
-by the coefficients.
+inf*0 are quiet NaNs in the private context), while a coefficient of g
+never enters it.  High precision forms the full sum, whose Decimal zero
+carries an exponent set by the coefficients.
 """
 
 from __future__ import annotations
@@ -79,11 +78,9 @@ from itertools import accumulate, chain, islice, repeat, tee
 from operator import add, is_, mul
 from typing import NamedTuple
 
-from .angular import AngularFunction, _nanmax
-from .qcore import _CTX, HIGH_PRECISION_DIGITS, QParam, _in_private_context, _is_integer, qnum
+from .angular import AngularFunction
+from .qcore import QParam, _in_private_context, _is_integer, qnum
 
-# Decimal digits kept beyond the operand scale in a double-precision sum.
-SUM_GUARD_DIGITS = 20
 # series_convergence_probe reports the partial sum at each grid depth here.
 PROBE_DEPTHS = (10, 25, 50, 100, 200, 400)
 # The double nearest pi, exactly (from_float leaves the caller's context
@@ -255,17 +252,17 @@ def _convert(p: QParam):
     return (lambda v: v * p.one) if p.is_high else decimal.Decimal
 
 
-def _closed_moments(p: QParam, m: int, nmax: int, digits: int) -> list:
+def _closed_moments(p: QParam, m: int, nmax: int) -> list:
     """M_m(n) for n = 0..nmax at least, in the sum's number type (see
-    _convert), read from and kept in the table of p under
-    ("moments", m, digits), where `digits` is the precision the sum runs
-    at.
+    _convert), formed in the private context and read from and kept in the
+    table of p under ("moments", m): one list per winding, whatever the
+    operands of the sums that read it.
 
     Entry n of _moments does not depend on nmax, so a stored list of at
     least nmax + 1 entries serves as it is, and a shorter one is formed
     again and replaced.  q is converted only where they are formed.
     """
-    key = ("moments", m, digits)
+    key = ("moments", m)
     stored = p._table.get(key)
     if stored is not None and len(stored) > nmax:
         return stored
@@ -274,12 +271,12 @@ def _closed_moments(p: QParam, m: int, nmax: int, digits: int) -> list:
     return moments
 
 
-def _sum_moments(mu: QMeasure, m: int, nmax: int, digits: int) -> list:
+def _sum_moments(mu: QMeasure, m: int, nmax: int) -> list:
     """The weighted moments M_m(n), n = 0..nmax at least, of the measure in
     the sum's number type: a series measure's depth-D grid sums, formed on
     every call, or the closed form through _closed_moments."""
     if mu.series_depth is None:
-        return _closed_moments(mu.p, m, nmax, digits)
+        return _closed_moments(mu.p, m, nmax)
     q = _convert(mu.p)(mu.p.q)
     even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, m)
     return [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
@@ -288,17 +285,13 @@ def _sum_moments(mu: QMeasure, m: int, nmax: int, digits: int) -> list:
 class _Operand(NamedTuple):
     """What a sum reads of one function.  A high-precision operand, whose
     coefficients are real, holds only its parts and degree: the facts after
-    them serve the double-precision sum alone, and keep their defaults."""
+    them serve double precision alone (its parity exit, its imaginary sum
+    and the type of its result), and keep their defaults."""
 
     # the nonzero real and imaginary parts of the coefficients, each as
     # {k: part} in the sum's number type
     parts: tuple
     degree: int
-    # the binary exponent of max|a_k|, None where abs overflows (a finite
-    # complex past the largest double); that of max(|re|, |im|) plus one
-    # bit, which bounds the modulus's, serves the pair then
-    bits: int | None = None
-    wide_bits: int = 0
     finite: bool = True  # every coefficient is finite
     # 0 when every degree is even, 1 when every one is odd, 2 when mixed:
     # two functions are of opposite parity exactly when theirs sum to 1
@@ -332,49 +325,29 @@ def _form_operand(c: dict, p: QParam) -> _Operand:
     if p.is_high:
         return _Operand(parts, max(c))
     values = c.values()
-    try:
-        bits = math.frexp(_nanmax(map(abs, values)))[1]
-    except OverflowError:
-        bits = None
     parities = {k % 2 for k in c}
     return _Operand(
         parts=parts,
         degree=max(c),
-        bits=bits,
-        wide_bits=math.frexp(_nanmax([max(abs(v.real), abs(v.imag)) for v in values]))[1] + 1,
         finite=all(map(cmath.isfinite, values)),
         parity=parities.pop() if len(parities) == 1 else 2,
         imaginary=any(v.imag for v in values),
     )
 
 
-def _decimal_digits(a: _Operand, b: _Operand) -> int:
-    """SUM_GUARD_DIGITS plus the decimal exponent of max|a_i| * max|b_j|
-    when it is positive: the sum then keeps ~1e-20 absolute accuracy.
-    Where abs overflows on either side the exponents of max(|re|, |im|)
-    plus one bit bound the moduli's."""
-    bits = a.bits + b.bits if a.bits is not None and b.bits is not None else a.wide_bits + b.wide_bits
-    return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
-
-
-def _operand_sum(mu: QMeasure, m: int, a: _Operand, b: _Operand, digits: int) -> tuple:
+@_in_private_context
+def _operand_sum(mu: QMeasure, m: int, a: _Operand, b: _Operand) -> tuple:
     """2 pi sum conj(a_i) b_j M_m(i+j) over the operands a of f and b of g
-    as a (real, imaginary) pair, in the context entered: a widened copy of
-    the private one in double precision, the private one itself, through
-    _high_operand_sum, in high precision.  Its precision `digits` keys the
-    closed-form moments (see _closed_moments).  The imaginary part is
-    summed only when a coefficient of f or g has one, and is 0 otherwise."""
+    as a (real, imaginary) pair of Decimals, summed in the private 62-digit
+    context in either precision.  The imaginary part is summed only when a
+    coefficient of f or g has one, and is 0 otherwise."""
     p = mu.p
-    moments = _sum_moments(mu, m, a.degree + b.degree, digits)
+    moments = _sum_moments(mu, m, a.degree + b.degree)
     (a_re, a_im), (b_re, b_im) = a.parts, b.parts
     re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
     im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments) if a.imaginary or b.imaginary else 0
     pi = p.pi if p.is_high else _PI
     return 2 * pi * re, 2 * pi * im
-
-
-# the high-precision sum runs in the private context itself, entered once
-_high_operand_sum = _in_private_context(_operand_sum)
 
 
 def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
@@ -385,13 +358,12 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     b of g, with the closed-form weighted moments M_m(n) of the module
     docstring (or, for a series measure, their depth-D grid sums).
 
-    In double precision the moments and the sum are formed in decimal, in
-    a copy of the private context at 20 digits plus the decimal exponent
-    of max|a_i| * max|b_j|; coefficients convert exactly, once per
-    function (see _operand), and the result is rounded to a double once;
-    the result is complex when a coefficient has an imaginary part, and
-    only then is the imaginary part summed.  A pair of opposite parity
-    (every degree of f even and every degree of g odd, or the reverse)
+    Both precisions form the moments and the sum in decimal, in the
+    private 62-digit context.  In double precision coefficients convert
+    exactly, once per function (see _operand), and the sum is rounded to a
+    double once: the result is complex when a coefficient has an imaginary
+    part, and only then is the imaginary part summed.  A pair of opposite
+    parity (every degree of f even and every degree of g odd, or the reverse)
     returns the exact zero of that sum, 0.0 or 0j, without forming it,
     unless a coefficient of f is NaN or infinite, which makes the sum NaN.
     In high precision, where coefficients are real, the sum is formed in
@@ -406,18 +378,12 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         return p.zero
     a, b = _operand(f), _operand(g)
     if p.is_high:
-        return _high_operand_sum(mu, f.m, a, b, HIGH_PRECISION_DIGITS)[0]
-    imaginary = a.imaginary or b.imaginary
+        return _operand_sum(mu, f.m, a, b)[0]
     if a.parity + b.parity == 1 and a.finite:
         re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
     else:
-        digits = _decimal_digits(a, b)
-        with decimal.localcontext(_CTX) as ctx:
-            ctx.prec = digits
-            ctx.clear_traps()  # non-finite coefficients give nan/inf, as in floats
-            re, im = _operand_sum(mu, f.m, a, b, digits)
-            re, im = float(re), float(im)
-    return complex(re, im) if imaginary else re
+        re, im = map(float, _operand_sum(mu, f.m, a, b))
+    return complex(re, im) if a.imaginary or b.imaginary else re
 
 
 @dataclass(frozen=True)

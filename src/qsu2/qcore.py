@@ -28,8 +28,8 @@ filled on first use: ``qnum(n, p)`` for integer n and ``p.power(e)`` read
 it, and the unit and zero of the backend are formed once, at construction.
 The same table keeps what the harmonics and the inner product share at
 one q: ``angular.build_y`` stores each harmonic's coefficients, and
-``jackson.inner_product`` the closed-form weighted moments of each winding
-and sum precision.  A table entry is the value the direct computation
+``jackson.inner_product`` the closed-form weighted moments of each
+winding.  A table entry is the value the direct computation
 gives, bit for bit, and never refers to its ``QParam``: entries are
 numbers, coefficient dicts and lists of numbers, so a ``QParam`` is freed
 by reference counting on its last reference, with no cycle for the
@@ -113,10 +113,10 @@ class QParam:
     * ``("qnum", n)``: the q-number [n] for integer n, by ``qnum``;
     * ``("y", l, m)``: the coefficient dict of the harmonic Y_lm, by
       ``angular.build_y``, which returns a copy;
-    * ``("moments", m, digits)``: the closed-form weighted moments M_m(n),
-      n = 0..nmax, of winding m formed at ``digits`` significant digits, by
-      ``jackson.inner_product``; a later call of a higher degree replaces
-      the list with a longer one.
+    * ``("moments", m)``: the closed-form weighted moments M_m(n),
+      n = 0..nmax, of winding m in the sum's number type, formed in the
+      private context by ``jackson.inner_product``; a later call of a
+      higher degree replaces the list with a longer one.
 
     No value refers back to the ``QParam``: a function or any object that
     holds it would make a reference cycle, which only the cyclic collector

@@ -47,14 +47,14 @@ BUDGETS = {
     ("verify_algebra q=1.3 lmax=6", "kernel entries"): 1104,
     ("verify_algebra q=1.3 lmax=6", "operands"): 37,
     ("verify_algebra q=1.3 lmax=6", "decimal sums"): 41,
-    ("verify_algebra q=1.3 lmax=6", "table entries"): 94,
+    ("verify_algebra q=1.3 lmax=6", "table entries"): 79,
     ("verify_algebra q=1.3 lmax=16", "matmuls"): 42,
     ("verify_algebra q=1.3 lmax=16", "product entries"): 21747,
     ("verify_algebra q=1.3 lmax=16", "kernels"): 32,
     ("verify_algebra q=1.3 lmax=16", "kernel entries"): 11284,
     ("verify_algebra q=1.3 lmax=16", "operands"): 37,
     ("verify_algebra q=1.3 lmax=16", "decimal sums"): 41,
-    ("verify_algebra q=1.3 lmax=16", "table entries"): 168,
+    ("verify_algebra q=1.3 lmax=16", "table entries"): 153,
     # high precision: the same catalogue, whose functions keep their sum
     # operand as in double precision, one per function summed
     ("verify_algebra q=0.7 high lmax=6", "matmuls"): 42,
@@ -66,22 +66,27 @@ BUDGETS = {
     ("verify_algebra q=0.7 high lmax=6", "table entries"): 84,
     # every pair i <= j of the 81 harmonics with l <= 8: one operand per
     # function (operands are inner-product sum operands, decimal sums the
-    # moment lists a sum reads), and one decimal sum per same-winding pair
-    # of equal parity
+    # moment lists a sum reads), one decimal sum per same-winding pair of
+    # equal parity, and one stored moment list per winding, which a sum of
+    # a higher degree replaces (at most 83 and 115 lists while each sum
+    # precision kept its own)
     ("Gram l<=8 q=1.3", "products"): 3321,
     ("Gram l<=8 q=1.3", "operands"): 81,
     ("Gram l<=8 q=1.3", "decimal sums"): 165,
-    ("Gram l<=8 q=1.3", "table entries"): 199,
+    ("Gram l<=8 q=1.3", "table entries"): 133,
+    ("Gram l<=8 q=1.3", "moment lists"): 17,
     ("Gram l<=8 q=0.5", "products"): 3321,
     ("Gram l<=8 q=0.5", "operands"): 81,
     ("Gram l<=8 q=0.5", "decimal sums"): 165,
-    ("Gram l<=8 q=0.5", "table entries"): 231,
+    ("Gram l<=8 q=0.5", "table entries"): 133,
+    ("Gram l<=8 q=0.5", "moment lists"): 17,
     # every pair i <= j of the 49 harmonics with l <= 6 in high precision,
     # which takes no parity exit: one decimal sum per same-winding pair
     ("Gram l<=6 q=0.7 high", "products"): 1225,
     ("Gram l<=6 q=0.7 high", "operands"): 49,
     ("Gram l<=6 q=0.7 high", "decimal sums"): 140,
     ("Gram l<=6 q=0.7 high", "table entries"): 88,
+    ("Gram l<=6 q=0.7 high", "moment lists"): 13,
     # one high-precision walk of the verifier's series row, depth 400 over
     # the degrees 0, 2, ..., 8: powers of q are taken only to seed it, one
     # per degree and q**4 for a winding, within len(ns) + |m| + 2, where a
@@ -164,6 +169,7 @@ def _gram(monkeypatch, p, lmax=8):
             inner_product(ys[i], ys[j], mu)
             counts["products"] += 1
     counts["table entries"] = len(p._table)
+    counts["moment lists"] = sum(key[0] == "moments" for key in p._table)
     return counts
 
 

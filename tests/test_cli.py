@@ -607,7 +607,7 @@ def test_verify_double_precision_stdout_bytes(capsys):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert len(out) == 14474
-    assert hashlib.sha256(out).hexdigest() == "4270558e89fd164a61eed4750c5ff21fc5175f5844b021dfc582d0c1001ff7c2"
+    assert hashlib.sha256(out).hexdigest() == "cefc528802e0993373c3bcea8d5e00e3127f6f72d0118e2f90a9ee2ad215ef83"
 
 
 def test_cli_corpus_replays():

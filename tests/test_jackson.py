@@ -23,10 +23,9 @@ from qsu2 import (
     qnum,
     series_convergence_probe,
 )
-from qsu2.angular import _nanmax
 from qsu2.irrep import _series_pairs
-from qsu2.jackson import PROBE_DEPTHS, SUM_GUARD_DIGITS, _halfline_series, _moments
-from qsu2.qcore import _CTX, HIGH_PRECISION_DIGITS
+from qsu2.jackson import PROBE_DEPTHS, _halfline_series, _moments
+from qsu2.qcore import _CTX
 
 qvals = st.one_of(
     st.just(1.0),
@@ -356,19 +355,6 @@ def test_inner_product_parameter_mismatch():
             inner_product(a, b, QMeasure(p))
 
 
-def _per_call_digits(f, g):
-    """The double-precision sum's precision read from the coefficients on
-    each call: SUM_GUARD_DIGITS plus the decimal exponent of
-    max|a_i| * max|b_j|, where abs overflows that of max(|re|, |im|) plus
-    one bit on both sides."""
-    try:
-        bits = sum(math.frexp(_nanmax(map(abs, h.coeffs.values())))[1] for h in (f, g))
-    except OverflowError:
-        parts = [[max(abs(v.real), abs(v.imag)) for v in h.coeffs.values()] for h in (f, g)]
-        bits = sum(math.frexp(_nanmax(vals))[1] + 1 for vals in parts)
-    return SUM_GUARD_DIGITS + max(0, math.ceil(bits * math.log10(2)))
-
-
 def _fresh_moments(mu, m, nmax, num):
     """M_m(n), n = 0..nmax, formed afresh in the context entered and the
     number type num converts q to, never read from or kept in the table:
@@ -411,12 +397,10 @@ def _reference_sum(f, g, mu, num, pi, imaginary):
 
 def _full_sum(f, g, mu):
     """The double-precision moment sum formed in full, as inner_product
-    forms it for pairs that share a parity, converting every coefficient
-    on each call."""
+    forms it for pairs that share a parity, in the private 62-digit
+    context, converting every coefficient on each call."""
     imaginary = any(v.imag for h in (f, g) for v in h.coeffs.values())
-    with decimal.localcontext(_CTX) as ctx:
-        ctx.prec = _per_call_digits(f, g)
-        ctx.clear_traps()
+    with decimal.localcontext(_CTX):
         re, im = _reference_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi), imaginary)
         re, im = float(re), float(im)
     return complex(re, im) if imaginary else re
@@ -583,20 +567,21 @@ def test_gram_matrix_independent_of_call_order(q, precision):
 
 
 def test_moments_are_formed_once_per_winding_and_precision(monkeypatch):
-    # every coefficient lies in [0.5, 1), so each double sum runs at 20 digits
+    # one list per winding, whatever the size of the coefficients: a pair
+    # near 1e30 reads the list that a pair in [0.5, 1) formed
     for precision, q in (("double", 0.7), ("double", 1.3), ("high", 0.7), ("high", 1.3)):
         p = QParam(q, precision)
         mu = QMeasure(p)
         f, g, h = (angular_function(p, 2, c) for c in ({0: 0.75, 2: -0.5}, {0: 0.5, 4: 0.625}, {0: 0.75, 8: 0.5}))
-        key = ("moments", 2, HIGH_PRECISION_DIGITS if p.is_high else 20)
-        assert all(_per_call_digits(a, b) == 20 for a in (f, g, h) for b in (f, g, h))
-        pairs = ((f, g), (f, f), (g, f))
+        big = angular_function(p, 2, {0: 1.5e30, 2: -0.75e30})
+        key = ("moments", 2)
+        pairs = ((f, g), (f, f), (g, f), (big, f), (big, big))
         fresh = [_bits(inner_product(a, b, QMeasure(QParam(q, precision)))) for a, b in pairs]
         first = inner_product(f, g, mu)
         assert len(p._table[key]) == 7
         with monkeypatch.context() as patch:
             patch.setattr(jackson, "_moments", lambda *args: pytest.fail("moments formed again"))
-            # the same winding and precision up to the stored degree
+            # the same winding up to the stored degree
             assert [_bits(inner_product(a, b, mu)) for a, b in pairs] == fresh
         # a higher degree forms the list again and replaces it
         inner_product(h, h, mu)
@@ -605,10 +590,11 @@ def test_moments_are_formed_once_per_winding_and_precision(monkeypatch):
         # a list of nmax entries is one short of degree nmax
         k, f1 = angular_function(p, 1, {0: 0.5, 1: 0.75}), angular_function(p, 1, {0: 0.75, 2: -0.5})
         inner_product(k, f1, mu)
-        assert len(p._table[("moments", 1, key[2])]) == 4
+        assert len(p._table[("moments", 1)]) == 4
         want = _bits(inner_product(f1, f1, QMeasure(QParam(q, precision))))
         assert _bits(inner_product(f1, f1, mu)) == want
-        assert len(p._table[("moments", 1, key[2])]) == 5
+        assert len(p._table[("moments", 1)]) == 5
+        assert [name for name in p._table if name[0] == "moments"] == [key, ("moments", 1)]
 
 
 def test_series_measure_never_reads_the_stored_moments():
@@ -746,9 +732,10 @@ def _pinned_products():
 
 
 def test_inner_products_pinned_bitwise():
-    # recorded before each function kept its sum operand
+    # recorded when double-precision sums came to run in the private
+    # 62-digit context
     digest = hashlib.sha256("\n".join(_pinned_products()).encode()).hexdigest()
-    assert digest == "7be01f23db86ee65cf150ad3fe7c43287d5eb7d5f3d00e30fd05d793d4c2a734"
+    assert digest == "32d2ab4591d898351c0bea7efba5db74ba24d159b56ad8d0c1958b27c11f3b06"
 
 
 def _pinned_high_products(cases):
