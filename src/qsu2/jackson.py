@@ -49,12 +49,13 @@ coefficients in the sum's number type, and in double precision also
 their finiteness, the parity of their degrees and whether one is
 complex.  It is formed once and kept on the function (see _operand), so
 a function met in many sums is converted once, and nothing is kept
-anywhere else.  The closed-form moments are formed once per winding and
-kept in the QParam's table under ("moments", m): moment n does not
-depend on how many are formed, so a stored list serves every sum up to
-its degree, bit for bit, and a sum of a higher degree forms a longer one
-in its place.  A series measure forms its grid sums on every call, in
-either precision, and keeps none.
+anywhere else.  The closed-form moments are kept in the QParam's table
+under ("moments", m), one list per winding with the state its formation
+stopped in: moment n does not depend on how many are formed, so a stored
+list serves every sum up to its degree, bit for bit, and a sum of a
+higher degree resumes the formation where it stopped, in a new, longer
+list.  Each entry is formed once per QParam.  A series measure forms its
+grid sums on every call, in either precision, and keeps none.
 
 Since M_m(n) vanishes for odd n, parity selects the pairs: when every
 degree of f has one parity and every degree of g the other, every i + j is
@@ -211,26 +212,45 @@ def integrate_monomial(n: int, mu: QMeasure):
     return _over_qnum(2, n + 1, p)
 
 
-def _moments(m: int, nmax: int, b) -> list:
+def _moments(m: int, nmax: int, b, table: dict | None = None, key=None) -> list:
     """M_m(n) for n = 0..nmax at q = b <= 1, in the number type of b; the
-    moments at q > 1 are those of -m at b = 1/q (see the module docstring)."""
+    moments at q > 1 are those of -m at b = 1/q (see the module docstring).
+
+    Without a table the list is formed from empty and is the caller's.
+    With one, formation resumes from the entry table[key] when there is
+    one, and the call stores (moments, h, lead, step, b2) there in one
+    assignment: the list, h[k] = 1 + b**2 + ... + b**(2k-2) = [k] b**(k-1),
+    the numerator of the next even entry, the factor that advances it and
+    b**2, plain numbers and lists.  Only the entries past the stored list
+    are formed, by the operations a fresh formation runs for them, in the
+    same order, so each entry has the bits it has in a fresh list.  The
+    stored list and h are copied before they grow, so a list returned
+    earlier never changes.
+    """
     mu = abs(m)
-    h = [0 * b, b ** 0]  # h[k] = 1 + b**2 + ... + b**(2k-2) = [k] b**(k-1)
-    b2 = b * b
+    kept = table.get(key) if table is not None else None
+    if kept is None:
+        kept = [], [0 * b, b ** 0], None, b ** (2 * (mu + 1 + m)), b * b
+    moments, h, lead, step, b2 = kept
+    moments, h = moments[:], h[:]
     while len(h) < nmax + 2 * mu + 2:
         h.append(h[-1] * b2 + 1)
-    lead = 2 * b ** (2 * mu)
-    for i in range(1, mu + 1):
-        lead = lead * h[2 * i] / h[2]
-    step = b ** (2 * (mu + 1 + m))
-    out = []
-    for n in range(0, nmax + 1, 2):
+    if lead is None:  # a fresh start, now that h reaches h[2 mu]
+        lead = 2 * b ** (2 * mu)
+        for i in range(1, mu + 1):
+            lead = lead * h[2 * i] / h[2]
+    for n in range(len(moments), nmax + 1):
+        if n % 2:
+            moments.append(h[0])  # 0 * b
+            continue
         den = h[n + 1]
         for j in range(1, mu + 1):
             den = den * h[n + 1 + 2 * j]
-        out += [lead / den, 0 * b]
+        moments.append(lead / den)
         lead = lead * step
-    return out[: nmax + 1]
+    if table is not None:
+        table[key] = moments, h, lead, step, b2
+    return moments
 
 
 def _pair_sum(x: dict, y: dict, moments: list):
@@ -259,16 +279,16 @@ def _closed_moments(p: QParam, m: int, nmax: int) -> list:
     operands of the sums that read it.
 
     Entry n of _moments does not depend on nmax, so a stored list of at
-    least nmax + 1 entries serves as it is, and a shorter one is formed
-    again and replaced.  q is converted only where they are formed.
+    least nmax + 1 entries serves as it is, and a shorter one grows into a
+    new, longer list: each entry is formed once per QParam.  q is
+    converted only where entries are formed.
     """
     key = ("moments", m)
-    stored = p._table.get(key)
-    if stored is not None and len(stored) > nmax:
-        return stored
+    kept = p._table.get(key)
+    if kept is not None and len(kept[0]) > nmax:
+        return kept[0]
     q = _convert(p)(p.q)
-    moments = p._table[key] = _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
-    return moments
+    return _moments(-m, nmax, 1 / q, p._table, key) if q > 1 else _moments(m, nmax, q, p._table, key)
 
 
 def _sum_moments(mu: QMeasure, m: int, nmax: int) -> list:

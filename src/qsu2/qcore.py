@@ -115,8 +115,10 @@ class QParam:
       ``angular.build_y``, which returns a copy;
     * ``("moments", m)``: the closed-form weighted moments M_m(n),
       n = 0..nmax, of winding m in the sum's number type, formed in the
-      private context by ``jackson.inner_product``; a later call of a
-      higher degree replaces the list with a longer one.
+      private context by ``jackson.inner_product``, with the numbers and
+      lists their formation resumes from: a later call of a higher
+      degree stores a new, longer list that forms only the entries past
+      the old one, which stays as it was.
 
     No value refers back to the ``QParam``: a function or any object that
     holds it would make a reference cycle, which only the cyclic collector

@@ -68,18 +68,22 @@ BUDGETS = {
     # function (operands are inner-product sum operands, decimal sums the
     # moment lists a sum reads), one decimal sum per same-winding pair of
     # equal parity, and one stored moment list per winding, which a sum of
-    # a higher degree replaces (at most 83 and 115 lists while each sum
-    # precision kept its own)
+    # a higher degree grows into a longer one (at most 83 and 115 lists
+    # while each sum precision kept its own); moment entries are those
+    # formed, each once: the stored lists' lengths, where forming every
+    # longer list from n = 0 formed 489 and 413
     ("Gram l<=8 q=1.3", "products"): 3321,
     ("Gram l<=8 q=1.3", "operands"): 81,
     ("Gram l<=8 q=1.3", "decimal sums"): 165,
     ("Gram l<=8 q=1.3", "table entries"): 133,
     ("Gram l<=8 q=1.3", "moment lists"): 17,
+    ("Gram l<=8 q=1.3", "moment entries"): 145,
     ("Gram l<=8 q=0.5", "products"): 3321,
     ("Gram l<=8 q=0.5", "operands"): 81,
     ("Gram l<=8 q=0.5", "decimal sums"): 165,
     ("Gram l<=8 q=0.5", "table entries"): 133,
     ("Gram l<=8 q=0.5", "moment lists"): 17,
+    ("Gram l<=8 q=0.5", "moment entries"): 145,
     # every pair i <= j of the 49 harmonics with l <= 6 in high precision,
     # which takes no parity exit: one decimal sum per same-winding pair
     ("Gram l<=6 q=0.7 high", "products"): 1225,
@@ -87,6 +91,7 @@ BUDGETS = {
     ("Gram l<=6 q=0.7 high", "decimal sums"): 140,
     ("Gram l<=6 q=0.7 high", "table entries"): 88,
     ("Gram l<=6 q=0.7 high", "moment lists"): 13,
+    ("Gram l<=6 q=0.7 high", "moment entries"): 85,
     # one high-precision walk of the verifier's series row, depth 400 over
     # the degrees 0, 2, ..., 8: powers of q are taken only to seed it, one
     # per degree and q**4 for a winding, within len(ns) + |m| + 2, where a
@@ -159,9 +164,19 @@ def _verify(monkeypatch, p, lmax):
 
 
 def _gram(monkeypatch, p, lmax=8):
-    counts = {"products": 0, "operands": 0, "decimal sums": 0}
+    counts = {"products": 0, "operands": 0, "decimal sums": 0, "moment entries": 0}
     _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
     _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
+    form = jackson._moments
+
+    def moments(m, nmax, b, table=None, key=None):
+        # the entries of the list returned past those of the list continued
+        kept = table.get(key) if table is not None else None
+        out = form(m, nmax, b, table, key)
+        counts["moment entries"] += len(out) - (len(kept[0]) if kept else 0)
+        return out
+
+    monkeypatch.setattr(jackson, "_moments", moments)
     mu = QMeasure(p)
     ys = [build_y(l, m, p) for l in range(lmax + 1) for m in range(-l, l + 1)]
     for i in range(len(ys)):

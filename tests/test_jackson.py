@@ -3,6 +3,7 @@ import decimal
 import hashlib
 import gc
 import math
+import pickle
 import random
 import re
 import weakref
@@ -568,33 +569,51 @@ def test_gram_matrix_independent_of_call_order(q, precision):
 
 def test_moments_are_formed_once_per_winding_and_precision(monkeypatch):
     # one list per winding, whatever the size of the coefficients: a pair
-    # near 1e30 reads the list that a pair in [0.5, 1) formed
+    # near 1e30 reads the list that a pair in [0.5, 1) formed, and a sum of
+    # a higher degree forms only the entries past it
+    form = jackson._moments
     for precision, q in (("double", 0.7), ("double", 1.3), ("high", 0.7), ("high", 1.3)):
         p = QParam(q, precision)
         mu = QMeasure(p)
+        formed = {}
+
+        def counted(m, nmax, b, table=None, key=None):
+            kept = table.get(key) if table is not None else None
+            moments = form(m, nmax, b, table, key)
+            if table is p._table:
+                formed[key] = formed.get(key, 0) + len(moments) - (len(kept[0]) if kept else 0)
+            return moments
+
+        monkeypatch.setattr(jackson, "_moments", counted)
         f, g, h = (angular_function(p, 2, c) for c in ({0: 0.75, 2: -0.5}, {0: 0.5, 4: 0.625}, {0: 0.75, 8: 0.5}))
         big = angular_function(p, 2, {0: 1.5e30, 2: -0.75e30})
         key = ("moments", 2)
         pairs = ((f, g), (f, f), (g, f), (big, f), (big, big))
         fresh = [_bits(inner_product(a, b, QMeasure(QParam(q, precision)))) for a, b in pairs]
         first = inner_product(f, g, mu)
-        assert len(p._table[key]) == 7
+        assert len(p._table[key][0]) == 7
         with monkeypatch.context() as patch:
             patch.setattr(jackson, "_moments", lambda *args: pytest.fail("moments formed again"))
             # the same winding up to the stored degree
             assert [_bits(inner_product(a, b, mu)) for a, b in pairs] == fresh
-        # a higher degree forms the list again and replaces it
+        # a higher degree grows a new, longer list; the one held before is
+        # unchanged
+        held = p._table[key][0]
+        held_bits = [_bits(v) for v in held]
         inner_product(h, h, mu)
-        assert len(p._table[key]) == 17
+        assert len(p._table[key][0]) == 17
+        assert len(held) == 7 and [_bits(v) for v in held] == held_bits
         assert _bits(inner_product(f, g, mu)) == _bits(first)
         # a list of nmax entries is one short of degree nmax
         k, f1 = angular_function(p, 1, {0: 0.5, 1: 0.75}), angular_function(p, 1, {0: 0.75, 2: -0.5})
         inner_product(k, f1, mu)
-        assert len(p._table[("moments", 1)]) == 4
+        assert len(p._table[("moments", 1)][0]) == 4
         want = _bits(inner_product(f1, f1, QMeasure(QParam(q, precision))))
         assert _bits(inner_product(f1, f1, mu)) == want
-        assert len(p._table[("moments", 1)]) == 5
+        assert len(p._table[("moments", 1)][0]) == 5
         assert [name for name in p._table if name[0] == "moments"] == [key, ("moments", 1)]
+        # each entry formed once: as many per winding as its list holds
+        assert formed == {key: 17, ("moments", 1): 5}, (precision, q)
 
 
 def test_series_measure_never_reads_the_stored_moments():
@@ -615,12 +634,39 @@ def test_series_measure_never_reads_the_stored_moments():
 
 
 def test_moments_of_a_lower_degree_are_a_prefix():
+    # a list continued degree by degree, 0 -> 2 -> ... -> 16, has at every
+    # step the bits of the list formed at once, up to its degree
     for b in (0.5, 1.0, decimal.Decimal("0.7"), decimal.Decimal(1) / 3):
         with decimal.localcontext(_CTX):
             for m in range(-6, 7):
-                short, long = _moments(m, 8, b), _moments(m, 16, b)
-                assert len(short) == 9 and len(long) == 17
-                assert [_bits(v) for v in short] == [_bits(v) for v in long[:9]], (b, m)
+                at_once = [_bits(v) for v in _moments(m, 16, b)]
+                assert len(at_once) == 17
+                table, key = {}, ("moments", m)
+                for nmax in range(0, 17, 2):
+                    grown = _moments(m, nmax, b, table, key)
+                    assert table[key][0] is grown and len(grown) == nmax + 1
+                    assert [_bits(v) for v in grown] == at_once[: nmax + 1], (b, m, nmax)
+
+
+def test_used_qparam_pickles():
+    # the table holds numbers and lists of them: a QParam after a full
+    # Gram pickles, and its copy gives the same Gram and still extends
+    # its moment lists
+    for q, precision in ((1.3, "double"), (0.7, "high")):
+        p = QParam(q, precision)
+        ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
+        mu = QMeasure(p)
+        gram = [_bits(inner_product(ys[i], ys[j], mu)) for i in range(len(ys)) for j in range(i, len(ys))]
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy._table.keys() == p._table.keys()
+        ys = [build_y(l, m, copy) for l, m in GRAM_LABELS]
+        mu = QMeasure(copy)
+        assert [_bits(inner_product(ys[i], ys[j], mu)) for i in range(len(ys)) for j in range(i, len(ys))] == gram
+        for m in (-3, 0, 2):
+            f = angular_function(copy, m, {0: 0.5, 12: 0.75})
+            want = _bits(inner_product(f, f, QMeasure(QParam(q, precision))))
+            assert _bits(inner_product(f, f, mu)) == want, (precision, m)
+        assert copy._table.keys() == p._table.keys()
 
 
 def test_qparam_freed_on_its_last_reference():
