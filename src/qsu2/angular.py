@@ -51,7 +51,17 @@ def _max_modulus(values, zero=0.0):
 class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k.
 
-    The map belongs to the function and callers may change it freely.  In
+    Constructing one validates the map: keys become ints, a negative key
+    raises ValueError, and the zero coefficients are dropped into a new
+    dict, which ``degree`` and ``is_zero`` rely on.  The functions this
+    module forms from valid ones (scaling, sums, the position products,
+    the ladder steps, the harmonic builders) come from ``_function``,
+    which drops the zeros into a new dict too but checks no key: their
+    keys are already nonnegative ints.
+
+    The map belongs to the function and callers may change it freely; a
+    key put in after construction is not checked again, so it must be a
+    nonnegative int for the results formed from the function.  In
     either precision the inner product keeps on the function what its sums
     read of the map, the coefficients converted into the sum's number type
     and, in double precision, a few of their properties (jackson._operand),
@@ -81,7 +91,7 @@ class AngularFunction:
 
     @_in_private_context
     def scaled(self, s) -> "AngularFunction":
-        return AngularFunction(self.p, self.m, _pscale(self.coeffs, s))
+        return _function(self.p, self.m, _pscale(self.coeffs, s))
 
     @_in_private_context
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
@@ -91,7 +101,7 @@ class AngularFunction:
             return other
         if self.m != other.m:
             raise ValueError("cannot add functions of different winding")
-        return AngularFunction(self.p, self.m, _padd(self.coeffs, other.coeffs))
+        return _function(self.p, self.m, _padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "AngularFunction") -> "AngularFunction":
         return self + other.scaled(-1)
@@ -118,6 +128,17 @@ def angular_function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
     if p.is_high:
         coeffs = {k: p.number(v) for k, v in coeffs.items()}
     return AngularFunction(p, m, dict(coeffs))
+
+
+def _function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
+    """The function of winding m with the nonzero coefficients of coeffs,
+    formed without the constructor's key checks: for the results this
+    module forms from valid functions, whose keys are nonnegative ints.
+    The coefficients go into a new dict, so a result never shares its map
+    with an operand."""
+    f = object.__new__(AngularFunction)
+    f.__dict__.update(p=p, m=m, coeffs={k: v for k, v in coeffs.items() if v != 0})
+    return f
 
 
 # ----------------------------- polynomial helpers -----------------------------
@@ -184,12 +205,12 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     """
     p, m = f.p, f.m
     if k == 0:
-        return AngularFunction(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
+        return _function(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
     if k * m >= 0:
-        return AngularFunction(p, m + k, f.coeffs)
-    return AngularFunction(p, m + k, _mixed_product(f.coeffs, p.power(-4 * m - 2 * k), p))
+        return _function(p, m + k, f.coeffs)
+    return _function(p, m + k, _mixed_product(f.coeffs, p.power(-4 * m - 2 * k), p))
 
 
 @_in_private_context
@@ -202,14 +223,14 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
     """
     p, m = f.p, f.m
     if k == 0:
-        return AngularFunction(p, m, _pshift(f.coeffs))
+        return _function(p, m, _pshift(f.coeffs))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
     dilation = p.power(-2 * k)
     tail = _pdilate(f.coeffs, dilation)
     if k * m >= 0:
-        return AngularFunction(p, m + k, tail)
-    return AngularFunction(p, m + k, _mixed_product(tail, dilation, p))
+        return _function(p, m + k, tail)
+    return _function(p, m + k, _mixed_product(tail, dilation, p))
 
 
 # ----------------------------- ladder operators -----------------------------
@@ -243,7 +264,7 @@ def _ladder(f: AngularFunction, s: int) -> AngularFunction:
         j = -s * m
         up = {k + 1: -v * p.power(s * (2 * j - k - 1)) * qnum(2 * j + k, p) for k, v in f.coeffs.items()}
         poly = _pscale(_padd(poly, up), -1 / qnum(2, p))
-    return AngularFunction(p, m + s, _pscale(poly, pref))
+    return _function(p, m + s, _pscale(poly, pref))
 
 
 def apply_lplus(f: AngularFunction) -> AngularFunction:
@@ -324,7 +345,7 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
         den = qnum(k + 1, p) * qnum(k + 2, p)
         coeffs[k + 2] = -p.power(-2 * m) * num / den * coeffs[k]
         k += 2
-    return AngularFunction(p, m, coeffs)
+    return _function(p, m, coeffs)
 
 
 @_in_private_context
@@ -355,7 +376,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
         )
         term = term * ratio * z
         coeffs[2 * (n + 1) + odd] = term
-    return AngularFunction(p, m, coeffs)
+    return _function(p, m, coeffs)
 
 
 @_in_private_context
@@ -405,7 +426,7 @@ def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
     while ("y", l, top) not in table and top < 0:
         top += 1
     if ("y", l, top) in table:
-        y = AngularFunction(p, top, table[("y", l, top)])
+        y = _function(p, top, table[("y", l, top)])
     else:
         y = build_phi(l, top, p)
         if (l - top) % 2:

@@ -47,6 +47,12 @@ kernel makes the multiplies, scaling and subtraction of the composed
 form in its order, so every nonzero entry is bitwise the same.
 The scalars every builder reads, the q-numbers [n] and powers q**e, come
 from the table of the ``QParam`` (see ``qcore``), evaluated once each.
+``build_position`` reads the ones it needs once per call, not once per
+entry, and forms each block in one pass with one square root per distinct
+product under it; its entries are bitwise those of
+``position_coeff_upper`` and ``position_coeff_lower``, which stay as the
+per-entry oracle and give the position-product-expansion row its
+coefficients.
 
 The ladder matrix elements use the positive-real convention
 sqrt([l -+ m][l +- m + 1]); only the product of raising and lowering steps
@@ -371,25 +377,49 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
 
 @_in_private_context
 def build_position(p: QParam, lmax: int) -> dict:
-    """Unit-sphere position components; bandwidth one in l, zero diagonal."""
+    """Unit-sphere position components; bandwidth one in l, zero diagonal.
+
+    Formed block by block, all three components at once, from the
+    q-numbers [1..2 lmax + 1] and the powers q**e, |e| < 2 lmax, read once
+    each: the ones the entry functions read.  A block forms its 2d = [2] d
+    once and one square root per distinct product under it: entry
+    (k = +1, m) shares its root with (k = -1, -m), and the k = 0 root is
+    even in m.  Each entry is then power * root (upper) or -power * root
+    (lower) in the operation order of ``position_coeff_upper`` and
+    ``position_coeff_lower``, which stay its oracle: every entry is theirs,
+    bit for bit."""
     _check_integers(lmax=lmax)
     if lmax < 1:
         raise ValueError("position matrices need lmax >= 1")
-    zero = p.zero
-    out = {}
-    for k in (1, 0, -1):
+    sqrt, zero = p.sqrt, p.zero
+    # qn[n] = [n]; qn[0] is never read
+    qn = [zero] + [qnum(n, p) for n in range(1, 2 * lmax + 2)]
+    pw = {e: p.power(e) for e in range(1 - 2 * lmax, 2 * lmax)}
+    two = qn[2]
+    out = {1: {}, 0: {}, -1: {}}
+    for l in range(lmax + 1):
         # per l the upper block (l+1, l), then the lower block (l-1, l),
         # which is zero where |m + k| > l - 1
-        blocks = {}
-        for l in range(lmax + 1):
-            if l < lmax:
-                blocks[(l + 1, l)] = [position_coeff_upper(p, l, m, k) for m in range(-l, l + 1)]
-            if l > 0:
-                blocks[(l - 1, l)] = [
-                    position_coeff_lower(p, l, m, k) if abs(m + k) < l else zero for m in range(-l, l + 1)
-                ]
-        out[k] = OperatorMatrix(p, lmax, k, blocks)
-    return out
+        ms = range(-l, l + 1)
+        if l < lmax:
+            d = qn[2 * l + 1] * qn[2 * l + 3]
+            two_d = two * d
+            # the k = +-1 root by j = l + k m + 1 (r1[0] is never read), the k = 0 one by |m|
+            r1 = [zero] + [sqrt(qn[j] * qn[j + 1] / two_d) for j in range(1, 2 * l + 2)]
+            r0 = [sqrt(qn[l - m + 1] * qn[l + m + 1] / d) for m in range(l + 1)]
+            out[1][(l + 1, l)] = [pw[l - m] * r1[l + m + 1] for m in ms]
+            out[0][(l + 1, l)] = [pw[-m] * r0[abs(m)] for m in ms]
+            out[-1][(l + 1, l)] = [pw[-l - m] * r1[l - m + 1] for m in ms]
+        if l > 0:
+            d = qn[2 * l + 1] * qn[2 * l - 1]
+            two_d = two * d
+            # the k = +-1 root by j = l - k m (r1[0], r1[1] are never read), the k = 0 one by |m|
+            r1 = [zero, zero] + [sqrt(qn[j] * qn[j - 1] / two_d) for j in range(2, 2 * l + 1)]
+            r0 = [sqrt(qn[l - m] * qn[l + m] / d) for m in range(l)]
+            out[1][(l - 1, l)] = [-pw[-l - 1 - m] * r1[l - m] if m < l - 1 else zero for m in ms]
+            out[0][(l - 1, l)] = [pw[-m] * r0[abs(m)] if abs(m) < l else zero for m in ms]
+            out[-1][(l - 1, l)] = [-pw[l + 1 - m] * r1[l + m] if m > 1 - l else zero for m in ms]
+    return {k: OperatorMatrix(p, lmax, k, blocks) for k, blocks in out.items()}
 
 
 @_in_private_context

@@ -621,6 +621,30 @@ def test_negative_power_rejected():
         angular_function(QParam(1.1), 0, {-1: 1.0})
 
 
+def test_internal_results_own_their_maps_and_drop_zeros():
+    # the module forms its results without the constructor's key checks,
+    # but each still gets a map of its own, without zeros
+    for precision in ("double", "high"):
+        p = QParam(1.3, precision)
+        for k, m in ((1, 0), (1, 2), (-1, 0), (-1, -2)):
+            f = angular_function(p, m, {0: 1.0, 2: -0.5})
+            g = mul_position(k, f)
+            assert g.m == m + k and g.coeffs == f.coeffs
+            g.coeffs[0] = p.number(7)
+            g.coeffs[5] = p.one
+            assert f.coeffs == {0: p.one, 2: p.number(-0.5)}, (precision, k, m)
+    p = QParam(1.3)
+    f = angular_function(p, 1, {0: 1.0, 3: 1e-300})
+    g = f.scaled(1e-300)
+    assert g.coeffs == {0: 1e-300} and g.degree == 0
+    assert f.scaled(0).is_zero and f.scaled(0).degree == -1
+    # the public constructor still checks and converts the keys
+    with pytest.raises(ValueError, match="nonnegative powers of x0"):
+        angular.AngularFunction(p, 0, {1: 1.0, -1: 2.0})
+    h = angular.AngularFunction(p, 0, {2.0: 1.0, Fraction(3): 0.5, 4: 0.0})
+    assert h.coeffs == {2: 1.0, 3: 0.5} and all(type(k) is int for k in h.coeffs) and h.degree == 3
+
+
 def test_component_index_validation():
     p = QParam(1.2)
     f = angular_function(p, 0, {0: 1.0})

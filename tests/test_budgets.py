@@ -10,7 +10,7 @@ bound, and one that raises a count says why.
 import decimal
 
 from qsu2 import QMeasure, QParam, RadialGrid, build_y, inner_product, radial_verify, verify_algebra
-from qsu2 import irrep, jackson, spectra
+from qsu2 import angular, irrep, jackson, spectra
 from qsu2.qcore import _CTX
 
 # (potential, n, l, q, method, n_steps): one round of the radial-shooting
@@ -40,13 +40,19 @@ BUDGETS = {
     # one-pass kernel forms (the generator commutators, the 27 vector
     # conditions and the transverse derivative from c, which took 82
     # products and 5411 - 2627 of their entries), table entries those of the
-    # QParam's table
+    # QParam's table.  Square roots are the calls of QParam.sqrt: the
+    # position blocks form one per distinct product (458 and 1,868 with one
+    # per entry); validated functions are the calls of
+    # AngularFunction.__post_init__, which the module's own results skip
+    # (621 when they did not): the six left are the adjointness row's inputs
     ("verify_algebra q=1.3 lmax=6", "matmuls"): 42,
     ("verify_algebra q=1.3 lmax=6", "product entries"): 2627,
     ("verify_algebra q=1.3 lmax=6", "kernels"): 32,
     ("verify_algebra q=1.3 lmax=6", "kernel entries"): 1104,
     ("verify_algebra q=1.3 lmax=6", "operands"): 37,
     ("verify_algebra q=1.3 lmax=6", "decimal sums"): 41,
+    ("verify_algebra q=1.3 lmax=6", "square roots"): 388,
+    ("verify_algebra q=1.3 lmax=6", "validated functions"): 6,
     ("verify_algebra q=1.3 lmax=6", "table entries"): 79,
     ("verify_algebra q=1.3 lmax=16", "matmuls"): 42,
     ("verify_algebra q=1.3 lmax=16", "product entries"): 21747,
@@ -54,6 +60,8 @@ BUDGETS = {
     ("verify_algebra q=1.3 lmax=16", "kernel entries"): 11284,
     ("verify_algebra q=1.3 lmax=16", "operands"): 37,
     ("verify_algebra q=1.3 lmax=16", "decimal sums"): 41,
+    ("verify_algebra q=1.3 lmax=16", "square roots"): 1208,
+    ("verify_algebra q=1.3 lmax=16", "validated functions"): 6,
     ("verify_algebra q=1.3 lmax=16", "table entries"): 153,
     # high precision: the same catalogue, whose functions keep their sum
     # operand as in double precision, one per function summed
@@ -63,6 +71,8 @@ BUDGETS = {
     ("verify_algebra q=0.7 high lmax=6", "kernel entries"): 1104,
     ("verify_algebra q=0.7 high lmax=6", "operands"): 37,
     ("verify_algebra q=0.7 high lmax=6", "decimal sums"): 61,
+    ("verify_algebra q=0.7 high lmax=6", "square roots"): 388,
+    ("verify_algebra q=0.7 high lmax=6", "validated functions"): 6,
     ("verify_algebra q=0.7 high lmax=6", "table entries"): 84,
     # every pair i <= j of the 81 harmonics with l <= 8: one operand per
     # function (operands are inner-product sum operands, decimal sums the
@@ -146,7 +156,8 @@ def _tally(counts, name):
 
 
 def _verify(monkeypatch, p, lmax):
-    counts = dict.fromkeys(("matmuls", "product entries", "kernels", "kernel entries", "operands", "decimal sums"), 0)
+    counts = dict.fromkeys(("matmuls", "product entries", "kernels", "kernel entries", "operands", "decimal sums",
+                            "square roots", "validated functions"), 0)
 
     def counter(calls, entries):
         def count(args, out):
@@ -158,6 +169,8 @@ def _verify(monkeypatch, p, lmax):
     _counted(monkeypatch, irrep.OperatorMatrix, "_commutator", counter("kernels", "kernel entries"))
     _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
     _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
+    _counted(monkeypatch, QParam, "sqrt", _tally(counts, "square roots"))
+    _counted(monkeypatch, angular.AngularFunction, "__post_init__", _tally(counts, "validated functions"))
     verify_algebra(p, lmax)
     counts["table entries"] = len(p._table)
     return counts

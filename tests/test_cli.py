@@ -355,9 +355,17 @@ def test_verify_nan_residual_is_a_verification_failure(tmp_path, monkeypatch):
     # a NaN residual is emitted as null (csv: empty) with passed false, and exit 1
     import qsu2.irrep as irrep
 
-    upper = irrep.position_coeff_upper
+    upper, build = irrep.position_coeff_upper, irrep.build_position
+
+    # the upper (l, m, k) = (1, 1, 0) entry, in x0 at block (2, 1), index m + l = 2
+    def nan_in_x0(p, lmax):
+        x = build(p, lmax)
+        x[0].blocks[(2, 1)][2] = math.nan
+        return x
+
     monkeypatch.setattr(irrep, "position_coeff_upper",
                         lambda p, l, m, k: math.nan if (l, m, k) == (1, 1, 0) else upper(p, l, m, k))
+    monkeypatch.setattr(irrep, "build_position", nan_in_x0)
     args = ["verify", "--q", "1.3", "--lmax", "6"]
     code, data = run_json(tmp_path, args)
     assert code == 1 and data["passed"] is False

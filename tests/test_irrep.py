@@ -112,6 +112,32 @@ def test_position_classical_entries():
             assert got.real == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("precision", ["double", "high"])
+@pytest.mark.parametrize("q", [0.3, 0.9, 1.0, 1.7, 10])
+def test_position_blocks_match_the_entry_functions(q, precision):
+    # the blocks share roots between entries; the entry functions form each
+    # entry on its own, and every entry must be theirs, bit for bit
+    p = QParam(q, precision)
+    for lmax in range(1, 13):
+        x = build_position(p, lmax)
+        # per l the upper block, then the lower one
+        order = []
+        for l in range(lmax + 1):
+            order += [(l + 1, l)] * (l < lmax) + [(l - 1, l)] * (l > 0)
+        for k in (1, 0, -1):
+            assert list(x[k].blocks) == order
+            for (lo, l), vec in x[k].blocks.items():
+                assert len(vec) == 2 * l + 1
+                for m, got in zip(range(-l, l + 1), vec):
+                    if lo > l:
+                        want = position_coeff_upper(p, l, m, k)
+                    elif abs(m + k) < l:
+                        want = position_coeff_lower(p, l, m, k)
+                    else:
+                        want = p.zero
+                    assert repr(got) == repr(want), (lmax, k, lo, l, m)
+
+
 def test_position_matches_integral_cross_check():
     # matrix elements against the deformed integral of the constructed
     # harmonics; the coefficient table must agree with what the functions
@@ -529,12 +555,20 @@ def test_max_abs_propagates_nan():
 def _nan_operator_entry_fails_its_rows(monkeypatch, precision):
     import qsu2.irrep as irrep
 
-    upper = irrep.position_coeff_upper
+    upper, build = irrep.position_coeff_upper, irrep.build_position
 
+    # the upper (l, m, k) = (1, 1, 0) entry is NaN both in the expansion
+    # coefficients and in x0, as its block (2, 1) at index m + l = 2
     def nan_at_one_entry(p, l, m, k):
         return p.number(math.nan) if (l, m, k) == (1, 1, 0) else upper(p, l, m, k)
 
+    def nan_in_x0(p, lmax):
+        x = build(p, lmax)
+        x[0].blocks[(2, 1)][2] = p.number(math.nan)
+        return x
+
     monkeypatch.setattr(irrep, "position_coeff_upper", nan_at_one_entry)
+    monkeypatch.setattr(irrep, "build_position", nan_in_x0)
     rows = {c.name: c for c in verify_algebra(QParam(1.3, precision), 6).checks}
     for name in (
         "unit-sphere-norm", "position-exchange-dilation", "transverse-dual-construction", "position-product-expansion"
