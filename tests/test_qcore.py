@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 
@@ -350,7 +351,7 @@ def _canon(x):
         return x.hex()
     if isinstance(x, Decimal):
         return x.as_tuple()
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return sorted((repr(k), _canon(v)) for k, v in x.items())
     if isinstance(x, (list, tuple)):
         return [_canon(v) for v in x]
