@@ -24,9 +24,12 @@ context in either precision, whatever the caller's context is.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .qcore import QParam, _in_private_context, _is_integer, qdouble_factorial, qnum, qnum_base2
+from .qcore import QParam, _check_integers, _in_private_context, _is_integer, qdouble_factorial, qnum, qnum_base2
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -47,39 +50,49 @@ def _max_modulus(values, zero=0.0):
         return _nanmax((math.hypot(v.real, v.imag) for v in values), zero)
 
 
+def _power(k) -> int:
+    """The key k as an int power of x0: a nonnegative integer or a real of
+    integral value (2.0, Fraction(3), Decimal(2)); any other, a bool or a
+    string included, raises ValueError naming it."""
+    try:
+        n = int(k) if isinstance(k, numbers.Number) and not isinstance(k, bool) else -1
+    except (TypeError, ValueError, OverflowError):  # complex, NaN, inf
+        n = -1
+    if n < 0 or n != k:
+        raise ValueError(f"coefficients must sit at nonnegative powers of x0, got key {k!r}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class AngularFunction:
-    """Winding index m plus a finite coefficient map k -> a_k for x0**k.
+    """Winding index m plus a finite coefficient map k -> a_k for x0**k:
+    an immutable value.
 
-    Constructing one validates the map: keys become ints, a negative key
-    raises ValueError, and the zero coefficients are dropped into a new
-    dict, which ``degree`` and ``is_zero`` rely on.  The functions this
-    module forms from valid ones (scaling, sums, the position products,
-    the ladder steps, the harmonic builders) come from ``_function``,
-    which drops the zeros into a new dict too but checks no key: their
-    keys are already nonnegative ints.
-
-    The map belongs to the function and callers may change it freely; a
-    key put in after construction is not checked again, so it must be a
-    nonnegative int for the results formed from the function.  In
-    either precision the inner product keeps on the function what its sums
-    read of the map, the coefficients converted into the sum's number type
-    and, in double precision, a few of their properties (jackson._operand),
-    with a snapshot of the map's keys and values: a map whose keys and
-    values are no longer those very objects has its operand formed again.
+    Constructing one validates it: m must be an integer and each key a
+    nonnegative power of x0 (see _power), or ValueError names it.  The
+    nonzero coefficients go into a dict of the function's own, which
+    ``degree`` and ``is_zero`` rely on, behind the read-only view
+    ``coeffs``: assigning or deleting a key raises TypeError.  A changed
+    function is a new one, ``angular_function(p, f.m, {**f.coeffs, k: v})``.
+    The functions this module forms from valid ones (scaling, sums, the
+    position products, the ladder steps, the harmonic builders) come from
+    ``_function``, which checks nothing.  The inner product keeps on each
+    function what its sums read of the map (jackson._operand).
     """
 
     p: QParam
     m: int
-    coeffs: dict
-    # (snapshot, operand), set by jackson._operand; not a dataclass field
+    coeffs: Mapping
+    # the sum operand, set by jackson._operand; not a dataclass field
     _operand = None
 
     def __post_init__(self):
-        pruned = {int(k): v for k, v in self.coeffs.items() if v != 0}
-        if any(k < 0 for k in pruned):
-            raise ValueError("coefficients must sit at nonnegative powers of x0")
-        object.__setattr__(self, "coeffs", pruned)
+        _check_integers(m=self.m)
+        powers = [(_power(k), v) for k, v in self.coeffs.items()]
+        object.__setattr__(self, "coeffs", MappingProxyType({k: v for k, v in powers if v != 0}))
+
+    def __reduce__(self):
+        return _function, (self.p, self.m, self.coeffs.copy())
 
     @property
     def degree(self) -> int:
@@ -121,30 +134,28 @@ class AngularFunction:
         return _max_modulus(self.coeffs.values(), self.p.zero)
 
 
-def angular_function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
+def angular_function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:
     """The function of winding m with coefficients {k: a_k}; in high
     precision each a_k, an int, float or Decimal, is converted exactly to a
     Decimal (a complex one raises TypeError)."""
     if p.is_high:
         coeffs = {k: p.number(v) for k, v in coeffs.items()}
-    return AngularFunction(p, m, dict(coeffs))
+    return AngularFunction(p, m, coeffs)
 
 
-def _function(p: QParam, m: int, coeffs: dict) -> AngularFunction:
+def _function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:
     """The function of winding m with the nonzero coefficients of coeffs,
-    formed without the constructor's key checks: for the results this
-    module forms from valid functions, whose keys are nonnegative ints.
-    The coefficients go into a new dict, so a result never shares its map
-    with an operand."""
+    in a new dict behind a read-only view, formed without the
+    constructor's checks: for the results formed from valid functions."""
     f = object.__new__(AngularFunction)
-    f.__dict__.update(p=p, m=m, coeffs={k: v for k, v in coeffs.items() if v != 0})
+    f.__dict__.update(p=p, m=m, coeffs=MappingProxyType({k: v for k, v in coeffs.items() if v != 0}))
     return f
 
 
 # ----------------------------- polynomial helpers -----------------------------
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _padd(a: Mapping, b: Mapping) -> dict:
+    out = a.copy()
     for k, v in b.items():
         w = out.get(k, 0) + v
         if w == 0:
@@ -411,16 +422,21 @@ def ladder_factor(l: int, m: int, p: QParam):
 
 
 @_in_private_context
-def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
-    """Y_lm for int labels, through the table of p: entry ("y", l, m) holds
-    a copy of its coefficient dict.  m >= 0 is build_phi times q**-m at odd
+def build_y(l: int, m: int, p: QParam) -> AngularFunction:
+    """Unit-norm harmonic for any |m| <= l, integers both.
+
+    Each label is formed once per QParam and kept in its table, entry
+    ("y", l, m) holding a copy of its coefficients as a plain dict, so
+    nothing stored refers to p.  m >= 0 is build_phi times q**-m at odd
     l - m, the closed-form series convention in which the normalization
     constant is exact, times that constant; a new m < 0 is one lowering
-    step, divided by the ladder factor, from (l, m + 1), itself read
-    through the table, so every label is formed once and bit for bit as the
-    chain from m = 0 forms it.  The returned function shares no dict with
-    the table, and nothing stored refers to p.
+    step from (l, m + 1), itself read through the table, divided by the
+    ladder factor, which keeps the norm at one whenever the lowering
+    operator is the adjoint of the raising one.  Every label is thus formed
+    bit for bit as the chain from m = 0 forms it, and every call returns a
+    new function.
     """
+    l, m = _check_label(l, m)
     table = p._table
     top = m
     while ("y", l, top) not in table and top < 0:
@@ -432,21 +448,8 @@ def _harmonic(l: int, m: int, p: QParam) -> AngularFunction:
         if (l - top) % 2:
             y = y.scaled(p.power(-top))
         y = y.scaled(normalization_constant(l, top, p))
-        table[("y", l, top)] = dict(y.coeffs)
+        table[("y", l, top)] = y.coeffs.copy()
     for mu in range(top, m, -1):
         y = apply_lminus(y).scaled(1 / ladder_factor(l, mu, p))
-        table[("y", l, mu - 1)] = dict(y.coeffs)
+        table[("y", l, mu - 1)] = y.coeffs.copy()
     return y
-
-
-def build_y(l: int, m: int, p: QParam) -> AngularFunction:
-    """Unit-norm harmonic for any |m| <= l, integers both.
-
-    Each label is formed once per QParam and kept in its table: m >= 0 from
-    build_phi and normalization_constant, a new m < 0 by one lowering step
-    from (l, m + 1), divided by the ladder factor, which keeps the norm at
-    one whenever the lowering operator is the adjoint of the raising one.
-    Every call returns a new function whose coefficients may be changed
-    freely.
-    """
-    return _harmonic(*_check_label(l, m), p)

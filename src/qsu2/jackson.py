@@ -47,15 +47,16 @@ coefficients as v * p.one, which rounds at 62 digits, and the 62-digit
 pi.  What a sum reads of each function is its sum operand: the
 coefficients in the sum's number type, and in double precision also
 their finiteness, the parity of their degrees and whether one is
-complex.  It is formed once and kept on the function (see _operand), so
-a function met in many sums is converted once, and nothing is kept
-anywhere else.  The closed-form moments are kept in the QParam's table
-under ("moments", m), one list per winding with the state its formation
-stopped in: moment n does not depend on how many are formed, so a stored
-list serves every sum up to its degree, bit for bit, and a sum of a
-higher degree resumes the formation where it stopped, in a new, longer
-list.  Each entry is formed once per QParam.  A series measure forms its
-grid sums on every call, in either precision, and keeps none.
+complex.  It is formed once and kept on the function, which never
+changes (see _operand), so a function met in many sums is converted
+once, and nothing is kept anywhere else.  The closed-form moments are
+kept in the QParam's table under ("moments", m), one list per winding
+with the state its formation stopped in: moment n does not depend on how
+many are formed, so a stored list serves every sum up to its degree, bit
+for bit, and a sum of a higher degree resumes the formation where it
+stopped, in a new, longer list.  Each entry is formed once per QParam.
+A series measure forms its grid sums on every call, in either precision,
+and keeps none.
 
 Since M_m(n) vanishes for odd n, parity selects the pairs: when every
 degree of f has one parity and every degree of g the other, every i + j is
@@ -74,9 +75,10 @@ import decimal
 import math
 import numbers
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, tee
-from operator import add, is_, mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .angular import AngularFunction
@@ -320,23 +322,16 @@ class _Operand(NamedTuple):
 
 
 def _operand(h: AngularFunction) -> _Operand:
-    """The sum operand of h: the kept one when every key and value of
-    h.coeffs is the very object it was formed from, in the same order;
-    otherwise one formed from the coefficients and kept, with them, in
-    h._operand.  Callers may change h.coeffs freely, and the operand refers
-    to nothing but numbers, so it lives and dies with h."""
-    c = h.coeffs
-    snapshot = (*c, *c.values())
-    kept = h._operand
-    if kept is not None and len(kept[0]) == len(snapshot) and all(map(is_, snapshot, kept[0])):
-        return kept[1]
-    operand = _form_operand(c, h.p)
-    object.__setattr__(h, "_operand", (snapshot, operand))
-    return operand
+    """The sum operand of h, formed from its coefficients on first use and
+    kept in h._operand: a function never changes, and the operand refers to
+    nothing but numbers, so it lives and dies with h."""
+    if h._operand is None:
+        object.__setattr__(h, "_operand", _form_operand(h.coeffs, h.p))
+    return h._operand
 
 
 @_in_private_context
-def _form_operand(c: dict, p: QParam) -> _Operand:
+def _form_operand(c: Mapping, p: QParam) -> _Operand:
     """The _Operand of the coefficients c of a function at p, converted in
     the private context, so that the caller's context sees no float
     conversion."""
@@ -378,16 +373,16 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
     b of g, with the closed-form weighted moments M_m(n) of the module
     docstring (or, for a series measure, their depth-D grid sums).
 
-    Both precisions form the moments and the sum in decimal, in the
-    private 62-digit context.  In double precision coefficients convert
-    exactly, once per function (see _operand), and the sum is rounded to a
-    double once: the result is complex when a coefficient has an imaginary
-    part, and only then is the imaginary part summed.  A pair of opposite
-    parity (every degree of f even and every degree of g odd, or the reverse)
-    returns the exact zero of that sum, 0.0 or 0j, without forming it,
-    unless a coefficient of f is NaN or infinite, which makes the sum NaN.
-    In high precision, where coefficients are real, the sum is formed in
-    the QParam's Decimal arithmetic from the same kept operands,
+    Both precisions form the moments and the sum in decimal, in the private
+    62-digit context.  In double precision coefficients convert exactly,
+    once per function, in its first sum (see _operand), and the sum is
+    rounded to a double once: the result is complex when a coefficient has
+    an imaginary part, and only then is the imaginary part summed.  A pair
+    of opposite parity (every degree of f even and every degree of g odd, or
+    the reverse) returns the exact zero of that sum, 0.0 or 0j, without
+    forming it, unless a coefficient of f is NaN or infinite, which makes
+    the sum NaN.  In high precision, where coefficients are real, the sum is
+    formed in the QParam's Decimal arithmetic from the same kept operands,
     opposite-parity pairs included: the Decimal zero's exponent depends on
     the coefficients, and callers may compare it digit by digit.
     """

@@ -359,14 +359,24 @@ def test_each_label_costs_one_lowering_step(monkeypatch):
     assert calls == {"lower": 36, "normalize": 45}
 
 
+def _table_bits(p):
+    return {key: sorted((k, _bits(v)) for k, v in entry.items()) for key, entry in p._table.items() if key[0] == "y"}
+
+
 def test_build_y_returns_a_function_of_its_own():
+    # a harmonic's map is read-only: no attempt to change it reaches the
+    # table of its QParam or the next call
     for precision in ("double", "high"):
         p = QParam(1.3, precision)
         want = _coeff_bits(build_y(4, -3, p))
-        for lm in ((4, -3), (4, -2), (4, 0), (4, 2)):
-            y = build_y(*lm, p)
-            y.coeffs[0] = p.number(99)
-            y.coeffs.clear()
+        ys = [build_y(*lm, p) for lm in ((4, -3), (4, -2), (4, 0), (4, 2))]
+        table = _table_bits(p)
+        for y in ys:
+            with pytest.raises(TypeError):
+                y.coeffs[0] = p.number(99)
+            with pytest.raises(AttributeError):
+                y.coeffs.clear()
+        assert _table_bits(p) == table
         assert _coeff_bits(build_y(4, -3, p)) == want
         assert _coeff_bits(build_y(4, 2, p)) == _coeff_bits(_normalized(4, 2, QParam(1.3, precision)))
 
@@ -617,22 +627,24 @@ def test_against_the_winding_ladders_propagate_nan():
 
 
 def test_negative_power_rejected():
-    with pytest.raises(ValueError):
-        angular_function(QParam(1.1), 0, {-1: 1.0})
+    for key in (-1, -2.0):
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative powers of x0, got key {key!r}")):
+            angular_function(QParam(1.1), 0, {key: 1.0})
 
 
 def test_internal_results_own_their_maps_and_drop_zeros():
-    # the module forms its results without the constructor's key checks,
-    # but each still gets a map of its own, without zeros
+    # the module forms its results without the constructor's checks, but
+    # each still gets a read-only map of its own, without zeros
     for precision in ("double", "high"):
         p = QParam(1.3, precision)
         for k, m in ((1, 0), (1, 2), (-1, 0), (-1, -2)):
             f = angular_function(p, m, {0: 1.0, 2: -0.5})
             g = mul_position(k, f)
-            assert g.m == m + k and g.coeffs == f.coeffs
-            g.coeffs[0] = p.number(7)
-            g.coeffs[5] = p.one
-            assert f.coeffs == {0: p.one, 2: p.number(-0.5)}, (precision, k, m)
+            assert g.m == m + k and g.coeffs == f.coeffs and g.coeffs is not f.coeffs
+            for key, v in ((0, p.number(7)), (5, p.one)):
+                with pytest.raises(TypeError):
+                    g.coeffs[key] = v
+            assert f.coeffs == g.coeffs == {0: p.one, 2: p.number(-0.5)}, (precision, k, m)
     p = QParam(1.3)
     f = angular_function(p, 1, {0: 1.0, 3: 1e-300})
     g = f.scaled(1e-300)
@@ -641,8 +653,79 @@ def test_internal_results_own_their_maps_and_drop_zeros():
     # the public constructor still checks and converts the keys
     with pytest.raises(ValueError, match="nonnegative powers of x0"):
         angular.AngularFunction(p, 0, {1: 1.0, -1: 2.0})
-    h = angular.AngularFunction(p, 0, {2.0: 1.0, Fraction(3): 0.5, 4: 0.0})
-    assert h.coeffs == {2: 1.0, 3: 0.5} and all(type(k) is int for k in h.coeffs) and h.degree == 3
+    h = angular.AngularFunction(p, 0, {2.0: 1.0, Fraction(3): 0.5, Decimal(5): 0.25, Decimal("6.00"): 2.0, 4: 0.0})
+    assert h.coeffs == {2: 1.0, 3: 0.5, 5: 0.25, 6: 2.0} and all(type(k) is int for k in h.coeffs) and h.degree == 6
+
+
+def _assert_read_only(f):
+    """Every way of changing f's map raises, and the map stays as it was."""
+    c = f.coeffs
+    before = [(k, _bits(v)) for k, v in c.items()]
+    key = next(iter(c), 0)
+    with pytest.raises(TypeError):
+        c[key] = f.p.one
+    with pytest.raises(TypeError):
+        del c[key]
+    for name, args in (("pop", (key,)), ("clear", ()), ("update", ({key: f.p.one},)), ("setdefault", (key, 1))):
+        with pytest.raises(AttributeError):
+            getattr(c, name)(*args)
+    with pytest.raises(AttributeError):  # a frozen dataclass field
+        f.coeffs = {}
+    assert [(k, _bits(v)) for k, v in f.coeffs.items()] == before
+
+
+def test_coefficient_maps_are_read_only():
+    # every way the library forms a function, in both precisions
+    for precision in ("double", "high"):
+        p = QParam(1.3, precision)
+        f = angular_function(p, -1, {0: 1.0, 2: -0.5})
+        g = angular_function(p, -1, {1: 0.25, 2: 2.0})
+        y = build_y(3, 1, p)
+        formed = [
+            angular.AngularFunction(p, 2, {0: p.one, 3: p.number(0.5)}),
+            f,
+            y,
+            build_y(3, -2, p),
+            build_phi(3, 1, p),
+            hypergeom_phi(3, 1, p),
+            f.scaled(2),
+            f.scaled(0),
+            f + g,
+            f - g,
+            *(mul_position(k, f) for k in (1, 0, -1)),
+            *(mul_position_right(k, y) for k in (1, 0, -1)),
+            apply_lplus(f),
+            apply_lminus(y),
+            apply_casimir(y),
+        ]
+        for h in formed:
+            _assert_read_only(h)
+        # a changed coefficient makes a new function
+        g = angular_function(p, f.m, {**f.coeffs, 2: 0.25})
+        assert f.coeffs == {0: p.one, 2: p.number(-0.5)} and g.coeffs == {0: p.one, 2: p.number(0.25)}
+
+
+@pytest.mark.parametrize("key", [1.5, True, False, "2", math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("2.5"), Fraction(1, 2), 1j])
+def test_constructor_refuses_keys_that_are_not_integral_powers(key):
+    # int() alone would move 1.5 onto the coefficient at 1, take a bool or
+    # a string, and fail on NaN without naming the key
+    for precision in ("double", "high"):
+        p = QParam(0.7, precision)
+        for coeffs in ({key: 2.0, 1: 3.0}, {key: 2.0}, {5: 1.0, key: 0.0}):
+            for make in (angular.AngularFunction, angular_function):
+                with pytest.raises(ValueError, match=re.escape(f"nonnegative powers of x0, got key {key!r}")):
+                    make(p, 0, coeffs)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0, True, "1", Fraction(1), None])
+def test_constructor_refuses_a_winding_that_is_not_an_integer(m):
+    # a non-integer winding would reach the ladders, which form a result,
+    # and inner_product, which fails without naming it
+    for precision in ("double", "high"):
+        p = QParam(0.7, precision)
+        for make in (angular.AngularFunction, angular_function):
+            with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+                make(p, m, {0: 1.0})
 
 
 def test_component_index_validation():

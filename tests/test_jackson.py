@@ -1,4 +1,5 @@
 import cmath
+import copy
 import decimal
 import hashlib
 import gc
@@ -837,81 +838,6 @@ def test_high_inner_product_matches_the_per_call_path():
                 assert type(got) is type(want) and got.as_tuple() == want.as_tuple(), (q, depth, i, j)
 
 
-def _fresh(h):
-    """A function with h's coefficients that has never been summed."""
-    return angular_function(h.p, h.m, h.coeffs.copy())
-
-
-def _assert_changes_form_the_operand_again(p, mu, f, g, changes, refill):
-    """Apply each change to the map of f and of g in turn, after both have
-    been summed, and compare every product with the per-call path and with
-    fresh functions; an emptied map is refilled with `refill`, and only
-    the change before last (the refill) applies to an empty one."""
-    for side in (f, g, f, g):
-        for change in changes:
-            inner_product(f, g, mu)
-            inner_product(g, f, mu)
-            if side.coeffs or change is changes[-2]:
-                change(side.coeffs)
-            for a, b in ((f, g), (g, f), (f, f)):
-                if not (a.coeffs and b.coeffs):
-                    continue
-                want = _bits(_per_call_inner_product(a, b, mu))
-                assert _bits(inner_product(a, b, mu)) == want, (p, mu.series_depth, f.m, a.coeffs, b.coeffs)
-                assert _bits(inner_product(_fresh(a), _fresh(b), mu)) == want
-        if not side.coeffs:
-            side.coeffs.update(refill)
-
-
-def test_changed_coefficients_form_the_operand_again():
-    # callers may change a function's map after an inner product: every
-    # result must be the bits a fresh function with that map gives
-    changes = (
-        lambda c: c.__setitem__(0, 1),  # 1.0 -> 1
-        lambda c: c.__setitem__(5, 0.0),
-        lambda c: c.__setitem__(5, -0.0),  # 0.0 -> -0.0
-        lambda c: c.__setitem__(2, complex(c.get(2, 0.375), 0)),  # x -> complex(x, 0)
-        lambda c: c.__setitem__(2, complex(c[2].real, -0.0)),
-        lambda c: c.__setitem__(2, c[2] * 1j),
-        lambda c: c.__setitem__(7, math.nan),
-        lambda c: c.pop(7),
-        lambda c: c.__setitem__(1, complex(1.5e308, 1.5e308)),
-        lambda c: c.pop(1),
-        lambda c: c.update({4: 2.5e40, 9: -3.0}),
-        lambda c: c.clear(),
-        lambda c: c.update({1: 0.25, 3: -0.5}),  # refilled, odd degrees only
-        lambda c: c.update({0: 1.0}),
-    )
-    for q, depth in ((0.5, None), (0.5, 5), (1.0, None), (2.0, None)):
-        p = QParam(q)
-        mu = QMeasure(p, depth)
-        for m in (-2, 0, 3):
-            f = angular_function(p, m, {0: 1.0, 2: -0.75, 4: 0.125})
-            g = angular_function(p, m, {0: 0.5, 1: 0.25, 2: 2.0})
-            _assert_changes_form_the_operand_again(p, mu, f, g, changes, {0: 1.0, 2: -0.75})
-    # high precision, whose coefficients are real: ints and Decimals, one
-    # of them past the 62 digits that v * p.one rounds to
-    D = decimal.Decimal
-    changes = (
-        lambda c: c.__setitem__(0, 1),  # Decimal 1 -> int 1
-        lambda c: c.__setitem__(5, D("0." + "3" * 70)),
-        lambda c: c.__setitem__(2, -c.get(2, 3)),
-        lambda c: c.pop(5),
-        lambda c: c.update({4: D("2.5e40"), 9: -3}),
-        lambda c: c.pop(4),
-        lambda c: c.clear(),
-        lambda c: c.update({1: D("0.25"), 3: -1}),  # refilled, odd degrees only
-        lambda c: c.update({0: D(1)}),
-    )
-    for q, depth in ((0.7, None), (0.7, 5), (1.0, None), (2.0, None)):
-        p = QParam(q, "high")
-        mu = QMeasure(p, depth)
-        for m in (-2, 0, 3):
-            f = angular_function(p, m, {0: 1, 2: D("-0.75"), 4: D("0.125")})
-            g = angular_function(p, m, {0: D("0.5"), 1: D("0.25"), 2: 2})
-            _assert_changes_form_the_operand_again(p, mu, f, g, changes, {0: D(1), 2: D("-0.75")})
-
-
 def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
     formed = []
     form = jackson._form_operand
@@ -934,6 +860,29 @@ def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
             assert parts[0] == {k: v for k, v in y.coeffs.items() if v.real}, (q, precision)
             assert all(type(v) is decimal.Decimal for v in parts[0].values())
         assert not formed
+
+
+def test_functions_survive_pickle_and_deepcopy():
+    # after an inner product has kept its operand on each function, a copy
+    # has the same coefficient bits and gives the same inner-product bits
+    for precision in ("double", "high"):
+        p = QParam(0.7, precision)
+        mu = QMeasure(p)
+        f = build_y(3, -1, p)
+        g = angular_function(p, -1, {0: p.one, 2: p.number(-0.25)} if p.is_high else {0: complex(1.5, -0.0), 2: -0.25})
+        want = {(a, b): _bits(inner_product(a, b, mu)) for a in (f, g) for b in (f, g)}
+        for copied in (lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy):
+            f2, g2 = copied(f), copied(g)
+            for h, h2 in ((f, f2), (g, g2)):
+                assert h2.m == h.m and h2.p == h.p
+                assert [(k, _bits(v)) for k, v in h2.coeffs.items()] == [(k, _bits(v)) for k, v in h.coeffs.items()]
+                with pytest.raises(TypeError):
+                    h2.coeffs[0] = p.one
+            mu2 = QMeasure(f2.p)
+            for (a, b), bits in want.items():
+                a2, b2 = (f2 if a is f else g2), (f2 if b is f else g2)
+                assert _bits(inner_product(a2, b2, mu2)) == bits, precision
+                assert _bits(inner_product(a, b2, mu)) == bits, precision
 
 
 def test_operand_holds_no_reference_to_the_qparam():
