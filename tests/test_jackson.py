@@ -1,4 +1,3 @@
-import cmath
 import copy
 import decimal
 import hashlib
@@ -369,47 +368,33 @@ def _fresh_moments(mu, m, nmax, num):
     return _moments(-m, nmax, 1 / q) if q > 1 else _moments(m, nmax, q)
 
 
-def _reference_sum(f, g, mu, num, pi, imaginary):
-    """2 pi sum conj(a_i) b_j M_m(i+j) as a (real, imaginary) pair in the
-    context entered, converting every coefficient by num on each call and
-    forming fresh moments; the imaginary part is 0 unless asked for.  Zero
-    parts and odd moments are skipped, and the terms added in the order
-    inner_product adds them, so that the bits are comparable."""
+def _reference_sum(f, g, mu, num, pi):
+    """2 pi sum a_i b_j M_m(i+j) in the context entered, converting every
+    coefficient by num on each call and forming fresh moments.  Odd moments
+    are skipped, and the terms added in the order inner_product adds them,
+    so that the bits are comparable."""
     moments = _fresh_moments(mu, f.m, f.degree + g.degree, num)
-
-    def part(h, take):
-        return {k: num(take(v)) for k, v in h.coeffs.items() if take(v)}
-
-    def pair(x, y):
-        total = 0
-        for i, xi in x.items():
-            row = 0
-            for j, yj in y.items():
-                if not (i + j) % 2:
-                    row += yj * moments[i + j]
-            total += xi * row
-        return total
-
-    real, imag = (lambda v: v.real), (lambda v: v.imag)
-    a_re, a_im, b_re, b_im = part(f, real), part(f, imag), part(g, real), part(g, imag)
-    re = pair(a_re, b_re) + pair(a_im, b_im)
-    im = pair(a_re, b_im) - pair(a_im, b_re) if imaginary else 0
-    return 2 * pi * re, 2 * pi * im
+    x, y = ({k: num(v) for k, v in h.coeffs.items()} for h in (f, g))
+    total = 0
+    for i, xi in x.items():
+        row = 0
+        for j, yj in y.items():
+            if not (i + j) % 2:
+                row += yj * moments[i + j]
+        total += xi * row
+    return 2 * pi * total
 
 
 def _full_sum(f, g, mu):
     """The double-precision moment sum formed in full, as inner_product
     forms it for pairs that share a parity, in the private 62-digit
     context, converting every coefficient on each call."""
-    imaginary = any(v.imag for h in (f, g) for v in h.coeffs.values())
     with decimal.localcontext(_CTX):
-        re, im = _reference_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi), imaginary)
-        re, im = float(re), float(im)
-    return complex(re, im) if imaginary else re
+        return float(_reference_sum(f, g, mu, decimal.Decimal, decimal.Decimal(math.pi)))
 
 
 def _hex(v):
-    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else (type(v).__name__, v.hex())
+    return type(v).__name__, v.hex()
 
 
 def test_opposite_parity_pairs_match_the_full_sum(monkeypatch):
@@ -419,27 +404,24 @@ def test_opposite_parity_pairs_match_the_full_sum(monkeypatch):
     rng = random.Random(24)
     specials = (math.nan, math.inf, -math.inf)
 
-    def coeff(cplx):
+    def coeff():
         if rng.random() < 0.1:
-            v = rng.choice(specials)
-            return complex(v, rng.uniform(-1, 1)) if cplx and rng.random() < 0.5 else v * (1j if cplx else 1)
-        v = rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150)
-        return complex(v, rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)) if cplx else v
+            return rng.choice(specials)
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150)
 
-    seen = {"nan": 0, "complex": 0, "zero": 0}
+    seen = {"nan": 0, "zero": 0}
     for _ in range(2000):
         q = rng.choice((1e-3, 0.5, 1.0, 1.3, 1e3))
         p = QParam(q)
         mu = QMeasure(p, rng.choice((None, 40))) if q < 1 else QMeasure(p)
-        m, parity, cplx = rng.randint(-4, 4), rng.randint(0, 1), rng.random() < 0.5
+        m, parity = rng.randint(-4, 4), rng.randint(0, 1)
         f, g = (
-            angular_function(p, m, {2 * rng.randint(0, 5) + par: coeff(cplx) for _ in range(rng.randint(1, 4))})
+            angular_function(p, m, {2 * rng.randint(0, 5) + par: coeff() for _ in range(rng.randint(1, 4))})
             for par in (parity, 1 - parity)
         )
         got = inner_product(f, g, mu)
         assert _hex(got) == _hex(_full_sum(f, g, mu)), (q, mu.series_depth, f.coeffs, g.coeffs)
         seen["nan" if got != got else "zero"] += 1
-        seen["complex"] += isinstance(got, complex)
     assert min(seen.values()) > 100, seen
 
     # and such a pair never reaches the moments, which a same-parity one does
@@ -454,26 +436,27 @@ def test_opposite_parity_pairs_match_the_full_sum(monkeypatch):
 
 
 def test_modulus_past_the_double_range():
-    # abs raises OverflowError on a finite complex whose modulus exceeds the
-    # largest double; the inner product still returns its decimal sum and the
-    # maxima the inf that modulus rounds to
+    # a sum or a coefficient difference whose modulus exceeds the largest
+    # double rounds to inf; the inner product of a coefficient near it with
+    # a small one is its decimal sum, rounded once
     p = QParam(1.3)
     mu = QMeasure(p)
-    f = angular_function(p, 0, {1: complex(1.5e308, 1.5e308)})
+    f = angular_function(p, 0, {1: 1.5e308})
     opposite, same, small = (angular_function(p, 0, c) for c in ({0: 1.0}, {1: 1.0}, {1: 1e-10}))
-    assert _hex(inner_product(f, opposite, mu)) == ("0x0.0p+0", "0x0.0p+0")
-    assert inner_product(f, same, mu) == complex(math.inf, -math.inf)
-    # 2 pi M_0(2) conj(a) b with M_0(2) = 2/[3], rounded once from 80 digits
+    assert _hex(inner_product(f, opposite, mu)) == ("float", "0x0.0p+0")
+    assert inner_product(f, same, mu) == math.inf
+    # 2 pi M_0(2) a b with M_0(2) = 2/[3], rounded once from 80 digits
     with decimal.localcontext(_CTX) as ctx:
         ctx.prec = 80
         q2 = decimal.Decimal(p.q) ** 2
         scale = 4 * decimal.Decimal(math.pi) * decimal.Decimal(1e-10) / (1 + q2 + 1 / q2)
-        want = complex(float(scale * decimal.Decimal(1.5e308)), float(-scale * decimal.Decimal(1.5e308)))
-    for got in (inner_product(f, small, mu), inner_product(small, f, mu).conjugate()):
+        want = float(scale * decimal.Decimal(1.5e308))
+    for got in (inner_product(f, small, mu), inner_product(small, f, mu)):
         assert _hex(got) == _hex(want)
-    assert f.max_abs() == math.inf
-    assert f.distance(same) == math.inf and same.distance(f) == math.inf
-    assert math.isnan(angular_function(p, 0, {1: complex(1.5e308, 1.5e308), 3: math.nan}).max_abs())
+    assert f.max_abs() == 1.5e308
+    opposite_sign = angular_function(p, 0, {1: -1.5e308})
+    assert f.distance(opposite_sign) == math.inf and opposite_sign.distance(f) == math.inf
+    assert math.isnan(angular_function(p, 0, {1: 1.5e308, 3: math.nan}).max_abs())
 
 
 def test_gram_matrix_identity():
@@ -521,13 +504,16 @@ def test_inner_product_series_measure_route():
 
 
 def test_inner_product_conjugate_linearity():
+    # on real coefficients the hermitian product is linear in f and
+    # symmetric
     p = QParam(1.3)
     mu = QMeasure(p)
-    f = angular_function(p, 1, {0: 1 + 2j, 2: -0.5j})
+    f = angular_function(p, 1, {0: 1.0, 2: -0.5})
     g = angular_function(p, 1, {1: 0.7, 2: 1.5})
-    lhs = inner_product(f.scaled(2j), g, mu)
-    rhs = -2j * inner_product(f, g, mu)
+    lhs = inner_product(f.scaled(-2.5), g, mu)
+    rhs = -2.5 * inner_product(f, g, mu)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+    assert inner_product(g, f, mu) == pytest.approx(inner_product(f, g, mu), rel=1e-15)
 
 
 def test_high_precision_integration():
@@ -541,8 +527,6 @@ def test_high_precision_integration():
 # ----------------------------- moments kept in the QParam table -----------------------------
 
 def _bits(v):
-    if isinstance(v, complex):
-        return (v.real.hex(), v.imag.hex())
     return v.hex() if isinstance(v, float) else v.as_tuple()
 
 
@@ -699,57 +683,48 @@ GRAM_QS = (1.0, 0.985, 0.5, 2.0, 0.8728089666203019, 1.0927654030536282)
 
 def _per_call_inner_product(f, g, mu):
     """The inner product as formed before each function kept its sum
-    operand: in double precision the parity exit, precision and conversion
-    on every call, and fresh moments; in high precision fresh moments and
-    both pair sums, the imaginary one included, of which the real part is
-    the result."""
+    operand: in double precision the parity exit and conversion on every
+    call, and fresh moments; in high precision fresh moments and the full
+    sum."""
     p = mu.p
     if f.m != g.m or f.is_zero or g.is_zero:
         return p.zero
     if p.is_high:
         with decimal.localcontext(_CTX):
-            return _reference_sum(f, g, mu, lambda v: v * p.one, p.pi, True)[0]
+            return _reference_sum(f, g, mu, lambda v: v * p.one, p.pi)
     opposite = len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
-    if opposite and all(map(cmath.isfinite, f.coeffs.values())):
-        re = im = 0.0
-    else:
-        return _full_sum(f, g, mu)
-    return complex(re, im) if any(v.imag for h in (f, g) for v in h.coeffs.values()) else re
+    if opposite and all(map(math.isfinite, f.coeffs.values())):
+        return 0.0
+    return _full_sum(f, g, mu)
 
 
 def _seeded_pairs(seed: int, n: int):
-    """n (f, g, mu) draws from random.Random(seed).random alone: complex
+    """n (f, g, mu) draws from random.Random(seed).random alone: real
     coefficients, +-0.0 (which construction prunes), NaN and +-inf on
-    either side, complex moduli past the largest double, every
-    winding from -4 to 4, and closed-form and depth-5 and depth-40 series
-    measures."""
+    either side, values near the largest double, whose products and sums
+    leave the double range, every winding from -4 to 4, and closed-form
+    and depth-5 and depth-40 series measures."""
     r = random.Random(seed).random
 
     def pick(seq):
         return seq[int(r() * len(seq))]
 
-    def part():
+    def coeff():
         u = r()
         if u < 0.05:
             return pick((math.nan, math.inf, -math.inf))
         if u < 0.12:
             return pick((0.0, -0.0))
+        if u < 0.14:
+            return pick((1.5e308, -1.2e308, -1.7e308))
         return (2 * r() - 1) * 10.0 ** int(r() * 301 - 150)
-
-    def coeff(cplx):
-        if not cplx:
-            return part()
-        if r() < 0.03:
-            return complex(pick((1.5e308, -1.2e308)), pick((1.5e308, -1.7e308)))
-        return complex(part(), part())
 
     def function(p, m):
         parity = pick((0, 1, None))
-        cplx = r() < 0.4
         coeffs = {}
         for _ in range(1 + int(r() * 5)):
             k = int(r() * 12)
-            coeffs[k if parity is None else 2 * (k // 2) + parity] = coeff(cplx)
+            coeffs[k if parity is None else 2 * (k // 2) + parity] = coeff()
         return angular_function(p, m, coeffs)
 
     for _ in range(n):
@@ -777,9 +752,10 @@ def _pinned_products():
 def test_inner_products_pinned_bitwise():
     # recorded when double-precision sums came to run in the private
     # 62-digit context; re-pinned on that code when the seeded pairs
-    # stopped writing zeros into a function after construction
+    # stopped writing zeros into a function after construction, and again
+    # when they came to draw real coefficients only
     digest = hashlib.sha256("\n".join(_pinned_products()).encode()).hexdigest()
-    assert digest == "8817379ab79bd819e69a8a57ee8b8c3b643a71714807e4b40a95db5015ccc0fa"
+    assert digest == "61ad2461da5d39127b3869a5aba1e63afbdb1d7e5e049d0756d217f2c7b56082"
 
 
 def _pinned_high_products(cases):
@@ -810,24 +786,22 @@ def test_high_inner_products_pinned_bitwise():
 
 
 def test_inner_product_matches_the_per_call_path():
-    seen = {"opposite": 0, "nonfinite f": 0, "nonfinite g": 0, "past DBL_MAX": 0, "complex": 0, "series": 0}
+    seen = {"opposite": 0, "nonfinite f": 0, "nonfinite g": 0, "past DBL_MAX": 0, "series": 0}
     for f, g, mu in _seeded_pairs(31, 2000):
         got = inner_product(f, g, mu)
         assert _hex(got) == _hex(_per_call_inner_product(f, g, mu)), (mu.p.q, mu.series_depth, f.coeffs, g.coeffs)
         if f.m == g.m and f.coeffs and g.coeffs:
-            fin = [all(map(cmath.isfinite, h.coeffs.values())) for h in (f, g)]
+            fin = [all(map(math.isfinite, h.coeffs.values())) for h in (f, g)]
             seen["opposite"] += len({k % 2 for k in f.coeffs} | {(k + 1) % 2 for k in g.coeffs}) == 1
             seen["nonfinite f"] += not fin[0]
             seen["nonfinite g"] += not fin[1]
-            seen["past DBL_MAX"] += any(abs(v.real) > 1e308 for h in (f, g) for v in h.coeffs.values())
-            seen["complex"] += isinstance(got, complex)
+            seen["past DBL_MAX"] += any(abs(v) > 1e308 for h in (f, g) for v in h.coeffs.values())
             seen["series"] += mu.series_depth is not None
     assert min(seen.values()) > 50, seen
 
 
 def test_high_inner_product_matches_the_per_call_path():
-    # the library sums no imaginary pair for real coefficients; the digits
-    # and exponent of every Decimal must be the full sum's
+    # the digits and exponent of every Decimal must be the full sum's
     for q, depth in ((0.5, None), (0.7, None), (0.7, 40), (1.3, None), (2.0, None), (1e16, None)):
         p = QParam(q, "high")
         mu = QMeasure(p, depth)
@@ -857,7 +831,7 @@ def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
         # coefficients converted in the QParam's arithmetic
         for y in ys:
             parts = jackson._operand(y).parts
-            assert parts[0] == {k: v for k, v in y.coeffs.items() if v.real}, (q, precision)
+            assert parts[0] == dict(y.coeffs), (q, precision)
             assert all(type(v) is decimal.Decimal for v in parts[0].values())
         assert not formed
 
@@ -869,7 +843,7 @@ def test_functions_survive_pickle_and_deepcopy():
         p = QParam(0.7, precision)
         mu = QMeasure(p)
         f = build_y(3, -1, p)
-        g = angular_function(p, -1, {0: p.one, 2: p.number(-0.25)} if p.is_high else {0: complex(1.5, -0.0), 2: -0.25})
+        g = angular_function(p, -1, {0: p.number(1.5), 2: p.number(-0.25)})
         want = {(a, b): _bits(inner_product(a, b, mu)) for a in (f, g) for b in (f, g)}
         for copied in (lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy):
             f2, g2 = copied(f), copied(g)
@@ -890,7 +864,7 @@ def test_operand_holds_no_reference_to_the_qparam():
     # QParam or a function alive, or make a cycle through them
     p, ph = QParam(0.5), QParam(0.7, "high")
     f = build_y(3, 1, p)
-    g = angular_function(p, 1, {0: 1 + 2j, 3: math.nan, 4: complex(1.5e308, -1.5e308)})
+    g = angular_function(p, 1, {0: 1.5, 3: math.nan, 4: -1.5e308})
     for h in (f, g):
         inner_product(h, f, QMeasure(p))
         inner_product(h, g, QMeasure(p))
@@ -904,6 +878,6 @@ def test_operand_holds_no_reference_to_the_qparam():
             continue
         seen.add(id(x))
         if x is not jackson._Operand:  # a named tuple refers to its class
-            assert x is None or isinstance(x, (tuple, dict, int, float, complex, decimal.Decimal)), type(x)
+            assert x is None or isinstance(x, (tuple, dict, int, float, decimal.Decimal)), type(x)
             todo.extend(gc.get_referents(x) if isinstance(x, (tuple, dict)) else ())
     assert len(seen) > 20
