@@ -41,6 +41,9 @@ DOUBLE_ARGVS = [
     ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400"],
     ["verify", "--q", "0.9", "--lmax", "3"],
     *(["verify", "--q", q, "--lmax", lmax] for q, lmax in (("0.5", "10"), ("1.01", "12"), ("0.1", "8"), ("1e-4", "4"), ("1e16", "3"))),
+    # verify near q = 1, where the double scalars the operands are formed
+    # from lose digits: both reports hold failed rows (exit 1)
+    *(["verify", "--q", q, "--lmax", lmax] for q, lmax in (("1.000001", "6"), ("0.999", "12"))),
 ]
 ARGVS = [
     *(["verify", "--q", q, "--lmax", lmax, *HIGH] for q in ("0.5", "0.7", "1.3", "1e16") for lmax in ("3", "4", "6")),
@@ -57,6 +60,9 @@ ARGVS = [
     ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400", *HIGH],
     ["verify", "--q", "0.9", "--lmax", "4", *HIGH],
     ["verify", "--q", "0.995", "--lmax", "3", *HIGH],
+    # high-precision verify far from q = 1 at the larger sizes, where 62
+    # digits leave gated rows failing (exit 1)
+    *(["verify", "--q", q, "--lmax", lmax, *HIGH] for q, lmax in (("0.1", "16"), ("0.2", "24"))),
     *DOUBLE_ARGVS,
     # usage and numerical-domain errors: exit 2 with a message on stderr
     ["verify", "--lmax", "65"],
