@@ -14,8 +14,10 @@ the right.  Every operation here is closed on this family:
   that product onto the one an order down times a polynomial: the step
   acts on each monomial in closed form, with no division.
 
-Coefficients are plain floats/complex in double mode and real Decimals in
-high precision mode; all scalar arithmetic is routed through QParam, and
+Coefficients are real, the same inputs in either precision: floats in
+double mode and Decimals in high precision mode, and a complex coefficient
+or scale factor is refused with ValueError in both, since the realizations
+are hermitian at real q.  All scalar arithmetic is routed through QParam, and
 every public function and method that computes is decorated with
 ``qcore._in_private_context``, so it computes in the private decimal
 context in either precision, whatever the caller's context is.
@@ -41,13 +43,12 @@ def _nanmax(magnitudes, zero=0.0):
     return total if total != total else max(vals, default=zero)
 
 
-def _max_modulus(values, zero=0.0):
-    """_nanmax of the moduli of values; where abs overflows, on a finite
-    complex past the largest double, hypot gives that modulus as inf."""
-    try:
-        return _nanmax(map(abs, values), zero)
-    except OverflowError:
-        return _nanmax((math.hypot(v.real, v.imag) for v in values), zero)
+def _real(v, what: str):
+    """v itself when it is not complex; a complex number (a numbers.Complex
+    that is not a numbers.Real) raises ValueError naming it."""
+    if not isinstance(v, float) and isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
+        raise ValueError(f"{what} must be real, got {v!r}")
+    return v
 
 
 def _power(k) -> int:
@@ -68,8 +69,9 @@ class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k:
     an immutable value.
 
-    Constructing one validates it: m must be an integer and each key a
-    nonnegative power of x0 (see _power), or ValueError names it.  The
+    Constructing one validates it: m must be an integer, each key a
+    nonnegative power of x0 (see _power) and each coefficient real, or
+    ValueError names it.  The
     nonzero coefficients go into a dict of the function's own, which
     ``degree`` and ``is_zero`` rely on, behind the read-only view
     ``coeffs``: assigning or deleting a key raises TypeError.  A changed
@@ -88,7 +90,7 @@ class AngularFunction:
 
     def __post_init__(self):
         _check_integers(m=self.m)
-        powers = [(_power(k), v) for k, v in self.coeffs.items()]
+        powers = [(_power(k), _real(v, "coefficients")) for k, v in self.coeffs.items()]
         object.__setattr__(self, "coeffs", MappingProxyType({k: v for k, v in powers if v != 0}))
 
     def __reduce__(self):
@@ -104,7 +106,7 @@ class AngularFunction:
 
     @_in_private_context
     def scaled(self, s) -> "AngularFunction":
-        return _function(self.p, self.m, _pscale(self.coeffs, s))
+        return _function(self.p, self.m, _pscale(self.coeffs, _real(s, "scale factor")))
 
     @_in_private_context
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
@@ -126,20 +128,21 @@ class AngularFunction:
         if self.m != other.m and not (self.is_zero or other.is_zero):
             return self.p.number(math.inf)
         keys = set(self.coeffs) | set(other.coeffs)
-        return _max_modulus([self.coeffs.get(k, 0) - other.coeffs.get(k, 0) for k in keys], self.p.zero)
+        return _nanmax((abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) for k in keys), self.p.zero)
 
     @_in_private_context
     def max_abs(self) -> float:
         """Largest |coefficient| (zero if none), NaN if any is NaN."""
-        return _max_modulus(self.coeffs.values(), self.p.zero)
+        return _nanmax(map(abs, self.coeffs.values()), self.p.zero)
 
 
 def angular_function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:
-    """The function of winding m with coefficients {k: a_k}; in high
+    """The function of winding m with real coefficients {k: a_k}; in high
     precision each a_k, an int, float or Decimal, is converted exactly to a
-    Decimal (a complex one raises TypeError)."""
+    Decimal.  A complex a_k raises ValueError naming it, in either
+    precision."""
     if p.is_high:
-        coeffs = {k: p.number(v) for k, v in coeffs.items()}
+        coeffs = {k: p.number(_real(v, "coefficients")) for k, v in coeffs.items()}
     return AngularFunction(p, m, coeffs)
 
 

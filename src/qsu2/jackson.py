@@ -18,9 +18,10 @@ sum to a double once: its value is the high-precision one, rounded.
 
 The inner product of two functions of winding m reduces the winding
 factors of f~ g to the weight w_m(x) = pref_m prod_i (1 - q**e_i x**2),
-the same rewrite as angular.mul_position, so
+the same rewrite as angular.mul_position, so, with the real coefficients
+a_i of f and b_j of g (the conjugate of a real is itself),
 
-    <f, g> = 2 pi sum_{i,j} conj(a_i) b_j M_m(i + j),
+    <f, g> = 2 pi sum_{i,j} a_i b_j M_m(i + j),
 
 with the weighted moments M_m(n), the grid sums of x**n w_m(x).  Every
 grid weight lies in [0, 1] and the first |m| of them vanish; the rest form
@@ -40,14 +41,13 @@ per moment whatever the grid depth.
 Both precisions form the sum in stdlib decimal, through one routine
 (_operand_sum), in qcore's private 62-digit context, as the grid walk
 does: a double-precision sum is the high-precision sum of the same
-operands, rounded once to a double (or a complex).  The two differ only
+operands, rounded once to a double.  The two differ only
 in what enters the sum: in double precision the coefficients and the
 double nearest pi, converted exactly to Decimal, in high precision the
 coefficients as v * p.one, which rounds at 62 digits, and the 62-digit
 pi.  What a sum reads of each function is its sum operand: the
 coefficients in the sum's number type, and in double precision also
-their finiteness, the parity of their degrees and whether one is
-complex.  It is formed once and kept on the function, which never
+their finiteness and the parity of their degrees.  It is formed once and kept on the function, which never
 changes (see _operand), so a function met in many sums is converted
 once, and nothing is kept anywhere else.  The closed-form moments are
 kept in the QParam's table under ("moments", m), one list per winding
@@ -70,10 +70,8 @@ carries an exponent set by the coefficients.
 
 from __future__ import annotations
 
-import cmath
 import decimal
 import math
-import numbers
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -305,20 +303,16 @@ def _sum_moments(mu: QMeasure, m: int, nmax: int) -> list:
 
 
 class _Operand(NamedTuple):
-    """What a sum reads of one function.  A high-precision operand, whose
-    coefficients are real, holds only its parts and degree: the facts after
-    them serve double precision alone (its parity exit, its imaginary sum
-    and the type of its result), and keep their defaults."""
+    """What a sum reads of one function.  A high-precision operand holds
+    only its coefficients and degree: the facts after them serve the double
+    precision parity exit alone, and keep their defaults."""
 
-    # the nonzero real and imaginary parts of the coefficients, each as
-    # {k: part} in the sum's number type
-    parts: tuple
+    coeffs: dict  # {k: a_k}, every a_k nonzero, in the sum's number type
     degree: int
     finite: bool = True  # every coefficient is finite
     # 0 when every degree is even, 1 when every one is odd, 2 when mixed:
     # two functions are of opposite parity exactly when theirs sum to 1
     parity: int = 2
-    imaginary: bool = False  # some coefficient has an imaginary part
 
 
 def _operand(h: AngularFunction) -> _Operand:
@@ -336,52 +330,44 @@ def _form_operand(c: Mapping, p: QParam) -> _Operand:
     the private context, so that the caller's context sees no float
     conversion."""
     num = _convert(p)
-    parts = ({k: num(v.real) for k, v in c.items() if v.real}, {k: num(v.imag) for k, v in c.items() if v.imag})
+    coeffs = {k: num(v) for k, v in c.items()}
     if p.is_high:
-        return _Operand(parts, max(c))
-    values = c.values()
+        return _Operand(coeffs, max(c))
     parities = {k % 2 for k in c}
     return _Operand(
-        parts=parts,
+        coeffs=coeffs,
         degree=max(c),
-        finite=all(map(cmath.isfinite, values)),
+        finite=all(v.is_finite() for v in coeffs.values()),
         parity=parities.pop() if len(parities) == 1 else 2,
-        imaginary=any(v.imag for v in values),
     )
 
 
 @_in_private_context
-def _operand_sum(mu: QMeasure, m: int, a: _Operand, b: _Operand) -> tuple:
-    """2 pi sum conj(a_i) b_j M_m(i+j) over the operands a of f and b of g
-    as a (real, imaginary) pair of Decimals, summed in the private 62-digit
-    context in either precision.  The imaginary part is summed only when a
-    coefficient of f or g has one, and is 0 otherwise."""
+def _operand_sum(mu: QMeasure, m: int, a: _Operand, b: _Operand) -> decimal.Decimal:
+    """2 pi sum a_i b_j M_m(i+j) over the operands a of f and b of g, a
+    Decimal summed in the private 62-digit context in either precision."""
     p = mu.p
     moments = _sum_moments(mu, m, a.degree + b.degree)
-    (a_re, a_im), (b_re, b_im) = a.parts, b.parts
-    re = _pair_sum(a_re, b_re, moments) + _pair_sum(a_im, b_im, moments)
-    im = _pair_sum(a_re, b_im, moments) - _pair_sum(a_im, b_re, moments) if a.imaginary or b.imaginary else 0
     pi = p.pi if p.is_high else _PI
-    return 2 * pi * re, 2 * pi * im
+    return 2 * pi * _pair_sum(a.coeffs, b.coeffs, moments)
 
 
 def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
-    """Hermitian inner product; conjugate-linear in f.
+    """Hermitian inner product of two functions with real coefficients:
+    a float in double precision, a Decimal in high precision.
 
     Zero for unequal windings (exact angle integral); otherwise
-    2 pi sum_{i,j} conj(a_i) b_j M_m(i+j) over the coefficients a of f and
-    b of g, with the closed-form weighted moments M_m(n) of the module
+    2 pi sum_{i,j} a_i b_j M_m(i+j) over the coefficients a of f and b of
+    g, with the closed-form weighted moments M_m(n) of the module
     docstring (or, for a series measure, their depth-D grid sums).
 
     Both precisions form the moments and the sum in decimal, in the private
     62-digit context.  In double precision coefficients convert exactly,
     once per function, in its first sum (see _operand), and the sum is
-    rounded to a double once: the result is complex when a coefficient has
-    an imaginary part, and only then is the imaginary part summed.  A pair
-    of opposite parity (every degree of f even and every degree of g odd, or
-    the reverse) returns the exact zero of that sum, 0.0 or 0j, without
-    forming it, unless a coefficient of f is NaN or infinite, which makes
-    the sum NaN.  In high precision, where coefficients are real, the sum is
+    rounded to a double once.  A pair of opposite parity (every degree of f
+    even and every degree of g odd, or the reverse) returns the exact zero
+    of that sum, 0.0, without forming it, unless a coefficient of f is NaN
+    or infinite, which makes the sum NaN.  In high precision the sum is
     formed in the QParam's Decimal arithmetic from the same kept operands,
     opposite-parity pairs included: the Decimal zero's exponent depends on
     the coefficients, and callers may compare it digit by digit.
@@ -393,12 +379,10 @@ def inner_product(f: AngularFunction, g: AngularFunction, mu: QMeasure):
         return p.zero
     a, b = _operand(f), _operand(g)
     if p.is_high:
-        return _operand_sum(mu, f.m, a, b)[0]
+        return _operand_sum(mu, f.m, a, b)
     if a.parity + b.parity == 1 and a.finite:
-        re = im = 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
-    else:
-        re, im = map(float, _operand_sum(mu, f.m, a, b))
-    return complex(re, im) if a.imaginary or b.imaginary else re
+        return 0.0  # every i + j is odd; a non-finite a_i would make the sum nan
+    return float(_operand_sum(mu, f.m, a, b))
 
 
 @dataclass(frozen=True)
@@ -410,21 +394,6 @@ class ConvergenceProbe:
     depth_for_1e12: int | None
 
 
-def _in_number_type(n, p: QParam):
-    """The real n as an int when it is an integer, which the walk and the
-    q-number table take as it is, and otherwise in the number type of p,
-    rounded where that type cannot hold it: the caller compares."""
-    if _is_integer(n):
-        return int(n)
-    if not p.is_high:
-        return float(n)
-    if isinstance(n, decimal.Decimal):
-        return n
-    if isinstance(n, numbers.Rational):
-        return decimal.Decimal(n.numerator) / n.denominator
-    return decimal.Decimal(float(n))
-
-
 @_in_private_context
 def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     """Partial sums of the discrete half-line integral versus 1/[n+1], one
@@ -432,37 +401,28 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
 
     Only defined for 0 < q < 1.  Also reports the first depth, up to
     100000, at which the partial sum is within 1e-12 of the closed form.
-    One pass over the grid serves both.  The degree n may be any finite
-    real above -1, but not a bool, that the number type of p holds exactly
-    (a float, int, Decimal or Fraction: 0.5 as Fraction(1, 2) or
-    Decimal("0.5") in either precision, Decimal("0.1") in high precision
-    only); the walk takes it exactly, as an int or a Decimal, and the
-    report keeps n as given.  Any other raises ValueError naming it.
+    One pass over the grid serves both.  The degree n is a nonnegative
+    integer, by integrate_monomial's rule, in either precision; any other
+    raises ValueError naming it.
     """
-    if isinstance(n, bool) or not isinstance(n, (numbers.Real, decimal.Decimal)) or not -1 < n < math.inf:
-        raise ValueError(f"probe degree must be a finite real number above -1, got {n!r}")
-    try:
-        x = _in_number_type(n, p)
-    except OverflowError:  # a Fraction past the double range
-        x = None
-    if x is None or x != n:
-        raise ValueError(f"probe degree must be a real number that {p.precision} precision holds exactly, got {n!r}")
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"probe degree must be a nonnegative integer, got {n!r}")
+    n = int(n)
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")
     cap = 100000
     want = list(PROBE_DEPTHS)
     rows = []
     hit = None
-    limit = _over_qnum(1, x + 1, p)
-    # The walk and the comparison run in Decimal: a float degree and the
-    # double limit convert exactly, and so does the 1e-12 gate.  The sums
+    limit = _over_qnum(1, n + 1, p)
+    # The walk and the comparison run in Decimal: the double limit converts
+    # exactly, and so does the 1e-12 gate.  The sums
     # never decrease (every term is positive), and one at or below `floor`,
     # a number below exact - 2 gate whatever the rounding, is not within
     # the gate of exact, so only a sum above it is compared.
     exact, gate = decimal.Decimal(limit), decimal.Decimal(1e-12)
     floor = (exact - 2 * gate).next_minus()
-    ns = [decimal.Decimal(x) if isinstance(x, float) else x]
-    for d, (s,) in enumerate(_running_sums(ns, decimal.Decimal(p.q))):
+    for d, (s,) in enumerate(_running_sums([n], decimal.Decimal(p.q))):
         while want and want[0] <= d:
             rows.append((want.pop(0), float(s), float(abs(s - exact))))
         if hit is None and s > floor and 0 < d <= cap and abs(s - exact) < gate:

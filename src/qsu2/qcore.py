@@ -101,8 +101,10 @@ class QParam:
     a Decimal; a string or bytes is refused however it reads.  Complex
     values and roots of unity are rejected at construction because the
     hermiticity assignments used by the operator realizations require real
-    q.  In double precision a q below 1/DBL_MAX (about 5.6e-309), whose
-    1/q overflows, raises OverflowError.
+    q.  In double precision a positive real q outside the double range
+    raises OverflowError naming it: one that rounds to 0 or inf as a
+    double (10**400, Decimal("1E-400")), and one below 1/DBL_MAX (about
+    5.6e-309), whose 1/q overflows.
 
     ``is_high`` selects the numeric backend, floats or Decimals, and ``one``
     and ``zero`` are its unit and zero.  The private ``_table`` holds,
@@ -145,9 +147,14 @@ class QParam:
             # Decimal(float) is exact, as is float(float)
             q = decimal.Decimal(self.q) if self.is_high else float(self.q)
             ok = q.is_finite() if self.is_high else math.isfinite(q)
+        except OverflowError:  # an int or Fraction past the largest double
+            q, ok = None, False
         except (TypeError, ValueError, ArithmeticError):
             raise ValueError(f"q must be a positive real number, got {self.q!r}") from None
         if not (ok and q > 0):
+            # a finite positive q that is 0, inf or no double at all as one
+            if not self.is_high and 0 < self.q < math.inf:
+                raise OverflowError(f"q={self.q!r} lies outside the double range [1/DBL_MAX, DBL_MAX]")
             raise ValueError(f"q must be a positive real number, got {self.q!r}")
         lam = q - 1 / q
         if lam == -math.inf:  # q < 1/DBL_MAX, a subnormal double: 1/q overflows

@@ -20,9 +20,10 @@ shoots just below and above the closed form, which certify a level lying
 between them by their node counts alone; the secant root of their
 endpoint values is then the level.  A pair that misses predicts the step
 by extrapolation, and a pair around the prediction is shot; a bracket
-still missing widens tenfold per shoot, and inside it a secant step and
-a certifying pair around its root find the level, with bisection on the
-count where they do not.  A level costs two shoots when it lies within
+still missing widens tenfold per shoot.  Inside the bracket one secant
+step is taken: a pair of shoots around its root certifies it, and
+bisection on the count narrows whatever bracket is left to the energy
+tolerance.  A level costs two shoots when it lies within
 0.45 energy tolerances of the closed form, four when the extrapolated
 pair brackets it, and otherwise more by the widenings, the certifying
 pair and any fallback bisections.  With Numerov the two shoots of the
@@ -428,13 +429,14 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
       become the bracket when their counts straddle n;
     - a bracket still missing widens tenfold per shoot (4.5, 45, ...
       tol_e), keeping the end it passed, up to BRACKET_SPAN times |E|;
-    - while the bracket is wider than tol_e, the secant root c of its
-      ends (Dowell and Jarratt's safeguarded regula falsi) is certified
-      by shoots at c - 0.45 tol_e and, unless the first already lies
-      above the step, at c + 0.45 tol_e; a side at or beyond a bracket
-      end is not shot, since that end's count certifies it;
-    - bisection on the node count shrinks whatever bracket is left to
-      tol_e.
+    - one secant step: the secant root c of the bracket's ends is
+      formed once and certified by a shoot at c - 0.45 tol_e and, unless
+      that one already lies above the step, one at c + 0.45 tol_e, each
+      taken only while the bracket is wider than tol_e and only strictly
+      inside it, since an end's count certifies the side at or beyond it;
+      c is not formed again from the narrowed bracket;
+    - bisection on the node count then shrinks whatever bracket is left
+      to tol_e.
 
     The level is the secant root of the final bracket's ends wherever that
     root lies strictly inside it; elsewhere, as where an endpoint is not

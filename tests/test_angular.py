@@ -5,6 +5,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -715,6 +716,24 @@ def test_constructor_refuses_keys_that_are_not_integral_powers(key):
             for make in (angular.AngularFunction, angular_function):
                 with pytest.raises(ValueError, match=re.escape(f"nonnegative powers of x0, got key {key!r}")):
                     make(p, 0, coeffs)
+
+
+@pytest.mark.parametrize("value", [1j, complex(1.5, 0.0), complex(math.nan, 0.0), np.complex128(2), np.complex64(1j)])
+def test_complex_coefficients_and_scale_factors_are_refused(value):
+    # the realizations are hermitian at real q: both precisions take real
+    # coefficients only, where high precision took a complex one into the
+    # constructor and failed in its first inner product
+    for precision in ("double", "high"):
+        p = QParam(0.7, precision)
+        for make in (angular.AngularFunction, angular_function):
+            for coeffs in ({0: value}, {0: 1.0, 2: value}):
+                with pytest.raises(ValueError, match=re.escape(f"coefficients must be real, got {value!r}")):
+                    make(p, 0, coeffs)
+        f = angular_function(p, 1, {0: 1.0, 2: -0.5})
+        with pytest.raises(ValueError, match=re.escape(f"scale factor must be real, got {value!r}")):
+            f.scaled(value)
+        # a real scale factor of any type the precision computes with stays
+        assert f.scaled(p.number(2)).coeffs == {0: 2 * p.one, 2: -p.one}
 
 
 @pytest.mark.parametrize("m", [0.5, 2.0, True, "1", Fraction(1), None])

@@ -228,15 +228,14 @@ def test_double_series_is_the_high_precision_series_rounded(q):
 def test_an_underflowing_limit_in_high_precision_is_zero():
     # [n+1] at q = 0.9 overflows decimal's exponent range, which raises
     # decimal.Overflow, not OverflowError: the fallback form gives 0, as the
-    # double-precision one does at n = 1e300 and at an int n past the
-    # double range, to which a float q cannot be raised
+    # double-precision one does at an int n past the double range, to which
+    # a float q cannot be raised
     high = QParam(0.9, "high")
     assert integrate_monomial(10 ** 400, QMeasure(high)) == 0
     assert integrate_monomial(10 ** 400, QMeasure(QParam(0.9))) == 0
-    for n in (1e300, 10 ** 400):
-        probe = series_convergence_probe(n, high)
-        assert (probe.limit, probe.depth_for_1e12, {row[1:] for row in probe.rows}) == (0.0, 1, {(0.0, 0.0)})
-        assert series_convergence_probe(n, QParam(0.9)) == probe
+    probe = series_convergence_probe(10 ** 400, high)
+    assert (probe.limit, probe.depth_for_1e12, {row[1:] for row in probe.rows}) == (0.0, 1, {(0.0, 0.0)})
+    assert series_convergence_probe(10 ** 400, QParam(0.9)) == probe
 
 
 def test_convergence_probe_requires_small_q():
@@ -244,17 +243,29 @@ def test_convergence_probe_requires_small_q():
         series_convergence_probe(0, QParam(1.2))
 
 
+def _refusal(run, n) -> str:
+    """The text of the ValueError that run(n) raises."""
+    with pytest.raises(ValueError) as info:
+        run(n)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("n", [-1, -1.0, -2, -1.5, math.nan, math.inf, -math.inf, True])
 def test_convergence_probe_degree_must_lie_above_minus_one(n):
     # -1 divided by [0], -2 and -1.5 overflowed after walking the grid,
-    # nan gave nan rows, True was n = 1
-    with pytest.raises(ValueError, match=f"probe degree must be a finite real number above -1, got {n!r}"):
-        series_convergence_probe(n, QParam(0.5))
+    # nan gave nan rows, True was n = 1; each is refused in both precisions
+    for precision in ("double", "high"):
+        p = QParam(0.5, precision)
+        assert _refusal(lambda v: series_convergence_probe(v, p), n) == f"probe degree must be a nonnegative integer, got {n!r}"
 
 
 def test_convergence_probe_takes_a_real_degree():
-    probe = series_convergence_probe(2.5, QParam(0.5))
-    assert probe.depth_for_1e12 is not None and probe.limit == pytest.approx(1 / qnum(3.5, QParam(0.5)))
+    # the probe took any finite real degree above -1; it now takes
+    # integrate_monomial's degrees, so 2.5 is refused, as it is there
+    for precision in ("double", "high"):
+        mu = QMeasure(QParam(0.5, precision))
+        assert _refusal(lambda v: series_convergence_probe(v, mu.p), 2.5) == "probe degree must be a nonnegative integer, got 2.5"
+        assert _refusal(lambda v: integrate_monomial(v, mu), 2.5) == "monomial degree must be a nonnegative integer, got 2.5"
 
 
 @pytest.mark.parametrize("precision", ["double", "high"])
@@ -263,14 +274,26 @@ def test_convergence_probe_takes_a_real_degree():
     [(2.0, 2), (0.5, 0.5), (Fraction(1, 2), 0.5), (decimal.Decimal("0.5"), 0.5), (decimal.Decimal("2"), 2)],
 )
 def test_convergence_probe_takes_a_degree_of_any_real_type(precision, n, same):
-    # a float in high precision, a Fraction in high precision and a Decimal
-    # in double precision raised TypeError from a power; each is taken
-    # exactly in the walk's number type, and the report keeps n as given
-    p = QParam(0.9, precision)
-    probe, want = series_convergence_probe(n, p), series_convergence_probe(same, p)
-    assert probe.n is n
-    assert (probe.limit, probe.rows, probe.depth_for_1e12) == (want.limit, want.rows, want.depth_for_1e12)
-    assert probe.limit == pytest.approx(1 / float(qnum(float(n) + 1, QParam(0.9))), rel=1e-14)
+    # the probe took each of these exactly in the walk's number type; it now
+    # takes integrate_monomial's degrees, so a degree of any real type other
+    # than an integer is refused with integrate_monomial's rule, whether or
+    # not it equals an int (same), and only an int is taken
+    mu = QMeasure(QParam(0.9, precision))
+    assert _refusal(lambda v: series_convergence_probe(v, mu.p), n) == f"probe degree must be a nonnegative integer, got {n!r}"
+    assert _refusal(lambda v: integrate_monomial(v, mu), n) == f"monomial degree must be a nonnegative integer, got {n!r}"
+    if type(same) is int:
+        assert series_convergence_probe(same, mu.p).n == same
+
+
+@pytest.mark.parametrize("n", [0.5, 2.0, decimal.Decimal("0.1"), Fraction(1, 2), True, -1, 10 ** 400])
+def test_convergence_probe_takes_the_same_degrees_in_both_precisions(n):
+    # one input domain: each degree gets the same refusal text in both
+    # precisions, or the same report
+    runs = [lambda v, p=QParam(0.9, precision): series_convergence_probe(v, p) for precision in ("double", "high")]
+    if type(n) is int and n >= 0:
+        assert runs[0](n) == runs[1](n)
+    else:
+        assert _refusal(runs[0], n) == _refusal(runs[1], n) == f"probe degree must be a nonnegative integer, got {n!r}"
 
 
 @pytest.mark.parametrize(
@@ -287,8 +310,9 @@ def test_convergence_probe_takes_a_degree_of_any_real_type(precision, n, same):
     ],
 )
 def test_convergence_probe_refuses_a_degree_its_number_type_cannot_hold(precision, n):
-    # never a TypeError: a real the number type would round, and anything
-    # that is no real number at all, raise ValueError naming it
+    # never a TypeError: a real that is not an integer, and anything that
+    # is no real number at all, raise ValueError naming it, in either
+    # precision
     with pytest.raises(ValueError, match=f"probe degree must be .*, got {re.escape(repr(n))}"):
         series_convergence_probe(n, QParam(0.9, precision))
 
@@ -827,12 +851,13 @@ def test_each_operand_is_formed_once_across_a_gram(monkeypatch):
         assert len(formed) == len(ys), q
         assert {id(c) for c in formed} == {id(y.coeffs) for y in ys}
         formed.clear()
-        # the operand is kept: in high precision its parts are the
-        # coefficients converted in the QParam's arithmetic
+        # the operand is kept: its coefficients are the function's,
+        # converted to Decimal (exactly in double precision, in the
+        # QParam's arithmetic in high precision)
         for y in ys:
-            parts = jackson._operand(y).parts
-            assert parts[0] == dict(y.coeffs), (q, precision)
-            assert all(type(v) is decimal.Decimal for v in parts[0].values())
+            coeffs = jackson._operand(y).coeffs
+            assert coeffs == dict(y.coeffs), (q, precision)
+            assert all(type(v) is decimal.Decimal for v in coeffs.values())
         assert not formed
 
 
@@ -880,4 +905,5 @@ def test_operand_holds_no_reference_to_the_qparam():
         if x is not jackson._Operand:  # a named tuple refers to its class
             assert x is None or isinstance(x, (tuple, dict, int, float, decimal.Decimal)), type(x)
             todo.extend(gc.get_referents(x) if isinstance(x, (tuple, dict)) else ())
-    assert len(seen) > 20
+    # the walk reached every converted coefficient
+    assert {id(v) for h in (f, g, fh) for v in h._operand.coeffs.values()} <= seen

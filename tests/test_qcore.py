@@ -137,6 +137,24 @@ def test_double_q_whose_reciprocal_overflows():
     assert p.lam.is_finite() and p.lam < Decimal("-1e320")
 
 
+def test_double_q_outside_the_double_range():
+    # a positive real that rounds to inf or 0 as a double, or is too large
+    # to round at all, read "q must be a positive real number"; it names q
+    # and the double range now; high precision takes the int and the Decimals
+    for q in (10 ** 400, Decimal("1E-400"), Decimal("1E+400"), Fraction(1, 10 ** 400)):
+        with pytest.raises(OverflowError, match=re.escape(f"q={q!r} lies outside the double range")):
+            QParam(q)
+    for q in (10 ** 400, Decimal("1E-400"), Decimal("1E+400")):
+        assert QParam(q, "high").q == q
+    # the ends of the range stay, and a value that is no positive real
+    # keeps its refusal
+    for q in (1e308, 1e-307):
+        assert QParam(q).q == q
+    for bad in (-10 ** 400, Decimal("-1E-400"), Decimal("Infinity"), math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"q must be a positive real number, got {bad!r}")):
+            QParam(bad)
+
+
 def test_invariants_rejects_bad_l():
     with pytest.raises(ValueError):
         invariants(-1, QParam(1.2))
