@@ -15,10 +15,10 @@ the right.  Every operation here is closed on this family:
   acts on each monomial in closed form, with no division.
 
 Coefficients are real, the same inputs in either precision: floats in
-double mode and Decimals in high precision mode, and a complex coefficient
-or scale factor is refused with ValueError in both, since the realizations
-are hermitian at real q.  All scalar arithmetic is routed through QParam, and
-every public function and method that computes is decorated with
+double mode and Decimals in high precision mode.  A complex coefficient or
+scale factor is refused with ValueError in both, since the realizations
+are hermitian at real q.  All scalar arithmetic is routed through QParam,
+and every public function and method that computes is decorated with
 ``qcore._in_private_context``, so it computes in the private decimal
 context in either precision, whatever the caller's context is.
 """
@@ -71,11 +71,11 @@ class AngularFunction:
 
     Constructing one validates it: m must be an integer, each key a
     nonnegative power of x0 (see _power) and each coefficient real, or
-    ValueError names it.  The
-    nonzero coefficients go into a dict of the function's own, which
-    ``degree`` and ``is_zero`` rely on, behind the read-only view
-    ``coeffs``: assigning or deleting a key raises TypeError.  A changed
-    function is a new one, ``angular_function(p, f.m, {**f.coeffs, k: v})``.
+    ValueError names it.  The nonzero coefficients go into a dict of the
+    function's own, which ``degree`` and ``is_zero`` rely on, behind the
+    read-only view ``coeffs``: assigning or deleting a key raises
+    TypeError.  A changed function is a new one,
+    ``angular_function(p, f.m, {**f.coeffs, k: v})``.
     The functions this module forms from valid ones (scaling, sums, the
     position products, the ladder steps, the harmonic builders) come from
     ``_function``, which checks nothing.  The inner product keeps on each

@@ -47,9 +47,10 @@ double nearest pi, converted exactly to Decimal, in high precision the
 coefficients as v * p.one, which rounds at 62 digits, and the 62-digit
 pi.  What a sum reads of each function is its sum operand: the
 coefficients in the sum's number type, and in double precision also
-their finiteness and the parity of their degrees.  It is formed once and kept on the function, which never
-changes (see _operand), so a function met in many sums is converted
-once, and nothing is kept anywhere else.  The closed-form moments are
+their finiteness and the parity of their degrees.  It is formed once
+and kept on the function, which never changes (see _operand), so a
+function met in many sums is converted once, and nothing is kept
+anywhere else.  The closed-form moments are
 kept in the QParam's table under ("moments", m), one list per winding
 with the state its formation stopped in: moment n does not depend on how
 many are formed, so a stored list serves every sum up to its degree, bit
@@ -416,10 +417,10 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     hit = None
     limit = _over_qnum(1, n + 1, p)
     # The walk and the comparison run in Decimal: the double limit converts
-    # exactly, and so does the 1e-12 gate.  The sums
-    # never decrease (every term is positive), and one at or below `floor`,
-    # a number below exact - 2 gate whatever the rounding, is not within
-    # the gate of exact, so only a sum above it is compared.
+    # exactly, and so does the 1e-12 gate.  The sums never decrease (every
+    # term is positive), and one at or below `floor`, a number below
+    # exact - 2 gate whatever the rounding, is not within the gate of
+    # exact, so only a sum above it is compared.
     exact, gate = decimal.Decimal(limit), decimal.Decimal(1e-12)
     floor = (exact - 2 * gate).next_minus()
     for d, (s,) in enumerate(_running_sums([n], decimal.Decimal(p.q))):
