@@ -44,6 +44,10 @@ DOUBLE_ARGVS = [
     # verify near q = 1, where the double scalars the operands are formed
     # from lose digits: both reports hold failed rows (exit 1)
     *(["verify", "--q", q, "--lmax", lmax] for q, lmax in (("1.000001", "6"), ("0.999", "12"))),
+    # the harmonic coefficients and the closed-form spectrum, each at one q
+    # near 1 and one far from it
+    ["harmonics", "--q", "0.999", "--q", "1.3", "--lmax", "8"],
+    ["spectrum", "--potential", "coulomb", "--q", "0.999", "--q", "0.6", "--nmax", "2", "--lmax", "8"],
 ]
 ARGVS = [
     *(["verify", "--q", q, "--lmax", lmax, *HIGH] for q in ("0.5", "0.7", "1.3", "1e16") for lmax in ("3", "4", "6")),

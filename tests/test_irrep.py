@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import re
 
@@ -34,6 +35,9 @@ from qsu2 import (
     verify_algebra,
 )
 from qsu2.qcore import _CTX
+
+import make_cli_corpus as corpus
+import make_verdict_map as verdicts
 
 
 def test_generators_classical_spin_one_block():
@@ -280,6 +284,26 @@ def test_harmonic_orthonormality_far_from_one():
         rep = verify_algebra(QParam(q), 6)
         row = next(c for c in rep.checks if c.name == "harmonic-orthonormality")
         assert row.passed, (q, row.residual)
+
+
+def test_verdict_map_replays():
+    # every point of the committed verdict map, run again: whether it
+    # passed, its failing gated rows and whether its finding resolves are
+    # those recorded (make_verdict_map.py).  The double-precision points go
+    # through the C library's pow, whose last bit may differ between libm
+    # builds: they are compared only on the machine and C library the map
+    # was recorded on
+    table = json.loads(verdicts.TABLE.read_text())
+    assert [(e["precision"], e["q"], e["lmax"]) for e in table["points"]] == verdicts.POINTS
+    high = [e for e in table["points"] if e["precision"] == "high"]
+    changed = [e for e in high if verdicts.run(e["precision"], e["q"], e["lmax"]) != e]
+    assert not changed, changed
+    here, recorded = corpus.platform_tag(), {k: table["recorded_with"][k] for k in corpus.platform_tag()}
+    if here != recorded:
+        pytest.skip(f"double-precision verdicts were recorded on {recorded}, not on {here}, whose libm may round differently")
+    double = [e for e in table["points"] if e["precision"] == "double"]
+    changed = [e for e in double if verdicts.run(e["precision"], e["q"], e["lmax"]) != e]
+    assert not changed, changed
 
 
 @pytest.mark.parametrize(
