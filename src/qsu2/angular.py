@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .qcore import QParam, _check_integers, _in_private_context, _is_integer, qdouble_factorial, qnum, qnum_base2
+from .qcore import QParam, _check_integers, _in_private_context, _is_integer, qdouble_factorial, qnum
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -178,9 +178,9 @@ def _pshift(a: dict, j: int = 1) -> dict:
     return {k + j: v for k, v in a.items()}
 
 
-def _pdilate(a: dict, s) -> dict:
-    """Coefficients of P(s*x0)."""
-    return {k: v * s ** k for k, v in a.items()}
+def _pdilate(a: dict, p: QParam, e: int) -> dict:
+    """Coefficients of P(q**e x0)."""
+    return {k: v * p.power(e * k) for k, v in a.items()}
 
 
 def _qderiv(a: dict, p: QParam, sign: int) -> dict:
@@ -240,11 +240,10 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
         return _function(p, m, _pshift(f.coeffs))
     if k not in (1, -1):
         raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
-    dilation = p.power(-2 * k)
-    tail = _pdilate(f.coeffs, dilation)
+    tail = _pdilate(f.coeffs, p, -2 * k)
     if k * m >= 0:
         return _function(p, m + k, tail)
-    return _function(p, m + k, _mixed_product(tail, dilation, p))
+    return _function(p, m + k, _mixed_product(tail, p.power(-2 * k), p))
 
 
 # ----------------------------- ladder operators -----------------------------
@@ -365,7 +364,9 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
 @_in_private_context
 def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     """The same polynomial from the terminating hypergeometric series in
-    base q**2, argument (q**-m x0)**2.
+    base q**2, argument (q**-m x0)**2.  In base q**2 the q-number of x is
+    [2x]/[2], so at the half-integer parameters a/2, b/2, c/2 the term
+    ratio is [a + 2n][b + 2n]/([c + 2n][2n + 2]): the [2]s cancel.
 
     Must reproduce build_phi coefficient by coefficient; that equivalence
     is the closed-form-versus-recursion oracle.  The odd-parity series is
@@ -383,11 +384,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     term = p.one
     coeffs = {odd: term}
     for n in range(nterms):
-        ratio = (
-            qnum_base2(a2 + 2 * n, p)
-            * qnum_base2(b2 + 2 * n, p)
-            / (qnum_base2(c2 + 2 * n, p) * qnum_base2(2 + 2 * n, p))
-        )
+        ratio = qnum(a2 + 2 * n, p) * qnum(b2 + 2 * n, p) / (qnum(c2 + 2 * n, p) * qnum(2 + 2 * n, p))
         term = term * ratio * z
         coeffs[2 * (n + 1) + odd] = term
     return _function(p, m, coeffs)
@@ -397,8 +394,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
 def normalization_constant(l: int, m: int, p: QParam):
     """Parity-dependent normalization for the series-convention polynomial."""
     l, m = _check_nonneg_label(l, m)
-    two = qnum(2, p)
-    front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(two ** m)
+    front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(math.prod([qnum(2, p)] * m))
     if (l - m) % 2:
         phase = (-1) ** ((l - m - 1) // 2)
         ratio = (

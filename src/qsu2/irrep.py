@@ -504,9 +504,10 @@ def transverse_square_candidates(l: int, p: QParam) -> dict:
     derivative, keyed by formula."""
     inv = invariants(l, p)
     two = qnum(2, p)
-    printed = -(qnum(2 * l, p) * qnum(2 * l + 1, p) / (two * two) + inv.c ** 2)
-    with_cross = -(inv.Cprime + inv.c ** 2 - inv.c)
-    consistent = -(inv.Cprime + inv.c ** 2)
+    c2 = p.number(decimal.Decimal(inv.c) ** 2)  # rounded once, so an overflow raises
+    printed = -(qnum(2 * l, p) * qnum(2 * l + 1, p) / (two * two) + c2)
+    with_cross = -(inv.Cprime + c2 - inv.c)
+    consistent = -(inv.Cprime + c2)
     return {
         "-([2l][2l+1]/[2]^2 + c_l^2)": printed,
         "-([2l][2l+2]/[2]^2 + c_l^2 - c_l)": with_cross,
@@ -682,7 +683,7 @@ _ROWS = (
     ("transverse-dual-construction", "operator", True, "",
      lambda d, d_elem, **_: [(d[k], d_elem[k]) for k in (1, 0, -1)]),
     ("transverse-hermiticity", "operator", True, "", lambda d, p, **_: [
-        (d[k].dagger(), d[-k].scaled(-((-1 / p.q) ** k))) for k in (1, 0, -1)]),
+        (d[1].dagger(), d[-1].scaled(1 / p.q)), (d[0].dagger(), d[0].scaled(-1)), (d[-1].dagger(), d[1].scaled(p.q))]),
     ("position-hermiticity", "operator", True, "", lambda x, p, **_: [
         (x[1].dagger(), x[-1].scaled(-1 / p.q)), (x[-1].dagger(), x[1].scaled(-p.q)), (x[0].dagger(), x[0])]),
     ("transverse-square-diagonal", "operator", True, lambda matched, **_: f"matched: {', '.join(matched)}",

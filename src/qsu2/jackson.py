@@ -180,19 +180,14 @@ def _series_integrals(ns, p: QParam, depth: int) -> list:
 
 def _over_qnum(c, k: int, p: QParam):
     """c/[k], falling back to c b**k (1/b - b) / (1 - b**(2k)) with
-    b = min(q, 1/q) when [k] overflows: the value, or 0 once it underflows.
-    c b**k is formed first, so that nothing overflows near b = 1/DBL_MAX.
-    An int k past the double range, which a float b cannot raise to, gives
-    that zero too, as the Decimal power does in high precision."""
+    b = min(q, 1/q) when [k] overflows: formed at the exact Decimal q in
+    the private context and rounded once, the value, or 0 once it
+    underflows, in either precision."""
     try:
         return c / qnum(k, p)
     except (OverflowError, decimal.Overflow):
-        b = min(p.q, 1 / p.q)
-        try:
-            bk = b ** k
-        except OverflowError:  # float(k) overflows; b < 1, so b**k is 0
-            return c * p.zero
-        return c * bk * (1 / b - b) / (1 - b ** (2 * k))
+        b = min(p._q, 1 / p._q)
+        return p.number(c * b ** k * (1 / b - b) / (1 - b ** (2 * k)))
 
 
 @_in_private_context

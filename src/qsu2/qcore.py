@@ -10,7 +10,10 @@ Two numeric backends are supported per ``QParam``: plain double precision
 (floats) and a high precision mode on the stdlib ``decimal`` module at 62
 significant digits, with no exponent limit.  The high mode exists for
 oracle runs: identity residuals that are pure rounding noise drop by many
-orders of magnitude there, residuals that stay put are real.  Decimal
+orders of magnitude there, residuals that stay put are real.  Both form
+lambda, q**e and [n] at 62 digits from the exact q, and double precision
+rounds each once (``QParam.number``): a double result depends only on IEEE
+arithmetic and sqrt, libmpdec and CPython's float parse and repr.  Decimal
 arithmetic rounds at the calling thread's context, and this module is the
 only one that knows it: every public function and method that computes is
 decorated with ``_in_private_context``, which installs one private context
@@ -25,17 +28,16 @@ importing the package loads no third-party module.
 Every identity downstream is built from a handful of q-numbers [n] and
 integer powers q**e, so each ``QParam`` keeps a private table of them,
 filled on first use: ``qnum(n, p)`` for integer n and ``p.power(e)`` read
-it, and the unit and zero of the backend are formed once, at construction.
-The same table keeps what the harmonics and the inner product share at
-one q: ``angular.build_y`` stores each harmonic's coefficients, and
+it.  The same table keeps what the harmonics and the inner product share
+at one q: ``angular.build_y`` stores each harmonic's coefficients, and
 ``jackson.inner_product`` the closed-form weighted moments of each
-winding.  A table entry is the value the direct computation
-gives, bit for bit, and never refers to its ``QParam``: entries are
-numbers, coefficient dicts and lists of numbers, so a ``QParam`` is freed
-by reference counting on its last reference, with no cycle for the
-collector.  The table is not part of equality, hashing or the repr, and
-it lives and dies with its ``QParam``, so nothing is shared between
-parameters or calls, and no module keeps a memo of its own.
+winding.  A table entry is the value the direct computation gives, bit
+for bit, and never refers to its ``QParam``: entries are numbers,
+coefficient dicts and lists of numbers, so a ``QParam`` is freed by
+reference counting, with no cycle for the collector.  The table is not
+part of equality, hashing or the repr, and it lives and dies with its
+``QParam``, so nothing is shared between parameters or calls, and no
+module keeps a memo of its own.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ class QParam:
     is_high: bool = field(init=False, compare=False, repr=False)
     one: float = field(init=False, compare=False, repr=False)
     zero: float = field(init=False, compare=False, repr=False)
+    # q exactly and lambda at 62 digits, as Decimals, in either precision
+    _q: decimal.Decimal = field(init=False, compare=False, repr=False)
+    _lam: decimal.Decimal = field(init=False, compare=False, repr=False)
     _table: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     @_in_private_context
@@ -156,12 +161,16 @@ class QParam:
             if not self.is_high and 0 < self.q < math.inf:
                 raise OverflowError(f"q={self.q!r} lies outside the double range [1/DBL_MAX, DBL_MAX]")
             raise ValueError(f"q must be a positive real number, got {self.q!r}")
-        lam = q - 1 / q
-        if lam == -math.inf:  # q < 1/DBL_MAX, a subnormal double: 1/q overflows
-            raise OverflowError(f"1/q overflows in double precision at q={q}")
+        exact = decimal.Decimal(q)
+        lam = exact - 1 / exact
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "one", q ** 0)
+        object.__setattr__(self, "_q", exact)
+        object.__setattr__(self, "_lam", lam)
+        try:
+            object.__setattr__(self, "lam", self.number(lam))
+        except OverflowError:  # q < 1/DBL_MAX, a subnormal double: 1/q overflows
+            raise OverflowError(f"1/q overflows in double precision at q={q}") from None
+        object.__setattr__(self, "one", self.number(1))
         object.__setattr__(self, "zero", 0 * self.one)
 
     @property
@@ -184,9 +193,16 @@ class QParam:
         return math.sqrt(x)
 
     def number(self, x):
-        """The int or float x as a number of the backend, exactly: a float
-        in double precision, a Decimal in high precision."""
-        return decimal.Decimal(x) if self.is_high else float(x)
+        """The int, float or Decimal x as a number of the backend: a
+        Decimal, exactly, in high precision, and a float, rounded once, in
+        double precision, where a finite x that rounds to +-inf raises
+        OverflowError."""
+        if self.is_high:
+            return decimal.Decimal(x)
+        v = float(x)
+        if math.isinf(v) and decimal.Decimal(x).is_finite():
+            raise OverflowError(f"{x:.6g} lies outside the double range")
+        return v
 
     @_in_private_context
     def reciprocal(self) -> "QParam":
@@ -204,7 +220,7 @@ class QParam:
 
     @_in_private_context
     def _power(self, e: int):
-        return self.q ** e
+        return self.number(self._q ** e)
 
 
 def _is_integer(v) -> bool:
@@ -223,9 +239,9 @@ def _check_integers(**args):
 def qnum(n, p: QParam):
     """Symmetric q-number (q**n - q**-n)/(q - 1/q); equals n when q = 1.
 
-    n may be any real; the function is odd in n and invariant under
-    q -> 1/q.  Integer n is read from the table of p, filled on first use;
-    an overflow is raised and not stored.
+    n may be an int, a float or a Decimal; the function is odd in n and
+    invariant under q -> 1/q.  Integer n is read from the table of p,
+    filled on first use; an overflow is raised and not stored.
     """
     if type(n) is not int:
         return _qnum(n, p)
@@ -239,25 +255,8 @@ def qnum(n, p: QParam):
 
 @_in_private_context
 def _qnum(n, p: QParam):
-    if isinstance(n, float):
-        n = p.number(n)
-    if p.is_one:
-        return n * p.one
-    return (p.q ** n - p.q ** (-n)) / p.lam
-
-
-@_in_private_context
-def qnum_base2(e2, p: QParam):
-    """q-number with base q**2 evaluated at half-index e2/2.
-
-    The argument is twice the index so that all exponents stay integral:
-    qnum_base2(2*x, p) is the base-q**2 q-number of x.  Used by the
-    terminating hypergeometric series, whose parameters are half-integers.
-    """
-    if p.is_one:
-        return e2 * p.one / 2
-    q2 = p.q * p.q
-    return (p.power(e2) - p.power(-e2)) / (q2 - 1 / q2)
+    q, n = p._q, decimal.Decimal(n) if isinstance(n, float) else n
+    return p.number(n * q ** 0 if p.is_one else (q ** n - q ** -n) / p._lam)
 
 
 @_in_private_context

@@ -107,7 +107,8 @@ def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
     rhs = centrifugal_rhs(l, p)
     L = _root_l(rhs, l, p)
     if potential == COULOMB:
-        E = -1 / (2 * (n + L + 1) ** 2)
+        N = n + L + 1
+        E = -1 / (2 * (N * N))
         signed = float(E) < 0
     else:
         E = 2 * n + L + 3 * p.one / 2

@@ -3,13 +3,11 @@ qsu2.cli.main, and its exit code, the sha256 of its stdout and the text of
 its stderr are written to cli_corpus.json beside this script, which
 test_cli replays.
 
-A high-precision entry's bytes depend only on CPython's decimal
-(libmpdec) and the .15g float format, not on the platform's libm, and so
-do those of a refusal that exits 2 before writing anything to stdout.  The
-double-precision entries that write stdout (DOUBLE_ARGVS) also go through
-the C library's pow, whose last bit may differ between libm builds: the
-table records the machine and C library they were recorded on, and
-test_cli compares their stdout hashes only there.
+An entry's bytes depend only on CPython's decimal (libmpdec), its float
+parse and repr and the .15g float format, and in double precision on
+IEEE +, -, *, / and sqrt, not on the platform's libm: every double scalar
+formed from q is its 62-digit value rounded once.  The table records the
+Python and libmpdec versions it was recorded with.
 
     PYTHONPATH=src python tests/make_cli_corpus.py
 
@@ -22,7 +20,6 @@ import decimal
 import hashlib
 import io
 import json
-import platform
 import sys
 from pathlib import Path
 
@@ -78,11 +75,6 @@ ARGVS = [
 ]
 
 
-def platform_tag() -> dict:
-    """The machine and C library that DOUBLE_ARGVS' stdout depends on."""
-    return {"machine": platform.machine(), "libc": list(platform.libc_ver())}
-
-
 def run(argv: list) -> dict:
     """The exit code of main(argv), the sha256 of what it writes to stdout
     and the text it writes to stderr."""
@@ -98,6 +90,6 @@ def run(argv: list) -> dict:
 
 
 if __name__ == "__main__":
-    recorded_with = {"python": sys.version.split()[0], "libmpdec": decimal.__libmpdec_version__, **platform_tag()}
+    recorded_with = {"python": sys.version.split()[0], "libmpdec": decimal.__libmpdec_version__}
     entries = ",\n".join(" " + json.dumps(run(argv)) for argv in ARGVS)
     TABLE.write_text(f'{{"recorded_with": {json.dumps(recorded_with)},\n"entries": [\n{entries}\n]}}\n')

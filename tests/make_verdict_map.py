@@ -5,11 +5,6 @@ verdict_map.json beside this script, which test_irrep replays.  No
 residual is recorded: bytes are the CLI corpus's job, and a list of row
 names does not move when a residual moves in its last digits.
 
-The double-precision points are also evaluated through the C library's
-pow, whose last bit may differ between libm builds: the table records the
-machine and C library they were recorded on, and test_irrep compares them
-only there.
-
     PYTHONPATH=src python tests/make_verdict_map.py
 
 prints, per precision, how many points fail and at how many points each
@@ -24,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from make_cli_corpus import platform_tag
 from qsu2 import QParam, verify_algebra
 
 TABLE = Path(__file__).with_name("verdict_map.json")
@@ -50,7 +44,7 @@ def run(precision: str, q: float, lmax: int) -> dict:
 
 
 if __name__ == "__main__":
-    recorded_with = {"python": sys.version.split()[0], "libmpdec": decimal.__libmpdec_version__, **platform_tag()}
+    recorded_with = {"python": sys.version.split()[0], "libmpdec": decimal.__libmpdec_version__}
     points = [run(*point) for point in POINTS]
     entries = ",\n".join(" " + json.dumps(e) for e in points)
     TABLE.write_text(f'{{"recorded_with": {json.dumps(recorded_with)},\n"points": [\n{entries}\n]}}\n')

@@ -406,8 +406,8 @@ def test_integrate_underflow_names_the_range_it_leaves(capsys):
 
 
 def test_integrate_below_overflow_of_the_q_number(tmp_path):
-    # [1024] and [1025] overflow at q = 0.5, but the half-line limit 1/[1024]
-    # of the convergence probe and 2/[1025] = 3 * 2**-1025 are in double range
+    # [1025] overflows at q = 0.5, but the half-line limit 1/[1024] of the
+    # convergence probe and 2/[1025] = 3 * 2**-1025 are in double range
     code, data = run_json(tmp_path, ["integrate", "--degree", "1023", "--q", "0.5"])
     assert code == 0
     assert data["rows"][0]["closed_form"] == 0.0
@@ -569,11 +569,11 @@ q,group,name,residual,passed,note
 0.7,harmonic,harmonic-casimir,1.53480577163611e-61,True,
 0.7,harmonic,harmonic-ladder-step,9.31396679945179e-62,True,
 0.7,harmonic,harmonic-orthonormality,6.05e-60,True,
-0.7,harmonic,harmonic-recursion-vs-closed-form,9.96952944098357e-62,True,
+0.7,harmonic,harmonic-recursion-vs-closed-form,5.98664873803852e-62,True,
 0.7,harmonic,ladder-adjointness,5.7e-61,True,
 0.7,harmonic,measure-symmetry,6e-62,True,q against 1/q
 0.7,harmonic,position-product-expansion,1.91338632157138e-61,True,
-0.7,harmonic,position-right-commutation,4.2065815618363e-61,True,
+0.7,harmonic,position-right-commutation,4.84747573554822e-61,True,
 0.7,harmonic,uniform-state-moment,0,True,
 0.7,measure,measure-series-agreement,3e-62,True,
 0.7,operator,angular-square-diagonal,2e-60,True,
@@ -615,33 +615,16 @@ def test_verify_double_precision_stdout_bytes(capsys):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert len(out) == 14474
-    assert hashlib.sha256(out).hexdigest() == "cefc528802e0993373c3bcea8d5e00e3127f6f72d0118e2f90a9ee2ad215ef83"
+    assert hashlib.sha256(out).hexdigest() == "b6d0a132a482b12c45f54e99325fe2c98e9ab44fb3b733f56a2095b0277f06a9"
 
 
 def test_cli_corpus_replays():
-    # every argv list of the committed corpus outside DOUBLE_ARGVS, run in
-    # process: its exit code, the sha256 of its stdout and its stderr text
-    # are those recorded (make_cli_corpus.py)
+    # every argv list of the committed corpus, run in process: its exit
+    # code, the sha256 of its stdout and its stderr text are those recorded
+    # (make_cli_corpus.py), on any platform
     entries = json.loads(corpus.TABLE.read_text())["entries"]
     assert [e["argv"] for e in entries] == corpus.ARGVS
-    changed = [e["argv"] for e in entries if e["argv"] not in corpus.DOUBLE_ARGVS and corpus.run(e["argv"]) != e]
-    assert not changed, changed
-
-
-def test_cli_corpus_double_precision_replays():
-    # the double-precision entries that write stdout go through the C
-    # library's pow, whose last bit may differ between libm builds: their
-    # exit codes and stderr text are compared everywhere, their stdout
-    # hashes only on the machine and C library the table was recorded on
-    table = json.loads(corpus.TABLE.read_text())
-    entries = [e for e in table["entries"] if e["argv"] in corpus.DOUBLE_ARGVS]
-    assert [e["argv"] for e in entries] == corpus.DOUBLE_ARGVS
-    runs = [corpus.run(e["argv"]) for e in entries]
-    assert [(r["exit"], r["stderr"]) for r in runs] == [(e["exit"], e["stderr"]) for e in entries]
-    here, recorded = corpus.platform_tag(), {k: table["recorded_with"][k] for k in corpus.platform_tag()}
-    if here != recorded:
-        pytest.skip(f"double-precision stdout hashes were recorded on {recorded}, not on {here}, whose libm may round differently")
-    changed = [e["argv"] for e, r in zip(entries, runs) if r != e]
+    changed = [e["argv"] for e in entries if corpus.run(e["argv"]) != e]
     assert not changed, changed
 
 

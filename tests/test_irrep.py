@@ -36,7 +36,6 @@ from qsu2 import (
 )
 from qsu2.qcore import _CTX
 
-import make_cli_corpus as corpus
 import make_verdict_map as verdicts
 
 
@@ -289,20 +288,10 @@ def test_harmonic_orthonormality_far_from_one():
 def test_verdict_map_replays():
     # every point of the committed verdict map, run again: whether it
     # passed, its failing gated rows and whether its finding resolves are
-    # those recorded (make_verdict_map.py).  The double-precision points go
-    # through the C library's pow, whose last bit may differ between libm
-    # builds: they are compared only on the machine and C library the map
-    # was recorded on
-    table = json.loads(verdicts.TABLE.read_text())
-    assert [(e["precision"], e["q"], e["lmax"]) for e in table["points"]] == verdicts.POINTS
-    high = [e for e in table["points"] if e["precision"] == "high"]
-    changed = [e for e in high if verdicts.run(e["precision"], e["q"], e["lmax"]) != e]
-    assert not changed, changed
-    here, recorded = corpus.platform_tag(), {k: table["recorded_with"][k] for k in corpus.platform_tag()}
-    if here != recorded:
-        pytest.skip(f"double-precision verdicts were recorded on {recorded}, not on {here}, whose libm may round differently")
-    double = [e for e in table["points"] if e["precision"] == "double"]
-    changed = [e for e in double if verdicts.run(e["precision"], e["q"], e["lmax"]) != e]
+    # those recorded (make_verdict_map.py)
+    points = json.loads(verdicts.TABLE.read_text())["points"]
+    assert [(e["precision"], e["q"], e["lmax"]) for e in points] == verdicts.POINTS
+    changed = [e for e in points if verdicts.run(e["precision"], e["q"], e["lmax"]) != e]
     assert not changed, changed
 
 

@@ -141,7 +141,8 @@ def test_double_precision_moments_match_high_precision():
 
 
 def test_monomial_beyond_q_number_range():
-    # [n+1] overflows from n = 1023 at q = 0.5; the bounded form takes over
+    # [n+1] overflows from n = 1024 at q = 0.5 ([1024] = 2**1024/1.5 is a
+    # double); the bounded form takes over
     for q in (0.5, 2.0):
         mu = QMeasure(QParam(q))
         assert integrate_monomial(1022, mu) == 2 / qnum(1023, mu.p)
@@ -766,9 +767,11 @@ def test_inner_products_pinned_bitwise():
     # recorded when double-precision sums came to run in the private
     # 62-digit context; re-pinned on that code when the seeded pairs
     # stopped writing zeros into a function after construction, and again
-    # when they came to draw real coefficients only
+    # when they came to draw real coefficients only, and again when every
+    # double q-number and power of q came to be its 62-digit value rounded
+    # once, which moves the harmonics' coefficients
     digest = hashlib.sha256("\n".join(_pinned_products()).encode()).hexdigest()
-    assert digest == "61ad2461da5d39127b3869a5aba1e63afbdb1d7e5e049d0756d217f2c7b56082"
+    assert digest == "d87d29ea852b45ba24ffe609541bb29dfd06e6a610b11a62711752da4cb687ad"
 
 
 def _pinned_high_products(cases):

@@ -276,20 +276,6 @@ def test_high_precision_pi():
     assert QParam(0.7, "high").pi == decimal.Context(prec=62).plus(want)
 
 
-def test_qnum_base2_half_indices():
-    from qsu2.qcore import qnum_base2
-
-    # base-q**2 numbers at twice the index: integral exponents only
-    q = 1.7
-    p = QParam(q)
-    got = qnum_base2(3, p)
-    want = (q ** 3 - q ** -3) / (q ** 2 - q ** -2)
-    assert got == pytest.approx(want, rel=1e-15)
-    assert qnum_base2(3, QParam(1.0)) == 1.5
-    # at q = 1 the half index is exact in high precision too
-    assert qnum_base2(3, QParam(1.0, "high")) == Decimal("1.5")
-
-
 def test_cprime_matches_angular_square_diagonal():
     # cross-module oracle: the closed form against the contracted vector
     # built on the truncated basis
@@ -310,27 +296,50 @@ def _bits(x):
     return x.hex() if isinstance(x, float) else x.as_tuple()
 
 
+# the reference the double-precision entries are checked against: 80
+# digits, 18 more than the private context carries
+_REF = decimal.Context(prec=80, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def test_table_entries_equal_the_direct_formulas():
-    for precision in ("double", "high"):
-        for q in (0.5, 1.0, 1.3):
-            p = QParam(q, precision)
-            qq = p.q
-            # the direct formulas are evaluated in the backend's own context
-            with decimal.localcontext(_CTX if p.is_high else None):
-                assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
-                for n in range(-12, 13):
-                    direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
-                    first = qnum(n, p)
-                    assert _bits(first) == _bits(direct), (precision, q, n)
-                    # a second call reads the stored entry
-                    assert qnum(n, p) is first
-                    power = p.power(n)
-                    assert _bits(power) == _bits(qq ** n) and p.power(n) is power
-                # a real index is computed directly and not stored
-                size = len(p._table)
-                h = p.number(2.5)
-                assert _bits(qnum(2.5, p)) == _bits(h * qq ** 0 if q == 1.0 else (qq ** h - qq ** -h) / (qq - 1 / qq))
-                assert len(p._table) == size
+    # double precision: lambda and every entry ("pow", e) and ("qnum", n) is
+    # its value at 80 digits from the exact q, rounded once to a double,
+    # near q = 1, where lambda cancels, and far from it
+    for q in (1 + 1e-8, 1 - 1e-8, 1 + 1e-6, 1 - 1e-6, 0.999, 1.0001, 0.1, 1.3, 10.0):
+        p = QParam(q)
+        with decimal.localcontext(_REF):
+            x = Decimal(q)
+            lam = x - 1 / x
+            assert _bits(p.lam) == _bits(float(lam)), q
+            for n in range(-129, 130):
+                assert _bits(p.power(n)) == _bits(float(x ** n)), (q, n)
+                assert _bits(qnum(n, p)) == _bits(float((x ** n - x ** -n) / lam)), (q, n)
+                assert p._table[("pow", n)] is p.power(n) and p._table[("qnum", n)] is qnum(n, p)
+            # a real index is rounded the same way and not stored
+            size, h = len(p._table), Decimal(2.5)
+            assert _bits(qnum(2.5, p)) == _bits(float((x ** h - x ** -h) / lam)) and len(p._table) == size
+        assert (_bits(p.one), _bits(p.zero)) == (_bits(1.0), _bits(0.0))
+    p = QParam(1.0)
+    assert (p.lam, p.power(-7), qnum(-7, p), qnum(2.5, p)) == (0.0, 1.0, -7.0, 2.5)
+    # high precision: the 62-digit formulas themselves, bit for bit
+    for q in (0.5, 1.0, 1.3):
+        p = QParam(q, "high")
+        qq = p.q
+        with decimal.localcontext(_CTX):
+            assert _bits(p.one) == _bits(qq ** 0) and _bits(p.zero) == _bits(0 * qq ** 0)
+            for n in range(-12, 13):
+                direct = n * qq ** 0 if q == 1.0 else (qq ** n - qq ** (-n)) / (qq - 1 / qq)
+                first = qnum(n, p)
+                assert _bits(first) == _bits(direct), (q, n)
+                # a second call reads the stored entry
+                assert qnum(n, p) is first
+                power = p.power(n)
+                assert _bits(power) == _bits(qq ** n) and p.power(n) is power
+            # a real index is computed directly and not stored
+            size = len(p._table)
+            h = p.number(2.5)
+            assert _bits(qnum(2.5, p)) == _bits(h * qq ** 0 if q == 1.0 else (qq ** h - qq ** -h) / (qq - 1 / qq))
+            assert len(p._table) == size
 
 
 def test_table_overflow_is_raised_and_not_stored():

@@ -652,8 +652,11 @@ def test_radial_reports_pinned_bitwise(monkeypatch):
     import qsu2.spectra as spectra
 
     # every field of every report, recorded before the first pair and the
-    # extrapolated pair were walked in one pass; the last two levels start
-    # from a closed form moved out of reach and are reported unbracketed
+    # extrapolated pair were walked in one pass, and re-recorded when every
+    # double q-number and power of q came to be its 62-digit value rounded
+    # once, which moves L and the levels formed from it; the last two levels
+    # start from a closed form moved out of reach and are reported
+    # unbracketed
     reports = [
         radial_verify(potential, n, l, QParam(q), RadialGrid(n_steps=n_steps, method=method))
         for potential, n, l, q, method, n_steps in PINNED_LEVELS
@@ -666,7 +669,7 @@ def test_radial_reports_pinned_bitwise(monkeypatch):
         monkeypatch.setattr(spectra, "_make_entry", lambda *a: dataclasses.replace(make_entry(*a), E=to(make_entry(*a).E)))
         reports.append(radial_verify(potential, 1, 1, QParam(1.3), RadialGrid(method=method)))
         assert not reports[-1].converged
-    assert _report_hash(reports) == "c5a091b5c68a0455c5525aece6e5426ac6c309e678abf5dddbb5912d91dd2967"
+    assert _report_hash(reports) == "7f209d5ca896678aaea1fc0527602e910107c9dae94ef2b3788c5dea00ec4c9b"
 
 
 def _bits(result):
