@@ -14,17 +14,18 @@ the right.  Every operation here is closed on this family:
   that product onto the one an order down times a polynomial: the step
   acts on each monomial in closed form, with no division.
 
-Coefficients are real, the same inputs in either precision: floats in
-double mode and Decimals in high precision mode.  A complex coefficient or
-scale factor is refused with ValueError in both, since the realizations
-are hermitian at real q.  All scalar arithmetic is routed through QParam,
-and every public function and method that computes is decorated with
-``qcore._in_private_context``, so it computes in the private decimal
+Coefficients are ints, floats or Decimals in either precision, stored as
+floats in double mode and Decimals in high precision mode; any other, or
+a complex scale factor, is refused with ValueError in both, since the
+realizations are hermitian at real q.  Scalar arithmetic is routed through
+QParam, and every public function and method that computes is decorated
+with ``qcore._in_private_context``, so it computes in the private decimal
 context in either precision, whatever the caller's context is.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 from collections.abc import Mapping
@@ -43,12 +44,23 @@ def _nanmax(magnitudes, zero=0.0):
     return total if total != total else max(vals, default=zero)
 
 
-def _real(v, what: str):
-    """v itself when it is not complex; a complex number (a numbers.Complex
-    that is not a numbers.Real) raises ValueError naming it."""
+def _real(v):
+    """The scale factor v itself when it is not complex; a complex number
+    (a numbers.Complex that is not a numbers.Real) raises ValueError."""
     if not isinstance(v, float) and isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
-        raise ValueError(f"{what} must be real, got {v!r}")
+        raise ValueError(f"scale factor must be real, got {v!r}")
     return v
+
+
+def _coefficient(v, p: QParam):
+    """The int (not a bool), float or Decimal v as p.number(v), refused past
+    the double range; anything else raises ValueError naming it."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, decimal.Decimal)):
+        raise ValueError(f"coefficients must be ints, floats or Decimals, got {v!r}")
+    try:
+        return p.number(v)
+    except OverflowError:
+        raise ValueError(f"coefficient {v!r} lies outside the double range") from None
 
 
 def _power(k) -> int:
@@ -70,12 +82,12 @@ class AngularFunction:
     an immutable value.
 
     Constructing one validates it: m must be an integer, each key a
-    nonnegative power of x0 (see _power) and each coefficient real, or
-    ValueError names it.  The nonzero coefficients go into a dict of the
-    function's own, which ``degree`` and ``is_zero`` rely on, behind the
-    read-only view ``coeffs``: assigning or deleting a key raises
-    TypeError.  A changed function is a new one,
-    ``angular_function(p, f.m, {**f.coeffs, k: v})``.
+    nonnegative power of x0 (see _power) and each coefficient one that
+    _coefficient converts, or ValueError names it.  The nonzero
+    coefficients go into a dict of the function's own, which ``degree``
+    and ``is_zero`` rely on, behind the read-only view ``coeffs``:
+    assigning or deleting a key raises TypeError.  A changed function is a
+    new one, ``angular_function(p, f.m, {**f.coeffs, k: v})``.
     The functions this module forms from valid ones (scaling, sums, the
     position products, the ladder steps, the harmonic builders) come from
     ``_function``, which checks nothing.  The inner product keeps on each
@@ -90,7 +102,7 @@ class AngularFunction:
 
     def __post_init__(self):
         _check_integers(m=self.m)
-        powers = [(_power(k), _real(v, "coefficients")) for k, v in self.coeffs.items()]
+        powers = [(_power(k), _coefficient(v, self.p)) for k, v in self.coeffs.items()]
         object.__setattr__(self, "coeffs", MappingProxyType({k: v for k, v in powers if v != 0}))
 
     def __reduce__(self):
@@ -106,7 +118,7 @@ class AngularFunction:
 
     @_in_private_context
     def scaled(self, s) -> "AngularFunction":
-        return _function(self.p, self.m, _pscale(self.coeffs, _real(s, "scale factor")))
+        return _function(self.p, self.m, _pscale(self.coeffs, _real(s)))
 
     @_in_private_context
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
@@ -137,12 +149,8 @@ class AngularFunction:
 
 
 def angular_function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:
-    """The function of winding m with real coefficients {k: a_k}; in high
-    precision each a_k, an int, float or Decimal, is converted exactly to a
-    Decimal.  A complex a_k raises ValueError naming it, in either
-    precision."""
-    if p.is_high:
-        coeffs = {k: p.number(_real(v, "coefficients")) for k, v in coeffs.items()}
+    """The function of winding m with the coefficients {k: a_k}, by the
+    constructor's rule."""
     return AngularFunction(p, m, coeffs)
 
 

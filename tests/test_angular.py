@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsu2 import (
+    QMeasure,
     QParam,
     angular_function,
     apply_c_invariant,
@@ -22,6 +23,7 @@ from qsu2 import (
     build_phi,
     build_y,
     hypergeom_phi,
+    inner_product,
     invariants,
     mul_position,
     mul_position_right,
@@ -727,13 +729,54 @@ def test_complex_coefficients_and_scale_factors_are_refused(value):
         p = QParam(0.7, precision)
         for make in (angular.AngularFunction, angular_function):
             for coeffs in ({0: value}, {0: 1.0, 2: value}):
-                with pytest.raises(ValueError, match=re.escape(f"coefficients must be real, got {value!r}")):
+                with pytest.raises(ValueError, match=re.escape(f"coefficients must be ints, floats or Decimals, got {value!r}")):
                     make(p, 0, coeffs)
         f = angular_function(p, 1, {0: 1.0, 2: -0.5})
         with pytest.raises(ValueError, match=re.escape(f"scale factor must be real, got {value!r}")):
             f.scaled(value)
         # a real scale factor of any type the precision computes with stays
         assert f.scaled(p.number(2)).coeffs == {0: 2 * p.one, 2: -p.one}
+
+
+@pytest.mark.parametrize("precision", ["double", "high"])
+def test_coefficients_are_stored_as_numbers_of_the_backend(precision):
+    # an int, a float (np.float64 is one) or a Decimal is taken by both
+    # constructors and stored as p.number stores it: a float in double
+    # precision, a Decimal, exactly, in high precision.  A double function
+    # used to keep a Decimal, which scaled, + and mul_position_right met
+    # with a bare TypeError, and AngularFunction kept a float in high
+    # precision, which the inner product met with one
+    p = QParam(0.7, precision)
+    coeffs = {0: 3, 1: 0.1, 2: Decimal("0.5"), 3: np.float64(-0.25), 4: -math.inf}
+    for make in (angular.AngularFunction, angular_function):
+        f = make(p, 1, coeffs)
+        assert f.coeffs == {k: p.number(v) for k, v in coeffs.items()}
+        assert {type(v) for v in f.coeffs.values()} == {Decimal if p.is_high else float}
+        g = f.scaled(2) + mul_position(0, f)
+        assert mul_position_right(1, g).m == 2 and mul_position_right(-1, f).m == 0
+        finite = make(p, 1, {k: v for k, v in coeffs.items() if k < 4})
+        assert inner_product(finite, finite, QMeasure(p)) > 0
+
+
+@pytest.mark.parametrize("value", [True, False, Fraction(1, 2), np.int64(2), np.float32(0.5), "1", None])
+def test_coefficients_of_any_other_type_are_refused(value):
+    # a bool acted as 0 or 1; a Fraction, a numpy int or float32 was taken
+    # and failed in the first inner product without naming it
+    for precision in ("double", "high"):
+        p = QParam(0.7, precision)
+        for make in (angular.AngularFunction, angular_function):
+            with pytest.raises(ValueError, match=re.escape(f"coefficients must be ints, floats or Decimals, got {value!r}")):
+                make(p, 0, {0: 1.0, 2: value})
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), Decimal("1E+400"), Decimal("-2E+308")])
+def test_coefficients_past_the_double_range_are_refused_in_double_precision(value):
+    # float() would make them infinite, or raise for the int; high precision
+    # keeps them exactly
+    for make in (angular.AngularFunction, angular_function):
+        with pytest.raises(ValueError, match=re.escape(f"coefficient {value!r} lies outside the double range")):
+            make(QParam(0.7), 0, {1: value})
+        assert make(QParam(0.7, "high"), 0, {1: value}).coeffs == {1: value}
 
 
 @pytest.mark.parametrize("m", [0.5, 2.0, True, "1", Fraction(1), None])
