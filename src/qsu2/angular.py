@@ -45,8 +45,7 @@ def _nanmax(magnitudes, zero=0.0):
 
 
 def _real(v):
-    """The scale factor v itself when it is not complex; a complex number
-    (a numbers.Complex that is not a numbers.Real) raises ValueError."""
+    """The scale factor v; a complex one (not a numbers.Real) raises ValueError."""
     if not isinstance(v, float) and isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
         raise ValueError(f"scale factor must be real, got {v!r}")
     return v
@@ -148,10 +147,8 @@ class AngularFunction:
         return _nanmax(map(abs, self.coeffs.values()), self.p.zero)
 
 
-def angular_function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:
-    """The function of winding m with the coefficients {k: a_k}, by the
-    constructor's rule."""
-    return AngularFunction(p, m, coeffs)
+# the constructor under its functional name: angular_function(p, m, {k: a_k})
+angular_function = AngularFunction
 
 
 def _function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:

@@ -161,13 +161,11 @@ class QParam:
             if not self.is_high and 0 < self.q < math.inf:
                 raise OverflowError(f"q={self.q!r} lies outside the double range [1/DBL_MAX, DBL_MAX]")
             raise ValueError(f"q must be a positive real number, got {self.q!r}")
-        exact = decimal.Decimal(q)
-        lam = exact - 1 / exact
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_q", exact)
-        object.__setattr__(self, "_lam", lam)
+        object.__setattr__(self, "_q", decimal.Decimal(q))
+        object.__setattr__(self, "_lam", self._q - 1 / self._q)
         try:
-            object.__setattr__(self, "lam", self.number(lam))
+            object.__setattr__(self, "lam", self.number(self._lam))
         except OverflowError:  # q < 1/DBL_MAX, a subnormal double: 1/q overflows
             raise OverflowError(f"1/q overflows in double precision at q={q}") from None
         object.__setattr__(self, "one", self.number(1))
@@ -193,10 +191,9 @@ class QParam:
         return math.sqrt(x)
 
     def number(self, x):
-        """The int, float or Decimal x as a number of the backend: a
-        Decimal, exactly, in high precision, and a float, rounded once, in
-        double precision, where a finite x that rounds to +-inf raises
-        OverflowError."""
+        """The int, float or Decimal x as a number of the backend: exactly a
+        Decimal in high precision, a float rounded once in double precision,
+        where a finite x that rounds to +-inf raises OverflowError."""
         if self.is_high:
             return decimal.Decimal(x)
         v = float(x)
@@ -215,12 +212,8 @@ class QParam:
         try:
             return self._table[key]
         except KeyError:
-            val = self._table[key] = self._power(e)
+            val = self._table[key] = _rounded(self, lambda q: q ** e)
             return val
-
-    @_in_private_context
-    def _power(self, e: int):
-        return self.number(self._q ** e)
 
 
 def _is_integer(v) -> bool:
@@ -253,10 +246,21 @@ def qnum(n, p: QParam):
         return val
 
 
-@_in_private_context
 def _qnum(n, p: QParam):
-    q, n = p._q, decimal.Decimal(n) if isinstance(n, float) else n
-    return p.number(n * q ** 0 if p.is_one else (q ** n - q ** -n) / p._lam)
+    n = decimal.Decimal(n) if isinstance(n, float) else n
+    return _rounded(p, lambda q: n * q ** 0 if p.is_one else (q ** n - q ** -n) / p._lam)
+
+
+@_in_private_context
+def _rounded(p: QParam, form):
+    """form(q) at the exact Decimal q, as p.number rounds it; in double
+    precision one past decimal's own range raises OverflowError too."""
+    try:
+        return p.number(form(p._q))
+    except decimal.Overflow:
+        if p.is_high:
+            raise
+        raise OverflowError("a power of q lies outside the double range") from None
 
 
 @_in_private_context

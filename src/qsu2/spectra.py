@@ -107,8 +107,7 @@ def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
     rhs = centrifugal_rhs(l, p)
     L = _root_l(rhs, l, p)
     if potential == COULOMB:
-        N = n + L + 1
-        E = -1 / (2 * (N * N))
+        E = -1 / (2 * ((n + L + 1) * (n + L + 1)))
         signed = float(E) < 0
     else:
         E = 2 * n + L + 3 * p.one / 2

@@ -345,11 +345,13 @@ def test_table_entries_equal_the_direct_formulas():
 def test_table_overflow_is_raised_and_not_stored():
     p = QParam(1.3)
     size = len(p._table)
-    for _ in range(2):
+    # past the double range, and at 10**20 past decimal's own range too,
+    # which raises OverflowError as well, as float ** did
+    for e in (5000, 5000, 10 ** 20):
         with pytest.raises(OverflowError):
-            qnum(5000, p)
+            qnum(e, p)
         with pytest.raises(OverflowError):
-            p.power(5000)
+            p.power(e)
     assert len(p._table) == size
     # the high-precision backend has no such range limit
     ph = QParam(1.3, "high")
