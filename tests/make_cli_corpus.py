@@ -38,8 +38,8 @@ DOUBLE_ARGVS = [
     ["integrate", "--degree", "4", "--q", "0.9", "--series-depth", "400"],
     ["verify", "--q", "0.9", "--lmax", "3"],
     *(["verify", "--q", q, "--lmax", lmax] for q, lmax in (("0.5", "10"), ("1.01", "12"), ("0.1", "8"), ("1e-4", "4"), ("1e16", "3"))),
-    # verify near q = 1, where the double scalars the operands are formed
-    # from lose digits: both reports hold failed rows (exit 1)
+    # verify near q = 1, where lambda = q - 1/q cancels: at q = 1.000001
+    # transverse-from-invariant, which divides by lambda**2, fails (exit 1)
     *(["verify", "--q", q, "--lmax", lmax] for q, lmax in (("1.000001", "6"), ("0.999", "12"))),
     # the harmonic coefficients and the closed-form spectrum, each at one q
     # near 1 and one far from it
