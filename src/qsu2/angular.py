@@ -14,13 +14,14 @@ the right.  Every operation here is closed on this family:
   that product onto the one an order down times a polynomial: the step
   acts on each monomial in closed form, with no division.
 
-Coefficients are ints, floats or Decimals in either precision, stored as
-floats in double mode and Decimals in high precision mode; any other, or
-a complex scale factor, is refused with ValueError in both, since the
-realizations are hermitian at real q.  Scalar arithmetic is routed through
-QParam, and every public function and method that computes is decorated
-with ``qcore._in_private_context``, so it computes in the private decimal
-context in either precision, whatever the caller's context is.
+Coefficients and scale factors are ints, floats or Decimals in either
+precision, stored as floats in double mode and Decimals in high precision
+mode; any other, a complex one included, is refused with ValueError in
+both, since the realizations are hermitian at real q.  Scalar arithmetic
+is routed through QParam, and every public function and method that
+computes is decorated with ``qcore._in_private_context``, so it computes
+in the private decimal context in either precision, whatever the
+caller's context is.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .qcore import QParam, _check_integers, _in_private_context, _is_integer, qdouble_factorial, qnum
+from .qcore import QParam, _check_component, _check_integers, _check_label, _in_private_context, qdouble_factorial, qnum
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -44,16 +45,12 @@ def _nanmax(magnitudes, zero=0.0):
     return total if total != total else max(vals, default=zero)
 
 
-def _real(v):
-    """The scale factor v; a complex one (not a numbers.Real) raises ValueError."""
-    if not isinstance(v, float) and isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
-        raise ValueError(f"scale factor must be real, got {v!r}")
-    return v
-
-
 def _coefficient(v, p: QParam):
     """The int (not a bool), float or Decimal v as p.number(v), refused past
-    the double range; anything else raises ValueError naming it."""
+    the double range; anything else raises ValueError naming it.  A number
+    of the backend's own type is returned as it is."""
+    if type(v) is type(p.one):
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float, decimal.Decimal)):
         raise ValueError(f"coefficients must be ints, floats or Decimals, got {v!r}")
     try:
@@ -80,13 +77,13 @@ class AngularFunction:
     """Winding index m plus a finite coefficient map k -> a_k for x0**k:
     an immutable value.
 
-    Constructing one validates it: m must be an integer, each key a
-    nonnegative power of x0 (see _power) and each coefficient one that
-    _coefficient converts, or ValueError names it.  The nonzero
-    coefficients go into a dict of the function's own, which ``degree``
-    and ``is_zero`` rely on, behind the read-only view ``coeffs``:
-    assigning or deleting a key raises TypeError.  A changed function is a
-    new one, ``angular_function(p, f.m, {**f.coeffs, k: v})``.
+    Constructing one validates it: m by the integer rule (stored as an
+    int), each key a nonnegative power of x0 (see _power) and each
+    coefficient one that _coefficient converts, or ValueError names it.
+    The nonzero coefficients go into a dict of the function's own, which
+    ``degree`` and ``is_zero`` rely on, behind the read-only view
+    ``coeffs``: assigning or deleting a key raises TypeError.  A changed
+    function is a new one, ``angular_function(p, f.m, {**f.coeffs, k: v})``.
     The functions this module forms from valid ones (scaling, sums, the
     position products, the ladder steps, the harmonic builders) come from
     ``_function``, which checks nothing.  The inner product keeps on each
@@ -101,6 +98,7 @@ class AngularFunction:
 
     def __post_init__(self):
         _check_integers(m=self.m)
+        object.__setattr__(self, "m", int(self.m))
         powers = [(_power(k), _coefficient(v, self.p)) for k, v in self.coeffs.items()]
         object.__setattr__(self, "coeffs", MappingProxyType({k: v for k, v in powers if v != 0}))
 
@@ -117,7 +115,7 @@ class AngularFunction:
 
     @_in_private_context
     def scaled(self, s) -> "AngularFunction":
-        return _function(self.p, self.m, _pscale(self.coeffs, _real(s)))
+        return _function(self.p, self.m, _pscale(self.coeffs, _coefficient(s, self.p)))
 
     @_in_private_context
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
@@ -222,11 +220,10 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     either extends the winding factor (k*m >= 0) or contracts one mixed pair
     into its polynomial product.
     """
+    _check_component(k)
     p, m = f.p, f.m
     if k == 0:
         return _function(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
-    if k not in (1, -1):
-        raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
     if k * m >= 0:
         return _function(p, m + k, f.coeffs)
     return _function(p, m + k, _mixed_product(f.coeffs, p.power(-4 * m - 2 * k), p))
@@ -240,11 +237,10 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
     through the new factor (dilating its argument by q**(-2k)) before any
     mixed pair is contracted.
     """
+    _check_component(k)
     p, m = f.p, f.m
     if k == 0:
         return _function(p, m, _pshift(f.coeffs))
-    if k not in (1, -1):
-        raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
     tail = _pdilate(f.coeffs, p, -2 * k)
     if k * m >= 0:
         return _function(p, m + k, tail)
@@ -296,16 +292,15 @@ def apply_lminus(f: AngularFunction) -> AngularFunction:
 @_in_private_context
 def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
     """Components of the vector rebuilt from the generators."""
+    _check_component(k)
     p = f.p
-    if k in (1, -1):
-        g = _ladder(f, k)
-        return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.power(-g.m))
     if k == 0:
         two = qnum(2, p)
         a = apply_lplus(apply_lminus(f)).scaled(p.q / two)
         b = apply_lminus(apply_lplus(f)).scaled(-1 / (p.q * two))
         return a + b
-    raise ValueError(f"vector index must be one of +1, 0, -1, got {k!r}")
+    g = _ladder(f, k)
+    return g.scaled(-k * p.sqrt(1 / qnum(2, p)) * p.power(-g.m))
 
 
 def apply_c_invariant(f: AngularFunction) -> AngularFunction:
@@ -323,30 +318,6 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
 
 # ----------------------------- harmonic construction -----------------------------
 
-def _int_label(l: int, m: int) -> tuple:
-    """(l, m) as ints; a label that is not an integer, or is a bool, raises
-    ValueError naming it, before any work."""
-    if not (_is_integer(l) and _is_integer(m)):
-        raise ValueError(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")
-    return int(l), int(m)
-
-
-def _check_label(l: int, m: int) -> tuple:
-    """(l, m) as ints for a harmonic label, |m| <= l; any other raises
-    ValueError naming it, before any work."""
-    l, m = _int_label(l, m)
-    if abs(m) > l:
-        raise ValueError(f"invalid label (l={l}, m={m})")
-    return l, m
-
-
-def _check_nonneg_label(l: int, m: int) -> tuple:
-    l, m = _int_label(l, m)
-    if l < 0 or m < 0 or m > l:
-        raise ValueError(f"label requires 0 <= m <= l, got (l={l}, m={m})")
-    return l, m
-
-
 @_in_private_context
 def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     """Unnormalized harmonic polynomial from the two-step recursion.
@@ -354,7 +325,7 @@ def build_phi(l: int, m: int, p: QParam) -> AngularFunction:
     a_{k+2} = -q**(-2m) [l-m-k][l+m+k+1] / ([k+1][k+2]) a_k starting from
     a_0 = 1 for even l-m, a_1 = 1 for odd l-m; terminates at k = l-m.
     """
-    l, m = _check_nonneg_label(l, m)
+    l, m = _check_label(l, m, nonneg=True)
     k0 = (l - m) % 2
     coeffs = {k0: p.one}
     k = k0
@@ -377,7 +348,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
     is the closed-form-versus-recursion oracle.  The odd-parity series is
     normalized so its linear coefficient is 1, matching build_phi.
     """
-    l, m = _check_nonneg_label(l, m)
+    l, m = _check_label(l, m, nonneg=True)
     odd = (l - m) % 2
     if odd:
         a2, b2, c2 = l + m + 2, m - l + 1, 3
@@ -398,7 +369,7 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
 @_in_private_context
 def normalization_constant(l: int, m: int, p: QParam):
     """Parity-dependent normalization for the series-convention polynomial."""
-    l, m = _check_nonneg_label(l, m)
+    l, m = _check_label(l, m, nonneg=True)
     front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(math.prod([qnum(2, p)] * m))
     if (l - m) % 2:
         phase = (-1) ** ((l - m - 1) // 2)

@@ -84,7 +84,7 @@ from .angular import (
     mul_position_right,
 )
 from .jackson import QMeasure, _series_integrals, inner_product, integrate_monomial
-from .qcore import QParam, _check_integers, _in_private_context, invariants, qnum
+from .qcore import QParam, _check_component, _check_integers, _in_private_context, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
@@ -120,7 +120,7 @@ class OperatorMatrix:
     def block(self, lo: int, li: int):
         """Dense numpy view of the (lo, li) block, indexed [m_out + lo, m_in + li].
 
-        A complex array in double precision; in high precision an object
+        A float64 array in double precision; in high precision an object
         array of the entries as exact Fractions, which, unlike Decimals,
         mix with floats and need no decimal context."""
         from fractions import Fraction
@@ -129,7 +129,7 @@ class OperatorMatrix:
 
         shape = (2 * lo + 1, 2 * li + 1)
         high = self.p.is_high
-        out = np.full(shape, Fraction(0), dtype=object) if high else np.zeros(shape, dtype=complex)
+        out = np.full(shape, Fraction(0), dtype=object) if high else np.zeros(shape)
         vec = self.blocks.get((lo, li))
         if vec is not None:
             start, stop = _span(lo, li, self.delta_m)
@@ -255,7 +255,7 @@ class OperatorMatrix:
             start, stop = _span(lo, li, dm)
             adj = _zeros(self.p, 2 * lo + 1)
             shift = lo - li + dm
-            adj[start + shift:stop + shift] = [x.conjugate() for x in vec[start:stop]]
+            adj[start + shift:stop + shift] = vec[start:stop]
             out.blocks[(li, lo)] = adj
         return out
 
@@ -302,9 +302,7 @@ def identity_operator(p: QParam, lmax: int) -> OperatorMatrix:
 @_in_private_context
 def build_generators(p: QParam, lmax: int) -> dict:
     """L0 diagonal and the ladder matrices in the positive-real gauge."""
-    _check_integers(lmax=lmax)
-    if lmax < 0:
-        raise ValueError("lmax must be nonnegative")
+    _check_integers(0, lmax=lmax)
     # the step out of m = l (raising) or m = -l (lowering) is zero, so the
     # shared entries sit at the front of the raising block and at the back
     # of the lowering one; l = 0 has no ladder block
@@ -350,13 +348,11 @@ def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     the value forced by the conjugation pair with the k = +1 component; it
     is also the value the integral cross-check reproduces.
     """
-    two = qnum(2, p)
+    _check_component(k)
     d = qnum(2 * l + 1, p) * qnum(2 * l + 3, p)
-    if k in (1, -1):
-        return p.power(k * l - m) * p.sqrt(qnum(l + k * m + 1, p) * qnum(l + k * m + 2, p) / (two * d))
     if k == 0:
         return p.power(-m) * p.sqrt(qnum(l - m + 1, p) * qnum(l + m + 1, p) / d)
-    raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    return p.power(k * l - m) * p.sqrt(qnum(l + k * m + 1, p) * qnum(l + k * m + 2, p) / (qnum(2, p) * d))
 
 
 @_in_private_context
@@ -366,13 +362,11 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     The k = 0 coefficient is positive: the k = 0 component is self-adjoint,
     so its lower coefficient must equal the upper one a row down.
     """
-    two = qnum(2, p)
+    _check_component(k)
     d = qnum(2 * l + 1, p) * qnum(2 * l - 1, p)
-    if k in (1, -1):
-        return -p.power(-k * (l + 1) - m) * p.sqrt(qnum(l - k * m, p) * qnum(l - k * m - 1, p) / (two * d))
     if k == 0:
         return p.power(-m) * p.sqrt(qnum(l - m, p) * qnum(l + m, p) / d)
-    raise ValueError(f"position index must be one of +1, 0, -1, got {k!r}")
+    return -p.power(-k * (l + 1) - m) * p.sqrt(qnum(l - k * m, p) * qnum(l - k * m - 1, p) / (qnum(2, p) * d))
 
 
 @_in_private_context
@@ -388,9 +382,7 @@ def build_position(p: QParam, lmax: int) -> dict:
     (lower) in the operation order of ``position_coeff_upper`` and
     ``position_coeff_lower``, which stay its oracle: every entry is theirs,
     bit for bit."""
-    _check_integers(lmax=lmax)
-    if lmax < 1:
-        raise ValueError("position matrices need lmax >= 1")
+    _check_integers(1, lmax=lmax)
     sqrt, zero = p.sqrt, p.zero
     # qn[n] = [n]; qn[0] is never read
     qn = [zero] + [qnum(n, p) for n in range(1, 2 * lmax + 2)]
@@ -743,9 +735,7 @@ def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool 
     coefficient, so that a caller can confirm the verifier fails.
     ``qsu2 verify`` writes the report's only serialized form.
     """
-    _check_integers(lmax=lmax)
-    if lmax < 3:
-        raise ValueError("verification needs lmax >= 3")
+    _check_integers(3, lmax=lmax)
     if isinstance(tol, bool) or not isinstance(tol, (numbers.Real, decimal.Decimal)) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
     ops = {**_operator_operands(p, lmax - 2), **_function_operands(p, inject_fault)}

@@ -81,7 +81,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .angular import AngularFunction
-from .qcore import QParam, _in_private_context, _is_integer, qnum
+from .qcore import QParam, _check_integers, _in_private_context, qnum
 
 # series_convergence_probe reports the partial sum at each grid depth here.
 PROBE_DEPTHS = (10, 25, 50, 100, 200, 400)
@@ -103,14 +103,10 @@ class QMeasure:
     series_depth: int | None = None
 
     def __post_init__(self):
-        depth = self.series_depth
-        if depth is not None:
-            if not _is_integer(depth):
-                raise ValueError(f"series depth must be an integer, got {depth!r}")
+        if self.series_depth is not None:
+            _check_integers(1, series_depth=self.series_depth)
             if not self.p.q < 1:
                 raise ValueError("series mode requires 0 < q < 1")
-            if depth < 1:
-                raise ValueError("series depth must be positive")
 
 
 def _running_sums(ns, q, m: int = 0):
@@ -197,8 +193,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     Odd n vanishes by the parity phase of the negative half-line; even n
     doubles the half-line value.
     """
-    if not _is_integer(n) or n < 0:
-        raise ValueError(f"monomial degree must be a nonnegative integer, got {n!r}")
+    _check_integers(0, n=n)
     n = int(n)
     p = mu.p
     if n % 2 == 1:
@@ -401,8 +396,7 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     integer, by integrate_monomial's rule, in either precision; any other
     raises ValueError naming it.
     """
-    if not _is_integer(n) or n < 0:
-        raise ValueError(f"probe degree must be a nonnegative integer, got {n!r}")
+    _check_integers(0, n=n)
     n = int(n)
     if not p.q < 1:
         raise ValueError("convergence probe requires 0 < q < 1")

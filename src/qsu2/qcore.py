@@ -1,10 +1,13 @@
 """q-number arithmetic and closed-form invariant eigenvalues.
 
 Everything downstream (harmonics, operator matrices, spectra) consumes the
-helpers in this module.  The deformation parameter q is a positive real and
-every quantity is symmetric under q -> 1/q.  The q = 1 point is handled by
-exact branches, so classical values come out bitwise exact rather than as
-0/0 limits evaluated a rounding error away.
+helpers in this module, the argument rules among them: integers with an
+optional lower bound, harmonic labels and spherical components are each
+checked, and refused in one form, by one helper here.  The deformation
+parameter q is a positive real and every quantity is symmetric under
+q -> 1/q.  At q = 1 a q-number is formed by an exact branch, so classical
+values come out bitwise exact rather than as 0/0 limits evaluated a
+rounding error away.
 
 Two numeric backends are supported per ``QParam``: plain double precision
 (floats) and a high precision mode on the stdlib ``decimal`` module at 62
@@ -13,7 +16,10 @@ oracle runs: identity residuals that are pure rounding noise drop by many
 orders of magnitude there, residuals that stay put are real.  Both form
 lambda, q**e and [n] at 62 digits from the exact q, and double precision
 rounds each once (``QParam.number``): a double result depends only on IEEE
-arithmetic and sqrt, libmpdec and CPython's float parse and repr.  Decimal
+arithmetic and sqrt, libmpdec and CPython's float parse and repr.  That is
+a second rounding, so a value within about 1e-62 relative of a binary
+midpoint can land one ulp from the exactly rounded double: 2/[1075] at
+q = 0.5 gives 5e-324 where exact rounding gives 1e-323.  Decimal
 arithmetic rounds at the calling thread's context, and this module is the
 only one that knows it: every public function and method that computes is
 decorated with ``_in_private_context``, which installs one private context
@@ -216,17 +222,37 @@ class QParam:
             return val
 
 
-def _is_integer(v) -> bool:
-    """The rule for every integer argument of the library: an integer, and
-    not a bool.  A float of integral value, inf and NaN are not integers."""
-    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _check_integers(**args):
-    """Raise ValueError naming the first argument that is not an integer."""
+def _check_integers(low=None, **args):
+    """The rule for every integer argument of the library: raise ValueError
+    naming the first argument that is not an integer or, with low, lies
+    below low.  A bool, a float of integral value, inf and NaN are not
+    integers; an int, or any other numbers.Integral, is."""
     for name, v in args.items():
-        if not _is_integer(v):
+        if type(v) is int and (low is None or v >= low):
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {v!r}")
+        if low is not None and v < low:
+            raise ValueError(f"{name} must be at least {low}, got {v!r}")
+
+
+def _check_label(l, m, nonneg: bool = False) -> tuple:
+    """The rule for a harmonic label: (l, m) as ints, integers both with
+    |m| <= l, and with nonneg also m >= 0; any other raises ValueError
+    naming it."""
+    if type(l) is not int or type(m) is not int:
+        _check_integers(l=l, m=m)
+        l, m = int(l), int(m)
+    if not (0 if nonneg else -l) <= m <= l:
+        raise ValueError(f"label needs {'0' if nonneg else '-l'} <= m <= l, got (l={l}, m={m})")
+    return l, m
+
+
+def _check_component(k):
+    """The rule for a spherical component index: k is +1, 0 or -1, by
+    equality; any other raises ValueError naming it."""
+    if k not in (1, 0, -1):
+        raise ValueError(f"k must be one of +1, 0, -1, got {k!r}")
 
 
 def qnum(n, p: QParam):
@@ -266,8 +292,7 @@ def _rounded(p: QParam, form):
 @_in_private_context
 def qfactorial(n: int, p: QParam):
     """[n]! = [n][n-1]...[1] with the empty-product convention [0]! = 1."""
-    if not _is_integer(n) or n < 0:
-        raise ValueError(f"q-factorial requires an integer n >= 0, got {n!r}")
+    _check_integers(0, n=n)
     out = p.one
     for k in range(1, int(n) + 1):
         out = out * qnum(k, p)
@@ -277,8 +302,7 @@ def qfactorial(n: int, p: QParam):
 @_in_private_context
 def qdouble_factorial(n: int, p: QParam):
     """[n]!! = [n][n-2]... with [0]!! = [-1]!! = 1; rejects n < -1."""
-    if not _is_integer(n) or n < -1:
-        raise ValueError(f"q-double-factorial requires an integer n >= -1, got {n!r}")
+    _check_integers(-1, n=n)
     out = p.one
     k = int(n)
     while k >= 1:
@@ -303,17 +327,14 @@ def invariants(l: int, p: QParam) -> InvariantSet:
     invariant c = (q**(2l+1) + q**(-2l-1))/[2].
 
     All three are invariant under q -> 1/q.  At q = 1 they reduce to the
-    classical l(l+1), l(l+1) and 1.  The l = 0 values are emitted exactly
-    (0, 0, 1) so that downstream l = 0 results are bitwise q-independent.
+    classical l(l+1), l(l+1) and 1 exactly, since [n] is exactly n there.
+    The l = 0 values are emitted exactly (0, 0, 1) so that downstream l = 0
+    results are bitwise q-independent.
     """
-    if not _is_integer(l) or l < 0:
-        raise ValueError(f"l must be a nonnegative integer, got {l!r}")
+    _check_integers(0, l=l)
     l = int(l)
     if l == 0:
         return InvariantSet(l=0, C=p.zero, Cprime=p.zero, c=p.one)
-    if p.is_one:
-        cl = l * (l + 1) * p.one
-        return InvariantSet(l=l, C=cl, Cprime=cl, c=p.one)
     two = qnum(2, p)
     C = qnum(l, p) * qnum(l + 1, p)
     Cprime = qnum(2 * l, p) * qnum(2 * l + 2, p) / (two * two)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .jackson import QMeasure, integrate_monomial
-from .qcore import QParam, _check_integers, _in_private_context, _is_integer, invariants
+from .qcore import QParam, _check_integers, _in_private_context, invariants
 
 COULOMB = "coulomb"
 OSCILLATOR = "oscillator"
@@ -100,8 +100,7 @@ def _root_l(rhs, l: int, p: QParam):
 
 @_in_private_context
 def _make_entry(potential: str, n: int, l: int, p: QParam) -> SpectrumEntry:
-    if not (_is_integer(n) and _is_integer(l)) or n < 0 or l < 0:
-        raise ValueError(f"quantum numbers must be nonnegative integers, got n={n!r}, l={l!r}")
+    _check_integers(0, n=n, l=l)
     if potential not in POTENTIALS:
         raise ValueError(f"unknown potential {potential!r}")
     rhs = centrifugal_rhs(l, p)
@@ -134,10 +133,7 @@ def spectrum_table(potential: str, p: QParam, nmax: int, lmax: int) -> list:
     """All entries with n <= nmax, l <= lmax, sorted by (l, n).  A negative
     size raises ValueError naming it; the table is never empty, so an
     unknown potential is always refused (by _make_entry)."""
-    _check_integers(nmax=nmax, lmax=lmax)
-    for name, size in (("nmax", nmax), ("lmax", lmax)):
-        if size < 0:
-            raise ValueError(f"{name} must be nonnegative, got {size}")
+    _check_integers(0, nmax=nmax, lmax=lmax)
     return [_make_entry(potential, n, l, p) for l in range(lmax + 1) for n in range(nmax + 1)]
 
 
@@ -178,9 +174,7 @@ class RadialGrid:
     method: str = NUMEROV
 
     def __post_init__(self):
-        _check_integers(n_steps=self.n_steps)
-        if self.n_steps < 0:
-            raise ValueError("grid parameters must be nonnegative (0 = choose automatically)")
+        _check_integers(0, n_steps=self.n_steps)
         if 0 < self.n_steps < MIN_STEPS:
             raise ValueError(f"grid needs at least {MIN_STEPS} steps for the origin fit")
         if self.method not in (NUMEROV, RK4):
@@ -594,9 +588,7 @@ def degeneracy_report(potential: str, p: QParam, nmax: int, lmax: int) -> Degene
     former multiplet splits while the magnetic degeneracy survives.  Levels
     within DEGENERACY_TOL of each other are degenerate.
     """
-    _check_integers(nmax=nmax, lmax=lmax)
-    if nmax < 1 or lmax < 1:
-        raise ValueError("degeneracy report needs nmax >= 1 and lmax >= 1")
+    _check_integers(1, nmax=nmax, lmax=lmax)
     entries = spectrum_table(potential, p, nmax, lmax)
     by_energy: list[list] = []
     for e in sorted(entries, key=lambda s: s.E):

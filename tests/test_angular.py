@@ -289,7 +289,7 @@ def test_negative_m_rejects_bad_labels():
         p = QParam(1.2, precision)
         for l, m in ((2, -3), (2, 5), (1, 5), (0, 1)):
             for build in (build_y, ladder_factor):
-                with pytest.raises(ValueError, match=re.escape(f"invalid label (l={l}, m={m})")):
+                with pytest.raises(ValueError, match=re.escape(f"label needs -l <= m <= l, got (l={l}, m={m})")):
                     build(l, m, p)
         assert not p._table
         assert ladder_factor(2, -2, p) == 0
@@ -388,8 +388,9 @@ def test_build_y_returns_a_function_of_its_own():
 def test_harmonic_labels_must_be_integers(l, m):
     # 2.5 failed deep in the q-double-factorial, -1.0 in range(), True was l = 1
     p = QParam(1.2)
+    name, v = ("l", l) if type(l) is not int else ("m", m)
     for build in (build_y, build_phi, hypergeom_phi, normalization_constant, ladder_factor):
-        with pytest.raises(ValueError, match=re.escape(f"harmonic labels must be integers, got (l={l!r}, m={m!r})")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {v!r}")):
             build(l, m, p)
     assert not p._table
 
@@ -731,10 +732,10 @@ def test_complex_coefficients_and_scale_factors_are_refused(value):
             for coeffs in ({0: value}, {0: 1.0, 2: value}):
                 with pytest.raises(ValueError, match=re.escape(f"coefficients must be ints, floats or Decimals, got {value!r}")):
                     make(p, 0, coeffs)
+        # a scale factor is taken by the same rule
         f = angular_function(p, 1, {0: 1.0, 2: -0.5})
-        with pytest.raises(ValueError, match=re.escape(f"scale factor must be real, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"coefficients must be ints, floats or Decimals, got {value!r}")):
             f.scaled(value)
-        # a real scale factor of any type the precision computes with stays
         assert f.scaled(p.number(2)).coeffs == {0: 2 * p.one, 2: -p.one}
 
 
@@ -745,13 +746,19 @@ def test_coefficients_are_stored_as_numbers_of_the_backend(precision):
     # precision, a Decimal, exactly, in high precision.  A double function
     # used to keep a Decimal, which scaled, + and mul_position_right met
     # with a bare TypeError, and AngularFunction kept a float in high
-    # precision, which the inner product met with one
+    # precision, which the inner product met with one.  scaled takes its
+    # factor by the same rule: a Decimal raised a bare TypeError there in
+    # double precision, a float in high precision
     p = QParam(0.7, precision)
     coeffs = {0: 3, 1: 0.1, 2: Decimal("0.5"), 3: np.float64(-0.25), 4: -math.inf}
     for make in (angular.AngularFunction, angular_function):
         f = make(p, 1, coeffs)
         assert f.coeffs == {k: p.number(v) for k, v in coeffs.items()}
         assert {type(v) for v in f.coeffs.values()} == {Decimal if p.is_high else float}
+        for s in coeffs.values():
+            g = f.scaled(s)
+            assert g.coeffs == f.scaled(p.number(s)).coeffs
+            assert {type(v) for v in g.coeffs.values()} == {type(p.one)}
         g = f.scaled(2) + mul_position(0, f)
         assert mul_position_right(1, g).m == 2 and mul_position_right(-1, f).m == 0
         finite = make(p, 1, {k: v for k, v in coeffs.items() if k < 4})
@@ -761,12 +768,15 @@ def test_coefficients_are_stored_as_numbers_of_the_backend(precision):
 @pytest.mark.parametrize("value", [True, False, Fraction(1, 2), np.int64(2), np.float32(0.5), "1", None])
 def test_coefficients_of_any_other_type_are_refused(value):
     # a bool acted as 0 or 1; a Fraction, a numpy int or float32 was taken
-    # and failed in the first inner product without naming it
+    # and failed in the first inner product without naming it.  As a scale
+    # factor, True, Fraction(1, 2) and np.int64(2) were taken
     for precision in ("double", "high"):
         p = QParam(0.7, precision)
         for make in (angular.AngularFunction, angular_function):
             with pytest.raises(ValueError, match=re.escape(f"coefficients must be ints, floats or Decimals, got {value!r}")):
                 make(p, 0, {0: 1.0, 2: value})
+        with pytest.raises(ValueError, match=re.escape(f"coefficients must be ints, floats or Decimals, got {value!r}")):
+            angular_function(p, 0, {0: 1.0}).scaled(value)
 
 
 @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), Decimal("1E+400"), Decimal("-2E+308")])
@@ -777,6 +787,10 @@ def test_coefficients_past_the_double_range_are_refused_in_double_precision(valu
         with pytest.raises(ValueError, match=re.escape(f"coefficient {value!r} lies outside the double range")):
             make(QParam(0.7), 0, {1: value})
         assert make(QParam(0.7, "high"), 0, {1: value}).coeffs == {1: value}
+    # and as a scale factor
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {value!r} lies outside the double range")):
+        angular_function(QParam(0.7), 0, {1: 2.0}).scaled(value)
+    assert angular_function(QParam(0.7, "high"), 0, {1: 2}).scaled(value).coeffs == {1: 2 * value}
 
 
 @pytest.mark.parametrize("m", [0.5, 2.0, True, "1", Fraction(1), None])
@@ -801,5 +815,5 @@ def test_component_index_validation():
         with pytest.raises(ValueError):
             apply_lambda(k, f)
         for coeff in (position_coeff_upper, position_coeff_lower):
-            with pytest.raises(ValueError, match=re.escape(f"position index must be one of +1, 0, -1, got {k}")):
+            with pytest.raises(ValueError, match=re.escape(f"k must be one of +1, 0, -1, got {k}")):
                 coeff(p, 2, 0, k)

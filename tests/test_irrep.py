@@ -184,9 +184,9 @@ def test_partial_refuses_operands_that_do_not_match():
     for lam, side in ((lam6, "q=1.3 double lmax=6"), (lam_other, "q=0.7 double lmax=4")):
         with pytest.raises(ValueError, match=re.escape(f"cannot combine operators of q=1.3 double lmax=4 and {side}")):
             build_partial(build_position(p, 4), lam, build_invariant_c(lam))
-    with pytest.raises(ValueError, match="position matrices need lmax >= 1"):
+    with pytest.raises(ValueError, match="lmax must be at least 1, got 0"):
         build_position(p, 0)
-    with pytest.raises(ValueError, match="lmax must be nonnegative"):
+    with pytest.raises(ValueError, match="lmax must be at least 0, got -1"):
         build_generators(p, -1)
 
 

@@ -27,6 +27,7 @@ from qsu2 import (
     qfactorial,
     qnum,
 )
+from qsu2.angular import ladder_factor
 from qsu2.qcore import _CTX, _in_private_context
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
@@ -103,11 +104,19 @@ def test_invariants_l0_exact():
 
 
 def test_invariants_classical():
-    for l in range(7):
-        inv = invariants(l, QParam(1.0))
-        assert inv.C == l * (l + 1)
-        assert inv.Cprime == l * (l + 1)
-        assert inv.c == 1.0
+    # [n] is exactly n at q = 1, so the closed forms give l(l+1), l(l+1)
+    # and 1 bit for bit, sign and Decimal exponent included
+    def bits(x):
+        return x.as_tuple() if isinstance(x, Decimal) else x.hex()
+
+    for precision in ("double", "high"):
+        for q in (1.0, 1):
+            p = QParam(q, precision)
+            for l in range(65):
+                inv = invariants(l, p)
+                assert inv.C == inv.Cprime == l * (l + 1)
+                assert bits(inv.C) == bits(inv.Cprime) == bits(l * (l + 1) * p.one)
+                assert bits(inv.c) == bits(p.one)
 
 
 def test_invariants_direct_values():
@@ -160,68 +169,112 @@ def test_invariants_rejects_bad_l():
         invariants(-1, QParam(1.2))
 
 
-# Every function that takes an integer argument: a call passing v as that
-# argument, the smallest integer it accepts, and its refusal of v.
-_INTEGER_ARGUMENTS = {
-    "invariants": (invariants, 0, lambda v: f"l must be a nonnegative integer, got {v!r}"),
-    "qfactorial": (qfactorial, 0, lambda v: f"q-factorial requires an integer n >= 0, got {v!r}"),
-    "qdouble_factorial": (
-        qdouble_factorial, -1, lambda v: f"q-double-factorial requires an integer n >= -1, got {v!r}"
-    ),
-    "integrate_monomial": (
-        lambda v, p: qsu2.integrate_monomial(v, qsu2.QMeasure(p)), 0,
-        lambda v: f"monomial degree must be a nonnegative integer, got {v!r}",
-    ),
-    "coulomb_energy n": (
-        lambda v, p: qsu2.coulomb_energy(v, 1, p), 0,
-        lambda v: f"quantum numbers must be nonnegative integers, got n={v!r}, l=1",
-    ),
-    "oscillator_energy l": (
-        lambda v, p: qsu2.oscillator_energy(0, v, p), 0,
-        lambda v: f"quantum numbers must be nonnegative integers, got n=0, l={v!r}",
-    ),
-    "QMeasure series_depth": (
-        lambda v, p: qsu2.QMeasure(p, series_depth=v), 1,
-        lambda v: "series depth must be positive" if v == 0 else f"series depth must be an integer, got {v!r}",
-    ),
+def _function(p):
+    return AngularFunction(p, 1, {0: 1.0, 2: -0.5})
+
+
+# Every argument that takes an integer, a harmonic label or a spherical
+# component (k), by qcore's three rules: a call passing v as that argument,
+# and the lowest value it accepts (None: an integer of any sign).  The key
+# names the function and the argument; a one-word key names a function of
+# one integer, l for invariants and n for the others.  The label takers' l
+# goes with m = 0, their m with l = 2.
+_ARGUMENTS = {
+    "invariants": (invariants, 0),
+    "qfactorial": (qfactorial, 0),
+    "qdouble_factorial": (qdouble_factorial, -1),
+    "integrate_monomial": (lambda v, p: qsu2.integrate_monomial(v, qsu2.QMeasure(p)), 0),
+    "series_convergence_probe n": (qsu2.series_convergence_probe, 0),
+    "coulomb_energy n": (lambda v, p: qsu2.coulomb_energy(v, 1, p), 0),
+    "oscillator_energy l": (lambda v, p: qsu2.oscillator_energy(0, v, p), 0),
+    "QMeasure series_depth": (lambda v, p: qsu2.QMeasure(p, series_depth=v), 1),
+    "AngularFunction m": (lambda v, p: AngularFunction(p, v, {0: 1.0}), None),
+    "build_y l": (lambda v, p: qsu2.build_y(v, 0, p), 0),
+    "build_y m": (lambda v, p: qsu2.build_y(2, v, p), -2),
+    "ladder_factor l": (lambda v, p: ladder_factor(v, 0, p), 0),
+    "ladder_factor m": (lambda v, p: ladder_factor(2, v, p), -2),
+    "build_phi l": (lambda v, p: qsu2.build_phi(v, 0, p), 0),
+    "build_phi m": (lambda v, p: qsu2.build_phi(2, v, p), 0),
+    "hypergeom_phi l": (lambda v, p: qsu2.hypergeom_phi(v, 0, p), 0),
+    "hypergeom_phi m": (lambda v, p: qsu2.hypergeom_phi(2, v, p), 0),
+    "normalization_constant l": (lambda v, p: qsu2.normalization_constant(v, 0, p), 0),
+    "normalization_constant m": (lambda v, p: qsu2.normalization_constant(2, v, p), 0),
+    "mul_position k": (lambda v, p: qsu2.mul_position(v, _function(p)), -1),
+    "mul_position_right k": (lambda v, p: qsu2.mul_position_right(v, _function(p)), -1),
+    "apply_lambda k": (lambda v, p: qsu2.apply_lambda(v, _function(p)), -1),
+    "position_coeff_upper k": (lambda v, p: qsu2.position_coeff_upper(p, 2, 0, v), -1),
+    "position_coeff_lower k": (lambda v, p: qsu2.position_coeff_lower(p, 2, 0, v), -1),
+    # the sizes
+    "build_generators lmax": (lambda v, p: qsu2.build_generators(p, v), 0),
+    "build_position lmax": (lambda v, p: qsu2.build_position(p, v), 1),
+    "diag_operator lmax": (lambda v, p: qsu2.diag_operator(p, v, lambda l, m: p.one), None),
+    "verify_algebra lmax": (lambda v, p: qsu2.verify_algebra(p, v), 3),
+    "spectrum_table nmax": (lambda v, p: qsu2.spectrum_table("coulomb", p, v, 1), 0),
+    "spectrum_table lmax": (lambda v, p: qsu2.spectrum_table("coulomb", p, 1, v), 0),
+    "degeneracy_report nmax": (lambda v, p: qsu2.degeneracy_report("coulomb", p, v, 2), 1),
+    "degeneracy_report lmax": (lambda v, p: qsu2.degeneracy_report("coulomb", p, 2, v), 1),
+    "RadialGrid n_steps": (lambda v, p: qsu2.RadialGrid(n_steps=v), 0),
 }
+_SIZES = [name for name in _ARGUMENTS if name.split()[-1] in ("nmax", "lmax", "n_steps")]
+# the value grid; the three strings name values relative to the lowest
+_VALUES = [True, False, 2.0, 2.5, math.inf, math.nan, None, "2", "np.int64 of the lowest", "one below the range", "the lowest"]
 
 
-@pytest.mark.parametrize("value", [True, 2.5, 2.0, math.inf, math.nan, "one below the range"])
-@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def _refusal(name: str, v) -> str | None:
+    """The text with which entry name refuses v, None where it takes it."""
+    words = name.split()
+    arg = words[1] if len(words) > 1 else "l" if name == "invariants" else "n"
+    if arg == "series_depth" and v is None:
+        return None  # the closed-form measure
+    if arg == "k":
+        # by equality, as it always was: True and False are 1 and 0
+        return None if v in (1, 0, -1) else f"k must be one of +1, 0, -1, got {v!r}"
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        return f"{arg} must be an integer, got {v!r}"
+    lowest = _ARGUMENTS[name][1]
+    if lowest is None or v >= lowest:
+        return None
+    if f"{words[0]} m" in _ARGUMENTS and words[0] != "AngularFunction":
+        # a label taker: m >= -l where its m entry takes -2 at l = 2
+        l, m = (v, 0) if arg == "l" else (2, v)
+        bound = "-l" if _ARGUMENTS[f"{words[0]} m"][1] < 0 else "0"
+        return f"label needs {bound} <= m <= l, got (l={l}, m={m})"
+    return f"{arg} must be at least {lowest}, got {v!r}"
+
+
+def _assert_domain(name, value):
+    """Entry name takes value, or refuses it in its rule's one form before
+    any work, in both precisions."""
+    call, lowest = _ARGUMENTS[name]
+    low = 0 if lowest is None else lowest
+    v = {"np.int64 of the lowest": np.int64(low), "one below the range": low - 1, "the lowest": low}.get(value, value)
+    want = _refusal(name, v)
+    for precision in ("double", "high"):
+        p = QParam(0.5, precision)
+        if want is None:
+            call(v, p)
+        else:
+            with pytest.raises(ValueError) as info:
+                call(v, p)
+            assert str(info.value) == want
+            assert not p._table
+
+
+@pytest.mark.parametrize("value", _VALUES)
+@pytest.mark.parametrize("name", [name for name in _ARGUMENTS if name not in _SIZES])
 def test_integer_arguments_take_integers_only(name, value):
-    # a bool acted as 1, 2.0 was taken, inf raised OverflowError from int()
-    call, lowest, message = _INTEGER_ARGUMENTS[name]
-    v = lowest - 1 if value == "one below the range" else value
-    p = QParam(0.5)
-    with pytest.raises(ValueError, match=re.escape(message(v))):
-        call(v, p)
-    assert not p._table
+    # a bool acted as 1, 2.0 was taken, inf raised OverflowError from int();
+    # every refusal reads one form per rule, in both precisions, before any
+    # work
+    _assert_domain(name, value)
 
 
-# Every size argument (nmax, lmax, n_steps): a call passing v as that argument.
-_SIZE_ARGUMENTS = {
-    "build_generators lmax": lambda v, p: qsu2.build_generators(p, v),
-    "build_position lmax": lambda v, p: qsu2.build_position(p, v),
-    "diag_operator lmax": lambda v, p: qsu2.diag_operator(p, v, lambda l, m: p.one),
-    "verify_algebra lmax": lambda v, p: qsu2.verify_algebra(p, v),
-    "spectrum_table nmax": lambda v, p: qsu2.spectrum_table("coulomb", p, v, 1),
-    "spectrum_table lmax": lambda v, p: qsu2.spectrum_table("coulomb", p, 1, v),
-    "degeneracy_report nmax": lambda v, p: qsu2.degeneracy_report("coulomb", p, v, 2),
-    "degeneracy_report lmax": lambda v, p: qsu2.degeneracy_report("coulomb", p, 2, v),
-    "RadialGrid n_steps": lambda v, p: qsu2.radial_verify("oscillator", 0, 1, p, qsu2.RadialGrid(n_steps=v)),
-}
-
-
-@pytest.mark.parametrize("value", [True, 2.0, 2.5, math.inf, math.nan])
-@pytest.mark.parametrize("name", list(_SIZE_ARGUMENTS))
+@pytest.mark.parametrize("value", _VALUES)
+@pytest.mark.parametrize("name", _SIZES)
 def test_size_arguments_take_integers_only(name, value):
     # 2.0 and 2.5 raised TypeError from range(), True counted as 1, and a
     # float step count failed inside the shooting walk
-    p = QParam(0.5)
-    with pytest.raises(ValueError, match=re.escape(f"{name.split()[1]} must be an integer, got {value!r}")):
-        _SIZE_ARGUMENTS[name](value, p)
-    assert not p._table
+    _assert_domain(name, value)
 
 
 def test_qparam_validation():
@@ -520,13 +573,13 @@ def test_double_precision_ignores_the_callers_decimal_context(name):
 
 
 def test_high_precision_restores_the_callers_context_when_it_raises():
-    # apply_lambda refuses a vector index outside +1, 0, -1 from inside the
+    # apply_lambda refuses a component outside +1, 0, -1 from inside the
     # private context
     p = QParam(1.3, "high")
     f = qsu2.angular_function(p, -2, {0: 1, 2: 1})
     with decimal.localcontext() as ctx:
         ctx.prec = 10
-        with pytest.raises(ValueError, match="vector index"):
+        with pytest.raises(ValueError, match=re.escape("k must be one of +1, 0, -1, got 2")):
             qsu2.apply_lambda(2, f)
         assert decimal.getcontext() is ctx and ctx.prec == 10
 

@@ -136,9 +136,9 @@ def test_entry_invariants():
 def test_spectrum_table_refuses_a_negative_size():
     # both calls returned [], so the unknown potential went unseen too
     p = QParam(1.0)
-    with pytest.raises(ValueError, match="lmax must be nonnegative, got -3"):
+    with pytest.raises(ValueError, match="lmax must be at least 0, got -3"):
         spectrum_table("coulomb", p, 2, -3)
-    with pytest.raises(ValueError, match="nmax must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="nmax must be at least 0, got -1"):
         spectrum_table("yukawa", p, -1, 2)
     # the smallest table holds one level, so an unknown potential is refused
     with pytest.raises(ValueError, match="unknown potential 'yukawa'"):
@@ -206,7 +206,7 @@ def test_shooting_rejects_grids_too_short():
     # no grid
     with pytest.raises(ValueError, match="at least 8 steps"):
         RadialGrid(n_steps=5)
-    with pytest.raises(ValueError, match="grid parameters must be nonnegative"):
+    with pytest.raises(ValueError, match="n_steps must be at least 0, got -1"):
         RadialGrid(n_steps=-1)
     # L is about 107: a hundred steps break the bound on (L+1/2) h
     with pytest.raises(ValueError) as err:
