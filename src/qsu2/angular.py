@@ -14,10 +14,13 @@ the right.  Every operation here is closed on this family:
   that product onto the one an order down times a polynomial: the step
   acts on each monomial in closed form, with no division.
 
-Coefficients and scale factors are ints, floats or Decimals in either
-precision, stored as floats in double mode and Decimals in high precision
-mode; any other, a complex one included, is refused with ValueError in
-both, since the realizations are hermitian at real q.  Scalar arithmetic
+Coefficients and scale factors are reals by qcore's real rule (an int,
+a float or a Decimal) in either precision, stored as floats in double
+mode and Decimals in high precision mode; any other, a complex one
+included, is refused with ValueError in both, since the realizations are
+hermitian at real q.  Coefficient keys and the winding m follow the
+integer rule, labels the label rule and the component k the component
+rule, so a component is an int wherever it is used.  Scalar arithmetic
 is routed through QParam, and every public function and method that
 computes is decorated with ``qcore._in_private_context``, so it computes
 in the private decimal context in either precision, whatever the
@@ -26,14 +29,12 @@ caller's context is.
 
 from __future__ import annotations
 
-import decimal
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .qcore import QParam, _check_component, _check_integers, _check_label, _in_private_context, qdouble_factorial, qnum
+from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, qdouble_factorial, qnum
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -45,31 +46,17 @@ def _nanmax(magnitudes, zero=0.0):
     return total if total != total else max(vals, default=zero)
 
 
-def _coefficient(v, p: QParam):
-    """The int (not a bool), float or Decimal v as p.number(v), refused past
-    the double range; anything else raises ValueError naming it.  A number
-    of the backend's own type is returned as it is."""
+def _coefficient(v, p: QParam, name: str = "coeffs"):
+    """v, the argument name, as p.number(v) once the real rule takes it,
+    refused past the double range; a number of the backend's own type is
+    returned as it is."""
     if type(v) is type(p.one):
         return v
-    if isinstance(v, bool) or not isinstance(v, (int, float, decimal.Decimal)):
-        raise ValueError(f"coefficients must be ints, floats or Decimals, got {v!r}")
+    _check_reals(**{name: v})
     try:
         return p.number(v)
     except OverflowError:
         raise ValueError(f"coefficient {v!r} lies outside the double range") from None
-
-
-def _power(k) -> int:
-    """The key k as an int power of x0: a nonnegative integer or a real of
-    integral value (2.0, Fraction(3), Decimal(2)); any other, a bool or a
-    string included, raises ValueError naming it."""
-    try:
-        n = int(k) if isinstance(k, numbers.Number) and not isinstance(k, bool) else -1
-    except (TypeError, ValueError, OverflowError):  # complex, NaN, inf
-        n = -1
-    if n < 0 or n != k:
-        raise ValueError(f"coefficients must sit at nonnegative powers of x0, got key {k!r}")
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +65,9 @@ class AngularFunction:
     an immutable value.
 
     Constructing one validates it: m by the integer rule (stored as an
-    int), each key a nonnegative power of x0 (see _power) and each
-    coefficient one that _coefficient converts, or ValueError names it.
+    int), each key, the power of x0, a nonnegative integer by the same
+    rule (stored as an int), and each coefficient a real by the real rule,
+    or ValueError names it.
     The nonzero coefficients go into a dict of the function's own, which
     ``degree`` and ``is_zero`` rely on, behind the read-only view
     ``coeffs``: assigning or deleting a key raises TypeError.  A changed
@@ -99,7 +87,9 @@ class AngularFunction:
     def __post_init__(self):
         _check_integers(m=self.m)
         object.__setattr__(self, "m", int(self.m))
-        powers = [(_power(k), _coefficient(v, self.p)) for k, v in self.coeffs.items()]
+        for k in self.coeffs:
+            _check_integers(0, key=k)
+        powers = [(int(k), _coefficient(v, self.p)) for k, v in self.coeffs.items()]
         object.__setattr__(self, "coeffs", MappingProxyType({k: v for k, v in powers if v != 0}))
 
     def __reduce__(self):
@@ -115,7 +105,7 @@ class AngularFunction:
 
     @_in_private_context
     def scaled(self, s) -> "AngularFunction":
-        return _function(self.p, self.m, _pscale(self.coeffs, _coefficient(s, self.p)))
+        return _function(self.p, self.m, _pscale(self.coeffs, _coefficient(s, self.p, "s")))
 
     @_in_private_context
     def __add__(self, other: "AngularFunction") -> "AngularFunction":
@@ -220,7 +210,7 @@ def mul_position(k: int, f: AngularFunction) -> AngularFunction:
     either extends the winding factor (k*m >= 0) or contracts one mixed pair
     into its polynomial product.
     """
-    _check_component(k)
+    k = _check_component(k)
     p, m = f.p, f.m
     if k == 0:
         return _function(p, m, _pscale(_pshift(f.coeffs), p.power(-2 * m)))
@@ -237,7 +227,7 @@ def mul_position_right(k: int, f: AngularFunction) -> AngularFunction:
     through the new factor (dilating its argument by q**(-2k)) before any
     mixed pair is contracted.
     """
-    _check_component(k)
+    k = _check_component(k)
     p, m = f.p, f.m
     if k == 0:
         return _function(p, m, _pshift(f.coeffs))
@@ -292,7 +282,7 @@ def apply_lminus(f: AngularFunction) -> AngularFunction:
 @_in_private_context
 def apply_lambda(k: int, f: AngularFunction) -> AngularFunction:
     """Components of the vector rebuilt from the generators."""
-    _check_component(k)
+    k = _check_component(k)
     p = f.p
     if k == 0:
         two = qnum(2, p)
@@ -368,24 +358,15 @@ def hypergeom_phi(l: int, m: int, p: QParam) -> AngularFunction:
 
 @_in_private_context
 def normalization_constant(l: int, m: int, p: QParam):
-    """Parity-dependent normalization for the series-convention polynomial."""
+    """Normalization for the series-convention polynomial: with
+    hi = [l-m]!![l+m]!! and lo = [l-m-1]!![l+m-1]!!, the phase
+    (-1)**((l-m)//2) times sqrt([2l+1]/(4 pi)) sqrt([2]**m) times
+    sqrt(hi/lo) at odd l - m and sqrt(lo/hi) at even."""
     l, m = _check_label(l, m, nonneg=True)
     front = p.sqrt(qnum(2 * l + 1, p) / (4 * p.pi)) * p.sqrt(math.prod([qnum(2, p)] * m))
-    if (l - m) % 2:
-        phase = (-1) ** ((l - m - 1) // 2)
-        ratio = (
-            qdouble_factorial(l - m, p)
-            * qdouble_factorial(l + m, p)
-            / (qdouble_factorial(l - m - 1, p) * qdouble_factorial(l + m - 1, p))
-        )
-    else:
-        phase = (-1) ** ((l - m) // 2)
-        ratio = (
-            qdouble_factorial(l - m - 1, p)
-            * qdouble_factorial(l + m - 1, p)
-            / (qdouble_factorial(l - m, p) * qdouble_factorial(l + m, p))
-        )
-    return phase * front * p.sqrt(ratio)
+    hi = qdouble_factorial(l - m, p) * qdouble_factorial(l + m, p)
+    lo = qdouble_factorial(l - m - 1, p) * qdouble_factorial(l + m - 1, p)
+    return (-1) ** ((l - m) // 2) * front * p.sqrt(hi / lo if (l - m) % 2 else lo / hi)
 
 
 @_in_private_context

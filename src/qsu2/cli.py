@@ -103,7 +103,8 @@ def _write(ns: argparse.Namespace, columns: list, rows: list, extra: dict | None
 @contextmanager
 def _in_double_range(ns: argparse.Namespace, qv: float):
     """Report a float overflow in the work at q=qv as a range error that
-    names q and the size asked for: lmax, or the degree for integrate."""
+    names q and the size asked for: lmax, or the degree for integrate.
+    QParam is built outside it: its own refusals name q."""
     try:
         yield
     except OverflowError:
@@ -118,8 +119,9 @@ def _in_double_range(ns: argparse.Namespace, qv: float):
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     rows = []
     for qv in sorted(ns.q):
+        p = QParam(qv, ns.precision)
         with _in_double_range(ns, qv):
-            table = spectrum_table(ns.potential, QParam(qv, ns.precision), ns.nmax, ns.lmax)
+            table = spectrum_table(ns.potential, p, ns.nmax, ns.lmax)
         for e in table:
             rows.append(
                 {"potential": e.potential, "q": e.q, "n": e.n, "l": e.l, "L": e.L, "E": e.E}
@@ -134,8 +136,7 @@ def cmd_harmonics(ns: argparse.Namespace) -> int:
     builder = hypergeom_phi if ns.oracle else build_phi
     rows = []
     for qv in sorted(ns.q):
-        with _in_double_range(ns, qv):
-            p = QParam(qv, ns.precision)
+        p = QParam(qv, ns.precision)
         for l in range(ns.lmax + 1):
             for m in range(l + 1):
                 with _in_double_range(ns, qv):
@@ -155,8 +156,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     findings = {}
     verdicts = []
     for qv in sorted(ns.q):
+        p = QParam(qv, ns.precision)
         with _in_double_range(ns, qv):
-            rep = verify_algebra(QParam(qv, ns.precision), ns.lmax, ns.tolerance, inject_fault=ns.inject_fault)
+            rep = verify_algebra(p, ns.lmax, ns.tolerance, inject_fault=ns.inject_fault)
         findings[format(float(qv), ".15g")] = rep.finding
         verdicts.append(rep.passed)
         for c in sorted(rep.checks, key=lambda c: (c.group, c.name)):
@@ -172,8 +174,8 @@ def cmd_integrate(ns: argparse.Namespace) -> int:
         raise ValueError("series integration requires every q < 1")
     rows = []
     for qv in sorted(ns.q):
+        p = QParam(qv, ns.precision)
         with _in_double_range(ns, qv):
-            p = QParam(qv, ns.precision)
             value = integrate_monomial(ns.degree, QMeasure(p))
             closed = float(value)
             if closed == 0 and ns.degree % 2 == 0:

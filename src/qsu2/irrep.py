@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul, sub
@@ -84,7 +83,7 @@ from .angular import (
     mul_position_right,
 )
 from .jackson import QMeasure, _series_integrals, inner_product, integrate_monomial
-from .qcore import QParam, _check_component, _check_integers, _in_private_context, invariants, qnum
+from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
@@ -348,7 +347,8 @@ def position_coeff_upper(p: QParam, l: int, m: int, k: int):
     the value forced by the conjugation pair with the k = +1 component; it
     is also the value the integral cross-check reproduces.
     """
-    _check_component(k)
+    l, m = _check_label(l, m)
+    k = _check_component(k)
     d = qnum(2 * l + 1, p) * qnum(2 * l + 3, p)
     if k == 0:
         return p.power(-m) * p.sqrt(qnum(l - m + 1, p) * qnum(l + m + 1, p) / d)
@@ -362,7 +362,8 @@ def position_coeff_lower(p: QParam, l: int, m: int, k: int):
     The k = 0 coefficient is positive: the k = 0 component is self-adjoint,
     so its lower coefficient must equal the upper one a row down.
     """
-    _check_component(k)
+    l, m = _check_label(l, m)
+    k = _check_component(k)
     d = qnum(2 * l + 1, p) * qnum(2 * l - 1, p)
     if k == 0:
         return p.power(-m) * p.sqrt(qnum(l - m, p) * qnum(l + m, p) / d)
@@ -723,9 +724,9 @@ def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool 
     ``_operator_operands`` and ``_function_operands`` build every operand
     once, into one dict.  Each row of ``_ROWS`` turns it into (lhs, rhs)
     pairs; the row's residual is the worst ``_residual`` over them, and a
-    gated row passes when that is below tol (a NaN fails).  A tol that is
-    not a positive finite real, or is a bool, raises ValueError naming it:
-    inf or True would pass every row, 0 or NaN fail them all.  Operator
+    gated row passes when that is below tol (a NaN fails).  tol is a
+    positive finite real by qcore's real rule, or ValueError names it: inf
+    or True would pass every row, 0 or NaN fail them all.  Operator
     rows run on the interior basis l <= lmax - 2 and read each product of
     two l-changing operators from the operands, formed a shell above it.
     Harmonic and measure rows take fixed small l ranges.
@@ -736,8 +737,7 @@ def verify_algebra(p: QParam, lmax: int, tol: float = 1e-10, inject_fault: bool 
     ``qsu2 verify`` writes the report's only serialized form.
     """
     _check_integers(3, lmax=lmax)
-    if isinstance(tol, bool) or not isinstance(tol, (numbers.Real, decimal.Decimal)) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
+    _check_reals(True, tol=tol)
     ops = {**_operator_operands(p, lmax - 2), **_function_operands(p, inject_fault)}
     squares = {f: _worst(pairs) for f, pairs in ops["square"].items()}
     ops["matched"] = matched = sorted(f for f, r in squares.items() if r < tol)

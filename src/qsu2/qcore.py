@@ -1,9 +1,10 @@
 """q-number arithmetic and closed-form invariant eigenvalues.
 
 Everything downstream (harmonics, operator matrices, spectra) consumes the
-helpers in this module, the argument rules among them: integers with an
-optional lower bound, harmonic labels and spherical components are each
-checked, and refused in one form, by one helper here.  The deformation
+helpers in this module, the argument rules among them: reals (q,
+coefficients, tolerances), integers with an optional lower bound,
+harmonic labels and spherical components are each checked, and refused
+in one form, by one helper here.  The deformation
 parameter q is a positive real and every quantity is symmetric under
 q -> 1/q.  At q = 1 a q-number is formed by an exact branch, so classical
 values come out bitwise exact rather than as 0/0 limits evaluated a
@@ -105,14 +106,15 @@ def _in_private_context(f):
 class QParam:
     """Deformation parameter q with lambda = q - 1/q cached alongside.
 
-    q must be a positive real number: a numbers.Real other than a bool, or
-    a Decimal; a string or bytes is refused however it reads.  Complex
-    values and roots of unity are rejected at construction because the
-    hermiticity assignments used by the operator realizations require real
-    q.  In double precision a positive real q outside the double range
-    raises OverflowError naming it: one that rounds to 0 or inf as a
-    double (10**400, Decimal("1E-400")), and one below 1/DBL_MAX (about
-    5.6e-309), whose 1/q overflows.
+    q is a positive real by the real rule of ``_check_reals``: an int (not
+    a bool), a float or a Decimal with 0 < q < inf; any other, a Fraction,
+    a numpy integer, a string or a complex number included, raises
+    ValueError in both precisions.  Complex values and roots of unity are
+    rejected because the hermiticity assignments used by the operator
+    realizations require real q.  In double precision a q outside the
+    double range raises OverflowError naming it: one that rounds to 0 or
+    inf as a double (10**400, Decimal("1E-400")), and one below 1/DBL_MAX
+    (about 5.6e-309), whose 1/q overflows.
 
     ``is_high`` selects the numeric backend, floats or Decimals, and ``one``
     and ``zero`` are its unit and zero.  The private ``_table`` holds,
@@ -152,21 +154,11 @@ class QParam:
         if self.precision not in (DOUBLE, HIGH):
             raise ValueError(f"unknown precision {self.precision!r}")
         object.__setattr__(self, "is_high", self.precision == HIGH)
-        if isinstance(self.q, bool) or not isinstance(self.q, (numbers.Real, decimal.Decimal)):
-            raise ValueError(f"q must be a positive real number, got {self.q!r}")
-        try:
-            # Decimal(float) is exact, as is float(float)
-            q = decimal.Decimal(self.q) if self.is_high else float(self.q)
-            ok = q.is_finite() if self.is_high else math.isfinite(q)
-        except OverflowError:  # an int or Fraction past the largest double
-            q, ok = None, False
-        except (TypeError, ValueError, ArithmeticError):
-            raise ValueError(f"q must be a positive real number, got {self.q!r}") from None
-        if not (ok and q > 0):
-            # a finite positive q that is 0, inf or no double at all as one
-            if not self.is_high and 0 < self.q < math.inf:
-                raise OverflowError(f"q={self.q!r} lies outside the double range [1/DBL_MAX, DBL_MAX]")
-            raise ValueError(f"q must be a positive real number, got {self.q!r}")
+        _check_reals(True, q=self.q)
+        # Decimal() is exact for every real, and float() rounds it once
+        q = decimal.Decimal(self.q) if self.is_high else float(decimal.Decimal(self.q))
+        if not 0 < q < math.inf:  # a q that is 0 or inf as a double
+            raise OverflowError(f"q={self.q!r} lies outside the double range [1/DBL_MAX, DBL_MAX]")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_q", decimal.Decimal(q))
         object.__setattr__(self, "_lam", self._q - 1 / self._q)
@@ -248,11 +240,28 @@ def _check_label(l, m, nonneg: bool = False) -> tuple:
     return l, m
 
 
-def _check_component(k):
-    """The rule for a spherical component index: k is +1, 0 or -1, by
-    equality; any other raises ValueError naming it."""
+def _check_component(k) -> int:
+    """The rule for a spherical component index: k as an int, an integer
+    that is +1, 0 or -1; any other raises ValueError naming it."""
+    if type(k) is not int:
+        _check_integers(k=k)
+        k = int(k)
     if k not in (1, 0, -1):
-        raise ValueError(f"k must be one of +1, 0, -1, got {k!r}")
+        raise ValueError(f"k must be one of +1, 0, -1, got {k}")
+    return k
+
+
+def _check_reals(positive: bool = False, **args):
+    """The rule for every real argument of the library: raise ValueError
+    naming the first argument that is not a real or, with positive, does
+    not lie in (0, inf).  A real is an int (not a bool), a float or a
+    Decimal, exactly the types decimal.Decimal() converts without loss;
+    a Decimal NaN compares quietly only in the private context."""
+    for name, v in args.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float, decimal.Decimal)):
+            raise ValueError(f"{name} must be a real number (an int, a float or a Decimal), got {v!r}")
+        if positive and not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 def qnum(n, p: QParam):

@@ -432,8 +432,9 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     - bisection on the node count then shrinks whatever bracket is left
       to tol_e.
 
-    The level is the secant root of the final bracket's ends wherever that
-    root lies strictly inside it; elsewhere, as where an endpoint is not
+    The level is that c, formed before the certifying pair (whose shoots
+    move an end but keep no endpoint value), wherever c lies strictly
+    inside the final bracket; elsewhere, as where an endpoint is not
     finite, the bracket is bisected at least once and its midpoint is the
     level, so the closed form is never read back as the numeric energy.
     A level costs two shoots within 0.45 tol_e of the closed form, four

@@ -442,11 +442,24 @@ def test_spectrum_and_harmonics_overflow_name_lmax_and_q(argv, capsys):
 
 def test_integrate_at_a_q_whose_reciprocal_overflows(capsys):
     # 1/q overflows below about 5.6e-309: a range error that names q, not a
-    # NaN met at emission
+    # NaN met at emission, and not the degree, which was blamed for it
     assert main(["integrate", "--degree", "2", "--q", "1e-320"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "qsu2: degree 2 is out of double range at q=1e-320: a q-power or q-number overflows\n"
+    assert captured.err == "qsu2: 1/q overflows in double precision at q=1e-320\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lmax", "4"],
+    ["spectrum", "--potential", "coulomb"],
+    ["harmonics", "--lmax", "3"],
+])
+def test_every_command_at_a_q_whose_reciprocal_overflows(argv, capsys):
+    # each command read "lmax ... is out of double range" for it
+    assert main([*argv, "--q", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qsu2: 1/q overflows in double precision at q=1e-320\n"
 
 
 @pytest.mark.parametrize("argv", [

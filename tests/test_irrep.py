@@ -401,8 +401,12 @@ def test_verify_algebra_rejects_small_lmax():
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0, 0.0, -1, -1e-10, True, False, "1e-10", None, 1e-10j])
 def test_verify_algebra_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
     # inf and True passed every row, NaN, 0 and -1 failed every gated one,
-    # and a string raised TypeError from the first comparison
-    with pytest.raises(ValueError, match=f"tol must be a positive finite real number, got {re.escape(repr(tol))}"):
+    # and a string raised TypeError from the first comparison; a real of
+    # the wrong sign or size and a value that is no real read the two forms
+    # of qcore's real rule
+    real = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    rule = "must be positive and finite" if real else "must be a real number (an int, a float or a Decimal)"
+    with pytest.raises(ValueError, match=re.escape(f"tol {rule}, got {tol!r}")):
         verify_algebra(QParam(1.3), 3, tol)
 
 

@@ -150,18 +150,22 @@ def test_double_q_outside_the_double_range():
     # a positive real that rounds to inf or 0 as a double, or is too large
     # to round at all, read "q must be a positive real number"; it names q
     # and the double range now; high precision takes the int and the Decimals
-    for q in (10 ** 400, Decimal("1E-400"), Decimal("1E+400"), Fraction(1, 10 ** 400)):
+    for q in (10 ** 400, Decimal("1E-400"), Decimal("1E+400")):
         with pytest.raises(OverflowError, match=re.escape(f"q={q!r} lies outside the double range")):
             QParam(q)
-    for q in (10 ** 400, Decimal("1E-400"), Decimal("1E+400")):
         assert QParam(q, "high").q == q
-    # the ends of the range stay, and a value that is no positive real
-    # keeps its refusal
+    # the ends of the range stay, and a value that is not positive and
+    # finite, or no real (a Fraction), is refused by the real rule in
+    # either precision
     for q in (1e308, 1e-307):
         assert QParam(q).q == q
-    for bad in (-10 ** 400, Decimal("-1E-400"), Decimal("Infinity"), math.inf):
-        with pytest.raises(ValueError, match=re.escape(f"q must be a positive real number, got {bad!r}")):
-            QParam(bad)
+    for precision in ("double", "high"):
+        for bad in (-10 ** 400, Decimal("-1E-400"), Decimal("Infinity"), math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"q must be positive and finite, got {bad!r}")):
+                QParam(bad, precision)
+        bad = Fraction(1, 10 ** 400)
+        with pytest.raises(ValueError, match=re.escape(f"q {_NOT_REAL}, got {bad!r}")):
+            QParam(bad, precision)
 
 
 def test_invariants_rejects_bad_l():
@@ -173,12 +177,14 @@ def _function(p):
     return AngularFunction(p, 1, {0: 1.0, 2: -0.5})
 
 
-# Every argument that takes an integer, a harmonic label or a spherical
-# component (k), by qcore's three rules: a call passing v as that argument,
-# and the lowest value it accepts (None: an integer of any sign).  The key
-# names the function and the argument; a one-word key names a function of
-# one integer, l for invariants and n for the others.  The label takers' l
-# goes with m = 0, their m with l = 2.
+# Every argument that takes an integer, a harmonic label, a spherical
+# component (k) or a real, by qcore's four rules: a call passing v as that
+# argument, and the lowest value it accepts (None: an integer of any sign),
+# or for a real "real" (any) or "positive" (in (0, inf)).  The key names
+# the function and the argument; a one-word key names a function of one
+# integer, l for invariants and n for the others.  The label takers' l
+# goes with m = 0, their m with l = 2.  A QParam's q is built in the
+# precision of the p a call is given.
 _ARGUMENTS = {
     "invariants": (invariants, 0),
     "qfactorial": (qfactorial, 0),
@@ -204,6 +210,11 @@ _ARGUMENTS = {
     "apply_lambda k": (lambda v, p: qsu2.apply_lambda(v, _function(p)), -1),
     "position_coeff_upper k": (lambda v, p: qsu2.position_coeff_upper(p, 2, 0, v), -1),
     "position_coeff_lower k": (lambda v, p: qsu2.position_coeff_lower(p, 2, 0, v), -1),
+    "position_coeff_upper l": (lambda v, p: qsu2.position_coeff_upper(p, v, 0, 0), 0),
+    "position_coeff_upper m": (lambda v, p: qsu2.position_coeff_upper(p, 2, v, 0), -2),
+    "position_coeff_lower l": (lambda v, p: qsu2.position_coeff_lower(p, v, 0, 0), 0),
+    "position_coeff_lower m": (lambda v, p: qsu2.position_coeff_lower(p, 2, v, 0), -2),
+    "AngularFunction key": (lambda v, p: AngularFunction(p, 0, {v: 1.0}), 0),
     # the sizes
     "build_generators lmax": (lambda v, p: qsu2.build_generators(p, v), 0),
     "build_position lmax": (lambda v, p: qsu2.build_position(p, v), 1),
@@ -214,23 +225,40 @@ _ARGUMENTS = {
     "degeneracy_report nmax": (lambda v, p: qsu2.degeneracy_report("coulomb", p, v, 2), 1),
     "degeneracy_report lmax": (lambda v, p: qsu2.degeneracy_report("coulomb", p, 2, v), 1),
     "RadialGrid n_steps": (lambda v, p: qsu2.RadialGrid(n_steps=v), 0),
+    # the reals
+    "QParam q": (lambda v, p: QParam(v, p.precision), "positive"),
+    "AngularFunction coeffs": (lambda v, p: AngularFunction(p, 0, {0: v}), "real"),
+    "scaled s": (lambda v, p: _function(p).scaled(v), "real"),
+    "verify_algebra tol": (lambda v, p: qsu2.verify_algebra(p, 3, v), "positive"),
 }
 _SIZES = [name for name in _ARGUMENTS if name.split()[-1] in ("nmax", "lmax", "n_steps")]
-# the value grid; the three strings name values relative to the lowest
+_REALS = [name for name, (_, lowest) in _ARGUMENTS.items() if lowest in ("real", "positive")]
+# the value grids; the three strings name values relative to the lowest
 _VALUES = [True, False, 2.0, 2.5, math.inf, math.nan, None, "2", "np.int64 of the lowest", "one below the range", "the lowest"]
+_REAL_VALUES = [True, Fraction(1, 2), np.int64(2), np.float32(0.5), np.float64(0.5), Decimal("0.5"), "2", None, 1j,
+                math.nan, math.inf, 0, -1]
+# qcore's real rule, as a refusal reads it after the argument's name
+_NOT_REAL = "must be a real number (an int, a float or a Decimal)"
 
 
 def _refusal(name: str, v) -> str | None:
     """The text with which entry name refuses v, None where it takes it."""
     words = name.split()
     arg = words[1] if len(words) > 1 else "l" if name == "invariants" else "n"
+    if name in _REALS:
+        # an int (not a bool), a float or a Decimal, and a positive one
+        # finite too
+        if isinstance(v, bool) or not isinstance(v, (int, float, Decimal)):
+            return f"{arg} {_NOT_REAL}, got {v!r}"
+        positive = _ARGUMENTS[name][1] == "positive"
+        return f"{arg} must be positive and finite, got {v!r}" if positive and not 0 < v < math.inf else None
     if arg == "series_depth" and v is None:
         return None  # the closed-form measure
-    if arg == "k":
-        # by equality, as it always was: True and False are 1 and 0
-        return None if v in (1, 0, -1) else f"k must be one of +1, 0, -1, got {v!r}"
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         return f"{arg} must be an integer, got {v!r}"
+    if arg == "k":
+        # an integer first, then one of the three components
+        return None if v in (1, 0, -1) else f"k must be one of +1, 0, -1, got {v}"
     lowest = _ARGUMENTS[name][1]
     if lowest is None or v >= lowest:
         return None
@@ -246,8 +274,10 @@ def _assert_domain(name, value):
     """Entry name takes value, or refuses it in its rule's one form before
     any work, in both precisions."""
     call, lowest = _ARGUMENTS[name]
-    low = 0 if lowest is None else lowest
-    v = {"np.int64 of the lowest": np.int64(low), "one below the range": low - 1, "the lowest": low}.get(value, value)
+    v = value
+    if name not in _REALS:
+        low = 0 if lowest is None else lowest
+        v = {"np.int64 of the lowest": np.int64(low), "one below the range": low - 1, "the lowest": low}.get(value, value)
     want = _refusal(name, v)
     for precision in ("double", "high"):
         p = QParam(0.5, precision)
@@ -261,7 +291,7 @@ def _assert_domain(name, value):
 
 
 @pytest.mark.parametrize("value", _VALUES)
-@pytest.mark.parametrize("name", [name for name in _ARGUMENTS if name not in _SIZES])
+@pytest.mark.parametrize("name", [name for name in _ARGUMENTS if name not in _SIZES + _REALS])
 def test_integer_arguments_take_integers_only(name, value):
     # a bool acted as 1, 2.0 was taken, inf raised OverflowError from int();
     # every refusal reads one form per rule, in both precisions, before any
@@ -277,20 +307,54 @@ def test_size_arguments_take_integers_only(name, value):
     _assert_domain(name, value)
 
 
+@pytest.mark.parametrize("value", _REAL_VALUES)
+@pytest.mark.parametrize("name", _REALS)
+def test_real_arguments_take_reals_only(name, value):
+    # q took any numbers.Real in double precision and only what Decimal()
+    # converts in high precision, tol any numbers.Real in both: each now
+    # takes an int, a float or a Decimal, the same in both precisions
+    _assert_domain(name, value)
+
+
+def test_a_component_is_an_integer_and_comes_back_an_int():
+    # k was checked by equality: 1.0, -1.0 and Decimal(1) passed the rule and
+    # gave a float or Decimal winding or a bare TypeError from p.power, and
+    # True acted as 1.  Now each is refused before any work, and a numpy
+    # integer gives an int winding and the coefficient of the int
+    takers = [name for name in _ARGUMENTS if name.endswith(" k")]
+    for precision in ("double", "high"):
+        for k in (1.0, -1.0, True, Decimal(1)):
+            for name in takers:
+                p = QParam(0.5, precision)
+                with pytest.raises(ValueError) as info:
+                    _ARGUMENTS[name][0](k, p)
+                assert str(info.value) == f"k must be an integer, got {k!r}" and not p._table, (name, k)
+        p = QParam(0.5, precision)
+        f = _function(p)
+        for op in (qsu2.mul_position, qsu2.mul_position_right, qsu2.apply_lambda):
+            g = op(np.int64(1), f)
+            assert type(g.m) is int and g.m == 2 and g.coeffs == op(1, f).coeffs
+        for coeff in (qsu2.position_coeff_upper, qsu2.position_coeff_lower):
+            assert repr(coeff(p, 2, 0, np.int64(-1))) == repr(coeff(p, 2, 0, -1))
+
+
 def test_qparam_validation():
     for precision in ("double", "high"):
-        # "1.5", b"2" and True read as 1.5, 2.0 and 1.0 through float()
-        for bad in (0.0, -1.0, float("nan"), float("inf"), 1 + 1j, "junk", None,
-                    "1.5", b"2", bytearray(b"2"), True, False):
-            with pytest.raises(ValueError, match=re.escape(f"q must be a positive real number, got {bad!r}")):
+        # "1.5", b"2" and True read as 1.5, 2.0 and 1.0 through float();
+        # q is refused by qcore's real rule, in its two forms
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=re.escape(f"q must be positive and finite, got {bad!r}")):
+                QParam(bad, precision)
+        for bad in (1 + 1j, "junk", None, "1.5", b"2", bytearray(b"2"), True, False,
+                    Fraction(3, 2), np.int64(2), np.float32(1.5)):
+            with pytest.raises(ValueError, match=re.escape(f"q {_NOT_REAL}, got {bad!r}")):
                 QParam(bad, precision)
     with pytest.raises(ValueError):
         QParam(1.2, "quad")
-    # every real type stays: Decimal, which high precision and reciprocal()
-    # pass, is not a numbers.Real
-    for good in (2, 1.5, Fraction(3, 2), np.float64(1.5), np.float32(1.5), Decimal("1.5")):
-        assert QParam(good).q == float(good) and type(QParam(good).q) is float
+    # the reals are the same in both precisions: an int, a float (np.float64
+    # is one) or a Decimal, which high precision and reciprocal() pass
     for good in (2, 1.5, np.float64(1.5), Decimal("1.5")):
+        assert QParam(good).q == float(good) and type(QParam(good).q) is float
         assert QParam(good, "high").q == Decimal(good)
 
 
