@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, qdouble_factorial, qnum
+from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, _sqrt2, qdouble_factorial, qnum
 
 
 def _nanmax(magnitudes, zero=0.0):
@@ -48,9 +48,10 @@ def _nanmax(magnitudes, zero=0.0):
 
 def _coefficient(v, p: QParam, name: str = "coeffs"):
     """v, the argument name, as p.number(v) once the real rule takes it,
-    refused past the double range; a number of the backend's own type is
-    returned as it is."""
-    if type(v) is type(p.one):
+    refused past the double range; a number of the backend's own type,
+    unless a signaling NaN, is returned as it is."""
+    t = type(v)
+    if t is type(p.one) and (t is float or not v.is_snan()):
         return v
     _check_reals(**{name: v})
     try:
@@ -144,7 +145,7 @@ def _function(p: QParam, m: int, coeffs: Mapping) -> AngularFunction:
     in a new dict behind a read-only view, formed without the
     constructor's checks: for the results formed from valid functions."""
     f = object.__new__(AngularFunction)
-    f.__dict__.update(p=p, m=m, coeffs=MappingProxyType({k: v for k, v in coeffs.items() if v != 0}))
+    f.__dict__.update(p=p, m=m, coeffs=MappingProxyType({k: v for k, v in coeffs.items() if v}))
     return f
 
 
@@ -154,7 +155,7 @@ def _padd(a: Mapping, b: Mapping) -> dict:
     out = a.copy()
     for k, v in b.items():
         w = out.get(k, 0) + v
-        if w == 0:
+        if not w:
             out.pop(k, None)
         else:
             out[k] = w
@@ -162,7 +163,7 @@ def _padd(a: Mapping, b: Mapping) -> dict:
 
 
 def _pscale(a: dict, s) -> dict:
-    if s == 0:
+    if not s:
         return {}
     return {k: s * v for k, v in a.items()}
 
@@ -262,7 +263,7 @@ def _ladder(f: AngularFunction, s: int) -> AngularFunction:
     q**(-s(k-1)) [k] x0**(k-1) - q**(s(2j-k-1)) [2j+k] x0**(k+1).
     """
     p, m = f.p, f.m
-    pref = p.sqrt(qnum(2, p)) * p.power(m)
+    pref = _sqrt2(p) * p.power(m)
     poly = _qderiv(f.coeffs, p, -s)
     if s * m < 0:
         j = -s * m

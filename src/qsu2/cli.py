@@ -209,10 +209,19 @@ class _Sweep(argparse.Action):
         setattr(namespace, self.dest, [value] if given is self.default else [*given, value])
 
 
+class _FixedWidth(argparse.HelpFormatter):
+    """Help and usage laid out at 78 columns, argparse's width when stdout
+    is not a terminal, instead of the width COLUMNS or the terminal gives."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsu2",
         description="Deformed angular momentum toolkit: spectra, harmonics, integration, verification.",
+        formatter_class=_FixedWidth,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -226,22 +235,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
-    sp = sub.add_parser("spectrum", help="closed-form spectrum table")
+    sp = sub.add_parser("spectrum", help="closed-form spectrum table", formatter_class=_FixedWidth)
     common(sp)
     sp.add_argument("--potential", choices=POTENTIALS, required=True)
     sp.add_argument("--nmax", type=int, default=2)
 
-    sp = sub.add_parser("harmonics", help="harmonic coefficient dump")
+    sp = sub.add_parser("harmonics", help="harmonic coefficient dump", formatter_class=_FixedWidth)
     common(sp)
     sp.add_argument("--oracle", action="store_true",
                     help="emit from the closed-form series instead of the recursion")
 
-    sp = sub.add_parser("verify", help="run the identity catalogue")
+    sp = sub.add_parser("verify", help="run the identity catalogue", formatter_class=_FixedWidth)
     common(sp)
     sp.add_argument("--inject-fault", action="store_true",
                     help="self-test: corrupt one expansion coefficient and confirm detection")
 
-    sp = sub.add_parser("integrate", help="deformed monomial integral")
+    sp = sub.add_parser("integrate", help="deformed monomial integral", formatter_class=_FixedWidth)
     common(sp, lmax=False)
     sp.add_argument("--degree", type=int, default=0, help="monomial degree n")
     sp.add_argument("--series-depth", type=int, default=None,

@@ -83,7 +83,7 @@ from .angular import (
     mul_position_right,
 )
 from .jackson import QMeasure, _series_integrals, inner_product, integrate_monomial
-from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, invariants, qnum
+from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, _sqrt2, invariants, qnum
 
 
 def _zeros(p: QParam, n: int) -> list:
@@ -564,7 +564,7 @@ def _function_operands(p: QParam, inject_fault: bool) -> dict:
 def _vector_pairs(v, L0, Lplus, Lminus, ql0, p, **_):
     """The two defining vector relations of the triple v over all components
     and both ladder directions."""
-    two = p.sqrt(qnum(2, p))
+    two = _sqrt2(p)
     pairs = []
     for k in (1, 0, -1):
         pairs.append((L0._commutator(v[k]), v[k].scaled(k)))
@@ -581,7 +581,7 @@ def _ladder_step_pairs(p, phi, **_):
     series = {(l, m): f.scaled(p.power(-m)) if (l - m) % 2 else f for (l, m), f in phi.items()}
     return [
         (series[(l, m + 1)].scaled(1 if (l - m) % 2 else -qnum(l - m, p) * qnum(l + m + 1, p)),
-         apply_lplus(series[(l, m)]).scaled(1 / p.sqrt(qnum(2, p))))
+         apply_lplus(series[(l, m)]).scaled(1 / _sqrt2(p)))
         for l in range(1, 6) for m in range(l)
     ]
 
@@ -609,7 +609,7 @@ def _commutation_pairs(p, y, **_):
             for k in (1, -1):
                 if abs(m + k) <= l:
                     corr = mul_position_right(0, y[(l, m + k)]).scaled(
-                        k * p.lam / p.sqrt(qnum(2, p)) * p.power(-m - k)
+                        k * p.lam / _sqrt2(p) * p.power(-m - k)
                         * p.sqrt(qnum(l - k * m, p) * qnum(l + k * m + 1, p))
                     )
                     pairs.append((mul_position(k, f), mul_position_right(k, f) + corr))

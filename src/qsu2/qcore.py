@@ -34,8 +34,9 @@ importing the package loads no third-party module.
 
 Every identity downstream is built from a handful of q-numbers [n] and
 integer powers q**e, so each ``QParam`` keeps a private table of them,
-filled on first use: ``qnum(n, p)`` for integer n and ``p.power(e)`` read
-it.  The same table keeps what the harmonics and the inner product share
+filled on first use: ``qnum(n, p)`` for integer n, ``p.power(e)`` and
+``_sqrt2(p)``, the square root of [2] every ladder step takes, read it.
+The same table keeps what the harmonics and the inner product share
 at one q: ``angular.build_y`` stores each harmonic's coefficients, and
 ``jackson.inner_product`` the closed-form weighted moments of each
 winding.  A table entry is the value the direct computation gives, bit
@@ -123,6 +124,8 @@ class QParam:
 
     * ``("pow", e)``: the integer power q**e, by ``power``;
     * ``("qnum", n)``: the q-number [n] for integer n, by ``qnum``;
+    * ``("sqrt2",)``: the square root of [2], the factor of every ladder
+      step, by ``_sqrt2``;
     * ``("y", l, m)``: the coefficient dict of the harmonic Y_lm, by
       ``angular.build_y``, which returns a copy;
     * ``("moments", m)``: the closed-form weighted moments M_m(n),
@@ -255,10 +258,13 @@ def _check_reals(positive: bool = False, **args):
     """The rule for every real argument of the library: raise ValueError
     naming the first argument that is not a real or, with positive, does
     not lie in (0, inf).  A real is an int (not a bool), a float or a
-    Decimal, exactly the types decimal.Decimal() converts without loss;
-    a Decimal NaN compares quietly only in the private context."""
+    Decimal, exactly the types decimal.Decimal() converts without loss,
+    but not a signaling-NaN Decimal: float() cannot convert one and every
+    comparison or sum of it is an invalid operation.  A quiet Decimal NaN
+    compares quietly only in the private context."""
     for name, v in args.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float, decimal.Decimal)):
+        if (isinstance(v, bool) or not isinstance(v, (int, float, decimal.Decimal))
+                or isinstance(v, decimal.Decimal) and v.is_snan()):
             raise ValueError(f"{name} must be a real number (an int, a float or a Decimal), got {v!r}")
         if positive and not 0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
@@ -278,6 +284,17 @@ def qnum(n, p: QParam):
         return p._table[key]
     except KeyError:
         val = p._table[key] = _qnum(n, p)
+        return val
+
+
+def _sqrt2(p: QParam):
+    """The square root of [2], p.sqrt(qnum(2, p)), from the table of p,
+    filled on first use; an overflow is raised and not stored."""
+    key = ("sqrt2",)
+    try:
+        return p._table[key]
+    except KeyError:
+        val = p._table[key] = p.sqrt(qnum(2, p))
         return val
 
 

@@ -666,6 +666,33 @@ def test_internal_results_own_their_maps_and_drop_zeros():
     assert h.coeffs == {2: 1.0, 3: 0.5, 5: 0.25} and all(type(k) is int for k in h.coeffs) and h.degree == 5
 
 
+# zeros of both signs and exponents, and the values next to them that are
+# not zero: the smallest subnormal, the NaNs, inf and a Decimal far below
+# the double range
+_ZERO_TEST_VALUES = [0.0, -0.0, 5e-324, math.nan, math.inf, Decimal("0"), Decimal("-0"), Decimal("0E-70"),
+                     Decimal("NaN"), Decimal("1E-100000")]
+
+
+@pytest.mark.parametrize("precision", ["double", "high"])
+def test_zero_tests_keep_and_drop_what_a_comparison_with_zero_did(precision):
+    # _function, _padd and _pscale test a coefficient by its truth value,
+    # which keeps and drops exactly what the comparison v != 0 did
+    p = QParam(0.7, precision)
+    with decimal.localcontext(_CTX):
+        for v in _ZERO_TEST_VALUES:
+            f = angular._function(p, 1, {0: v, 2: 1})
+            assert list(f.coeffs) == [k for k, c in ((0, v), (2, 1)) if c != 0], v
+            assert f.coeffs.get(0, v) is v
+            scaled = angular._pscale({0: 1, 3: 2}, v)
+            assert list(scaled) == ([0, 3] if v != 0 else []), v
+            for w in _ZERO_TEST_VALUES:
+                if type(w) is not type(v):
+                    continue
+                total = angular._padd({0: v, 1: 1}, {0: w, 2: 1})
+                assert list(total) == [k for k, c in ((0, v + w), (1, 1), (2, 1)) if c != 0], (v, w)
+            assert list(angular._padd({}, {0: v})) == ([0] if 0 + v != 0 else []), v
+
+
 def _assert_read_only(f):
     """Every way of changing f's map raises, and the map stays as it was."""
     c = f.coeffs

@@ -40,9 +40,11 @@ BUDGETS = {
     # one-pass kernel forms (the generator commutators, the 27 vector
     # conditions and the transverse derivative from c, which took 82
     # products and 5411 - 2627 of their entries), table entries those of the
-    # QParam's table.  Square roots are the calls of QParam.sqrt: the
-    # position blocks form one per distinct product (458 and 1,868 with one
-    # per entry); validated functions are the calls of
+    # QParam's table, one of them the square root of [2].  Square roots are
+    # the calls of QParam.sqrt: the position blocks form one per distinct
+    # product (458 and 1,868 with one per entry), and the ladder steps and
+    # three catalogue rows read the square root of [2] from the table (388
+    # and 1,208 with one per use); validated functions are the calls of
     # AngularFunction.__post_init__, which the module's own results skip
     # (621 when they did not): the six left are the adjointness row's inputs
     ("verify_algebra q=1.3 lmax=6", "matmuls"): 42,
@@ -51,18 +53,18 @@ BUDGETS = {
     ("verify_algebra q=1.3 lmax=6", "kernel entries"): 1104,
     ("verify_algebra q=1.3 lmax=6", "operands"): 37,
     ("verify_algebra q=1.3 lmax=6", "decimal sums"): 41,
-    ("verify_algebra q=1.3 lmax=6", "square roots"): 388,
+    ("verify_algebra q=1.3 lmax=6", "square roots"): 266,
     ("verify_algebra q=1.3 lmax=6", "validated functions"): 6,
-    ("verify_algebra q=1.3 lmax=6", "table entries"): 79,
+    ("verify_algebra q=1.3 lmax=6", "table entries"): 80,
     ("verify_algebra q=1.3 lmax=16", "matmuls"): 42,
     ("verify_algebra q=1.3 lmax=16", "product entries"): 21747,
     ("verify_algebra q=1.3 lmax=16", "kernels"): 32,
     ("verify_algebra q=1.3 lmax=16", "kernel entries"): 11284,
     ("verify_algebra q=1.3 lmax=16", "operands"): 37,
     ("verify_algebra q=1.3 lmax=16", "decimal sums"): 41,
-    ("verify_algebra q=1.3 lmax=16", "square roots"): 1208,
+    ("verify_algebra q=1.3 lmax=16", "square roots"): 1086,
     ("verify_algebra q=1.3 lmax=16", "validated functions"): 6,
-    ("verify_algebra q=1.3 lmax=16", "table entries"): 153,
+    ("verify_algebra q=1.3 lmax=16", "table entries"): 154,
     # high precision: the same catalogue, whose functions keep their sum
     # operand as in double precision, one per function summed
     ("verify_algebra q=0.7 high lmax=6", "matmuls"): 42,
@@ -71,9 +73,9 @@ BUDGETS = {
     ("verify_algebra q=0.7 high lmax=6", "kernel entries"): 1104,
     ("verify_algebra q=0.7 high lmax=6", "operands"): 37,
     ("verify_algebra q=0.7 high lmax=6", "decimal sums"): 61,
-    ("verify_algebra q=0.7 high lmax=6", "square roots"): 388,
+    ("verify_algebra q=0.7 high lmax=6", "square roots"): 266,
     ("verify_algebra q=0.7 high lmax=6", "validated functions"): 6,
-    ("verify_algebra q=0.7 high lmax=6", "table entries"): 84,
+    ("verify_algebra q=0.7 high lmax=6", "table entries"): 85,
     # every pair i <= j of the 81 harmonics with l <= 8: one operand per
     # function (operands are inner-product sum operands, decimal sums the
     # moment lists a sum reads), one decimal sum per same-winding pair of
@@ -81,17 +83,21 @@ BUDGETS = {
     # a higher degree grows into a longer one (at most 83 and 115 lists
     # while each sum precision kept its own); moment entries are those
     # formed, each once: the stored lists' lengths, where forming every
-    # longer list from n = 0 formed 489 and 413
+    # longer list from n = 0 formed 489 and 413.  Square roots are the calls
+    # of QParam.sqrt; a ladder step of build_y reads the square root of [2]
+    # from the table (207 and 126 with one per step)
     ("Gram l<=8 q=1.3", "products"): 3321,
     ("Gram l<=8 q=1.3", "operands"): 81,
     ("Gram l<=8 q=1.3", "decimal sums"): 165,
-    ("Gram l<=8 q=1.3", "table entries"): 133,
+    ("Gram l<=8 q=1.3", "square roots"): 172,
+    ("Gram l<=8 q=1.3", "table entries"): 134,
     ("Gram l<=8 q=1.3", "moment lists"): 17,
     ("Gram l<=8 q=1.3", "moment entries"): 145,
     ("Gram l<=8 q=0.5", "products"): 3321,
     ("Gram l<=8 q=0.5", "operands"): 81,
     ("Gram l<=8 q=0.5", "decimal sums"): 165,
-    ("Gram l<=8 q=0.5", "table entries"): 133,
+    ("Gram l<=8 q=0.5", "square roots"): 172,
+    ("Gram l<=8 q=0.5", "table entries"): 134,
     ("Gram l<=8 q=0.5", "moment lists"): 17,
     ("Gram l<=8 q=0.5", "moment entries"): 145,
     # every pair i <= j of the 49 harmonics with l <= 6 in high precision,
@@ -99,7 +105,8 @@ BUDGETS = {
     ("Gram l<=6 q=0.7 high", "products"): 1225,
     ("Gram l<=6 q=0.7 high", "operands"): 49,
     ("Gram l<=6 q=0.7 high", "decimal sums"): 140,
-    ("Gram l<=6 q=0.7 high", "table entries"): 88,
+    ("Gram l<=6 q=0.7 high", "square roots"): 106,
+    ("Gram l<=6 q=0.7 high", "table entries"): 89,
     ("Gram l<=6 q=0.7 high", "moment lists"): 13,
     ("Gram l<=6 q=0.7 high", "moment entries"): 85,
     # one high-precision walk of the verifier's series row, depth 400 over
@@ -177,8 +184,9 @@ def _verify(monkeypatch, p, lmax):
 
 
 def _gram(monkeypatch, p, lmax=8):
-    counts = {"products": 0, "operands": 0, "decimal sums": 0, "moment entries": 0}
+    counts = {"products": 0, "operands": 0, "decimal sums": 0, "square roots": 0, "moment entries": 0}
     _counted(monkeypatch, jackson, "_form_operand", _tally(counts, "operands"))
+    _counted(monkeypatch, QParam, "sqrt", _tally(counts, "square roots"))
     _counted(monkeypatch, jackson, "_sum_moments", _tally(counts, "decimal sums"))
     form = jackson._moments
 

@@ -217,6 +217,21 @@ def test_precision_ignores_environment(monkeypatch):
     assert build_parser().parse_args(["verify"]).precision == "double"
 
 
+def test_help_and_usage_ignore_columns(monkeypatch, capsys):
+    # argparse wrapped help and usage at the width COLUMNS gave; both are
+    # now laid out at 78 columns whatever it says
+    cases = {("--help",): 0, ("verify", "--help"): 0, ("integrate", "--help"): 0, (): 2, ("verify", "--lmax", "x"): 2}
+    outputs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        runs = {argv: (main(list(argv)), *capsys.readouterr()) for argv in cases}
+        for argv, (code, out, err) in runs.items():
+            assert code == cases[argv] and (out if code == 0 else err), argv
+            assert max(map(len, (out + err).splitlines())) <= 78, argv
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+
+
 def test_spectrum_out_of_double_range():
     # L overflows a double for large l far from q = 1
     args = ["spectrum", "--potential", "coulomb", "--q", "50", "--lmax", "64"]

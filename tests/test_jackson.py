@@ -682,7 +682,7 @@ def test_qparam_freed_on_its_last_reference():
             mu = QMeasure(p)
             ys = [build_y(l, m, p) for l, m in GRAM_LABELS]
             gram = [[inner_product(ys[i], ys[j], mu) for j in range(i, len(ys))] for i in range(len(ys))]
-            assert {k[0] for k in p._table} >= {"y", "moments", "qnum", "pow"}
+            assert {k[0] for k in p._table} >= {"y", "moments", "qnum", "pow", "sqrt2"}
             ref = weakref.ref(p)
             del p, mu, ys, gram
             assert ref() is None, precision

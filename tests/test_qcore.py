@@ -28,7 +28,7 @@ from qsu2 import (
     qnum,
 )
 from qsu2.angular import ladder_factor
-from qsu2.qcore import _CTX, _in_private_context
+from qsu2.qcore import _CTX, _in_private_context, _sqrt2
 
 # q = 1 goes through the exact branch; float q keeps a margin from 1 since
 # the defining ratio loses ~1/|q-1| digits of the 1e-12 budget to rounding
@@ -236,7 +236,7 @@ _REALS = [name for name, (_, lowest) in _ARGUMENTS.items() if lowest in ("real",
 # the value grids; the three strings name values relative to the lowest
 _VALUES = [True, False, 2.0, 2.5, math.inf, math.nan, None, "2", "np.int64 of the lowest", "one below the range", "the lowest"]
 _REAL_VALUES = [True, Fraction(1, 2), np.int64(2), np.float32(0.5), np.float64(0.5), Decimal("0.5"), "2", None, 1j,
-                math.nan, math.inf, 0, -1]
+                math.nan, math.inf, 0, -1, Decimal("sNaN")]
 # qcore's real rule, as a refusal reads it after the argument's name
 _NOT_REAL = "must be a real number (an int, a float or a Decimal)"
 
@@ -246,9 +246,9 @@ def _refusal(name: str, v) -> str | None:
     words = name.split()
     arg = words[1] if len(words) > 1 else "l" if name == "invariants" else "n"
     if name in _REALS:
-        # an int (not a bool), a float or a Decimal, and a positive one
-        # finite too
-        if isinstance(v, bool) or not isinstance(v, (int, float, Decimal)):
+        # an int (not a bool), a float or a Decimal but not a signaling
+        # NaN, and a positive one finite too
+        if isinstance(v, bool) or not isinstance(v, (int, float, Decimal)) or isinstance(v, Decimal) and v.is_snan():
             return f"{arg} {_NOT_REAL}, got {v!r}"
         positive = _ARGUMENTS[name][1] == "positive"
         return f"{arg} must be positive and finite, got {v!r}" if positive and not 0 < v < math.inf else None
@@ -312,7 +312,10 @@ def test_size_arguments_take_integers_only(name, value):
 def test_real_arguments_take_reals_only(name, value):
     # q took any numbers.Real in double precision and only what Decimal()
     # converts in high precision, tol any numbers.Real in both: each now
-    # takes an int, a float or a Decimal, the same in both precisions
+    # takes an int, a float or a Decimal, the same in both precisions.  A
+    # signaling-NaN coefficient failed with "cannot convert signaling NaN to
+    # float" in double precision and a bare InvalidOperation in high, where
+    # scaled took one silently: each site now refuses it by the real rule
     _assert_domain(name, value)
 
 
@@ -432,6 +435,9 @@ def test_table_entries_equal_the_direct_formulas():
                 assert _bits(p.power(n)) == _bits(float(x ** n)), (q, n)
                 assert _bits(qnum(n, p)) == _bits(float((x ** n - x ** -n) / lam)), (q, n)
                 assert p._table[("pow", n)] is p.power(n) and p._table[("qnum", n)] is qnum(n, p)
+            # the square root of [2], one rounding of the double [2]
+            root = _sqrt2(p)
+            assert _bits(root) == _bits(math.sqrt(qnum(2, p))) and p._table[("sqrt2",)] is root is _sqrt2(p), q
             # a real index is rounded the same way and not stored
             size, h = len(p._table), Decimal(2.5)
             assert _bits(qnum(2.5, p)) == _bits(float((x ** h - x ** -h) / lam)) and len(p._table) == size
@@ -452,6 +458,8 @@ def test_table_entries_equal_the_direct_formulas():
                 assert qnum(n, p) is first
                 power = p.power(n)
                 assert _bits(power) == _bits(qq ** n) and p.power(n) is power
+            root = _sqrt2(p)
+            assert _bits(root) == _bits(_CTX.sqrt(qnum(2, p))) and p._table[("sqrt2",)] is root is _sqrt2(p), q
             # a real index is computed directly and not stored
             size = len(p._table)
             h = p.number(2.5)
