@@ -64,6 +64,9 @@ ARGVS = [
     # high-precision verify far from q = 1 at the larger sizes, where 62
     # digits leave gated rows failing (exit 1)
     *(["verify", "--q", q, "--lmax", lmax, *HIGH] for q, lmax in (("0.1", "16"), ("0.2", "24"))),
+    # a q of more than 62 significant digits (the double nearest 1e-4): the
+    # sums, the ladders and the series row read one exact q
+    ["verify", "--q", "1e-4", "--lmax", "4", *HIGH],
     *DOUBLE_ARGVS,
     # usage and numerical-domain errors: exit 2 with a message on stderr
     ["verify", "--lmax", "65"],
