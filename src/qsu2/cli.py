@@ -86,8 +86,8 @@ def _write(ns: argparse.Namespace, columns: list, rows: list, extra: dict | None
     meta = {
         "version": __version__,
         "command": ns.command,
-        "q": [_r15(float(v)) for v in sorted(ns.q)],
-        "tolerance": _r15(ns.tolerance),
+        "q": sorted(ns.q),
+        "tolerance": ns.tolerance,
     }
     text = _emit(ns.fmt, columns, rows, meta, extra)
     if ns.out:

@@ -82,7 +82,7 @@ from .angular import (
     mul_position,
     mul_position_right,
 )
-from .jackson import QMeasure, _series_integrals, inner_product, integrate_monomial
+from .jackson import QMeasure, inner_product, integrate_monomial
 from .qcore import QParam, _check_component, _check_integers, _check_label, _check_reals, _in_private_context, _sqrt2, invariants, qnum
 
 
@@ -630,10 +630,11 @@ def _series_pairs(p, mu, **_):
     # so the comparison holds at every q < 1, however slowly the tail decays.
     if p.q >= 1:
         return "series grid only exists for q < 1"
-    depth, ns = 400, range(0, 9, 2)
+    depth = 400
+    series = QMeasure(p, depth)
     return [
-        (s, integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
-        for n, s in zip(ns, _series_integrals(ns, p, depth))
+        (integrate_monomial(n, series), integrate_monomial(n, mu) * (1 - p.power(2 * depth * (n + 1))))
+        for n in range(0, 9, 2)
     ]
 
 

@@ -6,15 +6,18 @@ monomial x0**n integrates to (1 + (-1)**n)/[n+1]; the reciprocal grid
 carries the same functional for q > 1, which keeps the q -> 1/q symmetry
 of [n+1].  A series measure truncates the grid at a finite depth (q < 1).
 One routine, _running_sums, walks the grid: it yields the partial sums
-depth by depth for a list of degrees, and each consumer (the series
-measure, the convergence probe, the verifier's series row) reads every
-depth and degree it needs from a single pass.  The walk runs in decimal,
-in either precision, at the exact Decimal value of q: powers of q only
-seed it, each degree's term then advances by one product per point, and
-the grid weight and the winding factors take a form that cancels nothing,
-so no digits are lost to cancellation near q = 1.  Double precision walks
-in the private 62-digit context, as high precision does, and rounds each
-sum to a double once: its value is the high-precision one, rounded.
+depth by depth for a list of degrees, each degree's sums independent of
+the others', and each consumer reads every depth and degree it needs from
+one walk: a series measure's moments all their degrees, integrate_monomial
+one degree (the verifier's series row calls it once per degree) and the
+convergence probe every depth it reports.  The walk runs in decimal, in
+either precision, at the exact Decimal q that the QParam keeps, p._q, the
+q of its ladders and q-scalars: powers of q only seed it, each degree's
+term then advances by one product per point, and the grid weight and the
+winding factors take a form that cancels nothing, so no digits are lost
+to cancellation near q = 1.  Double precision walks in the private
+62-digit context, as high precision does, and rounds each sum to a double
+once: its value is the high-precision one, rounded.
 
 The inner product of two functions of winding m reduces the winding
 factors of f~ g to the weight w_m(x) = pref_m prod_i (1 - q**e_i x**2),
@@ -45,13 +48,14 @@ operands, rounded once to a double.  The two differ only
 in what enters the sum: in double precision the coefficients and the
 double nearest pi, converted exactly to Decimal, in high precision the
 coefficients as v * p.one, which rounds at 62 digits, and the 62-digit
-pi.  What a sum reads of each function is its sum operand: the
-coefficients in the sum's number type, and in double precision also
-their finiteness and the parity of their degrees.  It is formed once
-and kept on the function, which never changes (see _operand), so a
-function met in many sums is converted once, and nothing is kept
-anywhere else.  The closed-form moments are
-kept in the QParam's table under ("moments", m), one list per winding
+pi.  q itself is never converted: in both precisions the moments, closed
+form or series, are formed at p._q.  What a sum reads of each function is
+its sum operand: the coefficients in the sum's number type, and in double
+precision also their finiteness and the parity of their degrees.  It is
+formed once and kept on the function, which never changes (see
+_operand), so a function met in many sums is converted once, and nothing
+is kept anywhere else.  The closed-form moments are kept in the QParam's
+table under ("moments", m), one list per winding
 with the state its formation stopped in: moment n does not depend on how
 many are formed, so a stored list serves every sum up to its degree, bit
 for bit, and a sum of a higher degree resumes the formation where it
@@ -165,15 +169,6 @@ def _halfline_series(ns, q, depth: int, m: int = 0) -> tuple:
     return next(islice(_running_sums(ns, q, m), depth, None))
 
 
-def _series_integrals(ns, p: QParam, depth: int) -> list:
-    """The depth-`depth` series integrals over (-1, 1) of x**n for the even
-    n of ns, twice the half-line sums, in the number type of p: walked at
-    the exact Decimal q in the context entered, and in double precision
-    rounded once to a double."""
-    sums = _halfline_series(ns, decimal.Decimal(p.q), depth)
-    return [2 * s if p.is_high else float(2 * s) for s in sums]
-
-
 def _over_qnum(c, k: int, p: QParam):
     """c/[k], falling back to c b**k (1/b - b) / (1 - b**(2k)) with
     b = min(q, 1/q) when [k] overflows: formed at the exact Decimal q in
@@ -199,7 +194,7 @@ def integrate_monomial(n: int, mu: QMeasure):
     if n % 2 == 1:
         return p.zero
     if mu.series_depth is not None:
-        return _series_integrals([n], p, mu.series_depth)[0]
+        return p.number(2 * _halfline_series([n], p._q, mu.series_depth)[0])
     return _over_qnum(2, n + 1, p)
 
 
@@ -256,41 +251,26 @@ def _pair_sum(x: dict, y: dict, moments: list):
     return total
 
 
-def _convert(p: QParam):
-    """The conversion of a real number into the sum's number type: exact,
-    to Decimal, in double precision, and v * p.one, which rounds in the
-    private context, in high precision."""
-    return (lambda v: v * p.one) if p.is_high else decimal.Decimal
+def _sum_moments(mu: QMeasure, m: int, nmax: int) -> list:
+    """The weighted moments M_m(n), n = 0..nmax at least, of the measure:
+    Decimals formed in the private context at p._q, in either precision.
 
-
-def _closed_moments(p: QParam, m: int, nmax: int) -> list:
-    """M_m(n) for n = 0..nmax at least, in the sum's number type (see
-    _convert), formed in the private context and read from and kept in the
-    table of p under ("moments", m): one list per winding, whatever the
-    operands of the sums that read it.
-
-    Entry n of _moments does not depend on nmax, so a stored list of at
-    least nmax + 1 entries serves as it is, and a shorter one grows into a
-    new, longer list: each entry is formed once per QParam.  q is
-    converted only where entries are formed.
+    A series measure's depth-D grid sums are formed on every call.  The
+    closed form is read from and kept in the table of p under
+    ("moments", m): one list per winding, whatever the operands of the sums
+    that read it.  Entry n of _moments does not depend on nmax, so a stored
+    list of at least nmax + 1 entries serves as it is, and a shorter one
+    grows into a new, longer list: each entry is formed once per QParam.
     """
+    p, q = mu.p, mu.p._q
+    if mu.series_depth is not None:
+        even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, m)
+        return [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
     key = ("moments", m)
     kept = p._table.get(key)
     if kept is not None and len(kept[0]) > nmax:
         return kept[0]
-    q = _convert(p)(p.q)
     return _moments(-m, nmax, 1 / q, p._table, key) if q > 1 else _moments(m, nmax, q, p._table, key)
-
-
-def _sum_moments(mu: QMeasure, m: int, nmax: int) -> list:
-    """The weighted moments M_m(n), n = 0..nmax at least, of the measure in
-    the sum's number type: a series measure's depth-D grid sums, formed on
-    every call, or the closed form through _closed_moments."""
-    if mu.series_depth is None:
-        return _closed_moments(mu.p, m, nmax)
-    q = _convert(mu.p)(mu.p.q)
-    even = _halfline_series(range(0, nmax + 1, 2), q, mu.series_depth, m)
-    return [0 * q if n % 2 else 2 * even[n // 2] for n in range(nmax + 1)]
 
 
 class _Operand(NamedTuple):
@@ -319,11 +299,11 @@ def _operand(h: AngularFunction) -> _Operand:
 def _form_operand(c: Mapping, p: QParam) -> _Operand:
     """The _Operand of the coefficients c of a function at p, converted in
     the private context, so that the caller's context sees no float
-    conversion."""
-    num = _convert(p)
-    coeffs = {k: num(v) for k, v in c.items()}
+    conversion: as v * p.one, which rounds at 62 digits, in high precision,
+    and exactly to Decimal in double precision."""
     if p.is_high:
-        return _Operand(coeffs, max(c))
+        return _Operand({k: v * p.one for k, v in c.items()}, max(c))
+    coeffs = {k: decimal.Decimal(v) for k, v in c.items()}
     parities = {k % 2 for k in c}
     return _Operand(
         coeffs=coeffs,
@@ -412,7 +392,7 @@ def series_convergence_probe(n: int, p: QParam) -> ConvergenceProbe:
     # exact, so only a sum above it is compared.
     exact, gate = decimal.Decimal(limit), decimal.Decimal(1e-12)
     floor = (exact - 2 * gate).next_minus()
-    for d, (s,) in enumerate(_running_sums([n], decimal.Decimal(p.q))):
+    for d, (s,) in enumerate(_running_sums([n], p._q)):
         while want and want[0] <= d:
             rows.append((want.pop(0), float(s), float(abs(s - exact))))
         if hit is None and s > floor and 0 < d <= cap and abs(s - exact) < gate:

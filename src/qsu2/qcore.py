@@ -129,7 +129,7 @@ class QParam:
     * ``("y", l, m)``: the coefficient dict of the harmonic Y_lm, by
       ``angular.build_y``, which returns a copy;
     * ``("moments", m)``: the closed-form weighted moments M_m(n),
-      n = 0..nmax, of winding m in the sum's number type, formed in the
+      n = 0..nmax, of winding m, Decimals formed at ``_q`` in the
       private context by ``jackson.inner_product``, with the numbers and
       lists their formation resumes from: a later call of a higher
       degree stores a new, longer list that forms only the entries past

@@ -450,7 +450,7 @@ def radial_verify(potential: str, n: int, l: int, p: QParam, grid: RadialGrid = 
     r: there the z-form's node count would not be the solution's.
     """
     entry = _make_entry(potential, n, l, p)
-    L, e_closed = entry.L, entry.E
+    n, l, L, e_closed = entry.n, entry.l, entry.L, entry.E
     r_min, r_max, n_steps = _resolve_grid(potential, L, e_closed, grid)
     grid_meta = {
         "r_min": r_min, "r_max": r_max, "n_steps": n_steps, "method": grid.method,

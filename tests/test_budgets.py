@@ -109,10 +109,11 @@ BUDGETS = {
     ("Gram l<=6 q=0.7 high", "table entries"): 89,
     ("Gram l<=6 q=0.7 high", "moment lists"): 13,
     ("Gram l<=6 q=0.7 high", "moment entries"): 85,
-    # one high-precision walk of the verifier's series row, depth 400 over
-    # the degrees 0, 2, ..., 8: powers of q are taken only to seed it, one
-    # per degree and q**4 for a winding, within len(ns) + |m| + 2, where a
-    # power at every grid point took 801 (m = 0) and 1,989 (m = 3)
+    # one high-precision walk of depth 400 over the degrees 0, 2, ..., 8, as
+    # a series measure's moments walk them (the verifier's series row walks
+    # the same degrees, one per call): powers of q are taken only to seed
+    # it, one per degree and q**4 for a winding, within len(ns) + |m| + 2,
+    # where a power at every grid point took 801 (m = 0) and 1,989 (m = 3)
     ("high walk depth=400 m=0", "powers of q"): 5,
     ("high walk depth=400 m=3", "powers of q"): 6,
 }

@@ -34,6 +34,7 @@ from qsu2 import (
     transverse_square_candidates,
     verify_algebra,
 )
+from qsu2.irrep import _adjoint_pairs
 from qsu2.qcore import _CTX
 
 import make_verdict_map as verdicts
@@ -283,6 +284,17 @@ def test_harmonic_orthonormality_far_from_one():
         rep = verify_algebra(QParam(q), 6)
         row = next(c for c in rep.checks if c.name == "harmonic-orthonormality")
         assert row.passed, (q, row.residual)
+
+
+@pytest.mark.parametrize("q", [1e-30, 1e100])
+def test_ladder_adjointness_reads_the_exact_q_far_from_one(q):
+    # the double q has more than 62 significant digits: the moments of the
+    # inner products sit at the exact q of the ladders, so L+ stays the
+    # adjoint of L- to the digits of the sums
+    p = QParam(q, "high")
+    pairs = _adjoint_pairs(p, QMeasure(p))
+    with decimal.localcontext(_CTX):
+        assert max(abs(a - b) for a, b in pairs) < Decimal("1e-60"), q
 
 
 def test_verdict_map_replays():

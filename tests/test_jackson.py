@@ -519,6 +519,21 @@ def test_inner_product_series_measure_route():
     assert abs(closed - series) < 1e-12 * max(1.0, abs(closed))
 
 
+@pytest.mark.parametrize("q", [decimal.Decimal("0.7" + "3" * 70), 1e-8, 1e-30])
+def test_series_inner_product_reads_the_exact_q(q):
+    # <1, x0**n> over a series measure is 2 pi times the series integral
+    # of x0**n digit for digit, also where q has more than 62 significant
+    # digits: the moments and integrate_monomial walk the grid at one q
+    p = QParam(q, "high")
+    mu = QMeasure(p, series_depth=40)
+    one = angular_function(p, 0, {0: 1})
+    for n in (0, 2, 4, 6):
+        got = inner_product(one, angular_function(p, 0, {n: 1}), mu)
+        with decimal.localcontext(_CTX):
+            want = 2 * p.pi * integrate_monomial(n, mu)
+        assert got.as_tuple() == want.as_tuple(), (q, n)
+
+
 def test_inner_product_conjugate_linearity():
     # on real coefficients the hermitian product is linear in f and
     # symmetric

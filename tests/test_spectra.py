@@ -5,6 +5,7 @@ import random
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -170,6 +171,10 @@ def test_shooting_coulomb_excited():
     assert rep.converged
     assert rep.abs_err < 1e-6
     assert rep.nodes_found == 1
+    # numpy integer labels give the same report, with the entry's plain ints
+    rep64 = radial_verify(COULOMB, np.int64(1), np.int64(1), QParam(1.3))
+    assert rep64 == rep
+    assert type(rep64.n) is int and type(rep64.l) is int
 
 
 def test_shooting_origin_exponent():
